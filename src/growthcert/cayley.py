@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
-from .exactnum import PlaceSet, SquareMatrix, Word, s_support
+from .exactnum import PlaceSet, SquareMatrix, Word, row_reduce, s_support
 from .polyroots import poly_degree, squarefree_part
 from .spectra import char_poly, discriminant, l1_gap_report, wedge_power
 
@@ -236,29 +236,6 @@ def estimate_omega(report: GrowthReport) -> Fraction:
 # regular pair search
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    while rows and pivot_col < cols:
-        piv = next((i for i, r in enumerate(rows) if r[pivot_col] != 0), None)
-        if piv is None:
-            pivot_col += 1
-            continue
-        rows[0], rows[piv] = rows[piv], rows[0]
-        lead = rows[0][pivot_col]
-        rows[0] = [x / lead for x in rows[0]]
-        rows = [rows[0]] + [
-            [x - r[pivot_col] * y for x, y in zip(r, rows[0])] if r[pivot_col] != 0 else r
-            for r in rows[1:]
-        ]
-        rank += 1
-        rows = rows[1:]
-        pivot_col += 1
-    return rank
-
-
 def shemesh_no_common_eigenvector(a: SquareMatrix, b: SquareMatrix) -> bool:
     """True when A and B share no eigenvector over the algebraic closure.
 
@@ -278,60 +255,29 @@ def shemesh_no_common_eigenvector(a: SquareMatrix, b: SquareMatrix) -> bool:
         for bl in b_pows:
             comm = ak * bl - bl * ak
             stacked.extend([list(row) for row in comm.entries])
-    if not any(any(r) for r in stacked):
-        return False  # everything commutes; common eigenvector exists
-    return _rank(stacked) == n
-
-
-class _EchelonSpan:
-    """Incremental row space over Q for vectorized matrices."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.pivots: dict[int, list[Fraction]] = {}
-
-    def reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        v = list(vec)
-        for col in sorted(self.pivots):
-            if v[col] != 0:
-                pivot = self.pivots[col]
-                f = v[col]
-                v = [x - f * y for x, y in zip(v, pivot)]
-        return v
-
-    def insert(self, vec: list[Fraction]) -> bool:
-        v = self.reduce(vec)
-        lead = next((i for i, x in enumerate(v) if x != 0), None)
-        if lead is None:
-            return False
-        lv = v[lead]
-        self.pivots[lead] = [x / lv for x in v]
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+    return len(row_reduce(stacked)[1]) == n
 
 
 def generated_algebra_dimension(a: SquareMatrix, b: SquareMatrix) -> int:
     """Dimension of the unital algebra generated by A and B inside n x n.
 
-    Closure of span{I} under left multiplication by A and B; every word is
-    reached because words factor letter by letter.
+    Row-reduces span{I} together with A and B times the basis until the
+    rank stops growing or reaches n^2; the span is then closed under left
+    multiplication by A and B, so it holds every word.  Only the rows with
+    a new pivot column need multiplying: with the old span they span the
+    new one.
     """
     n = a.n
-    span = _EchelonSpan(n * n)
-    queue = [SquareMatrix.identity(n)]
-    span.insert([x for row in queue[0].entries for x in row])
-    while queue:
-        m = queue.pop()
-        for g in (a, b):
-            p = g * m
-            if span.insert([x for row in p.entries for x in row]):
-                queue.append(p)
-        if span.rank == n * n:
-            break
-    return span.rank
+    rref = [[x for row in SquareMatrix.identity(n).entries for x in row]]
+    pivots = [0]
+    fresh = rref
+    while fresh and len(rref) < n * n:
+        rows = [SquareMatrix(tuple(tuple(r[i : i + n]) for i in range(0, n * n, n))) for r in fresh]
+        products = [[x for row in (g * m).entries for x in row] for g in (a, b) for m in rows]
+        old = set(pivots)
+        rref, pivots, _ = row_reduce(rref + products)
+        fresh = [r for r, col in zip(rref, pivots) if col not in old]
+    return len(rref)
 
 
 @dataclass(frozen=True)

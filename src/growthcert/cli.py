@@ -231,9 +231,7 @@ def cmd_find_pair(args) -> int:
         pair = find_regular_pair(
             list(gfile.generators), config.search_depth, s, config.budget
         )
-    except BudgetExceeded:
-        return EXIT_BUDGET
-    except PairNotFound as exc:
+    except (BudgetExceeded, PairNotFound) as exc:
         _emit(
             {
                 "schema": "growthcert.failure.v1",
@@ -242,7 +240,7 @@ def cmd_find_pair(args) -> int:
             },
             args.pretty,
         )
-        return EXIT_PIPELINE
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_PIPELINE
     wedges = {
         str(m): rec for m, rec in pair.genericity.get("wedges", {}).items()
     }
@@ -367,6 +365,9 @@ def cmd_report(args) -> int:
         raise _ParseError(f"cannot read {args.trace}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _ParseError(f"{args.trace} is not JSONL: {exc}") from exc
+    bad = next((i for i, rec in enumerate(records) if not isinstance(rec, dict)), None)
+    if bad is not None:
+        raise _ParseError(f"{args.trace}: record {bad + 1} is not a JSON object")
     stages = [
         {"stage": rec.get("stage"), "ok": bool(rec.get("ok"))} for rec in records
     ]

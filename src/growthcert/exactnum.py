@@ -15,8 +15,6 @@ from math import gcd
 
 from .errors import GrowthcertError, WordIndexError
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction. Rejects floats and empty input."""
@@ -224,6 +222,44 @@ def abs_value(x: Fraction, v: Place) -> Fraction:
 # matrices
 
 
+def row_reduce(rows) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form over Q by Fraction Gauss-Jordan.
+
+    Returns (rref, pivots, det): the nonzero rows of the reduced form, the
+    pivot column of each, and the product of the pivots times the sign of
+    the row swaps, which is 0 when the rows are linearly dependent.  For a
+    square matrix det is its determinant.  This is the package's only exact
+    elimination; rank, kernels, inverses and spans all read its output.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    det = Fraction(1)
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        lead = m[rank][col]
+        det *= lead
+        # entries left of col are zero in every row from rank down
+        prow = [x / lead for x in m[rank][col:]]
+        m[rank][col:] = prow
+        for r, row in enumerate(m):
+            f = row[col]
+            if r != rank and f != 0:
+                row[col:] = [a - f * b for a, b in zip(row[col:], prow)]
+        pivots.append(col)
+    if len(pivots) < len(m):
+        det = Fraction(0)
+    return m[: len(pivots)], pivots, det
+
+
 def _as_fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     out = tuple(tuple(Fraction(x) for x in row) for row in rows)
     n = len(out)
@@ -307,43 +343,19 @@ class SquareMatrix:
         return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction Gaussian elimination."""
-        n = self.n
-        m = [list(row) for row in self.entries]
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    f = m[r][col] * inv
-                    for c in range(col, n):
-                        m[r][c] -= f * m[col][c]
-        return det
+        """Exact determinant."""
+        return row_reduce(self.entries)[2]
 
     def inverse(self) -> "SquareMatrix":
-        """Exact inverse via Gauss-Jordan; raises on singular input."""
+        """Exact inverse by Gauss-Jordan on [A | I]; raises on singular input."""
         n = self.n
-        m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            m[col], m[piv] = m[piv], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-        return SquareMatrix(tuple(tuple(row[n:]) for row in m))
+        rref, pivots, _ = row_reduce(
+            row + tuple(Fraction(1 if i == j else 0) for j in range(n))
+            for i, row in enumerate(self.entries)
+        )
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("singular matrix")
+        return SquareMatrix(tuple(tuple(row[n:]) for row in rref))
 
     def __pow__(self, k: int) -> "SquareMatrix":
         if k < 0:
@@ -482,21 +494,3 @@ def s_support(gens: list[SquareMatrix]) -> PlaceSet:
                 if x.denominator != 1:
                     primes.update(factorize(x.denominator))
     return PlaceSet.from_primes(sorted(primes))
-
-
-def product_formula_check(x: Fraction) -> Fraction:
-    """Product of |x|_v over the archimedean place and all primes of x.
-
-    Equals 1 for every nonzero rational; exposed for tests.
-    """
-    if x == 0:
-        raise ValueError("product formula needs nonzero input")
-    primes: set[int] = set()
-    if abs(x.numerator) != 1:
-        primes |= set(factorize(x.numerator))
-    if x.denominator != 1:
-        primes |= set(factorize(x.denominator))
-    total = abs(x)
-    for p in sorted(primes):
-        total *= abs_value(x, Place.finite(p))
-    return total

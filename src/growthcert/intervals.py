@@ -86,9 +86,6 @@ class RationalInterval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
@@ -209,9 +206,6 @@ class ComplexInterval:
     def is_real(self) -> bool:
         return self.im.lo == 0 and self.im.hi == 0
 
-    def is_point(self) -> bool:
-        return self.re.is_point() and self.im.is_point()
-
     def __add__(self, other: "ComplexInterval") -> "ComplexInterval":
         return ComplexInterval(self.re + other.re, self.im + other.im)
 
@@ -315,14 +309,6 @@ def cmat_mul(a: CMatrix, b: CMatrix, round_bits: int | None = None) -> CMatrix:
 
 def cmat_sub(a: CMatrix, b: CMatrix) -> CMatrix:
     return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
-
-
-def cmat_scale(a: CMatrix, c: ComplexInterval) -> CMatrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def cmat_round(a: CMatrix, bits: int) -> CMatrix:
-    return tuple(tuple(x.round_out(bits) for x in row) for row in a)
 
 
 def cmat_det_small(a: CMatrix) -> ComplexInterval:

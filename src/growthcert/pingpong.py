@@ -494,8 +494,3 @@ def growth_bound_from_length(ell: int, grid_bits: int = 20) -> Fraction:
     q = Fraction(lo, scale)
     assert q**ell <= 2 < (q + Fraction(1, scale)) ** ell
     return q
-
-
-def certificate_to_growth_bound(cert: PingPongCertificate, len_ab: int, len_a2b: int) -> Fraction:
-    """Certified rational lower bound on the growth rate from word lengths."""
-    return growth_bound_from_length(max(len_ab, len_a2b))

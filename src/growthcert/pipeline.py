@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .cayley import find_regular_pair
 from .errors import (
+    BudgetExceeded,
     ExponentSearchExhausted,
     GrowthcertError,
     Inconclusive,
@@ -39,7 +40,6 @@ from .pingpong import (
 )
 from .wordforge import (
     balance_or_trace,
-    build_almost_algebra,
     diagonalized_pair,
     ensure_l2,
     select_place_and_wedge,
@@ -65,7 +65,6 @@ class RunConfig:
     word_cap: int = 8
     bits_schedule: tuple[int, ...] = (64, 128, 256)
     radii: tuple[Fraction, ...] = DEFAULT_RADII
-    epsilon: Fraction = Fraction(1, 1024)
     constants: tuple = (Fraction(1), Fraction(1), Fraction(1), Fraction(2))
 
     def __post_init__(self):
@@ -86,7 +85,6 @@ class RunConfig:
             "word_cap": self.word_cap,
             "bits_schedule": list(self.bits_schedule),
             "radii": [format_rational(r) for r in self.radii],
-            "epsilon": format_rational(self.epsilon),
             "constants": [format_rational(Fraction(c)) for c in self.constants],
         }
 
@@ -102,8 +100,6 @@ class RunConfig:
             kwargs["bits_schedule"] = tuple(int(b) for b in d["bits_schedule"])
         if "radii" in d:
             kwargs["radii"] = tuple(parse_rational(r) for r in d["radii"])
-        if "epsilon" in d:
-            kwargs["epsilon"] = parse_rational(d["epsilon"])
         if "constants" in d:
             kwargs["constants"] = tuple(parse_rational(c) for c in d["constants"])
         return RunConfig(**kwargs)
@@ -184,29 +180,6 @@ def certify_generators(
             "burnside_dim": seed.genericity["burnside_dim"],
         }
     )
-
-    # non-gating diagnostic: how close {A, B, AB} is to spanning an algebra
-    try:
-        aa = build_almost_algebra(
-            [seed.matrix_a, seed.matrix_b, seed.matrix_a * seed.matrix_b], config.epsilon
-        )
-        trace.append(
-            {
-                "stage": "algebra_diagnostic",
-                "ok": True,
-                "dimension": aa.dimension,
-                "closure_defect": format_rational(aa.closure_defect),
-            }
-        )
-    except GrowthcertError as exc:
-        trace.append(
-            {
-                "stage": "algebra_diagnostic",
-                "ok": False,
-                "error": type(exc).__name__,
-                "detail": str(exc),
-            }
-        )
 
     try:
         pair = _escalate(
@@ -360,6 +333,15 @@ def verify_certificate(
         return False, "certificate words must be nonempty"
     if not 1 <= cert.wedge_m < cert.n:
         return False, f"wedge degree {cert.wedge_m} out of range for n={cert.n}"
+    if cert.exponent > config.exponent_cap:
+        return False, f"exponent {cert.exponent} exceeds exponent_cap {config.exponent_cap}"
+    depth = cert.oracle_depth_validated
+    # the oracle multiplies out all 2^(depth+1) - 2 positive words; the
+    # bit-length test keeps a huge tampered depth from building 2^depth
+    if depth >= config.budget.bit_length() or (depth > 0 and 2 ** (depth + 1) - 2 > config.budget):
+        return False, (
+            f"oracle_depth_validated {depth} needs more words than budget {config.budget}"
+        )
     try:
         a_mat = evaluate_word(cert.word_a, gens)
         b_mat = evaluate_word(cert.word_b, gens)
@@ -394,9 +376,10 @@ def verify_certificate(
 
     u = a_mat**cert.exponent * b_mat
     w = a_mat ** (2 * cert.exponent) * b_mat
-    collision = find_semigroup_collision(
-        u, w, cert.oracle_depth_validated, config.budget
-    )
+    try:
+        collision = find_semigroup_collision(u, w, depth, config.budget)
+    except BudgetExceeded as exc:
+        return False, f"oracle did not finish: {exc}"
     if collision is not None:
         return False, f"oracle collision: {collision[0]!r} = {collision[1]!r}"
     return True, "ok"

@@ -12,6 +12,7 @@ Every containment decision below is an exact rational comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor, gcd, lcm
 
 import mpmath
 
@@ -203,10 +204,7 @@ def _nonroot_point(f: Poly, a: Fraction, b: Fraction) -> Fraction:
 
 
 def isolate_real_roots(f: Poly) -> list[RationalInterval]:
-    """Disjoint intervals, one simple real root each, for squarefree f.
-
-    Rational roots may come back as degenerate point intervals.
-    """
+    """Disjoint intervals (lo, hi], one simple real root each, for squarefree f."""
     if poly_degree(f) < 1:
         return []
     chain = sturm_chain(f)
@@ -246,51 +244,27 @@ def refine_real_root(f: Poly, iv: RationalInterval, width: Fraction, chain=None)
     return RationalInterval(lo, hi)
 
 
-def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with the smallest denominator in [lo, hi]."""
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo == hi:
-        return lo
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -simplest_rational_in(-hi, -lo)
-    floor_lo = lo.numerator // lo.denominator
-    if floor_lo + 1 <= hi:
-        return Fraction(floor_lo + (0 if lo == floor_lo else 1))
-    fa, fb = lo - floor_lo, hi - floor_lo
-    if fa == 0:
-        return Fraction(floor_lo)
-    inner = simplest_rational_in(1 / fb, 1 / fa)
-    return floor_lo + 1 / inner
-
-
 def rational_roots(f: Poly) -> list[Fraction]:
     """All rational roots of squarefree f, each verified by exact evaluation.
 
-    Candidates come from isolating intervals refined until a rational root,
-    if present, is the simplest rational inside; absence of a candidate
-    after the denominator cap means the root is irrational (or enormous).
+    Scaled to primitive integer coefficients with leading coefficient a, f
+    can only have rational roots k/a with k an integer (rational root
+    theorem).  Each isolating interval (lo, hi] is refined to width <= 1/a,
+    which leaves one candidate, k = floor(a*lo) + 1, decided by evaluation.
     """
-    roots = []
+    if poly_degree(f) < 1:
+        return []
+    den = lcm(*(c.denominator for c in f))
+    ints = [c.numerator * (den // c.denominator) for c in f]
+    a = abs(ints[-1]) // gcd(*ints)
     chain = sturm_chain(f)
+    roots = []
     for iv in isolate_real_roots(f):
-        if iv.is_point():
-            roots.append(iv.lo)
-            continue
-        found = None
-        width = Fraction(1, 2**64)
-        for _ in range(4):
-            iv = refine_real_root(f, iv, width, chain)
-            cand = simplest_rational_in(iv.lo, iv.hi)
-            if poly_eval(f, cand) == 0:
-                found = cand
-                break
-            width = width * Fraction(1, 2**64)
-        if found is not None:
-            roots.append(found)
-    return sorted(roots)
+        iv = refine_real_root(f, iv, Fraction(1, a), chain)
+        cand = Fraction(floor(a * iv.lo) + 1, a)
+        if cand <= iv.hi and poly_eval(f, cand) == 0:
+            roots.append(cand)
+    return roots
 
 
 # ---------------------------------------------------------------------------

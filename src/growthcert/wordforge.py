@@ -4,8 +4,8 @@ Diagonalize A with certified enclosures (exact when the charpoly splits
 over Q), balance norms by a centralizer conjugation or bounded word
 replacement, fall back to the trace route and role swap, pick the place
 and wedge degree with a certified spectral gap, and repair B's corner
-entry through the Vandermonde amplification backed by the almost-algebra
-diagnostics.
+entry through the Vandermonde amplification.  The almost-algebra builder
+is a library function; certification does not run it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     SingularEnclosure,
     SwapFailed,
 )
-from .exactnum import ARCH, Place, PlaceSet, SquareMatrix, Word, abs_value
+from .exactnum import ARCH, Place, PlaceSet, SquareMatrix, Word, abs_value, row_reduce
 from .intervals import (
     ComplexInterval,
     RationalInterval,
@@ -62,29 +62,13 @@ def substitute_word(symbolic: Word, word_a: Word, word_b: Word) -> Word:
 
 
 def _kernel_vector(m: SquareMatrix) -> tuple[Fraction, ...]:
-    """One nonzero kernel vector of a singular matrix, by exact elimination."""
-    n = m.n
-    rows = [list(r) for r in m.entries]
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = next(c for c in range(n) if c not in pivots)
-    vec = [Fraction(0)] * n
+    """One nonzero kernel vector of a singular matrix: the first free column set to 1."""
+    rref, pivots, _ = row_reduce(m.entries)
+    free = next(c for c in range(m.n) if c not in pivots)
+    vec = [Fraction(0)] * m.n
     vec[free] = Fraction(1)
-    for col, r in pivots.items():
-        vec[col] = -rows[r][free]
+    for row, col in zip(rref, pivots):
+        vec[col] = -row[free]
     return tuple(vec)
 
 

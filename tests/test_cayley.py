@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from growthcert.cayley import (
     RegularPair,
@@ -17,7 +19,7 @@ from growthcert.cayley import (
     shemesh_no_common_eigenvector,
 )
 from growthcert.errors import BudgetExceeded, InsufficientData, PairNotFound
-from growthcert.exactnum import ARCH, SquareMatrix, Word
+from growthcert.exactnum import ARCH, SquareMatrix, Word, row_reduce
 
 
 def sanov_gens():
@@ -153,6 +155,50 @@ def test_generated_algebra_dimension_cases():
     assert generated_algebra_dimension(d1, d2) == 2
     i = SquareMatrix.identity(2)
     assert generated_algebra_dimension(i, i) == 1
+
+
+@st.composite
+def _shaped_pair(draw):
+    # a shared zero pattern keeps the algebra inside diagonal, triangular or
+    # block matrices, so dimensions below n^2 come up too
+    n = draw(st.integers(2, 3))
+    shape = draw(st.sampled_from(["full", "upper", "diagonal", "block"]))
+    keep = {
+        "full": lambda i, j: True,
+        "upper": lambda i, j: i <= j,
+        "diagonal": lambda i, j: i == j,
+        "block": lambda i, j: i == j or (i < n - 1 and j < n - 1),
+    }[shape]
+
+    def matrix():
+        return SquareMatrix.from_rows(
+            [[draw(st.integers(-3, 3)) if keep(i, j) else 0 for j in range(n)] for i in range(n)]
+        )
+
+    return matrix(), matrix()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shaped_pair())
+# span{I, E12, E23} grows only through E12 * E23 = E13: dimension 4
+@example(
+    (
+        SquareMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+        SquareMatrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+    )
+)
+def test_generated_algebra_dimension_matches_word_span(pair):
+    # words of length < n^2 span the algebra: the closure ends within n^2 rounds
+    a, b = pair
+    n = a.n
+    words = [SquareMatrix.identity(n)]
+    layer = words
+    for _ in range(n * n - 1):
+        layer = [g * m for g in (a, b) for m in layer]
+        layer = list({m.entries: m for m in layer}.values())
+        words += layer
+    rank = len(row_reduce([[x for row in m.entries for x in row] for m in words])[1])
+    assert generated_algebra_dimension(a, b) == rank
 
 
 def test_find_regular_pair_sanov():

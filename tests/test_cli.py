@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 from growthcert import cli
 
@@ -35,6 +36,24 @@ def heisenberg_file(tmp_path):
             ],
         },
     )
+
+
+def sanov_cert_file(tmp_path, **fields):
+    cert = {
+        "schema": "growthcert.certificate.v1",
+        "n": 2,
+        "word_A": "0 1",
+        "word_B": "0",
+        "place": "archimedean",
+        "wedge_m": 1,
+        "exponent": 1,
+        "cone_param": "1/16",
+        "checks": {"disjoint": True, "contracts": True, "contracts_double": True},
+        "growth_bound": "1204497/1048576",
+        "oracle_depth_validated": 12,
+    }
+    cert.update(fields)
+    return write_json(tmp_path / "cert.json", cert)
 
 
 def run(capsys, argv):
@@ -118,6 +137,16 @@ def test_find_pair_failure(capsys, tmp_path):
     assert data["failed_stage"] == "find_regular_pair"
 
 
+def test_find_pair_over_budget_emits_failure(capsys, tmp_path):
+    gens = sanov_file(tmp_path)
+    code, out, _ = run(capsys, ["find-pair", gens, "--budget", "5"])
+    assert code == 3
+    data = json.loads(out)
+    assert data["schema"] == "growthcert.failure.v1"
+    assert data["failed_stage"] == "find_regular_pair"
+    assert "budget 5" in data["reason"]
+
+
 def test_certify_verify_round_trip(capsys, tmp_path):
     gens = sanov_file(tmp_path)
     cert_path = tmp_path / "cert.json"
@@ -135,7 +164,7 @@ def test_certify_verify_round_trip(capsys, tmp_path):
     assert file_cert["exponent"] == 1 and file_cert["cone_param"] == "1/16"
     assert file_cert["growth_bound"] == "1204497/1048576"
     lines = trace_path.read_text().splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 7
     assert json.loads(lines[-1])["stage"] == "certificate"
 
     code, out, _ = run(capsys, ["verify", str(cert_path), gens])
@@ -186,6 +215,28 @@ def test_verify_malformed_certificate(capsys, tmp_path):
     code, out, _ = run(capsys, ["verify", broken, gens])
     assert code == 5
     assert "malformed certificate" in json.loads(out)["reason"]
+
+
+def test_verify_rejects_oracle_depth_over_budget(capsys, tmp_path):
+    gens = sanov_file(tmp_path)
+    # depth 25 means 2^26 - 2 oracle words, past the default budget of 10^6
+    cert = sanov_cert_file(tmp_path, oracle_depth_validated=25)
+    code, out, _ = run(capsys, ["verify", cert, gens])
+    assert code == 5
+    verdict = json.loads(out)
+    assert verdict["valid"] is False
+    assert "oracle_depth_validated" in verdict["reason"] and "budget" in verdict["reason"]
+
+
+def test_verify_rejects_huge_exponent_quickly(capsys, tmp_path):
+    gens = sanov_file(tmp_path)
+    cert = sanov_cert_file(tmp_path, exponent=10**5)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", cert, gens])
+    assert time.perf_counter() - start < 1
+    assert code == 5
+    verdict = json.loads(out)
+    assert verdict["valid"] is False and "exponent_cap" in verdict["reason"]
 
 
 def test_parse_errors_exit_2(capsys, tmp_path):
@@ -254,7 +305,7 @@ def test_report(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["schema"] == "growthcert.tracereport.v1"
-    assert data["records"] == 8
+    assert data["records"] == 7
     assert data["ok"] is True and data["failed_stage"] is None
 
     gens_h = heisenberg_file(tmp_path)
@@ -263,6 +314,14 @@ def test_report(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is False and data["failed_stage"] == "find_regular_pair"
+
+
+def test_report_rejects_non_object_line(capsys, tmp_path):
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text('{"stage": "find_regular_pair", "ok": true}\n[1, 2]\n', encoding="utf-8")
+    code, out, err = run(capsys, ["report", str(trace_path)])
+    assert code == 2 and out == ""
+    assert "record 2 is not a JSON object" in err
 
 
 def test_config_file_sets_oracle_depth(capsys, tmp_path):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthcert.errors import GrowthcertError, WordIndexError
 from growthcert.exactnum import (
@@ -19,6 +21,7 @@ from growthcert.exactnum import (
     padic_valuation,
     parse_rational,
     require_unimodular,
+    row_reduce,
     s_support,
 )
 
@@ -134,6 +137,40 @@ def test_matrix_inverse_exact_random():
             continue
         assert a * a.inverse() == SquareMatrix.identity(3)
         done += 1
+
+
+_entry = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def _square_pairs(draw):
+    n = draw(st.integers(2, 4))
+    square = st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return M(draw(square)), M(draw(square))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_pairs())
+def test_row_reduce_det_and_inverse(pair):
+    a, b = pair
+    assert (a * b).det() == a.det() * b.det()
+    if a.det() != 0:
+        assert a * a.inverse() == SquareMatrix.identity(a.n)
+        assert a.inverse() * a == SquareMatrix.identity(a.n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square_pairs(), st.lists(_entry, min_size=4, max_size=4))
+def test_row_reduce_singular(pair, coeffs):
+    # the last row is a combination of the others, so the matrix is singular
+    rows = [list(r) for r in pair[0].entries]
+    rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows[:-1])) for j in range(len(rows))]
+    a = M(rows)
+    assert a.det() == 0
+    with pytest.raises(ZeroDivisionError):
+        a.inverse()
+    rref, pivots, det = row_reduce(rows)
+    assert det == 0 and len(rref) == len(pivots) < a.n
 
 
 def test_require_unimodular():

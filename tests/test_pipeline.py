@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from growthcert.errors import Inconclusive, PipelineFailure
+from growthcert import pipeline
+from growthcert.errors import BudgetExceeded, Inconclusive, PipelineFailure
 from growthcert.exactnum import SquareMatrix, Word
 from growthcert.pingpong import PingPongCertificate, growth_bound_from_length
 from growthcert.pipeline import (
@@ -27,7 +28,6 @@ SANOV_CERT_JSON = (
 
 STAGES = [
     "find_regular_pair",
-    "algebra_diagnostic",
     "balance_or_trace",
     "select_place_and_wedge",
     "ensure_l2",
@@ -66,8 +66,6 @@ def test_certify_trace_stages():
     assert len(lines) == len(STAGES)
     first = json.loads(lines[0])
     assert first["word_A"] == "0 1" and first["disc"] == "32"
-    diag = json.loads(lines[1])
-    assert diag["dimension"] == 4 and diag["closure_defect"] == "0"
 
 
 def test_certify_is_deterministic():
@@ -118,6 +116,18 @@ def test_verify_rejects_sign_flip():
     assert not ok
 
 
+def test_verify_turns_oracle_budget_overrun_into_rejection(monkeypatch):
+    gens = sanov()
+    cert = PingPongCertificate.from_json(SANOV_CERT_JSON)
+
+    def over_budget(*args):
+        raise BudgetExceeded("oracle exceeded budget 5")
+
+    monkeypatch.setattr(pipeline, "find_semigroup_collision", over_budget)
+    ok, reason = verify_certificate(cert, gens)
+    assert not ok and "budget 5" in reason
+
+
 def test_verify_dimension_and_input_gates():
     gens = sanov()
     cert = certify_generators(gens).certificate
@@ -158,11 +168,12 @@ def test_runconfig_validation():
 
 
 def test_runconfig_json_round_trip():
-    cfg = RunConfig(search_depth=3, radii=(F(1, 2), F(1, 8)), epsilon=F(1, 64))
+    cfg = RunConfig(search_depth=3, radii=(F(1, 2), F(1, 8)))
     d = cfg.to_json_dict()
     assert d["radii"] == ["1/2", "1/8"]
-    assert d["epsilon"] == "1/64"
     assert RunConfig.from_json_dict(d) == cfg
+    # a config written before epsilon was retired still loads
+    assert RunConfig.from_json_dict({**d, "epsilon": "1/64"}) == cfg
     # partial dicts fall back to defaults
     assert RunConfig.from_json_dict({"budget": 99}).budget == 99
 

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from growthcert.intervals import RationalInterval
 from growthcert.polyroots import (
     cauchy_bound,
@@ -74,6 +77,43 @@ def test_rational_roots_exhaustive():
         # scale by an integer: roots must be unchanged
         f = tuple(3 * c for c in f)
         assert sorted(rational_roots(f)) == roots
+
+
+def test_rational_roots_large_denominator():
+    # 1/3^200 lies far inside any fixed-width bisection interval around it
+    f = poly_mul(
+        poly_mul(poly_from([-1, 3**200]), poly_from([-5, 1])), poly_from([-2, 0, 1])
+    )
+    assert rational_roots(f) == [F(1, 3**200), F(5)]
+
+
+def _divisors(k):
+    k = abs(k)
+    return [d for d in range(1, k + 1) if k % d == 0]
+
+
+def _brute_force_rational_roots(ints):
+    """Rational root theorem by enumeration: roots p/q, p | trailing, q | leading."""
+    low = next(i for i, c in enumerate(ints) if c != 0)
+    cands = {F(0)} if low > 0 else set()
+    for p in _divisors(ints[low]):
+        for q in _divisors(ints[-1]):
+            cands |= {F(p, q), F(-p, q)}
+    return sorted(c for c in cands if poly_eval(poly_from(ints), c) == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 6)), max_size=3),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda cs: cs[-1] != 0),
+)
+def test_rational_roots_match_rational_root_theorem(linear, extra):
+    ints = extra
+    for p, q in linear:
+        ints = [int(c) for c in poly_mul(poly_from(ints), poly_from([-p, q]))]
+    if len(ints) < 2:
+        return
+    assert rational_roots(squarefree_part(poly_from(ints))) == _brute_force_rational_roots(ints)
 
 
 def test_rational_roots_skips_irrational():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthcert.errors import (
     BalanceFailed,
@@ -23,6 +25,7 @@ from growthcert.exactnum import (
 )
 from growthcert.wordforge import (
     ConjugatedPair,
+    _kernel_vector,
     algebra_defect,
     amplify_entry,
     balance_or_trace,
@@ -332,3 +335,20 @@ def test_diagonalized_pair_finite_sort_needs_rational_basis():
         diagonalized_pair(a, SquareMatrix.identity(2), S0, WA, WB, sort_place=Place.finite(2))
     with pytest.raises(ValueError):
         diagonalized_pair(SquareMatrix.identity(2), a, S0, WA, WB)
+
+
+_entry = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_kernel_vector_is_nonzero_kernel_element(n, data):
+    # n - 1 free rows plus one combination of them: always singular
+    vec = st.lists(_entry, min_size=n, max_size=n)
+    rows = data.draw(st.lists(vec, min_size=n - 1, max_size=n - 1))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    last = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+    m = SquareMatrix.from_rows(rows + [last])
+    v = _kernel_vector(m)
+    assert any(v)
+    assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m.entries)
