@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
 from .exactnum import PlaceSet, SquareMatrix, Word, row_reduce, s_support
 from .polyroots import poly_degree, squarefree_part
-from .spectra import char_poly, discriminant, l1_gap_report, wedge_power
+from .spectra import char_poly, discriminant, l1_gap_report
 
 
 def charpoly_is_squarefree(mat: SquareMatrix) -> bool:
@@ -286,8 +286,7 @@ class RegularPair:
 
     word_a/word_b are shortlex-first words over the symmetrized alphabet;
     l1_grid is the per-(place, wedge) gap verdict for A; genericity records
-    the Shemesh and Burnside outcomes, including purely informational wedge
-    level records.
+    the Shemesh and Burnside outcomes for the pair itself.
     """
 
     word_a: Word
@@ -310,8 +309,7 @@ def find_regular_pair(
     A: first element with squarefree characteristic polynomial whose (L1)
     gap grid has at least one certified-true entry.  B: first element
     sharing no eigenvector with A (Shemesh) such that A, B generate the
-    full matrix algebra (Burnside).  Wedge-level genericity for
-    2 <= m <= n/2 is recorded on the result but not required.
+    full matrix algebra (Burnside).
     """
     if s is None:
         s = s_support(gens)
@@ -339,17 +337,6 @@ def find_regular_pair(
         dim = generated_algebra_dimension(mat_a, mat_b)
         if dim != n * n:
             continue
-        genericity = {
-            "shemesh": True,
-            "burnside_dim": dim,
-            "wedges": {},
-        }
-        for m in range(2, n // 2 + 1):
-            wa, wb = wedge_power(mat_a, m), wedge_power(mat_b, m)
-            genericity["wedges"][m] = {
-                "shemesh": shemesh_no_common_eigenvector(wa, wb),
-                "burnside_dim": generated_algebra_dimension(wa, wb),
-            }
         return RegularPair(
             word_a=word_a,
             word_b=word_b,
@@ -357,6 +344,6 @@ def find_regular_pair(
             matrix_b=mat_b,
             disc=discriminant(squarefree_part(char_poly(mat_a).poly)),
             l1_grid=grid,
-            genericity=genericity,
+            genericity={"shemesh": True, "burnside_dim": dim},
         )
     raise PairNotFound(f"no generic partner for A within radius {depth}")

@@ -22,7 +22,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cayley import enumerate_ball, estimate_omega, find_regular_pair
+from .cayley import (
+    enumerate_ball,
+    estimate_omega,
+    find_regular_pair,
+    generated_algebra_dimension,
+    shemesh_no_common_eigenvector,
+)
 from .errors import (
     BudgetExceeded,
     GrowthcertError,
@@ -37,11 +43,12 @@ from .exactnum import (
     evaluate_word,
     format_rational,
     parse_rational,
+    require_unimodular,
     s_support,
 )
 from .pingpong import PingPongCertificate
 from .pipeline import RunConfig, certify_generators, verify_certificate
-from .spectra import check_separation, eigen_report
+from .spectra import check_separation, eigen_report, wedge_power
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -96,12 +103,10 @@ class GeneratorFile:
                     rows.append([parse_rational(str(x)) for x in row])
                 except (ValueError, ZeroDivisionError) as exc:
                     raise _ParseError(f"generator {idx}: bad entry: {exc}") from exc
-            mat = SquareMatrix.from_rows(rows)
-            if mat.det() != 1:
-                raise _ParseError(
-                    f"generator {idx} has determinant {mat.det()}, expected 1"
-                )
-            mats.append(mat)
+            try:
+                mats.append(require_unimodular(SquareMatrix.from_rows(rows)))
+            except GrowthcertError as exc:
+                raise _ParseError(f"generator {idx}: {exc}") from exc
         labels = d.get("labels")
         if labels is None:
             labels = [f"g{i}" for i in range(len(mats))]
@@ -241,9 +246,14 @@ def cmd_find_pair(args) -> int:
             args.pretty,
         )
         return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_PIPELINE
-    wedges = {
-        str(m): rec for m, rec in pair.genericity.get("wedges", {}).items()
-    }
+    # informational only: certify needs no wedge-level genericity
+    wedges = {}
+    for m in range(2, gfile.n // 2 + 1):
+        wa, wb = wedge_power(pair.matrix_a, m), wedge_power(pair.matrix_b, m)
+        wedges[str(m)] = {
+            "shemesh": shemesh_no_common_eigenvector(wa, wb),
+            "burnside_dim": generated_algebra_dimension(wa, wb),
+        }
     out = {
         "schema": "growthcert.pair.v1",
         "word_A": str(pair.word_a),

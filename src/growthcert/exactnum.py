@@ -380,7 +380,7 @@ def require_unimodular(m: SquareMatrix) -> SquareMatrix:
     """Ingestion gate for group elements: det must be exactly 1."""
     d = m.det()
     if d != 1:
-        raise GrowthcertError(f"generator must have determinant 1, got {format_rational(d)}")
+        raise GrowthcertError(f"determinant is {format_rational(d)}, expected 1")
     return m
 
 

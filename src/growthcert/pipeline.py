@@ -1,7 +1,8 @@
 """End-to-end certification: generators in, verified certificate out.
 
 Orchestrates the regular-pair search, norm balancing, place and wedge
-selection, corner repair, exponent derivation, and the freeness oracle.
+selection, the corner check, exponent derivation, and the freeness oracle.
+Every stage works on the seed words; none replaces them by longer ones.
 The final cone check runs in the canonical eigenbasis derived from the
 certified words alone, so a verifier can replay it from the certificate
 and the generator file without any pipeline state.
@@ -56,6 +57,8 @@ class RunConfig:
 
     bits_schedule doubles the interval working precision on each retry;
     constants are (c2, d2, c3, d3) for the corner and size conditions.
+    word_cap bounds the trace exponent in balancing, and verification
+    rejects certificate words longer than search_depth * word_cap letters.
     """
 
     search_depth: int = 4
@@ -146,7 +149,7 @@ def certify_generators(
 
     Stage order: regular-pair search, norm balancing (with a role swap
     when only the trace route certifies), place and wedge selection,
-    corner repair, canonical re-diagonalization from the words, exponent
+    corner check, canonical re-diagonalization from the words, exponent
     derivation, freeness oracle.  Failures raise PipelineFailure carrying
     the stage name, with the trace so far on the .trace attribute.  A
     certificate is returned only after the oracle confirms zero collisions.
@@ -228,9 +231,9 @@ def certify_generators(
     trace.append({"stage": "select_place_and_wedge", "ok": True, "place": str(v), "wedge_m": m})
 
     try:
-        word_b_final, cond, sym = _escalate(
+        cond = _escalate(
             config.bits_schedule,
-            lambda bits: ensure_l2(pair, v, m, config.word_cap, config.constants, bits),
+            lambda bits: ensure_l2(pair, v, m, config.constants, bits),
         )
     except GrowthcertError as exc:
         fail("ensure_l2", exc)
@@ -238,13 +241,12 @@ def certify_generators(
         {
             "stage": "ensure_l2",
             "ok": True,
-            "replacement": str(sym),
-            "word_B": str(word_b_final),
+            "word_B": str(pair.word_b),
             "l_conditions": [cond.l1, cond.l2, cond.l3],
         }
     )
 
-    word_a_final = pair.word_a
+    word_a_final, word_b_final = pair.word_a, pair.word_b
     a_mat = evaluate_word(word_a_final, gens)
     b_mat = evaluate_word(word_b_final, gens)
 
@@ -318,10 +320,10 @@ def verify_certificate(
 ) -> tuple[bool, str]:
     """Re-derive every certified fact of a certificate from scratch.
 
-    Checks, in order: dimension agreement, word evaluation, the growth
-    bound recomputation (exact equality), the cone inclusions in the
-    canonical eigenbasis over the precision schedule, and the freeness
-    oracle at the recorded depth.  Returns (False, reason) at the first
+    Checks, in order: dimension agreement, the word-length, exponent and
+    oracle-depth caps, word evaluation, the growth bound recomputation
+    (exact equality), the cone inclusions in the canonical eigenbasis over
+    the precision schedule, and the freeness oracle at the recorded depth.  Returns (False, reason) at the first
     failure and never raises on tampered input.
     """
     config = config or RunConfig()
@@ -331,6 +333,14 @@ def verify_certificate(
         return False, f"certificate dimension {cert.n} != generator dimension {gens[0].n}"
     if len(cert.word_a) < 1 or len(cert.word_b) < 1:
         return False, "certificate words must be nonempty"
+    # the longest word a certify run under this config could have emitted
+    max_letters = config.search_depth * config.word_cap
+    for name, word in (("word_A", cert.word_a), ("word_B", cert.word_b)):
+        if len(word) > max_letters:
+            return False, (
+                f"{name} has {len(word)} letters, over the cap "
+                f"search_depth * word_cap = {max_letters}"
+            )
     if not 1 <= cert.wedge_m < cert.n:
         return False, f"wedge degree {cert.wedge_m} out of range for n={cert.n}"
     if cert.exponent > config.exponent_cap:

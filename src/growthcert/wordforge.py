@@ -1,18 +1,19 @@
 """Basis preparation between pair selection and cone certification.
 
 Diagonalize A with certified enclosures (exact when the charpoly splits
-over Q), balance norms by a centralizer conjugation or bounded word
-replacement, fall back to the trace route and role swap, pick the place
-and wedge degree with a certified spectral gap, and repair B's corner
-entry through the Vandermonde amplification.  The almost-algebra builder
-is a library function; certification does not run it.
+over Q), balance norms by a centralizer conjugation, fall back to the
+trace route and role swap, pick the place and wedge degree with a
+certified spectral gap, and check B's corner conditions.  Every stage
+checks the seed pair itself; none replaces B by a longer word.  Corner
+amplification and the almost-algebra builder are library functions;
+certification does not run them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -44,17 +45,6 @@ from .spectra import char_poly, eigen_report, l1_gap_report, wedge_diag, wedge_p
 
 SYM_A = Word.generator(0)
 SYM_B = Word.generator(1)
-
-
-def substitute_word(symbolic: Word, word_a: Word, word_b: Word) -> Word:
-    """Expand a word over the two-letter alphabet {A, B} into generator words."""
-    out = Word(())
-    for idx, sign in symbolic.letters:
-        if idx not in (0, 1):
-            raise ValueError("symbolic words use letters 0 (A) and 1 (B) only")
-        base = word_a if idx == 0 else word_b
-        out = out * (base if sign == 1 else base.inverse())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +149,6 @@ def _diag_rows(diag, exact: bool):
     return tuple(tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n))
 
 
-def _identity_rows(n: int, exact: bool):
-    one = Fraction(1) if exact else ComplexInterval.point(1)
-    zero = Fraction(0) if exact else ComplexInterval.point(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def _norm_bounds(rows, v: Place, bits: int = 96) -> tuple[Fraction, Fraction]:
     """(lower, upper) bounds on the max entry modulus at the place."""
     bounds = [entry_bounds(x, v, bits) for row in rows for x in row]
@@ -198,7 +182,6 @@ class ConjugatedPair:
     a_diag: tuple
     b_rows: tuple
     exact: bool
-    places: PlaceSet
     norm_relation: str
     constants: tuple
     trace_m: int | None = None
@@ -294,109 +277,6 @@ def _apply_centralizer(b_rows, k, exact: bool):
     return out, d_rows, d_inv_rows
 
 
-def _symbolic_words(max_len: int, require_b: bool = True):
-    """Words over {A, B} by total length then lexicographic order (A < B)."""
-    for length in range(1, max_len + 1):
-        for mask in range(2**length):
-            letters = tuple(((mask >> (length - 1 - t)) & 1, 1) for t in range(length))
-            if require_b and not any(i == 1 for i, _ in letters):
-                continue
-            yield Word(letters)
-
-
-def _eval_symbolic(word: Word, a_diag, b_rows, exact: bool, bits: int = 128):
-    a_rows = _diag_rows(a_diag, exact)
-    acc = _identity_rows(len(a_diag), exact)
-    for idx, sign in word.letters:
-        if sign != 1:
-            raise ValueError("positive words only")
-        acc = _rows_mul(acc, a_rows if idx == 0 else b_rows, exact, bits)
-    return acc
-
-
-def balance_or_trace(
-    a: SquareMatrix,
-    b: SquareMatrix,
-    s: PlaceSet,
-    word_a: Word | None = None,
-    word_b: Word | None = None,
-    m_cap: int = 8,
-    bits: int = 128,
-) -> ConjugatedPair:
-    """Diagonalize A, balance scales, and certify a norm or trace relation.
-
-    Tries, in order: the direct norm comparison after a centralizer
-    rebalancing, the trace route (norm(A)^m * max |tr B| >= norm(B) for
-    m up to m_cap), and replacement of B by bounded words in A and B.
-    The centralizer element is a power-of-2 diagonal; a global scalar acts
-    trivially under conjugation, so no determinant normalization is applied.
-    """
-    f = char_poly(a).poly
-    if squarefree_part(f) != f:
-        raise ValueError("A must have a squarefree characteristic polynomial")
-    word_a = word_a if word_a is not None else SYM_A
-    word_b = word_b if word_b is not None else SYM_B
-    exact_basis = diagonalize_exact(a)
-    if exact_basis is not None:
-        a_diag, p, p_inv = exact_basis
-        exact = True
-        b_rows = _rows_mul(_rows_mul(p_inv, b.entries, True), p, True)
-    else:
-        a_diag, p, p_inv = diagonalize_enclosed(a, bits)
-        exact = False
-        b_rows = _rows_mul(_rows_mul(p_inv, cmat_from_exact(b), False, bits), p, False, bits)
-
-    k = _balance_exponents(b_rows, ARCH, 96)
-    b_rows, d_rows, d_inv_rows = _apply_centralizer(b_rows, k, exact)
-    if d_rows is not None:
-        p = _rows_mul(p, d_rows, exact, bits)
-        p_inv = _rows_mul(d_inv_rows, p_inv, exact, bits)
-
-    def make(relation, consts, new_word_b, new_b_rows, trace_m=None):
-        return ConjugatedPair(
-            orig_a=a,
-            orig_b=b,
-            word_a=word_a,
-            word_b=new_word_b,
-            basis=p,
-            basis_inv=p_inv,
-            a_diag=a_diag,
-            b_rows=new_b_rows,
-            exact=exact,
-            places=s,
-            norm_relation=relation,
-            constants=consts,
-            trace_m=trace_m,
-        )
-
-    an_lo, _ = _global_norm_bounds(_diag_rows(a_diag, exact), s, exact, bits)
-
-    def relation_for(rows, bword):
-        certified = _certify_b_prec_a(a_diag, rows, s, exact, bits)
-        if certified is not None:
-            return make("B_prec_A", certified, bword, rows)
-        _, rn_hi = _global_norm_bounds(rows, s, exact, bits)
-        rtr_lo, _ = _trace_abs_bounds(rows, s, exact, bits)
-        for m in range(m_cap + 1):
-            if an_lo**m * rtr_lo >= rn_hi:
-                return make("trace_big", (Fraction(1), Fraction(1)), bword, rows, trace_m=m)
-        return None
-
-    pair = relation_for(b_rows, word_b)
-    if pair is not None:
-        return pair
-    for cand in _symbolic_words(m_cap):
-        if cand == SYM_B:
-            continue
-        rows = _eval_symbolic(cand, a_diag, b_rows, exact, bits)
-        pair = relation_for(rows, substitute_word(cand, word_a, word_b))
-        if pair is not None:
-            return pair
-    raise BalanceFailed(
-        f"no norm or trace relation certified with words of length up to {m_cap}"
-    )
-
-
 def diagonalized_pair(
     a: SquareMatrix,
     b: SquareMatrix,
@@ -406,13 +286,15 @@ def diagonalized_pair(
     sort_place: Place = ARCH,
     bits: int = 128,
 ) -> ConjugatedPair:
-    """The pair in A's eigenbasis with no balancing or word replacement.
+    """The pair in A's eigenbasis, unbalanced: B becomes P^-1 * B * P.
 
     Deterministic in its inputs: eigenvalues sort by modulus at sort_place,
     eigenvectors carry pinned normalizations, so a verifier replaying from
-    the words alone lands in the same basis.  Finite sort places need a
-    rational eigenbasis.  The result is unbalanced (norm_relation "none");
-    it feeds wedge_pair and the cone checks, not role selection.
+    the words alone lands in the same basis.  The basis is exact when A's
+    charpoly splits into distinct rationals and enclosed otherwise; finite
+    sort places need the exact one.  The result has norm_relation "none";
+    balance_or_trace and swap_roles build on it, and it feeds wedge_pair
+    and the cone checks directly.
     """
     f = char_poly(a).poly
     if squarefree_part(f) != f:
@@ -438,9 +320,53 @@ def diagonalized_pair(
         a_diag=a_diag,
         b_rows=b_rows,
         exact=exact,
-        places=s,
         norm_relation="none",
         constants=(Fraction(1), Fraction(1)),
+    )
+
+
+def balance_or_trace(
+    a: SquareMatrix,
+    b: SquareMatrix,
+    s: PlaceSet,
+    word_a: Word | None = None,
+    word_b: Word | None = None,
+    m_cap: int = 8,
+    bits: int = 128,
+) -> ConjugatedPair:
+    """Diagonalize A, balance scales, and certify a norm or trace relation for B.
+
+    Tries, in order: the direct norm comparison after a centralizer
+    rebalancing, then the trace route (norm(A)^m * max |tr B| >= norm(B)
+    for m up to m_cap).  B itself must pass; it is never replaced by a
+    word.  The centralizer element is a power-of-2 diagonal; a global
+    scalar acts trivially under conjugation, so no determinant
+    normalization is applied.
+    """
+    word_a = word_a if word_a is not None else SYM_A
+    word_b = word_b if word_b is not None else SYM_B
+    pair = diagonalized_pair(a, b, s, word_a, word_b, ARCH, bits)
+    exact = pair.exact
+    b_rows, d_rows, d_inv_rows = _apply_centralizer(
+        pair.b_rows, _balance_exponents(pair.b_rows, ARCH, 96), exact
+    )
+    p, p_inv = pair.basis, pair.basis_inv
+    if d_rows is not None:
+        p = _rows_mul(p, d_rows, exact, bits)
+        p_inv = _rows_mul(d_inv_rows, p_inv, exact, bits)
+    pair = replace(pair, basis=p, basis_inv=p_inv, b_rows=b_rows)
+
+    certified = _certify_b_prec_a(pair.a_diag, b_rows, s, exact, bits)
+    if certified is not None:
+        return replace(pair, norm_relation="B_prec_A", constants=certified)
+    an_lo, _ = _global_norm_bounds(_diag_rows(pair.a_diag, exact), s, exact, bits)
+    _, bn_hi = _global_norm_bounds(b_rows, s, exact, bits)
+    tr_lo, _ = _trace_abs_bounds(b_rows, s, exact, bits)
+    for m in range(m_cap + 1):
+        if an_lo**m * tr_lo >= bn_hi:
+            return replace(pair, norm_relation="trace_big", trace_m=m)
+    raise BalanceFailed(
+        f"no norm relation and no trace relation with exponent up to {m_cap} certified for B"
     )
 
 
@@ -459,46 +385,22 @@ def swap_roles(pair: ConjugatedPair, s: PlaceSet, bits: int = 128) -> Conjugated
     if not an_hi ** (2 * m) <= bn_lo:
         raise SwapFailed("norm(A)^m exceeds sqrt(norm(B)): swap inequality not certified")
 
-    b = pair.orig_b
-    exact_basis = diagonalize_exact(b)
-    if exact_basis is not None:
-        new_diag, c, c_inv = exact_basis
-        new_exact = True
-        new_b_rows = _rows_mul(_rows_mul(c_inv, pair.orig_a.entries, True), c, True)
-    else:
-        if squarefree_part(char_poly(b).poly) != char_poly(b).poly:
-            raise SwapFailed("B has repeated eigenvalues: no certified eigenbasis")
-        new_diag, c, c_inv = diagonalize_enclosed(b, bits)
-        new_exact = False
-        new_b_rows = _rows_mul(
-            _rows_mul(c_inv, cmat_from_exact(pair.orig_a), False, bits), c, False, bits
-        )
+    f = char_poly(pair.orig_b).poly
+    if squarefree_part(f) != f:
+        raise SwapFailed("B has repeated eigenvalues: no certified eigenbasis")
+    new = diagonalized_pair(pair.orig_b, pair.orig_a, s, pair.word_b, pair.word_a, ARCH, bits)
 
-    cn_hi = _global_norm_bounds(c, s, new_exact)[1]
-    ci_hi = _global_norm_bounds(c_inv, s, new_exact)[1]
-    new_an_lo = _global_norm_bounds(_diag_rows(new_diag, new_exact), s, new_exact)[0]
-    cond_bound = max(Fraction(2), new_an_lo) ** len(new_diag)
+    cn_hi = _global_norm_bounds(new.basis, s, new.exact)[1]
+    ci_hi = _global_norm_bounds(new.basis_inv, s, new.exact)[1]
+    new_an_lo = _global_norm_bounds(_diag_rows(new.a_diag, new.exact), s, new.exact)[0]
+    cond_bound = max(Fraction(2), new_an_lo) ** new.n
     if not (cn_hi <= cond_bound and ci_hi <= cond_bound):
         raise SwapFailed("eigenbasis conditioning bound not certified")
 
-    certified = _certify_b_prec_a(new_diag, new_b_rows, s, new_exact, bits)
+    certified = _certify_b_prec_a(new.a_diag, new.b_rows, s, new.exact, bits)
     if certified is None:
         raise SwapFailed("swapped pair does not certify the norm relation")
-    return ConjugatedPair(
-        orig_a=pair.orig_b,
-        orig_b=pair.orig_a,
-        word_a=pair.word_b,
-        word_b=pair.word_a,
-        basis=c,
-        basis_inv=c_inv,
-        a_diag=new_diag,
-        b_rows=new_b_rows,
-        exact=new_exact,
-        places=s,
-        norm_relation="swapped",
-        constants=certified,
-        trace_m=None,
-    )
+    return replace(new, norm_relation="swapped", constants=certified)
 
 
 def select_place_and_wedge(pair: ConjugatedPair, s: PlaceSet) -> tuple[Place, int]:
@@ -685,61 +587,27 @@ def ensure_l2(
     pair: ConjugatedPair,
     v: Place,
     m: int,
-    word_cap: int = 8,
     constants=(Fraction(1), Fraction(1), Fraction(1), Fraction(2)),
     bits: int = 96,
-) -> tuple[Word, LConditions, Word]:
-    """Replace B by a bounded word until the corner condition certifies.
+) -> LConditions:
+    """Certify the corner conditions for B itself at the place and wedge degree.
 
-    Candidates come first from corner amplification, then from the
-    length-then-lex word search.  The size constant c3 may grow by powers
-    of 16 (recorded in the returned conditions) since word replacement
-    inflates norms polynomially.  Returns the B word in the original
-    generators, the certified conditions, and the symbolic replacement
-    over {A, B}.
+    The size constant c3 may grow by powers of 16 up to 2^32 (recorded in
+    the returned conditions).  Raises L2Unreachable when B fails them; B
+    is never replaced by a word.
     """
     wa, wb = wedge_pair(pair, v, m, bits)
-    exact = pair.exact
     c2, d2, c3, d3 = (Fraction(x) for x in constants)
-
-    def conditions_with_l3(rows, propagate: bool):
-        for t in range(0, 33, 4):
-            try:
-                cond = check_l_conditions(wa, rows, v, (c2, d2, c3 * 2**t, d3), bits)
-            except Inconclusive:
-                if propagate:
-                    raise
-                return None
-            if cond.l3:
-                return cond
-        return None
-
-    cond = conditions_with_l3(wb, propagate=True)
-    if cond is not None and cond.l1 and cond.l2:
-        return pair.word_b, cond, SYM_B
-
-    candidates = []
-    an_hi = _norm_bounds(_diag_rows(wa, exact), v, bits)[1]
-    for m_c in (1, 2, 3, 4):
-        level = 1 / max(Fraction(2), an_hi) ** m_c
-        try:
-            amp = amplify_entry(wa, wb, (0, 0), level, v, bits)
-        except (NotConnected, Inconclusive):
-            continue
-        if len(amp.word.letters) <= word_cap and amp.word not in candidates:
-            candidates.append(amp.word)
-    candidates.extend(
-        w for w in _symbolic_words(word_cap) if w != SYM_B and w not in candidates
-    )
-
-    for cand in candidates:
-        rows = _eval_symbolic(cand, wa, wb, exact, max(bits, 128))
-        cond = conditions_with_l3(rows, propagate=False)
-        if cond is not None and cond.l1 and cond.l2:
-            return substitute_word(cand, pair.word_a, pair.word_b), cond, cand
-    raise L2Unreachable(
-        f"no replacement word of length up to {word_cap} certifies the corner condition"
-    )
+    for t in range(0, 33, 4):
+        cond = check_l_conditions(wa, wb, v, (c2, d2, c3 * 2**t, d3), bits)
+        if cond.l3:
+            break
+    if not cond.all_pass:
+        raise L2Unreachable(
+            f"B fails the corner conditions (l1={cond.l1}, l2={cond.l2}, l3={cond.l3}, "
+            f"c3 up to {cond.c3})"
+        )
+    return cond
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,25 @@ def test_find_pair_sanov(capsys, tmp_path):
     assert data["genericity"]["burnside_dim"] == 4
 
 
+def test_find_pair_reports_wedge_genericity(capsys, tmp_path):
+    # n = 4 has one wedge degree in 2..n/2; find-pair reports it, certify does not need it
+    gens = write_json(
+        tmp_path / "sl4.json",
+        {
+            "n": 4,
+            "generators": [
+                [[1, 0, 0, 0], [0, 1, 3, 0], [-5, 0, 1, 0], [0, 0, 0, 1]],
+                [[37, 18, -36, -3], [2, 1, -2, 0], [0, 0, 1, 0], [-12, -6, 12, 1]],
+            ],
+        },
+    )
+    code, out, _ = run(capsys, ["find-pair", gens])
+    assert code == 0
+    data = json.loads(out)
+    assert data["genericity"]["burnside_dim"] == 16
+    assert data["genericity"]["wedges"] == {"2": {"burnside_dim": 36, "shemesh": True}}
+
+
 def test_find_pair_failure(capsys, tmp_path):
     gens = heisenberg_file(tmp_path)
     code, out, _ = run(capsys, ["find-pair", gens])
@@ -246,6 +265,19 @@ def test_verify_rejects_huge_exponent_quickly(capsys, tmp_path):
     assert verdict["valid"] is False and "exponent_cap" in verdict["reason"]
 
 
+def test_verify_rejects_long_word_quickly(capsys, tmp_path):
+    gens = sanov_file(tmp_path)
+    cert = sanov_cert_file(tmp_path, word_A=" ".join(["0"] * 10**5))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", cert, gens])
+    assert time.perf_counter() - start < 1
+    assert code == 5
+    verdict = json.loads(out)
+    assert verdict["valid"] is False
+    assert "word_A has 100000 letters" in verdict["reason"]
+    assert "search_depth * word_cap = 32" in verdict["reason"]
+
+
 def test_parse_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, ["growth", str(tmp_path / "missing.json"), "--radius", "2"])
     assert code == 2 and "cannot read" in err
@@ -258,6 +290,7 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     bad_det = write_json(tmp_path / "bad.json", {"n": 2, "generators": [[[1, 1], [1, 1]]]})
     code, _, err = run(capsys, ["growth", bad_det, "--radius", "2"])
     assert code == 2 and "determinant" in err
+    assert "generator 0:" in err
 
     bad_n = write_json(tmp_path / "badn.json", {"n": 1, "generators": [[[1]]]})
     code, _, err = run(capsys, ["growth", bad_n, "--radius", "2"])
