@@ -131,6 +131,14 @@ def _load_generators(path: str) -> GeneratorFile:
     return GeneratorFile.from_json_dict(_load_json(path))
 
 
+def _support(gfile: GeneratorFile):
+    """The generators' S-support; a denominator too hard to factor is unusable input."""
+    try:
+        return s_support(list(gfile.generators))
+    except GrowthcertError as exc:
+        raise _ParseError(str(exc)) from exc
+
+
 def _load_config(args) -> RunConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if path:
@@ -231,7 +239,7 @@ def cmd_growth(args) -> int:
 def cmd_find_pair(args) -> int:
     gfile = _load_generators(args.generators)
     config = _load_config(args)
-    s = s_support(list(gfile.generators))
+    s = _support(gfile)
     try:
         pair = find_regular_pair(
             list(gfile.generators), config.search_depth, s, config.budget
@@ -275,8 +283,9 @@ def cmd_find_pair(args) -> int:
 def cmd_certify(args) -> int:
     gfile = _load_generators(args.generators)
     config = _load_config(args)
+    s = _support(gfile)
     try:
-        result = certify_generators(list(gfile.generators), config)
+        result = certify_generators(list(gfile.generators), config, s)
     except PipelineFailure as exc:
         if args.trace:
             trace = getattr(exc, "trace", ())
@@ -333,7 +342,7 @@ def cmd_spectrum(args) -> int:
         mat = evaluate_word(word, list(gfile.generators))
     except (GrowthcertError, ValueError) as exc:
         raise _ParseError(f"bad word {args.word!r}: {exc}") from exc
-    s = s_support(list(gfile.generators))
+    s = _support(gfile)
     report = eigen_report(mat, s)
     try:
         sep = check_separation(mat, s)

@@ -65,23 +65,37 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    if n % 2 == 0:
-        return 2
+# Pollard rho steps one factorize call may spend: enough to split off
+# primes up to about 2^32 (rho needs about sqrt(p) steps for a prime p),
+# and about a second of pure Python on a 200-bit cofactor.
+_RHO_STEPS = 1 << 17
+
+
+def _pollard_rho(n: int, rng: random.Random, steps: int) -> tuple[int, int]:
+    """A nontrivial factor of the odd composite n, and the steps left."""
     while True:
         x = rng.randrange(2, n)
         y, c, d = x, rng.randrange(1, n), 1
         while d == 1:
+            if steps == 0:
+                raise GrowthcertError(
+                    f"could not factor a {n.bit_length()}-bit cofactor "
+                    f"within {_RHO_STEPS} Pollard rho steps"
+                )
+            steps -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = gcd(abs(x - y), n)
         if d != n:
-            return d
+            return d, steps
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {p: multiplicity}; n must be nonzero."""
+    """Prime factorization of |n| as {p: multiplicity}; n must be nonzero.
+
+    Raises GrowthcertError when Pollard rho exhausts its _RHO_STEPS budget.
+    """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
@@ -93,6 +107,7 @@ def factorize(n: int) -> dict[int, int]:
     if n == 1:
         return out
     rng = random.Random(0xFAC7)
+    steps = _RHO_STEPS
     stack = [n]
     while stack:
         m = stack.pop()
@@ -101,7 +116,7 @@ def factorize(n: int) -> dict[int, int]:
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m, rng)
+        d, steps = _pollard_rho(m, rng, steps)
         stack.append(d)
         stack.append(m // d)
     return dict(sorted(out.items()))
@@ -299,9 +314,6 @@ class SquareMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
@@ -336,9 +348,6 @@ class SquareMatrix:
         c = Fraction(c)
         return SquareMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
 
-    def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(tuple(zip(*self.entries)))
-
     def trace(self) -> Fraction:
         return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
 
@@ -368,9 +377,6 @@ class SquareMatrix:
             base = base * base
             k >>= 1
         return result
-
-    def is_identity(self) -> bool:
-        return self == SquareMatrix.identity(self.n)
 
     def max_abs_entry(self) -> Fraction:
         return max(abs(x) for row in self.entries for x in row)
@@ -485,12 +491,15 @@ def s_support(gens: list[SquareMatrix]) -> PlaceSet:
 
     Determinant-one matrices have adjugate inverses over the same
     denominators, so entry denominators of the generators alone determine
-    the support; the archimedean place is always included.
+    the support; the archimedean place is always included.  Raises
+    GrowthcertError naming the generator when a denominator cannot be
+    factored within the Pollard rho step budget.
     """
     primes: set[int] = set()
-    for g in gens:
-        for row in g.entries:
-            for x in row:
-                if x.denominator != 1:
-                    primes.update(factorize(x.denominator))
+    for idx, g in enumerate(gens):
+        for den in {x.denominator for row in g.entries for x in row} - {1}:
+            try:
+                primes.update(factorize(den))
+            except GrowthcertError as exc:
+                raise GrowthcertError(f"generator {idx}: {exc}") from exc
     return PlaceSet.from_primes(sorted(primes))

@@ -161,18 +161,6 @@ class RationalInterval:
     def round_out(self, bits: int) -> "RationalInterval":
         return RationalInterval(dyadic_floor(self.lo, bits), dyadic_ceil(self.hi, bits))
 
-    def certainly_lt(self, other: "RationalInterval") -> bool:
-        return self.hi < other.lo
-
-    def certainly_le(self, other: "RationalInterval") -> bool:
-        return self.hi <= other.lo
-
-    def certainly_gt(self, other: "RationalInterval") -> bool:
-        return self.lo > other.hi
-
-    def certainly_ge(self, other: "RationalInterval") -> bool:
-        return self.lo >= other.hi
-
     def disjoint(self, other: "RationalInterval") -> bool:
         return self.hi < other.lo or other.hi < self.lo
 
@@ -203,9 +191,6 @@ class ComplexInterval:
             RationalInterval(Fraction(im_lo), Fraction(im_hi)),
         )
 
-    def is_real(self) -> bool:
-        return self.im.lo == 0 and self.im.hi == 0
-
     def __add__(self, other: "ComplexInterval") -> "ComplexInterval":
         return ComplexInterval(self.re + other.re, self.im + other.im)
 
@@ -223,9 +208,6 @@ class ComplexInterval:
 
     def scale(self, c: Fraction) -> "ComplexInterval":
         return ComplexInterval(self.re.scale(c), self.im.scale(c))
-
-    def conj(self) -> "ComplexInterval":
-        return ComplexInterval(self.re, -self.im)
 
     def mag_sq(self) -> RationalInterval:
         return self.re.square() + self.im.square()

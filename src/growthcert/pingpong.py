@@ -150,6 +150,7 @@ class LConditions:
     Fractions at finite places, RationalIntervals at the archimedean one.
     b11_lower is a certified lower bound on |B_11| and b_norm a certified
     upper bound on the max entry modulus of B, both in the eigenbasis.
+    A library check (wordforge.ensure_l2 runs it); certification does not.
     """
 
     place: Place
@@ -182,7 +183,8 @@ def check_l_conditions(
 
     Each flag is True only when certified; exact data always decides, while
     interval data that straddles a threshold raises Inconclusive so the
-    caller can rebuild the basis at higher precision.
+    caller can rebuild the basis at higher precision.  Certification does
+    not run this check; the cone checks decide a certificate.
     """
     c2, d2, c3, d3 = (Fraction(c) for c in constants)
     if min(c2, d2, c3, d3) <= 0:
@@ -320,7 +322,6 @@ def derive_exponent(
     radii=DEFAULT_RADII,
     cap: int = 64,
     bits: int = 96,
-    cond: LConditions | None = None,
 ) -> tuple[int, Fraction, ConeChecks]:
     """Smallest exponent (with its radius) certifying all three cone checks.
 
@@ -330,8 +331,6 @@ def derive_exponent(
     termination in principle: the top-row margin of diag(a)^e B grows like
     |a_1/a_2|^e against the fixed polynomial bounds on B.
     """
-    if cond is not None and not cond.all_pass:
-        raise ValueError("l-conditions precondition violated: need l1, l2 and l3")
     radii = tuple(Fraction(r) for r in radii)
     disjoint_cache = {r: _check_disjoint(b_rows, r, v, bits) for r in radii}
     if not any(disjoint_cache.values()):
@@ -411,6 +410,8 @@ class PingPongCertificate:
     def __post_init__(self):
         if self.exponent < 1:
             raise ValueError("exponent must be positive")
+        if self.oracle_depth_validated < 1:
+            raise ValueError("oracle_depth_validated must be at least 1")
         if not self.checks.all_pass:
             raise ValueError("certificate requires all three checks")
         if not self.growth_bound > 1:
@@ -450,22 +451,31 @@ class PingPongCertificate:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PingPongCertificate":
-        checks = ConeChecks(
-            disjoint=bool(d["checks"]["disjoint"]),
-            contracts=bool(d["checks"]["contracts"]),
-            contracts_double=bool(d["checks"]["contracts_double"]),
-        )
+        """Strict parse: each field must have its JSON type (no int() coercion)."""
+
+        def typed(obj: dict, key: str, kind: type):
+            x = obj[key]
+            # bool is a subclass of int, so test the exact type
+            if type(x) is not kind:
+                raise ValueError(f"{key} must be a JSON {kind.__name__}, got {x!r}")
+            return x
+
+        checks = typed(d, "checks", dict)
         return PingPongCertificate(
-            n=int(d["n"]),
-            word_a=Word.parse(d["word_A"]),
-            word_b=Word.parse(d["word_B"]),
-            place=Place.parse(d["place"]),
-            wedge_m=int(d["wedge_m"]),
-            exponent=int(d["exponent"]),
-            cone_param=parse_rational(d["cone_param"]),
-            checks=checks,
-            growth_bound=parse_rational(d["growth_bound"]),
-            oracle_depth_validated=int(d["oracle_depth_validated"]),
+            n=typed(d, "n", int),
+            word_a=Word.parse(typed(d, "word_A", str)),
+            word_b=Word.parse(typed(d, "word_B", str)),
+            place=Place.parse(typed(d, "place", str)),
+            wedge_m=typed(d, "wedge_m", int),
+            exponent=typed(d, "exponent", int),
+            cone_param=parse_rational(typed(d, "cone_param", str)),
+            checks=ConeChecks(
+                disjoint=typed(checks, "disjoint", bool),
+                contracts=typed(checks, "contracts", bool),
+                contracts_double=typed(checks, "contracts_double", bool),
+            ),
+            growth_bound=parse_rational(typed(d, "growth_bound", str)),
+            oracle_depth_validated=typed(d, "oracle_depth_validated", int),
         )
 
     @staticmethod

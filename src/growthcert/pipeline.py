@@ -1,11 +1,11 @@
 """End-to-end certification: generators in, verified certificate out.
 
 Orchestrates the regular-pair search, norm balancing, place and wedge
-selection, the corner check, exponent derivation, and the freeness oracle.
-Every stage works on the seed words; none replaces them by longer ones.
-The final cone check runs in the canonical eigenbasis derived from the
-certified words alone, so a verifier can replay it from the certificate
-and the generator file without any pipeline state.
+selection, exponent derivation, and the freeness oracle.  Every stage works
+on the seed words; none replaces them by longer ones.  The exponent search
+runs in the canonical eigenbasis derived from the certified words alone
+(canonical_wedge_pair), the same basis in which verify_certificate replays
+the cone checks from the certificate and the generator file.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
     SingularEnclosure,
 )
 from .exactnum import (
+    Place,
     SquareMatrix,
     Word,
     evaluate_word,
@@ -42,7 +43,6 @@ from .pingpong import (
 from .wordforge import (
     balance_or_trace,
     diagonalized_pair,
-    ensure_l2,
     select_place_and_wedge,
     swap_roles,
     wedge_pair,
@@ -55,8 +55,7 @@ _PRECISION_ERRORS = (Inconclusive, PrecisionExhausted, SingularEnclosure)
 class RunConfig:
     """Caps and schedules for one certification or verification run.
 
-    bits_schedule doubles the interval working precision on each retry;
-    constants are (c2, d2, c3, d3) for the corner and size conditions.
+    bits_schedule doubles the interval working precision on each retry.
     word_cap bounds the trace exponent in balancing, and verification
     rejects certificate words longer than search_depth * word_cap letters.
     """
@@ -68,7 +67,6 @@ class RunConfig:
     word_cap: int = 8
     bits_schedule: tuple[int, ...] = (64, 128, 256)
     radii: tuple[Fraction, ...] = DEFAULT_RADII
-    constants: tuple = (Fraction(1), Fraction(1), Fraction(1), Fraction(2))
 
     def __post_init__(self):
         for name in ("search_depth", "oracle_depth", "exponent_cap", "budget", "word_cap"):
@@ -76,8 +74,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if not self.bits_schedule or not self.radii:
             raise ValueError("precision and radius schedules must be nonempty")
-        if len(self.constants) != 4:
-            raise ValueError("constants must be (c2, d2, c3, d3)")
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,7 +84,6 @@ class RunConfig:
             "word_cap": self.word_cap,
             "bits_schedule": list(self.bits_schedule),
             "radii": [format_rational(r) for r in self.radii],
-            "constants": [format_rational(Fraction(c)) for c in self.constants],
         }
 
     @staticmethod
@@ -103,8 +98,6 @@ class RunConfig:
             kwargs["bits_schedule"] = tuple(int(b) for b in d["bits_schedule"])
         if "radii" in d:
             kwargs["radii"] = tuple(parse_rational(r) for r in d["radii"])
-        if "constants" in d:
-            kwargs["constants"] = tuple(parse_rational(c) for c in d["constants"])
         return RunConfig(**kwargs)
 
 
@@ -140,6 +133,16 @@ def _word_lengths(word_a: Word, word_b: Word, e: int) -> tuple[int, int]:
     )
 
 
+def canonical_wedge_pair(a_mat, b_mat, word_a: Word, word_b: Word, v: Place, m: int, bits: int):
+    """Wedge images (diag of A, rows of B) in the canonical eigenbasis at v.
+
+    The basis depends only on the word values and the place: certify's
+    exponent search and verify's cone replay both take it from here.
+    """
+    pair = diagonalized_pair(a_mat, b_mat, word_a, word_b, sort_place=v, bits=bits)
+    return wedge_pair(pair, v, m, bits)
+
+
 def certify_generators(
     gens: list[SquareMatrix],
     config: RunConfig | None = None,
@@ -149,10 +152,11 @@ def certify_generators(
 
     Stage order: regular-pair search, norm balancing (with a role swap
     when only the trace route certifies), place and wedge selection,
-    corner check, canonical re-diagonalization from the words, exponent
-    derivation, freeness oracle.  Failures raise PipelineFailure carrying
-    the stage name, with the trace so far on the .trace attribute.  A
-    certificate is returned only after the oracle confirms zero collisions.
+    exponent derivation in the canonical eigenbasis of the words (the
+    replay verify_certificate runs), freeness oracle.  Failures raise
+    PipelineFailure carrying the stage name, with the trace so far on the
+    .trace attribute.  A certificate is returned only after the oracle
+    confirms zero collisions.
     """
     config = config or RunConfig()
     if not gens:
@@ -230,31 +234,12 @@ def certify_generators(
         fail("select_place_and_wedge", exc)
     trace.append({"stage": "select_place_and_wedge", "ok": True, "place": str(v), "wedge_m": m})
 
-    try:
-        cond = _escalate(
-            config.bits_schedule,
-            lambda bits: ensure_l2(pair, v, m, config.constants, bits),
-        )
-    except GrowthcertError as exc:
-        fail("ensure_l2", exc)
-    trace.append(
-        {
-            "stage": "ensure_l2",
-            "ok": True,
-            "word_B": str(pair.word_b),
-            "l_conditions": [cond.l1, cond.l2, cond.l3],
-        }
-    )
-
     word_a_final, word_b_final = pair.word_a, pair.word_b
     a_mat = evaluate_word(word_a_final, gens)
     b_mat = evaluate_word(word_b_final, gens)
 
     def canonical(bits: int):
-        cpair = diagonalized_pair(
-            a_mat, b_mat, s, word_a_final, word_b_final, sort_place=v, bits=bits
-        )
-        wa, wb = wedge_pair(cpair, v, m, bits)
+        wa, wb = canonical_wedge_pair(a_mat, b_mat, word_a_final, word_b_final, v, m, bits)
         return derive_exponent(wa, wb, v, config.radii, config.exponent_cap, bits)
 
     try:
@@ -322,8 +307,9 @@ def verify_certificate(
 
     Checks, in order: dimension agreement, the word-length, exponent and
     oracle-depth caps, word evaluation, the growth bound recomputation
-    (exact equality), the cone inclusions in the canonical eigenbasis over
-    the precision schedule, and the freeness oracle at the recorded depth.  Returns (False, reason) at the first
+    (exact equality), the cone inclusions in the canonical eigenbasis of
+    canonical_wedge_pair over the precision schedule, and the freeness
+    oracle at the recorded depth.  Returns (False, reason) at the first
     failure and never raises on tampered input.
     """
     config = config or RunConfig()
@@ -348,7 +334,7 @@ def verify_certificate(
     depth = cert.oracle_depth_validated
     # the oracle multiplies out all 2^(depth+1) - 2 positive words; the
     # bit-length test keeps a huge tampered depth from building 2^depth
-    if depth >= config.budget.bit_length() or (depth > 0 and 2 ** (depth + 1) - 2 > config.budget):
+    if depth >= config.budget.bit_length() or 2 ** (depth + 1) - 2 > config.budget:
         return False, (
             f"oracle_depth_validated {depth} needs more words than budget {config.budget}"
         )
@@ -362,25 +348,19 @@ def verify_certificate(
     if cert.growth_bound != growth_bound_from_length(max(len_u, len_w)):
         return False, "growth bound does not match the word lengths"
 
-    s = s_support(gens)
-    checks = None
     last: Exception | None = None
     for bits in config.bits_schedule:
         try:
-            cpair = diagonalized_pair(
-                a_mat, b_mat, s, cert.word_a, cert.word_b, sort_place=cert.place, bits=bits
+            wa, wb = canonical_wedge_pair(
+                a_mat, b_mat, cert.word_a, cert.word_b, cert.place, cert.wedge_m, bits
             )
-            wa, wb = wedge_pair(cpair, cert.place, cert.wedge_m, bits)
-            out = verify_cone_inclusions(
+            if verify_cone_inclusions(
                 wa, wb, cert.exponent, cert.cone_param, cert.place, bits
-            )
+            ).all_pass:
+                break
         except (GrowthcertError, ValueError) as exc:
             last = exc
-            continue
-        if out.all_pass:
-            checks = out
-            break
-    if checks is None:
+    else:
         detail = str(last) if last is not None else "an inclusion failed at every precision"
         return False, f"cone checks did not certify: {detail}"
 

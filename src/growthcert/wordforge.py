@@ -2,9 +2,9 @@
 
 Diagonalize A with certified enclosures (exact when the charpoly splits
 over Q), balance norms by a centralizer conjugation, fall back to the
-trace route and role swap, pick the place and wedge degree with a
-certified spectral gap, and check B's corner conditions.  Every stage
-checks the seed pair itself; none replaces B by a longer word.  Corner
+trace route and role swap, and pick the place and wedge degree with a
+certified spectral gap.  Every stage checks the seed pair itself; none
+replaces B by a longer word.  The corner check (ensure_l2), corner
 amplification and the almost-algebra builder are library functions;
 certification does not run them.
 """
@@ -280,7 +280,6 @@ def _apply_centralizer(b_rows, k, exact: bool):
 def diagonalized_pair(
     a: SquareMatrix,
     b: SquareMatrix,
-    s: PlaceSet,
     word_a: Word,
     word_b: Word,
     sort_place: Place = ARCH,
@@ -345,7 +344,7 @@ def balance_or_trace(
     """
     word_a = word_a if word_a is not None else SYM_A
     word_b = word_b if word_b is not None else SYM_B
-    pair = diagonalized_pair(a, b, s, word_a, word_b, ARCH, bits)
+    pair = diagonalized_pair(a, b, word_a, word_b, ARCH, bits)
     exact = pair.exact
     b_rows, d_rows, d_inv_rows = _apply_centralizer(
         pair.b_rows, _balance_exponents(pair.b_rows, ARCH, 96), exact
@@ -388,7 +387,7 @@ def swap_roles(pair: ConjugatedPair, s: PlaceSet, bits: int = 128) -> Conjugated
     f = char_poly(pair.orig_b).poly
     if squarefree_part(f) != f:
         raise SwapFailed("B has repeated eigenvalues: no certified eigenbasis")
-    new = diagonalized_pair(pair.orig_b, pair.orig_a, s, pair.word_b, pair.word_a, ARCH, bits)
+    new = diagonalized_pair(pair.orig_b, pair.orig_a, pair.word_b, pair.word_a, ARCH, bits)
 
     cn_hi = _global_norm_bounds(new.basis, s, new.exact)[1]
     ci_hi = _global_norm_bounds(new.basis_inv, s, new.exact)[1]
@@ -594,7 +593,9 @@ def ensure_l2(
 
     The size constant c3 may grow by powers of 16 up to 2^32 (recorded in
     the returned conditions).  Raises L2Unreachable when B fails them; B
-    is never replaced by a word.
+    is never replaced by a word.  A library function: certification does
+    not run it, since the cone checks in the canonical eigenbasis decide a
+    certificate on their own.
     """
     wa, wb = wedge_pair(pair, v, m, bits)
     c2, d2, c3, d3 = (Fraction(x) for x in constants)

@@ -9,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from growthcert import cli
 
@@ -45,21 +47,23 @@ def heisenberg_file(tmp_path):
     )
 
 
+SANOV_CERT = {
+    "schema": "growthcert.certificate.v1",
+    "n": 2,
+    "word_A": "0 1",
+    "word_B": "0",
+    "place": "archimedean",
+    "wedge_m": 1,
+    "exponent": 1,
+    "cone_param": "1/16",
+    "checks": {"disjoint": True, "contracts": True, "contracts_double": True},
+    "growth_bound": "1204497/1048576",
+    "oracle_depth_validated": 12,
+}
+
+
 def sanov_cert_file(tmp_path, **fields):
-    cert = {
-        "schema": "growthcert.certificate.v1",
-        "n": 2,
-        "word_A": "0 1",
-        "word_B": "0",
-        "place": "archimedean",
-        "wedge_m": 1,
-        "exponent": 1,
-        "cone_param": "1/16",
-        "checks": {"disjoint": True, "contracts": True, "contracts_double": True},
-        "growth_bound": "1204497/1048576",
-        "oracle_depth_validated": 12,
-    }
-    cert.update(fields)
+    cert = {**SANOV_CERT, **fields}
     return write_json(tmp_path / "cert.json", cert)
 
 
@@ -190,7 +194,7 @@ def test_certify_verify_round_trip(capsys, tmp_path):
     assert file_cert["exponent"] == 1 and file_cert["cone_param"] == "1/16"
     assert file_cert["growth_bound"] == "1204497/1048576"
     lines = trace_path.read_text().splitlines()
-    assert len(lines) == 7
+    assert len(lines) == 6
     assert json.loads(lines[-1])["stage"] == "certificate"
 
     code, out, _ = run(capsys, ["verify", str(cert_path), gens])
@@ -278,6 +282,78 @@ def test_verify_rejects_long_word_quickly(capsys, tmp_path):
     assert "search_depth * word_cap = 32" in verdict["reason"]
 
 
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        ("word_A", 5, "word_A"),
+        ("word_B", ["0"], "word_B"),
+        ("place", None, "place"),
+        ("cone_param", 0.5, "cone_param"),
+        ("growth_bound", 1, "growth_bound"),
+        ("n", 2.0, "n must be"),
+        ("exponent", 1.5, "exponent"),
+        ("exponent", True, "exponent"),
+        ("wedge_m", "1", "wedge_m"),
+        ("oracle_depth_validated", "12", "oracle_depth_validated"),
+        ("oracle_depth_validated", -5, "oracle_depth_validated"),
+        ("oracle_depth_validated", 0, "oracle_depth_validated"),
+        ("checks", {"disjoint": 1, "contracts": True, "contracts_double": True}, "disjoint"),
+    ],
+)
+def test_verify_rejects_mistyped_field(capsys, tmp_path, field, value, needle):
+    gens = sanov_file(tmp_path)
+    cert = sanov_cert_file(tmp_path, **{field: value})
+    code, out, _ = run(capsys, ["verify", cert, gens])
+    assert code == 5
+    verdict = json.loads(out)
+    assert verdict["valid"] is False
+    assert verdict["reason"].startswith("malformed certificate") and needle in verdict["reason"]
+
+
+_JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(sorted(SANOV_CERT)), junk=_JSON_JUNK)
+def test_verify_rejects_junk_field_quickly(capsys, tmp_path, field, junk):
+    # a junk value of the field's own type is made unparsable: an "x" in
+    # front breaks every word, place, rational and the schema name
+    if type(junk) is type(SANOV_CERT[field]):
+        junk = "x" + json.dumps(junk)
+    gens = sanov_file(tmp_path)
+    cert = sanov_cert_file(tmp_path, **{field: junk})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", cert, gens])
+    assert time.perf_counter() - start < 2
+    assert code == 5 and json.loads(out)["valid"] is False
+
+
+def test_hard_denominator_ends_quickly(capsys, tmp_path):
+    n = 100000000000000000000000000319 * 300000000000000000000000000007
+    gens = write_json(
+        tmp_path / "semiprime.json",
+        {"n": 2, "generators": [[[f"1/{n}", 0], [0, str(n)]], [[1, 0], [2, 1]]]},
+    )
+    cert = sanov_cert_file(tmp_path)
+    for argv, expected in (
+        (["certify", gens], 2),
+        (["find-pair", gens], 2),
+        (["spectrum", gens, "--word", "0"], 2),
+        (["verify", cert, gens], 5),
+    ):
+        start = time.perf_counter()
+        code, _, err = run(capsys, argv)
+        assert time.perf_counter() - start < 5, argv[0]
+        assert code == expected, argv[0]
+        if expected == 2:
+            assert err.startswith("error: generator 0: could not factor"), err
+
+
 def test_parse_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, ["growth", str(tmp_path / "missing.json"), "--radius", "2"])
     assert code == 2 and "cannot read" in err
@@ -345,7 +421,7 @@ def test_report(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["schema"] == "growthcert.tracereport.v1"
-    assert data["records"] == 7
+    assert data["records"] == 6
     assert data["ok"] is True and data["failed_stage"] is None
 
     gens_h = heisenberg_file(tmp_path)

@@ -62,6 +62,23 @@ def test_factorize_reconstructs():
         assert prod == n
 
 
+# a 59-digit semiprime: its factors are far beyond the Pollard rho budget
+HARD_SEMIPRIME = 100000000000000000000000000319 * 300000000000000000000000000007
+
+
+def test_factorize_splits_two_word_sized_primes():
+    p, q = 2**31 - 1, 4294967291  # the largest prime below 2^32
+    assert factorize(p * q) == {p: 1, q: 1}
+
+
+def test_factorize_gives_up_within_budget():
+    with pytest.raises(GrowthcertError, match="Pollard rho steps"):
+        factorize(HARD_SEMIPRIME)
+    gens = [M([[F(1, HARD_SEMIPRIME), 0], [0, HARD_SEMIPRIME]])]
+    with pytest.raises(GrowthcertError, match="^generator 0: "):
+        s_support(gens)
+
+
 def test_padic_valuation():
     assert padic_valuation(F(12), 2) == 2
     assert padic_valuation(F(12), 3) == 1

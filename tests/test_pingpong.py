@@ -134,12 +134,6 @@ def test_derive_exponent_cap():
         derive_exponent((F(1), F(1)), B_ROWS, ARCH, cap=3)
 
 
-def test_derive_exponent_checks_precondition():
-    bad = check_l_conditions((F(3, 2), F(2, 3)), B_ROWS, ARCH)
-    with pytest.raises(ValueError):
-        derive_exponent((F(3, 2), F(2, 3)), B_ROWS, ARCH, cond=bad)
-
-
 def test_collision_for_commuting_pair():
     u = SquareMatrix.from_rows([[2, 0], [0, F(1, 2)]])
     w = SquareMatrix.from_rows([[3, 0], [0, F(1, 3)]])

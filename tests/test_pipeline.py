@@ -30,7 +30,6 @@ STAGES = [
     "find_regular_pair",
     "balance_or_trace",
     "select_place_and_wedge",
-    "ensure_l2",
     "derive_exponent",
     "freeness_oracle",
     "certificate",
@@ -163,8 +162,26 @@ def test_runconfig_validation():
         RunConfig(budget=0)
     with pytest.raises(ValueError):
         RunConfig(bits_schedule=())
-    with pytest.raises(ValueError):
-        RunConfig(constants=(F(1), F(1), F(1)))
+
+
+def test_certify_passes_b_failing_the_corner_check():
+    # sl2_hyperbolic pair 28 under seed 411 (drawn as in test_acceptance):
+    # B fails the corner condition l2 in the rebalanced basis, yet the cone
+    # checks in the canonical eigenbasis certify the pair
+    gens = [M([[2, F(-1, 2)], [0, F(1, 2)]]), M([[0, -1], [1, F(1, 2)]])]
+    res = certify_generators(gens)
+    assert [rec["stage"] for rec in res.trace] == STAGES
+    cert = res.certificate
+    assert (cert.exponent, cert.cone_param) == (4, F(1, 16))
+    assert cert.growth_bound == F(283131, 262144)
+    assert verify_certificate(cert, gens) == (True, "ok")
+
+
+def test_runconfig_ignores_retired_constants():
+    d = RunConfig(word_cap=5).to_json_dict()
+    assert "constants" not in d
+    old = {**d, "constants": ["1", "1", "1", "2"]}
+    assert RunConfig.from_json_dict(old) == RunConfig.from_json_dict(d)
 
 
 def test_runconfig_json_round_trip():

@@ -305,8 +305,8 @@ def test_diagonalize_enclosed_vieta():
 
 def test_diagonalized_pair_deterministic():
     a, b = M([[5, 2], [2, 1]]), M([[1, 2], [0, 1]])
-    p1 = diagonalized_pair(a, b, S0, Word.parse("0 1"), WA)
-    p2 = diagonalized_pair(a, b, S0, Word.parse("0 1"), WA)
+    p1 = diagonalized_pair(a, b, Word.parse("0 1"), WA)
+    p2 = diagonalized_pair(a, b, Word.parse("0 1"), WA)
     assert p1 == p2
     assert p1.norm_relation == "none" and not p1.balanced
     assert not p1.exact
@@ -314,7 +314,7 @@ def test_diagonalized_pair_deterministic():
 
 def test_diagonalized_pair_exact_case():
     a, b = M([[2, 3], [0, F(1, 2)]]), M([[1, 1], [1, 2]])
-    pair = diagonalized_pair(a, b, S0, WA, WB)
+    pair = diagonalized_pair(a, b, WA, WB)
     assert pair.exact
     assert pair.a_diag == (F(2), F(1, 2))
     basis = M([list(r) for r in pair.basis])
@@ -325,9 +325,9 @@ def test_diagonalized_pair_exact_case():
 def test_diagonalized_pair_finite_sort_needs_rational_basis():
     a = M([[5, 2], [2, 1]])
     with pytest.raises(Inconclusive):
-        diagonalized_pair(a, SquareMatrix.identity(2), S0, WA, WB, sort_place=Place.finite(2))
+        diagonalized_pair(a, SquareMatrix.identity(2), WA, WB, sort_place=Place.finite(2))
     with pytest.raises(ValueError):
-        diagonalized_pair(SquareMatrix.identity(2), a, S0, WA, WB)
+        diagonalized_pair(SquareMatrix.identity(2), a, WA, WB)
 
 
 _entry = st.fractions(min_value=-5, max_value=5, max_denominator=3)
