@@ -458,32 +458,7 @@ def evaluate_word(word: Word, gens: list[SquareMatrix]) -> SquareMatrix:
 
 
 # ---------------------------------------------------------------------------
-# norms and support
-
-
-@dataclass(frozen=True)
-class NormProfile:
-    """Max-entry norm of a matrix at each place of an S-set, plus the max."""
-
-    per_place: tuple[tuple[Place, Fraction], ...]
-
-    def at(self, v: Place) -> Fraction:
-        for place, value in self.per_place:
-            if place == v:
-                return value
-        raise KeyError(str(v))
-
-    @property
-    def global_norm(self) -> Fraction:
-        return max(value for _, value in self.per_place)
-
-
-def matrix_norm(a: SquareMatrix, s: PlaceSet) -> NormProfile:
-    """Entrywise-max norm at every place of s; exact rationals."""
-    rows = []
-    for v in s:
-        rows.append((v, max(abs_value(x, v) for row in a.entries for x in row)))
-    return NormProfile(tuple(rows))
+# support
 
 
 def s_support(gens: list[SquareMatrix]) -> PlaceSet:

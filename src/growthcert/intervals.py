@@ -266,13 +266,6 @@ def cmat_from_exact(m) -> CMatrix:
     return tuple(tuple(ComplexInterval.point(x) for x in row) for row in rows)
 
 
-def cmat_identity(n: int) -> CMatrix:
-    return tuple(
-        tuple(ComplexInterval.point(1 if i == j else 0) for j in range(n))
-        for i in range(n)
-    )
-
-
 def cmat_mul(a: CMatrix, b: CMatrix, round_bits: int | None = None) -> CMatrix:
     cols = tuple(zip(*b))
     out = []

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .errors import BudgetExceeded, ExponentSearchExhausted, Inconclusive
 from .exactnum import (
@@ -25,6 +27,7 @@ from .exactnum import (
     Word,
     abs_value,
     format_rational,
+    is_prime,
     parse_rational,
 )
 from .intervals import ComplexInterval, RationalInterval
@@ -349,28 +352,65 @@ def derive_exponent(
 # freeness oracle
 
 
+# The oracle works modulo the least prime at or above this Mersenne prime
+# that divides no entry denominator of its two matrices.
+_RESIDUE_PRIME = 2**61 - 1
+
+
+def _residue_prime(mats) -> int:
+    dens = {x.denominator for m in mats for row in m.entries for x in row}
+    p = _RESIDUE_PRIME
+    while not is_prime(p) or any(d % p == 0 for d in dens):
+        p += 1
+    return p
+
+
+def _residue_rows(m: SquareMatrix, p: int) -> tuple:
+    return tuple(
+        tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row) for row in m.entries
+    )
+
+
 def find_semigroup_collision(
     u: SquareMatrix, w: SquareMatrix, depth: int = 12, budget: int = 10**6
 ) -> tuple[str, str] | None:
     """First pair of distinct positive words in {u, w} with equal matrices.
 
     Words are explored in shortlex order ('u' before 'w'); each word costs
-    one exact matrix multiplication via the prefix tree.  Returns None when
-    all words up to the depth are pairwise distinct.
+    one matrix multiplication modulo a prime p that divides no entry
+    denominator.  Reduction mod p is a ring map on the rationals whose
+    denominators p does not divide, so words with distinct residues have
+    distinct matrices.  Only a residue clash multiplies the words out
+    exactly; a false clash is skipped, so the first exact collision is
+    still the one returned.  Returns None when all words up to the depth
+    are pairwise distinct.
     """
-    seen: dict = {}
-    layer = [("", SquareMatrix.identity(u.n))]
+    p = _residue_prime((u, w))
+    gens = tuple((sym, tuple(zip(*_residue_rows(g, p)))) for sym, g in (("u", u), ("w", w)))
+    exact: dict[str, SquareMatrix] = {}
+
+    def value(word: str) -> SquareMatrix:
+        if word not in exact:
+            exact[word] = reduce(mul, (u if sym == "u" else w for sym in word))
+        return exact[word]
+
+    seen: dict[tuple, list[str]] = {}
+    stored = 0
+    layer = [("", _residue_rows(SquareMatrix.identity(u.n), p))]
     for _ in range(depth):
         nxt = []
-        for label, mat in layer:
-            for sym, g in (("u", u), ("w", w)):
+        for label, rows in layer:
+            for sym, cols in gens:
                 word = label + sym
-                m = mat * g
-                if m.entries in seen:
-                    return seen[m.entries], word
-                if len(seen) >= budget:
+                m = tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in rows)
+                bucket = seen.get(m, ())
+                for earlier in bucket:
+                    if value(earlier) == value(word):
+                        return earlier, word
+                if stored >= budget:
                     raise BudgetExceeded(f"oracle exceeded budget {budget}")
-                seen[m.entries] = word
+                seen[m] = [*bucket, word]
+                stored += 1
                 nxt.append((word, m))
         layer = nxt
     return None

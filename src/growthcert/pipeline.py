@@ -338,6 +338,11 @@ def verify_certificate(
         return False, (
             f"oracle_depth_validated {depth} needs more words than budget {config.budget}"
         )
+    # like the other caps: no certify run under this config validates deeper
+    if depth > config.oracle_depth:
+        return False, (
+            f"oracle_depth_validated {depth} exceeds oracle_depth {config.oracle_depth}"
+        )
     try:
         a_mat = evaluate_word(cert.word_a, gens)
         b_mat = evaluate_word(cert.word_b, gens)

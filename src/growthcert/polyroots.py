@@ -69,17 +69,6 @@ def poly_scale(f: Poly, c: Fraction) -> Poly:
     return poly_from(Fraction(c) * x for x in f)
 
 
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    if not f or not g:
-        return ()
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return poly_from(out)
-
-
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
@@ -185,12 +174,6 @@ def _sign_variations(chain: list[Poly], x: Fraction) -> int:
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(f: Poly, a: Fraction, b: Fraction, chain=None) -> int:
-    """Distinct real roots of squarefree f in the half-open interval (a, b]."""
-    chain = chain or sturm_chain(f)
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
 def _nonroot_point(f: Poly, a: Fraction, b: Fraction) -> Fraction:

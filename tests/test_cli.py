@@ -258,6 +258,29 @@ def test_verify_rejects_oracle_depth_over_budget(capsys, tmp_path):
     assert "oracle_depth_validated" in verdict["reason"] and "budget" in verdict["reason"]
 
 
+def test_verify_rejects_oracle_depth_over_config_quickly(capsys, tmp_path):
+    gens = sanov_file(tmp_path)
+    # depth 16 fits the budget, but no default certify run validates past 12
+    cert = sanov_cert_file(tmp_path, oracle_depth_validated=16)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", cert, gens])
+    assert time.perf_counter() - start < 1
+    assert code == 5
+    verdict = json.loads(out)
+    assert verdict["valid"] is False
+    assert "oracle_depth_validated 16 exceeds oracle_depth 12" in verdict["reason"]
+
+
+def test_verify_oracle_depth_flag_admits_deeper_certificate(capsys, tmp_path):
+    gens = sanov_file(tmp_path)
+    cert = sanov_cert_file(tmp_path, oracle_depth_validated=13)
+    code, out, _ = run(capsys, ["verify", cert, gens])
+    assert code == 5 and "oracle_depth 12" in json.loads(out)["reason"]
+    code, out, _ = run(capsys, ["verify", cert, gens, "--oracle-depth", "13"])
+    assert code == 0
+    assert json.loads(out)["valid"] is True
+
+
 def test_verify_rejects_huge_exponent_quickly(capsys, tmp_path):
     gens = sanov_file(tmp_path)
     cert = sanov_cert_file(tmp_path, exponent=10**5)

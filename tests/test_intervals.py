@@ -11,7 +11,6 @@ from growthcert.intervals import (
     cmat_contains_exact,
     cmat_det_small,
     cmat_from_exact,
-    cmat_identity,
     cmat_inverse,
     cmat_mul,
     cmat_sub,
@@ -22,6 +21,13 @@ from growthcert.intervals import (
 )
 
 M = SquareMatrix.from_rows
+
+
+def cmat_identity(n: int):
+    return tuple(
+        tuple(ComplexInterval.point(1 if i == j else 0) for j in range(n))
+        for i in range(n)
+    )
 
 
 def test_dyadic_bracketing():

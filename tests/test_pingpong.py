@@ -5,7 +5,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from growthcert import pingpong
 from growthcert.errors import BudgetExceeded, ExponentSearchExhausted, Inconclusive
 from growthcert.exactnum import ARCH, Place, SquareMatrix, Word
 from growthcert.intervals import ComplexInterval, RationalInterval
@@ -163,6 +166,117 @@ def test_oracle_budget():
     w = SquareMatrix.from_rows([[1, 0], [2, 1]])
     with pytest.raises(BudgetExceeded):
         find_semigroup_collision(u, w, depth=12, budget=5)
+
+
+def reference_collision(u, w, depth=12, budget=10**6):
+    """The exact Fraction oracle the residue oracle must agree with."""
+    seen = {}
+    layer = [("", SquareMatrix.identity(u.n))]
+    for _ in range(depth):
+        nxt = []
+        for label, mat in layer:
+            for sym, g in (("u", u), ("w", w)):
+                word = label + sym
+                m = mat * g
+                if m.entries in seen:
+                    return seen[m.entries], word
+                if len(seen) >= budget:
+                    raise BudgetExceeded(f"oracle exceeded budget {budget}")
+                seen[m.entries] = word
+                nxt.append((word, m))
+        layer = nxt
+    return None
+
+
+def outcome(oracle, *args):
+    try:
+        return oracle(*args)
+    except BudgetExceeded as exc:
+        return ("BudgetExceeded", str(exc))
+
+
+SANOV_U = SquareMatrix.from_rows([[1, 2], [0, 1]])
+SANOV_W = SquareMatrix.from_rows([[1, 0], [2, 1]])
+ROT = SquareMatrix.from_rows([[0, -1], [1, 0]])
+CYCLE = SquareMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+PLANTED = [
+    (SANOV_U, SANOV_U, ("u", "w")),
+    (SANOV_U, SANOV_U * SANOV_U, ("w", "uu")),
+    (
+        SquareMatrix.from_rows([[2, 0], [0, F(1, 2)]]),
+        SquareMatrix.from_rows([[F(-1, 3), 0], [0, -3]]),
+        ("uw", "wu"),
+    ),
+    (ROT, ROT * ROT, ("w", "uu")),
+    (ROT, ROT.inverse(), ("uw", "wu")),
+    (CYCLE, CYCLE * CYCLE, ("w", "uu")),
+]
+
+
+@pytest.mark.parametrize("prime", [None, 7])
+@pytest.mark.parametrize("u, w, words", PLANTED)
+def test_oracle_finds_planted_relation(monkeypatch, prime, u, w, words):
+    if prime is not None:
+        monkeypatch.setattr(pingpong, "_RESIDUE_PRIME", prime)
+    assert reference_collision(u, w) == words
+    assert find_semigroup_collision(u, w) == words
+
+
+@pytest.mark.parametrize("prime", [7, 101])
+def test_oracle_skips_false_clashes(monkeypatch, prime):
+    monkeypatch.setattr(pingpong, "_RESIDUE_PRIME", prime)
+    mats, residues = [SquareMatrix.identity(2)], set()
+    for _ in range(10):
+        mats = [m * g for m in mats for g in (SANOV_U, SANOV_W)]
+        residues.update(pingpong._residue_rows(m, prime) for m in mats)
+    # the 2^11 - 2 free Sanov words clash modulo the prime ...
+    assert len(residues) < 2**11 - 2
+    # ... and the oracle still proves them distinct
+    assert find_semigroup_collision(SANOV_U, SANOV_W, depth=10) is None
+    rng = random.Random(prime)
+    for _ in range(12):
+        u, w = (
+            SquareMatrix.from_rows(
+                [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(2)] for _ in range(2)]
+            )
+            for _ in range(2)
+        )
+        assert find_semigroup_collision(u, w, depth=9) == reference_collision(u, w, depth=9)
+
+
+@pytest.mark.parametrize("prime", [None, 7])
+def test_oracle_skips_prime_dividing_a_denominator(monkeypatch, prime):
+    if prime is not None:
+        monkeypatch.setattr(pingpong, "_RESIDUE_PRIME", prime)
+    big = pingpong._RESIDUE_PRIME
+    u = SquareMatrix.from_rows([[1, F(1, big)], [0, 1]])
+    w = SquareMatrix.from_rows([[1, 0], [2, 1]])
+    assert find_semigroup_collision(u, w, depth=8) == reference_collision(u, w, depth=8)
+    diag = SquareMatrix.from_rows([[big, 0], [0, F(1, big)]])
+    assert find_semigroup_collision(diag, diag * diag) == ("w", "uu")
+
+
+_entry = st.builds(F, st.integers(-3, 3), st.integers(1, 7))
+
+
+@st.composite
+def _oracle_case(draw):
+    n = draw(st.integers(2, 3))
+    row = st.lists(_entry, min_size=n, max_size=n)
+    u, w = (
+        SquareMatrix.from_rows(draw(st.lists(row, min_size=n, max_size=n))) for _ in range(2)
+    )
+    return u, w, draw(st.integers(1, 7)), draw(st.integers(1, 300))
+
+
+@pytest.mark.parametrize("prime", [None, 7])
+@settings(max_examples=60, deadline=None)
+@given(case=_oracle_case())
+def test_oracle_matches_fraction_reference(prime, case):
+    with pytest.MonkeyPatch.context() as mp:
+        if prime is not None:
+            mp.setattr(pingpong, "_RESIDUE_PRIME", prime)
+        assert outcome(find_semigroup_collision, *case) == outcome(reference_collision, *case)
 
 
 def test_growth_bound_examples():

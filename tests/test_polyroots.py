@@ -6,22 +6,38 @@ from hypothesis import strategies as st
 
 from growthcert.intervals import RationalInterval
 from growthcert.polyroots import (
+    _sign_variations,
     cauchy_bound,
     certified_root_structure,
-    count_real_roots,
     isolate_real_roots,
     modulus_enclosures,
     poly_div_exact,
     poly_eval,
     poly_from,
     poly_gcd,
-    poly_mul,
     rational_roots,
     refine_real_root,
     squarefree_part,
     sturm_chain,
     yun_decomposition,
 )
+
+
+def poly_mul(f, g):
+    if not f or not g:
+        return ()
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return poly_from(out)
+
+
+def count_real_roots(f, a, b, chain=None) -> int:
+    """Distinct real roots of squarefree f in the half-open interval (a, b]."""
+    chain = chain or sturm_chain(f)
+    return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
 def _poly_with_roots(roots):

@@ -23,10 +23,14 @@ from growthcert.exactnum import (
     Word,
     evaluate_word,
 )
+from growthcert.intervals import sqrt_upper
 from growthcert.wordforge import (
+    AlmostAlgebra,
     ConjugatedPair,
+    _frob,
     _kernel_vector,
-    algebra_defect,
+    _project_residual,
+    _rows_mul,
     amplify_entry,
     balance_or_trace,
     build_almost_algebra,
@@ -42,6 +46,39 @@ from growthcert.wordforge import (
 M = SquareMatrix.from_rows
 S0 = PlaceSet(())
 WA, WB = Word.parse("0"), Word.parse("1")
+
+
+def algebra_defect(aa: AlmostAlgebra, assoc_cap: int = 8) -> F:
+    """Largest normalized product-to-span distance, with associativity folded in.
+
+    Exactly zero if and only if the span is closed under products (a
+    subspace closed under matrix multiplication is automatically an
+    associative algebra).  The structure-constant associativity defect is
+    computed only up to assoc_cap dimensions; beyond that the product part
+    already decides exactness.
+    """
+    ortho = aa.ortho_basis
+    dim = len(ortho)
+    norms = [_frob(o, o) for o in ortho]
+    worst_sq = F(0)
+    coeff = {}
+    for ii in range(dim):
+        for jj in range(dim):
+            prod = _rows_mul(ortho[ii], ortho[jj], True)
+            res, cs = _project_residual(prod, ortho)
+            coeff[(ii, jj)] = cs
+            worst_sq = max(worst_sq, _frob(res, res) / (norms[ii] * norms[jj]))
+    if dim <= assoc_cap:
+        for ii in range(dim):
+            for jj in range(dim):
+                for kk in range(dim):
+                    delta_sq = F(0)
+                    for ll in range(dim):
+                        lhs = sum(coeff[(ii, jj)][mm] * coeff[(mm, kk)][ll] for mm in range(dim))
+                        rhs = sum(coeff[(jj, kk)][mm] * coeff[(ii, mm)][ll] for mm in range(dim))
+                        delta_sq += (lhs - rhs) ** 2 * norms[ll]
+                    worst_sq = max(worst_sq, delta_sq / (norms[ii] * norms[jj] * norms[kk]))
+    return F(0) if worst_sq == 0 else sqrt_upper(worst_sq, 64)
 
 
 def diag(*entries):
