@@ -1,8 +1,11 @@
 """Cayley ball enumeration, growth estimation, and regular pair search.
 
-Balls are enumerated breadth-first with exact deduplication: a matrix is a
-hashable tuple of Fractions, so two words are identified exactly when they
-are equal in the group, never because floats collided.  Growth estimates
+Balls are enumerated breadth-first with exact deduplication.  A ball element
+M is held as the pair (d, N) with N an integer matrix, d > 0 and
+gcd(d, entries of N) = 1, so that M = N/d.  Each rational matrix has exactly
+one such form, so two words are identified exactly when they are equal in
+the group, never because floats or residues collided; products are integer
+matmuls, with one gcd only when a denominator appears.  Growth estimates
 derived from counts are certified dyadic lower bounds; the exponential-vs-
 polynomial verdict and the degree fit are float heuristics, clearly labeled,
 and never feed a certificate.
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
 from .exactnum import PlaceSet, SquareMatrix, Word, row_reduce, s_support
@@ -26,53 +30,76 @@ def charpoly_is_squarefree(mat: SquareMatrix) -> bool:
     return poly_degree(squarefree_part(f)) == poly_degree(f)
 
 
-def _alphabet(gens: list[SquareMatrix]) -> list[tuple[Word, SquareMatrix]]:
-    """Generators then inverses, as (letter word, matrix); exact duplicates dropped."""
+def _integer_form(mat: SquareMatrix) -> tuple[int, tuple]:
+    """The unique (d, N) with mat = N/d, N an integer matrix, d > 0, gcd(d, N) = 1.
+
+    d is the least common denominator of the entries, so no prime of d
+    divides every entry of N.
+    """
+    d = math.lcm(*(x.denominator for row in mat.entries for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in mat.entries)
+
+
+def _as_matrix(key: tuple[int, tuple]) -> SquareMatrix:
+    d, rows = key
+    return SquareMatrix(tuple(tuple(Fraction(x, d) for x in row) for row in rows))
+
+
+def _alphabet(gens: list[SquareMatrix]) -> list[tuple[Word, tuple[int, tuple]]]:
+    """Generators then inverses, as (letter word, (d, N)); exact duplicates dropped."""
     letters = []
     seen = set()
-    for i, g in enumerate(gens):
-        if g.entries not in seen:
-            seen.add(g.entries)
-            letters.append((Word(((i, 1),)), g))
-    for i, g in enumerate(gens):
-        inv = g.inverse()
-        if inv.entries not in seen:
-            seen.add(inv.entries)
-            letters.append((Word(((i, -1),)), inv))
+    for sign, mats in ((1, gens), (-1, [g.inverse() for g in gens])):
+        for i, g in enumerate(mats):
+            key = _integer_form(g)
+            if key not in seen:
+                seen.add(key)
+                letters.append((Word(((i, sign),)), key))
     return letters
 
 
 def _bfs_ball(gens, radius, budget, want_words):
-    """Breadth-first ball with exact dedup.
+    """Breadth-first ball with exact dedup on the (d, N) form of _integer_form.
+
+    A product (d1, N1)(d2, N2) is (d1 d2, N1 N2) divided by the gcd of d1 d2
+    and the entries of N1 N2, which keeps it in that unique form; over
+    integer generators d stays 1 and each step is one integer matmul.
 
     Returns (counts, exhausted, elements) where counts[k] = |B(k)| and
-    elements is the shortlex-ordered list of (word, matrix) excluding the
+    elements is the shortlex-ordered list of (word, (d, N)) excluding the
     identity (only populated when want_words).  Raises BudgetExceeded with
     the completed-radius counts attached.
     """
     if not gens:
         raise ValueError("empty generator list")
     n = gens[0].n
-    ident = SquareMatrix.identity(n)
-    letters = _alphabet(gens)
-    ball = {ident.entries}
+    letters = [(word, d, tuple(zip(*rows))) for word, (d, rows) in _alphabet(gens)]
+    ident = (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    ball = {ident}
     frontier = [(Word(), ident)]
     counts = [1]
-    elements: list[tuple[Word, SquareMatrix]] = []
+    elements: list[tuple[Word, tuple[int, tuple]]] = []
     exhausted = False
     for _ in range(radius):
         new_frontier = []
-        for word, mat in frontier:
-            for lw, lm in letters:
-                nxt = mat * lm
-                if nxt.entries in ball:
+        for word, (d, rows) in frontier:
+            for lw, ld, cols in letters:
+                prod = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows)
+                dd = d * ld
+                if dd != 1:
+                    g = math.gcd(dd, *(x for row in prod for x in row))
+                    if g != 1:
+                        dd //= g
+                        prod = tuple(tuple(x // g for x in row) for row in prod)
+                key = (dd, prod)
+                if key in ball:
                     continue
                 if len(ball) >= budget:
                     raise BudgetExceeded(
                         f"ball exceeded budget {budget}", partial=list(counts)
                     )
-                ball.add(nxt.entries)
-                entry = (word * lw, nxt)
+                ball.add(key)
+                entry = (word * lw if want_words else None, key)
                 new_frontier.append(entry)
                 if want_words:
                     elements.append(entry)
@@ -316,7 +343,8 @@ def find_regular_pair(
     n = gens[0].n
     _, _, elements = _bfs_ball(gens, depth, budget, want_words=True)
     a_choice = None
-    for word, mat in elements:
+    for word, key in elements:
+        mat = _as_matrix(key)
         if not charpoly_is_squarefree(mat):
             continue
         try:
@@ -324,14 +352,15 @@ def find_regular_pair(
         except Inconclusive:
             continue
         if any(grid.values()):
-            a_choice = (word, mat, grid)
+            a_choice = (word, key, mat, grid)
             break
     if a_choice is None:
         raise PairNotFound(f"no regular (L1)-capable element within radius {depth}")
-    word_a, mat_a, grid = a_choice
-    for word_b, mat_b in elements:
-        if mat_b == mat_a:
+    word_a, key_a, mat_a, grid = a_choice
+    for word_b, key_b in elements:
+        if key_b == key_a:
             continue
+        mat_b = _as_matrix(key_b)
         if not shemesh_no_common_eigenvector(mat_a, mat_b):
             continue
         dim = generated_algebra_dimension(mat_a, mat_b)

@@ -206,6 +206,8 @@ def _write_atomic(path: str, text: str) -> None:
 def cmd_growth(args) -> int:
     gfile = _load_generators(args.generators)
     config = _load_config(args)
+    if args.radius < 0:
+        raise _ParseError("radius must be >= 0")
     budget_hit = False
     try:
         report = enumerate_ball(list(gfile.generators), args.radius, config.budget)

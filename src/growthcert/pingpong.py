@@ -394,7 +394,8 @@ def find_semigroup_collision(
             exact[word] = reduce(mul, (u if sym == "u" else w for sym in word))
         return exact[word]
 
-    seen: dict[tuple, list[str]] = {}
+    # a residue maps to its first word, and to a list only once words clash
+    seen: dict[tuple, str | list[str]] = {}
     stored = 0
     layer = [("", _residue_rows(SquareMatrix.identity(u.n), p))]
     for _ in range(depth):
@@ -404,12 +405,14 @@ def find_semigroup_collision(
                 word = label + sym
                 m = tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in rows)
                 bucket = seen.get(m, ())
+                if isinstance(bucket, str):
+                    bucket = [bucket]
                 for earlier in bucket:
                     if value(earlier) == value(word):
                         return earlier, word
                 if stored >= budget:
                     raise BudgetExceeded(f"oracle exceeded budget {budget}")
-                seen[m] = [*bucket, word]
+                seen[m] = [*bucket, word] if bucket else word
                 stored += 1
                 nxt.append((word, m))
         layer = nxt

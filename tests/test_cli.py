@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from growthcert import cli
+from test_cayley import heisenberg_gens, reference_ball
 
 REPO = Path(__file__).resolve().parents[1]
 ENV_WITHOUT_PYTHONPATH = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -413,6 +414,22 @@ def test_invalid_flag_value_exits_2(capsys, tmp_path):
     gens = sanov_file(tmp_path)
     code, _, err = run(capsys, ["growth", gens, "--radius", "2", "--budget", "0"])
     assert code == 2 and "budget" in err
+    code, out, err = run(capsys, ["growth", gens, "--radius", "-1"])
+    assert code == 2 and out == ""
+    assert err == "error: radius must be >= 0\n"
+
+
+def test_growth_hostile_radius_stops_at_budget(capsys, tmp_path):
+    gens = heisenberg_file(tmp_path)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["growth", gens, "--radius", "1000", "--budget", "20000"])
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    data = json.loads(out)
+    assert data["budget_exceeded"] is True
+    radius = data["ball_sizes"][-1][0]
+    counts, _, _ = reference_ball(heisenberg_gens(), radius)
+    assert data["ball_sizes"] == [[r, c] for r, c in enumerate(counts)]
 
 
 def test_spectrum(capsys, tmp_path):
@@ -487,7 +504,10 @@ def throwaway_install(tmp_path):
     """Install this checkout into a fresh venv under tmp_path; return its scripts dir.
 
     Uses setuptools' `develop` command, which writes the `[project.scripts]`
-    console script offline and without the `wheel` package.
+    console script offline and without the `wheel` package.  The venv sees
+    only the base interpreter's site-packages, so a `.pth` file adds the
+    directories that hold this interpreter's setuptools and mpmath, which
+    may live in a venv of their own.
     """
     src = tmp_path / "checkout"
     src.mkdir()
@@ -502,6 +522,17 @@ def throwaway_install(tmp_path):
         check=True,
     )
     scripts = venv / ("Scripts" if os.name == "nt" else "bin")
+    site_packages = subprocess.run(
+        [str(scripts / "python"), "-c", "import sysconfig; print(sysconfig.get_path('purelib'))"],
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout.strip()
+    import mpmath
+    import setuptools
+
+    dirs = dict.fromkeys(str(Path(m.__file__).parents[1]) for m in (setuptools, mpmath))
+    (Path(site_packages) / "growthcert_test_deps.pth").write_text("\n".join(dirs) + "\n")
     proc = subprocess.run(
         [
             str(scripts / "python"),
