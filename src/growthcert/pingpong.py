@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from operator import mul
 
 from .errors import BudgetExceeded, ExponentSearchExhausted, Inconclusive
@@ -352,17 +351,32 @@ def derive_exponent(
 # freeness oracle
 
 
-# The oracle works modulo the least prime at or above this Mersenne prime
-# that divides no entry denominator of its two matrices.
-_RESIDUE_PRIME = 2**61 - 1
+def _prime_start(h: int) -> int:
+    """Where the oracle's prime search starts for the input hash h."""
+    return 2**61 + h % 2**60
 
 
-def _residue_prime(mats) -> int:
-    dens = {x.denominator for m in mats for row in m.entries for x in row}
-    p = _RESIDUE_PRIME
+def _fingerprint(u: SquareMatrix, w: SquareMatrix) -> tuple[int, tuple[int, ...]]:
+    """The oracle's prime p and row vector x, both drawn from the input.
+
+    h is the SHA-256 of the canonical entries of u and w; p is the least
+    prime at or above _prime_start(h) that divides no entry denominator,
+    and x = (1, r, ..., r^(n-1)) mod p with r taken from other bits of h.
+    A fixed p lets a crafted input make every word congruent (2^61 - 1 is
+    also the modulus of Python's int hash), and a fixed x such as e_n keys
+    every word alike when u and w share a left fixed vector.
+    """
+    # hashlib loads OpenSSL, about 3.5 MB resident; only the oracle needs it
+    import hashlib
+
+    text = json.dumps([[[format_rational(x) for x in row] for row in m.entries] for m in (u, w)])
+    h = int.from_bytes(hashlib.sha256(text.encode()).digest(), "big")
+    dens = {x.denominator for m in (u, w) for row in m.entries for x in row}
+    p = _prime_start(h)
     while not is_prime(p) or any(d % p == 0 for d in dens):
         p += 1
-    return p
+    r = (h >> 64) % p
+    return p, tuple(pow(r, k, p) for k in range(u.n))
 
 
 def _residue_rows(m: SquareMatrix, p: int) -> tuple:
@@ -376,35 +390,41 @@ def find_semigroup_collision(
 ) -> tuple[str, str] | None:
     """First pair of distinct positive words in {u, w} with equal matrices.
 
-    Words are explored in shortlex order ('u' before 'w'); each word costs
-    one matrix multiplication modulo a prime p that divides no entry
-    denominator.  Reduction mod p is a ring map on the rationals whose
-    denominators p does not divide, so words with distinct residues have
-    distinct matrices.  Only a residue clash multiplies the words out
-    exactly; a false clash is skipped, so the first exact collision is
-    still the one returned.  Returns None when all words up to the depth
-    are pairwise distinct.
+    Words are explored in shortlex order ('u' before 'w').  Each word is
+    keyed by the row vector x * M_word mod p (see _fingerprint), one
+    vector-times-letter product per word.  Reduction mod p is a ring map on
+    the rationals whose denominators p does not divide, so words with
+    distinct keys have distinct matrices.  Only a key clash multiplies the
+    words out exactly; a false clash is skipped, so the first exact
+    collision is still the one returned, whatever p and x are.  Returns
+    None when all words up to the depth are pairwise distinct.
     """
-    p = _residue_prime((u, w))
-    gens = tuple((sym, tuple(zip(*_residue_rows(g, p)))) for sym, g in (("u", u), ("w", w)))
-    exact: dict[str, SquareMatrix] = {}
+    p, x = _fingerprint(u, w)
+    letters = {"u": u, "w": w}
+    gens = tuple((sym, tuple(zip(*_residue_rows(g, p)))) for sym, g in letters.items())
+    exact = dict(letters)
 
     def value(word: str) -> SquareMatrix:
-        if word not in exact:
-            exact[word] = reduce(mul, (u if sym == "u" else w for sym in word))
-        return exact[word]
+        # the longest cached prefix, then one product per letter after it
+        k = len(word)
+        while word[:k] not in exact:
+            k -= 1
+        m = exact[word[:k]]
+        for i in range(k, len(word)):
+            m = exact[word[: i + 1]] = m * letters[word[i]]
+        return m
 
-    # a residue maps to its first word, and to a list only once words clash
+    # a key maps to its first word, and to a list only once words clash
     seen: dict[tuple, str | list[str]] = {}
     stored = 0
-    layer = [("", _residue_rows(SquareMatrix.identity(u.n), p))]
+    layer = [("", x)]
     for _ in range(depth):
         nxt = []
-        for label, rows in layer:
+        for label, vec in layer:
             for sym, cols in gens:
                 word = label + sym
-                m = tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in rows)
-                bucket = seen.get(m, ())
+                key = tuple(sum(map(mul, vec, col)) % p for col in cols)
+                bucket = seen.get(key, ())
                 if isinstance(bucket, str):
                     bucket = [bucket]
                 for earlier in bucket:
@@ -412,18 +432,11 @@ def find_semigroup_collision(
                         return earlier, word
                 if stored >= budget:
                     raise BudgetExceeded(f"oracle exceeded budget {budget}")
-                seen[m] = [*bucket, word] if bucket else word
+                seen[key] = [*bucket, word] if bucket else word
                 stored += 1
-                nxt.append((word, m))
+                nxt.append((word, key))
         layer = nxt
     return None
-
-
-def freeness_oracle(
-    u: SquareMatrix, w: SquareMatrix, depth: int = 12, budget: int = 10**6
-) -> bool:
-    """Exact check that all positive words up to the depth are distinct."""
-    return find_semigroup_collision(u, w, depth, budget) is None
 
 
 # ---------------------------------------------------------------------------

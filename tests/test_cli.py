@@ -378,6 +378,27 @@ def test_hard_denominator_ends_quickly(capsys, tmp_path):
             assert err.startswith("error: generator 0: could not factor"), err
 
 
+def test_generators_congruent_to_identity_mod_hash_prime_certify_quickly(capsys, tmp_path):
+    # both generators are the identity modulo 2^61 - 1, Python's int hash
+    # modulus; an oracle working modulo that prime sees every word alike
+    p = 2**61 - 1
+    g = [[1 + p, p * p], [p, 1 + (p - 1) * p]]
+    gens = write_json(
+        tmp_path / "flood.json", {"n": 2, "generators": [g, [list(c) for c in zip(*g)]]}
+    )
+    cert_path = tmp_path / "cert.json"
+    start = time.perf_counter()
+    code, _, _ = run(capsys, ["certify", gens, "--out", str(cert_path)])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    cert = json.loads(cert_path.read_text())
+    assert (cert["word_A"], cert["word_B"], cert["exponent"]) == ("0", "1", 1)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", str(cert_path), gens])
+    assert time.perf_counter() - start < 5
+    assert code == 0 and json.loads(out)["valid"] is True
+
+
 def test_parse_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, ["growth", str(tmp_path / "missing.json"), "--radius", "2"])
     assert code == 2 and "cannot read" in err

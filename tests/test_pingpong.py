@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from growthcert import pingpong
 from growthcert.errors import BudgetExceeded, ExponentSearchExhausted, Inconclusive
-from growthcert.exactnum import ARCH, Place, SquareMatrix, Word
+from growthcert.exactnum import ARCH, Place, SquareMatrix, Word, is_prime
 from growthcert.intervals import ComplexInterval, RationalInterval
 from growthcert.pingpong import (
     DEFAULT_RADII,
@@ -19,7 +20,6 @@ from growthcert.pingpong import (
     check_l_conditions,
     derive_exponent,
     find_semigroup_collision,
-    freeness_oracle,
     growth_bound_from_length,
     verify_cone_inclusions,
 )
@@ -141,7 +141,6 @@ def test_collision_for_commuting_pair():
     u = SquareMatrix.from_rows([[2, 0], [0, F(1, 2)]])
     w = SquareMatrix.from_rows([[3, 0], [0, F(1, 3)]])
     assert find_semigroup_collision(u, w) == ("uw", "wu")
-    assert not freeness_oracle(u, w)
 
 
 def test_collision_for_equal_generators():
@@ -158,7 +157,7 @@ def test_collision_in_finite_group():
 def test_oracle_free_pair():
     u = SquareMatrix.from_rows([[1, 2], [0, 1]])
     w = SquareMatrix.from_rows([[1, 0], [2, 1]])
-    assert freeness_oracle(u, w, depth=10)
+    assert find_semigroup_collision(u, w, depth=10) is None
 
 
 def test_oracle_budget():
@@ -213,24 +212,42 @@ PLANTED = [
 ]
 
 
+def force_prime(mp, prime):
+    """Start the oracle's prime search at `prime` instead of the hashed point."""
+    mp.setattr(pingpong, "_prime_start", lambda h: prime)
+
+
+def row_key(x, m, p):
+    """The oracle's key for the matrix m: x * m mod p."""
+    rows = pingpong._residue_rows(m, p)
+    return tuple(sum(xi * row[j] for xi, row in zip(x, rows)) % p for j in range(m.n))
+
+
+def sanov_words(depth):
+    mats = layer = [SquareMatrix.identity(2)]
+    for _ in range(depth):
+        layer = [m * g for m in layer for g in (SANOV_U, SANOV_W)]
+        mats = mats + layer
+    return mats[1:]
+
+
 @pytest.mark.parametrize("prime", [None, 7])
 @pytest.mark.parametrize("u, w, words", PLANTED)
 def test_oracle_finds_planted_relation(monkeypatch, prime, u, w, words):
     if prime is not None:
-        monkeypatch.setattr(pingpong, "_RESIDUE_PRIME", prime)
+        force_prime(monkeypatch, prime)
     assert reference_collision(u, w) == words
     assert find_semigroup_collision(u, w) == words
 
 
 @pytest.mark.parametrize("prime", [7, 101])
 def test_oracle_skips_false_clashes(monkeypatch, prime):
-    monkeypatch.setattr(pingpong, "_RESIDUE_PRIME", prime)
-    mats, residues = [SquareMatrix.identity(2)], set()
-    for _ in range(10):
-        mats = [m * g for m in mats for g in (SANOV_U, SANOV_W)]
-        residues.update(pingpong._residue_rows(m, prime) for m in mats)
+    force_prime(monkeypatch, prime)
+    p, x = pingpong._fingerprint(SANOV_U, SANOV_W)
+    assert p == prime
+    keys = {row_key(x, m, p) for m in sanov_words(10)}
     # the 2^11 - 2 free Sanov words clash modulo the prime ...
-    assert len(residues) < 2**11 - 2
+    assert len(keys) < 2**11 - 2
     # ... and the oracle still proves them distinct
     assert find_semigroup_collision(SANOV_U, SANOV_W, depth=10) is None
     rng = random.Random(prime)
@@ -244,15 +261,69 @@ def test_oracle_skips_false_clashes(monkeypatch, prime):
         assert find_semigroup_collision(u, w, depth=9) == reference_collision(u, w, depth=9)
 
 
+def test_row_keys_clash_where_residues_do_not(monkeypatch):
+    force_prime(monkeypatch, 7)
+    p, x = pingpong._fingerprint(SANOV_U, SANOV_W)
+    residues_by_key = {}
+    for m in sanov_words(6):
+        residues_by_key.setdefault(row_key(x, m, p), set()).add(pingpong._residue_rows(m, p))
+    # one row key covers several residue matrices ...
+    assert any(len(residues) > 1 for residues in residues_by_key.values())
+    # ... and the answer is still the exact one
+    assert find_semigroup_collision(SANOV_U, SANOV_W, depth=8) is None
+    assert reference_collision(SANOV_U, SANOV_W, depth=8) is None
+    for u, w, words in PLANTED:
+        assert find_semigroup_collision(u, w) == words
+
+
+# a free-looking pair in SL_3(Z[1/3]) whose words all fix the row e_3: a
+# fixed fingerprint row e_3 would key every word alike
+AFFINE_U = SquareMatrix.from_rows([[3, 0, 1], [0, F(1, 3), 0], [0, 0, 1]])
+AFFINE_W = SquareMatrix.from_rows([[3, 0, 0], [0, F(1, 3), 1], [0, 0, 1]])
+
+
+def test_oracle_on_pair_with_common_fixed_row():
+    for depth in range(1, 10):
+        assert find_semigroup_collision(AFFINE_U, AFFINE_W, depth) == reference_collision(
+            AFFINE_U, AFFINE_W, depth
+        )
+    start = time.perf_counter()
+    outcome(find_semigroup_collision, AFFINE_U, AFFINE_W, 12)
+    assert time.perf_counter() - start < 2
+
+
+def first_prime_from(start):
+    p = start
+    while not is_prime(p):
+        p += 1
+    return p
+
+
+def test_fingerprint_prime_comes_from_the_input():
+    u = SquareMatrix.from_rows([[1, F(2, 3)], [F(-1, 5), F(13, 15)]])
+    p, x = pingpong._fingerprint(u, SANOV_W)
+    assert is_prime(p) and 2**61 < p < 2**61 + 2**60 + 10**4
+    assert all(d % p for d in (3, 5, 15))
+    assert len(x) == 2 and x[0] == 1 and 0 <= x[1] < p
+    # deterministic, and a function of the values alone
+    same = SquareMatrix.from_rows([[F(4, 4), F(4, 6)], [F(2, -10), F(26, 30)]])
+    assert pingpong._fingerprint(same, SquareMatrix.from_rows([[1, 0], [2, 1]])) == (p, x)
+    # another input starts elsewhere
+    assert pingpong._fingerprint(SANOV_W, u)[0] != p
+    assert pingpong._fingerprint(SANOV_U, SANOV_W)[0] != p
+
+
 @pytest.mark.parametrize("prime", [None, 7])
 def test_oracle_skips_prime_dividing_a_denominator(monkeypatch, prime):
-    if prime is not None:
-        monkeypatch.setattr(pingpong, "_RESIDUE_PRIME", prime)
-    big = pingpong._RESIDUE_PRIME
+    big = prime or first_prime_from(2**61)
+    force_prime(monkeypatch, big)
     u = SquareMatrix.from_rows([[1, F(1, big)], [0, 1]])
     w = SquareMatrix.from_rows([[1, 0], [2, 1]])
+    p, _ = pingpong._fingerprint(u, w)
+    assert p > big and is_prime(p)
     assert find_semigroup_collision(u, w, depth=8) == reference_collision(u, w, depth=8)
     diag = SquareMatrix.from_rows([[big, 0], [0, F(1, big)]])
+    assert pingpong._fingerprint(diag, diag * diag)[0] > big
     assert find_semigroup_collision(diag, diag * diag) == ("w", "uu")
 
 
@@ -275,7 +346,7 @@ def _oracle_case(draw):
 def test_oracle_matches_fraction_reference(prime, case):
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
-            mp.setattr(pingpong, "_RESIDUE_PRIME", prime)
+            force_prime(mp, prime)
         assert outcome(find_semigroup_collision, *case) == outcome(reference_collision, *case)
 
 
@@ -395,5 +466,5 @@ def test_cone_soundness_against_oracle():
         a = SquareMatrix.from_rows([[k, 0], [0, F(1, k)]])
         u = a**e * b
         w = a ** (2 * e) * b
-        assert freeness_oracle(u, w, depth=8)
+        assert find_semigroup_collision(u, w, depth=8) is None
     assert tried >= 12
