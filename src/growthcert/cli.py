@@ -45,6 +45,7 @@ from .exactnum import (
     parse_rational,
     require_unimodular,
     s_support,
+    typed_field,
 )
 from .pingpong import PingPongCertificate
 from .pipeline import RunConfig, certify_generators, verify_certificate
@@ -56,9 +57,9 @@ EXIT_BUDGET = 3
 EXIT_PIPELINE = 4
 EXIT_VERIFY = 5
 
-CONFIG_ENV = "GROWTHCERT_CONFIG"
-
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+# the settings a --config file or a flag can set
+_CAPS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 class _ParseError(Exception):
@@ -83,7 +84,7 @@ class GeneratorFile:
         if not isinstance(d, dict):
             raise _ParseError("generator file must be a JSON object")
         try:
-            n = int(d["n"])
+            n = typed_field(d, "n", int)
             grids = d["generators"]
         except (KeyError, TypeError, ValueError) as exc:
             raise _ParseError(f"missing or bad field: {exc}") from exc
@@ -140,31 +141,20 @@ def _support(gfile: GeneratorFile):
 
 
 def _load_config(args) -> RunConfig:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
-    if path:
+    """The --config file (or the defaults) with the subcommand's cap flags applied."""
+    config = RunConfig()
+    if args.config:
         try:
-            config = RunConfig.from_json_dict(_load_json(path))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise _ParseError(f"bad config {path}: {exc}") from exc
-    else:
-        config = RunConfig()
-    overrides = {}
-    for flag, field in (
-        ("search_depth", "search_depth"),
-        ("oracle_depth", "oracle_depth"),
-        ("exponent_cap", "exponent_cap"),
-        ("budget", "budget"),
-        ("word_cap", "word_cap"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
-    if overrides:
-        try:
-            config = dataclasses.replace(config, **overrides)
+            config = RunConfig.from_json_dict(_load_json(args.config))
         except ValueError as exc:
-            raise _ParseError(str(exc)) from exc
-    return config
+            raise _ParseError(f"bad config {args.config}: {exc}") from exc
+    overrides = {
+        cap: getattr(args, cap) for cap in _CAPS if getattr(args, cap, None) is not None
+    }
+    try:
+        return dataclasses.replace(config, **overrides)
+    except ValueError as exc:
+        raise _ParseError(str(exc)) from exc
 
 
 def _canonical(obj) -> str:
@@ -408,14 +398,13 @@ def cmd_report(args) -> int:
 # parser
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", help=f"config JSON path (default: ${CONFIG_ENV})")
+def _add_options(sub, *caps: str) -> None:
+    """--pretty, plus --config and one flag per RunConfig cap the subcommand reads."""
     sub.add_argument("--pretty", action="store_true", help="indent and add float approximations")
-    sub.add_argument("--search-depth", dest="search_depth", type=int)
-    sub.add_argument("--oracle-depth", dest="oracle_depth", type=int)
-    sub.add_argument("--exponent-cap", dest="exponent_cap", type=int)
-    sub.add_argument("--budget", type=int)
-    sub.add_argument("--word-cap", dest="word_cap", type=int)
+    if caps:
+        sub.add_argument("--config", help="config JSON path")
+    for cap in caps:
+        sub.add_argument("--" + cap.replace("_", "-"), dest=cap, type=int)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -429,36 +418,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("generators", help="generator file (JSON)")
     p.add_argument("--radius", type=int, required=True, help="largest ball radius")
     p.add_argument("--csv", help="write the n,count table to this path")
-    _add_common(p)
+    _add_options(p, "budget")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("find-pair", help="search the ball for a regular seed pair")
     p.add_argument("generators", help="generator file (JSON)")
-    _add_common(p)
+    _add_options(p, "search_depth", "budget")
     p.set_defaults(func=cmd_find_pair)
 
     p = sub.add_parser("certify", help="run the full pipeline to a certificate")
     p.add_argument("generators", help="generator file (JSON)")
     p.add_argument("--out", help="write the certificate JSON to this path")
     p.add_argument("--trace", help="write the stage trace (JSONL) to this path")
-    _add_common(p)
+    _add_options(p, *_CAPS)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="recheck a certificate from scratch")
     p.add_argument("certificate", help="certificate file (JSON)")
     p.add_argument("generators", help="generator file (JSON)")
-    _add_common(p)
+    _add_options(p, *_CAPS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="eigenvalue and separation data for one word")
     p.add_argument("generators", help="generator file (JSON)")
     p.add_argument("--word", required=True, help='word over the generators, e.g. "0 1^-1"')
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("report", help="summarize a certify trace log")
     p.add_argument("trace", help="trace file (JSONL)")
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(func=cmd_report)
 
     return parser

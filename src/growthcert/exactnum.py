@@ -26,6 +26,17 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s)
 
 
+def typed_field(obj: dict, key: str, kind: type):
+    """obj[key], which must have exactly the JSON type kind (no coercion).
+
+    bool is a subclass of int, so the exact type is tested: true is not 1.
+    """
+    x = obj[key]
+    if type(x) is not kind:
+        raise ValueError(f"{key} must be a JSON {kind.__name__}, got {x!r}")
+    return x
+
+
 def format_rational(x: Fraction) -> str:
     """Canonical "p/q" form; integers render without the slash."""
     x = Fraction(x)
@@ -206,13 +217,6 @@ class PlaceSet:
 
     def __contains__(self, v: Place) -> bool:
         return v in self.places
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(v.prime for v in self.places if v.prime is not None)
-
-    def union(self, other: "PlaceSet") -> "PlaceSet":
-        return PlaceSet(self.places + other.places)
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(v) for v in self.places) + "}"

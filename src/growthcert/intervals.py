@@ -350,12 +350,3 @@ def cmat_inverse(a: CMatrix, round_bits: int | None = None) -> CMatrix:
                 aug[r] = [x.round_out(round_bits) for x in aug[r]]
     return tuple(tuple(row[n:]) for row in aug)
 
-
-def cmat_contains_exact(a: CMatrix, m) -> bool:
-    """True when every exact entry of m lies in the corresponding box."""
-    rows = m.entries if hasattr(m, "entries") else m
-    for brow, mrow in zip(a, rows):
-        for box, x in zip(brow, mrow):
-            if not box.contains(Fraction(x)):
-                return False
-    return True

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from .cayley import nth_root_floor
 from .errors import BudgetExceeded, ExponentSearchExhausted, Inconclusive
 from .exactnum import (
     Place,
@@ -28,6 +29,7 @@ from .exactnum import (
     format_rational,
     is_prime,
     parse_rational,
+    typed_field,
 )
 from .intervals import ComplexInterval, RationalInterval
 
@@ -321,24 +323,22 @@ def derive_exponent(
     a_diag,
     b_rows,
     v: Place,
-    radii=DEFAULT_RADII,
     cap: int = 64,
     bits: int = 96,
 ) -> tuple[int, Fraction, ConeChecks]:
     """Smallest exponent (with its radius) certifying all three cone checks.
 
-    Exponents ascend; for each exponent every radius is tried in the given
-    order, which makes the outcome deterministic and means a certificate at
-    (e, r) implies no radius worked at e-1.  The gap condition guarantees
+    Exponents ascend; for each exponent every radius is tried in
+    DEFAULT_RADII order, which makes the outcome deterministic and means a
+    certificate at (e, r) implies no radius worked at e-1.  The gap condition guarantees
     termination in principle: the top-row margin of diag(a)^e B grows like
     |a_1/a_2|^e against the fixed polynomial bounds on B.
     """
-    radii = tuple(Fraction(r) for r in radii)
-    disjoint_cache = {r: _check_disjoint(b_rows, r, v, bits) for r in radii}
+    disjoint_cache = {r: _check_disjoint(b_rows, r, v, bits) for r in DEFAULT_RADII}
     if not any(disjoint_cache.values()):
         raise ExponentSearchExhausted("no radius certifies B-cone disjointness")
     for e in range(1, cap + 1):
-        for r in radii:
+        for r in DEFAULT_RADII:
             if not disjoint_cache[r]:
                 continue
             checks = verify_cone_inclusions(a_diag, b_rows, e, r, v, bits)
@@ -508,30 +508,22 @@ class PingPongCertificate:
     @staticmethod
     def from_json_dict(d: dict) -> "PingPongCertificate":
         """Strict parse: each field must have its JSON type (no int() coercion)."""
-
-        def typed(obj: dict, key: str, kind: type):
-            x = obj[key]
-            # bool is a subclass of int, so test the exact type
-            if type(x) is not kind:
-                raise ValueError(f"{key} must be a JSON {kind.__name__}, got {x!r}")
-            return x
-
-        checks = typed(d, "checks", dict)
+        checks = typed_field(d, "checks", dict)
         return PingPongCertificate(
-            n=typed(d, "n", int),
-            word_a=Word.parse(typed(d, "word_A", str)),
-            word_b=Word.parse(typed(d, "word_B", str)),
-            place=Place.parse(typed(d, "place", str)),
-            wedge_m=typed(d, "wedge_m", int),
-            exponent=typed(d, "exponent", int),
-            cone_param=parse_rational(typed(d, "cone_param", str)),
+            n=typed_field(d, "n", int),
+            word_a=Word.parse(typed_field(d, "word_A", str)),
+            word_b=Word.parse(typed_field(d, "word_B", str)),
+            place=Place.parse(typed_field(d, "place", str)),
+            wedge_m=typed_field(d, "wedge_m", int),
+            exponent=typed_field(d, "exponent", int),
+            cone_param=parse_rational(typed_field(d, "cone_param", str)),
             checks=ConeChecks(
-                disjoint=typed(checks, "disjoint", bool),
-                contracts=typed(checks, "contracts", bool),
-                contracts_double=typed(checks, "contracts_double", bool),
+                disjoint=typed_field(checks, "disjoint", bool),
+                contracts=typed_field(checks, "contracts", bool),
+                contracts_double=typed_field(checks, "contracts_double", bool),
             ),
-            growth_bound=parse_rational(typed(d, "growth_bound", str)),
-            oracle_depth_validated=typed(d, "oracle_depth_validated", int),
+            growth_bound=parse_rational(typed_field(d, "growth_bound", str)),
+            oracle_depth_validated=typed_field(d, "oracle_depth_validated", int),
         )
 
     @staticmethod
@@ -548,15 +540,4 @@ def growth_bound_from_length(ell: int, grid_bits: int = 20) -> Fraction:
     """
     if ell < 1:
         raise ValueError("length must be positive")
-    scale = 1 << grid_bits
-    # binary search the integer k with (k/scale)^ell <= 2 < ((k+1)/scale)^ell
-    lo, hi = scale, 2 * scale  # q in [1, 2]
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**ell <= 2 * scale**ell:
-            lo = mid
-        else:
-            hi = mid - 1
-    q = Fraction(lo, scale)
-    assert q**ell <= 2 < (q + Fraction(1, scale)) ** ell
-    return q
+    return nth_root_floor(2, ell, grid_bits)

@@ -11,7 +11,7 @@ the cone checks from the certificate and the generator file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .cayley import find_regular_pair
@@ -31,9 +31,9 @@ from .exactnum import (
     evaluate_word,
     format_rational,
     s_support,
+    typed_field,
 )
 from .pingpong import (
-    DEFAULT_RADII,
     PingPongCertificate,
     derive_exponent,
     find_semigroup_collision,
@@ -51,54 +51,43 @@ from .wordforge import (
 _PRECISION_ERRORS = (Inconclusive, PrecisionExhausted, SingularEnclosure)
 
 
+# interval working precision, doubled on each retry
+BITS_SCHEDULE = (64, 128, 256)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Caps and schedules for one certification or verification run.
+    """Caps for one certification or verification run.
 
-    bits_schedule doubles the interval working precision on each retry.
-    word_cap bounds the trace exponent in balancing, and verification
-    rejects certificate words longer than search_depth * word_cap letters.
+    search_depth bounds the regular-pair search, so every certificate word
+    has at most search_depth letters, and verification rejects longer ones.
+    exponent_cap and oracle_depth bound the exponent search and the oracle;
+    budget bounds the elements any one enumeration may store.
     """
 
     search_depth: int = 4
     oracle_depth: int = 12
     exponent_cap: int = 64
     budget: int = 10**6
-    word_cap: int = 8
-    bits_schedule: tuple[int, ...] = (64, 128, 256)
-    radii: tuple[Fraction, ...] = DEFAULT_RADII
 
     def __post_init__(self):
-        for name in ("search_depth", "oracle_depth", "exponent_cap", "budget", "word_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if not self.bits_schedule or not self.radii:
-            raise ValueError("precision and radius schedules must be nonempty")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "search_depth": self.search_depth,
-            "oracle_depth": self.oracle_depth,
-            "exponent_cap": self.exponent_cap,
-            "budget": self.budget,
-            "word_cap": self.word_cap,
-            "bits_schedule": list(self.bits_schedule),
-            "radii": [format_rational(r) for r in self.radii],
-        }
+        for field in fields(self):
+            if getattr(self, field.name) < 1:
+                raise ValueError(f"{field.name} must be positive")
 
     @staticmethod
     def from_json_dict(d: dict) -> "RunConfig":
-        from .exactnum import parse_rational
+        """Strict parse: a JSON object whose settings are JSON integers.
 
-        kwargs = {}
-        for name in ("search_depth", "oracle_depth", "exponent_cap", "budget", "word_cap"):
-            if name in d:
-                kwargs[name] = int(d[name])
-        if "bits_schedule" in d:
-            kwargs["bits_schedule"] = tuple(int(b) for b in d["bits_schedule"])
-        if "radii" in d:
-            kwargs["radii"] = tuple(parse_rational(r) for r in d["radii"])
-        return RunConfig(**kwargs)
+        Absent settings keep their defaults; other keys, such as the
+        retired word_cap, bits_schedule, radii, constants and epsilon, are
+        ignored.
+        """
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
+        return RunConfig(
+            **{f.name: typed_field(d, f.name, int) for f in fields(RunConfig) if f.name in d}
+        )
 
 
 @dataclass(frozen=True)
@@ -114,10 +103,10 @@ class CertifyResult:
         )
 
 
-def _escalate(schedule, fn, retry=_PRECISION_ERRORS):
-    """Run fn(bits) over the precision schedule, re-raising the last failure."""
+def _escalate(fn, retry=_PRECISION_ERRORS):
+    """Run fn(bits) over BITS_SCHEDULE, re-raising the last failure."""
     last = None
-    for bits in schedule:
+    for bits in BITS_SCHEDULE:
         try:
             return fn(bits)
         except retry as exc:
@@ -190,16 +179,9 @@ def certify_generators(
 
     try:
         pair = _escalate(
-            config.bits_schedule,
             lambda bits: balance_or_trace(
-                seed.matrix_a,
-                seed.matrix_b,
-                s,
-                seed.word_a,
-                seed.word_b,
-                m_cap=config.word_cap,
-                bits=bits,
-            ),
+                seed.matrix_a, seed.matrix_b, s, seed.word_a, seed.word_b, bits=bits
+            )
         )
     except GrowthcertError as exc:
         fail("balance_or_trace", exc)
@@ -216,7 +198,7 @@ def certify_generators(
 
     if pair.norm_relation == "trace_big":
         try:
-            pair = _escalate(config.bits_schedule, lambda bits: swap_roles(pair, s, bits=bits))
+            pair = _escalate(lambda bits: swap_roles(pair, s, bits=bits))
         except GrowthcertError as exc:
             fail("swap_roles", exc)
         trace.append(
@@ -240,14 +222,10 @@ def certify_generators(
 
     def canonical(bits: int):
         wa, wb = canonical_wedge_pair(a_mat, b_mat, word_a_final, word_b_final, v, m, bits)
-        return derive_exponent(wa, wb, v, config.radii, config.exponent_cap, bits)
+        return derive_exponent(wa, wb, v, cap=config.exponent_cap, bits=bits)
 
     try:
-        e, r, checks = _escalate(
-            config.bits_schedule,
-            canonical,
-            retry=_PRECISION_ERRORS + (ExponentSearchExhausted,),
-        )
+        e, r, checks = _escalate(canonical, retry=_PRECISION_ERRORS + (ExponentSearchExhausted,))
     except GrowthcertError as exc:
         fail("derive_exponent", exc)
     trace.append(
@@ -319,13 +297,12 @@ def verify_certificate(
         return False, f"certificate dimension {cert.n} != generator dimension {gens[0].n}"
     if len(cert.word_a) < 1 or len(cert.word_b) < 1:
         return False, "certificate words must be nonempty"
-    # the longest word a certify run under this config could have emitted
-    max_letters = config.search_depth * config.word_cap
+    # certify emits only ball words of at most search_depth letters
     for name, word in (("word_A", cert.word_a), ("word_B", cert.word_b)):
-        if len(word) > max_letters:
+        if len(word) > config.search_depth:
             return False, (
                 f"{name} has {len(word)} letters, over the cap "
-                f"search_depth * word_cap = {max_letters}"
+                f"search_depth = {config.search_depth}"
             )
     if not 1 <= cert.wedge_m < cert.n:
         return False, f"wedge degree {cert.wedge_m} out of range for n={cert.n}"
@@ -354,7 +331,7 @@ def verify_certificate(
         return False, "growth bound does not match the word lengths"
 
     last: Exception | None = None
-    for bits in config.bits_schedule:
+    for bits in BITS_SCHEDULE:
         try:
             wa, wb = canonical_wedge_pair(
                 a_mat, b_mat, cert.word_a, cert.word_b, cert.place, cert.wedge_m, bits

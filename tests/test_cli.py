@@ -302,8 +302,18 @@ def test_verify_rejects_long_word_quickly(capsys, tmp_path):
     assert code == 5
     verdict = json.loads(out)
     assert verdict["valid"] is False
-    assert "word_A has 100000 letters" in verdict["reason"]
-    assert "search_depth * word_cap = 32" in verdict["reason"]
+    assert verdict["reason"] == "word_A has 100000 letters, over the cap search_depth = 4"
+
+
+def test_verify_caps_words_at_search_depth(capsys, tmp_path):
+    gens = sanov_file(tmp_path)
+    # a sound certificate whose word_A has search_depth + 1 = 5 letters
+    cert = sanov_cert_file(tmp_path, word_A="0 1 0 1 0", growth_bound="139597/131072")
+    code, out, _ = run(capsys, ["verify", cert, gens])
+    assert code == 5
+    assert json.loads(out)["reason"] == "word_A has 5 letters, over the cap search_depth = 4"
+    code, out, _ = run(capsys, ["verify", cert, gens, "--search-depth", "5"])
+    assert code == 0 and json.loads(out)["valid"] is True
 
 
 @pytest.mark.parametrize(
@@ -512,13 +522,92 @@ def test_config_file_sets_oracle_depth(capsys, tmp_path):
 def test_config_env_and_flag_override(capsys, tmp_path, monkeypatch):
     gens = sanov_file(tmp_path)
     cfg = write_json(tmp_path / "cfg.json", {"budget": 30})
-    monkeypatch.setenv(cli.CONFIG_ENV, cfg)
+    # no environment variable configures a run
+    monkeypatch.setenv("GROWTHCERT_CONFIG", cfg)
     code, out, _ = run(capsys, ["growth", gens, "--radius", "6"])
-    assert code == 3
-    # an explicit flag beats the environment config
-    code, out, _ = run(capsys, ["growth", gens, "--radius", "6", "--budget", "1000000"])
     assert code == 0
     assert json.loads(out)["ball_sizes"][-1] == [6, 1457]
+    code, out, _ = run(capsys, ["growth", gens, "--radius", "6", "--config", cfg])
+    assert code == 3
+    # an explicit flag beats the config file
+    argv = ["growth", gens, "--radius", "6", "--config", cfg, "--budget", "1000000"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["ball_sizes"][-1] == [6, 1457]
+
+
+def test_config_file_ignores_retired_keys(capsys, tmp_path):
+    gens = sanov_file(tmp_path)
+    retired = {
+        "word_cap": 8,
+        "bits_schedule": [64, 128, 256],
+        "radii": ["1/16"],
+        "constants": ["1", "1", "1", "2"],
+        "epsilon": "1/64",
+    }
+    cfg = write_json(tmp_path / "cfg.json", {"budget": 30, **retired})
+    code, _, _ = run(capsys, ["growth", gens, "--radius", "6", "--config", cfg])
+    assert code == 3
+
+
+@pytest.mark.parametrize(
+    "content, needle",
+    [
+        ([1, 2], "config must be a JSON object"),
+        ({"budget": True}, "budget must be a JSON int, got True"),
+        ({"budget": 30.9}, "budget must be a JSON int, got 30.9"),
+        ({"budget": "30"}, "budget must be a JSON int, got '30'"),
+    ],
+)
+def test_config_file_needs_json_integers(capsys, tmp_path, content, needle):
+    gens = sanov_file(tmp_path)
+    cfg = write_json(tmp_path / "cfg.json", content)
+    code, out, err = run(capsys, ["growth", gens, "--radius", "6", "--config", cfg])
+    assert code == 2 and out == ""
+    assert f"bad config {cfg}: {needle}" in err
+
+
+@pytest.mark.parametrize("n", [2.9, "2"])
+def test_generator_file_needs_integer_n(capsys, tmp_path, n):
+    gens = write_json(tmp_path / "g.json", {"n": n, "generators": [[[1, 2], [0, 1]]]})
+    code, out, err = run(capsys, ["growth", gens, "--radius", "6"])
+    assert code == 2 and out == ""
+    assert f"n must be a JSON int, got {n!r}" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("growth", "--oracle-depth"),
+        ("growth", "--search-depth"),
+        ("growth", "--exponent-cap"),
+        ("find-pair", "--exponent-cap"),
+        ("find-pair", "--oracle-depth"),
+        ("certify", "--word-cap"),
+        ("verify", "--word-cap"),
+        ("spectrum", "--budget"),
+        ("spectrum", "--oracle-depth"),
+        ("spectrum", "--config"),
+        ("report", "--budget"),
+        ("report", "--config"),
+    ],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(capsys, tmp_path, command, flag):
+    gens = sanov_file(tmp_path)
+    operands = {
+        "growth": [gens, "--radius", "2"],
+        "find-pair": [gens],
+        "certify": [gens],
+        "verify": [sanov_cert_file(tmp_path), gens],
+        "spectrum": [gens, "--word", "0"],
+        "report": [write_json(tmp_path / "trace.jsonl", {"stage": "x", "ok": True})],
+    }[command]
+    value = str(tmp_path / "f.json") if flag == "--config" else "5"
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, *operands, flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def throwaway_install(tmp_path):

@@ -8,7 +8,6 @@ from growthcert.exactnum import SquareMatrix
 from growthcert.intervals import (
     ComplexInterval,
     RationalInterval,
-    cmat_contains_exact,
     cmat_det_small,
     cmat_from_exact,
     cmat_inverse,
@@ -19,8 +18,17 @@ from growthcert.intervals import (
     sqrt_lower,
     sqrt_upper,
 )
+from growthcert.wordforge import diagonalize_enclosed, diagonalize_exact
 
 M = SquareMatrix.from_rows
+
+
+def cmat_contains_exact(a, m) -> bool:
+    """True when every exact entry of m lies in the corresponding box."""
+    rows = m.entries if hasattr(m, "entries") else m
+    return all(
+        box.contains(F(x)) for brow, mrow in zip(a, rows) for box, x in zip(brow, mrow)
+    )
 
 
 def cmat_identity(n: int):
@@ -143,3 +151,27 @@ def test_cmat_sub_identity():
     z = cmat_sub(a, a)
     assert cmat_contains_exact(z, M([[0, 0], [0, 0]]))
     assert cmat_contains_exact(cmat_identity(2), SquareMatrix.identity(2))
+
+
+@pytest.mark.parametrize(
+    "p_rows, lambdas",
+    [
+        ([[1, 2], [1, 3]], [F(5, 2), F(-1, 3)]),
+        ([[1, 1, 0], [0, 1, 2], [1, 0, 1]], [F(-4), F(3, 2), F(1, 5)]),
+    ],
+)
+@pytest.mark.parametrize("bits", [64, 128])
+def test_enclosed_eigenbasis_contains_exact_eigenbasis(p_rows, lambdas, bits):
+    # A = P diag(lambda) P^-1 with distinct moduli: both routines sort by modulus
+    def diag(values):
+        return [[x if i == j else 0 for j in range(len(values))] for i, x in enumerate(values)]
+
+    p = M(p_rows)
+    a = p * M(diag(lambdas)) * p.inverse()
+    exact, _, _ = diagonalize_exact(a)
+    boxes, p_enc, p_inv_enc = diagonalize_enclosed(a, bits=bits)
+    assert list(exact) == sorted(lambdas, key=lambda lam: -abs(lam))
+    assert len(boxes) == len(exact)
+    assert all(box.contains(lam) for box, lam in zip(boxes, exact))
+    conj = cmat_mul(p_inv_enc, cmat_mul(cmat_from_exact(a), p_enc))
+    assert cmat_contains_exact(conj, diag(exact))

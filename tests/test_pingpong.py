@@ -366,6 +366,24 @@ def test_growth_bound_is_certified_dyadic():
         assert (2**20) % q.denominator == 0
 
 
+def reference_growth_bound(ell: int, grid_bits: int = 20) -> F:
+    """Binary search for the integer k with (k/scale)^ell <= 2 < ((k+1)/scale)^ell."""
+    scale = 1 << grid_bits
+    lo, hi = scale, 2 * scale  # q in [1, 2]
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**ell <= 2 * scale**ell:
+            lo = mid
+        else:
+            hi = mid - 1
+    return F(lo, scale)
+
+
+def test_growth_bound_matches_binary_search():
+    for ell in range(1, 400):
+        assert growth_bound_from_length(ell) == reference_growth_bound(ell)
+
+
 def certificate():
     return PingPongCertificate(
         n=2,

@@ -160,8 +160,8 @@ def test_runconfig_validation():
         RunConfig(search_depth=0)
     with pytest.raises(ValueError):
         RunConfig(budget=0)
-    with pytest.raises(ValueError):
-        RunConfig(bits_schedule=())
+    with pytest.raises(ValueError, match="oracle_depth must be positive"):
+        RunConfig.from_json_dict({"oracle_depth": -1})
 
 
 def test_certify_passes_b_failing_the_corner_check():
@@ -178,21 +178,22 @@ def test_certify_passes_b_failing_the_corner_check():
 
 
 def test_runconfig_ignores_retired_constants():
-    d = RunConfig(word_cap=5).to_json_dict()
-    assert "constants" not in d
-    old = {**d, "constants": ["1", "1", "1", "2"]}
-    assert RunConfig.from_json_dict(old) == RunConfig.from_json_dict(d)
+    cfg = RunConfig(search_depth=3)
+    retired = {
+        "word_cap": 5,
+        "bits_schedule": [64],
+        "radii": ["1/2", "1/8"],
+        "constants": ["1", "1", "1", "2"],
+        "epsilon": "1/64",
+    }
+    assert RunConfig.from_json_dict({"search_depth": 3, **retired}) == cfg
 
 
 def test_runconfig_json_round_trip():
-    cfg = RunConfig(search_depth=3, radii=(F(1, 2), F(1, 8)))
-    d = cfg.to_json_dict()
-    assert d["radii"] == ["1/2", "1/8"]
-    assert RunConfig.from_json_dict(d) == cfg
-    # a config written before epsilon was retired still loads
-    assert RunConfig.from_json_dict({**d, "epsilon": "1/64"}) == cfg
+    cfg = RunConfig(search_depth=3, oracle_depth=5, exponent_cap=16, budget=99)
+    assert RunConfig.from_json_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
     # partial dicts fall back to defaults
-    assert RunConfig.from_json_dict({"budget": 99}).budget == 99
+    assert RunConfig.from_json_dict({"budget": 99}) == RunConfig(budget=99)
 
 
 def test_escalate_retries_then_succeeds():
@@ -204,7 +205,7 @@ def test_escalate_retries_then_succeeds():
             raise Inconclusive("narrow")
         return bits
 
-    assert _escalate((64, 128, 256), flaky) == 128
+    assert _escalate(flaky) == 128
     assert calls == [64, 128]
 
 
@@ -213,4 +214,4 @@ def test_escalate_reraises_last_failure():
         raise Inconclusive(f"at {bits}")
 
     with pytest.raises(Inconclusive, match="at 256"):
-        _escalate((64, 128, 256), always)
+        _escalate(always)
