@@ -68,8 +68,10 @@ class RationalInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        if not isinstance(self.lo, Fraction):
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if not isinstance(self.hi, Fraction):
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
@@ -102,6 +104,14 @@ class RationalInterval:
         return RationalInterval(-self.hi, -self.lo)
 
     def __mul__(self, other: "RationalInterval") -> "RationalInterval":
+        # exact endpoints make every shortcut return the four-product hull
+        if self.lo == self.hi:
+            if other.lo == other.hi:
+                x = self.lo * other.lo
+                return RationalInterval(x, x)
+            return other.scale(self.lo)
+        if other.lo == other.hi:
+            return self.scale(other.lo)
         cands = (
             self.lo * other.lo,
             self.lo * other.hi,
@@ -201,6 +211,11 @@ class ComplexInterval:
         return ComplexInterval(-self.re, -self.im)
 
     def __mul__(self, other: "ComplexInterval") -> "ComplexInterval":
+        # a zero imaginary part zeroes its cross terms exactly
+        if self.im == _RI_ZERO:
+            return ComplexInterval(self.re * other.re, self.re * other.im)
+        if other.im == _RI_ZERO:
+            return ComplexInterval(self.re * other.re, self.im * other.re)
         return ComplexInterval(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

@@ -1,11 +1,14 @@
 """Exact polynomial arithmetic over Q and certified root enclosures.
 
 Polynomials are tuples of Fractions, ascending degree, trimmed.  Real roots
-are isolated and refined with exact Sturm sequences.  Non-real roots get
-axis-aligned boxes: floating seeds from mpmath.polyroots are promoted to
-exact rational centers, then Weierstrass correction terms W_i computed in
-exact arithmetic give inclusion disks of radius n|W_i| whose union contains
-every root, with k-disk connected components containing exactly k roots.
+are isolated with exact Sturm sequences, then refined by bisection on the
+exact sign of f, evaluated on integer coefficients; refine_real_root states
+the precondition under which that sign alone picks each half.  Non-real
+roots get axis-aligned boxes: floating seeds from mpmath.polyroots are
+promoted to exact rational centers, then Weierstrass correction terms W_i
+computed in exact arithmetic give inclusion disks of radius n|W_i| whose
+union contains every root, with k-disk connected components containing
+exactly k roots.
 Every containment decision below is an exact rational comparison.
 """
 
@@ -176,21 +179,51 @@ def _sign_variations(chain: list[Poly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _nonroot_point(f: Poly, a: Fraction, b: Fraction) -> Fraction:
-    """A point strictly inside (a, b) where f does not vanish."""
+def _integer_coeffs(f: Poly) -> list[int]:
+    """f times the lcm of its denominators: same roots, same signs."""
+    den = lcm(*(c.denominator for c in f))
+    return [c.numerator * (den // c.denominator) for c in f]
+
+
+def _sign_at(ints: list[int], x: Fraction) -> int:
+    """Sign of f(x) for f with integer coefficients ints (ascending).
+
+    With x = p/q and q > 0, q^d f(p/q) = sum c_i p^i q^(d-i) has the sign of
+    f(x); homogeneous Horner computes it in integers.
+    """
+    p, q = x.numerator, x.denominator
+    acc, q_pow = 0, 1
+    for c in reversed(ints):
+        acc = acc * p + c * q_pow
+        q_pow *= q
+    return (acc > 0) - (acc < 0)
+
+
+def _nonroot_point(ints: list[int], a: Fraction, b: Fraction) -> tuple[Fraction, int]:
+    """A point m strictly inside (a, b) where f does not vanish, and sign f(m).
+
+    f is given by its integer coefficients ints; the candidates are
+    a + (b - a)/k for k = 2, 3, ..., so the midpoint comes first.
+    """
     span = b - a
-    for k in range(2, poly_degree(f) + 4):
+    for k in range(2, len(ints) + 3):
         m = a + span / k
-        if poly_eval(f, m) != 0:
-            return m
+        sign = _sign_at(ints, m)
+        if sign:
+            return m, sign
     raise AssertionError("polynomial vanished at more points than its degree")
 
 
 def isolate_real_roots(f: Poly) -> list[RationalInterval]:
-    """Disjoint intervals (lo, hi], one simple real root each, for squarefree f."""
+    """Disjoint intervals (lo, hi], one simple real root each, for squarefree f.
+
+    Each lo is -cauchy_bound(f) or a point found by _nonroot_point, so f(lo)
+    is never 0, as refine_real_root requires.
+    """
     if poly_degree(f) < 1:
         return []
     chain = sturm_chain(f)
+    ints = _integer_coeffs(f)
     m = cauchy_bound(f)
     out: list[RationalInterval] = []
 
@@ -201,7 +234,7 @@ def isolate_real_roots(f: Poly) -> list[RationalInterval]:
         if cnt == 1:
             out.append(RationalInterval(lo, hi))
             return
-        mid = _nonroot_point(f, lo, hi)
+        mid, _ = _nonroot_point(ints, lo, hi)
         v_mid = _sign_variations(chain, mid)
         split(lo, mid, v_lo, v_mid)
         split(mid, hi, v_mid, v_hi)
@@ -211,19 +244,25 @@ def isolate_real_roots(f: Poly) -> list[RationalInterval]:
     return out
 
 
-def refine_real_root(f: Poly, iv: RationalInterval, width: Fraction, chain=None) -> RationalInterval:
-    """Shrink an isolating interval below the width target by bisection."""
-    chain = chain or sturm_chain(f)
+def refine_real_root(f: Poly, iv: RationalInterval, width: Fraction) -> RationalInterval:
+    """Shrink an isolating interval below the width target by bisection.
+
+    Precondition: f is squarefree, (iv.lo, iv.hi] holds exactly one root of
+    f, and f(iv.lo) != 0; every interval from isolate_real_roots meets it.
+    Then the root lies in (lo, mid] exactly when the sign of f at a nonroot
+    mid differs from its sign at lo, so the sign of f alone picks each half.
+    """
+    ints = _integer_coeffs(f)
     lo, hi = iv.lo, iv.hi
-    v_lo = _sign_variations(chain, lo)
+    sign_lo = _sign_at(ints, lo)
+    if not sign_lo:
+        raise ValueError(f"f vanishes at the interval's left end {lo}")
     while hi - lo > width:
-        mid = _nonroot_point(f, lo, hi)
-        # keep the midpoint from drifting: _nonroot_point starts at (lo+hi)/2
-        v_mid = _sign_variations(chain, mid)
-        if v_lo - v_mid == 1:
+        mid, sign_mid = _nonroot_point(ints, lo, hi)
+        if sign_mid != sign_lo:
             hi = mid
         else:
-            lo, v_lo = mid, v_mid
+            lo = mid
     return RationalInterval(lo, hi)
 
 
@@ -237,15 +276,13 @@ def rational_roots(f: Poly) -> list[Fraction]:
     """
     if poly_degree(f) < 1:
         return []
-    den = lcm(*(c.denominator for c in f))
-    ints = [c.numerator * (den // c.denominator) for c in f]
+    ints = _integer_coeffs(f)
     a = abs(ints[-1]) // gcd(*ints)
-    chain = sturm_chain(f)
     roots = []
     for iv in isolate_real_roots(f):
-        iv = refine_real_root(f, iv, Fraction(1, a), chain)
+        iv = refine_real_root(f, iv, Fraction(1, a))
         cand = Fraction(floor(a * iv.lo) + 1, a)
-        if cand <= iv.hi and poly_eval(f, cand) == 0:
+        if cand <= iv.hi and _sign_at(ints, cand) == 0:
             roots.append(cand)
     return roots
 
@@ -348,8 +385,7 @@ def certified_root_structure(
     enclosures meet the width target.
     """
     n = poly_degree(f)
-    chain = sturm_chain(f)
-    real_ivs = [refine_real_root(f, iv, width, chain) for iv in isolate_real_roots(f)]
+    real_ivs = [refine_real_root(f, iv, width) for iv in isolate_real_roots(f)]
     rho = len(real_ivs)
     if rho == n:
         return real_ivs, []

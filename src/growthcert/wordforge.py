@@ -12,6 +12,7 @@ certification does not run them.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -62,11 +63,26 @@ def _kernel_vector(m: SquareMatrix) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
-def _interval_mid(x) -> float:
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+def _sort_float(x: Fraction) -> float | Fraction:
+    """float(x) for a heuristic sort key; x itself where a float would overflow.
+
+    Floats and Fractions compare exactly, and such an x lies beyond every
+    finite float, so the keys stay in the order of the exact values.
+    """
+    return float(x) if abs(x) <= _FLOAT_MAX else x
+
+
+def _interval_mid(x) -> float | Fraction:
+    """Heuristic modulus of a box or an exact number, as a sort key."""
     if isinstance(x, ComplexInterval):
         m = x.mag_sq()
-        return math.sqrt(float((m.lo + m.hi) / 2))
-    return abs(float(x))
+        mid = (m.lo + m.hi) / 2
+        # past the float range, mid itself exceeds every sqrt of a float
+        return math.sqrt(float(mid)) if mid <= _FLOAT_MAX else mid
+    return _sort_float(abs(x))
 
 
 def diagonalize_exact(a: SquareMatrix, sort_place: Place = ARCH):
@@ -103,8 +119,8 @@ def diagonalize_enclosed(a: SquareMatrix, bits: int = 128):
     lambdas.sort(
         key=lambda z: (
             -_interval_mid(z),
-            -float((z.re.lo + z.re.hi) / 2),
-            -float((z.im.lo + z.im.hi) / 2),
+            -_sort_float((z.re.lo + z.re.hi) / 2),
+            -_sort_float((z.im.lo + z.im.hi) / 2),
         )
     )
     ea = cmat_from_exact(a)
@@ -219,6 +235,12 @@ def _trace_abs_bounds(b_rows, s, exact, bits):
     return m.lo, m.hi
 
 
+def _log2(x: Fraction) -> float:
+    """log2 of a positive Fraction, also where float(x) overflows or is 0."""
+    f = float(x) if x <= _FLOAT_MAX else 0.0
+    return math.log2(f) if f > 0 else math.log2(x.numerator) - math.log2(x.denominator)
+
+
 def _balance_exponents(b_rows, v: Place, bits: int) -> tuple[int, ...]:
     """Integer log-2 scales minimizing the largest conjugated entry, greedily.
 
@@ -232,7 +254,7 @@ def _balance_exponents(b_rows, v: Place, bits: int) -> tuple[int, ...]:
         for j in range(n):
             hi = entry_bounds(b_rows[i][j], v, bits)[1]
             if hi > 0:
-                logs[(i, j)] = math.log2(float(hi))
+                logs[(i, j)] = _log2(hi)
     k = [0] * n
     if not logs:
         return tuple(k)
@@ -419,9 +441,9 @@ def select_place_and_wedge(pair: ConjugatedPair, s: PlaceSet) -> tuple[Place, in
     def place_key(v: Place):
         if v.is_archimedean:
             top = report.arch_moduli[0]
-            return (-float((top.lo + top.hi) / 2), v.sort_key)
+            return (-_sort_float((top.lo + top.hi) / 2), v.sort_key)
         vals = report.valuations_at(v)
-        return (-float(Fraction(v.prime) ** -min(vals)), v.sort_key)
+        return (-_sort_float(Fraction(v.prime) ** -min(vals)), v.sort_key)
 
     for v in sorted(s, key=place_key):
         if not pair.exact and not v.is_archimedean:

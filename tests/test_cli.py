@@ -316,6 +316,21 @@ def test_verify_caps_words_at_search_depth(capsys, tmp_path):
     assert code == 0 and json.loads(out)["valid"] is True
 
 
+def test_certify_entries_past_the_float_range(capsys, tmp_path):
+    # eigenvalue moduli near 10^300 square past the float range in sort keys
+    big = 10**300
+    gens = write_json(
+        tmp_path / "big.json",
+        {"n": 2, "generators": [[[big + 1, big], [1, 1]], [[1, 0], [big, 1]]]},
+    )
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(capsys, ["certify", gens, "--out", str(cert_path)])
+    assert code in (0, 4)
+    if code == 0:
+        code, out, _ = run(capsys, ["verify", str(cert_path), gens])
+        assert code == 0 and json.loads(out)["valid"] is True
+
+
 @pytest.mark.parametrize(
     "field, value, needle",
     [

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growthcert.errors import SingularEnclosure
 from growthcert.exactnum import SquareMatrix
@@ -29,6 +31,31 @@ def cmat_contains_exact(a, m) -> bool:
     return all(
         box.contains(F(x)) for brow, mrow in zip(a, rows) for box, x in zip(brow, mrow)
     )
+
+
+def reference_mul(a, b):
+    """General interval product: the hull of the four endpoint products."""
+    cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return RationalInterval(min(cands), max(cands))
+
+
+def reference_cmul(z, w):
+    """Box product with all four real-interval terms multiplied out."""
+    return ComplexInterval(
+        reference_mul(z.re, w.re) - reference_mul(z.im, w.im),
+        reference_mul(z.re, w.im) + reference_mul(z.im, w.re),
+    )
+
+
+ZERO = RationalInterval.point(0)
+RATIONALS = st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=8))
+POINTS = RATIONALS.map(RationalInterval.point)
+SPANS = (
+    st.tuples(RATIONALS, RATIONALS)
+    .filter(lambda t: t[0] != t[1])
+    .map(lambda t: RationalInterval(min(t), max(t)))
+)
+NONZERO_IMS = st.one_of(POINTS, SPANS).filter(lambda iv: iv != ZERO)
 
 
 def cmat_identity(n: int):
@@ -82,6 +109,33 @@ def test_rational_interval_containment_is_preserved():
         assert (ix + iy).contains(x + y)
         assert (ix * iy).contains(x * y)
         assert ix.pow_int(3).contains(x**3)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [(POINTS, POINTS), (POINTS, SPANS), (SPANS, POINTS), (SPANS, SPANS)],
+    ids=["point-point", "point-interval", "interval-point", "interval-interval"],
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_interval_product_matches_four_products(left, right, data):
+    a, b = data.draw(left), data.draw(right)
+    prod = a * b
+    assert prod == reference_mul(a, b)
+    assert type(prod.lo) is F and type(prod.hi) is F
+
+
+@pytest.mark.parametrize("self_im_zero", [True, False], ids=["z_real", "z_box"])
+@pytest.mark.parametrize("other_im_zero", [True, False], ids=["w_real", "w_box"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_box_product_matches_four_terms(self_im_zero, other_im_zero, data):
+    def box(im_zero):
+        re = data.draw(st.one_of(POINTS, SPANS))
+        return ComplexInterval(re, ZERO if im_zero else data.draw(NONZERO_IMS))
+
+    z, w = box(self_im_zero), box(other_im_zero)
+    assert z * w == reference_cmul(z, w)
 
 
 def test_complex_interval_mag():

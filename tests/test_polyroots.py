@@ -1,16 +1,24 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from growthcert import polyroots
+from growthcert.errors import PrecisionExhausted
 from growthcert.intervals import RationalInterval
 from growthcert.polyroots import (
+    _integer_coeffs,
+    _nonroot_point,
     _sign_variations,
     cauchy_bound,
     certified_root_structure,
     isolate_real_roots,
     modulus_enclosures,
+    poly_degree,
+    poly_deriv,
     poly_div_exact,
     poly_eval,
     poly_from,
@@ -38,6 +46,38 @@ def count_real_roots(f, a, b, chain=None) -> int:
     """Distinct real roots of squarefree f in the half-open interval (a, b]."""
     chain = chain or sturm_chain(f)
     return _sign_variations(chain, a) - _sign_variations(chain, b)
+
+
+def _reference_nonroot_point(f, a, b):
+    span = b - a
+    for k in range(2, len(f) + 3):
+        m = a + span / k
+        if poly_eval(f, m) != 0:
+            return m
+    raise AssertionError("polynomial vanished at more points than its degree")
+
+
+def reference_refine_real_root(f, iv, width):
+    """Bisection that counts Sturm sign variations at every step (the reference)."""
+    chain = sturm_chain(f)
+    lo, hi = iv.lo, iv.hi
+    v_lo = _sign_variations(chain, lo)
+    while hi - lo > width:
+        mid = _reference_nonroot_point(f, lo, hi)
+        v_mid = _sign_variations(chain, mid)
+        if v_lo - v_mid == 1:
+            hi = mid
+        else:
+            lo, v_lo = mid, v_mid
+    return RationalInterval(lo, hi)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of PrecisionExhausted when it gives up."""
+    try:
+        return fn(*args)
+    except PrecisionExhausted:
+        return PrecisionExhausted
 
 
 def _poly_with_roots(roots):
@@ -202,3 +242,34 @@ def test_modulus_enclosures_random_rational_roots():
         moduli = sorted(abs(r) for r in roots)
         for enc, m in zip(sorted(encls, key=lambda e: e.lo), moduli):
             assert enc.contains(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-40, 40), min_size=2, max_size=7).filter(lambda cs: cs[-1] != 0),
+    st.integers(1, 300),
+)
+def test_sign_bisection_matches_sturm_bisection(ints, k):
+    f = poly_from(ints)
+    assume(poly_degree(poly_gcd(f, poly_deriv(f))) == 0)
+    width = F(1, 2**k)
+    for iv in isolate_real_roots(f):
+        assert refine_real_root(f, iv, width) == reference_refine_real_root(f, iv, width)
+    new = (rational_roots(f), _outcome(certified_root_structure, f, width))
+    with mock.patch.object(polyroots, "refine_real_root", reference_refine_real_root):
+        ref = (rational_roots(f), _outcome(certified_root_structure, f, width))
+    assert new == ref
+
+
+def test_refine_takes_fallback_when_midpoint_is_the_root():
+    # (2x - 1)(x - 3)(x + 5): (0, 1] isolates 1/2, its midpoint
+    f = poly_mul(poly_mul(poly_from([-1, 2]), poly_from([-3, 1])), poly_from([5, 1]))
+    assert poly_eval(f, F(1, 2)) == 0
+    assert _nonroot_point(_integer_coeffs(f), F(0), F(1)) == (F(1, 3), 1)
+    iv = RationalInterval(F(0), F(1))
+    for width in (F(1, 2), F(1, 2**20), F(1, 2**200)):
+        tight = refine_real_root(f, iv, width)
+        assert tight == reference_refine_real_root(f, iv, width)
+        assert tight.lo < F(1, 2) <= tight.hi
+    with pytest.raises(ValueError):
+        refine_real_root(f, RationalInterval(F(1, 2), F(1)), F(1, 2**10))

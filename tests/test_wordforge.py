@@ -1,5 +1,6 @@
 """Basis building: balancing, role swaps, wedges, amplification, algebras."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -23,11 +24,13 @@ from growthcert.exactnum import (
     Word,
     evaluate_word,
 )
-from growthcert.intervals import sqrt_upper
+from growthcert.intervals import ComplexInterval, sqrt_upper
 from growthcert.wordforge import (
     AlmostAlgebra,
     ConjugatedPair,
     _frob,
+    _interval_mid,
+    _log2,
     _kernel_vector,
     _project_residual,
     _rows_mul,
@@ -200,6 +203,16 @@ def test_wedge_pair_sorts_by_modulus():
     wa, wb = wedge_pair(pair, ARCH, 2)
     assert wa == (F(90), F(20), F(18), F(10), F(9), F(2))
     assert all(wb[i][j] == (1 if i == j else 0) for i in range(6) for j in range(6))
+
+
+def test_sort_keys_past_the_float_range_keep_the_exact_order():
+    values = [F(10**100), F(0), F(10**400), F(1, 10**100), F(3, 2) * 10**300, F(10**300)]
+    by_value = sorted(range(len(values)), key=lambda i: -values[i])
+    for lift in (ComplexInterval.point, lambda v: -v):
+        keys = [_interval_mid(lift(v)) for v in values]
+        assert sorted(range(len(values)), key=lambda i: -keys[i]) == by_value
+    assert _log2(F(2**5000)) == 5000 and _log2(F(1, 2**5000)) == -5000
+    assert _log2(F(3, 4)) == math.log2(0.75)
 
 
 def test_wedge_pair_rejects_interval_finite():
