@@ -1,7 +1,8 @@
 """Cayley ball enumeration, growth estimation, and regular pair search.
 
-Balls are enumerated breadth-first with exact deduplication.  A ball element
-M is held as the pair (d, N) with N an integer matrix, d > 0 and
+Balls are built lazily, sphere by sphere in shortlex order, so the pair
+search stops at its first pair; exact dedup keeps three spheres.  A ball
+element M is held as the pair (d, N) with N an integer matrix, d > 0 and
 gcd(d, entries of N) = 1, so that M = N/d.  Each rational matrix has exactly
 one such form, so two words are identified exactly when they are equal in
 the group, never because floats or residues collided; products are integer
@@ -58,32 +59,27 @@ def _alphabet(gens: list[SquareMatrix]) -> list[tuple[Word, tuple[int, tuple]]]:
     return letters
 
 
-def _bfs_ball(gens, radius, budget, want_words):
-    """Breadth-first ball with exact dedup on the (d, N) form of _integer_form.
+def _spheres(letters, radius, budget):
+    """Shortlex spheres S(1), S(2), ... of the ball over letters = _alphabet(gens).
 
-    A product (d1, N1)(d2, N2) is (d1 d2, N1 N2) divided by the gcd of d1 d2
-    and the entries of N1 N2, which keeps it in that unique form; over
-    integer generators d stays 1 and each step is one integer matmul.
-
-    Returns (counts, exhausted, elements) where counts[k] = |B(k)| and
-    elements is the shortlex-ordered list of (word, (d, N)) excluding the
-    identity (only populated when want_words).  Raises BudgetExceeded with
-    the completed-radius counts attached.
+    Each is a list of (parent, letter, (d, N)): parent indexes the previous
+    sphere (S(0) is the identity), letter indexes letters, and dividing
+    N1 N2 and d1 d2 by their gcd keeps the product in _integer_form.  Stops
+    after radius spheres or an empty one; raises BudgetExceeded at the first
+    new element past budget elements, the identity included.
     """
-    if not gens:
+    if not letters:
         raise ValueError("empty generator list")
-    n = gens[0].n
-    letters = [(word, d, tuple(zip(*rows))) for word, (d, rows) in _alphabet(gens)]
+    n = len(letters[0][1][1])
+    mats = [(d, tuple(zip(*rows))) for _, (d, rows) in letters]
     ident = (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-    ball = {ident}
-    frontier = [(Word(), ident)]
-    counts = [1]
-    elements: list[tuple[Word, tuple[int, tuple]]] = []
-    exhausted = False
+    older, sphere = [], [(None, None, ident)]
+    seen = {ident}
+    total = 1
     for _ in range(radius):
-        new_frontier = []
-        for word, (d, rows) in frontier:
-            for lw, ld, cols in letters:
+        new = []
+        for parent, (_, _, (d, rows)) in enumerate(sphere):
+            for letter, (ld, cols) in enumerate(mats):
                 prod = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows)
                 dd = d * ld
                 if dd != 1:
@@ -92,23 +88,27 @@ def _bfs_ball(gens, radius, budget, want_words):
                         dd //= g
                         prod = tuple(tuple(x // g for x in row) for row in prod)
                 key = (dd, prod)
-                if key in ball:
+                if key in seen:
                     continue
-                if len(ball) >= budget:
-                    raise BudgetExceeded(
-                        f"ball exceeded budget {budget}", partial=list(counts)
-                    )
-                ball.add(key)
-                entry = (word * lw if want_words else None, key)
-                new_frontier.append(entry)
-                if want_words:
-                    elements.append(entry)
-        counts.append(len(ball))
-        frontier = new_frontier
-        if not frontier:
-            exhausted = True
-            break
-    return counts, exhausted, elements
+                if total >= budget:
+                    raise BudgetExceeded(f"ball exceeded budget {budget}")
+                total += 1
+                seen.add(key)
+                new.append((parent, letter, key))
+        # the alphabet is symmetric: a letter moves S(k+1) only into S(k), S(k+1), S(k+2)
+        seen.difference_update(key for _, _, key in older)
+        yield new
+        if not new:
+            return
+        older, sphere = sphere, new
+
+
+def _ball_words(letters, radius, budget):
+    """The ball without the identity as shortlex (word, (d, N)), words built per sphere reached."""
+    words = [Word()]
+    for sphere in _spheres(letters, radius, budget):
+        words = [words[parent] * letters[letter][0] for parent, letter, _ in sphere]
+        yield from zip(words, (key for _, _, key in sphere))
 
 
 def integer_nth_root(x: int, n: int) -> int:
@@ -235,12 +235,14 @@ def enumerate_ball(
     if radius < 0:
         raise ValueError("radius must be >= 0")
     letters = _alphabet(gens)
+    counts = [1]
     try:
-        counts, exhausted, _ = _bfs_ball(gens, radius, budget, want_words=False)
+        for sphere in _spheres(letters, radius, budget):
+            counts.append(counts[-1] + len(sphere))
     except BudgetExceeded as exc:
-        exc.partial = _build_report(exc.partial, False, len(letters))
+        exc.partial = _build_report(counts, False, len(letters))
         raise
-    return _build_report(counts, exhausted, len(letters))
+    return _build_report(counts, len(counts) > 1 and counts[-1] == counts[-2], len(letters))
 
 
 def estimate_omega(report: GrowthReport) -> Fraction:
@@ -341,23 +343,21 @@ def find_regular_pair(
     if s is None:
         s = s_support(gens)
     n = gens[0].n
-    _, _, elements = _bfs_ball(gens, depth, budget, want_words=True)
-    a_choice = None
-    for word, key in elements:
-        mat = _as_matrix(key)
-        if not charpoly_is_squarefree(mat):
+    letters = _alphabet(gens)
+    for word_a, key_a in _ball_words(letters, depth, budget):
+        mat_a = _as_matrix(key_a)
+        if not charpoly_is_squarefree(mat_a):
             continue
         try:
-            grid = l1_gap_report(mat, s)
+            grid = l1_gap_report(mat_a, s)
         except Inconclusive:
             continue
         if any(grid.values()):
-            a_choice = (word, key, mat, grid)
             break
-    if a_choice is None:
+    else:
         raise PairNotFound(f"no regular (L1)-capable element within radius {depth}")
-    word_a, key_a, mat_a, grid = a_choice
-    for word_b, key_b in elements:
+    # B is the first partner in shortlex order, so its scan starts over
+    for word_b, key_b in _ball_words(letters, depth, budget):
         if key_b == key_a:
             continue
         mat_b = _as_matrix(key_b)

@@ -162,13 +162,16 @@ def _canonical(obj) -> str:
 
 
 def _with_approx(obj):
-    """Copy with float side values next to every "p/q" string field."""
+    """Copy with float side values next to every "p/q" string field a float can hold."""
     if isinstance(obj, dict):
         out = {}
         for k, v in obj.items():
             out[k] = _with_approx(v)
             if isinstance(v, str) and _RATIONAL_RE.fullmatch(v):
-                out[k + "~"] = float(Fraction(v))
+                try:
+                    out[k + "~"] = float(Fraction(v))
+                except OverflowError:
+                    pass  # past the float range the exact string stands alone
         return out
     if isinstance(obj, list):
         return [_with_approx(x) for x in obj]

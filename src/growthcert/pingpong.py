@@ -359,9 +359,11 @@ def _prime_start(h: int) -> int:
 def _fingerprint(u: SquareMatrix, w: SquareMatrix) -> tuple[int, tuple[int, ...]]:
     """The oracle's prime p and row vector x, both drawn from the input.
 
-    h is the SHA-256 of the canonical entries of u and w; p is the least
-    prime at or above _prime_start(h) that divides no entry denominator,
-    and x = (1, r, ..., r^(n-1)) mod p with r taken from other bits of h.
+    h is the SHA-256 of the numerators and denominators of the entries of u
+    and w as length-prefixed signed bytes (not decimal text, which Python
+    refuses past 4300 digits); p is the least prime at or above
+    _prime_start(h) that divides no entry denominator, and
+    x = (1, r, ..., r^(n-1)) mod p with r taken from other bits of h.
     A fixed p lets a crafted input make every word congruent (2^61 - 1 is
     also the modulus of Python's int hash), and a fixed x such as e_n keys
     every word alike when u and w share a left fixed vector.
@@ -369,8 +371,12 @@ def _fingerprint(u: SquareMatrix, w: SquareMatrix) -> tuple[int, tuple[int, ...]
     # hashlib loads OpenSSL, about 3.5 MB resident; only the oracle needs it
     import hashlib
 
-    text = json.dumps([[[format_rational(x) for x in row] for row in m.entries] for m in (u, w)])
-    h = int.from_bytes(hashlib.sha256(text.encode()).digest(), "big")
+    digest = hashlib.sha256()
+    for x in (x for m in (u, w) for row in m.entries for x in row):
+        for v in (x.numerator, x.denominator):
+            data = v.to_bytes(v.bit_length() // 8 + 1, "big", signed=True)
+            digest.update(len(data).to_bytes(8, "big") + data)
+    h = int.from_bytes(digest.digest(), "big")
     dens = {x.denominator for m in (u, w) for row in m.entries for x in row}
     p = _prime_start(h)
     while not is_prime(p) or any(d % p == 0 for d in dens):

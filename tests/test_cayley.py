@@ -1,6 +1,7 @@
 """Ball enumeration, growth verdicts, and the regular pair search."""
 
 import random
+from contextlib import nullcontext
 from fractions import Fraction as F
 
 import pytest
@@ -220,6 +221,22 @@ def test_find_regular_pair_heisenberg_raises():
         find_regular_pair(heisenberg_gens(), depth=3)
 
 
+def test_pair_found_before_the_budget_runs_out():
+    # the pair lies in sphere 1 (5 elements with the identity), so a budget
+    # of 10 never reaches sphere 2 (17); refusals still scan the whole ball
+    gens = [
+        SquareMatrix.from_rows([[F(9, 2), F(-1, 4)], [F(-1, 2), F(1, 4)]]),
+        SquareMatrix.from_rows([[1, F(-1, 2)], [1, F(1, 2)]]),
+    ]
+    pair = find_regular_pair(gens, 4, budget=10)
+    assert (str(pair.word_a), str(pair.word_b)) == ("0", "1")
+    assert pair == find_regular_pair(gens, 4)
+    with pytest.raises(BudgetExceeded):
+        enumerate_ball(gens, 4, budget=10)
+    with pytest.raises(BudgetExceeded):
+        find_regular_pair(heisenberg_gens(), 4, budget=10)
+
+
 def test_growth_report_csv():
     report = enumerate_ball(sanov_gens(), 2)
     assert report.csv() == "n,count\n0,1\n1,5\n2,17\n"
@@ -300,9 +317,20 @@ def reference_pair(gens, depth, budget=10**6):
     return f"no generic partner for A within radius {depth}"
 
 
-def ball_outcome(bfs, gens, radius, budget):
+def spheres_outcome(gens, radius, budget):
+    """(counts, exhausted) from cayley._spheres, or its BudgetExceeded with the completed counts."""
+    counts = [1]
     try:
-        counts, exhausted, _ = bfs(gens, radius, budget, False)
+        for sphere in cayley._spheres(cayley._alphabet(gens), radius, budget):
+            counts.append(counts[-1] + len(sphere))
+    except BudgetExceeded as exc:
+        return ("BudgetExceeded", str(exc), counts)
+    return counts, len(counts) > 1 and counts[-1] == counts[-2]
+
+
+def reference_outcome(gens, radius, budget):
+    try:
+        counts, exhausted, _ = reference_ball(gens, radius, budget)
     except BudgetExceeded as exc:
         return ("BudgetExceeded", str(exc), exc.partial)
     return counts, exhausted
@@ -377,15 +405,19 @@ def _generators(draw, max_n=4, finite_groups=True):
     budget=st.one_of(st.integers(1, 150), st.just(10**6)),
 )
 def test_ball_matches_fraction_reference(gens, radius, budget):
+    # reference_ball keeps the whole ball, _spheres only three spheres
     radius = min(radius, 7 - gens[0].n)
-    new = ball_outcome(cayley._bfs_ball, gens, radius, budget)
-    assert new == ball_outcome(reference_ball, gens, radius, budget)
-    if new[0] == "BudgetExceeded":
-        return
-    _, _, elements = cayley._bfs_ball(gens, radius, budget, True)
-    _, _, ref_elements = reference_ball(gens, radius, budget, want_words=True)
-    # the same words in the same shortlex order, with the same matrices
-    assert [(w, cayley._as_matrix(key)) for w, key in elements] == ref_elements
+    new = spheres_outcome(gens, radius, budget)
+    assert new == reference_outcome(gens, radius, budget)
+    counts = new[2] if new[0] == "BudgetExceeded" else new[0]
+    _, _, ref_elements = reference_ball(gens, radius, want_words=True)
+    words = []
+    with pytest.raises(BudgetExceeded) if new[0] == "BudgetExceeded" else nullcontext():
+        for w, key in cayley._ball_words(cayley._alphabet(gens), radius, budget):
+            words.append((w, cayley._as_matrix(key)))
+    # the same words in the same shortlex order, with the same matrices; the
+    # completed spheres come out before the budget runs out
+    assert words == ref_elements[: counts[-1] - 1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -400,11 +432,10 @@ def test_ball_meets_integer_word_with_denominator_four():
     # |B(r)| = 4r + 1
     half = SquareMatrix.from_rows([[1, F(1, 2)], [0, 1]])
     unit = SquareMatrix.from_rows([[1, 1], [0, 1]])
-    counts, exhausted, _ = cayley._bfs_ball([half, unit], 5, 10**6, False)
-    assert counts == [4 * r + 1 for r in range(6)] and not exhausted
-    assert counts == reference_ball([half, unit], 5)[0]
-    _, _, elements = cayley._bfs_ball([half, unit], 1, 10**6, True)
-    assert [str(w) for w, _ in elements] == ["0", "1", "0^-1", "1^-1"]
+    assert spheres_outcome([half, unit], 5, 10**6) == ([4 * r + 1 for r in range(6)], False)
+    assert spheres_outcome([half, unit], 5, 10**6) == reference_outcome([half, unit], 5, 10**6)
+    words = cayley._ball_words(cayley._alphabet([half, unit]), 1, 10**6)
+    assert [str(w) for w, _ in words] == ["0", "1", "0^-1", "1^-1"]
 
 
 def test_ball_keeps_the_denominator_in_the_key():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -329,6 +330,38 @@ def test_certify_entries_past_the_float_range(capsys, tmp_path):
     if code == 0:
         code, out, _ = run(capsys, ["verify", str(cert_path), gens])
         assert code == 0 and json.loads(out)["valid"] is True
+
+
+def test_pretty_skips_values_past_the_float_range():
+    huge = f"{10**400}/3"
+    obj = {"a": huge, "b": [{"c": f"-{10**400}", "d": "1/4"}]}
+    assert cli._with_approx(obj) == {"a": huge, "b": [{"c": f"-{10**400}", "d": "1/4", "d~": 0.25}]}
+
+
+def test_certify_sixteen_generators_stops_at_the_first_pair(capsys, tmp_path):
+    # the depth-4 ball of 16 generators has about 9 * 10^5 elements; the
+    # pair lies in sphere 1 or 2, and only the spheres scanned are built
+    rng = random.Random(5)
+    gens = []
+    for _ in range(16):
+        m = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(3):
+            # m * E_ij(c): column j gains c times column i
+            i, j = rng.sample(range(3), 2)
+            c = rng.choice([1, -1, 2, -2])
+            for row in m:
+                row[j] += c * row[i]
+        gens.append(m)
+    path = write_json(tmp_path / "wide.json", {"n": 3, "generators": gens})
+    cert_path = tmp_path / "cert.json"
+    start = time.perf_counter()
+    code, _, _ = run(capsys, ["certify", path, "--out", str(cert_path)])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    cert = json.loads(cert_path.read_text())
+    assert len(cert["word_A"].split()) <= 2 and len(cert["word_B"].split()) <= 2
+    code, out, _ = run(capsys, ["verify", str(cert_path), path])
+    assert code == 0 and json.loads(out)["valid"] is True
 
 
 @pytest.mark.parametrize(

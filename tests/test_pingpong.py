@@ -160,6 +160,14 @@ def test_oracle_free_pair():
     assert find_semigroup_collision(u, w, depth=10) is None
 
 
+def test_oracle_on_entries_past_the_int_to_str_limit():
+    # the fingerprint hashes entry bytes: 5001-digit entries have no decimal text
+    big = 10**5000
+    u = SquareMatrix.from_rows([[1, big], [0, 1]])
+    w = SquareMatrix.from_rows([[1, 0], [big, 1]])
+    assert find_semigroup_collision(u, w) is None
+
+
 def test_oracle_budget():
     u = SquareMatrix.from_rows([[1, 2], [0, 1]])
     w = SquareMatrix.from_rows([[1, 0], [2, 1]])
