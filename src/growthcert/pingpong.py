@@ -15,6 +15,7 @@ archimedean place.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -352,21 +353,30 @@ def derive_exponent(
 
 
 def _prime_start(h: int) -> int:
-    """Where the oracle's prime search starts for the input hash h."""
+    """Where the resolver's prime search starts for the input hash h."""
     return 2**61 + h % 2**60
 
 
-def _fingerprint(u: SquareMatrix, w: SquareMatrix) -> tuple[int, tuple[int, ...]]:
-    """The oracle's prime p and row vector x, both drawn from the input.
+def _screen_prime_start(h: int) -> int:
+    """Where the screen's prime search starts for the input hash h."""
+    return 2**29 + (h >> 128) % 2**29
+
+
+def _fingerprint(
+    u: SquareMatrix, w: SquareMatrix, screen: bool = False
+) -> tuple[int, tuple[int, ...]]:
+    """A prime and a row vector for the oracle, both drawn from the input.
 
     h is the SHA-256 of the numerators and denominators of the entries of u
     and w as length-prefixed signed bytes (not decimal text, which Python
-    refuses past 4300 digits); p is the least prime at or above
-    _prime_start(h) that divides no entry denominator, and
-    x = (1, r, ..., r^(n-1)) mod p with r taken from other bits of h.
-    A fixed p lets a crafted input make every word congruent (2^61 - 1 is
-    also the modulus of Python's int hash), and a fixed x such as e_n keys
-    every word alike when u and w share a left fixed vector.
+    refuses past 4300 digits).  The resolver's p is the least prime at or
+    above _prime_start(h) that divides no entry denominator, and
+    x = (1, r, ..., r^(n-1)) mod p with r taken from other bits of h.  With
+    screen=True the same rule gives the screen's q from
+    _screen_prime_start(h) and its row y from yet other bits of h.
+    A fixed prime lets a crafted input make every word congruent (2^61 - 1
+    is also the modulus of Python's int hash), and a fixed row such as e_n
+    keys every word alike when u and w share a left fixed vector.
     """
     # hashlib loads OpenSSL, about 3.5 MB resident; only the oracle needs it
     import hashlib
@@ -378,10 +388,10 @@ def _fingerprint(u: SquareMatrix, w: SquareMatrix) -> tuple[int, tuple[int, ...]
             digest.update(len(data).to_bytes(8, "big") + data)
     h = int.from_bytes(digest.digest(), "big")
     dens = {x.denominator for m in (u, w) for row in m.entries for x in row}
-    p = _prime_start(h)
+    p = _screen_prime_start(h) if screen else _prime_start(h)
     while not is_prime(p) or any(d % p == 0 for d in dens):
         p += 1
-    r = (h >> 64) % p
+    r = (h >> (160 if screen else 64)) % p
     return p, tuple(pow(r, k, p) for k in range(u.n))
 
 
@@ -391,19 +401,59 @@ def _residue_rows(m: SquareMatrix, p: int) -> tuple:
     )
 
 
-def find_semigroup_collision(
-    u: SquareMatrix, w: SquareMatrix, depth: int = 12, budget: int = 10**6
-) -> tuple[str, str] | None:
-    """First pair of distinct positive words in {u, w} with equal matrices.
+def _layer_keys(gens: tuple, y: tuple[int, ...], q: int, depth: int):
+    """Yield the keys y * M_word mod q of each layer of positive words.
 
-    Words are explored in shortlex order ('u' before 'w').  Each word is
-    keyed by the row vector x * M_word mod p (see _fingerprint), one
-    vector-times-letter product per word.  Reduction mod p is a ring map on
-    the rationals whose denominators p does not divide, so words with
-    distinct keys have distinct matrices.  Only a key clash multiplies the
-    words out exactly; a false clash is skipped, so the first exact
-    collision is still the one returned, whatever p and x are.  Returns
-    None when all words up to the depth are pairwise distinct.
+    gens holds the letters' residue rows mod q.  Layer k + 1 lists the words
+    of layer k times the first letter, then times the second.  The layer is
+    held column-wise: coordinate i of every key packed into one int, in
+    64-bit slots, so a letter costs n scalar products of big ints per
+    column.  No slot carries while n * (q - 1)^2 < 2^64.
+    """
+    # like hashlib, array is imported only where the oracle needs it
+    from array import array
+
+    n = len(y)
+    cols = [[c] for c in y]
+    for _ in range(depth):
+        size = 8 * len(cols[0])
+        packed = [int.from_bytes(array("Q", c).tobytes(), sys.byteorder) for c in cols]
+        cols = [[] for _ in range(n)]
+        for rows in gens:
+            for j, col in enumerate(cols):
+                s = sum(v * rows[i][j] for i, v in enumerate(packed))
+                col += [v % q for v in memoryview(s.to_bytes(size, sys.byteorder)).cast("Q")]
+        yield zip(*cols)
+
+
+def _screen(u: SquareMatrix, w: SquareMatrix, depth: int) -> bool:
+    """True when the positive words up to depth have pairwise distinct keys.
+
+    The key of a word is y * M_word mod q (see _fingerprint); distinct keys
+    mean distinct matrices.  False means a clash, or a q too large for
+    _layer_keys' 64-bit slots.
+    """
+    q, y = _fingerprint(u, w, screen=True)
+    if u.n * (q - 1) ** 2 >= 2**64:
+        return False
+    gens = (_residue_rows(u, q), _residue_rows(w, q))
+    seen: set[tuple[int, ...]] = set()
+    words = 0
+    for k, keys in enumerate(_layer_keys(gens, y, q, depth), 1):
+        seen.update(keys)
+        words += 2**k
+        if len(seen) != words:
+            return False
+    return True
+
+
+def _resolve(u: SquareMatrix, w: SquareMatrix, depth: int, budget: int) -> tuple[str, str] | None:
+    """The oracle word by word, in shortlex order ('u' before 'w').
+
+    Each word is keyed by the row vector x * M_word mod p (see
+    _fingerprint), one vector-times-letter product per word.  Only a key
+    clash multiplies the words out exactly; a false clash is skipped, so
+    the first exact collision is the one returned, whatever p and x are.
     """
     p, x = _fingerprint(u, w)
     letters = {"u": u, "w": w}
@@ -443,6 +493,29 @@ def find_semigroup_collision(
                 nxt.append((word, key))
         layer = nxt
     return None
+
+
+def find_semigroup_collision(
+    u: SquareMatrix, w: SquareMatrix, depth: int = 12, budget: int = 10**6
+) -> tuple[str, str] | None:
+    """First pair of distinct positive words in {u, w} with equal matrices.
+
+    Returns None when all words up to the depth are pairwise distinct.
+    Reduction mod a prime is a ring map on the rationals whose denominators
+    it does not divide, so words with distinct keys mod that prime have
+    distinct matrices.  The screen (_screen) keys whole layers at once
+    modulo a 30-bit prime q and returns None when every key is distinct and
+    the 2^(depth+1) - 2 words fit the budget.  Otherwise the resolver
+    (_resolve) walks the words in shortlex order modulo a 62-bit prime p,
+    multiplies out only the words whose keys clash, and returns the first
+    exact collision or raises BudgetExceeded at the same word as without
+    the screen.  An input built so that q divides every entry of u - w
+    only hands it over to the resolver.
+    """
+    # the bit-length test keeps a huge depth from building 2^depth
+    if depth <= budget.bit_length() and 2 ** (depth + 1) - 2 <= budget and _screen(u, w, depth):
+        return None
+    return _resolve(u, w, depth, budget)
 
 
 # ---------------------------------------------------------------------------

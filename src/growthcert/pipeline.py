@@ -35,6 +35,7 @@ from .exactnum import (
 )
 from .pingpong import (
     PingPongCertificate,
+    _is_exact,
     derive_exponent,
     find_semigroup_collision,
     growth_bound_from_length,
@@ -331,18 +332,22 @@ def verify_certificate(
         return False, "growth bound does not match the word lengths"
 
     last: Exception | None = None
+    passed = False
     for bits in BITS_SCHEDULE:
         try:
             wa, wb = canonical_wedge_pair(
                 a_mat, b_mat, cert.word_a, cert.word_b, cert.place, cert.wedge_m, bits
             )
-            if verify_cone_inclusions(
+            passed = verify_cone_inclusions(
                 wa, wb, cert.exponent, cert.cone_param, cert.place, bits
-            ).all_pass:
-                break
+            ).all_pass
         except (GrowthcertError, ValueError) as exc:
             last = exc
-    else:
+            continue
+        # exact basis data gives the same answer at every precision
+        if passed or _is_exact(wb):
+            break
+    if not passed:
         detail = str(last) if last is not None else "an inclusion failed at every precision"
         return False, f"cone checks did not certify: {detail}"
 

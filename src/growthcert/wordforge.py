@@ -41,7 +41,7 @@ from .intervals import (
     sqrt_upper,
 )
 from .pingpong import LConditions, check_l_conditions, entry_bounds
-from .polyroots import certified_root_structure, rational_roots, squarefree_part
+from .polyroots import Poly, certified_root_structure, rational_roots, squarefree_part
 from .spectra import char_poly, eigen_report, l1_gap_report, wedge_diag, wedge_power
 
 SYM_A = Word.generator(0)
@@ -85,14 +85,14 @@ def _interval_mid(x) -> float | Fraction:
     return _sort_float(abs(x))
 
 
-def diagonalize_exact(a: SquareMatrix, sort_place: Place = ARCH):
+def diagonalize_exact(a: SquareMatrix, sort_place: Place = ARCH, poly: Poly | None = None):
     """Exact eigenbasis when the charpoly splits into distinct rationals.
 
     Returns (diag, p_rows, p_inv_rows) with eigenvalues sorted by modulus
     descending at sort_place (ties broken by value), or None when the
-    spectrum is not fully rational.
+    spectrum is not fully rational.  poly, when given, is A's charpoly.
     """
-    f = char_poly(a).poly
+    f = poly if poly is not None else char_poly(a).poly
     roots = rational_roots(f)
     if len(roots) != a.n or len(set(roots)) != a.n:
         return None
@@ -102,16 +102,17 @@ def diagonalize_exact(a: SquareMatrix, sort_place: Place = ARCH):
     return tuple(order), p.entries, p.inverse().entries
 
 
-def diagonalize_enclosed(a: SquareMatrix, bits: int = 128):
+def diagonalize_enclosed(a: SquareMatrix, bits: int = 128, poly: Poly | None = None):
     """Certified interval eigenbasis for a squarefree-charpoly matrix.
 
     Eigenvectors come from columns of adj(A - lambda I); the normalizing
     entry is pinned to exactly 1 since the true eigenvector scaled by its
     own coordinate has it there.  Raises SingularEnclosure or
     PrecisionExhausted when enclosures are too wide; callers escalate bits.
+    poly, when given, is A's charpoly.
     """
     n = a.n
-    f = char_poly(a).poly
+    f = poly if poly is not None else char_poly(a).poly
     width = Fraction(1, 2**bits) * max(Fraction(1), a.max_abs_entry())
     real_ivs, boxes = certified_root_structure(f, width)
     lambdas = [ComplexInterval(iv, RationalInterval.point(0)) for iv in real_ivs]
@@ -306,6 +307,7 @@ def diagonalized_pair(
     word_b: Word,
     sort_place: Place = ARCH,
     bits: int = 128,
+    poly: Poly | None = None,
 ) -> ConjugatedPair:
     """The pair in A's eigenbasis, unbalanced: B becomes P^-1 * B * P.
 
@@ -315,12 +317,13 @@ def diagonalized_pair(
     charpoly splits into distinct rationals and enclosed otherwise; finite
     sort places need the exact one.  The result has norm_relation "none";
     balance_or_trace and swap_roles build on it, and it feeds wedge_pair
-    and the cone checks directly.
+    and the cone checks directly.  poly, when given, is A's charpoly; it is
+    computed once and shared by the diagonalizations.
     """
-    f = char_poly(a).poly
+    f = poly if poly is not None else char_poly(a).poly
     if squarefree_part(f) != f:
         raise ValueError("A must have a squarefree characteristic polynomial")
-    exact_basis = diagonalize_exact(a, sort_place=sort_place)
+    exact_basis = diagonalize_exact(a, sort_place, f)
     if exact_basis is not None:
         a_diag, p, p_inv = exact_basis
         exact = True
@@ -328,7 +331,7 @@ def diagonalized_pair(
     else:
         if not sort_place.is_archimedean:
             raise Inconclusive("finite sort place needs a rational eigenbasis")
-        a_diag, p, p_inv = diagonalize_enclosed(a, bits)
+        a_diag, p, p_inv = diagonalize_enclosed(a, bits, f)
         exact = False
         b_rows = _rows_mul(_rows_mul(p_inv, cmat_from_exact(b), False, bits), p, False, bits)
     return ConjugatedPair(
@@ -409,7 +412,7 @@ def swap_roles(pair: ConjugatedPair, s: PlaceSet, bits: int = 128) -> Conjugated
     f = char_poly(pair.orig_b).poly
     if squarefree_part(f) != f:
         raise SwapFailed("B has repeated eigenvalues: no certified eigenbasis")
-    new = diagonalized_pair(pair.orig_b, pair.orig_a, pair.word_b, pair.word_a, ARCH, bits)
+    new = diagonalized_pair(pair.orig_b, pair.orig_a, pair.word_b, pair.word_a, ARCH, bits, f)
 
     cn_hi = _global_norm_bounds(new.basis, s, new.exact)[1]
     ci_hi = _global_norm_bounds(new.basis_inv, s, new.exact)[1]

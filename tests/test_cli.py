@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from growthcert import cli
+from growthcert import cli, pingpong
+from growthcert.exactnum import is_prime
 from test_cayley import heisenberg_gens, reference_ball
 
 REPO = Path(__file__).resolve().parents[1]
@@ -455,6 +456,33 @@ def test_generators_congruent_to_identity_mod_hash_prime_certify_quickly(capsys,
     code, out, _ = run(capsys, ["verify", str(cert_path), gens])
     assert time.perf_counter() - start < 5
     assert code == 0 and json.loads(out)["valid"] is True
+
+
+def test_generators_congruent_to_identity_mod_screen_prime_certify_quickly(
+    capsys, tmp_path, monkeypatch
+):
+    # both generators are the identity modulo the oracle's screen prime, so
+    # the screen keys every word alike and hands the words to the resolver
+    q = 2**29
+    while not is_prime(q):
+        q += 1
+    monkeypatch.setattr(pingpong, "_screen_prime_start", lambda h: q)
+    resolver, calls = pingpong._resolve, []
+    monkeypatch.setattr(pingpong, "_resolve", lambda *args: calls.append(1) or resolver(*args))
+    g = [[1 + q, q * q], [q, 1 + (q - 1) * q]]
+    gens = write_json(
+        tmp_path / "flood.json", {"n": 2, "generators": [g, [list(c) for c in zip(*g)]]}
+    )
+    cert_path = tmp_path / "cert.json"
+    start = time.perf_counter()
+    code, _, _ = run(capsys, ["certify", gens, "--out", str(cert_path)])
+    assert time.perf_counter() - start < 5
+    assert code == 0 and len(calls) == 1
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", str(cert_path), gens])
+    assert time.perf_counter() - start < 5
+    assert code == 0 and json.loads(out)["valid"] is True
+    assert len(calls) == 2
 
 
 def test_parse_errors_exit_2(capsys, tmp_path):

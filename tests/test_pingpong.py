@@ -1,6 +1,7 @@
 """Cone checks, exponent search, freeness oracle, certificates."""
 
 import json
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -221,8 +222,18 @@ PLANTED = [
 
 
 def force_prime(mp, prime):
-    """Start the oracle's prime search at `prime` instead of the hashed point."""
+    """Start the resolver's prime search at `prime` instead of the hashed point."""
     mp.setattr(pingpong, "_prime_start", lambda h: prime)
+
+
+def force_screen_prime(mp, prime):
+    """Start the screen's prime search at `prime` instead of the hashed point."""
+    mp.setattr(pingpong, "_screen_prime_start", lambda h: prime)
+
+
+def resolve(u, w, depth=12, budget=10**6):
+    """The word-by-word resolver alone, with no screen in front of it."""
+    return pingpong._resolve(u, w, depth, budget)
 
 
 def row_key(x, m, p):
@@ -256,8 +267,8 @@ def test_oracle_skips_false_clashes(monkeypatch, prime):
     keys = {row_key(x, m, p) for m in sanov_words(10)}
     # the 2^11 - 2 free Sanov words clash modulo the prime ...
     assert len(keys) < 2**11 - 2
-    # ... and the oracle still proves them distinct
-    assert find_semigroup_collision(SANOV_U, SANOV_W, depth=10) is None
+    # ... and the resolver still proves them distinct
+    assert resolve(SANOV_U, SANOV_W, depth=10) is None
     rng = random.Random(prime)
     for _ in range(12):
         u, w = (
@@ -266,7 +277,7 @@ def test_oracle_skips_false_clashes(monkeypatch, prime):
             )
             for _ in range(2)
         )
-        assert find_semigroup_collision(u, w, depth=9) == reference_collision(u, w, depth=9)
+        assert resolve(u, w, depth=9) == reference_collision(u, w, depth=9)
 
 
 def test_row_keys_clash_where_residues_do_not(monkeypatch):
@@ -278,10 +289,10 @@ def test_row_keys_clash_where_residues_do_not(monkeypatch):
     # one row key covers several residue matrices ...
     assert any(len(residues) > 1 for residues in residues_by_key.values())
     # ... and the answer is still the exact one
-    assert find_semigroup_collision(SANOV_U, SANOV_W, depth=8) is None
+    assert resolve(SANOV_U, SANOV_W, depth=8) is None
     assert reference_collision(SANOV_U, SANOV_W, depth=8) is None
     for u, w, words in PLANTED:
-        assert find_semigroup_collision(u, w) == words
+        assert resolve(u, w) == words
 
 
 # a free-looking pair in SL_3(Z[1/3]) whose words all fix the row e_3: a
@@ -329,10 +340,15 @@ def test_oracle_skips_prime_dividing_a_denominator(monkeypatch, prime):
     w = SquareMatrix.from_rows([[1, 0], [2, 1]])
     p, _ = pingpong._fingerprint(u, w)
     assert p > big and is_prime(p)
-    assert find_semigroup_collision(u, w, depth=8) == reference_collision(u, w, depth=8)
+    assert resolve(u, w, depth=8) == reference_collision(u, w, depth=8)
     diag = SquareMatrix.from_rows([[big, 0], [0, F(1, big)]])
     assert pingpong._fingerprint(diag, diag * diag)[0] > big
-    assert find_semigroup_collision(diag, diag * diag) == ("w", "uu")
+    assert resolve(diag, diag * diag) == ("w", "uu")
+    # the screen's prime search skips the same denominators
+    force_screen_prime(monkeypatch, big)
+    q, _ = pingpong._fingerprint(u, w, screen=True)
+    assert q > big and is_prime(q)
+    assert find_semigroup_collision(u, w, depth=8) == reference_collision(u, w, depth=8)
 
 
 _entry = st.builds(F, st.integers(-3, 3), st.integers(1, 7))
@@ -348,14 +364,117 @@ def _oracle_case(draw):
     return u, w, draw(st.integers(1, 7)), draw(st.integers(1, 300))
 
 
-@pytest.mark.parametrize("prime", [None, 7])
+@pytest.mark.parametrize(
+    "prime, screen",
+    [(None, None), (7, None), (None, 7), (7, 7)],
+    ids=["None", "7", "None-screen7", "7-screen7"],
+)
 @settings(max_examples=60, deadline=None)
 @given(case=_oracle_case())
-def test_oracle_matches_fraction_reference(prime, case):
+def test_oracle_matches_fraction_reference(prime, screen, case):
     with pytest.MonkeyPatch.context() as mp:
         if prime is not None:
             force_prime(mp, prime)
+        if screen is not None:
+            force_screen_prime(mp, screen)
         assert outcome(find_semigroup_collision, *case) == outcome(reference_collision, *case)
+
+
+def largest_slot_prime(n):
+    """The largest prime q with n * (q - 1)^2 < 2^64, the screen's slot bound."""
+    q = math.isqrt((2**64 - 1) // n) + 1
+    while not (is_prime(q) and n * (q - 1) ** 2 < 2**64):
+        q -= 1
+    return q
+
+
+def screen_keys(u, w, depth):
+    """The screen's keys, layer by layer, as _layer_keys yields them."""
+    q, y = pingpong._fingerprint(u, w, screen=True)
+    gens = (pingpong._residue_rows(u, q), pingpong._residue_rows(w, q))
+    return [list(keys) for keys in pingpong._layer_keys(gens, y, q, depth)]
+
+
+def word_keys(u, w, depth):
+    """The same keys one word at a time: y * M_word mod q, in the screen's order."""
+    q, y = pingpong._fingerprint(u, w, screen=True)
+    layers, layer = [], [SquareMatrix.identity(u.n)]
+    for _ in range(depth):
+        layer = [m * g for g in (u, w) for m in layer]
+        layers.append([row_key(y, m, q) for m in layer])
+    return layers
+
+
+@pytest.mark.parametrize("screen", [None, 7, "largest"])
+def test_screen_keys_match_word_keys(monkeypatch, screen):
+    rng = random.Random(11)
+    cases = [(SANOV_U, SANOV_W, 8)]
+    for _ in range(9):
+        n = rng.randint(2, 4)
+        u, w = (
+            SquareMatrix.from_rows(
+                [[F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+            )
+            for _ in range(2)
+        )
+        cases.append((u, w, rng.randint(1, 8 if n == 2 else 6)))
+    for u, w, depth in cases:
+        if screen is not None:
+            force_screen_prime(monkeypatch, largest_slot_prime(u.n) if screen == "largest" else 7)
+        assert screen_keys(u, w, depth) == word_keys(u, w, depth)
+
+
+def refuse(*args):
+    raise AssertionError("this stage should not run here")
+
+
+def test_screen_clears_free_sanov_pair(monkeypatch):
+    monkeypatch.setattr(pingpong, "_resolve", refuse)
+    assert find_semigroup_collision(SANOV_U, SANOV_W, depth=10) is None
+
+
+def count_resolver_calls(mp):
+    calls = []
+    resolver = pingpong._resolve
+
+    def counted(*args):
+        calls.append(args)
+        return resolver(*args)
+
+    mp.setattr(pingpong, "_resolve", counted)
+    return calls
+
+
+def test_tiny_screen_prime_hands_over_to_resolver(monkeypatch):
+    force_screen_prime(monkeypatch, 7)
+    calls = count_resolver_calls(monkeypatch)
+    # 49 keys modulo 7 cannot tell 2^11 - 2 words apart
+    assert find_semigroup_collision(SANOV_U, SANOV_W, depth=10) is None
+    assert len(calls) == 1
+    for u, w, words in PLANTED:
+        assert find_semigroup_collision(u, w) == words
+
+
+def test_slot_bound_skips_screen(monkeypatch):
+    largest = largest_slot_prime(2)
+    force_screen_prime(monkeypatch, largest)
+    assert pingpong._fingerprint(SANOV_U, SANOV_W, screen=True)[0] == largest
+    assert pingpong._screen(SANOV_U, SANOV_W, 6)
+    force_screen_prime(monkeypatch, largest + 1)
+    q, _ = pingpong._fingerprint(SANOV_U, SANOV_W, screen=True)
+    assert 2 * (q - 1) ** 2 >= 2**64
+    assert not pingpong._screen(SANOV_U, SANOV_W, 6)
+    calls = count_resolver_calls(monkeypatch)
+    assert find_semigroup_collision(SANOV_U, SANOV_W, depth=6) is None
+    assert len(calls) == 1
+
+
+def test_screen_runs_only_within_budget(monkeypatch):
+    monkeypatch.setattr(pingpong, "_screen", refuse)
+    # 2^13 - 2 words exceed the budget, so the resolver raises at the same word
+    with pytest.raises(BudgetExceeded):
+        find_semigroup_collision(SANOV_U, SANOV_W, depth=12, budget=2**13 - 3)
+    assert find_semigroup_collision(SANOV_U, SANOV_U, depth=12, budget=5) == ("u", "w")
 
 
 def test_growth_bound_examples():

@@ -98,6 +98,34 @@ def test_verify_rejects_huge_cone_param():
     assert "cone checks" in reason
 
 
+def count_wedge_pairs(mp):
+    calls = []
+    wedge_pair = pipeline.canonical_wedge_pair
+    mp.setattr(pipeline, "canonical_wedge_pair", lambda *a: calls.append(a[-1]) or wedge_pair(*a))
+    return calls
+
+
+def test_verify_stops_precision_retries_on_an_exact_basis(monkeypatch):
+    # A = diag(2, 1/2) has a rational eigenbasis: a cone check that fails
+    # once fails at every precision
+    gens = [M([[2, 0], [0, F(1, 2)]]), M([[1, 1], [1, 2]])]
+    cert = certify_generators(gens).certificate
+    bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
+    calls = count_wedge_pairs(monkeypatch)
+    assert verify_certificate(bad, gens) == (
+        False,
+        "cone checks did not certify: an inclusion failed at every precision",
+    )
+    assert calls == [pipeline.BITS_SCHEDULE[0]]
+    # Sanov's A has irrational eigenvalues: its enclosures retry every precision
+    gens = sanov()
+    cert = certify_generators(gens).certificate
+    bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
+    calls.clear()
+    assert not verify_certificate(bad, gens)[0]
+    assert calls == list(pipeline.BITS_SCHEDULE)
+
+
 def test_verify_rejects_out_of_range_letter():
     gens = sanov()
     cert = certify_generators(gens).certificate
