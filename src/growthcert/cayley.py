@@ -27,7 +27,7 @@ from .spectra import char_poly, discriminant, l1_gap_report
 
 def charpoly_is_squarefree(mat: SquareMatrix) -> bool:
     """Distinct eigenvalues, i.e. the matrix is regular semisimple."""
-    f = char_poly(mat).poly
+    f = char_poly(mat)
     return poly_degree(squarefree_part(f)) == poly_degree(f)
 
 
@@ -132,13 +132,18 @@ def integer_nth_root(x: int, n: int) -> int:
     return r
 
 
-def nth_root_floor(count: int, n: int, grid_bits: int = 20) -> Fraction:
-    """Largest multiple of 2^-grid_bits whose n-th power is <= count.
+# the dyadic grid 2^-GRID_BITS of every growth estimate and certificate bound
+GRID_BITS = 20
+
+
+def nth_root_floor(count: int, n: int) -> Fraction:
+    """Largest multiple of 2^-GRID_BITS whose n-th power is <= count.
 
     Certified by integer comparison; this is the exact dyadic lower bound
-    on count^(1/n) used in growth estimates.
+    on count^(1/n) used in growth estimates and certificate bounds, so
+    verify's exact bound equality rests on this one grid.
     """
-    scale = 1 << grid_bits
+    scale = 1 << GRID_BITS
     k = integer_nth_root(count * scale**n, n)
     assert k**n <= count * scale**n < (k + 1) ** n
     return Fraction(k, scale)
@@ -371,7 +376,8 @@ def find_regular_pair(
             word_b=word_b,
             matrix_a=mat_a,
             matrix_b=mat_b,
-            disc=discriminant(squarefree_part(char_poly(mat_a).poly)),
+            # A passed the squarefree gate, so its charpoly is its squarefree part
+            disc=discriminant(char_poly(mat_a)),
             l1_grid=grid,
             genericity={"shemesh": True, "burnside_dim": dim},
         )

@@ -60,6 +60,9 @@ EXIT_VERIFY = 5
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 # the settings a --config file or a flag can set
 _CAPS = tuple(f.name for f in dataclasses.fields(RunConfig))
+# generator files past these caps are refused as not desk-scale
+_MAX_GENERATORS = 16
+_MAX_DIMENSION = 6
 
 
 class _ParseError(Exception):
@@ -80,7 +83,7 @@ class GeneratorFile:
     labels: tuple[str, ...]
 
     @staticmethod
-    def from_json_dict(d: dict, max_count: int = 16, max_n: int = 6) -> "GeneratorFile":
+    def from_json_dict(d: dict) -> "GeneratorFile":
         if not isinstance(d, dict):
             raise _ParseError("generator file must be a JSON object")
         try:
@@ -88,10 +91,10 @@ class GeneratorFile:
             grids = d["generators"]
         except (KeyError, TypeError, ValueError) as exc:
             raise _ParseError(f"missing or bad field: {exc}") from exc
-        if not 2 <= n <= max_n:
-            raise _ParseError(f"dimension must be in 2..{max_n}, got {n}")
-        if not isinstance(grids, list) or not 1 <= len(grids) <= max_count:
-            raise _ParseError(f"generator count must be in 1..{max_count}")
+        if not 2 <= n <= _MAX_DIMENSION:
+            raise _ParseError(f"dimension must be in 2..{_MAX_DIMENSION}, got {n}")
+        if not isinstance(grids, list) or not 1 <= len(grids) <= _MAX_GENERATORS:
+            raise _ParseError(f"generator count must be in 1..{_MAX_GENERATORS}")
         mats = []
         for idx, grid in enumerate(grids):
             if not isinstance(grid, list) or len(grid) != n:

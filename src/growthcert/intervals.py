@@ -138,9 +138,6 @@ class RationalInterval:
             raise SingularEnclosure("reciprocal of interval containing 0")
         return RationalInterval(1 / self.hi, 1 / self.lo)
 
-    def __truediv__(self, other: "RationalInterval") -> "RationalInterval":
-        return self * other.recip()
-
     def pow_int(self, k: int) -> "RationalInterval":
         if k == 0:
             return RationalInterval.point(1)
@@ -162,17 +159,8 @@ class RationalInterval:
             return -self
         return RationalInterval(Fraction(0), max(-self.lo, self.hi))
 
-    def sqrt(self, bits: int = 64) -> "RationalInterval":
-        return RationalInterval(sqrt_lower(self.lo, bits), sqrt_upper(self.hi, bits))
-
-    def hull(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def round_out(self, bits: int) -> "RationalInterval":
         return RationalInterval(dyadic_floor(self.lo, bits), dyadic_ceil(self.hi, bits))
-
-    def disjoint(self, other: "RationalInterval") -> bool:
-        return self.hi < other.lo or other.hi < self.lo
 
 
 _RI_ZERO = RationalInterval.point(0)
@@ -238,9 +226,6 @@ class ComplexInterval:
         inv = den.recip()
         return ComplexInterval(self.re * inv, (-self.im) * inv)
 
-    def __truediv__(self, other: "ComplexInterval") -> "ComplexInterval":
-        return self * other.recip()
-
     def pow_int(self, k: int, round_bits: int | None = None) -> "ComplexInterval":
         if k < 0:
             return self.pow_int(-k, round_bits).recip()
@@ -263,9 +248,6 @@ class ComplexInterval:
 
     def round_out(self, bits: int) -> "ComplexInterval":
         return ComplexInterval(self.re.round_out(bits), self.im.round_out(bits))
-
-    def hull(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(self.re.hull(other.re), self.im.hull(other.im))
 
     @property
     def max_width(self) -> Fraction:

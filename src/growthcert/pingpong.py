@@ -610,8 +610,8 @@ class PingPongCertificate:
         return PingPongCertificate.from_json_dict(json.loads(text))
 
 
-def growth_bound_from_length(ell: int, grid_bits: int = 20) -> Fraction:
-    """Largest multiple of 2^-grid_bits with q^ell <= 2.
+def growth_bound_from_length(ell: int) -> Fraction:
+    """Largest q on nth_root_floor's dyadic grid with q^ell <= 2.
 
     A free semigroup on two words of S-length <= ell forces the ball of
     radius ell*k to hold at least 2^k elements, so the rate is at least
@@ -619,4 +619,4 @@ def growth_bound_from_length(ell: int, grid_bits: int = 20) -> Fraction:
     """
     if ell < 1:
         raise ValueError("length must be positive")
-    return nth_root_floor(2, ell, grid_bits)
+    return nth_root_floor(2, ell)

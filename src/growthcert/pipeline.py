@@ -41,6 +41,7 @@ from .pingpong import (
     growth_bound_from_length,
     verify_cone_inclusions,
 )
+from .spectra import l1_gap_report
 from .wordforge import (
     balance_or_trace,
     diagonalized_pair,
@@ -212,7 +213,9 @@ def certify_generators(
         )
 
     try:
-        v, m = select_place_and_wedge(pair, s)
+        # the seed's grid belongs to A unless the roles were swapped
+        grid = l1_gap_report(pair.orig_a, s) if pair.norm_relation == "swapped" else seed.l1_grid
+        v, m = select_place_and_wedge(pair, grid)
     except GrowthcertError as exc:
         fail("select_place_and_wedge", exc)
     trace.append({"stage": "select_place_and_wedge", "ok": True, "place": str(v), "wedge_m": m})
@@ -225,8 +228,11 @@ def certify_generators(
         wa, wb = canonical_wedge_pair(a_mat, b_mat, word_a_final, word_b_final, v, m, bits)
         return derive_exponent(wa, wb, v, cap=config.exponent_cap, bits=bits)
 
+    # the canonical basis of A is exact exactly when pair's is, and exact
+    # data gives the same answer at every precision: no retry
+    retry = _PRECISION_ERRORS if pair.exact else _PRECISION_ERRORS + (ExponentSearchExhausted,)
     try:
-        e, r, checks = _escalate(canonical, retry=_PRECISION_ERRORS + (ExponentSearchExhausted,))
+        e, r, checks = _escalate(canonical, retry=retry)
     except GrowthcertError as exc:
         fail("derive_exponent", exc)
     trace.append(

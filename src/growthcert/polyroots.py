@@ -375,14 +375,18 @@ def weierstrass_boxes(f: Poly, dps: int) -> list[ComplexInterval]:
     return boxes
 
 
+# mpmath precision doublings certified_root_structure tries, from 30 digits
+_BOX_ATTEMPTS = 10
+
+
 def certified_root_structure(
-    f: Poly, width: Fraction, max_attempts: int = 10
+    f: Poly, width: Fraction
 ) -> tuple[list[RationalInterval], list[ComplexInterval]]:
     """Split roots of squarefree f into real intervals and off-axis boxes.
 
-    Real count is exact (Sturm); escalation doubles mpmath precision until
-    exactly degree-minus-real boxes are certified off the real axis and all
-    enclosures meet the width target.
+    Real count is exact (Sturm); escalation doubles mpmath precision, at
+    most _BOX_ATTEMPTS times, until exactly degree-minus-real boxes are
+    certified off the real axis and all enclosures meet the width target.
     """
     n = poly_degree(f)
     real_ivs = [refine_real_root(f, iv, width) for iv in isolate_real_roots(f)]
@@ -390,7 +394,7 @@ def certified_root_structure(
     if rho == n:
         return real_ivs, []
     dps = 30
-    for _ in range(max_attempts):
+    for _ in range(_BOX_ATTEMPTS):
         try:
             boxes = weierstrass_boxes(f, dps)
         except PrecisionExhausted:

@@ -31,32 +31,12 @@ from .polyroots import (
     cauchy_bound,
     modulus_enclosures,
     poly_degree,
-    poly_from,
     squarefree_part,
 )
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic characteristic polynomial, coefficients ascending."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] != 1:
-            raise ValueError("characteristic polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def poly(self) -> Poly:
-        return self.coeffs
-
-
-def char_poly(a: SquareMatrix) -> CharPoly:
-    """det(xI - A) by Faddeev-LeVerrier; exact over Q."""
+def char_poly(a: SquareMatrix) -> Poly:
+    """Monic det(xI - A), coefficients ascending, by Faddeev-LeVerrier; exact over Q."""
     n = a.n
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
@@ -67,7 +47,7 @@ def char_poly(a: SquareMatrix) -> CharPoly:
         m = a * m + ident.scale(c)
         c = -(a * m).trace() / k
         coeffs[n - k] = c
-    return CharPoly(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def _sylvester_resultant(f: Poly, g: Poly) -> Fraction:
@@ -135,7 +115,7 @@ def _newton_max_modulus_bound(f: Poly, p: int) -> Fraction:
 
 def check_separation(a: SquareMatrix, s: PlaceSet) -> SeparationReport:
     """Separation of distinct eigenvalues, certified place by place."""
-    f = char_poly(a).poly
+    f = char_poly(a)
     g = squarefree_part(f)
     r = poly_degree(g)
     if r <= 1:
@@ -197,7 +177,7 @@ def newton_polygon_moduli(a: SquareMatrix, v: Place) -> tuple[Fraction, ...]:
     """
     if v.is_archimedean:
         raise ValueError("Newton polygons are for finite places")
-    vals = newton_polygon_valuations(char_poly(a).poly, v.prime)
+    vals = newton_polygon_valuations(char_poly(a), v.prime)
     moduli = []
     for val in vals:
         if val.denominator != 1:
@@ -253,6 +233,12 @@ def wedge_diag(values: list, m: int) -> list:
 # eigenvalue modulus data and the (L1) gap grid
 
 
+# archimedean enclosure precision: every report starts at the first level,
+# and the (L1) grid doubles it up to the cap
+ARCH_BITS = 64
+ARCH_BITS_CAP = 512
+
+
 @dataclass(frozen=True)
 class EigenReport:
     """Eigenvalue modulus data of one matrix over a place set.
@@ -265,39 +251,30 @@ class EigenReport:
     """
 
     n: int
-    charpoly: tuple[Fraction, ...]
+    charpoly: Poly
     arch_moduli: tuple[RationalInterval, ...]
     finite_valuations: tuple[tuple[Place, tuple[Fraction, ...]], ...]
 
-    def valuations_at(self, v: Place) -> tuple[Fraction, ...]:
-        for place, vals in self.finite_valuations:
-            if place == v:
-                return vals
-        raise KeyError(str(v))
 
-
-def archimedean_moduli(a: SquareMatrix, precision_bits: int = 64) -> tuple[RationalInterval, ...]:
-    """|eigenvalue| enclosures at the archimedean place, descending.
-
-    Width target scales with the matrix: 2^-precision * max(1, norm).
-    """
-    f = char_poly(a).poly
-    scale = max(Fraction(1), a.max_abs_entry())
-    width = scale / (Fraction(2) ** precision_bits)
+def _arch_moduli(a: SquareMatrix, f: Poly, bits: int) -> tuple[RationalInterval, ...]:
+    """|eigenvalue| enclosures of A (charpoly f), descending, to 2^-bits * max(1, norm)."""
+    width = max(Fraction(1), a.max_abs_entry()) / (Fraction(2) ** bits)
     return tuple(modulus_enclosures(f, width))
 
 
-def eigen_report(a: SquareMatrix, s: PlaceSet, precision_bits: int = 64) -> EigenReport:
-    f = char_poly(a).poly
-    finite = []
-    for v in s:
-        if not v.is_archimedean:
-            finite.append((v, newton_polygon_valuations(f, v.prime)))
+def eigen_report(a: SquareMatrix, s: PlaceSet) -> EigenReport:
+    """Eigenvalue modulus data of A over S from one charpoly.
+
+    Newton polygon valuations at the finite places of S and archimedean
+    modulus enclosures at ARCH_BITS; l1_gap_report builds on this report.
+    """
+    f = char_poly(a)
+    finite = tuple((v, newton_polygon_valuations(f, v.prime)) for v in s if not v.is_archimedean)
     return EigenReport(
         n=a.n,
         charpoly=f,
-        arch_moduli=archimedean_moduli(a, precision_bits),
-        finite_valuations=tuple(finite),
+        arch_moduli=_arch_moduli(a, f, ARCH_BITS),
+        finite_valuations=finite,
     )
 
 
@@ -346,40 +323,33 @@ def l1_finite_decision(valuations: tuple[Fraction, ...], p: int, m: int) -> bool
     return _pow_ge(p, sums[1] - top, 2)
 
 
-def l1_gap_report(
-    a: SquareMatrix,
-    s: PlaceSet,
-    precision_bits: int = 64,
-    precision_cap: int = 512,
-) -> dict[tuple[Place, int], bool]:
+def l1_gap_report(a: SquareMatrix, s: PlaceSet) -> dict[tuple[Place, int], bool]:
     """(L1) verdict for every place in S and wedge degree 1..n-1.
 
-    Archimedean entries escalate enclosure precision until decided; raises
-    Inconclusive only if the cap is hit (exact ties at finite places cannot
-    occur: those comparisons are integer power comparisons).
+    Decided from one eigen_report: finite places from its valuations, the
+    archimedean place from its ARCH_BITS enclosures, recomputed from its
+    charpoly at doubled precision while a wedge degree stays undecided.
+    Raises Inconclusive only if ARCH_BITS_CAP is hit (exact ties at finite
+    places cannot occur: those comparisons are integer power comparisons).
     """
     n = a.n
-    f = char_poly(a).poly
+    report = eigen_report(a, s)
     out: dict[tuple[Place, int], bool] = {}
-    for v in s:
-        if v.is_archimedean:
-            continue
-        vals = newton_polygon_valuations(f, v.prime)
+    for v, vals in report.finite_valuations:
         for m in range(1, n):
             out[(v, m)] = l1_finite_decision(vals, v.prime, m)
     pending = set(range(1, n))
-    bits = precision_bits
-    while pending:
-        moduli = archimedean_moduli(a, bits)
+    bits, moduli = ARCH_BITS, report.arch_moduli
+    while True:
         for m in sorted(pending):
             verdict = l1_arch_decision(moduli, m)
             if verdict is not None:
                 out[(ARCH, m)] = verdict
                 pending.discard(m)
         if not pending:
-            break
-        if bits >= precision_cap:
+            return out
+        if bits >= ARCH_BITS_CAP:
             m = min(pending)
             raise Inconclusive(f"(L1) undecidable at archimedean place, wedge {m}")
         bits *= 2
-    return out
+        moduli = _arch_moduli(a, report.charpoly, bits)

@@ -3,10 +3,10 @@
 Diagonalize A with certified enclosures (exact when the charpoly splits
 over Q), balance norms by a centralizer conjugation, fall back to the
 trace route and role swap, and pick the place and wedge degree with a
-certified spectral gap.  Every stage checks the seed pair itself; none
-replaces B by a longer word.  The corner check (ensure_l2), corner
-amplification and the almost-algebra builder are library functions;
-certification does not run them.
+certified spectral gap from the gap grid the pair search already holds.
+Every stage checks the seed pair itself; none replaces B by a longer word.
+The corner check (ensure_l2), corner amplification and the almost-algebra
+builder are library functions; certification does not run them.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .intervals import (
 )
 from .pingpong import LConditions, check_l_conditions, entry_bounds
 from .polyroots import Poly, certified_root_structure, rational_roots, squarefree_part
-from .spectra import char_poly, eigen_report, l1_gap_report, wedge_diag, wedge_power
+from .spectra import char_poly, wedge_diag, wedge_power
 
 SYM_A = Word.generator(0)
 SYM_B = Word.generator(1)
@@ -85,15 +85,14 @@ def _interval_mid(x) -> float | Fraction:
     return _sort_float(abs(x))
 
 
-def diagonalize_exact(a: SquareMatrix, sort_place: Place = ARCH, poly: Poly | None = None):
-    """Exact eigenbasis when the charpoly splits into distinct rationals.
+def diagonalize_exact(a: SquareMatrix, poly: Poly, sort_place: Place = ARCH):
+    """Exact eigenbasis when the charpoly poly of A splits into distinct rationals.
 
     Returns (diag, p_rows, p_inv_rows) with eigenvalues sorted by modulus
     descending at sort_place (ties broken by value), or None when the
-    spectrum is not fully rational.  poly, when given, is A's charpoly.
+    spectrum is not fully rational.
     """
-    f = poly if poly is not None else char_poly(a).poly
-    roots = rational_roots(f)
+    roots = rational_roots(poly)
     if len(roots) != a.n or len(set(roots)) != a.n:
         return None
     order = sorted(roots, key=lambda lam: (-abs_value(lam, sort_place), lam))
@@ -102,19 +101,17 @@ def diagonalize_exact(a: SquareMatrix, sort_place: Place = ARCH, poly: Poly | No
     return tuple(order), p.entries, p.inverse().entries
 
 
-def diagonalize_enclosed(a: SquareMatrix, bits: int = 128, poly: Poly | None = None):
-    """Certified interval eigenbasis for a squarefree-charpoly matrix.
+def diagonalize_enclosed(a: SquareMatrix, poly: Poly, bits: int = 128):
+    """Certified interval eigenbasis for A with squarefree charpoly poly.
 
     Eigenvectors come from columns of adj(A - lambda I); the normalizing
     entry is pinned to exactly 1 since the true eigenvector scaled by its
     own coordinate has it there.  Raises SingularEnclosure or
     PrecisionExhausted when enclosures are too wide; callers escalate bits.
-    poly, when given, is A's charpoly.
     """
     n = a.n
-    f = poly if poly is not None else char_poly(a).poly
     width = Fraction(1, 2**bits) * max(Fraction(1), a.max_abs_entry())
-    real_ivs, boxes = certified_root_structure(f, width)
+    real_ivs, boxes = certified_root_structure(poly, width)
     lambdas = [ComplexInterval(iv, RationalInterval.point(0)) for iv in real_ivs]
     lambdas += list(boxes)
     lambdas.sort(
@@ -320,10 +317,10 @@ def diagonalized_pair(
     and the cone checks directly.  poly, when given, is A's charpoly; it is
     computed once and shared by the diagonalizations.
     """
-    f = poly if poly is not None else char_poly(a).poly
+    f = poly if poly is not None else char_poly(a)
     if squarefree_part(f) != f:
         raise ValueError("A must have a squarefree characteristic polynomial")
-    exact_basis = diagonalize_exact(a, sort_place, f)
+    exact_basis = diagonalize_exact(a, f, sort_place)
     if exact_basis is not None:
         a_diag, p, p_inv = exact_basis
         exact = True
@@ -331,7 +328,7 @@ def diagonalized_pair(
     else:
         if not sort_place.is_archimedean:
             raise Inconclusive("finite sort place needs a rational eigenbasis")
-        a_diag, p, p_inv = diagonalize_enclosed(a, bits, f)
+        a_diag, p, p_inv = diagonalize_enclosed(a, f, bits)
         exact = False
         b_rows = _rows_mul(_rows_mul(p_inv, cmat_from_exact(b), False, bits), p, False, bits)
     return ConjugatedPair(
@@ -409,7 +406,7 @@ def swap_roles(pair: ConjugatedPair, s: PlaceSet, bits: int = 128) -> Conjugated
     if not an_hi ** (2 * m) <= bn_lo:
         raise SwapFailed("norm(A)^m exceeds sqrt(norm(B)): swap inequality not certified")
 
-    f = char_poly(pair.orig_b).poly
+    f = char_poly(pair.orig_b)
     if squarefree_part(f) != f:
         raise SwapFailed("B has repeated eigenvalues: no certified eigenbasis")
     new = diagonalized_pair(pair.orig_b, pair.orig_a, pair.word_b, pair.word_a, ARCH, bits, f)
@@ -427,31 +424,29 @@ def swap_roles(pair: ConjugatedPair, s: PlaceSet, bits: int = 128) -> Conjugated
     return replace(new, norm_relation="swapped", constants=certified)
 
 
-def select_place_and_wedge(pair: ConjugatedPair, s: PlaceSet) -> tuple[Place, int]:
+def select_place_and_wedge(
+    pair: ConjugatedPair, grid: dict[tuple[Place, int], bool]
+) -> tuple[Place, int]:
     """Place of maximal norm(A) and the smallest wedge degree with a gap.
 
-    Works off the exact original A (spectral data is basis independent).
-    Places are ordered by the top eigenvalue modulus, largest first; wedge
-    degrees run 1..n-1.  Finite places are skipped for interval-basis
-    pairs, which cannot certify ultrametric cone bounds.
+    grid is the (L1) gap grid of the exact original A (l1_gap_report);
+    its keys give the places.  On an exact basis every eigenvalue is
+    rational, so places are ordered by the top eigenvalue modulus read off
+    a_diag, largest first, ties in place order; wedge degrees run 1..n-1.
+    Interval-basis pairs, which cannot certify ultrametric cone bounds,
+    get the archimedean place only.
     """
     if not pair.balanced:
         raise ValueError("pair must certify the norm relation before selection")
-    a = pair.orig_a
-    grid = l1_gap_report(a, s)
-    report = eigen_report(a, s)
-
-    def place_key(v: Place):
-        if v.is_archimedean:
-            top = report.arch_moduli[0]
-            return (-_sort_float((top.lo + top.hi) / 2), v.sort_key)
-        vals = report.valuations_at(v)
-        return (-_sort_float(Fraction(v.prime) ** -min(vals)), v.sort_key)
-
-    for v in sorted(s, key=place_key):
-        if not pair.exact and not v.is_archimedean:
-            continue
-        for m in range(1, a.n):
+    if pair.exact:
+        places = sorted(
+            {v for v, _ in grid},
+            key=lambda v: (-_sort_float(max(abs_value(x, v) for x in pair.a_diag)), v.sort_key),
+        )
+    else:
+        places = [ARCH]
+    for v in places:
+        for m in range(1, pair.n):
             if grid.get((v, m)):
                 return v, m
     summary = ", ".join(

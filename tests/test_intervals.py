@@ -20,6 +20,7 @@ from growthcert.intervals import (
     sqrt_lower,
     sqrt_upper,
 )
+from growthcert.spectra import char_poly
 from growthcert.wordforge import diagonalize_enclosed, diagonalize_exact
 
 M = SquareMatrix.from_rows
@@ -222,8 +223,8 @@ def test_enclosed_eigenbasis_contains_exact_eigenbasis(p_rows, lambdas, bits):
 
     p = M(p_rows)
     a = p * M(diag(lambdas)) * p.inverse()
-    exact, _, _ = diagonalize_exact(a)
-    boxes, p_enc, p_inv_enc = diagonalize_enclosed(a, bits=bits)
+    exact, _, _ = diagonalize_exact(a, char_poly(a))
+    boxes, p_enc, p_inv_enc = diagonalize_enclosed(a, char_poly(a), bits=bits)
     assert list(exact) == sorted(lambdas, key=lambda lam: -abs(lam))
     assert len(boxes) == len(exact)
     assert all(box.contains(lam) for box, lam in zip(boxes, exact))

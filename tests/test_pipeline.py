@@ -126,6 +126,44 @@ def test_verify_stops_precision_retries_on_an_exact_basis(monkeypatch):
     assert calls == list(pipeline.BITS_SCHEDULE)
 
 
+def test_certify_stops_the_exponent_search_on_an_exact_basis(monkeypatch):
+    # an exhausted search on exact basis data is exhausted at every precision
+    gens = [M([[2, 0], [0, F(1, 2)]]), M([[1, 1], [1, 2]])]
+    calls = count_wedge_pairs(monkeypatch)
+    with pytest.raises(PipelineFailure) as info:
+        certify_generators(gens, RunConfig(exponent_cap=1))
+    assert calls == [pipeline.BITS_SCHEDULE[0]]
+    assert info.value.stage == "derive_exponent"
+    detail = "no exponent up to 1 certifies the cone inclusions"
+    assert str(info.value) == f"derive_exponent: ExponentSearchExhausted: {detail}"
+    assert info.value.trace[-1] == {
+        "stage": "derive_exponent",
+        "ok": False,
+        "error": "ExponentSearchExhausted",
+        "detail": detail,
+    }
+
+
+def test_certify_selects_from_the_seed_grid(monkeypatch):
+    def recompute(a, s):
+        raise AssertionError("the seed's gap grid was recomputed")
+
+    monkeypatch.setattr(pipeline, "l1_gap_report", recompute)
+    assert certify_generators(sanov()).certificate.to_json() == SANOV_CERT_JSON
+
+
+def test_certify_recomputes_the_grid_once_after_a_swap(monkeypatch):
+    # B = "1" takes the trace route, so the roles swap and A becomes B
+    gens = [M([[2, 0], [1, F(1, 2)]]), M([[F(9, 2), F(-1, 2)], [F(-1, 4), F(1, 4)]])]
+    calls = []
+    grid = pipeline.l1_gap_report
+    monkeypatch.setattr(pipeline, "l1_gap_report", lambda a, s: calls.append(a) or grid(a, s))
+    res = certify_generators(gens)
+    assert "swap_roles" in [rec["stage"] for rec in res.trace]
+    assert str(res.certificate.word_a) == "1"
+    assert calls == [gens[1]]
+
+
 def test_verify_rejects_out_of_range_letter():
     gens = sanov()
     cert = certify_generators(gens).certificate

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -23,8 +24,11 @@ from growthcert.exactnum import (
     SquareMatrix,
     Word,
     evaluate_word,
+    s_support,
 )
 from growthcert.intervals import ComplexInterval, sqrt_upper
+from growthcert.polyroots import squarefree_part
+from growthcert.spectra import char_poly, eigen_report, l1_gap_report
 from growthcert.wordforge import (
     AlmostAlgebra,
     ConjugatedPair,
@@ -34,6 +38,7 @@ from growthcert.wordforge import (
     _kernel_vector,
     _project_residual,
     _rows_mul,
+    _sort_float,
     amplify_entry,
     balance_or_trace,
     build_almost_algebra,
@@ -179,22 +184,125 @@ def test_swap_rejects_repeated_eigenvalues():
 def test_select_place_and_wedge():
     # 2-adic eigenvalue moduli (4, 1/2, 1/2) beat the archimedean top 2
     a = diag(2, 2, F(1, 4))
-    assert select_place_and_wedge(manual_pair(a), S0) == (ARCH, 2)
+    assert select_place_and_wedge(manual_pair(a), l1_gap_report(a, S0)) == (ARCH, 2)
     s2 = PlaceSet.from_primes([2])
-    assert select_place_and_wedge(manual_pair(a), s2) == (Place.finite(2), 1)
+    grid = l1_gap_report(a, s2)
+    assert select_place_and_wedge(manual_pair(a), grid) == (Place.finite(2), 1)
     # an interval basis cannot certify ultrametric bounds: finite is skipped
-    assert select_place_and_wedge(manual_pair(a, exact=False), s2) == (ARCH, 2)
+    assert select_place_and_wedge(manual_pair(a, exact=False), grid) == (ARCH, 2)
 
 
 def test_select_requires_balanced_pair():
+    a = diag(4, F(1, 4))
     with pytest.raises(ValueError):
-        select_place_and_wedge(manual_pair(diag(4, F(1, 4)), relation="none"), S0)
+        select_place_and_wedge(manual_pair(a, relation="none"), l1_gap_report(a, S0))
 
 
 def test_select_no_gap():
     rot = M([[0, -1], [1, 0]])
     with pytest.raises(NoGap):
-        select_place_and_wedge(manual_pair(rot), S0)
+        select_place_and_wedge(manual_pair(rot), l1_gap_report(rot, S0))
+
+
+def reference_place_order(a, s):
+    """Places by the top eigenvalue modulus from a full eigen_report, largest first.
+
+    The order selection used before it read the moduli off the eigenbasis:
+    the archimedean enclosure midpoint and p^(-min v) at each prime.
+    """
+    report = eigen_report(a, s)
+    valuations = dict(report.finite_valuations)
+
+    def key(v):
+        if v.is_archimedean:
+            top = report.arch_moduli[0]
+            return (-_sort_float((top.lo + top.hi) / 2), v.sort_key)
+        return (-_sort_float(F(v.prime) ** -min(valuations[v])), v.sort_key)
+
+    return sorted(s, key=key)
+
+
+def reference_select(pair, s):
+    """First (place, wedge degree) with a gap in the reference order, or None."""
+    grid = l1_gap_report(pair.orig_a, s)
+    for v in reference_place_order(pair.orig_a, s):
+        if pair.exact or v.is_archimedean:
+            for m in range(1, pair.n):
+                if grid.get((v, m)):
+                    return v, m
+    return None
+
+
+def _random_pair(rng, n, eigenvalues):
+    """A = P diag(eigenvalues) P^-1 with P a product of elementary matrices, and a partner B."""
+    p = SquareMatrix.identity(n)
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        e = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+        e[i][j] = F(rng.choice([-2, -1, 1, 2]))
+        p = p * M(e)
+    a = p * diag(*eigenvalues) * p.inverse()
+    b = M([[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+    return a, b
+
+
+def _selection_input(a, b):
+    """A balanced pair in A's eigenbasis and the places {2, 3, 5} plus A's support."""
+    pair = replace(diagonalized_pair(a, b, WA, WB), norm_relation="B_prec_A")
+    return pair, PlaceSet(s_support([a]).places + PlaceSet.from_primes([2, 3, 5]).places)
+
+
+def test_select_matches_the_eigen_report_order_on_exact_pairs():
+    # rational spectra: the a_diag moduli equal the report's at every place,
+    # so the selection is the one a full eigen_report would give
+    rng = random.Random(1313)
+    primes = [2, 3, 5, 7]
+    values = [
+        F(sign * rng.choice(primes) ** rng.randint(0, 3), rng.choice(primes) ** rng.randint(0, 2))
+        for sign in (1, -1)
+        for _ in range(20)
+    ]
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(2, 3)
+        a, b = _random_pair(rng, n, rng.sample(sorted(set(values)), n))
+        pair, s = _selection_input(a, b)
+        assert pair.exact
+        want = reference_select(pair, s)
+        if want is None:
+            with pytest.raises(NoGap):
+                select_place_and_wedge(pair, l1_gap_report(a, s))
+        else:
+            assert select_place_and_wedge(pair, l1_gap_report(a, s)) == want
+            checked += 1
+    assert checked > 100
+
+
+def test_select_gives_interval_pairs_the_archimedean_place():
+    rng = random.Random(1314)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(2, 3)
+        a = M([[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+        f = char_poly(a)
+        if f[0] == 0 or squarefree_part(f) != f:
+            continue
+        pair, s = _selection_input(a, SquareMatrix.identity(n))
+        if pair.exact:
+            continue
+        try:
+            grid = l1_gap_report(a, s)
+        except Inconclusive:
+            continue
+        want = reference_select(pair, s)
+        if want is None:
+            with pytest.raises(NoGap):
+                select_place_and_wedge(pair, grid)
+        else:
+            assert want[0] == ARCH
+            assert select_place_and_wedge(pair, grid) == want
+            checked += 1
+    assert checked > 5
 
 
 def test_wedge_pair_sorts_by_modulus():
@@ -330,23 +438,23 @@ def test_almost_algebra_validation():
 
 def test_diagonalize_exact_round_trip():
     a = M([[2, 3], [0, F(1, 2)]])
-    d, p, p_inv = diagonalize_exact(a)
+    d, p, p_inv = diagonalize_exact(a, char_poly(a))
     assert d == (F(2), F(1, 2))
     assert M([list(r) for r in p]) * diag(*d) * M([list(r) for r in p_inv]) == a
     # irrational or repeated spectra return None
-    assert diagonalize_exact(M([[0, 2], [1, 0]])) is None
-    assert diagonalize_exact(M([[1, 1], [0, 1]])) is None
+    for m in (M([[0, 2], [1, 0]]), M([[1, 1], [0, 1]])):
+        assert diagonalize_exact(m, char_poly(m)) is None
 
 
 def test_diagonalize_exact_sort_place():
     a = diag(F(1, 4), 4)
-    assert diagonalize_exact(a)[0] == (F(4), F(1, 4))
-    assert diagonalize_exact(a, sort_place=Place.finite(2))[0] == (F(1, 4), F(4))
+    assert diagonalize_exact(a, char_poly(a))[0] == (F(4), F(1, 4))
+    assert diagonalize_exact(a, char_poly(a), sort_place=Place.finite(2))[0] == (F(1, 4), F(4))
 
 
 def test_diagonalize_enclosed_vieta():
     a = M([[5, 2], [2, 1]])
-    lambdas, p, p_inv = diagonalize_enclosed(a)
+    lambdas, p, p_inv = diagonalize_enclosed(a, char_poly(a))
     total = lambdas[0] + lambdas[1]
     prod = lambdas[0] * lambdas[1]
     assert total.re.lo <= 6 <= total.re.hi and total.im.lo <= 0 <= total.im.hi
