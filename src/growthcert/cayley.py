@@ -2,14 +2,15 @@
 
 Balls are built lazily, sphere by sphere in shortlex order, so the pair
 search stops at its first pair; exact dedup keeps three spheres.  A ball
-element M is held as the pair (d, N) with N an integer matrix, d > 0 and
-gcd(d, entries of N) = 1, so that M = N/d.  Each rational matrix has exactly
-one such form, so two words are identified exactly when they are equal in
-the group, never because floats or residues collided; products are integer
-matmuls, with one gcd only when a denominator appears.  Growth estimates
-derived from counts are certified dyadic lower bounds; the exponential-vs-
-polynomial verdict and the degree fit are float heuristics, clearly labeled,
-and never feed a certificate.
+element M is held as its integer form exactnum.integer_form(M) = (d, N),
+with M = N/d.  Each rational matrix has exactly one such form, so two words
+are identified exactly when they are equal in the group, never because
+floats or residues collided; products are integer matmuls, with one gcd
+only when a denominator appears.  An element is never multiplied by the
+inverse of its own last letter, since that product is its parent.  Growth
+estimates derived from counts are certified dyadic lower bounds; the
+exponential-vs-polynomial verdict and the degree fit are float heuristics,
+clearly labeled, and never feed a certificate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
-from .exactnum import PlaceSet, SquareMatrix, Word, row_reduce, s_support
+from .exactnum import PlaceSet, SquareMatrix, Word, integer_form, row_reduce, s_support
 from .polyroots import poly_degree, squarefree_part
 from .spectra import char_poly, discriminant, l1_gap_report
 
@@ -31,32 +32,30 @@ def charpoly_is_squarefree(mat: SquareMatrix) -> bool:
     return poly_degree(squarefree_part(f)) == poly_degree(f)
 
 
-def _integer_form(mat: SquareMatrix) -> tuple[int, tuple]:
-    """The unique (d, N) with mat = N/d, N an integer matrix, d > 0, gcd(d, N) = 1.
-
-    d is the least common denominator of the entries, so no prime of d
-    divides every entry of N.
-    """
-    d = math.lcm(*(x.denominator for row in mat.entries for x in row))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in mat.entries)
-
-
 def _as_matrix(key: tuple[int, tuple]) -> SquareMatrix:
     d, rows = key
     return SquareMatrix(tuple(tuple(Fraction(x, d) for x in row) for row in rows))
 
 
-def _alphabet(gens: list[SquareMatrix]) -> list[tuple[Word, tuple[int, tuple]]]:
-    """Generators then inverses, as (letter word, (d, N)); exact duplicates dropped."""
+def _alphabet(gens: list[SquareMatrix]) -> list[tuple[Word, tuple[int, tuple], int]]:
+    """Generators then inverses, as (letter word, (d, N), index of the inverse letter).
+
+    Exact duplicates are dropped, so an involution is its own inverse and
+    the inverse of a dropped letter is the letter kept in its place.
+    """
+    pairs = [(integer_form(g), integer_form(g.inverse())) for g in gens]
+    inverse_key = {}
+    for key, inv in pairs:
+        inverse_key[key], inverse_key[inv] = inv, key
+    index: dict[tuple, int] = {}
     letters = []
-    seen = set()
-    for sign, mats in ((1, gens), (-1, [g.inverse() for g in gens])):
-        for i, g in enumerate(mats):
-            key = _integer_form(g)
-            if key not in seen:
-                seen.add(key)
+    for sign, side in ((1, 0), (-1, 1)):
+        for i, pair in enumerate(pairs):
+            key = pair[side]
+            if key not in index:
+                index[key] = len(letters)
                 letters.append((Word(((i, sign),)), key))
-    return letters
+    return [(word, key, index[inverse_key[key]]) for word, key in letters]
 
 
 def _spheres(letters, radius, budget):
@@ -64,22 +63,26 @@ def _spheres(letters, radius, budget):
 
     Each is a list of (parent, letter, (d, N)): parent indexes the previous
     sphere (S(0) is the identity), letter indexes letters, and dividing
-    N1 N2 and d1 d2 by their gcd keeps the product in _integer_form.  Stops
-    after radius spheres or an empty one; raises BudgetExceeded at the first
-    new element past budget elements, the identity included.
+    N1 N2 and d1 d2 by their gcd keeps the product an integer form.  An
+    element is never multiplied by the inverse of its last letter: that
+    product is its parent, which is still in the dedup set.  Stops after
+    radius spheres or an empty one; raises BudgetExceeded at the first new
+    element past budget elements, the identity included.
     """
     if not letters:
         raise ValueError("empty generator list")
     n = len(letters[0][1][1])
-    mats = [(d, tuple(zip(*rows))) for _, (d, rows) in letters]
+    mats = list(enumerate((d, tuple(zip(*rows))) for _, (d, rows), _ in letters))
+    # the letters that may follow each letter
+    after = [[(j, mat) for j, mat in mats if j != inv] for _, _, inv in letters]
     ident = (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
     older, sphere = [], [(None, None, ident)]
     seen = {ident}
     total = 1
     for _ in range(radius):
         new = []
-        for parent, (_, _, (d, rows)) in enumerate(sphere):
-            for letter, (ld, cols) in enumerate(mats):
+        for parent, (_, last, (d, rows)) in enumerate(sphere):
+            for letter, (ld, cols) in mats if last is None else after[last]:
                 prod = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows)
                 dd = d * ld
                 if dd != 1:

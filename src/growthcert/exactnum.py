@@ -1,9 +1,12 @@
 """Exact arithmetic over Q with places.
 
-Rationals are stdlib Fraction throughout; "p/q" strings are the only
-serialized form (never floats).  A place is either the archimedean absolute
-value or a p-adic one; a PlaceSet is a finite set of places containing the
-archimedean one, which is what all product-formula style bounds range over.
+Rationals are Fractions at the API and integers inside the kernel: matrix
+products, characteristic polynomials (in spectra) and row reduction run on
+the integer form (d, N) of a matrix and build Fractions only for their
+results.  "p/q" strings are the only serialized form (never floats).  A
+place is either the archimedean absolute value or a p-adic one; a PlaceSet
+is a finite set of places containing the archimedean one, which is what all
+product-formula style bounds range over.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import GrowthcertError, WordIndexError
 
@@ -241,19 +245,41 @@ def abs_value(x: Fraction, v: Place) -> Fraction:
 # matrices
 
 
-def row_reduce(rows) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Reduced row echelon form over Q by Fraction Gauss-Jordan.
+def integer_form(m: "SquareMatrix") -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The unique (d, N) with m = N/d, N an integer matrix, d > 0, gcd(d, N) = 1.
 
-    Returns (rref, pivots, det): the nonzero rows of the reduced form, the
-    pivot column of each, and the product of the pivots times the sign of
-    the row swaps, which is 0 when the rows are linearly dependent.  For a
-    square matrix det is its determinant.  This is the package's only exact
-    elimination; rank, kernels, inverses and spans all read its output.
+    d is the least common denominator of the entries, so no prime of d
+    divides every entry of N.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    d = lcm(*(x.denominator for row in m.entries for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m.entries)
+
+
+def row_reduce(rows) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form over Q by fraction-free Gauss-Jordan.
+
+    rows holds ints and Fractions.  Returns (rref, pivots, det): the nonzero
+    rows of the reduced form, the pivot column of each, and the product of
+    the pivots times the sign of the row swaps, which is 0 when the rows are
+    linearly dependent.  For a square matrix det is its determinant.  This is the package's only exact
+    elimination; rank, kernels, inverses and spans all read its output.
+
+    Each row is scaled to integers by the lcm of its denominators, then
+    eliminated by Bareiss's rule: every other row r becomes
+    (p * r - r[col] * prow) / prev, p the new pivot and prev the one before,
+    and each division is exact.  Afterwards every pivot entry equals the
+    last pivot, so the reduced rows are the integer rows over it.
+    """
+    m = []
+    scale = 1
+    for row in rows:
+        row = list(row)
+        s = lcm(*(x.denominator for x in row))
+        scale *= s
+        m.append([x.numerator * (s // x.denominator) for x in row])
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    det = Fraction(1)
+    sign, prev = 1, 1
     for col in range(ncols):
         rank = len(pivots)
         if rank == len(m):
@@ -263,20 +289,23 @@ def row_reduce(rows) -> tuple[list[list[Fraction]], list[int], Fraction]:
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
-            det = -det
-        lead = m[rank][col]
-        det *= lead
+            sign = -sign
+        prow = m[rank]
+        p = prow[col]
         # entries left of col are zero in every row from rank down
-        prow = [x / lead for x in m[rank][col:]]
-        m[rank][col:] = prow
+        tail = prow[col:]
         for r, row in enumerate(m):
             f = row[col]
-            if r != rank and f != 0:
-                row[col:] = [a - f * b for a, b in zip(row[col:], prow)]
+            if r < rank:
+                m[r] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            elif r > rank and (f != 0 or p != prev):
+                row[col:] = [(p * a - f * b) // prev for a, b in zip(row[col:], tail)]
+        prev = p
         pivots.append(col)
-    if len(pivots) < len(m):
-        det = Fraction(0)
-    return m[: len(pivots)], pivots, det
+    rank = len(pivots)
+    rref = [[Fraction(x, prev) for x in row] for row in m[:rank]]
+    det = Fraction(sign * prev, scale) if rank == len(m) else Fraction(0)
+    return rref, pivots, det
 
 
 def _as_fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -321,12 +350,16 @@ class SquareMatrix:
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        cols = tuple(zip(*other.entries))
-        return SquareMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
+        da, rows = integer_form(self)
+        db, other_rows = integer_form(other)
+        cols = tuple(zip(*other_rows))
+        d = da * db
+        if d == 1:
+            return SquareMatrix(
+                tuple(tuple(Fraction(sum(map(mul, row, col))) for col in cols) for row in rows)
             )
+        return SquareMatrix(
+            tuple(tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in rows)
         )
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":

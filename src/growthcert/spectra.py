@@ -1,12 +1,12 @@
 """Spectral data of rational matrices, certified at every place.
 
-Characteristic polynomials come from the Faddeev-LeVerrier recurrence
-(division-free apart from exact rational division by integers), eigenvalue
-separation from the discriminant of the squarefree part, p-adic eigenvalue
-moduli from Newton polygons, and archimedean moduli from certified root
-enclosures.  The (L1) gap grid reports, for each place and wedge degree,
-whether the top eigenvalue modulus of the wedge power certifiably dominates
-both the constant 2 and twice the second largest modulus.
+Characteristic polynomials come from the Faddeev-LeVerrier recurrence run
+in integers on the integer form of the matrix, eigenvalue separation from
+the discriminant of the squarefree part, p-adic eigenvalue moduli from
+Newton polygons, and archimedean moduli from certified root enclosures.
+The (L1) gap grid reports, for each place and wedge degree, whether the top
+eigenvalue modulus of the wedge power certifiably dominates both the
+constant 2 and twice the second largest modulus.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 
 from .errors import BadExponent, Inconclusive, RamifiedSlopes, ZeroDiscriminant
 from .exactnum import (
@@ -23,6 +24,7 @@ from .exactnum import (
     PlaceSet,
     SquareMatrix,
     abs_value,
+    integer_form,
     padic_valuation,
 )
 from .intervals import RationalInterval
@@ -36,18 +38,25 @@ from .polyroots import (
 
 
 def char_poly(a: SquareMatrix) -> Poly:
-    """Monic det(xI - A), coefficients ascending, by Faddeev-LeVerrier; exact over Q."""
+    """Monic det(xI - A), coefficients ascending, by Faddeev-LeVerrier; exact over Q.
+
+    The recurrence runs in integers on the integer form A = N/d:
+    M_k = N M_(k-1) + c I and c = -tr(N M_k)/k, a division that is exact
+    because N's charpoly has integer coefficients.  Coefficient i of A's
+    charpoly is then c_i / d^(n-i).
+    """
     n = a.n
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = SquareMatrix.from_rows([[0] * n for _ in range(n)])
-    c = Fraction(1)
-    ident = SquareMatrix.identity(n)
+    d, rows = integer_form(a)
+    coeffs = [1] * (n + 1)
+    m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        m = a * m + ident.scale(c)
-        c = -(a * m).trace() / k
+        m = [[sum(map(mul, row, col)) for col in zip(*m)] for row in rows]
+        for i in range(n):
+            m[i][i] += coeffs[n - k + 1]
+        c, rem = divmod(-sum(sum(map(mul, row, col)) for row, col in zip(rows, zip(*m))), k)
+        assert rem == 0
         coeffs[n - k] = c
-    return tuple(coeffs)
+    return tuple(Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs))
 
 
 def _sylvester_resultant(f: Poly, g: Poly) -> Fraction:

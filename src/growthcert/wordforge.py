@@ -149,11 +149,7 @@ def diagonalize_enclosed(a: SquareMatrix, poly: Poly, bits: int = 128):
 
 def _rows_mul(x, y, exact: bool, bits: int = 128):
     if exact:
-        n = len(x)
-        return tuple(
-            tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+        return (SquareMatrix(x) * SquareMatrix(y)).entries
     return cmat_mul(x, y, round_bits=4 * bits)
 
 

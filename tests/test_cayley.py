@@ -1,5 +1,6 @@
 """Ball enumeration, growth verdicts, and the regular pair search."""
 
+import math
 import random
 from contextlib import nullcontext
 from fractions import Fraction as F
@@ -445,8 +446,114 @@ def test_ball_keeps_the_denominator_in_the_key():
     assert [c for _, c in report.ball_sizes] == [1, 3, 5, 7]
 
 
-def test_integer_form_is_canonical():
-    m = SquareMatrix.from_rows([[F(1, 2), F(-1, 3)], [F(5, 6), 2]])
-    assert cayley._integer_form(m) == (6, ((3, -2), (5, 12)))
-    assert cayley._as_matrix(cayley._integer_form(m)) == m
-    assert cayley._integer_form(SquareMatrix.identity(3)) == (1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+# ---------------------------------------------------------------------------
+# the inverse-letter skip against the sphere BFS without it
+
+
+def reference_spheres(letters, radius, budget):
+    """cayley._spheres as it was before the skip: every element times every letter."""
+    n = len(letters[0][1][1])
+    mats = [(d, tuple(zip(*rows))) for _, (d, rows), _ in letters]
+    ident = (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    older, sphere = [], [(None, None, ident)]
+    seen = {ident}
+    total = 1
+    for _ in range(radius):
+        new = []
+        for parent, (_, _, (d, rows)) in enumerate(sphere):
+            for letter, (ld, cols) in enumerate(mats):
+                prod = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in rows)
+                dd = d * ld
+                g = math.gcd(dd, *(x for row in prod for x in row))
+                key = (dd // g, tuple(tuple(x // g for x in row) for row in prod))
+                if key in seen:
+                    continue
+                if total >= budget:
+                    raise BudgetExceeded(f"ball exceeded budget {budget}")
+                total += 1
+                seen.add(key)
+                new.append((parent, letter, key))
+        seen.difference_update(key for _, _, key in older)
+        yield new
+        if not new:
+            return
+        older, sphere = sphere, new
+
+
+def all_spheres(spheres, gens, radius, budget):
+    """Every sphere the generator yields, then the BudgetExceeded message or None."""
+    out = []
+    try:
+        for sphere in spheres(cayley._alphabet(gens), radius, budget):
+            out.append(sphere)
+    except BudgetExceeded as exc:
+        return out, str(exc)
+    return out, None
+
+
+def assert_same_spheres(gens, radius, budget=10**6):
+    got = all_spheres(cayley._spheres, gens, radius, budget)
+    assert got == all_spheres(reference_spheres, gens, radius, budget)
+    return got
+
+
+_SHEAR = SquareMatrix.from_rows([[1, 1], [0, 1]])
+_MINUS_I = SquareMatrix.from_rows([[-1, 0], [0, -1]])
+
+
+@pytest.mark.parametrize(
+    "gens, radius",
+    [
+        (sanov_gens(), 5),
+        ([_MINUS_I, _SHEAR], 6),
+        ([_SHEAR, _SHEAR.inverse()], 6),
+        ([_SHEAR, _SHEAR, sanov_gens()[1]], 4),
+        ([SquareMatrix.from_rows([[0, -1], [1, 0]]), SquareMatrix.from_rows([[0, 1], [-1, 1]])], 8),
+        ([SquareMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), SquareMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])], 8),
+    ],
+    ids=["sanov", "minus-identity-and-shear", "mutually-inverse", "repeated", "sl2z-torsion", "finite-group"],
+)
+def test_inverse_letter_skip_keeps_every_sphere(gens, radius):
+    _, error = assert_same_spheres(gens, radius)
+    assert error is None
+
+
+def test_inverse_letter_skip_exhausts_a_finite_group():
+    # signed 3x3 permutation matrices of determinant 1: a group of order 24
+    gens = [
+        SquareMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+        SquareMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]]),
+    ]
+    spheres, error = assert_same_spheres(gens, 12)
+    assert error is None and spheres[-1] == []
+    assert 1 + sum(len(s) for s in spheres) == 24
+
+
+def test_inverse_letter_table():
+    # -I is its own inverse; a repeated letter and a letter equal to another's
+    # inverse are dropped, and the inverses map to the letters kept
+    letters = cayley._alphabet([_MINUS_I, _SHEAR, _SHEAR, _SHEAR.inverse()])
+    assert [str(w) for w, _, _ in letters] == ["0", "1", "3"]
+    assert [inv for _, _, inv in letters] == [0, 2, 1]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 17, 40, 53, 54])
+def test_inverse_letter_skip_keeps_the_budget_cut_off(budget):
+    spheres, error = assert_same_spheres(sanov_gens(), 4, budget)
+    assert error == f"ball exceeded budget {budget}"
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_ball(sanov_gens(), 4, budget)
+    assert [c for _, c in info.value.partial.ball_sizes] == [1] + [
+        1 + sum(len(s) for s in spheres[:k]) for k in range(1, len(spheres) + 1)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    gens=_generators(max_n=3),
+    radius=st.integers(1, 4),
+    budget=st.one_of(st.integers(1, 120), st.just(10**6)),
+)
+def test_inverse_letter_skip_matches_reference(gens, radius, budget):
+    assert_same_spheres(gens, radius, budget)

@@ -1,9 +1,10 @@
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growthcert.errors import GrowthcertError, WordIndexError
@@ -17,6 +18,7 @@ from growthcert.exactnum import (
     evaluate_word,
     factorize,
     format_rational,
+    integer_form,
     is_prime,
     padic_valuation,
     parse_rational,
@@ -276,3 +278,202 @@ def test_s_support():
     s = s_support(gens)
     assert primes_of(s) == (2, 3, 5)
     assert primes_of(s_support([M([[1, 1], [0, 1]])])) == ()
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction arithmetic it replaced
+
+
+def test_integer_form_is_canonical():
+    m = M([[F(1, 2), F(-1, 3)], [F(5, 6), 2]])
+    assert integer_form(m) == (6, ((3, -2), (5, 12)))
+    d, rows = integer_form(m)
+    assert M([[F(x, d) for x in row] for row in rows]) == m
+    assert integer_form(SquareMatrix.identity(3)) == (1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def reference_matmul(a, b):
+    """Entry-by-entry Fraction product."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def reference_row_reduce(rows):
+    """Fraction Gauss-Jordan: (rref, pivots, det) as row_reduce documents them."""
+    m = [[F(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    det = F(1)
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        lead = m[rank][col]
+        det *= lead
+        prow = [x / lead for x in m[rank][col:]]
+        m[rank][col:] = prow
+        for r, row in enumerate(m):
+            f = row[col]
+            if r != rank and f != 0:
+                row[col:] = [a - f * b for a, b in zip(row[col:], prow)]
+        pivots.append(col)
+    if len(pivots) < len(m):
+        det = F(0)
+    return m[: len(pivots)], pivots, det
+
+
+def _types(x):
+    """The nested structure of x with every leaf replaced by its type."""
+    if isinstance(x, (list, tuple)):
+        return type(x), [_types(y) for y in x]
+    return type(x)
+
+
+def assert_identical(got, want):
+    assert got == want
+    assert _types(got) == _types(want)
+
+
+def hostile_matrix(seed=5, n=6):
+    """n x n with small numerators over n^2 distinct 300-digit denominators."""
+    rng = random.Random(seed)
+    dens: set[int] = set()
+    while len(dens) < n * n:
+        dens.add(rng.randrange(10**299, 10**300))
+    dens = sorted(dens)
+    return M([[F(rng.randint(-10**6, 10**6), dens[n * i + j]) for j in range(n)] for i in range(n)])
+
+
+_kernel_entry = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**20)),
+)
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None, zero_rows=True):
+    """A rows x cols grid of ints and Fractions, with repeated and zero rows mixed in."""
+    nr = draw(st.integers(1, 6)) if rows is None else rows
+    nc = draw(st.integers(1, 6)) if cols is None else cols
+    grid = []
+    for _ in range(nr):
+        kind = draw(st.sampled_from(["random", "random", "random", "zero", "combo"]))
+        if kind == "zero" and zero_rows:
+            grid.append([0] * nc)
+        elif kind == "combo" and grid:
+            # a rational combination of earlier rows: rank deficiency
+            c1, c2 = draw(_kernel_entry), draw(_kernel_entry)
+            r1, r2 = draw(st.sampled_from(grid)), draw(st.sampled_from(grid))
+            grid.append([c1 * x + c2 * y for x, y in zip(r1, r2)])
+        else:
+            grid.append([draw(_kernel_entry) for _ in range(nc)])
+    return grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_matrices(n, n), _matrices(n, n))))
+def test_matmul_matches_fraction_reference(pair):
+    a, b = M(pair[0]), M(pair[1])
+    assert_identical((a * b).entries, reference_matmul(a.entries, b.entries))
+
+
+def test_matmul_matches_fraction_reference_seeded():
+    rng = random.Random(1501)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        den = rng.choice([1, 2, 6, 10**12])
+
+        def grid():
+            return [[F(rng.randint(-50, 50), rng.randint(1, den)) for _ in range(n)] for _ in range(n)]
+
+        a, b = M(grid()), M(grid())
+        assert_identical((a * b).entries, reference_matmul(a.entries, b.entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+@example([[0, 0], [0, 0]])
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+@example([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
+@example([[F(1, 2), 1], [1, 2], [3, 6]])
+def test_row_reduce_matches_fraction_reference(grid):
+    assert_identical(row_reduce(grid), reference_row_reduce(grid))
+
+
+def test_row_reduce_matches_fraction_reference_seeded():
+    rng = random.Random(1502)
+    for _ in range(600):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        grid = [
+            [F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 7])) if rng.random() < 0.7 else F(0) for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        if nr > 1 and rng.random() < 0.3:
+            grid[-1] = [x - 2 * y for x, y in zip(grid[0], grid[1 % nr])]
+        assert_identical(row_reduce(grid), reference_row_reduce(grid))
+
+
+def test_row_reduce_empty_zero_and_generator_input():
+    assert_identical(row_reduce([]), ([], [], F(1)))
+    assert_identical(row_reduce([[]]), reference_row_reduce([[]]))
+    assert_identical(row_reduce([[0, 0, 0]] * 3), ([], [], F(0)))
+    grid = [[1, 2, 3], [F(1, 2), 5, 0], [0, 0, F(7, 3)]]
+    assert_identical(row_reduce(tuple(row) for row in grid), reference_row_reduce(grid))
+    assert_identical(row_reduce(iter(row) for row in grid), reference_row_reduce(grid))
+
+
+def test_row_reduce_det_sign_follows_row_swaps():
+    # one swap, then two swaps (a 3-cycle), then a swap below a pivot
+    for grid, det in (
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
+        ([[2, 1, 1], [4, 2, 5], [6, 4, 3]], -6),
+        ([[0, F(1, 2), 0], [F(3, 5), 0, 0], [0, 0, F(-2, 7)]], F(3, 35)),
+    ):
+        assert row_reduce(grid)[2] == det
+        assert_identical(row_reduce(grid), reference_row_reduce(grid))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: _matrices(n, n, zero_rows=False)))
+def test_inverse_round_trip_matches_fraction_reference(grid):
+    a = M(grid)
+    n = a.n
+    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    rref, pivots, det = reference_row_reduce([row + id_row for row, id_row in zip(grid, ident)])
+    assert a.det() == reference_row_reduce(grid)[2]
+    if pivots != list(range(n)):
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    inv = a.inverse()
+    assert_identical(inv.entries, tuple(tuple(row[n:]) for row in rref))
+    assert a * inv == inv * a == SquareMatrix.identity(n)
+    assert inv.inverse() == a
+
+
+def test_hostile_denominators_match_fraction_reference():
+    # products of distinct 300-digit denominators grow the entries fast;
+    # the kernel must still agree exactly and finish well inside the bound
+    a = hostile_matrix()
+    t0 = time.perf_counter()
+    got = row_reduce(a.entries)
+    inv = a.inverse()
+    prod = inv * a
+    elapsed = time.perf_counter() - t0
+    assert_identical(got, reference_row_reduce(a.entries))
+    n = a.n
+    rref, _, _ = reference_row_reduce(
+        [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a.entries)]
+    )
+    assert_identical(inv.entries, tuple(tuple(row[n:]) for row in rref))
+    assert prod == SquareMatrix.identity(n)
+    assert elapsed < 30

@@ -1,9 +1,12 @@
 """Characteristic polynomials, separation bounds, Newton polygons, wedges."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from growthcert.exactnum import ARCH, Place, PlaceSet, SquareMatrix, abs_value
 from growthcert.errors import BadExponent, Inconclusive, RamifiedSlopes
@@ -280,3 +283,80 @@ def test_l1_gap_report_inconclusive_at_cap():
     assert a.det() == 1
     with pytest.raises(Inconclusive):
         l1_gap_report(a, PlaceSet([]))
+
+
+# ---------------------------------------------------------------------------
+# the integer Faddeev-LeVerrier against the Fraction recurrence it replaced
+
+
+def reference_char_poly(a):
+    """Faddeev-LeVerrier on Fraction rows: M_k = A M_(k-1) + c I, c = -tr(A M_k)/k."""
+    n = len(a)
+    a = [[F(x) for x in row] for row in a]
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    coeffs = [F(0)] * (n + 1)
+    coeffs[n] = F(1)
+    m = [[F(0)] * n for _ in range(n)]
+    c = F(1)
+    for k in range(1, n + 1):
+        m = mul(a, m)
+        for i in range(n):
+            m[i][i] += c
+        am = mul(a, m)
+        c = -sum(am[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+    return tuple(coeffs)
+
+
+def assert_same_poly(a):
+    got = char_poly(a)
+    want = reference_char_poly(a.entries)
+    assert got == want
+    assert type(got) is tuple and all(type(c) is F for c in got)
+
+
+_poly_entry = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(F, st.integers(-10**25, 10**25), st.integers(1, 10**15)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(_poly_entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[0]])
+@example([[0, 0], [0, 0]])
+@example([[F(1, 2), 0, 0], [0, F(1, 3), 0], [0, 0, F(1, 5)]])
+def test_char_poly_matches_fraction_reference(grid):
+    assert_same_poly(SquareMatrix.from_rows(grid))
+
+
+def test_char_poly_matches_fraction_reference_seeded():
+    rng = random.Random(1503)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        den = rng.choice([1, 2, 4, 6, 35, 10**9])
+        grid = [[F(rng.randint(-20, 20), rng.randint(1, den)) for _ in range(n)] for _ in range(n)]
+        assert_same_poly(SquareMatrix.from_rows(grid))
+    for _ in range(30):
+        assert_same_poly(random_sl(rng, rng.randint(2, 6)))
+
+
+def test_char_poly_hostile_denominators():
+    # 36 distinct 300-digit denominators: d is their 10800-digit lcm
+    rng = random.Random(5)
+    dens: set[int] = set()
+    while len(dens) < 36:
+        dens.add(rng.randrange(10**299, 10**300))
+    dens = sorted(dens)
+    a = SquareMatrix.from_rows(
+        [[F(rng.randint(-10**6, 10**6), dens[6 * i + j]) for j in range(6)] for i in range(6)]
+    )
+    t0 = time.perf_counter()
+    got = char_poly(a)
+    elapsed = time.perf_counter() - t0
+    assert got == reference_char_poly(a.entries)
+    assert elapsed < 60
