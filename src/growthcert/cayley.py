@@ -22,13 +22,12 @@ from operator import mul
 
 from .errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
 from .exactnum import PlaceSet, SquareMatrix, Word, integer_form, row_reduce, s_support
-from .polyroots import poly_degree, squarefree_part
+from .polyroots import Poly, poly_degree, squarefree_part
 from .spectra import char_poly, discriminant, l1_gap_report
 
 
-def charpoly_is_squarefree(mat: SquareMatrix) -> bool:
-    """Distinct eigenvalues, i.e. the matrix is regular semisimple."""
-    f = char_poly(mat)
+def charpoly_is_squarefree(f: Poly) -> bool:
+    """Distinct eigenvalues, i.e. a matrix with charpoly f is regular semisimple."""
     return poly_degree(squarefree_part(f)) == poly_degree(f)
 
 
@@ -354,10 +353,11 @@ def find_regular_pair(
     letters = _alphabet(gens)
     for word_a, key_a in _ball_words(letters, depth, budget):
         mat_a = _as_matrix(key_a)
-        if not charpoly_is_squarefree(mat_a):
+        f = char_poly(mat_a)
+        if not charpoly_is_squarefree(f):
             continue
         try:
-            grid = l1_gap_report(mat_a, s)
+            grid = l1_gap_report(mat_a, s, f)
         except Inconclusive:
             continue
         if any(grid.values()):
@@ -380,7 +380,7 @@ def find_regular_pair(
             matrix_a=mat_a,
             matrix_b=mat_b,
             # A passed the squarefree gate, so its charpoly is its squarefree part
-            disc=discriminant(char_poly(mat_a)),
+            disc=discriminant(f),
             l1_grid=grid,
             genericity={"shemesh": True, "burnside_dim": dim},
         )

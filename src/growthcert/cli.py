@@ -49,7 +49,7 @@ from .exactnum import (
 )
 from .pingpong import PingPongCertificate
 from .pipeline import RunConfig, certify_generators, verify_certificate
-from .spectra import check_separation, eigen_report, wedge_power
+from .spectra import char_poly, check_separation, eigen_report, wedge_power
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -341,7 +341,7 @@ def cmd_spectrum(args) -> int:
     except (GrowthcertError, ValueError) as exc:
         raise _ParseError(f"bad word {args.word!r}: {exc}") from exc
     s = _support(gfile)
-    report = eigen_report(mat, s)
+    report = eigen_report(mat, s, char_poly(mat))
     try:
         sep = check_separation(mat, s)
         separation = {

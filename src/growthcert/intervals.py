@@ -299,30 +299,13 @@ def cmat_det_small(a: CMatrix) -> ComplexInterval:
     return acc
 
 
-def cmat_adjugate(a: CMatrix) -> CMatrix:
-    """adj(a)[j][i] = (-1)^(i+j) * minor_ij; satisfies a*adj = det*I."""
-    n = len(a)
-    if n == 1:
-        return ((ComplexInterval.point(1),),)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(a[r][c] for c in range(n) if c != j)
-                for r in range(n)
-                if r != i
-            )
-            d = cmat_det_small(minor)
-            out[j][i] = d if (i + j) % 2 == 0 else -d
-    return tuple(tuple(row) for row in out)
-
-
 def cmat_inverse(a: CMatrix, round_bits: int | None = None) -> CMatrix:
     """Gauss-Jordan with certified-nonzero pivots.
 
     Pivot choice: row with the largest lower bound on |entry|; raises
     SingularEnclosure when no pivot is certified nonzero, which callers
-    treat as "escalate precision and retry".
+    treat as "escalate precision and retry".  A library routine: eigenbases
+    take P^-1 from the adjugate polynomial instead (wordforge.diagonalize).
     """
     n = len(a)
     aug = [list(row) + [ComplexInterval.point(1 if i == j else 0) for j in range(n)]

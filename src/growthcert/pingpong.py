@@ -333,18 +333,18 @@ def derive_exponent(
     DEFAULT_RADII order, which makes the outcome deterministic and means a
     certificate at (e, r) implies no radius worked at e-1.  The gap condition guarantees
     termination in principle: the top-row margin of diag(a)^e B grows like
-    |a_1/a_2|^e against the fixed polynomial bounds on B.
+    |a_1/a_2|^e against the fixed polynomial bounds on B.  The checks are
+    verify_cone_inclusions', with each exponent's rows built once.
     """
-    disjoint_cache = {r: _check_disjoint(b_rows, r, v, bits) for r in DEFAULT_RADII}
-    if not any(disjoint_cache.values()):
+    radii = [r for r in DEFAULT_RADII if _check_disjoint(b_rows, r, v, bits)]
+    if not radii:
         raise ExponentSearchExhausted("no radius certifies B-cone disjointness")
     for e in range(1, cap + 1):
-        for r in DEFAULT_RADII:
-            if not disjoint_cache[r]:
-                continue
-            checks = verify_cone_inclusions(a_diag, b_rows, e, r, v, bits)
-            if checks.all_pass:
-                return e, r, checks
+        m1 = _scale_rows_by_diag_power(a_diag, b_rows, e, bits)
+        m2 = _scale_rows_by_diag_power(a_diag, b_rows, 2 * e, bits)
+        for r in radii:
+            if _check_inclusion(m1, r, v, bits) and _check_inclusion(m2, r, v, bits):
+                return e, r, ConeChecks(disjoint=True, contracts=True, contracts_double=True)
     raise ExponentSearchExhausted(f"no exponent up to {cap} certifies the cone inclusions")
 
 

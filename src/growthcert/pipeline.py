@@ -41,7 +41,7 @@ from .pingpong import (
     growth_bound_from_length,
     verify_cone_inclusions,
 )
-from .spectra import l1_gap_report
+from .spectra import char_poly, l1_gap_report
 from .wordforge import (
     balance_or_trace,
     diagonalized_pair,
@@ -214,7 +214,8 @@ def certify_generators(
 
     try:
         # the seed's grid belongs to A unless the roles were swapped
-        grid = l1_gap_report(pair.orig_a, s) if pair.norm_relation == "swapped" else seed.l1_grid
+        swapped = pair.norm_relation == "swapped"
+        grid = l1_gap_report(pair.orig_a, s, char_poly(pair.orig_a)) if swapped else seed.l1_grid
         v, m = select_place_and_wedge(pair, grid)
     except GrowthcertError as exc:
         fail("select_place_and_wedge", exc)

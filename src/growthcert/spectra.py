@@ -1,9 +1,11 @@
 """Spectral data of rational matrices, certified at every place.
 
 Characteristic polynomials come from the Faddeev-LeVerrier recurrence run
-in integers on the integer form of the matrix, eigenvalue separation from
-the discriminant of the squarefree part, p-adic eigenvalue moduli from
-Newton polygons, and archimedean moduli from certified root enclosures.
+in integers on the integer form of the matrix; its intermediate matrices
+are the coefficients of adj(xI - A), from which eigenbases are read.
+Eigenvalue separation comes from the discriminant of the squarefree part,
+p-adic eigenvalue moduli from Newton polygons, and archimedean moduli from
+certified root enclosures.
 The (L1) gap grid reports, for each place and wedge degree, whether the top
 eigenvalue modulus of the wedge power certifiably dominates both the
 constant 2 and twice the second largest modulus.
@@ -37,26 +39,36 @@ from .polyroots import (
 )
 
 
-def char_poly(a: SquareMatrix) -> Poly:
-    """Monic det(xI - A), coefficients ascending, by Faddeev-LeVerrier; exact over Q.
+def adjugate_poly(a: SquareMatrix) -> tuple[Poly, int, tuple]:
+    """A's charpoly f with the coefficients of its adjugate, by Faddeev-LeVerrier.
 
     The recurrence runs in integers on the integer form A = N/d:
-    M_k = N M_(k-1) + c I and c = -tr(N M_k)/k, a division that is exact
-    because N's charpoly has integer coefficients.  Coefficient i of A's
-    charpoly is then c_i / d^(n-i).
+    M_1 = I, M_k = N M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(N M_k)/k, a
+    division that is exact because N's charpoly has integer coefficients.
+    Returns (f, d, (M_1, ..., M_n)) with f monic, coefficients ascending,
+    coefficient i being c_i / d^(n-i).  The M_k are integer row tuples with
+    adj(xI - N) = sum_k M_k x^(n-k), so adj(xI - A) = sum_k M_k x^(n-k) / d^(k-1)
+    (Gantmacher, The Theory of Matrices I, ch. IV).
     """
     n = a.n
     d, rows = integer_form(a)
     coeffs = [1] * (n + 1)
+    mats = []
     m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         m = [[sum(map(mul, row, col)) for col in zip(*m)] for row in rows]
         for i in range(n):
             m[i][i] += coeffs[n - k + 1]
+        mats.append(tuple(map(tuple, m)))
         c, rem = divmod(-sum(sum(map(mul, row, col)) for row, col in zip(rows, zip(*m))), k)
         assert rem == 0
         coeffs[n - k] = c
-    return tuple(Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs))
+    return tuple(Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs)), d, tuple(mats)
+
+
+def char_poly(a: SquareMatrix) -> Poly:
+    """Monic det(xI - A), coefficients ascending; exact over Q (see adjugate_poly)."""
+    return adjugate_poly(a)[0]
 
 
 def _sylvester_resultant(f: Poly, g: Poly) -> Fraction:
@@ -271,13 +283,12 @@ def _arch_moduli(a: SquareMatrix, f: Poly, bits: int) -> tuple[RationalInterval,
     return tuple(modulus_enclosures(f, width))
 
 
-def eigen_report(a: SquareMatrix, s: PlaceSet) -> EigenReport:
-    """Eigenvalue modulus data of A over S from one charpoly.
+def eigen_report(a: SquareMatrix, s: PlaceSet, f: Poly) -> EigenReport:
+    """Eigenvalue modulus data of A over S from its charpoly f.
 
     Newton polygon valuations at the finite places of S and archimedean
     modulus enclosures at ARCH_BITS; l1_gap_report builds on this report.
     """
-    f = char_poly(a)
     finite = tuple((v, newton_polygon_valuations(f, v.prime)) for v in s if not v.is_archimedean)
     return EigenReport(
         n=a.n,
@@ -332,8 +343,8 @@ def l1_finite_decision(valuations: tuple[Fraction, ...], p: int, m: int) -> bool
     return _pow_ge(p, sums[1] - top, 2)
 
 
-def l1_gap_report(a: SquareMatrix, s: PlaceSet) -> dict[tuple[Place, int], bool]:
-    """(L1) verdict for every place in S and wedge degree 1..n-1.
+def l1_gap_report(a: SquareMatrix, s: PlaceSet, f: Poly) -> dict[tuple[Place, int], bool]:
+    """(L1) verdict for every place in S and wedge degree 1..n-1, from A's charpoly f.
 
     Decided from one eigen_report: finite places from its valuations, the
     archimedean place from its ARCH_BITS enclosures, recomputed from its
@@ -342,7 +353,7 @@ def l1_gap_report(a: SquareMatrix, s: PlaceSet) -> dict[tuple[Place, int], bool]
     places cannot occur: those comparisons are integer power comparisons).
     """
     n = a.n
-    report = eigen_report(a, s)
+    report = eigen_report(a, s, f)
     out: dict[tuple[Place, int], bool] = {}
     for v, vals in report.finite_valuations:
         for m in range(1, n):

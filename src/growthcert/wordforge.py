@@ -1,9 +1,10 @@
 """Basis preparation between pair selection and cone certification.
 
-Diagonalize A with certified enclosures (exact when the charpoly splits
-over Q), balance norms by a centralizer conjugation, fall back to the
-trace route and role swap, and pick the place and wedge degree with a
-certified spectral gap from the gap grid the pair search already holds.
+Diagonalize A from its adjugate polynomial (exact when the charpoly splits
+over Q, certified enclosures otherwise), balance norms by a centralizer
+conjugation, fall back to the trace route and role swap, and pick the
+place and wedge degree with a certified spectral gap from the gap grid the
+pair search already holds.
 Every stage checks the seed pair itself; none replaces B by a longer word.
 The corner check (ensure_l2), corner amplification and the almost-algebra
 builder are library functions; certification does not run them.
@@ -28,21 +29,18 @@ from .errors import (
     SingularEnclosure,
     SwapFailed,
 )
-from .exactnum import ARCH, Place, PlaceSet, SquareMatrix, Word, abs_value, row_reduce
+from .exactnum import ARCH, Place, PlaceSet, SquareMatrix, Word, abs_value
 from .intervals import (
     ComplexInterval,
     RationalInterval,
-    cmat_adjugate,
     cmat_det_small,
     cmat_from_exact,
-    cmat_inverse,
     cmat_mul,
-    cmat_sub,
     sqrt_upper,
 )
 from .pingpong import LConditions, check_l_conditions, entry_bounds
 from .polyroots import Poly, certified_root_structure, rational_roots, squarefree_part
-from .spectra import char_poly, wedge_diag, wedge_power
+from .spectra import adjugate_poly, char_poly, wedge_diag, wedge_power
 
 SYM_A = Word.generator(0)
 SYM_B = Word.generator(1)
@@ -50,17 +48,6 @@ SYM_B = Word.generator(1)
 
 # ---------------------------------------------------------------------------
 # diagonalization
-
-
-def _kernel_vector(m: SquareMatrix) -> tuple[Fraction, ...]:
-    """One nonzero kernel vector of a singular matrix: the first free column set to 1."""
-    rref, pivots, _ = row_reduce(m.entries)
-    free = next(c for c in range(m.n) if c not in pivots)
-    vec = [Fraction(0)] * m.n
-    vec[free] = Fraction(1)
-    for row, col in zip(rref, pivots):
-        vec[col] = -row[free]
-    return tuple(vec)
 
 
 _FLOAT_MAX = Fraction(sys.float_info.max)
@@ -85,35 +72,11 @@ def _interval_mid(x) -> float | Fraction:
     return _sort_float(abs(x))
 
 
-def diagonalize_exact(a: SquareMatrix, poly: Poly, sort_place: Place = ARCH):
-    """Exact eigenbasis when the charpoly poly of A splits into distinct rationals.
-
-    Returns (diag, p_rows, p_inv_rows) with eigenvalues sorted by modulus
-    descending at sort_place (ties broken by value), or None when the
-    spectrum is not fully rational.
-    """
-    roots = rational_roots(poly)
-    if len(roots) != a.n or len(set(roots)) != a.n:
-        return None
-    order = sorted(roots, key=lambda lam: (-abs_value(lam, sort_place), lam))
-    columns = [_kernel_vector(a - SquareMatrix.identity(a.n).scale(lam)) for lam in order]
-    p = SquareMatrix.from_rows([[columns[j][i] for j in range(a.n)] for i in range(a.n)])
-    return tuple(order), p.entries, p.inverse().entries
-
-
-def diagonalize_enclosed(a: SquareMatrix, poly: Poly, bits: int = 128):
-    """Certified interval eigenbasis for A with squarefree charpoly poly.
-
-    Eigenvectors come from columns of adj(A - lambda I); the normalizing
-    entry is pinned to exactly 1 since the true eigenvector scaled by its
-    own coordinate has it there.  Raises SingularEnclosure or
-    PrecisionExhausted when enclosures are too wide; callers escalate bits.
-    """
-    n = a.n
+def _root_boxes(f: Poly, a: SquareMatrix, bits: int) -> list[ComplexInterval]:
+    """Root boxes of A's charpoly f, 2^-bits * max(1, |A|) wide, by midpoint modulus descending."""
     width = Fraction(1, 2**bits) * max(Fraction(1), a.max_abs_entry())
-    real_ivs, boxes = certified_root_structure(poly, width)
-    lambdas = [ComplexInterval(iv, RationalInterval.point(0)) for iv in real_ivs]
-    lambdas += list(boxes)
+    real_ivs, boxes = certified_root_structure(f, width)
+    lambdas = [ComplexInterval(iv, RationalInterval.point(0)) for iv in real_ivs] + list(boxes)
     lambdas.sort(
         key=lambda z: (
             -_interval_mid(z),
@@ -121,29 +84,76 @@ def diagonalize_enclosed(a: SquareMatrix, poly: Poly, bits: int = 128):
             -_sort_float((z.im.lo + z.im.hi) / 2),
         )
     )
-    ea = cmat_from_exact(a)
-    columns = []
+    return lambdas
+
+
+def _eigenbasis(d: int, mats, lambdas, bits: int):
+    """Rows of P and of P^-1 from adjugate_poly's (d, mats) at each root in lambdas.
+
+    Horner gives X = sum_k M_k mu^(n-k) = adj(mu I - N) with mu = d * lambda.
+    At a simple root X has rank 1 and X^2 = tr(X) X, so a nonzero column
+    pinned to 1 at coordinate q is the eigenvector and row q over tr(X) the
+    matching row of P^-1.  Exact roots pin the first nonzero column at its
+    last nonzero coordinate; boxes take the column, then the coordinate,
+    of largest certified modulus and round out at 4 * bits after each step.
+    """
+    n = len(lambdas)
+    exact = not isinstance(lambdas[0], ComplexInterval)
+    if not exact:
+        mats = [[[ComplexInterval.point(x) for x in row] for row in m] for m in mats]
+    columns, inv_rows = [], []
     for lam in lambdas:
-        shift = tuple(
-            tuple(lam if i == j else ComplexInterval.point(0) for j in range(n))
-            for i in range(n)
-        )
-        adj = cmat_adjugate(cmat_sub(ea, shift))
-        best_col, best_lo = None, Fraction(0)
-        for j in range(n):
-            col = [adj[i][j] for i in range(n)]
-            lo = max(x.mag_sq().lo for x in col)
-            if lo > best_lo:
-                best_col, best_lo = col, lo
-        if best_col is None:
-            raise SingularEnclosure("no adjugate column certified nonzero")
-        pivot_i = max(range(n), key=lambda i: best_col[i].mag_sq().lo)
-        inv = best_col[pivot_i].recip()
-        col = [(x * inv).round_out(4 * bits) for x in best_col]
-        col[pivot_i] = ComplexInterval.point(1)
+        mu = lam * d if exact else lam.scale(d)
+        adj = mats[0]
+        for m in mats[1:]:
+            adj = [[x * mu + y for x, y in zip(row, mrow)] for row, mrow in zip(adj, m)]
+            if not exact:
+                adj = [[x.round_out(4 * bits) for x in row] for row in adj]
+        tr = sum((adj[i][i] for i in range(1, n)), adj[0][0])
+        if exact:
+            col = next(c for c in zip(*adj) if any(c))
+            q = max(i for i in range(n) if col[i])
+            pin, scale = 1 / Fraction(col[q]), 1 / Fraction(tr)
+            col = [x * pin for x in col]
+            row = [x * scale for x in adj[q]]
+        else:
+            col, best_lo = None, Fraction(0)
+            for c in zip(*adj):
+                lo = max(x.mag_sq().lo for x in c)
+                if lo > best_lo:
+                    col, best_lo = c, lo
+            if col is None:
+                raise SingularEnclosure("no adjugate column certified nonzero")
+            q = max(range(n), key=lambda i: col[i].mag_sq().lo)
+            pin, scale = col[q].recip(), tr.recip()
+            col = [(x * pin).round_out(4 * bits) for x in col]
+            col[q] = ComplexInterval.point(1)
+            row = [(x * scale).round_out(4 * bits) for x in adj[q]]
         columns.append(col)
-    p = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-    p_inv = cmat_inverse(p, round_bits=4 * bits)
+        inv_rows.append(tuple(row))
+    return tuple(zip(*columns)), tuple(inv_rows)
+
+
+def diagonalize(a: SquareMatrix, sort_place: Place = ARCH, bits: int = 128):
+    """(diag, P rows, P^-1 rows) with A = P diag P^-1, from one adjugate_poly.
+
+    Eigenvalues sort by modulus descending at sort_place.  A charpoly that
+    splits over Q gives exact Fractions, ties broken by value; otherwise
+    eigenvalues are certified boxes at 2^-bits and P, P^-1 enclosures,
+    which needs the archimedean sort place; too wide a box raises
+    SingularEnclosure or PrecisionExhausted, and callers escalate bits.
+    """
+    f, d, mats = adjugate_poly(a)
+    if squarefree_part(f) != f:
+        raise ValueError("A must have a squarefree characteristic polynomial")
+    roots = rational_roots(f)
+    if len(roots) == a.n:
+        lambdas = sorted(roots, key=lambda lam: (-abs_value(lam, sort_place), lam))
+    elif not sort_place.is_archimedean:
+        raise Inconclusive("finite sort place needs a rational eigenbasis")
+    else:
+        lambdas = _root_boxes(f, a, bits)
+    p, p_inv = _eigenbasis(d, mats, lambdas, bits)
     return tuple(lambdas), p, p_inv
 
 
@@ -300,7 +310,6 @@ def diagonalized_pair(
     word_b: Word,
     sort_place: Place = ARCH,
     bits: int = 128,
-    poly: Poly | None = None,
 ) -> ConjugatedPair:
     """The pair in A's eigenbasis, unbalanced: B becomes P^-1 * B * P.
 
@@ -308,25 +317,14 @@ def diagonalized_pair(
     eigenvectors carry pinned normalizations, so a verifier replaying from
     the words alone lands in the same basis.  The basis is exact when A's
     charpoly splits into distinct rationals and enclosed otherwise; finite
-    sort places need the exact one.  The result has norm_relation "none";
-    balance_or_trace and swap_roles build on it, and it feeds wedge_pair
-    and the cone checks directly.  poly, when given, is A's charpoly; it is
-    computed once and shared by the diagonalizations.
+    sort places need the exact one (see diagonalize).  The result has
+    norm_relation "none"; balance_or_trace and swap_roles build on it, and
+    it feeds wedge_pair and the cone checks directly.
     """
-    f = poly if poly is not None else char_poly(a)
-    if squarefree_part(f) != f:
-        raise ValueError("A must have a squarefree characteristic polynomial")
-    exact_basis = diagonalize_exact(a, f, sort_place)
-    if exact_basis is not None:
-        a_diag, p, p_inv = exact_basis
-        exact = True
-        b_rows = _rows_mul(_rows_mul(p_inv, b.entries, True), p, True)
-    else:
-        if not sort_place.is_archimedean:
-            raise Inconclusive("finite sort place needs a rational eigenbasis")
-        a_diag, p, p_inv = diagonalize_enclosed(a, f, bits)
-        exact = False
-        b_rows = _rows_mul(_rows_mul(p_inv, cmat_from_exact(b), False, bits), p, False, bits)
+    a_diag, p, p_inv = diagonalize(a, sort_place, bits)
+    exact = not isinstance(a_diag[0], ComplexInterval)
+    b_rows = b.entries if exact else cmat_from_exact(b)
+    b_rows = _rows_mul(_rows_mul(p_inv, b_rows, exact, bits), p, exact, bits)
     return ConjugatedPair(
         orig_a=a,
         orig_b=b,
@@ -405,7 +403,7 @@ def swap_roles(pair: ConjugatedPair, s: PlaceSet, bits: int = 128) -> Conjugated
     f = char_poly(pair.orig_b)
     if squarefree_part(f) != f:
         raise SwapFailed("B has repeated eigenvalues: no certified eigenbasis")
-    new = diagonalized_pair(pair.orig_b, pair.orig_a, pair.word_b, pair.word_a, ARCH, bits, f)
+    new = diagonalized_pair(pair.orig_b, pair.orig_a, pair.word_b, pair.word_a, ARCH, bits)
 
     cn_hi = _global_norm_bounds(new.basis, s, new.exact)[1]
     ci_hi = _global_norm_bounds(new.basis_inv, s, new.exact)[1]

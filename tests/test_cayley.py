@@ -23,7 +23,7 @@ from growthcert.cayley import (
 )
 from growthcert.errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
 from growthcert.exactnum import ARCH, SquareMatrix, Word, row_reduce, s_support
-from growthcert.spectra import l1_gap_report
+from growthcert.spectra import char_poly, l1_gap_report
 
 
 def sanov_gens():
@@ -137,8 +137,8 @@ def test_estimate_omega_needs_two_radii():
 
 
 def test_charpoly_squarefree_gate():
-    assert not charpoly_is_squarefree(SquareMatrix.from_rows([[1, 1], [0, 1]]))
-    assert charpoly_is_squarefree(SquareMatrix.from_rows([[5, 2], [2, 1]]))
+    assert not charpoly_is_squarefree(char_poly(SquareMatrix.from_rows([[1, 1], [0, 1]])))
+    assert charpoly_is_squarefree(char_poly(SquareMatrix.from_rows([[5, 2], [2, 1]])))
 
 
 def test_shemesh_detects_shared_eigenvector():
@@ -298,10 +298,11 @@ def reference_pair(gens, depth, budget=10**6):
     n = gens[0].n
     _, _, elements = reference_ball(gens, depth, budget, want_words=True)
     for word_a, mat_a in elements:
-        if not charpoly_is_squarefree(mat_a):
+        f = char_poly(mat_a)
+        if not charpoly_is_squarefree(f):
             continue
         try:
-            grid = l1_gap_report(mat_a, s)
+            grid = l1_gap_report(mat_a, s, f)
         except Inconclusive:
             continue
         if any(grid.values()):

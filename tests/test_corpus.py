@@ -5,16 +5,27 @@ refusal stage certify gave each, their exact ball sizes, and 15 tampered
 certificates.  Every kernel change must reproduce these answers exactly;
 a change that alters certificates on purpose re-records the corpus.  The
 file is only read here.
+
+tests/data/corpus_traces.json holds certify's --trace JSONL for each input,
+so the stage records (words, constants, places, exponents, refusal details)
+are pinned byte for byte as well.  A change that alters a trace on purpose
+re-records that file as a named spec change:
+
+    PYTHONPATH=src python tests/test_corpus.py --record
 """
 
 import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from growthcert import cli
 
-CORPUS = json.loads((Path(__file__).resolve().parent.parent / "bench/data/corpus.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = json.loads((ROOT / "bench/data/corpus.json").read_text())
+TRACES_PATH = ROOT / "tests/data/corpus_traces.json"
 INPUTS = {item["id"]: item for item in CORPUS["inputs"]}
 CERTIFIED = [i for i, item in INPUTS.items() if "certificate" in item["certify"]]
 
@@ -44,12 +55,15 @@ def test_corpus_shape():
 @pytest.mark.parametrize("input_id", list(INPUTS))
 def test_certify_gives_the_recorded_answer(tmp_path, capsys, input_id):
     want = INPUTS[input_id]["certify"]
-    code, doc = run(capsys, ["certify", generator_file(tmp_path, input_id)])
+    code, doc = run(capsys, ["certify", generator_file(tmp_path, input_id), "--trace",
+                             str(tmp_path / "trace.jsonl")])
     assert code == want["exit"]
     if code == 0:
         assert doc == want["certificate"]
     else:
         assert doc["failed_stage"] == want["failed_stage"]
+    traces = json.loads(TRACES_PATH.read_text())
+    assert (tmp_path / "trace.jsonl").read_text() == traces[input_id]
 
 
 @pytest.mark.parametrize("input_id", list(INPUTS))
@@ -73,3 +87,19 @@ def test_verify_rejects_the_recorded_tamper(tmp_path, capsys, tamper):
     cert = write(tmp_path, "cert.json", tamper["certificate"])
     code, doc = run(capsys, ["verify", cert, generator_file(tmp_path, tamper["of"])])
     assert (code, doc["valid"]) == (5, False)
+
+
+def record_traces() -> None:
+    """Write certify's trace of every corpus input to tests/data/corpus_traces.json."""
+    traces = {}
+    for input_id in INPUTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp)
+            cli.main(["certify", generator_file(path, input_id), "--trace", str(path / "trace.jsonl")])
+            traces[input_id] = (path / "trace.jsonl").read_text()
+    TRACES_PATH.parent.mkdir(exist_ok=True)
+    TRACES_PATH.write_text(json.dumps(traces, indent=1) + "\n")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    record_traces()

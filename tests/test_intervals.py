@@ -20,8 +20,8 @@ from growthcert.intervals import (
     sqrt_lower,
     sqrt_upper,
 )
-from growthcert.spectra import char_poly
-from growthcert.wordforge import diagonalize_enclosed, diagonalize_exact
+from growthcert.spectra import adjugate_poly
+from growthcert.wordforge import _eigenbasis, _root_boxes, diagonalize
 
 M = SquareMatrix.from_rows
 
@@ -217,14 +217,18 @@ def test_cmat_sub_identity():
 )
 @pytest.mark.parametrize("bits", [64, 128])
 def test_enclosed_eigenbasis_contains_exact_eigenbasis(p_rows, lambdas, bits):
-    # A = P diag(lambda) P^-1 with distinct moduli: both routines sort by modulus
+    # A = P diag(lambda) P^-1 with distinct moduli: exact roots and root boxes
+    # sort alike; the boxes run the interval evaluation that diagonalize
+    # keeps for spectra that do not split over Q
     def diag(values):
         return [[x if i == j else 0 for j in range(len(values))] for i, x in enumerate(values)]
 
     p = M(p_rows)
     a = p * M(diag(lambdas)) * p.inverse()
-    exact, _, _ = diagonalize_exact(a, char_poly(a))
-    boxes, p_enc, p_inv_enc = diagonalize_enclosed(a, char_poly(a), bits=bits)
+    exact, _, _ = diagonalize(a)
+    f, d, mats = adjugate_poly(a)
+    boxes = _root_boxes(f, a, bits)
+    p_enc, p_inv_enc = _eigenbasis(d, mats, boxes, bits)
     assert list(exact) == sorted(lambdas, key=lambda lam: -abs(lam))
     assert len(boxes) == len(exact)
     assert all(box.contains(lam) for box, lam in zip(boxes, exact))

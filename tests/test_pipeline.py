@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from growthcert import pipeline
+from growthcert import pingpong, pipeline
 from growthcert.errors import BudgetExceeded, Inconclusive, PipelineFailure
 from growthcert.exactnum import SquareMatrix, Word
 from growthcert.pingpong import PingPongCertificate, growth_bound_from_length
@@ -144,8 +144,52 @@ def test_certify_stops_the_exponent_search_on_an_exact_basis(monkeypatch):
     }
 
 
+def test_exponent_search_builds_each_power_once(monkeypatch):
+    # SL2(Z)'s torsion generators: A = "0 1 0 1^-1" has no exponent, so the
+    # search runs to exponent_cap at every precision; the rows of diag(a)^e B
+    # and diag(a)^2e B are built once per exponent, not once per radius
+    gens = [M([[0, -1], [1, 0]]), M([[0, -1], [1, 1]])]
+    calls = []
+    scale = pingpong._scale_rows_by_diag_power
+    monkeypatch.setattr(
+        pingpong,
+        "_scale_rows_by_diag_power",
+        lambda *args: calls.append(args[2]) or scale(*args),
+    )
+    with pytest.raises(PipelineFailure) as info:
+        certify_generators(gens)
+    assert len(calls) <= 2 * RunConfig().exponent_cap * len(pipeline.BITS_SCHEDULE)
+    detail = "no exponent up to 64 certifies the cone inclusions"
+    assert str(info.value) == f"derive_exponent: ExponentSearchExhausted: {detail}"
+    assert list(info.value.trace) == [
+        {
+            "stage": "find_regular_pair",
+            "ok": True,
+            "word_A": "0 1 0 1^-1",
+            "word_B": "0",
+            "disc": "5",
+            "burnside_dim": 4,
+        },
+        {
+            "stage": "balance_or_trace",
+            "ok": True,
+            "relation": "B_prec_A",
+            "constants": ["1", "1"],
+            "exact_basis": False,
+            "word_B": "0",
+        },
+        {"stage": "select_place_and_wedge", "ok": True, "place": "archimedean", "wedge_m": 1},
+        {
+            "stage": "derive_exponent",
+            "ok": False,
+            "error": "ExponentSearchExhausted",
+            "detail": detail,
+        },
+    ]
+
+
 def test_certify_selects_from_the_seed_grid(monkeypatch):
-    def recompute(a, s):
+    def recompute(a, s, f):
         raise AssertionError("the seed's gap grid was recomputed")
 
     monkeypatch.setattr(pipeline, "l1_gap_report", recompute)
@@ -157,7 +201,7 @@ def test_certify_recomputes_the_grid_once_after_a_swap(monkeypatch):
     gens = [M([[2, 0], [1, F(1, 2)]]), M([[F(9, 2), F(-1, 2)], [F(-1, 4), F(1, 4)]])]
     calls = []
     grid = pipeline.l1_gap_report
-    monkeypatch.setattr(pipeline, "l1_gap_report", lambda a, s: calls.append(a) or grid(a, s))
+    monkeypatch.setattr(pipeline, "l1_gap_report", lambda a, s, f: calls.append(a) or grid(a, s, f))
     res = certify_generators(gens)
     assert "swap_roles" in [rec["stage"] for rec in res.trace]
     assert str(res.certificate.word_a) == "1"

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from growthcert.exactnum import ARCH, Place, PlaceSet, SquareMatrix, abs_value
 from growthcert.errors import BadExponent, Inconclusive, RamifiedSlopes
 from growthcert.intervals import RationalInterval
+from growthcert.polyroots import poly_deriv, poly_eval
 from growthcert.spectra import (
+    adjugate_poly,
     char_poly,
     check_separation,
     discriminant,
@@ -230,7 +232,7 @@ def test_archimedean_moduli_contain_rational_eigenvalues():
         a = SquareMatrix.from_rows(
             [[d[i] if i == j else F(0) for j in range(n)] for i in range(n)]
         )
-        encl = eigen_report(a, PlaceSet(())).arch_moduli
+        encl = eigen_report(a, PlaceSet(()), char_poly(a)).arch_moduli
         want = sorted((abs(x) for x in d), reverse=True)
         assert len(encl) == n
         for box, true in zip(encl, want):
@@ -239,7 +241,7 @@ def test_archimedean_moduli_contain_rational_eigenvalues():
 
 def test_eigen_report_fields():
     a = SquareMatrix.from_rows([[5, 2], [2, 1]])
-    rep = eigen_report(a, PlaceSet.from_primes([2, 3]))
+    rep = eigen_report(a, PlaceSet.from_primes([2, 3]), char_poly(a))
     assert rep.n == 2
     assert rep.charpoly == (F(1), F(-6), F(1))
     valuations = dict(rep.finite_valuations)
@@ -272,7 +274,7 @@ def test_l1_finite_decision_cases():
 
 def test_l1_gap_report_grid():
     a = SquareMatrix.from_rows([[5, 2], [2, 1]])
-    grid = l1_gap_report(a, PlaceSet.from_primes([2]))
+    grid = l1_gap_report(a, PlaceSet.from_primes([2]), char_poly(a))
     assert grid == {(ARCH, 1): True, (Place.parse("finite:2"), 1): False}
 
 
@@ -282,7 +284,7 @@ def test_l1_gap_report_inconclusive_at_cap():
     a = SquareMatrix.from_rows([[0, 0, 1], [1, 0, -3], [0, 1, F(5, 2)]])
     assert a.det() == 1
     with pytest.raises(Inconclusive):
-        l1_gap_report(a, PlaceSet([]))
+        l1_gap_report(a, PlaceSet([]), char_poly(a))
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +362,55 @@ def test_char_poly_hostile_denominators():
     elapsed = time.perf_counter() - t0
     assert got == reference_char_poly(a.entries)
     assert elapsed < 60
+
+
+# ---------------------------------------------------------------------------
+# the adjugate polynomial behind every eigenbasis
+
+
+def adjugate_at(a, lam):
+    """M(lam) = sum_k M_k lam^(n-k) / d^(k-1) from adjugate_poly, as Fraction rows."""
+    _, d, mats = adjugate_poly(a)
+    n = a.n
+    return [
+        [sum(F(m[i][j]) * lam ** (n - k) / F(d) ** (k - 1) for k, m in enumerate(mats, 1))
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def assert_adjugate_identity(a, lam):
+    n = a.n
+    f = char_poly(a)
+    m = adjugate_at(a, lam)
+    shifted = [[(lam if i == j else 0) - a[i, j] for j in range(n)] for i in range(n)]
+    prod = [[sum(shifted[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert prod == [[poly_eval(f, lam) if i == j else 0 for j in range(n)] for i in range(n)]
+    assert sum(m[i][i] for i in range(n)) == poly_eval(poly_deriv(f), lam)
+    assert adjugate_poly(a)[0] == f
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(_poly_entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.fractions(min_value=-20, max_value=20, max_denominator=50),
+)
+@example([[0]], F(0))
+@example([[1, 1], [0, 1]], F(1))
+def test_adjugate_poly_is_the_adjugate_of_the_shift(grid, lam):
+    # (lam I - A) M(lam) = f(lam) I and tr M(lam) = f'(lam), at roots too
+    assert_adjugate_identity(SquareMatrix.from_rows(grid), lam)
+
+
+def test_adjugate_poly_at_the_eigenvalues():
+    rng = random.Random(1601)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        a = random_sl(rng, n) if n > 1 else SquareMatrix.from_rows([[F(rng.randint(-5, 5), 3)]])
+        values = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        d = SquareMatrix.from_rows([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        b = a * d * a.inverse()
+        for lam in values:
+            assert_adjugate_identity(b, lam)

@@ -6,7 +6,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthcert.errors import (
@@ -15,6 +15,7 @@ from growthcert.errors import (
     L2Unreachable,
     NoGap,
     NotConnected,
+    SingularEnclosure,
     SwapFailed,
 )
 from growthcert.exactnum import (
@@ -23,11 +24,22 @@ from growthcert.exactnum import (
     PlaceSet,
     SquareMatrix,
     Word,
+    abs_value,
     evaluate_word,
+    row_reduce,
     s_support,
 )
-from growthcert.intervals import ComplexInterval, sqrt_upper
-from growthcert.polyroots import squarefree_part
+from growthcert.intervals import (
+    ComplexInterval,
+    RationalInterval,
+    cmat_det_small,
+    cmat_from_exact,
+    cmat_inverse,
+    cmat_mul,
+    cmat_sub,
+    sqrt_upper,
+)
+from growthcert.polyroots import certified_root_structure, rational_roots, squarefree_part
 from growthcert.spectra import char_poly, eigen_report, l1_gap_report
 from growthcert.wordforge import (
     AlmostAlgebra,
@@ -35,15 +47,13 @@ from growthcert.wordforge import (
     _frob,
     _interval_mid,
     _log2,
-    _kernel_vector,
     _project_residual,
     _rows_mul,
     _sort_float,
     amplify_entry,
     balance_or_trace,
     build_almost_algebra,
-    diagonalize_enclosed,
-    diagonalize_exact,
+    diagonalize,
     diagonalized_pair,
     ensure_l2,
     select_place_and_wedge,
@@ -184,9 +194,9 @@ def test_swap_rejects_repeated_eigenvalues():
 def test_select_place_and_wedge():
     # 2-adic eigenvalue moduli (4, 1/2, 1/2) beat the archimedean top 2
     a = diag(2, 2, F(1, 4))
-    assert select_place_and_wedge(manual_pair(a), l1_gap_report(a, S0)) == (ARCH, 2)
+    assert select_place_and_wedge(manual_pair(a), l1_gap_report(a, S0, char_poly(a))) == (ARCH, 2)
     s2 = PlaceSet.from_primes([2])
-    grid = l1_gap_report(a, s2)
+    grid = l1_gap_report(a, s2, char_poly(a))
     assert select_place_and_wedge(manual_pair(a), grid) == (Place.finite(2), 1)
     # an interval basis cannot certify ultrametric bounds: finite is skipped
     assert select_place_and_wedge(manual_pair(a, exact=False), grid) == (ARCH, 2)
@@ -194,14 +204,15 @@ def test_select_place_and_wedge():
 
 def test_select_requires_balanced_pair():
     a = diag(4, F(1, 4))
+    grid = l1_gap_report(a, S0, char_poly(a))
     with pytest.raises(ValueError):
-        select_place_and_wedge(manual_pair(a, relation="none"), l1_gap_report(a, S0))
+        select_place_and_wedge(manual_pair(a, relation="none"), grid)
 
 
 def test_select_no_gap():
     rot = M([[0, -1], [1, 0]])
     with pytest.raises(NoGap):
-        select_place_and_wedge(manual_pair(rot), l1_gap_report(rot, S0))
+        select_place_and_wedge(manual_pair(rot), l1_gap_report(rot, S0, char_poly(rot)))
 
 
 def reference_place_order(a, s):
@@ -210,7 +221,7 @@ def reference_place_order(a, s):
     The order selection used before it read the moduli off the eigenbasis:
     the archimedean enclosure midpoint and p^(-min v) at each prime.
     """
-    report = eigen_report(a, s)
+    report = eigen_report(a, s, char_poly(a))
     valuations = dict(report.finite_valuations)
 
     def key(v):
@@ -224,7 +235,7 @@ def reference_place_order(a, s):
 
 def reference_select(pair, s):
     """First (place, wedge degree) with a gap in the reference order, or None."""
-    grid = l1_gap_report(pair.orig_a, s)
+    grid = l1_gap_report(pair.orig_a, s, char_poly(pair.orig_a))
     for v in reference_place_order(pair.orig_a, s):
         if pair.exact or v.is_archimedean:
             for m in range(1, pair.n):
@@ -271,9 +282,9 @@ def test_select_matches_the_eigen_report_order_on_exact_pairs():
         want = reference_select(pair, s)
         if want is None:
             with pytest.raises(NoGap):
-                select_place_and_wedge(pair, l1_gap_report(a, s))
+                select_place_and_wedge(pair, l1_gap_report(a, s, char_poly(a)))
         else:
-            assert select_place_and_wedge(pair, l1_gap_report(a, s)) == want
+            assert select_place_and_wedge(pair, l1_gap_report(a, s, char_poly(a))) == want
             checked += 1
     assert checked > 100
 
@@ -291,7 +302,7 @@ def test_select_gives_interval_pairs_the_archimedean_place():
         if pair.exact:
             continue
         try:
-            grid = l1_gap_report(a, s)
+            grid = l1_gap_report(a, s, f)
         except Inconclusive:
             continue
         want = reference_select(pair, s)
@@ -438,23 +449,24 @@ def test_almost_algebra_validation():
 
 def test_diagonalize_exact_round_trip():
     a = M([[2, 3], [0, F(1, 2)]])
-    d, p, p_inv = diagonalize_exact(a, char_poly(a))
+    d, p, p_inv = diagonalize(a)
     assert d == (F(2), F(1, 2))
     assert M([list(r) for r in p]) * diag(*d) * M([list(r) for r in p_inv]) == a
-    # irrational or repeated spectra return None
-    for m in (M([[0, 2], [1, 0]]), M([[1, 1], [0, 1]])):
-        assert diagonalize_exact(m, char_poly(m)) is None
+    # an irrational spectrum gets enclosures; a repeated one no basis at all
+    assert isinstance(diagonalize(M([[0, 2], [1, 0]]))[0][0], ComplexInterval)
+    with pytest.raises(ValueError):
+        diagonalize(M([[1, 1], [0, 1]]))
 
 
 def test_diagonalize_exact_sort_place():
     a = diag(F(1, 4), 4)
-    assert diagonalize_exact(a, char_poly(a))[0] == (F(4), F(1, 4))
-    assert diagonalize_exact(a, char_poly(a), sort_place=Place.finite(2))[0] == (F(1, 4), F(4))
+    assert diagonalize(a)[0] == (F(4), F(1, 4))
+    assert diagonalize(a, sort_place=Place.finite(2))[0] == (F(1, 4), F(4))
 
 
 def test_diagonalize_enclosed_vieta():
     a = M([[5, 2], [2, 1]])
-    lambdas, p, p_inv = diagonalize_enclosed(a, char_poly(a))
+    lambdas, p, p_inv = diagonalize(a)
     total = lambdas[0] + lambdas[1]
     prod = lambdas[0] * lambdas[1]
     assert total.re.lo <= 6 <= total.re.hi and total.im.lo <= 0 <= total.im.hi
@@ -488,13 +500,188 @@ def test_diagonalized_pair_finite_sort_needs_rational_basis():
         diagonalized_pair(SquareMatrix.identity(2), a, WA, WB)
 
 
+# ---------------------------------------------------------------------------
+# the adjugate-polynomial eigenbasis against the two routines it replaced
+
+
+def _kernel_vector(m: SquareMatrix) -> tuple[F, ...]:
+    """One nonzero kernel vector of a singular matrix: the first free column set to 1."""
+    rref, pivots, _ = row_reduce(m.entries)
+    free = next(c for c in range(m.n) if c not in pivots)
+    vec = [F(0)] * m.n
+    vec[free] = F(1)
+    for row, col in zip(rref, pivots):
+        vec[col] = -row[free]
+    return tuple(vec)
+
+
+def reference_diagonalize_exact(a: SquareMatrix, poly, sort_place: Place = ARCH):
+    """Exact eigenbasis from a kernel solve per root and an exact inverse, or None."""
+    roots = rational_roots(poly)
+    if len(roots) != a.n or len(set(roots)) != a.n:
+        return None
+    order = sorted(roots, key=lambda lam: (-abs_value(lam, sort_place), lam))
+    columns = [_kernel_vector(a - SquareMatrix.identity(a.n).scale(lam)) for lam in order]
+    p = SquareMatrix.from_rows([[columns[j][i] for j in range(a.n)] for i in range(a.n)])
+    return tuple(order), p.entries, p.inverse().entries
+
+
+def cmat_adjugate(a):
+    """adj(a)[j][i] = (-1)^(i+j) * minor_ij; satisfies a*adj = det*I."""
+    n = len(a)
+    if n == 1:
+        return ((ComplexInterval.point(1),),)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = tuple(
+                tuple(a[r][c] for c in range(n) if c != j)
+                for r in range(n)
+                if r != i
+            )
+            d = cmat_det_small(minor)
+            out[j][i] = d if (i + j) % 2 == 0 else -d
+    return tuple(tuple(row) for row in out)
+
+
+def reference_diagonalize_enclosed(a: SquareMatrix, poly, bits: int = 128):
+    """Interval eigenbasis from a cofactor adjugate of A - lambda I per root and Gauss-Jordan."""
+    n = a.n
+    width = F(1, 2**bits) * max(F(1), a.max_abs_entry())
+    real_ivs, boxes = certified_root_structure(poly, width)
+    lambdas = [ComplexInterval(iv, RationalInterval.point(0)) for iv in real_ivs]
+    lambdas += list(boxes)
+    lambdas.sort(
+        key=lambda z: (
+            -_interval_mid(z),
+            -_sort_float((z.re.lo + z.re.hi) / 2),
+            -_sort_float((z.im.lo + z.im.hi) / 2),
+        )
+    )
+    ea = cmat_from_exact(a)
+    columns = []
+    for lam in lambdas:
+        shift = tuple(
+            tuple(lam if i == j else ComplexInterval.point(0) for j in range(n))
+            for i in range(n)
+        )
+        adj = cmat_adjugate(cmat_sub(ea, shift))
+        best_col, best_lo = None, F(0)
+        for j in range(n):
+            col = [adj[i][j] for i in range(n)]
+            lo = max(x.mag_sq().lo for x in col)
+            if lo > best_lo:
+                best_col, best_lo = col, lo
+        if best_col is None:
+            raise SingularEnclosure("no adjugate column certified nonzero")
+        pivot_i = max(range(n), key=lambda i: best_col[i].mag_sq().lo)
+        inv = best_col[pivot_i].recip()
+        col = [(x * inv).round_out(4 * bits) for x in best_col]
+        col[pivot_i] = ComplexInterval.point(1)
+        columns.append(col)
+    p = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
+    p_inv = cmat_inverse(p, round_bits=4 * bits)
+    return tuple(lambdas), p, p_inv
+
+
+def _overlap(x: ComplexInterval, y: ComplexInterval) -> bool:
+    return (
+        x.re.lo <= y.re.hi and y.re.lo <= x.re.hi and x.im.lo <= y.im.hi and y.im.lo <= x.im.hi
+    )
+
+
+def _pins(p) -> list[list[int]]:
+    """Per column, the rows holding the exact 1 that pins the eigenvector."""
+    one = ComplexInterval.point(1)
+    return [[i for i, x in enumerate(col) if x == one] for col in zip(*p)]
+
+
+def _pins_certified(p) -> bool:
+    """Every pinned coordinate certifiably has the largest modulus in its column.
+
+    Only then does the pivot rule fix the pin: where two coordinates of an
+    eigenvector have equal moduli, rounding noise decides between them.
+    """
+    return all(
+        all(x.mag_sq().hi < 1 for i, x in enumerate(col) if i != pins[0])
+        for col, pins in zip(zip(*p), _pins(p))
+    )
+
+
+def _contains(boxes, rows) -> bool:
+    return all(box.contains(F(x)) for brow, row in zip(boxes, rows) for box, x in zip(brow, row))
+
+
+def assert_encloses_eigenbasis(a, lambdas, p, p_inv):
+    """P P^-1 contains I and P diag(lambdas) P^-1 contains A."""
+    n = a.n
+    d = tuple(
+        tuple(lam if i == j else ComplexInterval.point(0) for j in range(n))
+        for i, lam in enumerate(lambdas)
+    )
+    assert _contains(cmat_mul(p, p_inv), SquareMatrix.identity(n).entries)
+    assert _contains(cmat_mul(cmat_mul(p, d), p_inv), a.entries)
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_diagonalize_matches_the_kernel_route_on_rational_spectra(n, data):
+    values = data.draw(st.lists(_small, min_size=n, max_size=n, unique=True))
+    p_rows = data.draw(st.lists(st.lists(_small, min_size=n, max_size=n), min_size=n, max_size=n))
+    p = M(p_rows)
+    assume(p.det() != 0)
+    a = p * diag(*values) * p.inverse()
+    for v in (ARCH, Place.finite(2), Place.finite(3)):
+        got = diagonalize(a, v)
+        assert got == reference_diagonalize_exact(a, char_poly(a), v)
+        assert all(type(x) is F for part in got[1:] for row in part for x in row)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.sampled_from([64, 128]), st.data())
+def test_diagonalize_encloses_the_cofactor_route_elsewhere(n, bits, data):
+    # eigenvalues that do not all lie in Q; a tie such as the sqrt(2)
+    # eigenvector (-sqrt(2), 1, sqrt(2), 0) of [[1, -2, 1, 0], [0, 0, 1, 0],
+    # [0, 2, 0, 0], [0, 0, 0, 0]] leaves the pin to rounding, so the two
+    # routines are compared only where every pin is certified
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    a = M(rows)
+    f = char_poly(a)
+    assume(squarefree_part(f) == f and len(rational_roots(f)) < n)
+    try:
+        want = reference_diagonalize_enclosed(a, f, bits)
+    except SingularEnclosure:
+        assume(False)
+    lambdas, p, p_inv = diagonalize(a, ARCH, bits)
+    assert lambdas == want[0]
+    if _pins_certified(want[1]):
+        assert _pins(p) == _pins(want[1])
+        for got_rows, want_rows in ((p, want[1]), (p_inv, want[2])):
+            pairs = zip(got_rows, want_rows)
+            assert all(_overlap(x, y) for gr, wr in pairs for x, y in zip(gr, wr))
+    assert_encloses_eigenbasis(a, lambdas, p, p_inv)
+
+
+def test_diagonalize_with_a_modulus_tie():
+    a = M([[1, -2, 1, 0], [0, 0, 1, 0], [0, 2, 0, 0], [0, 0, 0, 0]])
+    for bits in (64, 128):
+        lambdas, p, p_inv = diagonalize(a, ARCH, bits)
+        assert not _pins_certified(p)
+        assert_encloses_eigenbasis(a, lambdas, p, p_inv)
+
+
 _entry = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4), st.data())
 def test_kernel_vector_is_nonzero_kernel_element(n, data):
-    # n - 1 free rows plus one combination of them: always singular
+    # the reference's kernel solve: n - 1 free rows plus one combination of them
     vec = st.lists(_entry, min_size=n, max_size=n)
     rows = data.draw(st.lists(vec, min_size=n - 1, max_size=n - 1))
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
