@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -413,7 +414,9 @@ def _add_options(sub, *caps: str) -> None:
         sub.add_argument("--" + cap.replace("_", "-"), dest=cap, type=int)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="growthcert",
         description="Exact growth estimates and freeness certificates for rational matrix groups.",

@@ -1,10 +1,20 @@
-"""Rational interval arithmetic with directed rounding.
+"""Directed interval arithmetic: rational intervals and dyadic complex boxes.
 
-Endpoints are exact Fractions, so containment claims are theorems, not
-floating-point folklore.  The only irrational operation is square root,
-handled by isqrt-based directed bounds; everything else is closed over Q.
-Outward dyadic rounding keeps denominators from exploding along long
-computation chains; it only ever widens an interval.
+RationalInterval has exact Fraction endpoints.  It serves the scalar
+decisions, where exact rational points decide ties (eigenvalue moduli,
+the (L1) gap test).
+
+ComplexInterval is the working box of every enclosed eigenbasis: four
+integer endpoints over one power of two, [re_lo, re_hi] + i*[im_lo, im_hi]
+times 2^-k (ball arithmetic on integer mantissas, after van der Hoeven,
+"Ball arithmetic", 2009, and Johansson's Arb).  Sums, differences and
+products are exact integer operations; round_out(bits) is the one place
+precision is dropped, an outward shift to `bits` significant bits (floor for
+lower ends, ceiling for upper ends).  Integers and dyadic rationals enter
+exactly; any other rational enters outward through dyadic_floor and
+dyadic_ceil.  recip and mag round outward too, so every box contains the
+exact result for every exact input it contains: containment claims are
+theorems, not floating-point folklore, and every endpoint is a rational.
 """
 
 from __future__ import annotations
@@ -14,6 +24,10 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import SingularEnclosure
+
+# significant bits of a rational that enters a box, or of a reciprocal,
+# where the caller names no precision
+PREC = 256
 
 
 def dyadic_floor(x: Fraction, bits: int) -> Fraction:
@@ -31,19 +45,6 @@ def dyadic_floor(x: Fraction, bits: int) -> Fraction:
 
 def dyadic_ceil(x: Fraction, bits: int) -> Fraction:
     return -dyadic_floor(-x, bits)
-
-
-def sqrt_lower(x: Fraction, bits: int = 64) -> Fraction:
-    """Rational r with r*r <= x, within 2^-bits relative slack."""
-    if x < 0:
-        raise ValueError("sqrt of negative")
-    if x == 0:
-        return Fraction(0)
-    num, den = x.numerator, x.denominator
-    # sqrt(num/den) = sqrt(num*den)/den; scale so isqrt sees ~2*bits bits
-    scale = 1 << bits
-    s = isqrt(num * den * scale * scale)
-    return Fraction(s, den * scale)
 
 
 def sqrt_upper(x: Fraction, bits: int = 64) -> Fraction:
@@ -79,10 +80,6 @@ class RationalInterval:
     def point(x) -> "RationalInterval":
         x = Fraction(x)
         return RationalInterval(x, x)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     @property
     def mid(self) -> Fraction:
@@ -126,23 +123,11 @@ class RationalInterval:
             return RationalInterval(self.lo * c, self.hi * c)
         return RationalInterval(self.hi * c, self.lo * c)
 
-    def square(self) -> "RationalInterval":
-        if self.lo >= 0:
-            return RationalInterval(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return RationalInterval(self.hi * self.hi, self.lo * self.lo)
-        return RationalInterval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
-
-    def recip(self) -> "RationalInterval":
-        if self.contains_zero():
-            raise SingularEnclosure("reciprocal of interval containing 0")
-        return RationalInterval(1 / self.hi, 1 / self.lo)
-
     def pow_int(self, k: int) -> "RationalInterval":
+        if k < 0:
+            raise ValueError("negative power of a rational interval")
         if k == 0:
             return RationalInterval.point(1)
-        if k < 0:
-            return self.pow_int(-k).recip()
         lo_k, hi_k = self.lo**k, self.hi**k
         if k % 2 == 1:
             return RationalInterval(lo_k, hi_k)
@@ -159,77 +144,194 @@ class RationalInterval:
             return -self
         return RationalInterval(Fraction(0), max(-self.lo, self.hi))
 
-    def round_out(self, bits: int) -> "RationalInterval":
-        return RationalInterval(dyadic_floor(self.lo, bits), dyadic_ceil(self.hi, bits))
+
+# ---------------------------------------------------------------------------
+# dyadic boxes
 
 
-_RI_ZERO = RationalInterval.point(0)
-_RI_ONE = RationalInterval.point(1)
+def _fraction(m: int, k: int) -> Fraction:
+    """m * 2^-k as a Fraction."""
+    return Fraction(m, 1 << k) if k >= 0 else Fraction(m << -k)
 
 
-@dataclass(frozen=True)
+def dyadic_form(x: Fraction) -> tuple[int, int] | None:
+    """(m, k) with x = m * 2^-k when x's denominator is a power of two, else None."""
+    den = x.denominator
+    if den & (den - 1):
+        return None
+    return x.numerator, den.bit_length() - 1
+
+
+def _imul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """[a, b] * [c, d]: the hull of the four endpoint products, by sign cases."""
+    if a >= 0:
+        if c >= 0:
+            return a * c, b * d
+        if d <= 0:
+            return b * c, a * d
+        return b * c, b * d
+    if b <= 0:
+        if c >= 0:
+            return a * d, b * c
+        if d <= 0:
+            return b * d, a * c
+        return a * d, a * c
+    if c >= 0:
+        return a * d, b * d
+    if d <= 0:
+        return b * c, a * c
+    return min(a * d, b * c), max(a * c, b * d)
+
+
+def _isq(a: int, b: int) -> tuple[int, int]:
+    """{x^2 : x in [a, b]}."""
+    if a >= 0:
+        return a * a, b * b
+    if b <= 0:
+        return b * b, a * a
+    return 0, max(a * a, b * b)
+
+
 class ComplexInterval:
-    """Axis-aligned box in C: re + i*im with rational interval components.
+    """Box ([rl, rh] + i*[il, ih]) * 2^-k in C with integer endpoints rl..ih.
 
-    Exact real numbers embed as point boxes with im = [0, 0]; arithmetic on
-    such boxes never invents an imaginary part, so real chains stay real.
+    Immutable by convention.  Exact real numbers embed as boxes with
+    il = ih = 0; arithmetic on such boxes never invents an imaginary part,
+    so real chains stay real.  Equality and hashing go by the box's value,
+    whatever power of two it is written over.
     """
 
-    re: RationalInterval
-    im: RationalInterval
+    __slots__ = ("rl", "rh", "il", "ih", "k")
+
+    def __init__(self, rl: int, rh: int, il: int = 0, ih: int = 0, k: int = 0):
+        self.rl = rl
+        self.rh = rh
+        self.il = il
+        self.ih = ih
+        self.k = k
 
     @staticmethod
-    def point(re, im=0) -> "ComplexInterval":
-        return ComplexInterval(RationalInterval.point(re), RationalInterval.point(im))
+    def point(re, im=0, bits: int = PREC) -> "ComplexInterval":
+        if type(re) is int and type(im) is int:
+            return ComplexInterval(re, re, im, im)
+        return ComplexInterval.from_box(re, re, im, im, bits)
 
     @staticmethod
-    def from_box(re_lo, re_hi, im_lo, im_hi) -> "ComplexInterval":
-        return ComplexInterval(
-            RationalInterval(Fraction(re_lo), Fraction(re_hi)),
-            RationalInterval(Fraction(im_lo), Fraction(im_hi)),
-        )
+    def from_box(re_lo, re_hi, im_lo, im_hi, bits: int = PREC) -> "ComplexInterval":
+        """The box with these rational edges, exact when every edge is dyadic.
+
+        Other edges round outward to ~bits significant bits through
+        dyadic_floor (lower edges) and dyadic_ceil (upper edges).
+        """
+        edges = [Fraction(x) for x in (re_lo, re_hi, im_lo, im_hi)]
+        if edges[0] > edges[1] or edges[2] > edges[3]:
+            raise ValueError(f"empty box {edges}")
+        forms = [dyadic_form(x) for x in edges]
+        if None in forms:
+            edges = [
+                (dyadic_floor if i % 2 == 0 else dyadic_ceil)(x, bits) if form is None else x
+                for i, (x, form) in enumerate(zip(edges, forms))
+            ]
+            forms = [dyadic_form(x) for x in edges]
+        k = max(e for _, e in forms)
+        return ComplexInterval(*(m << (k - e) for m, e in forms), k)
+
+    @property
+    def re(self) -> RationalInterval:
+        return RationalInterval(_fraction(self.rl, self.k), _fraction(self.rh, self.k))
+
+    @property
+    def im(self) -> RationalInterval:
+        return RationalInterval(_fraction(self.il, self.k), _fraction(self.ih, self.k))
 
     def __add__(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ComplexInterval":
-        return ComplexInterval(-self.re, -self.im)
-
-    def __mul__(self, other: "ComplexInterval") -> "ComplexInterval":
-        # a zero imaginary part zeroes its cross terms exactly
-        if self.im == _RI_ZERO:
-            return ComplexInterval(self.re * other.re, self.re * other.im)
-        if other.im == _RI_ZERO:
-            return ComplexInterval(self.re * other.re, self.im * other.re)
+        s = self.k - other.k
+        if s < 0:
+            return other + self
         return ComplexInterval(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            self.rl + (other.rl << s),
+            self.rh + (other.rh << s),
+            self.il + (other.il << s),
+            self.ih + (other.ih << s),
+            self.k,
         )
 
-    def scale(self, c: Fraction) -> "ComplexInterval":
-        return ComplexInterval(self.re.scale(c), self.im.scale(c))
+    def __neg__(self) -> "ComplexInterval":
+        return ComplexInterval(-self.rh, -self.rl, -self.ih, -self.il, self.k)
+
+    def __sub__(self, other: "ComplexInterval") -> "ComplexInterval":
+        return self + (-other)
+
+    def __mul__(self, other: "ComplexInterval") -> "ComplexInterval":
+        a, b, c, d = self.rl, self.rh, self.il, self.ih
+        e, f, g, h = other.rl, other.rh, other.il, other.ih
+        k = self.k + other.k
+        # a zero imaginary part zeroes its cross terms exactly
+        if c == 0 and d == 0:
+            return ComplexInterval(*_imul(a, b, e, f), *_imul(a, b, g, h), k)
+        if g == 0 and h == 0:
+            return ComplexInterval(*_imul(a, b, e, f), *_imul(c, d, e, f), k)
+        rr_lo, rr_hi = _imul(a, b, e, f)
+        ii_lo, ii_hi = _imul(c, d, g, h)
+        ri_lo, ri_hi = _imul(a, b, g, h)
+        ir_lo, ir_hi = _imul(c, d, e, f)
+        return ComplexInterval(rr_lo - ii_hi, rr_hi - ii_lo, ri_lo + ir_lo, ri_hi + ir_hi, k)
+
+    def scale(self, c) -> "ComplexInterval":
+        if type(c) is int:
+            if c >= 0:
+                return ComplexInterval(self.rl * c, self.rh * c, self.il * c, self.ih * c, self.k)
+            return ComplexInterval(self.rh * c, self.rl * c, self.ih * c, self.il * c, self.k)
+        return self * ComplexInterval.point(c)
+
+    def round_out(self, bits: int) -> "ComplexInterval":
+        """Shift outward so the largest endpoint keeps `bits` significant bits."""
+        s = max(self.rh, -self.rl, self.ih, -self.il).bit_length() - bits
+        if s <= 0:
+            return self
+        return ComplexInterval(
+            self.rl >> s, -(-self.rh >> s), self.il >> s, -(-self.ih >> s), self.k - s
+        )
+
+    def _mag_sq(self) -> tuple[int, int]:
+        """Bounds on |z|^2 over the box, times 2^(2k)."""
+        lo_re, hi_re = _isq(self.rl, self.rh)
+        lo_im, hi_im = _isq(self.il, self.ih)
+        return lo_re + lo_im, hi_re + hi_im
 
     def mag_sq(self) -> RationalInterval:
-        return self.re.square() + self.im.square()
+        lo, hi = self._mag_sq()
+        return RationalInterval(_fraction(lo, 2 * self.k), _fraction(hi, 2 * self.k))
 
     def mag(self, bits: int = 64) -> RationalInterval:
-        ms = self.mag_sq()
-        return RationalInterval(sqrt_lower(ms.lo, bits), sqrt_upper(ms.hi, bits))
+        """Bounds on |z| over the box, by isqrt on the mantissas.
 
-    def recip(self) -> "ComplexInterval":
-        den = self.mag_sq()
-        if den.contains_zero():
+        The roots keep at least `bits` significant bits, and never fewer
+        than the box's own grid gives.
+        """
+        lo, hi = self._mag_sq()
+        s = max(0, bits - (hi.bit_length() >> 1))
+        lo, hi = lo << 2 * s, hi << 2 * s
+        r_lo, r_hi = isqrt(lo), isqrt(hi)
+        if r_hi * r_hi < hi:
+            r_hi += 1
+        return RationalInterval(_fraction(r_lo, self.k + s), _fraction(r_hi, self.k + s))
+
+    def recip(self, bits: int = PREC) -> "ComplexInterval":
+        """1/z = conj(z) / |z|^2, with 1/|z|^2 divided out to ~bits bits."""
+        lo, hi = self._mag_sq()
+        if lo <= 0:
             raise SingularEnclosure("reciprocal of box containing 0")
-        inv = den.recip()
-        return ComplexInterval(self.re * inv, (-self.im) * inv)
+        # [lo, hi] * 2^-2k inverts to [2^s // hi, ceil(2^s / lo)] * 2^-(s - 2k)
+        s = bits + lo.bit_length()
+        inv = ComplexInterval((1 << s) // hi, -(-(1 << s) // lo), 0, 0, s - 2 * self.k)
+        conj = ComplexInterval(self.rl, self.rh, -self.ih, -self.il, self.k)
+        return (conj * inv).round_out(bits)
 
     def pow_int(self, k: int, round_bits: int | None = None) -> "ComplexInterval":
         if k < 0:
-            return self.pow_int(-k, round_bits).recip()
-        result = ComplexInterval.point(1)
+            return self.pow_int(-k, round_bits).recip(round_bits or PREC)
+        result = ComplexInterval(1, 1)
         base = self
         while k:
             if k & 1:
@@ -244,23 +346,40 @@ class ComplexInterval:
         return result
 
     def contains(self, re: Fraction, im: Fraction = Fraction(0)) -> bool:
-        return self.re.contains(re) and self.im.contains(im)
-
-    def round_out(self, bits: int) -> "ComplexInterval":
-        return ComplexInterval(self.re.round_out(bits), self.im.round_out(bits))
+        return self.re.contains(Fraction(re)) and self.im.contains(Fraction(im))
 
     @property
     def max_width(self) -> Fraction:
-        return max(self.re.width, self.im.width)
+        return _fraction(max(self.rh - self.rl, self.ih - self.il), self.k)
+
+    def _normal(self) -> tuple[int, int, int, int, int]:
+        """The endpoints over the smallest power of two that writes them."""
+        v = self.rl | self.rh | self.il | self.ih
+        if v == 0:
+            return (0, 0, 0, 0, 0)
+        t = (v & -v).bit_length() - 1
+        return (self.rl >> t, self.rh >> t, self.il >> t, self.ih >> t, self.k - t)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ComplexInterval):
+            return NotImplemented
+        return self._normal() == other._normal()
+
+    def __hash__(self) -> int:
+        return hash(self._normal())
+
+    def __repr__(self) -> str:
+        re, im = self.re, self.im
+        return f"ComplexInterval([{re.lo}, {re.hi}] + i*[{im.lo}, {im.hi}])"
 
 
 CMatrix = tuple[tuple[ComplexInterval, ...], ...]
 
 
-def cmat_from_exact(m) -> CMatrix:
-    """Lift a SquareMatrix (or row iterable of Fractions) to point boxes."""
+def cmat_from_exact(m, bits: int = PREC) -> CMatrix:
+    """Lift a SquareMatrix (or row iterable of rationals) to point boxes."""
     rows = m.entries if hasattr(m, "entries") else m
-    return tuple(tuple(ComplexInterval.point(x) for x in row) for row in rows)
+    return tuple(tuple(ComplexInterval.point(x, 0, bits) for x in row) for row in rows)
 
 
 def cmat_mul(a: CMatrix, b: CMatrix, round_bits: int | None = None) -> CMatrix:
@@ -269,18 +388,16 @@ def cmat_mul(a: CMatrix, b: CMatrix, round_bits: int | None = None) -> CMatrix:
     for row in a:
         new_row = []
         for col in cols:
-            acc = ComplexInterval.point(0)
-            for x, y in zip(row, col):
+            pairs = zip(row, col)
+            x, y = next(pairs)
+            acc = x * y
+            for x, y in pairs:
                 acc = acc + x * y
             if round_bits:
                 acc = acc.round_out(round_bits)
             new_row.append(acc)
         out.append(tuple(new_row))
     return tuple(out)
-
-
-def cmat_sub(a: CMatrix, b: CMatrix) -> CMatrix:
-    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
 
 
 def cmat_det_small(a: CMatrix) -> ComplexInterval:
@@ -290,7 +407,7 @@ def cmat_det_small(a: CMatrix) -> ComplexInterval:
         return a[0][0]
     if n == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    acc = ComplexInterval.point(0)
+    acc = ComplexInterval(0, 0)
     rest = a[1:]
     for j in range(n):
         minor = tuple(tuple(row[c] for c in range(n) if c != j) for row in rest)
@@ -304,11 +421,13 @@ def cmat_inverse(a: CMatrix, round_bits: int | None = None) -> CMatrix:
 
     Pivot choice: row with the largest lower bound on |entry|; raises
     SingularEnclosure when no pivot is certified nonzero, which callers
-    treat as "escalate precision and retry".  A library routine: eigenbases
-    take P^-1 from the adjugate polynomial instead (wordforge.diagonalize).
+    treat as "escalate precision and retry".  Pivot reciprocals keep
+    round_bits (PREC when None) significant bits.  A library routine:
+    eigenbases take P^-1 from the adjugate polynomial instead
+    (wordforge.diagonalize).
     """
     n = len(a)
-    aug = [list(row) + [ComplexInterval.point(1 if i == j else 0) for j in range(n)]
+    aug = [list(row) + [ComplexInterval(int(i == j), int(i == j)) for j in range(n)]
            for i, row in enumerate(a)]
     for col in range(n):
         best, best_low = None, Fraction(0)
@@ -319,7 +438,7 @@ def cmat_inverse(a: CMatrix, round_bits: int | None = None) -> CMatrix:
         if best is None:
             raise SingularEnclosure(f"no certified pivot in column {col}")
         aug[col], aug[best] = aug[best], aug[col]
-        inv = aug[col][col].recip()
+        inv = aug[col][col].recip(round_bits or PREC)
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col:
@@ -329,4 +448,3 @@ def cmat_inverse(a: CMatrix, round_bits: int | None = None) -> CMatrix:
             for r in range(n):
                 aug[r] = [x.round_out(round_bits) for x in aug[r]]
     return tuple(tuple(row[n:]) for row in aug)
-

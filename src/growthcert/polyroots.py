@@ -1,26 +1,28 @@
 """Exact polynomial arithmetic over Q and certified root enclosures.
 
 Polynomials are tuples of Fractions, ascending degree, trimmed.  Real roots
-are isolated with exact Sturm sequences, then refined by bisection on the
-exact sign of f, evaluated on integer coefficients; refine_real_root states
-the precondition under which that sign alone picks each half.  Non-real
-roots get axis-aligned boxes: floating seeds from mpmath.polyroots are
+are isolated with exact Sturm sequences on dyadic intervals, then refined
+by bisection on integer mantissas over a power of two, deciding each half
+by the exact sign of f from integer Horner; refine_real_root states the
+precondition under which that sign alone picks each half.  Non-real roots
+get axis-aligned dyadic boxes: floating seeds from mpmath.polyroots are
 promoted to exact rational centers, then Weierstrass correction terms W_i
 computed in exact arithmetic give inclusion disks of radius n|W_i| whose
 union contains every root, with k-disk connected components containing
-exactly k roots.
+exactly k roots; the hull of a component rounds outward to a dyadic box.
 Every containment decision below is an exact rational comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd, lcm
+from itertools import islice
+from math import ceil, floor, gcd, lcm
 
 import mpmath
 
 from .errors import PrecisionExhausted
-from .intervals import ComplexInterval, RationalInterval, sqrt_upper
+from .intervals import ComplexInterval, RationalInterval, dyadic_form, sqrt_upper
 
 Poly = tuple[Fraction, ...]
 
@@ -185,13 +187,12 @@ def _integer_coeffs(f: Poly) -> list[int]:
     return [c.numerator * (den // c.denominator) for c in f]
 
 
-def _sign_at(ints: list[int], x: Fraction) -> int:
-    """Sign of f(x) for f with integer coefficients ints (ascending).
+def _sign_at(ints: list[int], p: int, q: int) -> int:
+    """Sign of f(p/q), q > 0, for f with integer coefficients ints (ascending).
 
-    With x = p/q and q > 0, q^d f(p/q) = sum c_i p^i q^(d-i) has the sign of
-    f(x); homogeneous Horner computes it in integers.
+    q^d f(p/q) = sum c_i p^i q^(d-i) has the sign of f(p/q); homogeneous
+    Horner computes it in integers.
     """
-    p, q = x.numerator, x.denominator
     acc, q_pow = 0, 1
     for c in reversed(ints):
         acc = acc * p + c * q_pow
@@ -199,16 +200,26 @@ def _sign_at(ints: list[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _dyadic_steps():
+    """1/2, 1/4, 3/4, 1/8, 3/8, 5/8, 7/8, 1/16, ..."""
+    s = 1
+    while True:
+        yield from (Fraction(j, 1 << s) for j in range(1, 1 << s, 2))
+        s += 1
+
+
 def _nonroot_point(ints: list[int], a: Fraction, b: Fraction) -> tuple[Fraction, int]:
     """A point m strictly inside (a, b) where f does not vanish, and sign f(m).
 
     f is given by its integer coefficients ints; the candidates are
-    a + (b - a)/k for k = 2, 3, ..., so the midpoint comes first.
+    a + (b - a) * t for t = 1/2, 1/4, 3/4, 1/8, ..., so the midpoint comes
+    first and every candidate between dyadic ends is dyadic.  f has at most
+    deg f roots, so deg f + 1 candidates suffice.
     """
     span = b - a
-    for k in range(2, len(ints) + 3):
-        m = a + span / k
-        sign = _sign_at(ints, m)
+    for t in islice(_dyadic_steps(), len(ints)):
+        m = a + span * t
+        sign = _sign_at(ints, m.numerator, m.denominator)
         if sign:
             return m, sign
     raise AssertionError("polynomial vanished at more points than its degree")
@@ -217,14 +228,16 @@ def _nonroot_point(ints: list[int], a: Fraction, b: Fraction) -> tuple[Fraction,
 def isolate_real_roots(f: Poly) -> list[RationalInterval]:
     """Disjoint intervals (lo, hi], one simple real root each, for squarefree f.
 
-    Each lo is -cauchy_bound(f) or a point found by _nonroot_point, so f(lo)
-    is never 0, as refine_real_root requires.
+    The search starts from (-m, m] with m the integer ceiling of
+    cauchy_bound(f), and each split point comes from _nonroot_point, so
+    every endpoint is dyadic and f(lo) is never 0, as refine_real_root
+    requires.
     """
     if poly_degree(f) < 1:
         return []
     chain = sturm_chain(f)
     ints = _integer_coeffs(f)
-    m = cauchy_bound(f)
+    m = Fraction(ceil(cauchy_bound(f)))
     out: list[RationalInterval] = []
 
     def split(lo, hi, v_lo, v_hi):
@@ -245,25 +258,67 @@ def isolate_real_roots(f: Poly) -> list[RationalInterval]:
 
 
 def refine_real_root(f: Poly, iv: RationalInterval, width: Fraction) -> RationalInterval:
-    """Shrink an isolating interval below the width target by bisection.
+    """Shrink an isolating interval below the width target by dyadic bisection.
 
     Precondition: f is squarefree, (iv.lo, iv.hi] holds exactly one root of
     f, and f(iv.lo) != 0; every interval from isolate_real_roots meets it.
-    Then the root lies in (lo, mid] exactly when the sign of f at a nonroot
-    mid differs from its sign at lo, so the sign of f alone picks each half.
+    Then a point x of (lo, hi) with f(x) != 0 lies above the root exactly
+    when the sign of f at x differs from its sign at lo, so the sign of f
+    alone picks each half.
+
+    The interval is snapped outward to a grid 2^-k (exactly, when its ends
+    are dyadic, as isolate_real_roots makes them) and bisected on integer
+    mantissas a, b over 2^k, so each midpoint (a + b) / 2^(k+1) is dyadic
+    and its sign comes from integer Horner.  A midpoint where f vanishes is
+    stepped around by _nonroot_point; one at or past lo or hi, left by the
+    snap, is placed by comparison with that end.  The result contains the
+    root, lies inside iv and is at most width wide.
     """
     ints = _integer_coeffs(f)
     lo, hi = iv.lo, iv.hi
-    sign_lo = _sign_at(ints, lo)
+    sign_lo = _sign_at(ints, lo.numerator, lo.denominator)
     if not sign_lo:
         raise ValueError(f"f vanishes at the interval's left end {lo}")
-    while hi - lo > width:
-        mid, sign_mid = _nonroot_point(ints, lo, hi)
-        if sign_mid != sign_lo:
-            hi = mid
+    lo_num, lo_den = lo.numerator, lo.denominator
+    hi_num, hi_den = hi.numerator, hi.denominator
+
+    def above_root(m: int, k: int) -> bool | None:
+        """Whether m / 2^k lies at or above the root; None where f vanishes."""
+        sign = _sign_at(ints, m, 1 << k)
+        if not sign:
+            return None
+        if m * hi_den >= hi_num << k:
+            return True
+        if m * lo_den <= lo_num << k:
+            return False
+        return sign != sign_lo
+
+    ends = [dyadic_form(x) for x in (lo, hi)]
+    if None in ends:
+        # a grid step at most a quarter of the span
+        span = hi - lo
+        k = max(0, span.denominator.bit_length() - span.numerator.bit_length() + 2)
+        a, b = (lo_num << k) // lo_den, -((-hi_num << k) // hi_den)
+    else:
+        k = max(e for _, e in ends)
+        a, b = (m << (k - e) for m, e in ends)
+    w_num, w_den = width.numerator, width.denominator
+    while (b - a) * w_den > w_num << k:
+        m, a, b, k = a + b, a << 1, b << 1, k + 1
+        above = above_root(m, k)
+        if above is None:
+            x, _ = _nonroot_point(ints, Fraction(a, 1 << k), Fraction(b, 1 << k))
+            e = x.denominator.bit_length() - 1
+            if e > k:
+                a, b, k = a << (e - k), b << (e - k), e
+            m = x.numerator << (k - e)
+            above = above_root(m, k)
+        if above:
+            b = m
         else:
-            lo = mid
-    return RationalInterval(lo, hi)
+            a = m
+    # a non-dyadic end snaps outward, so clip the result back into iv
+    return RationalInterval(max(lo, Fraction(a, 1 << k)), min(hi, Fraction(b, 1 << k)))
 
 
 def rational_roots(f: Poly) -> list[Fraction]:
@@ -282,7 +337,7 @@ def rational_roots(f: Poly) -> list[Fraction]:
     for iv in isolate_real_roots(f):
         iv = refine_real_root(f, iv, Fraction(1, a))
         cand = Fraction(floor(a * iv.lo) + 1, a)
-        if cand <= iv.hi and _sign_at(ints, cand) == 0:
+        if cand <= iv.hi and _sign_at(ints, cand.numerator, cand.denominator) == 0:
             roots.append(cand)
     return roots
 
@@ -370,7 +425,8 @@ def weierstrass_boxes(f: Poly, dps: int) -> list[ComplexInterval]:
         re_hi = max(disks[i][0] + disks[i][2] for i in group)
         im_lo = min(disks[i][1] - disks[i][2] for i in group)
         im_hi = max(disks[i][1] + disks[i][2] for i in group)
-        hull = ComplexInterval.from_box(re_lo, re_hi, im_lo, im_hi)
+        # edges round outward a little finer than the seeds (~3.32 bits a digit)
+        hull = ComplexInterval.from_box(re_lo, re_hi, im_lo, im_hi, 4 * dps)
         boxes.extend([hull] * len(group))
     return boxes
 

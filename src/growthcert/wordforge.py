@@ -32,7 +32,6 @@ from .errors import (
 from .exactnum import ARCH, Place, PlaceSet, SquareMatrix, Word, abs_value
 from .intervals import (
     ComplexInterval,
-    RationalInterval,
     cmat_det_small,
     cmat_from_exact,
     cmat_mul,
@@ -76,7 +75,7 @@ def _root_boxes(f: Poly, a: SquareMatrix, bits: int) -> list[ComplexInterval]:
     """Root boxes of A's charpoly f, 2^-bits * max(1, |A|) wide, by midpoint modulus descending."""
     width = Fraction(1, 2**bits) * max(Fraction(1), a.max_abs_entry())
     real_ivs, boxes = certified_root_structure(f, width)
-    lambdas = [ComplexInterval(iv, RationalInterval.point(0)) for iv in real_ivs] + list(boxes)
+    lambdas = [ComplexInterval.from_box(iv.lo, iv.hi, 0, 0) for iv in real_ivs] + list(boxes)
     lambdas.sort(
         key=lambda z: (
             -_interval_mid(z),
@@ -94,11 +93,15 @@ def _eigenbasis(d: int, mats, lambdas, bits: int):
     At a simple root X has rank 1 and X^2 = tr(X) X, so a nonzero column
     pinned to 1 at coordinate q is the eigenvector and row q over tr(X) the
     matching row of P^-1.  Exact roots pin the first nonzero column at its
-    last nonzero coordinate; boxes take the column, then the coordinate,
-    of largest certified modulus and round out at 4 * bits after each step.
+    last nonzero coordinate.  Boxes take the column of largest certified
+    modulus, then the first coordinate certified nonzero whose modulus can
+    reach that column's certified largest, so rounding noise cannot move
+    the pin between coordinates of equal modulus; every step rounds out at
+    4 * bits.
     """
     n = len(lambdas)
     exact = not isinstance(lambdas[0], ComplexInterval)
+    prec = 4 * bits
     if not exact:
         mats = [[[ComplexInterval.point(x) for x in row] for row in m] for m in mats]
     columns, inv_rows = [], []
@@ -108,7 +111,7 @@ def _eigenbasis(d: int, mats, lambdas, bits: int):
         for m in mats[1:]:
             adj = [[x * mu + y for x, y in zip(row, mrow)] for row, mrow in zip(adj, m)]
             if not exact:
-                adj = [[x.round_out(4 * bits) for x in row] for row in adj]
+                adj = [[x.round_out(prec) for x in row] for row in adj]
         tr = sum((adj[i][i] for i in range(1, n)), adj[0][0])
         if exact:
             col = next(c for c in zip(*adj) if any(c))
@@ -117,18 +120,19 @@ def _eigenbasis(d: int, mats, lambdas, bits: int):
             col = [x * pin for x in col]
             row = [x * scale for x in adj[q]]
         else:
-            col, best_lo = None, Fraction(0)
+            col, sq, best_lo = None, None, Fraction(0)
             for c in zip(*adj):
-                lo = max(x.mag_sq().lo for x in c)
+                c_sq = [x.mag_sq() for x in c]
+                lo = max(v.lo for v in c_sq)
                 if lo > best_lo:
-                    col, best_lo = c, lo
+                    col, sq, best_lo = c, c_sq, lo
             if col is None:
                 raise SingularEnclosure("no adjugate column certified nonzero")
-            q = max(range(n), key=lambda i: col[i].mag_sq().lo)
-            pin, scale = col[q].recip(), tr.recip()
-            col = [(x * pin).round_out(4 * bits) for x in col]
+            q = next(i for i, v in enumerate(sq) if v.lo > 0 and v.hi >= best_lo)
+            pin, scale = col[q].recip(prec), tr.recip(prec)
+            col = [(x * pin).round_out(prec) for x in col]
             col[q] = ComplexInterval.point(1)
-            row = [(x * scale).round_out(4 * bits) for x in adj[q]]
+            row = [(x * scale).round_out(prec) for x in adj[q]]
         columns.append(col)
         inv_rows.append(tuple(row))
     return tuple(zip(*columns)), tuple(inv_rows)
@@ -323,7 +327,7 @@ def diagonalized_pair(
     """
     a_diag, p, p_inv = diagonalize(a, sort_place, bits)
     exact = not isinstance(a_diag[0], ComplexInterval)
-    b_rows = b.entries if exact else cmat_from_exact(b)
+    b_rows = b.entries if exact else cmat_from_exact(b, 4 * bits)
     b_rows = _rows_mul(_rows_mul(p_inv, b_rows, exact, bits), p, exact, bits)
     return ConjugatedPair(
         orig_a=a,

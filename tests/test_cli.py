@@ -686,6 +686,24 @@ def test_flag_the_subcommand_does_not_read_exits_2(capsys, tmp_path, command, fl
     assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys, tmp_path):
+    # the parser is built once; a parse error leaves nothing behind for the next call
+    gens = sanov_file(tmp_path)
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["growth", gens, "--radius", "2", "--search-depth", "3"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+    code, out, err = run(capsys, ["growth", gens, "--radius", "2"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["ball_sizes"] == [[0, 1], [1, 5], [2, 17]]
+    code, out, err = run(capsys, ["spectrum", gens, "--word", "9"])
+    assert code == 2 and out == "" and err.startswith("error: bad word")
+    code, out, _ = run(capsys, ["growth", gens, "--radius", "1"])
+    assert code == 0 and json.loads(out)["ball_sizes"] == [[0, 1], [1, 5]]
+
+
 def throwaway_install(tmp_path):
     """Install this checkout into a fresh venv under tmp_path; return its scripts dir.
 

@@ -12,6 +12,10 @@ are pinned byte for byte as well.  A change that alters a trace on purpose
 re-records that file as a named spec change:
 
     PYTHONPATH=src python tests/test_corpus.py --record
+
+tests/data/tamper_reasons.json holds the reason verify gave for each
+tamper when it was recorded, so every tamper keeps failing at the same
+check, not merely failing.
 """
 
 import json
@@ -26,6 +30,7 @@ from growthcert import cli
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = json.loads((ROOT / "bench/data/corpus.json").read_text())
 TRACES_PATH = ROOT / "tests/data/corpus_traces.json"
+TAMPER_REASONS = json.loads((ROOT / "tests/data/tamper_reasons.json").read_text())
 INPUTS = {item["id"]: item for item in CORPUS["inputs"]}
 CERTIFIED = [i for i, item in INPUTS.items() if "certificate" in item["certify"]]
 
@@ -87,6 +92,7 @@ def test_verify_rejects_the_recorded_tamper(tmp_path, capsys, tamper):
     cert = write(tmp_path, "cert.json", tamper["certificate"])
     code, doc = run(capsys, ["verify", cert, generator_file(tmp_path, tamper["of"])])
     assert (code, doc["valid"]) == (5, False)
+    assert doc["reason"] == TAMPER_REASONS[tamper["id"]]
 
 
 def record_traces() -> None:

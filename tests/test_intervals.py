@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthcert.errors import SingularEnclosure
@@ -14,10 +14,8 @@ from growthcert.intervals import (
     cmat_from_exact,
     cmat_inverse,
     cmat_mul,
-    cmat_sub,
     dyadic_ceil,
     dyadic_floor,
-    sqrt_lower,
     sqrt_upper,
 )
 from growthcert.spectra import adjugate_poly
@@ -42,10 +40,9 @@ def reference_mul(a, b):
 
 def reference_cmul(z, w):
     """Box product with all four real-interval terms multiplied out."""
-    return ComplexInterval(
-        reference_mul(z.re, w.re) - reference_mul(z.im, w.im),
-        reference_mul(z.re, w.im) + reference_mul(z.im, w.re),
-    )
+    re = reference_mul(z.re, w.re) - reference_mul(z.im, w.im)
+    im = reference_mul(z.re, w.im) + reference_mul(z.im, w.re)
+    return ComplexInterval.from_box(re.lo, re.hi, im.lo, im.hi)
 
 
 ZERO = RationalInterval.point(0)
@@ -59,13 +56,6 @@ SPANS = (
 NONZERO_IMS = st.one_of(POINTS, SPANS).filter(lambda iv: iv != ZERO)
 
 
-def cmat_identity(n: int):
-    return tuple(
-        tuple(ComplexInterval.point(1 if i == j else 0) for j in range(n))
-        for i in range(n)
-    )
-
-
 def test_dyadic_bracketing():
     rng = random.Random(3)
     for _ in range(200):
@@ -77,14 +67,13 @@ def test_dyadic_bracketing():
 
 
 def test_sqrt_bounds():
-    assert sqrt_lower(F(4)) == 2
     assert sqrt_upper(F(4)) == 2
     rng = random.Random(17)
     for _ in range(100):
         x = F(rng.randint(0, 10**8), rng.randint(1, 10**4))
-        lo, hi = sqrt_lower(x, 48), sqrt_upper(x, 48)
+        hi = sqrt_upper(x, 48)
+        lo = max(F(0), hi - F(1, 2**40))
         assert lo * lo <= x <= hi * hi
-        assert hi - lo <= F(1, 2**40)
 
 
 def test_rational_interval_arithmetic():
@@ -133,7 +122,8 @@ def test_interval_product_matches_four_products(left, right, data):
 def test_box_product_matches_four_terms(self_im_zero, other_im_zero, data):
     def box(im_zero):
         re = data.draw(st.one_of(POINTS, SPANS))
-        return ComplexInterval(re, ZERO if im_zero else data.draw(NONZERO_IMS))
+        im = ZERO if im_zero else data.draw(NONZERO_IMS)
+        return ComplexInterval.from_box(re.lo, re.hi, im.lo, im.hi)
 
     z, w = box(self_im_zero), box(other_im_zero)
     assert z * w == reference_cmul(z, w)
@@ -201,13 +191,6 @@ def test_cmat_inverse_rejects_singular():
         cmat_inverse(cmat_from_exact(singular))
 
 
-def test_cmat_sub_identity():
-    a = cmat_from_exact(M([[1, 2], [3, 4]]))
-    z = cmat_sub(a, a)
-    assert cmat_contains_exact(z, M([[0, 0], [0, 0]]))
-    assert cmat_contains_exact(cmat_identity(2), SquareMatrix.identity(2))
-
-
 @pytest.mark.parametrize(
     "p_rows, lambdas",
     [
@@ -234,3 +217,191 @@ def test_enclosed_eigenbasis_contains_exact_eigenbasis(p_rows, lambdas, bits):
     assert all(box.contains(lam) for box, lam in zip(boxes, exact))
     conj = cmat_mul(p_inv_enc, cmat_mul(cmat_from_exact(a), p_enc))
     assert cmat_contains_exact(conj, diag(exact))
+
+
+# ---------------------------------------------------------------------------
+# containment: for exact rationals inside the input boxes, the exact
+# Fraction result lies inside the dyadic result
+
+
+EXACT = st.fractions(-9, 9, max_denominator=12)
+RADII = st.one_of(st.just(F(0)), st.fractions(0, 1, max_denominator=16))
+
+
+@st.composite
+def boxes(draw, nonzero: bool = False):
+    """(box, (re, im)): a rational box around an exact point, entered at a drawn precision.
+
+    Non-dyadic edges round outward, so the point stays inside.
+    """
+    re = draw(EXACT)
+    im = draw(st.one_of(st.just(F(0)), EXACT))
+    if nonzero:
+        assume(re or im)
+    edges = (re - draw(RADII), re + draw(RADII), im - draw(RADII), im + draw(RADII))
+    box = ComplexInterval.from_box(*edges, draw(st.integers(4, 80)))
+    assert box.contains(re, im)
+    return box, (re, im)
+
+
+def cmul(z, w):
+    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
+
+
+def cinv(z):
+    den = z[0] ** 2 + z[1] ** 2
+    return (z[0] / den, -z[1] / den)
+
+
+def cpow(z, k):
+    out = (F(1), F(0))
+    for _ in range(abs(k)):
+        out = cmul(out, z)
+    return cinv(out) if k < 0 else out
+
+
+def nonsingular(box) -> bool:
+    return box.mag_sq().lo > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes(), boxes())
+def test_box_sum_difference_and_product_contain_the_exact_results(x, y):
+    (zb, z), (wb, w) = x, y
+    assert (zb + wb).contains(z[0] + w[0], z[1] + w[1])
+    assert (zb - wb).contains(z[0] - w[0], z[1] - w[1])
+    assert (-zb).contains(-z[0], -z[1])
+    assert (zb * wb).contains(*cmul(z, w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes(), st.one_of(st.integers(-50, 50), EXACT))
+def test_box_scale_contains_the_exact_result(x, c):
+    zb, z = x
+    assert zb.scale(c).contains(z[0] * c, z[1] * c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes(nonzero=True), st.integers(8, 300))
+def test_box_recip_contains_the_exact_result(x, bits):
+    zb, z = x
+    assume(nonsingular(zb))
+    assert zb.recip(bits).contains(*cinv(z))
+
+
+def test_box_recip_rejects_a_box_around_zero():
+    with pytest.raises(SingularEnclosure):
+        ComplexInterval.from_box(F(-1, 3), F(1, 2), 0, 0).recip()
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes(), st.integers(-3, 7), st.sampled_from([None, 8, 64, 256]))
+def test_box_pow_int_contains_the_exact_result(x, k, round_bits):
+    zb, z = x
+    if k < 0:
+        # the positive power of a box off zero may still reach zero
+        assume(nonsingular(zb.pow_int(-k, round_bits)))
+    assert zb.pow_int(k, round_bits).contains(*cpow(z, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes(), st.integers(1, 128))
+def test_box_mag_contains_the_exact_modulus(x, bits):
+    zb, z = x
+    m = zb.mag(bits)
+    lo, hi = m.lo, m.hi
+    sq = z[0] ** 2 + z[1] ** 2
+    assert 0 <= lo and lo * lo <= sq <= hi * hi
+    assert zb.mag_sq().contains(sq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes(), st.integers(1, 64))
+def test_box_round_out_contains_the_box_and_keeps_its_bits(x, bits):
+    zb, z = x
+    rounded = zb.round_out(bits)
+    assert rounded.contains(*z)
+    for part, wider in ((zb.re, rounded.re), (zb.im, rounded.im)):
+        assert wider.lo <= part.lo and part.hi <= wider.hi
+    # an upper end rounded up may carry into one more bit
+    if rounded is not zb:
+        ends = (rounded.rl, rounded.rh, rounded.il, rounded.ih)
+        assert max(abs(v) for v in ends).bit_length() <= bits + 1
+
+
+@st.composite
+def box_matrices(draw, n):
+    cells = [[draw(boxes()) for _ in range(n)] for _ in range(n)]
+    return (
+        tuple(tuple(box for box, _ in row) for row in cells),
+        [[z for _, z in row] for row in cells],
+    )
+
+
+def exact_cmat_mul(a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = (F(0), F(0))
+            for t in range(n):
+                p = cmul(a[i][t], b[t][j])
+                acc = (acc[0] + p[0], acc[1] + p[1])
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def exact_cdet(a):
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    acc = (F(0), F(0))
+    for j in range(n):
+        minor = [[row[c] for c in range(n) if c != j] for row in a[1:]]
+        term = cmul(a[0][j], exact_cdet(minor))
+        sign = 1 if j % 2 == 0 else -1
+        acc = (acc[0] + sign * term[0], acc[1] + sign * term[1])
+    return acc
+
+
+def all_contained(boxes_rows, exact_rows) -> bool:
+    return all(b.contains(*z) for br, zr in zip(boxes_rows, exact_rows) for b, z in zip(br, zr))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(box_matrices(n), box_matrices(n))),
+       st.sampled_from([None, 16, 256]))
+def test_cmat_mul_contains_the_exact_product(pair, round_bits):
+    (ab, a), (bb, b) = pair
+    assert all_contained(cmat_mul(ab, bb, round_bits), exact_cmat_mul(a, b))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4).flatmap(box_matrices))
+def test_cmat_det_small_contains_the_exact_determinant(mat):
+    ab, a = mat
+    assert cmat_det_small(ab).contains(*exact_cdet(a))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3).flatmap(box_matrices), st.sampled_from([None, 64, 256]))
+def test_cmat_inverse_contains_the_exact_inverse(mat, round_bits):
+    ab, a = mat
+    n = len(a)
+    det = exact_cdet(a)
+    assume(det != (0, 0))
+    try:
+        inv = cmat_inverse(ab, round_bits)
+    except SingularEnclosure:
+        assume(False)
+    # the exact inverse is adj(a) / det(a), from cofactors
+    exact = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = exact_cdet(minor) if n > 1 else (F(1), F(0))
+            sign = 1 if (i + j) % 2 == 0 else -1
+            exact[j][i] = cmul((sign * cof[0], sign * cof[1]), cinv(det))
+    assert all_contained(inv, exact)

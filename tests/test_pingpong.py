@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from growthcert import pingpong
 from growthcert.errors import BudgetExceeded, ExponentSearchExhausted, Inconclusive
 from growthcert.exactnum import ARCH, Place, SquareMatrix, Word, is_prime
-from growthcert.intervals import ComplexInterval, RationalInterval
+from growthcert.intervals import ComplexInterval
 from growthcert.pingpong import (
     DEFAULT_RADII,
     ConeChecks,
@@ -58,7 +58,7 @@ def test_l_conditions_finite_place():
 
 
 def test_l_conditions_inconclusive_on_wide_interval():
-    wide = ComplexInterval(RationalInterval(F(19, 10), F(21, 10)), RationalInterval.point(0))
+    wide = ComplexInterval.from_box(F(19, 10), F(21, 10), 0, 0)
     with pytest.raises(Inconclusive):
         check_l_conditions((wide, F(1, 4)), B_ROWS, ARCH)
 

@@ -48,17 +48,29 @@ def count_real_roots(f, a, b, chain=None) -> int:
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
+def _dyadic_fractions():
+    """1/2, 1/4, 3/4, 1/8, 3/8, 5/8, 7/8, 1/16, ..."""
+    s = 1
+    while True:
+        for j in range(1, 2**s, 2):
+            yield F(j, 2**s)
+        s += 1
+
+
 def _reference_nonroot_point(f, a, b):
-    span = b - a
-    for k in range(2, len(f) + 3):
-        m = a + span / k
+    for _, t in zip(range(len(f) + 1), _dyadic_fractions()):
+        m = a + (b - a) * t
         if poly_eval(f, m) != 0:
             return m
     raise AssertionError("polynomial vanished at more points than its degree")
 
 
 def reference_refine_real_root(f, iv, width):
-    """Bisection that counts Sturm sign variations at every step (the reference)."""
+    """Dyadic bisection that counts Sturm sign variations at every step (the reference).
+
+    It takes the dyadic isolating intervals that isolate_real_roots gives.
+    """
+    assert all(x.denominator & (x.denominator - 1) == 0 for x in (iv.lo, iv.hi))
     chain = sturm_chain(f)
     lo, hi = iv.lo, iv.hi
     v_lo = _sign_variations(chain, lo)
@@ -265,7 +277,7 @@ def test_refine_takes_fallback_when_midpoint_is_the_root():
     # (2x - 1)(x - 3)(x + 5): (0, 1] isolates 1/2, its midpoint
     f = poly_mul(poly_mul(poly_from([-1, 2]), poly_from([-3, 1])), poly_from([5, 1]))
     assert poly_eval(f, F(1, 2)) == 0
-    assert _nonroot_point(_integer_coeffs(f), F(0), F(1)) == (F(1, 3), 1)
+    assert _nonroot_point(_integer_coeffs(f), F(0), F(1)) == (F(1, 4), 1)
     iv = RationalInterval(F(0), F(1))
     for width in (F(1, 2), F(1, 2**20), F(1, 2**200)):
         tight = refine_real_root(f, iv, width)
@@ -273,3 +285,63 @@ def test_refine_takes_fallback_when_midpoint_is_the_root():
         assert tight.lo < F(1, 2) <= tight.hi
     with pytest.raises(ValueError):
         refine_real_root(f, RationalInterval(F(1, 2), F(1)), F(1, 2**10))
+
+
+@pytest.mark.parametrize(
+    "factors, rational",
+    [
+        ([[F(-1, 2), 1], [-2, 0, 1]], [F(1, 2)]),
+        ([[F(-3, 4), 1], [F(5, 8), 1], [-3, 0, 1]], [F(-5, 8), F(3, 4)]),
+    ],
+    ids=["(x-1/2)(x^2-2)", "(x-3/4)(x+5/8)(x^2-3)"],
+)
+def test_refine_steps_around_rational_roots_on_dyadic_midpoints(factors, rational):
+    f = poly_from([1])
+    for factor in factors:
+        f = poly_mul(f, poly_from(factor))
+    assert rational_roots(f) == rational
+    ints = _integer_coeffs(f)
+    for width in (F(1, 2), F(1, 2**20), F(1, 2**64), F(1, 2**256)):
+        for iv in isolate_real_roots(f):
+            tight = refine_real_root(f, iv, width)
+            assert tight == reference_refine_real_root(f, iv, width)
+            assert tight.hi - tight.lo <= width
+            assert all(x.denominator & (x.denominator - 1) == 0 for x in (tight.lo, tight.hi))
+            assert iv.lo <= tight.lo and tight.hi <= iv.hi
+            assert count_real_roots(f, tight.lo, tight.hi) == 1
+    # where the midpoint 1/2 of (0, 1] is a root, the next candidate is 1/4
+    assert _nonroot_point(ints, F(0), F(1))[0] == (F(1, 4) if F(1, 2) in rational else F(1, 2))
+
+
+def test_refine_snaps_non_dyadic_ends_without_catching_a_neighbor():
+    # (x - 1/3)(x - 3/7): (34/100, 1/2] isolates 3/7, and its outward snap to
+    # sixteenths reaches 5/16 < 1/3, past the other root
+    f = poly_mul(poly_from([F(-1, 3), 1]), poly_from([F(-3, 7), 1]))
+    iv = RationalInterval(F(34, 100), F(1, 2))
+    for width in (F(1, 4), F(1, 2**10), F(1, 2**100)):
+        tight = refine_real_root(f, iv, width)
+        assert tight.lo < F(3, 7) <= tight.hi and tight.hi - tight.lo <= width
+        assert iv.lo <= tight.lo and tight.hi <= iv.hi
+        assert not tight.contains(F(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(-40, 40), min_size=2, max_size=6).filter(lambda cs: cs[-1] != 0),
+    st.integers(1, 200),
+)
+def test_refine_contains_the_root_of_non_dyadic_intervals(ints, k):
+    # shrink each isolating interval to non-dyadic ends a third of the way in
+    f = poly_from(ints)
+    assume(poly_degree(poly_gcd(f, poly_deriv(f))) == 0)
+    width = F(1, 2**k)
+    chain = sturm_chain(f)
+    for iv in isolate_real_roots(f):
+        near = refine_real_root(f, iv, (iv.hi - iv.lo) / 64)
+        lo = near.lo - (near.lo - iv.lo) / 3 if near.lo > iv.lo else near.lo
+        hi = near.hi + (iv.hi - near.hi) / 3
+        assume(poly_eval(f, lo) != 0)
+        tight = refine_real_root(f, RationalInterval(lo, hi), width)
+        assert tight.hi - tight.lo <= width
+        assert lo <= tight.lo and tight.hi <= hi
+        assert count_real_roots(f, tight.lo, tight.hi, chain) == 1

@@ -31,12 +31,10 @@ from growthcert.exactnum import (
 )
 from growthcert.intervals import (
     ComplexInterval,
-    RationalInterval,
     cmat_det_small,
     cmat_from_exact,
     cmat_inverse,
     cmat_mul,
-    cmat_sub,
     sqrt_upper,
 )
 from growthcert.polyroots import certified_root_structure, rational_roots, squarefree_part
@@ -526,6 +524,18 @@ def reference_diagonalize_exact(a: SquareMatrix, poly, sort_place: Place = ARCH)
     return tuple(order), p.entries, p.inverse().entries
 
 
+def cmat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
+
+
+def test_cmat_sub_identity():
+    a = cmat_from_exact(M([[1, 2], [3, 4]]))
+    assert _contains(cmat_sub(a, a), M([[0, 0], [0, 0]]).entries)
+    one, zero = ComplexInterval.point(1), ComplexInterval.point(0)
+    identity = ((one, zero), (zero, one))
+    assert _contains(identity, SquareMatrix.identity(2).entries)
+
+
 def cmat_adjugate(a):
     """adj(a)[j][i] = (-1)^(i+j) * minor_ij; satisfies a*adj = det*I."""
     n = len(a)
@@ -549,7 +559,7 @@ def reference_diagonalize_enclosed(a: SquareMatrix, poly, bits: int = 128):
     n = a.n
     width = F(1, 2**bits) * max(F(1), a.max_abs_entry())
     real_ivs, boxes = certified_root_structure(poly, width)
-    lambdas = [ComplexInterval(iv, RationalInterval.point(0)) for iv in real_ivs]
+    lambdas = [ComplexInterval.from_box(iv.lo, iv.hi, 0, 0) for iv in real_ivs]
     lambdas += list(boxes)
     lambdas.sort(
         key=lambda z: (
@@ -673,6 +683,21 @@ def test_diagonalize_with_a_modulus_tie():
         lambdas, p, p_inv = diagonalize(a, ARCH, bits)
         assert not _pins_certified(p)
         assert_encloses_eigenbasis(a, lambdas, p, p_inv)
+
+
+@pytest.mark.parametrize(
+    "rows, pins",
+    [
+        ([[1, -2, 1, 0], [0, 0, 1, 0], [0, 2, 0, 0], [0, 0, 0, 0]], [[0], [0], [0], [3]]),
+        ([[-1, -2, -1], [-1, 2, 0], [-1, 2, -1]], [[1], [0], [0]]),
+    ],
+)
+def test_a_modulus_tie_pins_the_first_tied_coordinate_at_every_precision(rows, pins):
+    # the sqrt(2) eigenvector of the first matrix ties coordinates 0 and 2, as
+    # does the third eigenvector of the second; a rule that took the largest
+    # certified lower bound alone would leave the pin to rounding noise
+    for bits in (64, 128, 256):
+        assert _pins(diagonalize(M(rows), ARCH, bits)[1]) == pins
 
 
 _entry = st.fractions(min_value=-5, max_value=5, max_denominator=3)
