@@ -128,7 +128,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise _ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an int past 4,300 digits
         raise _ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -174,8 +174,10 @@ def _with_approx(obj):
             if isinstance(v, str) and _RATIONAL_RE.fullmatch(v):
                 try:
                     out[k + "~"] = float(Fraction(v))
-                except OverflowError:
-                    pass  # past the float range the exact string stands alone
+                except (OverflowError, ValueError):
+                    # past the float range, or past the 4,300 digits that
+                    # Fraction parses, the exact string stands alone
+                    pass
         return out
     if isinstance(obj, list):
         return [_with_approx(x) for x in obj]
@@ -381,7 +383,7 @@ def cmd_report(args) -> int:
         records = [json.loads(line) for line in lines]
     except OSError as exc:
         raise _ParseError(f"cannot read {args.trace}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise _ParseError(f"{args.trace} is not JSONL: {exc}") from exc
     bad = next((i for i, rec in enumerate(records) if not isinstance(rec, dict)), None)
     if bad is not None:

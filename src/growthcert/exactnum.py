@@ -41,12 +41,22 @@ def typed_field(obj: dict, key: str, kind: type):
     return x
 
 
+def _decimal(n: int) -> str:
+    """str(n) at any size: str refuses past 4,300 digits, so split n at 10^k."""
+    if n.bit_length() <= 8192:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    hi, lo = divmod(n, 10 ** (k := n.bit_length() * 3 // 20))  # k: half of n's digits
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
 def format_rational(x: Fraction) -> str:
-    """Canonical "p/q" form; integers render without the slash."""
+    """Canonical "p/q" form, in full at any size; integers render without the slash."""
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +394,6 @@ class SquareMatrix:
     def scale(self, c: Fraction) -> "SquareMatrix":
         c = Fraction(c)
         return SquareMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
-
-    def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
 
     def det(self) -> Fraction:
         """Exact determinant."""

@@ -91,12 +91,6 @@ class RationalInterval:
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    def __add__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo - other.hi, self.hi - other.lo)
-
     def __neg__(self) -> "RationalInterval":
         return RationalInterval(-self.hi, -self.lo)
 
@@ -122,20 +116,6 @@ class RationalInterval:
         if c >= 0:
             return RationalInterval(self.lo * c, self.hi * c)
         return RationalInterval(self.hi * c, self.lo * c)
-
-    def pow_int(self, k: int) -> "RationalInterval":
-        if k < 0:
-            raise ValueError("negative power of a rational interval")
-        if k == 0:
-            return RationalInterval.point(1)
-        lo_k, hi_k = self.lo**k, self.hi**k
-        if k % 2 == 1:
-            return RationalInterval(lo_k, hi_k)
-        if self.lo >= 0:
-            return RationalInterval(lo_k, hi_k)
-        if self.hi <= 0:
-            return RationalInterval(hi_k, lo_k)
-        return RationalInterval(Fraction(0), max(lo_k, hi_k))
 
     def abs_interval(self) -> "RationalInterval":
         if self.lo >= 0:

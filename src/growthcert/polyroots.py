@@ -1,23 +1,22 @@
 """Exact polynomial arithmetic over Q and certified root enclosures.
 
-Polynomials are tuples of Fractions, ascending degree, trimmed.  Real roots
-are isolated with exact Sturm sequences on dyadic intervals, then refined
-by bisection on integer mantissas over a power of two, deciding each half
-by the exact sign of f from integer Horner; refine_real_root states the
-precondition under which that sign alone picks each half.  Non-real roots
-get axis-aligned dyadic boxes: floating seeds from mpmath.polyroots are
-promoted to exact rational centers, then Weierstrass correction terms W_i
-computed in exact arithmetic give inclusion disks of radius n|W_i| whose
-union contains every root, with k-disk connected components containing
-exactly k roots; the hull of a component rounds outward to a dyadic box.
-Every containment decision below is an exact rational comparison.
+Polynomials are tuples of Fractions (ascending, trimmed) at the module
+boundary and integer lists inside.  One signed primitive remainder sequence
+over Z (Collins 1967; Brown and Traub 1971) gives the Sturm chain and gcds,
+so squarefree parts and Yun factors by exact integer division; one integer
+Horner gives every sign.  Real roots are isolated and refined by bisection
+on integer mantissas over 2^k; rational roots are found on the grid j/a by
+Newton steps on j.  Non-real roots get dyadic boxes: mpmath seeds, made
+exact, give Weierstrass inclusion disks of radius n|W_i| whose k-disk
+components hold exactly k roots; a component's hull rounds outward to a
+box.  Every containment decision below is an exact rational comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from math import ceil, floor, gcd, lcm
+from itertools import count, islice, zip_longest
+from math import gcd, lcm
 
 import mpmath
 
@@ -39,13 +38,6 @@ def poly_degree(f: Poly) -> int:
     return len(f) - 1
 
 
-def poly_eval(f: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def poly_eval_complex(f: Poly, z: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
     """Horner over exact complex rationals represented as (re, im)."""
     re, im = Fraction(0), Fraction(0)
@@ -59,95 +51,8 @@ def poly_deriv(f: Poly) -> Poly:
     return poly_from(i * c for i, c in enumerate(f) if i > 0)
 
 
-def poly_add(f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    fs = list(f) + [Fraction(0)] * (n - len(f))
-    gs = list(g) + [Fraction(0)] * (n - len(g))
-    return poly_from(a + b for a, b in zip(fs, gs))
-
-
-def poly_neg(f: Poly) -> Poly:
-    return tuple(-c for c in f)
-
-
-def poly_scale(f: Poly, c: Fraction) -> Poly:
-    return poly_from(Fraction(c) * x for x in f)
-
-
-def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    quo = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    dg, lead = len(g) - 1, g[-1]
-    while len(rem) - 1 >= dg and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-        shift = len(rem) - 1 - dg
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for i, c in enumerate(g):
-            rem[shift + i] -= factor * c
-    return poly_from(quo), poly_from(rem)
-
-
-def poly_div_exact(f: Poly, g: Poly) -> Poly:
-    q, r = poly_divmod(f, g)
-    if r:
-        raise ValueError("division is not exact")
-    return q
-
-
 def poly_monic(f: Poly) -> Poly:
-    if not f:
-        return f
-    return poly_scale(f, 1 / f[-1])
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    a, b = f, g
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return poly_monic(a)
-
-
-def squarefree_part(f: Poly) -> Poly:
-    """f / gcd(f, f'), monic; same distinct roots, all simple."""
-    if poly_degree(f) <= 0:
-        return poly_monic(f)
-    g = poly_gcd(f, poly_deriv(f))
-    if poly_degree(g) == 0:
-        return poly_monic(f)
-    return poly_monic(poly_div_exact(f, g))
-
-
-def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Squarefree factorization f = prod a_i^i (char 0, Yun's algorithm)."""
-    f = poly_monic(f)
-    if poly_degree(f) <= 0:
-        return []
-    d = poly_deriv(f)
-    g = poly_gcd(f, d)
-    if poly_degree(g) == 0:
-        return [(f, 1)]
-    out = []
-    c = poly_div_exact(f, g)
-    w = poly_add(poly_div_exact(d, g), poly_neg(poly_deriv(c)))
-    i = 1
-    while poly_degree(c) > 0:
-        a = poly_gcd(c, w)
-        if poly_degree(a) > 0:
-            out.append((poly_monic(a), i))
-        c = poly_div_exact(c, a)
-        w = poly_add(poly_div_exact(w, a), poly_neg(poly_deriv(c)))
-        i += 1
-        if i > poly_degree(f) + 1:
-            raise AssertionError("Yun decomposition failed to terminate")
-    return out
+    return tuple(c / f[-1] for c in f)
 
 
 def cauchy_bound(f: Poly) -> Fraction:
@@ -159,26 +64,7 @@ def cauchy_bound(f: Poly) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences (real roots, exact)
-
-
-def sturm_chain(f: Poly) -> list[Poly]:
-    chain = [f, poly_deriv(f)]
-    while poly_degree(chain[-1]) > 0:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(poly_neg(rem))
-    return [c for c in chain if c]
-
-
-def _sign_variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for g in chain:
-        v = poly_eval(g, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+# the integer kernel: lists of ints, ascending degree, trimmed
 
 
 def _integer_coeffs(f: Poly) -> list[int]:
@@ -187,73 +73,167 @@ def _integer_coeffs(f: Poly) -> list[int]:
     return [c.numerator * (den // c.denominator) for c in f]
 
 
-def _sign_at(ints: list[int], p: int, q: int) -> int:
-    """Sign of f(p/q), q > 0, for f with integer coefficients ints (ascending).
+def _trim(f: list[int]) -> list[int]:
+    while f and not f[-1]:
+        f.pop()
+    return f
 
-    q^d f(p/q) = sum c_i p^i q^(d-i) has the sign of f(p/q); homogeneous
-    Horner computes it in integers.
+
+def _primitive(f: list[int]) -> list[int]:
+    """f over the gcd of its coefficients: same roots, same signs."""
+    g = gcd(*f)
+    return [c // g for c in f] if g > 1 else f
+
+
+def _deriv(f: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _prem(f: list[int], g: list[int]) -> list[int]:
+    """The pseudo-remainder lc(g)^(deg f - deg g + 1) f mod g, in Z[x]."""
+    r, lead, dg = list(f), g[-1], len(g) - 1
+    for i in range(len(f) - len(g), -1, -1):
+        c = r.pop()
+        r = [x * lead for x in r]
+        if c:
+            for j in range(dg):
+                r[i + j] -= c * g[j]
+    return _trim(r)
+
+
+def _remainder_sequence(f: list[int], g: list[int]) -> list[list[int]]:
+    """f, g, then the primitive part of each next -prem, signed as -rem over Q.
+
+    -prem(a, b) = -lc(b)^(deg a - deg b + 1) rem(a, b), so the sign of that
+    power is divided out: every member is a positive multiple of the
+    rational remainder sequence's, which keeps every Sturm sign.  It stops
+    at a constant or at an exact division, so for nonzero f its last
+    nonzero member is gcd(f, g) up to a rational factor.
     """
+    seq = [f, g]
+    while len(seq[-1]) > 1:
+        a, b = seq[-2], seq[-1]
+        r = _prem(a, b)
+        if not r:
+            break
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-c for c in r]
+        seq.append(_primitive(r))
+    return seq
+
+
+def _gcd(f: list[int], g: list[int]) -> list[int]:
+    """gcd(f, g) for nonzero f, primitive: it divides f and g in Z[x] (Gauss)."""
+    return _primitive([r for r in _remainder_sequence(f, g) if r][-1])
+
+
+def _divide(f: list[int], g: list[int]) -> list[int]:
+    """f / g for an exact division in Z[x]."""
+    r, lead, dg = list(f), g[-1], len(g) - 1
+    q = [0] * (len(f) - dg)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + dg] // lead
+        for j, y in enumerate(g):
+            r[i + j] -= c * y
+    assert not any(r), "division is not exact"
+    return q
+
+
+def squarefree_part(f: Poly) -> Poly:
+    """f / gcd(f, f'), monic; same distinct roots, all simple."""
+    if poly_degree(f) <= 0:
+        return poly_monic(f)
+    ints = _integer_coeffs(f)
+    return poly_monic(poly_from(_divide(ints, _gcd(ints, _deriv(ints)))))
+
+
+def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
+    """Squarefree factorization f = lc(f) prod a_i^i, a_i monic (Yun's algorithm).
+
+    Over Z: every gcd is primitive, so each quotient is exact in Z[x], and
+    any scaling of a gcd divides c and w alike, which Yun's recurrence
+    w <- w/a - (c/a)' allows.
+    """
+    if poly_degree(f) <= 0:
+        return []
+    c = _integer_coeffs(f)
+    d = _deriv(c)
+    g = _gcd(c, d)
+    c, w = _divide(c, g), _divide(d, g)
+    out = []
+    for i in count(1):
+        if len(c) == 1:
+            return out
+        w = _trim([x - y for x, y in zip_longest(w, _deriv(c), fillvalue=0)])
+        a = _gcd(c, w)
+        if len(a) > 1:
+            out.append((poly_monic(poly_from(a)), i))
+        c, w = _divide(c, a), _divide(w, a)
+
+
+# ---------------------------------------------------------------------------
+# real roots, on integer points over a common denominator
+
+
+def _horner(f: list[int], p: int, q: int) -> int:
+    """q^deg(f) f(p/q), by homogeneous Horner in integers."""
     acc, q_pow = 0, 1
-    for c in reversed(ints):
+    for c in reversed(f):
         acc = acc * p + c * q_pow
         q_pow *= q
-    return (acc > 0) - (acc < 0)
+    return acc
 
 
-def _dyadic_steps():
-    """1/2, 1/4, 3/4, 1/8, 3/8, 5/8, 7/8, 1/16, ..."""
-    s = 1
-    while True:
-        yield from (Fraction(j, 1 << s) for j in range(1, 1 << s, 2))
-        s += 1
+def _sign_at(f: list[int], p: int, q: int) -> int:
+    """Sign of f(p/q) for q > 0."""
+    v = _horner(f, p, q)
+    return (v > 0) - (v < 0)
 
 
-def _nonroot_point(ints: list[int], a: Fraction, b: Fraction) -> tuple[Fraction, int]:
-    """A point m strictly inside (a, b) where f does not vanish, and sign f(m).
+def _variations(chain: list[list[int]], p: int, q: int) -> int:
+    """Sign changes of the chain at p/q, q > 0, zeros skipped."""
+    signs = [s for s in (_sign_at(g, p, q) for g in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    f is given by its integer coefficients ints; the candidates are
-    a + (b - a) * t for t = 1/2, 1/4, 3/4, 1/8, ..., so the midpoint comes
-    first and every candidate between dyadic ends is dyadic.  f has at most
-    deg f roots, so deg f + 1 candidates suffice.
+
+def _nonroot_point(f: list[int], a: int, b: int, k: int) -> tuple[int, int, int]:
+    """(m, j, sign f(m/2^j)) with m/2^j strictly inside (a/2^k, b/2^k), f(m/2^j) != 0.
+
+    The candidates are a + (b - a) t for t = 1/2, 1/4, 3/4, 1/8, ..., so
+    the midpoint comes first; f has at most deg f roots, so deg f + 1
+    candidates suffice.
     """
-    span = b - a
-    for t in islice(_dyadic_steps(), len(ints)):
-        m = a + span * t
-        sign = _sign_at(ints, m.numerator, m.denominator)
+    steps = ((s, t) for s in count(1) for t in range(1, 1 << s, 2))
+    for s, t in islice(steps, len(f)):
+        m = (a << s) + (b - a) * t
+        sign = _sign_at(f, m, 1 << (k + s))
         if sign:
-            return m, sign
+            return m, k + s, sign
     raise AssertionError("polynomial vanished at more points than its degree")
 
 
 def isolate_real_roots(f: Poly) -> list[RationalInterval]:
-    """Disjoint intervals (lo, hi], one simple real root each, for squarefree f.
+    """Disjoint dyadic intervals (lo, hi], one simple real root each, for squarefree f.
 
-    The search starts from (-m, m] with m the integer ceiling of
-    cauchy_bound(f), and each split point comes from _nonroot_point, so
-    every endpoint is dyadic and f(lo) is never 0, as refine_real_root
-    requires.
+    The search runs on integer mantissas over 2^k from (-m, m], m the
+    integer ceiling of cauchy_bound(f), and each split point comes from
+    _nonroot_point, so f(lo) is never 0, as refine_real_root requires.  The
+    left half is split first, so the intervals come out sorted.
     """
     if poly_degree(f) < 1:
         return []
-    chain = sturm_chain(f)
     ints = _integer_coeffs(f)
-    m = Fraction(ceil(cauchy_bound(f)))
-    out: list[RationalInterval] = []
-
-    def split(lo, hi, v_lo, v_hi):
-        cnt = v_lo - v_hi
-        if cnt == 0:
-            return
-        if cnt == 1:
-            out.append(RationalInterval(lo, hi))
-            return
-        mid, _ = _nonroot_point(ints, lo, hi)
-        v_mid = _sign_variations(chain, mid)
-        split(lo, mid, v_lo, v_mid)
-        split(mid, hi, v_mid, v_hi)
-
-    split(-m, m, _sign_variations(chain, -m), _sign_variations(chain, m))
-    out.sort(key=lambda iv: iv.lo)
+    chain = _remainder_sequence(ints, _deriv(ints))
+    m = 1 - max(abs(c) for c in ints[:-1]) // -abs(ints[-1])
+    out, todo = [], [(-m, m, 0, _variations(chain, -m, 1), _variations(chain, m, 1))]
+    while todo:
+        a, b, k, v_a, v_b = todo.pop()
+        if v_a - v_b == 1:
+            out.append(RationalInterval(Fraction(a, 1 << k), Fraction(b, 1 << k)))
+        elif v_a - v_b > 1:
+            mid, j, _ = _nonroot_point(ints, a, b, k)
+            v_mid = _variations(chain, mid, 1 << j)
+            todo += [(mid, b << (j - k), j, v_mid, v_b), (a << (j - k), mid, j, v_a, v_mid)]
     return out
 
 
@@ -261,84 +241,100 @@ def refine_real_root(f: Poly, iv: RationalInterval, width: Fraction) -> Rational
     """Shrink an isolating interval below the width target by dyadic bisection.
 
     Precondition: f is squarefree, (iv.lo, iv.hi] holds exactly one root of
-    f, and f(iv.lo) != 0; every interval from isolate_real_roots meets it.
-    Then a point x of (lo, hi) with f(x) != 0 lies above the root exactly
-    when the sign of f at x differs from its sign at lo, so the sign of f
-    alone picks each half.
-
-    The interval is snapped outward to a grid 2^-k (exactly, when its ends
-    are dyadic, as isolate_real_roots makes them) and bisected on integer
-    mantissas a, b over 2^k, so each midpoint (a + b) / 2^(k+1) is dyadic
-    and its sign comes from integer Horner.  A midpoint where f vanishes is
-    stepped around by _nonroot_point; one at or past lo or hi, left by the
-    snap, is placed by comparison with that end.  The result contains the
-    root, lies inside iv and is at most width wide.
+    f, f(iv.lo) != 0 and both ends are dyadic, as isolate_real_roots gives
+    them (a non-dyadic end raises ValueError).  Then a point of (lo, hi)
+    where f is not 0 lies above the root exactly when f's sign there differs
+    from its sign at lo.  The ends are integer mantissas over 2^k, and a
+    midpoint where f vanishes is stepped around by _nonroot_point.
     """
-    ints = _integer_coeffs(f)
-    lo, hi = iv.lo, iv.hi
-    sign_lo = _sign_at(ints, lo.numerator, lo.denominator)
-    if not sign_lo:
-        raise ValueError(f"f vanishes at the interval's left end {lo}")
-    lo_num, lo_den = lo.numerator, lo.denominator
-    hi_num, hi_den = hi.numerator, hi.denominator
-
-    def above_root(m: int, k: int) -> bool | None:
-        """Whether m / 2^k lies at or above the root; None where f vanishes."""
-        sign = _sign_at(ints, m, 1 << k)
-        if not sign:
-            return None
-        if m * hi_den >= hi_num << k:
-            return True
-        if m * lo_den <= lo_num << k:
-            return False
-        return sign != sign_lo
-
-    ends = [dyadic_form(x) for x in (lo, hi)]
+    ends = [dyadic_form(x) for x in (iv.lo, iv.hi)]
     if None in ends:
-        # a grid step at most a quarter of the span
-        span = hi - lo
-        k = max(0, span.denominator.bit_length() - span.numerator.bit_length() + 2)
-        a, b = (lo_num << k) // lo_den, -((-hi_num << k) // hi_den)
-    else:
-        k = max(e for _, e in ends)
-        a, b = (m << (k - e) for m, e in ends)
+        raise ValueError(f"isolating interval {iv} has a non-dyadic end")
+    k = max(e for _, e in ends)
+    a, b = (m << (k - e) for m, e in ends)
+    ints = _integer_coeffs(f)
+    sign_lo = _sign_at(ints, a, 1 << k)
+    if not sign_lo:
+        raise ValueError(f"f vanishes at the interval's left end {iv.lo}")
     w_num, w_den = width.numerator, width.denominator
     while (b - a) * w_den > w_num << k:
-        m, a, b, k = a + b, a << 1, b << 1, k + 1
-        above = above_root(m, k)
-        if above is None:
-            x, _ = _nonroot_point(ints, Fraction(a, 1 << k), Fraction(b, 1 << k))
-            e = x.denominator.bit_length() - 1
-            if e > k:
-                a, b, k = a << (e - k), b << (e - k), e
-            m = x.numerator << (k - e)
-            above = above_root(m, k)
-        if above:
-            b = m
-        else:
+        m, j = a + b, k + 1
+        sign = _sign_at(ints, m, 1 << j)
+        if not sign:
+            m, j, sign = _nonroot_point(ints, a, b, k)
+        a, b, k = a << (j - k), b << (j - k), j
+        if sign == sign_lo:
             a = m
-    # a non-dyadic end snaps outward, so clip the result back into iv
-    return RationalInterval(max(lo, Fraction(a, 1 << k)), min(hi, Fraction(b, 1 << k)))
+        else:
+            b = m
+    return RationalInterval(Fraction(a, 1 << k), Fraction(b, 1 << k))
+
+
+def _split_point(lo: int, hi: int) -> int:
+    """A point of [lo, hi] that halves it: 0 across zero, a power of two across many binades."""
+    if lo <= 0 <= hi:
+        return 0
+    if hi < 0:
+        return -_split_point(-hi, -lo)
+    if hi.bit_length() > lo.bit_length() + 1:
+        return 1 << (lo.bit_length() + hi.bit_length() >> 1)
+    return lo + hi >> 1
+
+
+def _grid_root(f: list[int], a: int, lo: int, hi: int, sign_lo: int) -> int | None:
+    """The integer j in [lo, hi] with f(j/a) = 0, or None (also for lo > hi).
+
+    Precondition: f has one simple root r among the points j/a, j in
+    [lo, hi], and the sign sign_lo below r.  So j lies below r exactly when
+    f(j/a) has sign_lo, the undecided points form a bracket, and each
+    evaluation shrinks it.  The next j is the rounded Newton step
+    j - a f/f' = j - _horner(f) / _horner(f'); one step past the bracket is
+    clamped to it, and otherwise a step out of it, or longer than half the
+    step before last, bisects it instead (safeguarded Newton, as in rtsafe).
+    """
+    deriv = _deriv(f)
+    j, last, step, clamped = _split_point(lo, hi), hi - lo, hi - lo, False
+    while lo <= hi:
+        v = _horner(f, j, a)
+        if not v:
+            return j
+        if (v > 0) - (v < 0) == sign_lo:
+            lo = j + 1
+        else:
+            hi = j - 1
+        if lo > hi:
+            return None
+        w = _horner(deriv, j, a)
+        t = j - (2 * v + w) // (2 * w) if w else None
+        if t is not None and not lo <= t <= hi and not clamped:
+            t, clamped = min(max(t, lo), hi), True
+        elif t is None or not lo <= t <= hi or 2 * abs(j - t) > last:
+            t, clamped = _split_point(lo, hi), False
+        else:
+            clamped = False
+        last, step, j = step, abs(j - t), t
+    return None
 
 
 def rational_roots(f: Poly) -> list[Fraction]:
-    """All rational roots of squarefree f, each verified by exact evaluation.
+    """All rational roots of squarefree f, each an exact zero of f.
 
-    Scaled to primitive integer coefficients with leading coefficient a, f
-    can only have rational roots k/a with k an integer (rational root
-    theorem).  Each isolating interval (lo, hi] is refined to width <= 1/a,
-    which leaves one candidate, k = floor(a*lo) + 1, decided by evaluation.
+    Scaled to primitive integer coefficients with leading coefficient +-a,
+    f can only have rational roots j/a with j an integer (rational root
+    theorem).  On each isolating interval (lo, hi] the grid points j/a run
+    over floor(a lo) < j <= floor(a hi), and _grid_root finds the one where
+    f vanishes, if any.
     """
     if poly_degree(f) < 1:
         return []
-    ints = _integer_coeffs(f)
-    a = abs(ints[-1]) // gcd(*ints)
+    ints = _primitive(_integer_coeffs(f))
+    a = abs(ints[-1])
     roots = []
     for iv in isolate_real_roots(f):
-        iv = refine_real_root(f, iv, Fraction(1, a))
-        cand = Fraction(floor(a * iv.lo) + 1, a)
-        if cand <= iv.hi and _sign_at(ints, cand.numerator, cand.denominator) == 0:
-            roots.append(cand)
+        (lo, k), (hi, e) = dyadic_form(iv.lo), dyadic_form(iv.hi)
+        j = _grid_root(ints, a, (a * lo >> k) + 1, a * hi >> e, _sign_at(ints, lo, 1 << k))
+        if j is not None:
+            roots.append(Fraction(j, a))
     return roots
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -483,6 +484,50 @@ def test_generators_congruent_to_identity_mod_screen_prime_certify_quickly(
     assert time.perf_counter() - start < 5
     assert code == 0 and json.loads(out)["valid"] is True
     assert len(calls) == 2
+
+
+def huge_entry_file(tmp_path):
+    """[[1, 10^4000], [0, 1]] and its transpose: 4,001-digit entries, under the parse limit."""
+    huge = str(10**4000)
+    return write_json(
+        tmp_path / "huge.json", {"n": 2, "generators": [[[1, huge], [0, 1]], [[1, 0], [huge, 1]]]}
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["certify", "HUGE"], 4),
+        (["find-pair", "HUGE"], 0),
+        (["find-pair", "HUGE", "--pretty"], 0),
+        (["spectrum", "HUGE", "--word", "0 1"], 0),
+        (["spectrum", "SANOV", "--word", " ".join(["0 1"] * 8000)], 0),
+    ],
+    ids=["certify", "find-pair", "find-pair-pretty", "spectrum", "spectrum-16000-letters"],
+)
+def test_outputs_past_the_int_to_str_limit_end_quickly(capsys, tmp_path, argv, want):
+    files = {"HUGE": huge_entry_file(tmp_path), "SANOV": sanov_file(tmp_path)}
+    start = time.perf_counter()
+    code, out, err = run(capsys, [files.get(arg, arg) for arg in argv])
+    assert time.perf_counter() - start < 10
+    assert code == want and not err
+    doc = json.loads(out)
+    if code == 0:
+        # an exact rational past str's 4,300 digits, written in full
+        assert max(len(x) for x in re.findall(r"-?\d+", out)) > 4300
+    else:
+        assert doc["failed_stage"] == "derive_exponent"
+
+
+def test_a_json_number_past_the_digit_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "bignum.json"
+    path.write_text('{"n": 2, "generators": [[[1, 1%s], [0, 1]]]}' % ("0" * 4400))
+    code, _, err = run(capsys, ["growth", str(path), "--radius", "2"])
+    assert code == 2 and "not valid JSON" in err
+    grid = [[1, "1" + "0" * 4400], [0, 1]]
+    entry = write_json(tmp_path / "bigstr.json", {"n": 2, "generators": [grid]})
+    code, _, err = run(capsys, ["growth", entry, "--radius", "2"])
+    assert code == 2 and "bad entry" in err
 
 
 def test_parse_errors_exit_2(capsys, tmp_path):

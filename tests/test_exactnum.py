@@ -45,6 +45,16 @@ def test_rational_round_trip():
         assert parse_rational(format_rational(x)) == x
 
 
+@pytest.mark.parametrize("digits", [4299, 4301, 9000, 20000])
+def test_format_rational_writes_any_size_in_full(digits):
+    # str refuses ints past 4,300 digits; format_rational splits them
+    x = F(-(10 ** (digits - 1)) - 12345, 10**digits + 7)
+    text = format_rational(x)
+    num, den = text.split("/")
+    assert num == "-1" + "0" * (digits - 6) + "12345" and den == "1" + "0" * (digits - 1) + "7"
+    assert format_rational(F(10**digits)) == "1" + "0" * digits
+
+
 def test_parse_rational_rejects_junk():
     for text in ("", "1.5", "a/b", "1/0", "2 3"):
         with pytest.raises((ValueError, ZeroDivisionError)):

@@ -1,7 +1,17 @@
+"""Polynomial kernel tests.
+
+The Fraction kernel below (long division, Fraction Sturm sign variations,
+bisection to the rational-root grid) is the reference for the integer
+kernel in polyroots: every integer routine must give exactly its answers.
+"""
+
 import random
 from fractions import Fraction as F
+from itertools import zip_longest
+from math import ceil, floor, gcd, lcm
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,23 +20,22 @@ from growthcert import polyroots
 from growthcert.errors import PrecisionExhausted
 from growthcert.intervals import RationalInterval
 from growthcert.polyroots import (
+    _deriv,
+    _gcd,
     _integer_coeffs,
     _nonroot_point,
-    _sign_variations,
+    _remainder_sequence,
     cauchy_bound,
     certified_root_structure,
     isolate_real_roots,
     modulus_enclosures,
     poly_degree,
     poly_deriv,
-    poly_div_exact,
-    poly_eval,
     poly_from,
-    poly_gcd,
+    poly_monic,
     rational_roots,
     refine_real_root,
     squarefree_part,
-    sturm_chain,
     yun_decomposition,
 )
 
@@ -42,10 +51,95 @@ def poly_mul(f, g):
     return poly_from(out)
 
 
+# ---------------------------------------------------------------------------
+# the Fraction reference kernel
+
+
+def poly_eval(f, x):
+    acc = F(0)
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def poly_sub(f, g):
+    return poly_from(a - b for a, b in zip_longest(f, g, fillvalue=F(0)))
+
+
+def poly_divmod(f, g):
+    rem = list(f)
+    quo = [F(0)] * max(0, len(f) - len(g) + 1)
+    dg, lead = len(g) - 1, g[-1]
+    while len(rem) - 1 >= dg and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dg:
+            break
+        shift = len(rem) - 1 - dg
+        factor = rem[-1] / lead
+        quo[shift] = factor
+        for i, c in enumerate(g):
+            rem[shift + i] -= factor * c
+    return poly_from(quo), poly_from(rem)
+
+
+def poly_div_exact(f, g):
+    q, r = poly_divmod(f, g)
+    if r:
+        raise ValueError("division is not exact")
+    return q
+
+
+def poly_gcd(f, g):
+    while g:
+        f, g = g, poly_divmod(f, g)[1]
+    return poly_monic(f)
+
+
+def reference_squarefree_part(f):
+    if poly_degree(f) <= 0:
+        return poly_monic(f)
+    return poly_monic(poly_div_exact(f, poly_gcd(f, poly_deriv(f))))
+
+
+def reference_yun(f):
+    f = poly_monic(f)
+    if poly_degree(f) <= 0:
+        return []
+    d = poly_deriv(f)
+    g = poly_gcd(f, d)
+    c = poly_div_exact(f, g)
+    w = poly_sub(poly_div_exact(d, g), poly_deriv(c))
+    out, i = [], 1
+    while poly_degree(c) > 0:
+        a = poly_gcd(c, w)
+        if poly_degree(a) > 0:
+            out.append((a, i))
+        c = poly_div_exact(c, a)
+        w = poly_sub(poly_div_exact(w, a), poly_deriv(c))
+        i += 1
+    return out
+
+
+def sturm_chain(f):
+    chain = [f, poly_deriv(f)]
+    while poly_degree(chain[-1]) > 0:
+        rem = poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(tuple(-c for c in rem))
+    return chain
+
+
+def sign_variations(chain, x):
+    signs = [v > 0 for v in (poly_eval(g, x) for g in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def count_real_roots(f, a, b, chain=None) -> int:
     """Distinct real roots of squarefree f in the half-open interval (a, b]."""
     chain = chain or sturm_chain(f)
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
+    return sign_variations(chain, a) - sign_variations(chain, b)
 
 
 def _dyadic_fractions():
@@ -65,6 +159,24 @@ def _reference_nonroot_point(f, a, b):
     raise AssertionError("polynomial vanished at more points than its degree")
 
 
+def reference_isolate_real_roots(f):
+    """Sturm bisection in Fractions from (-m, m], m the ceiling of the Cauchy bound."""
+    if poly_degree(f) < 1:
+        return []
+    chain = sturm_chain(f)
+    m = F(ceil(cauchy_bound(f)))
+    out, todo = [], [(-m, m)]
+    while todo:
+        lo, hi = todo.pop()
+        cnt = count_real_roots(f, lo, hi, chain)
+        if cnt == 1:
+            out.append(RationalInterval(lo, hi))
+        elif cnt > 1:
+            mid = _reference_nonroot_point(f, lo, hi)
+            todo += [(mid, hi), (lo, mid)]
+    return out
+
+
 def reference_refine_real_root(f, iv, width):
     """Dyadic bisection that counts Sturm sign variations at every step (the reference).
 
@@ -73,10 +185,10 @@ def reference_refine_real_root(f, iv, width):
     assert all(x.denominator & (x.denominator - 1) == 0 for x in (iv.lo, iv.hi))
     chain = sturm_chain(f)
     lo, hi = iv.lo, iv.hi
-    v_lo = _sign_variations(chain, lo)
+    v_lo = sign_variations(chain, lo)
     while hi - lo > width:
         mid = _reference_nonroot_point(f, lo, hi)
-        v_mid = _sign_variations(chain, mid)
+        v_mid = sign_variations(chain, mid)
         if v_lo - v_mid == 1:
             hi = mid
         else:
@@ -84,12 +196,35 @@ def reference_refine_real_root(f, iv, width):
     return RationalInterval(lo, hi)
 
 
+def reference_rational_roots(f):
+    """Bisect each isolating interval by sign to width 1/a; test the one grid point left."""
+    if poly_degree(f) < 1:
+        return []
+    den = lcm(*(c.denominator for c in f))
+    ints = [int(c * den) for c in f]
+    a = abs(ints[-1]) // gcd(*ints)
+    roots = []
+    for iv in reference_isolate_real_roots(f):
+        lo, hi = iv.lo, iv.hi
+        below = poly_eval(f, lo) > 0
+        while hi - lo > F(1, a):
+            mid = _reference_nonroot_point(f, lo, hi)
+            if (poly_eval(f, mid) > 0) == below:
+                lo = mid
+            else:
+                hi = mid
+        cand = F(floor(a * lo) + 1, a)
+        if cand <= hi and poly_eval(f, cand) == 0:
+            roots.append(cand)
+    return roots
+
+
 def _outcome(fn, *args):
-    """fn's result, or the type of PrecisionExhausted when it gives up."""
+    """fn's result, or the type of the exception with which it gives up."""
     try:
         return fn(*args)
-    except PrecisionExhausted:
-        return PrecisionExhausted
+    except (PrecisionExhausted, mpmath.libmp.NoConvergence) as exc:
+        return type(exc)
 
 
 def _poly_with_roots(roots):
@@ -112,8 +247,8 @@ def test_poly_eval_and_div():
 def test_gcd_and_squarefree():
     f = _poly_with_roots([F(1), F(1), F(2)])
     g = _poly_with_roots([F(1), F(3)])
-    gcd = poly_gcd(f, g)
-    assert rational_roots(gcd) == [F(1)]
+    common = poly_from(_gcd(_integer_coeffs(f), _integer_coeffs(g)))
+    assert poly_monic(common) == poly_gcd(f, g) == _poly_with_roots([F(1)])
     sf = squarefree_part(f)
     assert sorted(rational_roots(sf)) == [F(1), F(2)]
     assert squarefree_part(sf) == sf
@@ -187,6 +322,11 @@ def test_rational_roots_match_rational_root_theorem(linear, extra):
 def test_rational_roots_skips_irrational():
     f = poly_from([F(-2), F(0), F(1)])  # x^2 - 2
     assert rational_roots(f) == []
+    # x^3 - 10x^2 + x: (11/256, 11/64] isolates 5 - sqrt(24) and holds no
+    # point of the grid Z, so no point is tested there (not even 0, a root)
+    f = poly_from([0, 1, -10, 1])
+    assert isolate_real_roots(f)[1] == RationalInterval(F(11, 256), F(11, 64))
+    assert rational_roots(f) == [F(0)]
 
 
 def test_cauchy_bound_dominates_roots():
@@ -267,9 +407,9 @@ def test_sign_bisection_matches_sturm_bisection(ints, k):
     width = F(1, 2**k)
     for iv in isolate_real_roots(f):
         assert refine_real_root(f, iv, width) == reference_refine_real_root(f, iv, width)
-    new = (rational_roots(f), _outcome(certified_root_structure, f, width))
+    new = _outcome(certified_root_structure, f, width)
     with mock.patch.object(polyroots, "refine_real_root", reference_refine_real_root):
-        ref = (rational_roots(f), _outcome(certified_root_structure, f, width))
+        ref = _outcome(certified_root_structure, f, width)
     assert new == ref
 
 
@@ -277,7 +417,8 @@ def test_refine_takes_fallback_when_midpoint_is_the_root():
     # (2x - 1)(x - 3)(x + 5): (0, 1] isolates 1/2, its midpoint
     f = poly_mul(poly_mul(poly_from([-1, 2]), poly_from([-3, 1])), poly_from([5, 1]))
     assert poly_eval(f, F(1, 2)) == 0
-    assert _nonroot_point(_integer_coeffs(f), F(0), F(1)) == (F(1, 4), 1)
+    # 1/4 = 1/2^2, where f > 0
+    assert _nonroot_point(_integer_coeffs(f), 0, 1, 0) == (1, 2, 1)
     iv = RationalInterval(F(0), F(1))
     for width in (F(1, 2), F(1, 2**20), F(1, 2**200)):
         tight = refine_real_root(f, iv, width)
@@ -310,38 +451,93 @@ def test_refine_steps_around_rational_roots_on_dyadic_midpoints(factors, rationa
             assert iv.lo <= tight.lo and tight.hi <= iv.hi
             assert count_real_roots(f, tight.lo, tight.hi) == 1
     # where the midpoint 1/2 of (0, 1] is a root, the next candidate is 1/4
-    assert _nonroot_point(ints, F(0), F(1))[0] == (F(1, 4) if F(1, 2) in rational else F(1, 2))
+    m, j, _ = _nonroot_point(ints, 0, 1, 0)
+    assert F(m, 2**j) == (F(1, 4) if F(1, 2) in rational else F(1, 2))
 
 
-def test_refine_snaps_non_dyadic_ends_without_catching_a_neighbor():
-    # (x - 1/3)(x - 3/7): (34/100, 1/2] isolates 3/7, and its outward snap to
-    # sixteenths reaches 5/16 < 1/3, past the other root
+def test_refine_rejects_a_non_dyadic_end():
+    # (x - 1/3)(x - 3/7): (34/100, 1/2] isolates 3/7, but 34/100 is no
+    # integer over a power of two
     f = poly_mul(poly_from([F(-1, 3), 1]), poly_from([F(-3, 7), 1]))
-    iv = RationalInterval(F(34, 100), F(1, 2))
-    for width in (F(1, 4), F(1, 2**10), F(1, 2**100)):
-        tight = refine_real_root(f, iv, width)
-        assert tight.lo < F(3, 7) <= tight.hi and tight.hi - tight.lo <= width
-        assert iv.lo <= tight.lo and tight.hi <= iv.hi
-        assert not tight.contains(F(1, 3))
+    for iv in (RationalInterval(F(34, 100), F(1, 2)), RationalInterval(F(3, 8), F(3, 7))):
+        with pytest.raises(ValueError, match="non-dyadic"):
+            refine_real_root(f, iv, F(1, 2**10))
+    assert refine_real_root(f, RationalInterval(F(3, 8), F(1, 2)), F(1, 2**10)).contains(F(3, 7))
+
+
+def test_remainder_sequence_is_the_sturm_chain_up_to_positive_factors():
+    f = _poly_with_roots([F(-1), F(1, 3), F(2), F(5, 2)])
+    f = poly_mul(f, poly_from([F(1, 7), F(-3), F(-2)]))  # -2x^2 - 3x + 1/7
+    ints = _integer_coeffs(f)
+    chain = sturm_chain(f)
+    seq = _remainder_sequence(ints, _deriv(ints))
+    assert len(seq) == len(chain)
+    for member, ref in zip(seq, chain):
+        scale = member[-1] / ref[-1]
+        assert scale > 0 and poly_from(member) == tuple(scale * c for c in ref)
+
+
+def test_rational_roots_far_apart_in_scale():
+    # the grid j/a has a = 10^600: bisection down to width 1/a took about
+    # 4,000 steps per root, the Newton bracket a few dozen
+    f = poly_mul(poly_from([-(10**600), 1]), poly_from([-1, 10**600]))
+    assert rational_roots(f) == [F(1, 10**600), F(10**600)]
+    g = poly_mul(poly_from([-(10**600) - 1, 1]), poly_from([-2, 0, 1]))
+    assert rational_roots(g) == [F(10**600 + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction reference, on random rational
+# polynomials with repeated factors, degree <= 8, small and 200-digit
+# coefficients
+
+
+BIG = 10**200
+# a factor's coefficients are all small or all of 200 digits, so its roots
+# stay within a few binades of 1 and mpmath's seeds converge
+FACTORS = st.one_of(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=3),
+    st.lists(
+        st.one_of(st.integers(BIG // 10, BIG), st.integers(-BIG, -BIG // 10)),
+        min_size=2,
+        max_size=3,
+    ),
+)
+
+
+@st.composite
+def rational_polys(draw):
+    """(f, its squarefree part), f a rational multiple of a product of repeated factors."""
+    f = poly_from([draw(st.fractions(-9, 9, max_denominator=12).filter(bool))])
+    for _ in range(draw(st.integers(1, 4))):
+        factor = poly_from(draw(FACTORS))
+        mult = draw(st.integers(1, 3))
+        if poly_degree(factor) < 1 or poly_degree(f) + mult * poly_degree(factor) > 8:
+            continue
+        for _ in range(mult):
+            f = poly_mul(f, factor)
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polys())
+def test_squarefree_part_and_yun_match_the_fraction_reference(f):
+    assert squarefree_part(f) == reference_squarefree_part(f)
+    assert yun_decomposition(f) == reference_yun(f)
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.integers(-40, 40), min_size=2, max_size=6).filter(lambda cs: cs[-1] != 0),
-    st.integers(1, 200),
-)
-def test_refine_contains_the_root_of_non_dyadic_intervals(ints, k):
-    # shrink each isolating interval to non-dyadic ends a third of the way in
-    f = poly_from(ints)
-    assume(poly_degree(poly_gcd(f, poly_deriv(f))) == 0)
+@given(rational_polys(), st.integers(1, 200))
+def test_real_roots_match_the_fraction_reference(f, k):
+    g = reference_squarefree_part(f)
     width = F(1, 2**k)
-    chain = sturm_chain(f)
-    for iv in isolate_real_roots(f):
-        near = refine_real_root(f, iv, (iv.hi - iv.lo) / 64)
-        lo = near.lo - (near.lo - iv.lo) / 3 if near.lo > iv.lo else near.lo
-        hi = near.hi + (iv.hi - near.hi) / 3
-        assume(poly_eval(f, lo) != 0)
-        tight = refine_real_root(f, RationalInterval(lo, hi), width)
-        assert tight.hi - tight.lo <= width
-        assert lo <= tight.lo and tight.hi <= hi
-        assert count_real_roots(f, tight.lo, tight.hi, chain) == 1
+    assert isolate_real_roots(g) == reference_isolate_real_roots(g)
+    assert rational_roots(g) == reference_rational_roots(g)
+    new = _outcome(certified_root_structure, g, width)
+    with mock.patch.multiple(
+        polyroots,
+        isolate_real_roots=reference_isolate_real_roots,
+        refine_real_root=reference_refine_real_root,
+    ):
+        ref = _outcome(certified_root_structure, g, width)
+    assert new == ref

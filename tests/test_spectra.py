@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from growthcert.exactnum import ARCH, Place, PlaceSet, SquareMatrix, abs_value
 from growthcert.errors import BadExponent, Inconclusive, RamifiedSlopes
 from growthcert.intervals import RationalInterval
-from growthcert.polyroots import poly_deriv, poly_eval
+from growthcert.polyroots import poly_deriv
 from growthcert.spectra import (
     adjugate_poly,
     char_poly,
@@ -26,6 +26,7 @@ from growthcert.spectra import (
     wedge_diag,
     wedge_power,
 )
+from test_polyroots import poly_eval
 
 
 def poly_from_roots(roots):
