@@ -1,12 +1,15 @@
 """Cayley ball enumeration, growth estimation, and regular pair search.
 
 Balls are built lazily, sphere by sphere in shortlex order, so the pair
-search stops at its first pair; exact dedup keeps three spheres.  A ball
-element M is held as its integer form exactnum.integer_form(M) = (d, N),
-with M = N/d.  Each rational matrix has exactly one such form, so two words
+search stops at its first pair; exact dedup keeps three spheres.  The
+letters are integer matrices A = D*L over one common scale D, the lcm of
+their denominators, so sphere k holds the integer matrices X = D^k*M: one
+per group element, compared without a gcd.  A sphere travels as big ints
+with one fixed-width slot per entry, and each letter multiplies the whole
+sphere with a few scalar-by-packed products; an element's key is its slot
+bytes, exact because every slot is wide enough for its entry.  So two words
 are identified exactly when they are equal in the group, never because
-floats or residues collided; products are integer matmuls, with one gcd
-only when a denominator appears.  An element is never multiplied by the
+floats or residues collided.  An element is never multiplied by the
 inverse of its own last letter, since that product is its parent.  Growth
 estimates derived from counts are certified dyadic lower bounds; the
 exponential-vs-polynomial verdict and the degree fit are float heuristics,
@@ -31,11 +34,6 @@ def charpoly_is_squarefree(f: Poly) -> bool:
     return poly_degree(squarefree_part(f)) == poly_degree(f)
 
 
-def _as_matrix(key: tuple[int, tuple]) -> SquareMatrix:
-    d, rows = key
-    return SquareMatrix(tuple(tuple(Fraction(x, d) for x in row) for row in rows))
-
-
 def _alphabet(gens: list[SquareMatrix]) -> list[tuple[Word, tuple[int, tuple], int]]:
     """Generators then inverses, as (letter word, (d, N), index of the inverse letter).
 
@@ -57,13 +55,152 @@ def _alphabet(gens: list[SquareMatrix]) -> list[tuple[Word, tuple[int, tuple], i
     return [(word, key, index[inverse_key[key]]) for word, key in letters]
 
 
+# slot widths are whole 8-byte words, so slots move between layouts as 'Q' items
+WORD_BITS = 64
+# bytes of one letter's products formed at once, for a chunk of parents
+CHUNK_BYTES = 1 << 16
+
+
+def _spread(c: int, slots: int, width: int) -> int:
+    """c, 0 <= c < 2^width, in each of slots slots of width bits, built from bytes in linear time."""
+    return int.from_bytes(c.to_bytes(width // 8, "little") * slots, "little")
+
+
+def _pack(z: int, slots: int, width: int) -> bytes:
+    """Slot bytes of the packed int z = sum_s v_s 2^(width*s), -2^(width-1) <= v_s < 2^(width-1).
+
+    Each slot is stored as v_s + 2^(width-1), little-endian: the slot's two's
+    complement with its sign bit flipped.  That lies in [0, 2^width), so
+    adding it to every slot carries into no neighbour, and the bytes give
+    each v_s back exactly.
+    """
+    return (z + _spread(1 << width - 1, slots, width)).to_bytes(slots * width // 8, "little")
+
+
+def _unpack(buf, width: int, new_width: int) -> int:
+    """The packed int of the slot bytes buf of width bits, in slots of new_width >= width bits."""
+    if new_width != width:
+        w, nw = width // WORD_BITS, new_width // WORD_BITS
+        wide = bytearray(len(buf) // w * nw)
+        src, dst = memoryview(buf).cast("Q"), memoryview(wide).cast("Q")
+        for t in range(w):
+            dst[t::nw] = src[t::w]
+        buf = wide
+    # a copied slot keeps its old offset 2^(width-1), in any new width
+    half = _spread(1 << width - 1, len(buf) * 8 // new_width, new_width)
+    return int.from_bytes(buf, "little") - half
+
+
+def _fits(buf, width: int, bits: int) -> bool:
+    """Whether every slot of the slot bytes buf holds a value in [-2^(bits-1), 2^(bits-1))."""
+    if bits >= width:
+        return True
+    if bits < 1:
+        return False
+    slots = len(buf) * 8 // width
+    # re-offset every slot by 2^(bits-1): a slot fits exactly when it lands in
+    # [0, 2^bits); the lowest one that does not sets a bit at or above bits,
+    # since every slot below it fits and lends it no borrow
+    z = int.from_bytes(buf, "little") - _spread((1 << width - 1) - (1 << bits - 1), slots, width)
+    return not z & _spread((1 << width) - (1 << bits), slots, width)
+
+
+def _as_matrix(key: bytes, d: int, width: int) -> SquareMatrix:
+    """The matrix M whose key at scale d is key: d*M in n^2 row-major slots of width bits."""
+    step = width // 8
+    half = 1 << width - 1
+    slots = (int.from_bytes(key[i : i + step], "little") - half for i in range(0, len(key), step))
+    vals = [Fraction(v, d) for v in slots]
+    n = math.isqrt(len(vals))
+    return SquareMatrix(tuple(tuple(vals[i : i + n]) for i in range(0, n * n, n)))
+
+
+def _products(buf, width: int, columns) -> list[bytes]:
+    """Slot bytes of X*A for every element X of the sphere buf and every letter A.
+
+    buf holds the sphere's elements one after another, each as n^2
+    row-major slots of width bits: the rows of the tall matrix S that
+    stacks them, so S*A stacks the products X*A.  Each column of S is
+    packed into one int, a slot per row, and column j of S*A is
+    sum_k S_k * a_kj, n scalar-by-packed products.  Its slots are
+    interleaved back into rows.  columns[letter][j] is A's column j.
+    """
+    n = len(columns[0])
+    w = width // WORD_BITS
+    stride = n * w
+    src = memoryview(buf).cast("Q")
+    size = len(buf) // n
+    half = _spread(1 << width - 1, len(src) // stride, width)
+    col = bytearray(size)
+    dst = memoryview(col).cast("Q")
+    cols = []
+    for k in range(n):
+        for t in range(w):
+            dst[t::w] = src[k * w + t :: stride]
+        cols.append(int.from_bytes(col, "little") - half)
+    out = []
+    step = size // 8
+    for letter in columns:
+        ys = b"".join([(sum(map(mul, cols, a)) + half).to_bytes(size, "little") for a in letter])
+        ys = memoryview(ys).cast("Q")
+        prod = bytearray(len(buf))
+        dst = memoryview(prod).cast("Q")
+        for j in range(n):
+            for t in range(w):
+                dst[j * w + t :: stride] = ys[j * step + t : (j + 1) * step : w]
+        out.append(bytes(prod))
+    return out
+
+
+def _width(window, width: int) -> int:
+    """Least width + whole words whose slots hold f*v for every (buf, own, f) of window, v in buf.
+
+    buf is a sphere's slot bytes, own their width, and f > 0 bounds how
+    much its entries may grow.  With g = f.bit_length(), every v fitting
+    in width' - g bits has |f*v| < 2^(width'-1).  Every v fits in own <=
+    width bits, so width + ceil(max g / WORD_BITS) words always does.
+    """
+    bits = [(buf, own, f.bit_length()) for buf, own, f in window]
+    lo, hi = 0, -(-max(g for _, _, g in bits) // WORD_BITS)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if all(_fits(buf, own, width + mid * WORD_BITS - g) for buf, own, g in bits):
+            hi = mid
+        else:
+            lo = mid + 1
+    return width + lo * WORD_BITS
+
+
+def _rescaled(sphere, width: int, factor: int) -> bytes:
+    """Slot bytes at width bits of factor times each element of sphere = (slot bytes, own width)."""
+    buf, own = sphere
+    return _pack(_unpack(buf, own, width) * factor, len(buf) * 8 // own, width)
+
+
+def _split(buf: bytes, size: int) -> list[bytes]:
+    return [buf[i : i + size] for i in range(0, len(buf), size)]
+
+
 def _spheres(letters, radius, budget):
     """Shortlex spheres S(1), S(2), ... of the ball over letters = _alphabet(gens).
 
-    Each is a list of (parent, letter, (d, N)): parent indexes the previous
-    sphere (S(0) is the identity), letter indexes letters, and dividing
-    N1 N2 and d1 d2 by their gcd keeps the product an integer form.  An
-    element is never multiplied by the inverse of its last letter: that
+    Yields (d, width, sphere) per sphere: sphere is a list of (parent,
+    letter, key), parent indexing the previous sphere (S(0) is the
+    identity) and letter indexing letters, and key is the element M as the
+    slot bytes of d*M (see _pack and _as_matrix).  d = D^k for sphere k,
+    D the lcm of the letters' denominators, so d*M is an integer matrix;
+    each letter L is the integer matrix A = D*L, and X*A is the key's
+    matrix in sphere k + 1 for X in sphere k.  An integer matrix at a fixed
+    scale is one group element, so two keys of a sphere are equal exactly
+    when the elements are.
+
+    A letter moves S(k) only into S(k-1), S(k) and S(k+1), so the dedup set
+    holds those three spheres.  Before S(k+1) is built, the width is chosen
+    so that every entry of X*A fits, as do S(k) and S(k-1) rescaled to
+    D^(k+1), with D and D^2; when the scale or the width changed, their keys
+    are re-encoded so.  The width only grows, by whole 64-bit words.
+
+    An element is never multiplied by the inverse of its last letter: that
     product is its parent, which is still in the dedup set.  Stops after
     radius spheres or an empty one; raises BudgetExceeded at the first new
     element past budget elements, the identity included.
@@ -71,46 +208,71 @@ def _spheres(letters, radius, budget):
     if not letters:
         raise ValueError("empty generator list")
     n = len(letters[0][1][1])
-    mats = list(enumerate((d, tuple(zip(*rows))) for _, (d, rows), _ in letters))
-    # the letters that may follow each letter
-    after = [[(j, mat) for j, mat in mats if j != inv] for _, _, inv in letters]
-    ident = (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-    older, sphere = [], [(None, None, ident)]
+    scale = math.lcm(*(d for _, (d, _), _ in letters))
+    # each letter's columns, as integers at the common scale
+    columns = [
+        [tuple(x * (scale // d) for x in col) for col in zip(*rows)] for _, (d, rows), _ in letters
+    ]
+    # an entry of X*A is at most max|X| times A's largest absolute column
+    # sum; S(k) is also rescaled by D for the dedup set, S(k-1) by D^2
+    grow = max(scale, *(sum(map(abs, col)) for letter in columns for col in letter))
+    follow = [[j for j in range(len(letters)) if j != inv] for _, _, inv in letters]
+    width = WORD_BITS
+    ident = _pack(sum(1 << width * (n + 1) * i for i in range(n)), n * n, width)
+    # slot bytes and width of S(k-1) and S(k), each at its own scale D^(k-1), D^k
+    prev, cur = None, (ident, width)
+    prev_keys, sphere = [], [(None, None, ident)]
     seen = {ident}
-    total = 1
+    total, d = 1, 1
     for _ in range(radius):
+        window = [(*cur, grow)]
+        if prev and scale != 1:
+            window.append((*prev, scale * scale))
+        new_width = _width(window, width)
+        size = n * n * new_width // 8
+        if new_width != width or scale != 1:
+            width = new_width
+            prev_keys = _split(_rescaled(prev, width, scale * scale), size) if prev else []
+            cur_keys = _split(_rescaled(cur, width, scale), size)
+            seen = set(prev_keys)
+            seen.update(cur_keys)
+        else:
+            cur_keys = [key for _, _, key in sphere]
+        view = memoryview(cur[0] if cur[1] == width else _rescaled(cur, width, 1))
+        d *= scale
         new = []
-        for parent, (_, last, (d, rows)) in enumerate(sphere):
-            for letter, (ld, cols) in mats if last is None else after[last]:
-                prod = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows)
-                dd = d * ld
-                if dd != 1:
-                    g = math.gcd(dd, *(x for row in prod for x in row))
-                    if g != 1:
-                        dd //= g
-                        prod = tuple(tuple(x // g for x in row) for row in prod)
-                key = (dd, prod)
-                if key in seen:
-                    continue
-                if total >= budget:
-                    raise BudgetExceeded(f"ball exceeded budget {budget}")
-                total += 1
-                seen.add(key)
-                new.append((parent, letter, key))
-        # the alphabet is symmetric: a letter moves S(k+1) only into S(k), S(k+1), S(k+2)
-        seen.difference_update(key for _, _, key in older)
-        yield new
+        # a chunk of parents at a time keeps the products' memory small
+        step = max(1, CHUNK_BYTES // size)
+        for start in range(0, len(sphere), step):
+            chunk = view[start * size : (start + step) * size]
+            products = list(enumerate(_products(chunk, width, columns)))
+            after = [[products[j] for j in js] for js in follow]
+            for parent, (_, last, _) in enumerate(sphere[start : start + step], start):
+                lo = (parent - start) * size
+                hi = lo + size
+                for letter, prod in products if last is None else after[last]:
+                    key = prod[lo:hi]
+                    if key in seen:
+                        continue
+                    if total >= budget:
+                        raise BudgetExceeded(f"ball exceeded budget {budget}")
+                    total += 1
+                    seen.add(key)
+                    new.append((parent, letter, key))
+        seen.difference_update(prev_keys)
+        yield d, width, new
         if not new:
             return
-        older, sphere = sphere, new
+        prev, cur = cur, (b"".join([key for _, _, key in new]), width)
+        prev_keys, sphere = cur_keys, new
 
 
 def _ball_words(letters, radius, budget):
-    """The ball without the identity as shortlex (word, (d, N)), words built per sphere reached."""
+    """The ball without the identity as shortlex (word, matrix), words built per sphere reached."""
     words = [Word()]
-    for sphere in _spheres(letters, radius, budget):
+    for d, width, sphere in _spheres(letters, radius, budget):
         words = [words[parent] * letters[letter][0] for parent, letter, _ in sphere]
-        yield from zip(words, (key for _, _, key in sphere))
+        yield from zip(words, (_as_matrix(key, d, width) for _, _, key in sphere))
 
 
 def integer_nth_root(x: int, n: int) -> int:
@@ -244,7 +406,7 @@ def enumerate_ball(
     letters = _alphabet(gens)
     counts = [1]
     try:
-        for sphere in _spheres(letters, radius, budget):
+        for _, _, sphere in _spheres(letters, radius, budget):
             counts.append(counts[-1] + len(sphere))
     except BudgetExceeded as exc:
         exc.partial = _build_report(counts, False, len(letters))
@@ -351,8 +513,7 @@ def find_regular_pair(
         s = s_support(gens)
     n = gens[0].n
     letters = _alphabet(gens)
-    for word_a, key_a in _ball_words(letters, depth, budget):
-        mat_a = _as_matrix(key_a)
+    for word_a, mat_a in _ball_words(letters, depth, budget):
         f = char_poly(mat_a)
         if not charpoly_is_squarefree(f):
             continue
@@ -365,10 +526,9 @@ def find_regular_pair(
     else:
         raise PairNotFound(f"no regular (L1)-capable element within radius {depth}")
     # B is the first partner in shortlex order, so its scan starts over
-    for word_b, key_b in _ball_words(letters, depth, budget):
-        if key_b == key_a:
+    for word_b, mat_b in _ball_words(letters, depth, budget):
+        if mat_b == mat_a:
             continue
-        mat_b = _as_matrix(key_b)
         if not shemesh_no_common_eigenvector(mat_a, mat_b):
             continue
         dim = generated_algebra_dimension(mat_a, mat_b)

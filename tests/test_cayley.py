@@ -244,11 +244,11 @@ def test_growth_report_csv():
 
 
 # ---------------------------------------------------------------------------
-# the integer-form BFS against the Fraction BFS it replaced
+# the packed-slot BFS against the Fraction BFS it replaced
 
 
 def reference_ball(gens, radius, budget=10**6, want_words=False):
-    """The exact Fraction BFS the integer-form BFS must agree with.
+    """The exact Fraction BFS that cayley._spheres must agree with.
 
     Returns (counts, exhausted, elements), elements being the shortlex list
     of (word, SquareMatrix) without the identity when want_words.
@@ -323,7 +323,7 @@ def spheres_outcome(gens, radius, budget):
     """(counts, exhausted) from cayley._spheres, or its BudgetExceeded with the completed counts."""
     counts = [1]
     try:
-        for sphere in cayley._spheres(cayley._alphabet(gens), radius, budget):
+        for _, _, sphere in cayley._spheres(cayley._alphabet(gens), radius, budget):
             counts.append(counts[-1] + len(sphere))
     except BudgetExceeded as exc:
         return ("BudgetExceeded", str(exc), counts)
@@ -415,8 +415,8 @@ def test_ball_matches_fraction_reference(gens, radius, budget):
     _, _, ref_elements = reference_ball(gens, radius, want_words=True)
     words = []
     with pytest.raises(BudgetExceeded) if new[0] == "BudgetExceeded" else nullcontext():
-        for w, key in cayley._ball_words(cayley._alphabet(gens), radius, budget):
-            words.append((w, cayley._as_matrix(key)))
+        for w, mat in cayley._ball_words(cayley._alphabet(gens), radius, budget):
+            words.append((w, mat))
     # the same words in the same shortlex order, with the same matrices; the
     # completed spheres come out before the budget runs out
     assert words == ref_elements[: counts[-1] - 1]
@@ -441,11 +441,91 @@ def test_ball_meets_integer_word_with_denominator_four():
 
 
 def test_ball_keeps_the_denominator_in_the_key():
-    # 2I and I/2 share N = I and differ only in d; inside SL_n this cannot
-    # happen (det N = d^n), so the case needs a scalar generator in GL_n
+    # 2I and I/2 differ only by a scalar; inside SL_n no two elements do
+    # (the determinant is 1), so the case needs a scalar generator in GL_n
     report = enumerate_ball([SquareMatrix.from_rows([[2, 0], [0, 2]])], 3)
     assert [c for _, c in report.ball_sizes] == [1, 3, 5, 7]
 
+
+def test_keys_of_different_spheres_are_not_compared():
+    # a key is d * M for its sphere's scale d = 2^k: H in sphere 1 and H/2 in
+    # sphere 2 have the same slot bytes, and only the scale tells them apart
+    half = SquareMatrix.from_rows([[F(1, 2), 0], [0, F(1, 2)]])
+    hyperbolic = SquareMatrix.from_rows([[2, 1], [1, 1]])
+    gens = [half, hyperbolic, sanov_gens()[1]]
+    spheres = list(cayley._spheres(cayley._alphabet(gens), 2, 10**6))
+    (d1, width1, s1), (d2, width2, s2) = spheres
+    key_h = next(key for _, letter, key in s1 if letter == 1)
+    key_h2 = next(key for p, letter, key in s2 if s1[p][1] == 0 and letter == 1)
+    assert key_h == key_h2 and (d1, d2) == (2, 4) and width1 == width2
+    assert cayley._as_matrix(key_h, d1, width1) == hyperbolic
+    assert cayley._as_matrix(key_h2, d2, width2) == hyperbolic.scale(F(1, 2))
+    assert_same_spheres(gens, 3)
+    assert pair_outcome(gens, 2) == reference_pair(gens, 2)
+
+
+def test_mixed_denominators_share_one_scale():
+    # D = 6 exceeds both letters' own denominators; sphere k holds 6^k * M,
+    # which passes 2^63 / 9 in the twenties, so the slots widen while the
+    # window is rescaled by 6 and 36
+    gens = [
+        SquareMatrix.from_rows([[1, F(1, 2)], [0, 1]]),
+        SquareMatrix.from_rows([[1, F(1, 3)], [0, 1]]),
+    ]
+    spheres, error = assert_same_spheres(gens, 30)
+    assert error is None
+    sizes = [1]
+    for sphere in spheres:
+        sizes.append(sizes[-1] + len(sphere))
+    assert sizes[:6] == [1, 5, 13, 19, 25, 31]
+    assert sizes[-1] == 6 * 30 + 1
+    widths = [width for _, width, _ in cayley._spheres(cayley._alphabet(gens), 30, 10**6)]
+    assert widths[0] == 64 and widths[-1] > 64
+
+
+def packed(values, width=64):
+    """Slot bytes of the signed values, one slot of width bits each."""
+    return cayley._pack(sum(v << width * s for s, v in enumerate(values)), len(values), width)
+
+
+def test_slots_decode_exactly_at_the_sign_boundaries():
+    for width in (64, 128):
+        half = 2 ** (width - 1)
+        values = [-half, half - 1, -1, 0, 1, -half + 1, half - 2]
+        buf = packed(values, width)
+        assert cayley._unpack(buf, width, width) == sum(v << width * s for s, v in enumerate(values))
+        # widening keeps every value, slot by slot
+        wide = cayley._unpack(buf, width, width + 128)
+        assert cayley._pack(wide, len(values), width + 128) == packed(values, width + 128)
+        for bits in (1, 2, 8, 62, 63, width - 1, width):
+            edge = 2 ** (bits - 1)
+            for v in (-edge - 1, -edge, edge - 1, edge):
+                if -half <= v < half:
+                    for vals in ([v], [0, v, -1], [v, v, 5], [-half, v]):
+                        fits = all(-edge <= x < edge for x in vals)
+                        assert cayley._fits(packed(vals, width), width, bits) == fits, (width, bits, vals)
+
+
+def test_width_holds_each_entry_times_its_growth_factor():
+    # 3 * (2^62 - 1) passes 2^63 - 1, 3 * (2^61 - 1) does not
+    assert cayley._width([(packed([2**62 - 1, -5]), 64, 3)], 64) == 128
+    assert cayley._width([(packed([2**61 - 1, -(2**61)]), 64, 3)], 64) == 64
+    # every window sphere counts, at its own width
+    window = [(packed([1]), 64, 2**200 + 1), (packed([2**100], 128), 128, 1)]
+    assert cayley._width(window, 128) == 256
+
+
+def test_ball_resists_a_hash_flood():
+    # ints hash modulo P = 2^61 - 1, and both generators are the identity
+    # modulo P, so every entry hashes like a small one; the keys are bytes,
+    # hashed whole.  The ball sizes are Sanov's, 2 * 3^n - 1
+    p = 2**61 - 1
+    gens = [
+        SquareMatrix.from_rows([[1 + p, p * p], [p, 1 + (p - 1) * p]]),
+        SquareMatrix.from_rows([[1 + p, p], [p * p, 1 + (p - 1) * p]]),
+    ]
+    report = enumerate_ball(gens, 8)
+    assert [c for _, c in report.ball_sizes] == [2 * 3**n - 1 for n in range(9)]
 
 
 # ---------------------------------------------------------------------------
@@ -482,20 +562,34 @@ def reference_spheres(letters, radius, budget):
         older, sphere = sphere, new
 
 
-def all_spheres(spheres, gens, radius, budget):
+def integer_form_matrix(key):
+    d, rows = key
+    return SquareMatrix(tuple(tuple(F(x, d) for x in row) for row in rows))
+
+
+def collect(spheres):
     """Every sphere the generator yields, then the BudgetExceeded message or None."""
     out = []
     try:
-        for sphere in spheres(cayley._alphabet(gens), radius, budget):
+        for sphere in spheres:
             out.append(sphere)
     except BudgetExceeded as exc:
         return out, str(exc)
     return out, None
 
 
+def cayley_spheres(gens, radius, budget):
+    """cayley._spheres as (parent, letter, matrix) triples, at each sphere's scale and width."""
+    for d, width, sphere in cayley._spheres(cayley._alphabet(gens), radius, budget):
+        yield [(p, letter, cayley._as_matrix(key, d, width)) for p, letter, key in sphere]
+
+
 def assert_same_spheres(gens, radius, budget=10**6):
-    got = all_spheres(cayley._spheres, gens, radius, budget)
-    assert got == all_spheres(reference_spheres, gens, radius, budget)
+    # the keys differ in form, so the triples compare parents, letters and matrices
+    got = collect(cayley_spheres(gens, radius, budget))
+    ref = reference_spheres(cayley._alphabet(gens), radius, budget)
+    decoded = ([(p, lt, integer_form_matrix(key)) for p, lt, key in sphere] for sphere in ref)
+    assert got == collect(decoded)
     return got
 
 
@@ -512,8 +606,33 @@ _MINUS_I = SquareMatrix.from_rows([[-1, 0], [0, -1]])
         ([_SHEAR, _SHEAR, sanov_gens()[1]], 4),
         ([SquareMatrix.from_rows([[0, -1], [1, 0]]), SquareMatrix.from_rows([[0, 1], [-1, 1]])], 8),
         ([SquareMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), SquareMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])], 8),
+        # entries straddle +-2^62 and +-2^63 around the first slot width
+        (
+            [
+                SquareMatrix.from_rows([[1, 2**61], [0, 1]]),
+                SquareMatrix.from_rows([[1, 0], [-(2**61), 1]]),
+            ],
+            4,
+        ),
+        # entries pass 2^64 by sphere 3: the width grows twice with older spheres in the window
+        (
+            [
+                SquareMatrix.from_rows([[1, 2**22, 0], [0, 1, 0], [0, 0, 1]]),
+                SquareMatrix.from_rows([[1, 0, 0], [2**22, 1, 0], [0, 2**22, 1]]),
+            ],
+            5,
+        ),
     ],
-    ids=["sanov", "minus-identity-and-shear", "mutually-inverse", "repeated", "sl2z-torsion", "finite-group"],
+    ids=[
+        "sanov",
+        "minus-identity-and-shear",
+        "mutually-inverse",
+        "repeated",
+        "sl2z-torsion",
+        "finite-group",
+        "straddles-2^63",
+        "widens-in-window",
+    ],
 )
 def test_inverse_letter_skip_keeps_every_sphere(gens, radius):
     _, error = assert_same_spheres(gens, radius)
