@@ -10,10 +10,13 @@ sphere with a few scalar-by-packed products; an element's key is its slot
 bytes, exact because every slot is wide enough for its entry.  So two words
 are identified exactly when they are equal in the group, never because
 floats or residues collided.  An element is never multiplied by the
-inverse of its own last letter, since that product is its parent.  Growth
-estimates derived from counts are certified dyadic lower bounds; the
-exponential-vs-polynomial verdict and the degree fit are float heuristics,
-clearly labeled, and never feed a certificate.
+inverse of its own last letter, since that product is its parent.  The
+pair search decodes each element straight from its slots to an integer
+matrix over the sphere's scale, and its Shemesh and Burnside gates
+eliminate integer rows of the numerators.  Growth estimates derived from
+counts are certified dyadic lower bounds; the exponential-vs-polynomial
+verdict and the degree fit are float heuristics, clearly labeled, and
+never feed a certificate.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
-from .exactnum import PlaceSet, SquareMatrix, Word, integer_form, row_reduce, s_support
+from .exactnum import PlaceSet, SquareMatrix, Word, bareiss, int_matmul, s_support
 from .polyroots import Poly, poly_degree, squarefree_part
 from .spectra import char_poly, discriminant, l1_gap_report
 
@@ -40,7 +43,7 @@ def _alphabet(gens: list[SquareMatrix]) -> list[tuple[Word, tuple[int, tuple], i
     Exact duplicates are dropped, so an involution is its own inverse and
     the inverse of a dropped letter is the letter kept in its place.
     """
-    pairs = [(integer_form(g), integer_form(g.inverse())) for g in gens]
+    pairs = [((g.den, g.num), (h.den, h.num)) for g, h in zip(gens, map(SquareMatrix.inverse, gens))]
     inverse_key = {}
     for key, inv in pairs:
         inverse_key[key], inverse_key[inv] = inv, key
@@ -109,10 +112,9 @@ def _as_matrix(key: bytes, d: int, width: int) -> SquareMatrix:
     """The matrix M whose key at scale d is key: d*M in n^2 row-major slots of width bits."""
     step = width // 8
     half = 1 << width - 1
-    slots = (int.from_bytes(key[i : i + step], "little") - half for i in range(0, len(key), step))
-    vals = [Fraction(v, d) for v in slots]
+    vals = [int.from_bytes(key[i : i + step], "little") - half for i in range(0, len(key), step)]
     n = math.isqrt(len(vals))
-    return SquareMatrix(tuple(tuple(vals[i : i + n]) for i in range(0, n * n, n)))
+    return SquareMatrix(d, [vals[i : i + n] for i in range(0, n * n, n)])
 
 
 def _products(buf, width: int, columns) -> list[bytes]:
@@ -434,26 +436,55 @@ def estimate_omega(report: GrowthReport) -> Fraction:
 # regular pair search
 
 
+# The gates work on the integer matrices N_A = d_A A and N_B = d_B B: a word
+# in N_A and N_B is a positive multiple of the same word in A and B, so
+# every span, rank and dimension below is the rational one.
+
+
+def _span(rows) -> tuple[list[list[int]], list[int]]:
+    """The span over Q of integer rows: the primitive rows of its reduced echelon form, and their pivots.
+
+    Each reduced row is divided by the gcd of its entries, so the basis
+    depends, up to sign, on the span alone, and its entries do not grow
+    from one call on the basis to the next.
+    """
+    m = [list(row) for row in rows]
+    pivots, _, _ = bareiss(m)
+    basis = []
+    for row in m[: len(pivots)]:
+        g = math.gcd(*row)
+        basis.append([x // g for x in row] if g != 1 else row)
+    return basis, pivots
+
+
+def _power(pows: list, k: int):
+    """X^k for pows = [X, X^2, ...], extending the list as needed."""
+    while len(pows) < k:
+        pows.append(int_matmul(pows[-1], pows[0]))
+    return pows[k - 1]
+
+
 def shemesh_no_common_eigenvector(a: SquareMatrix, b: SquareMatrix) -> bool:
     """True when A and B share no eigenvector over the algebraic closure.
 
     The intersection of the kernels of all commutators [A^k, B^l]
-    (1 <= k, l < n) is nonzero exactly when a common eigenvector exists;
-    ranks over Q equal ranks over any extension, so the rational kernel
-    computation decides the closure question.
+    (1 <= k, l < n) is nonzero exactly when a common eigenvector exists
+    (Shemesh, Linear Algebra Appl. 62 (1984)); ranks over Q equal ranks
+    over any extension, so the rational kernel computation decides the
+    closure question.  The commutators are stacked one at a time, and the
+    scan stops once their rows reach rank n.
     """
     n = a.n
-    a_pows = [a]
-    b_pows = [b]
-    for _ in range(n - 2):
-        a_pows.append(a_pows[-1] * a)
-        b_pows.append(b_pows[-1] * b)
-    stacked: list[list[Fraction]] = []
-    for ak in a_pows:
-        for bl in b_pows:
-            comm = ak * bl - bl * ak
-            stacked.extend([list(row) for row in comm.entries])
-    return len(row_reduce(stacked)[1]) == n
+    a_pows, b_pows = [a.num], [b.num]
+    basis: list[list[int]] = []
+    for k in range(1, n):
+        for l in range(1, n):
+            ak, bl = _power(a_pows, k), _power(b_pows, l)
+            comm = zip(int_matmul(ak, bl), int_matmul(bl, ak))
+            basis, pivots = _span(basis + [[x - y for x, y in zip(r, s)] for r, s in comm])
+            if len(pivots) == n:
+                return True
+    return False
 
 
 def generated_algebra_dimension(a: SquareMatrix, b: SquareMatrix) -> int:
@@ -463,19 +494,19 @@ def generated_algebra_dimension(a: SquareMatrix, b: SquareMatrix) -> int:
     rank stops growing or reaches n^2; the span is then closed under left
     multiplication by A and B, so it holds every word.  Only the rows with
     a new pivot column need multiplying: with the old span they span the
-    new one.
+    new one.  Matrices are flattened row-major into rows of n^2 integers.
     """
     n = a.n
-    rref = [[x for row in SquareMatrix.identity(n).entries for x in row]]
+    basis = [[int(i == j) for i in range(n) for j in range(n)]]
     pivots = [0]
-    fresh = rref
-    while fresh and len(rref) < n * n:
-        rows = [SquareMatrix(tuple(tuple(r[i : i + n]) for i in range(0, n * n, n))) for r in fresh]
-        products = [[x for row in (g * m).entries for x in row] for g in (a, b) for m in rows]
+    fresh = basis
+    while fresh and len(basis) < n * n:
+        mats = [[r[i : i + n] for i in range(0, n * n, n)] for r in fresh]
+        products = [[x for row in int_matmul(g, m) for x in row] for g in (a.num, b.num) for m in mats]
         old = set(pivots)
-        rref, pivots, _ = row_reduce(rref + products)
-        fresh = [r for r, col in zip(rref, pivots) if col not in old]
-    return len(rref)
+        basis, pivots = _span(basis + products)
+        fresh = [r for r, col in zip(basis, pivots) if col not in old]
+    return len(basis)
 
 
 @dataclass(frozen=True)

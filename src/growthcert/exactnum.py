@@ -1,9 +1,11 @@
 """Exact arithmetic over Q with places.
 
-Rationals are Fractions at the API and integers inside the kernel: matrix
-products, characteristic polynomials (in spectra) and row reduction run on
-the integer form (d, N) of a matrix and build Fractions only for their
-results.  "p/q" strings are the only serialized form (never floats).  A
+Rationals are Fractions at the API and integers inside the kernel.  A
+SquareMatrix is held as an integer matrix N over one denominator d, so
+products, determinants, inverses and characteristic polynomials (in
+spectra) are integer work, and its Fraction entries are built only when
+something reads them.  Every exact elimination is bareiss, on integer
+rows.  "p/q" strings are the only serialized form (never floats).  A
 place is either the archimedean absolute value or a p-adic one; a PlaceSet
 is a finite set of places containing the archimedean one, which is what all
 product-formula style bounds range over.
@@ -14,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import GrowthcertError, WordIndexError
@@ -255,38 +257,24 @@ def abs_value(x: Fraction, v: Place) -> Fraction:
 # matrices
 
 
-def integer_form(m: "SquareMatrix") -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The unique (d, N) with m = N/d, N an integer matrix, d > 0, gcd(d, N) = 1.
+def int_matmul(x, y) -> tuple[tuple[int, ...], ...]:
+    """The product of two integer matrices given as rows."""
+    cols = tuple(zip(*y))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in x)
 
-    d is the least common denominator of the entries, so no prime of d
-    divides every entry of N.
+
+def bareiss(m: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan on the integer rows m, in place.
+
+    Returns (pivots, sign, prev): the pivot column of each of the first
+    len(pivots) rows, the sign of the row swaps and the last pivot.  Every
+    other row r becomes (p * r - r[col] * prow) / prev, p the new pivot and
+    prev the one before, and each division is exact (Bareiss, Math. Comp. 22
+    (1968)).  Afterwards every pivot entry equals prev, so the first
+    len(pivots) rows are prev times the reduced row echelon form, the rows
+    below are zero, and for a square m, sign * prev is its determinant when
+    it has full rank.  This is the package's only exact elimination.
     """
-    d = lcm(*(x.denominator for row in m.entries for x in row))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m.entries)
-
-
-def row_reduce(rows) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Reduced row echelon form over Q by fraction-free Gauss-Jordan.
-
-    rows holds ints and Fractions.  Returns (rref, pivots, det): the nonzero
-    rows of the reduced form, the pivot column of each, and the product of
-    the pivots times the sign of the row swaps, which is 0 when the rows are
-    linearly dependent.  For a square matrix det is its determinant.  This is the package's only exact
-    elimination; rank, kernels, inverses and spans all read its output.
-
-    Each row is scaled to integers by the lcm of its denominators, then
-    eliminated by Bareiss's rule: every other row r becomes
-    (p * r - r[col] * prow) / prev, p the new pivot and prev the one before,
-    and each division is exact.  Afterwards every pivot entry equals the
-    last pivot, so the reduced rows are the integer rows over it.
-    """
-    m = []
-    scale = 1
-    for row in rows:
-        row = list(row)
-        s = lcm(*(x.denominator for x in row))
-        scale *= s
-        m.append([x.numerator * (s // x.denominator) for x in row])
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
     sign, prev = 1, 1
@@ -312,46 +300,109 @@ def row_reduce(rows) -> tuple[list[list[Fraction]], list[int], Fraction]:
                 row[col:] = [(p * a - f * b) // prev for a, b in zip(row[col:], tail)]
         prev = p
         pivots.append(col)
+    return pivots, sign, prev
+
+
+def row_reduce(rows) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form over Q of rows of ints and Fractions.
+
+    Returns (rref, pivots, det): the nonzero rows of the reduced form, the
+    pivot column of each, and the product of the pivots times the sign of
+    the row swaps, which is 0 when the rows are linearly dependent.  For a
+    square matrix det is its determinant.  Each row is scaled to integers
+    by the lcm of its denominators and eliminated by bareiss.
+    """
+    m = []
+    scale = 1
+    for row in rows:
+        row = list(row)
+        s = lcm(*(x.denominator for x in row))
+        scale *= s
+        m.append([x.numerator * (s // x.denominator) for x in row])
+    pivots, sign, prev = bareiss(m)
     rank = len(pivots)
     rref = [[Fraction(x, prev) for x in row] for row in m[:rank]]
     det = Fraction(sign * prev, scale) if rank == len(m) else Fraction(0)
     return rref, pivots, det
 
 
-def _as_fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    n = len(out)
-    if n == 0 or any(len(r) != n for r in out):
-        raise ValueError("matrix must be square and nonempty")
-    return out
-
-
-@dataclass(frozen=True)
 class SquareMatrix:
-    """Immutable square matrix over Q.
+    """Immutable square matrix over Q, held as an integer matrix over one denominator.
 
-    Hashable (used as BFS dictionary key), with exact determinant, inverse
-    via adjugate-free Gauss-Jordan, and integer powers including negatives.
+    M = num / den with den > 0 and gcd(den, num) = 1, so the pair (den,
+    num) is unique: equality and hashing (the matrix is a BFS dictionary
+    key) use it.  Products are integer matmuls, determinant and inverse
+    integer eliminations; entries, the Fraction rows, are built only when
+    read.  SquareMatrix(den, num) reduces any nonzero den and integer rows
+    to that form; from_rows takes rows of ints and Fractions.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("den", "num", "_entries")
+
+    den: int
+    num: tuple[tuple[int, ...], ...]
+
+    def __init__(self, den: int, num) -> None:
+        num = tuple(map(tuple, num))
+        n = len(num)
+        if n == 0 or any(len(r) != n for r in num):
+            raise ValueError("matrix must be square and nonempty")
+        if den == 0:
+            raise ZeroDivisionError("matrix denominator is zero")
+        g = gcd(den, *(x for row in num for x in row))
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            num = tuple(tuple(x // g for x in row) for row in num)
+        _set_den(self, den)
+        _set_num(self, num)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SquareMatrix is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SquareMatrix is immutable: cannot delete {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not SquareMatrix:
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.den, self.num))
+
+    def __repr__(self) -> str:
+        return f"SquareMatrix({self.den}, {self.num})"
 
     @staticmethod
     def from_rows(rows) -> "SquareMatrix":
-        return SquareMatrix(_as_fraction_rows(rows))
+        rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+        n = len(rows)
+        if n == 0 or any(len(r) != n for r in rows):
+            raise ValueError("matrix must be square and nonempty")
+        # the lcm d of the reduced denominators leaves no prime common to d and every entry
+        d = lcm(*(x.denominator for row in rows for x in row))
+        return _canonical(d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows))
 
     @staticmethod
     def identity(n: int) -> "SquareMatrix":
-        return SquareMatrix(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        )
+        return _canonical(1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.num)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The Fraction rows, built on first read."""
+        try:
+            return self._entries
+        except AttributeError:
+            d = self.den
+            rows = tuple(tuple(Fraction(x, d) for x in row) for row in self.num)
+            _set_entries(self, rows)
+            return rows
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -360,55 +411,68 @@ class SquareMatrix:
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        da, rows = integer_form(self)
-        db, other_rows = integer_form(other)
-        cols = tuple(zip(*other_rows))
-        d = da * db
-        if d == 1:
-            return SquareMatrix(
-                tuple(tuple(Fraction(sum(map(mul, row, col))) for col in cols) for row in rows)
-            )
+        num = int_matmul(self.num, other.num)
+        d = self.den * other.den
+        return _canonical(1, num) if d == 1 else SquareMatrix(d, num)
+
+    def _combine(self, other: "SquareMatrix", sign: int) -> "SquareMatrix":
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, sign * (d // other.den)
         return SquareMatrix(
-            tuple(tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in rows)
+            d, [[fa * x + fb * y for x, y in zip(r1, r2)] for r1, r2 in zip(self.num, other.num)]
         )
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
-        return SquareMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
-        return SquareMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "SquareMatrix":
-        return self.scale(Fraction(-1))
+        return _canonical(self.den, tuple(tuple(-x for x in row) for row in self.num))
 
     def scale(self, c: Fraction) -> "SquareMatrix":
         c = Fraction(c)
-        return SquareMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
+        return SquareMatrix(
+            self.den * c.denominator, [[c.numerator * x for x in row] for row in self.num]
+        )
+
+    def _row_form(self) -> tuple[list[list[int]], list[int]]:
+        """(R, e) with row i of M equal to R_i / e_i, e_i the least denominator of that row.
+
+        Eliminations run on R rather than N, as row_reduce does, so a row's
+        integers are as large as its own denominators need, not the whole
+        matrix's: M = E^-1 R with E = diag(e).
+        """
+        d = self.den
+        rows, dens = [], []
+        for row in self.num:
+            g = gcd(d, *row)
+            rows.append([x // g for x in row] if g != 1 else list(row))
+            dens.append(d // g)
+        return rows, dens
 
     def det(self) -> Fraction:
-        """Exact determinant."""
-        return row_reduce(self.entries)[2]
+        """Exact determinant: det(R) / prod(e) by integer elimination (see _row_form)."""
+        rows, dens = self._row_form()
+        pivots, sign, prev = bareiss(rows)
+        if len(pivots) < self.n:
+            return Fraction(0)
+        return Fraction(sign * prev, prod(dens))
 
     def inverse(self) -> "SquareMatrix":
-        """Exact inverse by Gauss-Jordan on [A | I]; raises on singular input."""
+        """Exact inverse by integer Gauss-Jordan on [R | E]; raises on singular input.
+
+        M^-1 = R^-1 E, and the elimination leaves [p I | p R^-1 E], so the
+        inverse is the right block over the last pivot p.
+        """
         n = self.n
-        rref, pivots, _ = row_reduce(
-            row + tuple(Fraction(1 if i == j else 0) for j in range(n))
-            for i, row in enumerate(self.entries)
-        )
+        rows, dens = self._row_form()
+        m = [row + [e if i == j else 0 for j in range(n)] for i, (row, e) in enumerate(zip(rows, dens))]
+        pivots, _, prev = bareiss(m)
         if pivots != list(range(n)):
             raise ZeroDivisionError("singular matrix")
-        return SquareMatrix(tuple(tuple(row[n:]) for row in rref))
+        return SquareMatrix(prev, [row[n:] for row in m])
 
     def __pow__(self, k: int) -> "SquareMatrix":
         if k < 0:
@@ -423,7 +487,21 @@ class SquareMatrix:
         return result
 
     def max_abs_entry(self) -> Fraction:
-        return max(abs(x) for row in self.entries for x in row)
+        return Fraction(max(abs(x) for row in self.num for x in row), self.den)
+
+
+# slot setters that bypass the immutability guard, for the constructors only
+_set_den = SquareMatrix.den.__set__
+_set_num = SquareMatrix.num.__set__
+_set_entries = SquareMatrix._entries.__set__
+
+
+def _canonical(den: int, num: tuple[tuple[int, ...], ...]) -> SquareMatrix:
+    """The matrix num / den, for a pair already in canonical form."""
+    m = object.__new__(SquareMatrix)
+    _set_den(m, den)
+    _set_num(m, num)
+    return m
 
 
 def require_unimodular(m: SquareMatrix) -> SquareMatrix:
@@ -516,7 +594,8 @@ def s_support(gens: list[SquareMatrix]) -> PlaceSet:
     """
     primes: set[int] = set()
     for idx, g in enumerate(gens):
-        for den in {x.denominator for row in g.entries for x in row} - {1}:
+        # entry (i, j) is num_ij / den in lowest terms over den / gcd(den, num_ij)
+        for den in {g.den // gcd(g.den, x) for row in g.num for x in row} - {1}:
             try:
                 primes.update(factorize(den))
             except GrowthcertError as exc:

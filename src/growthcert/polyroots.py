@@ -9,14 +9,17 @@ on integer mantissas over 2^k; rational roots are found on the grid j/a by
 Newton steps on j.  Non-real roots get dyadic boxes: mpmath seeds, made
 exact, give Weierstrass inclusion disks of radius n|W_i| whose k-disk
 components hold exactly k roots; a component's hull rounds outward to a
-box.  Every containment decision below is an exact rational comparison.
+box.  When mpmath's iteration does not converge from its own starting
+points, it starts again from the root moduli of the Newton polygon, and
+failing that the caller raises the precision.  Every containment decision
+below is an exact rational comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice, zip_longest
-from math import gcd, lcm
+from math import gcd, lcm, log2, pi
 
 import mpmath
 
@@ -352,6 +355,36 @@ def _mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
+def _newton_polygon_starts(f: Poly) -> list:
+    """Durand-Kerner starting points on the root moduli that f's coefficients predict.
+
+    Each edge from i to j of the upper convex hull of the points
+    (i, log2 |a_i|) stands for j - i roots of modulus about
+    (|a_i| / |a_j|)^(1/(j - i)), so that many points go on that circle, at
+    angles turned off the axes (Bini, Numer. Algorithms 13 (1996)).  Built
+    at the caller's mpmath precision.
+    """
+    ints = _integer_coeffs(f)
+    n = len(ints) - 1
+    hull: list[tuple[int, float]] = []
+    for i, c in enumerate(ints):
+        if not c:
+            continue
+        p = (i, log2(abs(c)))
+        # drop the last hull point while it lies on or below the chord to p
+        while len(hull) > 1 and (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0]) <= (
+            p[1] - hull[-2][1]
+        ) * (hull[-1][0] - hull[-2][0]):
+            hull.pop()
+        hull.append(p)
+    # a zero constant term is a root at 0 (f is squarefree)
+    starts = [mpmath.mpc(0)] * hull[0][0]
+    for (i, li), (j, lj) in zip(hull, hull[1:]):
+        radius = mpmath.mpf(2) ** ((li - lj) / (j - i))
+        starts += [radius * mpmath.expj(2 * pi * (m / (j - i) + i / n) + 0.7) for m in range(j - i)]
+    return starts
+
+
 def _weierstrass_disks(f: Poly, dps: int) -> list[tuple[Fraction, Fraction, Fraction]]:
     """(center_re, center_im, radius) disks whose union contains all roots.
 
@@ -365,7 +398,21 @@ def _weierstrass_disks(f: Poly, dps: int) -> list[tuple[Fraction, Fraction, Frac
     monic = poly_monic(f)
     with mpmath.workdps(dps):
         coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(monic)]
-        approx = mpmath.polyroots(coeffs, maxsteps=100 + 10 * n, extraprec=4 * dps)
+        try:
+            approx = mpmath.polyroots(coeffs, maxsteps=100 + 10 * n, extraprec=4 * dps)
+        except mpmath.mp.NoConvergence:
+            # mpmath starts near the unit circle, and its Durand-Kerner steps
+            # can run out before they reach roots far from it.  From the
+            # predicted moduli the iteration converges quadratically in a few
+            # steps (at most 15 on hostile polynomials with roots from
+            # 10^-200 to 10^400), so the second run gets a smaller budget.
+            try:
+                approx = mpmath.polyroots(
+                    coeffs, maxsteps=10 + 10 * n, extraprec=4 * dps, roots_init=_newton_polygon_starts(f)
+                )
+            except mpmath.mp.NoConvergence as exc:
+                # certified_root_structure retries at doubled precision only on PrecisionExhausted
+                raise PrecisionExhausted(f"root seeds did not converge at {dps} digits") from exc
         seeds = [(_mpf_to_fraction(r.real), _mpf_to_fraction(r.imag)) for r in approx]
     if len({s for s in seeds}) != n:
         raise PrecisionExhausted("coincident root seeds")

@@ -26,7 +26,6 @@ from .exactnum import (
     PlaceSet,
     SquareMatrix,
     abs_value,
-    integer_form,
     padic_valuation,
 )
 from .intervals import RationalInterval
@@ -42,7 +41,7 @@ from .polyroots import (
 def adjugate_poly(a: SquareMatrix) -> tuple[Poly, int, tuple]:
     """A's charpoly f with the coefficients of its adjugate, by Faddeev-LeVerrier.
 
-    The recurrence runs in integers on the integer form A = N/d:
+    The recurrence runs in integers on A = N/d as the matrix holds it:
     M_1 = I, M_k = N M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(N M_k)/k, a
     division that is exact because N's charpoly has integer coefficients.
     Returns (f, d, (M_1, ..., M_n)) with f monic, coefficients ascending,
@@ -51,7 +50,7 @@ def adjugate_poly(a: SquareMatrix) -> tuple[Poly, int, tuple]:
     (Gantmacher, The Theory of Matrices I, ch. IV).
     """
     n = a.n
-    d, rows = integer_form(a)
+    d, rows = a.den, a.num
     coeffs = [1] * (n + 1)
     mats = []
     m = [[0] * n for _ in range(n)]

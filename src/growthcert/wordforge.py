@@ -163,7 +163,7 @@ def diagonalize(a: SquareMatrix, sort_place: Place = ARCH, bits: int = 128):
 
 def _rows_mul(x, y, exact: bool, bits: int = 128):
     if exact:
-        return (SquareMatrix(x) * SquareMatrix(y)).entries
+        return (SquareMatrix.from_rows(x) * SquareMatrix.from_rows(y)).entries
     return cmat_mul(x, y, round_bits=4 * bits)
 
 

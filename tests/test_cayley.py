@@ -24,6 +24,7 @@ from growthcert.cayley import (
 from growthcert.errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
 from growthcert.exactnum import ARCH, SquareMatrix, Word, row_reduce, s_support
 from growthcert.spectra import char_poly, l1_gap_report
+from test_exactnum import reference_matmul, reference_row_reduce
 
 
 def sanov_gens():
@@ -564,7 +565,7 @@ def reference_spheres(letters, radius, budget):
 
 def integer_form_matrix(key):
     d, rows = key
-    return SquareMatrix(tuple(tuple(F(x, d) for x in row) for row in rows))
+    return SquareMatrix.from_rows([[F(x, d) for x in row] for row in rows])
 
 
 def collect(spheres):
@@ -677,3 +678,130 @@ def test_inverse_letter_skip_keeps_the_budget_cut_off(budget):
 )
 def test_inverse_letter_skip_matches_reference(gens, radius, budget):
     assert_same_spheres(gens, radius, budget)
+
+
+# ---------------------------------------------------------------------------
+# the integer Shemesh and Burnside gates against the Fraction gates they replaced
+
+
+def reference_shemesh(a, b):
+    """Rank of the stacked Fraction commutators [A^k, B^l], 1 <= k, l < n, is n."""
+    n = a.n
+    a_pows, b_pows = [a.entries], [b.entries]
+    for _ in range(n - 2):
+        a_pows.append(reference_matmul(a_pows[-1], a.entries))
+        b_pows.append(reference_matmul(b_pows[-1], b.entries))
+    stacked = []
+    for ak in a_pows:
+        for bl in b_pows:
+            ab, ba = reference_matmul(ak, bl), reference_matmul(bl, ak)
+            stacked.extend([x - y for x, y in zip(r, s)] for r, s in zip(ab, ba))
+    return len(reference_row_reduce(stacked)[1]) == n
+
+
+def reference_algebra_dimension(a, b):
+    """Fraction rref closure of span{I} under left multiplication by A and B."""
+    n = a.n
+    rref = [[F(int(i == j)) for i in range(n) for j in range(n)]]
+    pivots = [0]
+    fresh = rref
+    while fresh and len(rref) < n * n:
+        mats = [[r[i : i + n] for i in range(0, n * n, n)] for r in fresh]
+        products = [
+            [x for row in reference_matmul(g.entries, m) for x in row] for g in (a, b) for m in mats
+        ]
+        old = set(pivots)
+        rref, pivots, _ = reference_row_reduce(rref + products)
+        fresh = [r for r, col in zip(rref, pivots) if col not in old]
+    return len(rref)
+
+
+_gate_entry = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@st.composite
+def _planted_pairs(draw):
+    """(A, B, kind) for n = 2..4: a random pair, or one with a planted invariant subspace.
+
+    A planted pair is block upper triangular with blocks k and n - k, which
+    leaves span(e_1..e_k) invariant, conjugated by a unimodular integer
+    matrix P.  With k = 1 it shares the eigenvector P e_1, with any k the
+    algebra has dimension below n^2; "commuting" makes B a polynomial in A.
+    """
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["random", "eigenvector", "subspace", "commuting"]))
+    k = 1 if kind == "eigenvector" else draw(st.integers(1, n - 1))
+
+    def block_triangular():
+        return [
+            [draw(_gate_entry) if kind in ("random", "commuting") or i < k or j >= k else 0 for j in range(n)]
+            for i in range(n)
+        ]
+
+    ta, tb = SquareMatrix.from_rows(block_triangular()), SquareMatrix.from_rows(block_triangular())
+    if kind == "commuting":
+        c = [draw(st.integers(-3, 3)) for _ in range(3)]
+        tb = ta.scale(c[1]) + (ta * ta).scale(c[2]) + SquareMatrix.identity(n).scale(c[0])
+    p = SquareMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            # the elementary matrix I + c E_ij
+            c = draw(st.integers(-2, 2))
+            p = p * SquareMatrix.from_rows([[int(r == s) + c * ((r, s) == (i, j)) for s in range(n)] for r in range(n)])
+    p_inv = p.inverse()
+    return p * ta * p_inv, p * tb * p_inv, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planted_pairs())
+@example((SquareMatrix.identity(3), SquareMatrix.identity(3), "commuting"))
+# [A, B] and [A^2, B^2] share a kernel vector; [A, B^2] or [A^2, B] does not vanish on it
+@example(
+    (
+        SquareMatrix.from_rows([[-2, -2, -1], [0, -1, 1], [-2, 0, 2]]),
+        SquareMatrix.from_rows([[1, 0, 0], [2, -1, 0], [-2, 2, 1]]),
+        "random",
+    )
+)
+@example(
+    (
+        SquareMatrix.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]),
+        SquareMatrix.from_rows([[F(1, 2), 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, F(1, 3)]]),
+        "random",
+    )
+)
+def test_gates_match_fraction_reference(case):
+    a, b, kind = case
+    n = a.n
+    shemesh = shemesh_no_common_eigenvector(a, b)
+    dim = generated_algebra_dimension(a, b)
+    assert shemesh is reference_shemesh(a, b)
+    assert dim == reference_algebra_dimension(a, b)
+    if kind in ("eigenvector", "commuting"):
+        assert not shemesh
+    if kind != "random":
+        assert dim < n * n
+
+
+def test_gates_match_fraction_reference_seeded():
+    rng = random.Random(2001)
+    agreed = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(2, 4)
+
+        def grid():
+            return [[F(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(n)] for _ in range(n)]
+
+        a, b = SquareMatrix.from_rows(grid()), SquareMatrix.from_rows(grid())
+        if rng.random() < 0.3:
+            # a shared eigenvector e_1: column 0 is zero below the diagonal in both
+            a, b = (
+                SquareMatrix.from_rows([[0 if i and not j else x for j, x in enumerate(r)] for i, r in enumerate(m.entries)])
+                for m in (a, b)
+            )
+        shemesh = shemesh_no_common_eigenvector(a, b)
+        assert shemesh is reference_shemesh(a, b)
+        assert generated_algebra_dimension(a, b) == reference_algebra_dimension(a, b)
+        agreed[shemesh] += 1
+    assert min(agreed.values()) > 30

@@ -519,6 +519,27 @@ def test_outputs_past_the_int_to_str_limit_end_quickly(capsys, tmp_path, argv, w
         assert doc["failed_stage"] == "derive_exponent"
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [(["certify", "SL4"], 4), (["spectrum", "SL4", "--word", "0"], 0)],
+    ids=["certify", "spectrum"],
+)
+def test_root_seeds_that_do_not_converge_escalate(capsys, tmp_path, argv, want):
+    # g = [[0, -1], [1, -1]] + diag(10^150, 10^-150): mpmath's polyroots does
+    # not converge on its charpoly at the first precisions, which must
+    # escalate instead of escaping as a traceback
+    big = 10**150
+    g = [[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, big, 0], [0, 0, 0, f"1/{big}"]]
+    h = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    gens = write_json(tmp_path / "sl4.json", {"n": 4, "generators": [g, h]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, [gens if arg == "SL4" else arg for arg in argv])
+    assert time.perf_counter() - start < 30
+    assert code == want and not err
+    if code == 4:
+        assert json.loads(out)["schema"] == "growthcert.failure.v1"
+
+
 def test_a_json_number_past_the_digit_limit_exits_2(capsys, tmp_path):
     path = tmp_path / "bignum.json"
     path.write_text('{"n": 2, "generators": [[[1, 1%s], [0, 1]]]}' % ("0" * 4400))
@@ -817,9 +838,12 @@ def test_console_entry_point(tmp_path):
 
 def test_module_invocation(tmp_path):
     gens = sanov_file(tmp_path)
+    # the child imports the working tree, as the tests do; pytest's
+    # pythonpath setting reaches only this process, not its children
     proc = subprocess.run(
         [sys.executable, "-m", "growthcert.cli", "growth", gens, "--radius", "1"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
     )
     assert proc.returncode == 0

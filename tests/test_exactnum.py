@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ from growthcert.exactnum import (
     evaluate_word,
     factorize,
     format_rational,
-    integer_form,
     is_prime,
     padic_valuation,
     parse_rational,
@@ -296,10 +296,10 @@ def test_s_support():
 
 def test_integer_form_is_canonical():
     m = M([[F(1, 2), F(-1, 3)], [F(5, 6), 2]])
-    assert integer_form(m) == (6, ((3, -2), (5, 12)))
-    d, rows = integer_form(m)
-    assert M([[F(x, d) for x in row] for row in rows]) == m
-    assert integer_form(SquareMatrix.identity(3)) == (1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert (m.den, m.num) == (6, ((3, -2), (5, 12)))
+    assert M([[F(x, m.den) for x in row] for row in m.num]) == m
+    ident = SquareMatrix.identity(3)
+    assert (ident.den, ident.num) == (1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def reference_matmul(a, b):
@@ -487,3 +487,163 @@ def test_hostile_denominators_match_fraction_reference():
     assert_identical(inv.entries, tuple(tuple(row[n:]) for row in rref))
     assert prod == SquareMatrix.identity(n)
     assert elapsed < 30
+
+
+# ---------------------------------------------------------------------------
+# the integer-held SquareMatrix against the Fraction matrix it replaced
+
+
+@dataclass(frozen=True)
+class ReferenceMatrix:
+    """The Fraction SquareMatrix: entries as Fraction rows, arithmetic entry by entry."""
+
+    entries: tuple[tuple[F, ...], ...]
+
+    @staticmethod
+    def from_rows(rows) -> "ReferenceMatrix":
+        return ReferenceMatrix(tuple(tuple(F(x) for x in row) for row in rows))
+
+    @staticmethod
+    def identity(n: int) -> "ReferenceMatrix":
+        return ReferenceMatrix(tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n)))
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i][j]
+
+    def __mul__(self, other):
+        return ReferenceMatrix(reference_matmul(self.entries, other.entries))
+
+    def __add__(self, other):
+        return ReferenceMatrix(
+            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries))
+        )
+
+    def __sub__(self, other):
+        return ReferenceMatrix(
+            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries))
+        )
+
+    def __neg__(self):
+        return self.scale(F(-1))
+
+    def scale(self, c):
+        c = F(c)
+        return ReferenceMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
+
+    def det(self):
+        return reference_row_reduce(self.entries)[2]
+
+    def inverse(self):
+        n = self.n
+        rref, pivots, _ = reference_row_reduce(
+            [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(self.entries)]
+        )
+        if pivots != list(range(n)):
+            raise ZeroDivisionError("singular matrix")
+        return ReferenceMatrix(tuple(tuple(row[n:]) for row in rref))
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        result = ReferenceMatrix.identity(self.n)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def max_abs_entry(self):
+        return max(abs(x) for row in self.entries for x in row)
+
+
+def assert_same_matrix(got, want):
+    """got is canonical (den, num) and holds exactly want's Fraction entries."""
+    assert isinstance(got, SquareMatrix)
+    d, num = got.den, got.num
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for row in num for x in row)
+    assert math.gcd(d, *(x for row in num for x in row)) == 1
+    assert_identical(got.entries, want.entries)
+    assert got == SquareMatrix.from_rows(want.entries)
+    assert hash(got) == hash(SquareMatrix.from_rows(want.entries))
+
+
+def _invertible_or_none(m):
+    try:
+        return m.inverse()
+    except ZeroDivisionError:
+        return None
+
+
+@st.composite
+def _matrix_cases(draw):
+    n = draw(st.integers(1, 4))
+    grids = [draw(_matrices(n, n)) for _ in range(2)]
+    c = draw(_kernel_entry)
+    k = draw(st.integers(-3, 3))
+    return grids, F(c), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_cases())
+@example(([[[F(1, 2), 0], [0, F(1, 2)]], [[F(-1, 2), 0], [0, F(1, 2)]]], F(0), -1))
+@example(([[[0, 0], [0, 0]], [[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]]], F(-2), 2))
+def test_matrix_matches_fraction_reference(case):
+    (ga, gb), c, k = case
+    a, b = M(ga), M(gb)
+    ra, rb = ReferenceMatrix.from_rows(ga), ReferenceMatrix.from_rows(gb)
+    assert_same_matrix(a, ra)
+    assert_same_matrix(a * b, ra * rb)
+    assert_same_matrix(a + b, ra + rb)
+    assert_same_matrix(a - b, ra - rb)
+    assert_same_matrix(a - a, ra - ra)
+    assert_same_matrix(a.scale(c), ra.scale(c))
+    assert_same_matrix(-a, -ra)
+    assert_identical(a.det(), ra.det())
+    assert_identical(a.max_abs_entry(), ra.max_abs_entry())
+    for i in range(a.n):
+        for j in range(a.n):
+            assert_identical(a[i, j], ra[i, j])
+    inv, rinv = _invertible_or_none(a), _invertible_or_none(ra)
+    assert (inv is None) == (rinv is None)
+    if inv is not None:
+        assert_same_matrix(inv, rinv)
+    if k >= 0 or inv is not None:
+        assert_same_matrix(a**k, ra**k)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a**k
+
+
+def test_matrix_equality_ignores_how_the_denominator_was_written():
+    halves = SquareMatrix(4, [[2, -6], [0, 4]])
+    assert (halves.den, halves.num) == (2, ((1, -3), (0, 2)))
+    for same in (
+        SquareMatrix(2, [[1, -3], [0, 2]]),
+        SquareMatrix(-2, [[-1, 3], [0, -2]]),
+        M([[F(2, 4), F(-3, 2)], [0, 1]]),
+        M([[F(1, 2), F(-6, 4)], [F(0, 7), F(4, 4)]]),
+        SquareMatrix.identity(2).scale(F(1, 2)) * SquareMatrix(1, [[1, -3], [0, 2]]),
+    ):
+        assert same == halves and hash(same) == hash(halves)
+        assert (same.den, same.num) == (halves.den, halves.num)
+    assert SquareMatrix(7, [[0, 0], [0, 0]]).den == 1
+    assert halves != SquareMatrix(1, [[1, -3], [0, 2]])
+    with pytest.raises(ZeroDivisionError):
+        SquareMatrix(0, [[1]])
+    with pytest.raises(ValueError):
+        SquareMatrix(1, [[1, 2]])
+
+
+def test_matrix_is_immutable():
+    m = M([[F(1, 2), 1], [0, 2]])
+    assert m.entries == ((F(1, 2), F(1)), (F(0), F(2)))
+    for name, value in (("den", 1), ("num", ((1, 2), (0, 4))), ("entries", ()), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+    with pytest.raises(AttributeError):
+        del m.den
+    assert (m.den, m.num) == (2, ((1, 2), (0, 4)))

@@ -6,6 +6,7 @@ kernel in polyroots: every integer routine must give exactly its answers.
 """
 
 import random
+import time
 from fractions import Fraction as F
 from itertools import zip_longest
 from math import ceil, floor, gcd, lcm
@@ -373,6 +374,21 @@ def test_certified_root_structure_complex():
     assert len(boxes) == 2
     assert any(b.contains(F(0), F(1)) for b in boxes)
     assert any(b.contains(F(0), F(-1)) for b in boxes)
+
+
+def test_certified_root_structure_roots_far_from_the_unit_circle():
+    # (a x^2 + 2x + 3)(x + d), a and -d near 10^200: mpmath's Durand-Kerner
+    # runs out of steps from its own starting points at 60 digits and above,
+    # and converges from the Newton polygon's moduli 10^200 and 10^-100
+    a, d = 10**200 + 7, -(10**200) + 3
+    f = poly_mul(poly_from([F(3), F(2), F(a)]), poly_from([F(d), F(1)]))
+    start = time.perf_counter()
+    real_ivs, boxes = certified_root_structure(f, F(1, 2**200))
+    assert time.perf_counter() - start < 10
+    assert len(real_ivs) == 1 and real_ivs[0].contains(F(-d))
+    assert len(boxes) == 2
+    # the conjugate pair has |z|^2 = 3/a
+    assert all(b.mag_sq().lo <= F(3, a) <= b.mag_sq().hi for b in boxes)
 
 
 def test_modulus_enclosures_contain_true_moduli():
