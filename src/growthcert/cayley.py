@@ -320,8 +320,10 @@ class GrowthReport:
     """Ball sizes plus certified estimates and labeled heuristics.
 
     ball_sizes: (radius, size) pairs from radius 0.  omega_estimates:
-    certified dyadic lower bounds size^(1/n).  poly_fit_degree and verdict
-    are float-fit heuristics for human triage, never certificates.
+    (n, x) pairs with x a certified dyadic lower bound on |B_n|^(1/n), the
+    n-th root of the ball size, not a bound on the growth rate omega.
+    poly_fit_degree and verdict are float-fit heuristics for human triage,
+    never certificates.
     """
 
     ball_sizes: tuple[tuple[int, int], ...]

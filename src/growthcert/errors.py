@@ -51,7 +51,7 @@ class InsufficientData(GrowthcertError):
 
 
 class BalanceFailed(GrowthcertError):
-    """No bounded word produced a norm-balanced second element."""
+    """B itself certifies neither the norm relation nor the trace relation."""
 
 
 class SwapFailed(GrowthcertError):

@@ -303,29 +303,6 @@ def bareiss(m: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, sign, prev
 
 
-def row_reduce(rows) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Reduced row echelon form over Q of rows of ints and Fractions.
-
-    Returns (rref, pivots, det): the nonzero rows of the reduced form, the
-    pivot column of each, and the product of the pivots times the sign of
-    the row swaps, which is 0 when the rows are linearly dependent.  For a
-    square matrix det is its determinant.  Each row is scaled to integers
-    by the lcm of its denominators and eliminated by bareiss.
-    """
-    m = []
-    scale = 1
-    for row in rows:
-        row = list(row)
-        s = lcm(*(x.denominator for x in row))
-        scale *= s
-        m.append([x.numerator * (s // x.denominator) for x in row])
-    pivots, sign, prev = bareiss(m)
-    rank = len(pivots)
-    rref = [[Fraction(x, prev) for x in row] for row in m[:rank]]
-    det = Fraction(sign * prev, scale) if rank == len(m) else Fraction(0)
-    return rref, pivots, det
-
-
 class SquareMatrix:
     """Immutable square matrix over Q, held as an integer matrix over one denominator.
 
@@ -440,9 +417,9 @@ class SquareMatrix:
     def _row_form(self) -> tuple[list[list[int]], list[int]]:
         """(R, e) with row i of M equal to R_i / e_i, e_i the least denominator of that row.
 
-        Eliminations run on R rather than N, as row_reduce does, so a row's
-        integers are as large as its own denominators need, not the whole
-        matrix's: M = E^-1 R with E = diag(e).
+        Eliminations run on R rather than N, so a row's integers are as
+        large as its own denominators need, not the whole matrix's:
+        M = E^-1 R with E = diag(e).
         """
         d = self.den
         rows, dens = [], []

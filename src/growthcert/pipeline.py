@@ -2,10 +2,11 @@
 
 Orchestrates the regular-pair search, norm balancing, place and wedge
 selection, exponent derivation, and the freeness oracle.  Every stage works
-on the seed words; none replaces them by longer ones.  The exponent search
-runs in the canonical eigenbasis derived from the certified words alone
-(canonical_wedge_pair), the same basis in which verify_certificate replays
-the cone checks from the certificate and the generator file.
+on the seed words; none replaces them by longer ones.  The stages hand on
+one ConjugatedPair, the canonical eigenbasis diagonalized_pair derives from
+the certified words alone; the exponent search runs in it, and
+verify_certificate rebuilds the same basis from the certificate and the
+generator file to replay the cone checks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     SingularEnclosure,
 )
 from .exactnum import (
-    Place,
     SquareMatrix,
     Word,
     evaluate_word,
@@ -124,16 +124,6 @@ def _word_lengths(word_a: Word, word_b: Word, e: int) -> tuple[int, int]:
     )
 
 
-def canonical_wedge_pair(a_mat, b_mat, word_a: Word, word_b: Word, v: Place, m: int, bits: int):
-    """Wedge images (diag of A, rows of B) in the canonical eigenbasis at v.
-
-    The basis depends only on the word values and the place: certify's
-    exponent search and verify's cone replay both take it from here.
-    """
-    pair = diagonalized_pair(a_mat, b_mat, word_a, word_b, sort_place=v, bits=bits)
-    return wedge_pair(pair, v, m, bits)
-
-
 def certify_generators(
     gens: list[SquareMatrix],
     config: RunConfig | None = None,
@@ -144,10 +134,12 @@ def certify_generators(
     Stage order: regular-pair search, norm balancing (with a role swap
     when only the trace route certifies), place and wedge selection,
     exponent derivation in the canonical eigenbasis of the words (the
-    replay verify_certificate runs), freeness oracle.  Failures raise
-    PipelineFailure carrying the stage name, with the trace so far on the
-    .trace attribute.  A certificate is returned only after the oracle
-    confirms zero collisions.
+    replay verify_certificate runs), freeness oracle.  The eigenbasis is
+    built once per role and handed from stage to stage; the exponent
+    search builds it again only at another sort place or precision.
+    Failures raise PipelineFailure carrying the stage name, with the trace
+    so far on the .trace attribute.  A certificate is returned only after
+    the oracle confirms zero collisions.
     """
     config = config or RunConfig()
     if not gens:
@@ -182,7 +174,10 @@ def certify_generators(
     try:
         pair = _escalate(
             lambda bits: balance_or_trace(
-                seed.matrix_a, seed.matrix_b, s, seed.word_a, seed.word_b, bits=bits
+                diagonalized_pair(
+                    seed.matrix_a, seed.matrix_b, seed.word_a, seed.word_b, bits=bits
+                ),
+                s,
             )
         )
     except GrowthcertError as exc:
@@ -222,14 +217,16 @@ def certify_generators(
     trace.append({"stage": "select_place_and_wedge", "ok": True, "place": str(v), "wedge_m": m})
 
     word_a_final, word_b_final = pair.word_a, pair.word_b
-    a_mat = evaluate_word(word_a_final, gens)
-    b_mat = evaluate_word(word_b_final, gens)
+    a_mat, b_mat = pair.orig_a, pair.orig_b
 
     def canonical(bits: int):
-        wa, wb = canonical_wedge_pair(a_mat, b_mat, word_a_final, word_b_final, v, m, bits)
+        canon = pair
+        if (pair.sort_place, pair.bits) != (v, bits):
+            canon = diagonalized_pair(a_mat, b_mat, word_a_final, word_b_final, v, bits)
+        wa, wb = wedge_pair(canon, v, m, bits)
         return derive_exponent(wa, wb, v, cap=config.exponent_cap, bits=bits)
 
-    # the canonical basis of A is exact exactly when pair's is, and exact
+    # A's basis is exact at every place exactly when pair's is, and exact
     # data gives the same answer at every precision: no retry
     retry = _PRECISION_ERRORS if pair.exact else _PRECISION_ERRORS + (ExponentSearchExhausted,)
     try:
@@ -294,7 +291,7 @@ def verify_certificate(
     Checks, in order: dimension agreement, the word-length, exponent and
     oracle-depth caps, word evaluation, the growth bound recomputation
     (exact equality), the cone inclusions in the canonical eigenbasis of
-    canonical_wedge_pair over the precision schedule, and the freeness
+    diagonalized_pair over the precision schedule, and the freeness
     oracle at the recorded depth.  Returns (False, reason) at the first
     failure and never raises on tampered input.
     """
@@ -342,9 +339,8 @@ def verify_certificate(
     passed = False
     for bits in BITS_SCHEDULE:
         try:
-            wa, wb = canonical_wedge_pair(
-                a_mat, b_mat, cert.word_a, cert.word_b, cert.place, cert.wedge_m, bits
-            )
+            pair = diagonalized_pair(a_mat, b_mat, cert.word_a, cert.word_b, cert.place, bits)
+            wa, wb = wedge_pair(pair, cert.place, cert.wedge_m, bits)
             passed = verify_cone_inclusions(
                 wa, wb, cert.exponent, cert.cone_param, cert.place, bits
             ).all_pass

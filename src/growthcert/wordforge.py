@@ -1,13 +1,16 @@
 """Basis preparation between pair selection and cone certification.
 
-Diagonalize A from its adjugate polynomial (exact when the charpoly splits
-over Q, certified enclosures otherwise), balance norms by a centralizer
-conjugation, fall back to the trace route and role swap, and pick the
-place and wedge degree with a certified spectral gap from the gap grid the
-pair search already holds.
-Every stage checks the seed pair itself; none replaces B by a longer word.
-The corner check (ensure_l2), corner amplification and the almost-algebra
-builder are library functions; certification does not run them.
+diagonalized_pair diagonalizes A from its adjugate polynomial (exact when
+the charpoly splits over Q, certified enclosures otherwise) into the
+canonical ConjugatedPair, and every later stage hands that pair on.  The
+norm balancing reads B's rows after a centralizer conjugation but keeps
+the canonical ones, the trace route records a relation, and the role swap
+builds B's canonical pair the same way.  The place and wedge degree with
+a certified spectral gap come from the gap grid the pair search already
+holds.  Every stage checks the seed pair itself; none replaces B by a
+longer word.  The corner check (ensure_l2), corner amplification and the
+almost-algebra builder are library functions; certification does not run
+them.
 """
 
 from __future__ import annotations
@@ -188,13 +191,17 @@ def _global_norm_bounds(rows, s: PlaceSet, exact: bool, bits: int = 96):
 
 @dataclass(frozen=True)
 class ConjugatedPair:
-    """The pair in a basis where A is diagonal, with the certified relation.
+    """The pair in A's canonical eigenbasis, with the certified relation.
 
-    orig_a and orig_b stay exact in the input basis so spectral data
-    (charpoly, gap grid) never depends on enclosures.  a_diag and b_rows
-    live in the eigenbasis: Fractions on the exact path, ComplexIntervals
-    otherwise.  constants records the (c1, c2) certifying
-    norm(B) <= c1 * norm(A)^c2 when norm_relation is B_prec_A or swapped.
+    Every pair is the one diagonalized_pair builds at sort_place and bits;
+    the stages after it record a relation and never change the basis, so
+    a later stage at the same place and bits reuses it.  orig_a and orig_b
+    stay exact in the input basis so spectral data (charpoly, gap grid)
+    never depends on enclosures.  basis and basis_inv are the rows of P
+    and P^-1 with A = P diag P^-1; a_diag and b_rows = P^-1 B P live in the
+    eigenbasis: Fractions on the exact path, ComplexIntervals otherwise.
+    constants records the (c1, c2) certifying norm(B) <= c1 * norm(A)^c2
+    when norm_relation is B_prec_A or swapped.
     """
 
     orig_a: SquareMatrix
@@ -206,6 +213,8 @@ class ConjugatedPair:
     a_diag: tuple
     b_rows: tuple
     exact: bool
+    sort_place: Place
+    bits: int
     norm_relation: str
     constants: tuple
     trace_m: int | None = None
@@ -287,24 +296,24 @@ def _balance_exponents(b_rows, v: Place, bits: int) -> tuple[int, ...]:
     return tuple(k)
 
 
-def _apply_centralizer(b_rows, k, exact: bool):
-    """Conjugate by diag(2^k_i), returning the new rows and the D, D^-1 rows."""
+def _balanced_rows(pair: ConjugatedPair):
+    """B's rows conjugated by the power-of-2 diagonal of _balance_exponents.
+
+    The diagonal centralizes diag(A), so the norm checks may read these
+    rows in place of b_rows; the pair itself keeps its canonical rows.
+    """
+    b_rows = pair.b_rows
+    k = _balance_exponents(b_rows, ARCH, 96)
+    if not any(k):
+        return b_rows
     n = len(b_rows)
-    if all(x == 0 for x in k):
-        return b_rows, None, None
     d = [Fraction(2) ** ki for ki in k]
-    if exact:
-        out = tuple(tuple(b_rows[i][j] * d[j] / d[i] for j in range(n)) for i in range(n))
-        d_rows = _diag_rows(d, True)
-        d_inv_rows = _diag_rows([1 / x for x in d], True)
-    else:
-        out = tuple(
-            tuple(b_rows[i][j] * ComplexInterval.point(d[j] / d[i]) for j in range(n))
-            for i in range(n)
-        )
-        d_rows = _diag_rows([ComplexInterval.point(x) for x in d], False)
-        d_inv_rows = _diag_rows([ComplexInterval.point(1 / x) for x in d], False)
-    return out, d_rows, d_inv_rows
+    if pair.exact:
+        return tuple(tuple(b_rows[i][j] * d[j] / d[i] for j in range(n)) for i in range(n))
+    return tuple(
+        tuple(b_rows[i][j] * ComplexInterval.point(d[j] / d[i]) for j in range(n))
+        for i in range(n)
+    )
 
 
 def diagonalized_pair(
@@ -315,15 +324,16 @@ def diagonalized_pair(
     sort_place: Place = ARCH,
     bits: int = 128,
 ) -> ConjugatedPair:
-    """The pair in A's eigenbasis, unbalanced: B becomes P^-1 * B * P.
+    """The pair in A's canonical eigenbasis: B becomes P^-1 * B * P.
 
     Deterministic in its inputs: eigenvalues sort by modulus at sort_place,
     eigenvectors carry pinned normalizations, so a verifier replaying from
     the words alone lands in the same basis.  The basis is exact when A's
     charpoly splits into distinct rationals and enclosed otherwise; finite
     sort places need the exact one (see diagonalize).  The result has
-    norm_relation "none"; balance_or_trace and swap_roles build on it, and
-    it feeds wedge_pair and the cone checks directly.
+    norm_relation "none"; balance_or_trace and swap_roles record a relation
+    on it without changing the basis, and it feeds wedge_pair and the cone
+    checks directly.
     """
     a_diag, p, p_inv = diagonalize(a, sort_place, bits)
     exact = not isinstance(a_diag[0], ComplexInterval)
@@ -339,53 +349,42 @@ def diagonalized_pair(
         a_diag=a_diag,
         b_rows=b_rows,
         exact=exact,
+        sort_place=sort_place,
+        bits=bits,
         norm_relation="none",
         constants=(Fraction(1), Fraction(1)),
     )
 
 
-def balance_or_trace(
-    a: SquareMatrix,
-    b: SquareMatrix,
-    s: PlaceSet,
-    word_a: Word | None = None,
-    word_b: Word | None = None,
-    m_cap: int = 8,
-    bits: int = 128,
-) -> ConjugatedPair:
-    """Diagonalize A, balance scales, and certify a norm or trace relation for B.
+# largest m the trace route tries in norm(A)^m * max |tr B| >= norm(B)
+TRACE_EXPONENT_CAP = 8
+
+
+def balance_or_trace(pair: ConjugatedPair, s: PlaceSet) -> ConjugatedPair:
+    """Certify a norm or trace relation for B on a pair from diagonalized_pair.
 
     Tries, in order: the direct norm comparison after a centralizer
     rebalancing, then the trace route (norm(A)^m * max |tr B| >= norm(B)
-    for m up to m_cap).  B itself must pass; it is never replaced by a
-    word.  The centralizer element is a power-of-2 diagonal; a global
-    scalar acts trivially under conjugation, so no determinant
-    normalization is applied.
+    for m up to TRACE_EXPONENT_CAP).  B itself must pass; it is never
+    replaced by a word.  The centralizer element is a power-of-2 diagonal
+    that only rescales the rows the checks read; a global scalar acts
+    trivially under conjugation, so no determinant normalization is
+    applied.  The returned pair keeps the canonical basis and rows.
     """
-    word_a = word_a if word_a is not None else SYM_A
-    word_b = word_b if word_b is not None else SYM_B
-    pair = diagonalized_pair(a, b, word_a, word_b, ARCH, bits)
-    exact = pair.exact
-    b_rows, d_rows, d_inv_rows = _apply_centralizer(
-        pair.b_rows, _balance_exponents(pair.b_rows, ARCH, 96), exact
-    )
-    p, p_inv = pair.basis, pair.basis_inv
-    if d_rows is not None:
-        p = _rows_mul(p, d_rows, exact, bits)
-        p_inv = _rows_mul(d_inv_rows, p_inv, exact, bits)
-    pair = replace(pair, basis=p, basis_inv=p_inv, b_rows=b_rows)
-
+    exact, bits = pair.exact, pair.bits
+    b_rows = _balanced_rows(pair)
     certified = _certify_b_prec_a(pair.a_diag, b_rows, s, exact, bits)
     if certified is not None:
         return replace(pair, norm_relation="B_prec_A", constants=certified)
     an_lo, _ = _global_norm_bounds(_diag_rows(pair.a_diag, exact), s, exact, bits)
     _, bn_hi = _global_norm_bounds(b_rows, s, exact, bits)
     tr_lo, _ = _trace_abs_bounds(b_rows, s, exact, bits)
-    for m in range(m_cap + 1):
+    for m in range(TRACE_EXPONENT_CAP + 1):
         if an_lo**m * tr_lo >= bn_hi:
             return replace(pair, norm_relation="trace_big", trace_m=m)
     raise BalanceFailed(
-        f"no norm relation and no trace relation with exponent up to {m_cap} certified for B"
+        f"no norm relation and no trace relation with exponent up to {TRACE_EXPONENT_CAP} "
+        "certified for B"
     )
 
 
@@ -393,13 +392,15 @@ def swap_roles(pair: ConjugatedPair, s: PlaceSet, bits: int = 128) -> Conjugated
     """Interchange A and B after the trace route, rediagonalizing around B.
 
     Requires norm(A)^m <= sqrt(norm(B)) for the recorded trace exponent
-    (checked as a squared inequality) and a certified conditioning bound
-    max(norm(C), norm(C^-1)) <= max(2, norm(A'))^n on the new basis.
+    (checked as a squared inequality on the rebalanced rows
+    balance_or_trace read) and a certified conditioning bound
+    max(norm(C), norm(C^-1)) <= max(2, norm(A'))^n on the new basis, which
+    is B's canonical eigenbasis at bits.
     """
     if pair.norm_relation != "trace_big":
         raise ValueError("swap applies only after the trace route")
     an_hi = _global_norm_bounds(_diag_rows(pair.a_diag, pair.exact), s, pair.exact)[1]
-    bn_lo = _global_norm_bounds(pair.b_rows, s, pair.exact)[0]
+    bn_lo = _global_norm_bounds(_balanced_rows(pair), s, pair.exact)[0]
     m = pair.trace_m or 0
     if not an_hi ** (2 * m) <= bn_lo:
         raise SwapFailed("norm(A)^m exceeds sqrt(norm(B)): swap inequality not certified")

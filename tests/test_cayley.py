@@ -22,7 +22,7 @@ from growthcert.cayley import (
     shemesh_no_common_eigenvector,
 )
 from growthcert.errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
-from growthcert.exactnum import ARCH, SquareMatrix, Word, row_reduce, s_support
+from growthcert.exactnum import ARCH, SquareMatrix, Word, s_support
 from growthcert.spectra import char_poly, l1_gap_report
 from test_exactnum import reference_matmul, reference_row_reduce
 
@@ -202,7 +202,7 @@ def test_generated_algebra_dimension_matches_word_span(pair):
         layer = [g * m for g in (a, b) for m in layer]
         layer = list({m.entries: m for m in layer}.values())
         words += layer
-    rank = len(row_reduce([[x for row in m.entries for x in row] for m in words])[1])
+    rank = len(reference_row_reduce([[x for row in m.entries for x in row] for m in words])[1])
     assert generated_algebra_dimension(a, b) == rank
 
 

@@ -16,6 +16,7 @@ from growthcert.exactnum import (
     SquareMatrix,
     Word,
     abs_value,
+    bareiss,
     evaluate_word,
     factorize,
     format_rational,
@@ -23,7 +24,6 @@ from growthcert.exactnum import (
     padic_valuation,
     parse_rational,
     require_unimodular,
-    row_reduce,
     s_support,
 )
 
@@ -201,8 +201,7 @@ def test_row_reduce_singular(pair, coeffs):
     assert a.det() == 0
     with pytest.raises(ZeroDivisionError):
         a.inverse()
-    rref, pivots, det = row_reduce(rows)
-    assert det == 0 and len(rref) == len(pivots) < a.n
+    assert len(bareiss(integer_rows(rows))[0]) < a.n
 
 
 def test_require_unimodular():
@@ -309,7 +308,12 @@ def reference_matmul(a, b):
 
 
 def reference_row_reduce(rows):
-    """Fraction Gauss-Jordan: (rref, pivots, det) as row_reduce documents them."""
+    """Fraction Gauss-Jordan: (rref, pivots, det).
+
+    rref holds the nonzero rows of the reduced form, pivots the pivot
+    column of each, and det the product of the pivots times the sign of
+    the row swaps, 0 when the rows are linearly dependent.
+    """
     m = [[F(x) for x in row] for row in rows]
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -348,6 +352,33 @@ def _types(x):
 def assert_identical(got, want):
     assert got == want
     assert _types(got) == _types(want)
+
+
+def integer_rows(grid):
+    """Each row of ints and Fractions times the lcm of its denominators: the same row space."""
+    out = []
+    for row in grid:
+        row = [F(x) for x in row]
+        s = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (s // x.denominator) for x in row])
+    return out
+
+
+def assert_bareiss_contract(grid):
+    """bareiss on integer rows against the Fraction reference, as its docstring states it.
+
+    The first len(pivots) rows become prev times the rref, the rest zero;
+    sign * prev is the reference's product of pivots when the rows are
+    independent, the determinant for a square grid.
+    """
+    m = [list(row) for row in grid]
+    pivots, sign, prev = bareiss(m)
+    rref, want_pivots, det = reference_row_reduce(grid)
+    assert pivots == want_pivots
+    assert all(type(x) is int for row in m for x in row)
+    assert m[: len(pivots)] == [[prev * x for x in row] for row in rref]
+    assert not any(x for row in m[len(pivots) :] for x in row)
+    assert (sign * prev if len(pivots) == len(grid) else 0) == det
 
 
 def hostile_matrix(seed=5, n=6):
@@ -415,7 +446,7 @@ def test_matmul_matches_fraction_reference_seeded():
 @example([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
 @example([[F(1, 2), 1], [1, 2], [3, 6]])
 def test_row_reduce_matches_fraction_reference(grid):
-    assert_identical(row_reduce(grid), reference_row_reduce(grid))
+    assert_bareiss_contract(integer_rows(grid))
 
 
 def test_row_reduce_matches_fraction_reference_seeded():
@@ -428,16 +459,16 @@ def test_row_reduce_matches_fraction_reference_seeded():
         ]
         if nr > 1 and rng.random() < 0.3:
             grid[-1] = [x - 2 * y for x, y in zip(grid[0], grid[1 % nr])]
-        assert_identical(row_reduce(grid), reference_row_reduce(grid))
+        assert_bareiss_contract(integer_rows(grid))
 
 
-def test_row_reduce_empty_zero_and_generator_input():
-    assert_identical(row_reduce([]), ([], [], F(1)))
-    assert_identical(row_reduce([[]]), reference_row_reduce([[]]))
-    assert_identical(row_reduce([[0, 0, 0]] * 3), ([], [], F(0)))
-    grid = [[1, 2, 3], [F(1, 2), 5, 0], [0, 0, F(7, 3)]]
-    assert_identical(row_reduce(tuple(row) for row in grid), reference_row_reduce(grid))
-    assert_identical(row_reduce(iter(row) for row in grid), reference_row_reduce(grid))
+def test_bareiss_empty_and_zero_rows():
+    assert bareiss([]) == ([], 1, 1)
+    assert bareiss([[]]) == ([], 1, 1)
+    m = [[0, 0, 0]] * 3
+    assert bareiss([list(row) for row in m]) == ([], 1, 1)
+    for grid in ([], [[]], m, [[1, 2, 3], [1, 10, 0], [0, 0, 7]], [[0, 0], [0, 5], [3, 0]]):
+        assert_bareiss_contract(grid)
 
 
 def test_row_reduce_det_sign_follows_row_swaps():
@@ -446,10 +477,11 @@ def test_row_reduce_det_sign_follows_row_swaps():
         ([[0, 1], [1, 0]], -1),
         ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 1),
         ([[2, 1, 1], [4, 2, 5], [6, 4, 3]], -6),
-        ([[0, F(1, 2), 0], [F(3, 5), 0, 0], [0, 0, F(-2, 7)]], F(3, 35)),
+        ([[0, 1, 0], [3, 0, 0], [0, 0, -2]], 6),
     ):
-        assert row_reduce(grid)[2] == det
-        assert_identical(row_reduce(grid), reference_row_reduce(grid))
+        pivots, sign, prev = bareiss([list(row) for row in grid])
+        assert sign * prev == det
+        assert_bareiss_contract(grid)
 
 
 @settings(max_examples=100, deadline=None)
@@ -474,12 +506,13 @@ def test_hostile_denominators_match_fraction_reference():
     # products of distinct 300-digit denominators grow the entries fast;
     # the kernel must still agree exactly and finish well inside the bound
     a = hostile_matrix()
+    rows = integer_rows(a.entries)
     t0 = time.perf_counter()
-    got = row_reduce(a.entries)
+    bareiss([list(row) for row in rows])
     inv = a.inverse()
     prod = inv * a
     elapsed = time.perf_counter() - t0
-    assert_identical(got, reference_row_reduce(a.entries))
+    assert_bareiss_contract(rows)
     n = a.n
     rref, _, _ = reference_row_reduce(
         [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a.entries)]

@@ -6,9 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from growthcert import pingpong, pipeline
+from growthcert import pingpong, pipeline, wordforge
 from growthcert.errors import BudgetExceeded, Inconclusive, PipelineFailure
-from growthcert.exactnum import SquareMatrix, Word
+from growthcert.exactnum import ARCH, Place, SquareMatrix, Word
 from growthcert.pingpong import PingPongCertificate, growth_bound_from_length
 from growthcert.pipeline import (
     RunConfig,
@@ -38,6 +38,11 @@ STAGES = [
 
 def sanov():
     return [M([[1, 2], [0, 1]]), M([[1, 0], [2, 1]])]
+
+
+def swap_route():
+    """The corpus file sl2_hyperbolic/3: B = "1" takes the trace route, so the roles swap."""
+    return [M([[2, 0], [1, F(1, 2)]]), M([[F(9, 2), F(-1, 2)], [F(-1, 4), F(1, 4)]])]
 
 
 def heisenberg():
@@ -99,10 +104,52 @@ def test_verify_rejects_huge_cone_param():
 
 
 def count_wedge_pairs(mp):
+    """The bits of every wedge_pair call the exponent search or the cone replay makes."""
     calls = []
-    wedge_pair = pipeline.canonical_wedge_pair
-    mp.setattr(pipeline, "canonical_wedge_pair", lambda *a: calls.append(a[-1]) or wedge_pair(*a))
+    wedge_pair = pipeline.wedge_pair
+    mp.setattr(pipeline, "wedge_pair", lambda *a: calls.append(a[-1]) or wedge_pair(*a))
     return calls
+
+
+def count_diagonalizations(mp):
+    """(sort place, bits) of every eigenbasis built."""
+    calls = []
+    diagonalize = wordforge.diagonalize
+    mp.setattr(wordforge, "diagonalize", lambda *a: calls.append(a[1:]) or diagonalize(*a))
+    return calls
+
+
+def test_certify_builds_each_eigenbasis_once(monkeypatch):
+    # every stage hands on the canonical pair: Sanov's A is diagonalized
+    # once, and the exponent search reuses that basis
+    calls = count_diagonalizations(monkeypatch)
+    assert certify_generators(sanov()).certificate.to_json() == SANOV_CERT_JSON
+    assert calls == [(ARCH, 64)]
+    # the swap route diagonalizes A, then B, whose pair the search reuses
+    calls.clear()
+    res = certify_generators(swap_route())
+    assert "swap_roles" in [rec["stage"] for rec in res.trace]
+    assert calls == [(ARCH, 64), (ARCH, 64)]
+
+
+FINITE_CERT_JSON = (
+    '{"checks":{"contracts":true,"contracts_double":true,"disjoint":true},'
+    '"cone_param":"1/4","exponent":1,"growth_bound":"660561/524288","n":3,'
+    '"oracle_depth_validated":12,"place":"finite:2","schema":'
+    '"growthcert.certificate.v1","wedge_m":1,"word_A":"0","word_B":"1"}\n'
+)
+
+
+def test_certify_and_verify_at_a_finite_place(monkeypatch):
+    # A's largest eigenvalue modulus is 16, at the 2-adic place, so the
+    # exponent search diagonalizes A again with the 2-adic sort
+    a = M([[F(1, 16), 0, 0], [0, 2, 0], [0, 0, 8]])
+    b = M([[1, 1, 0], [0, 1, 1], [0, 0, 1]]) * M([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    calls = count_diagonalizations(monkeypatch)
+    cert = certify_generators([a, b]).certificate
+    assert cert.to_json() == FINITE_CERT_JSON
+    assert calls == [(ARCH, 64), (Place.finite(2), 64)]
+    assert verify_certificate(cert, [a, b]) == (True, "ok")
 
 
 def test_verify_stops_precision_retries_on_an_exact_basis(monkeypatch):
@@ -198,7 +245,7 @@ def test_certify_selects_from_the_seed_grid(monkeypatch):
 
 def test_certify_recomputes_the_grid_once_after_a_swap(monkeypatch):
     # B = "1" takes the trace route, so the roles swap and A becomes B
-    gens = [M([[2, 0], [1, F(1, 2)]]), M([[F(9, 2), F(-1, 2)], [F(-1, 4), F(1, 4)]])]
+    gens = swap_route()
     calls = []
     grid = pipeline.l1_gap_report
     monkeypatch.setattr(pipeline, "l1_gap_report", lambda a, s, f: calls.append(a) or grid(a, s, f))

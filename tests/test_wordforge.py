@@ -26,7 +26,6 @@ from growthcert.exactnum import (
     Word,
     abs_value,
     evaluate_word,
-    row_reduce,
     s_support,
 )
 from growthcert.intervals import (
@@ -58,6 +57,7 @@ from growthcert.wordforge import (
     swap_roles,
     wedge_pair,
 )
+from test_exactnum import reference_row_reduce
 
 M = SquareMatrix.from_rows
 S0 = PlaceSet(())
@@ -115,14 +115,21 @@ def manual_pair(a, exact=True, relation="B_prec_A", trace_m=None, b=None):
         a_diag=tuple(a.entries[i][i] for i in range(a.n)),
         b_rows=b.entries,
         exact=exact,
+        sort_place=ARCH,
+        bits=128,
         norm_relation=relation,
         constants=(F(1), F(1)),
         trace_m=trace_m,
     )
 
 
+def balance(a, b):
+    """balance_or_trace on the canonical pair of (A, B) = (a, b)."""
+    return balance_or_trace(diagonalized_pair(a, b, WA, WB), S0)
+
+
 def test_balance_direct_norm_relation():
-    pair = balance_or_trace(diag(4, F(1, 4)), M([[1, 1], [1, 2]]), S0, WA, WB)
+    pair = balance(diag(4, F(1, 4)), M([[1, 1], [1, 2]]))
     assert pair.norm_relation == "B_prec_A"
     assert pair.constants == (F(1), F(1))
     assert pair.exact and pair.balanced
@@ -132,15 +139,17 @@ def test_balance_direct_norm_relation():
 
 
 def test_balance_centralizer_rescale():
-    # a power-of-2 diagonal conjugation tames the huge corner entry
-    pair = balance_or_trace(diag(4, F(1, 4)), M([[1, 65536], [0, 1]]), S0, WA, WB)
-    assert pair.norm_relation == "B_prec_A"
-    assert pair.b_rows == ((F(1), F(1)), (F(0), F(1)))
-    assert pair.basis == ((F(65536), F(0)), (F(0), F(1)))
+    # a power-of-2 diagonal conjugation tames the huge corner entry for the
+    # norm check (65536 > 4^2 without it); the pair keeps the canonical rows
+    canon = diagonalized_pair(diag(4, F(1, 4)), M([[1, 65536], [0, 1]]), WA, WB)
+    pair = balance_or_trace(canon, S0)
+    assert pair == replace(canon, norm_relation="B_prec_A", constants=(F(1), F(1)))
+    assert pair.b_rows == ((F(1), F(65536)), (F(0), F(1)))
+    assert pair.basis == pair.basis_inv == ((F(1), F(0)), (F(0), F(1)))
 
 
 def test_balance_trace_route_and_swap():
-    pair = balance_or_trace(diag(4, F(1, 4)), diag(1024, F(1, 1024)), S0, WA, WB)
+    pair = balance(diag(4, F(1, 4)), diag(1024, F(1, 1024)))
     assert pair.norm_relation == "trace_big"
     assert pair.trace_m == 0
     assert not pair.balanced
@@ -149,28 +158,35 @@ def test_balance_trace_route_and_swap():
     assert swapped.a_diag == (F(1024), F(1, 1024))
     assert swapped.b_rows == ((F(4), F(0)), (F(0), F(1, 4)))
     assert (str(swapped.word_a), str(swapped.word_b)) == ("1", "0")
+    # B's canonical pair, built at swap_roles' bits
+    assert swapped == replace(
+        diagonalized_pair(diag(1024, F(1, 1024)), diag(4, F(1, 4)), WB, WA, ARCH, 128),
+        norm_relation="swapped",
+        constants=(F(1), F(1)),
+    )
 
 
 def test_balance_word_replacement():
     # zero trace and diagonal entries no conjugation can shrink: B itself
     # fails, and B is never replaced by a word such as A B
     with pytest.raises(BalanceFailed):
-        balance_or_trace(diag(4, F(1, 4)), M([[64, 1], [1, -64]]), S0, WA, WB)
+        balance(diag(4, F(1, 4)), M([[64, 1], [1, -64]]))
 
 
 def test_balance_failure():
+    # tr B = 0: no trace exponent can certify
     cyc = M([[0, 256, 0], [0, 0, 256], [256, 0, 0]])
     with pytest.raises(BalanceFailed):
-        balance_or_trace(diag(4, 1, F(1, 4)), cyc, S0, m_cap=1)
+        balance(diag(4, 1, F(1, 4)), cyc)
 
 
 def test_balance_rejects_repeated_eigenvalues():
     with pytest.raises(ValueError):
-        balance_or_trace(SquareMatrix.identity(2), M([[1, 1], [1, 2]]), S0)
+        balance(SquareMatrix.identity(2), M([[1, 1], [1, 2]]))
 
 
 def test_swap_requires_trace_route():
-    pair = balance_or_trace(diag(4, F(1, 4)), M([[1, 1], [1, 2]]), S0, WA, WB)
+    pair = balance(diag(4, F(1, 4)), M([[1, 1], [1, 2]]))
     with pytest.raises(ValueError):
         swap_roles(pair, S0)
 
@@ -316,7 +332,7 @@ def test_select_gives_interval_pairs_the_archimedean_place():
 
 def test_wedge_pair_sorts_by_modulus():
     # lex subset order is not modulus order here: (0,3) gives 10 but (1,2) 18
-    pair = balance_or_trace(diag(10, 9, 2, 1), SquareMatrix.identity(4), S0)
+    pair = balance(diag(10, 9, 2, 1), SquareMatrix.identity(4))
     wa, wb = wedge_pair(pair, ARCH, 2)
     assert wa == (F(90), F(20), F(18), F(10), F(9), F(2))
     assert all(wb[i][j] == (1 if i == j else 0) for i in range(6) for j in range(6))
@@ -339,7 +355,7 @@ def test_wedge_pair_rejects_interval_finite():
 
 
 def test_ensure_l2_direct():
-    pair = balance_or_trace(diag(4, F(1, 4)), M([[1, 1], [1, 2]]), S0, WA, WB)
+    pair = balance(diag(4, F(1, 4)), M([[1, 1], [1, 2]]))
     cond = ensure_l2(pair, ARCH, 1)
     assert cond.all_pass
     assert cond.b11_lower == 1 and cond.b_norm == 2
@@ -349,7 +365,7 @@ def test_ensure_l2_direct():
 def test_ensure_l2_unreachable():
     # every word in a diagonal A and an antidiagonal B is diagonal or
     # antidiagonal: the corner entry and the off-axis column never coexist
-    pair = balance_or_trace(diag(4, F(1, 4)), M([[0, 1], [-1, 0]]), S0, WA, WB)
+    pair = balance(diag(4, F(1, 4)), M([[0, 1], [-1, 0]]))
     with pytest.raises(L2Unreachable):
         ensure_l2(pair, ARCH, 1)
 
@@ -504,7 +520,7 @@ def test_diagonalized_pair_finite_sort_needs_rational_basis():
 
 def _kernel_vector(m: SquareMatrix) -> tuple[F, ...]:
     """One nonzero kernel vector of a singular matrix: the first free column set to 1."""
-    rref, pivots, _ = row_reduce(m.entries)
+    rref, pivots, _ = reference_row_reduce(m.entries)
     free = next(c for c in range(m.n) if c not in pivots)
     vec = [F(0)] * m.n
     vec[free] = F(1)
