@@ -489,22 +489,23 @@ def shemesh_no_common_eigenvector(a: SquareMatrix, b: SquareMatrix) -> bool:
     return False
 
 
-def generated_algebra_dimension(a: SquareMatrix, b: SquareMatrix) -> int:
-    """Dimension of the unital algebra generated by A and B inside n x n.
+def generated_algebra_dimension(*gens: SquareMatrix) -> int:
+    """Dimension of the unital algebra generated by the matrices gens inside n x n.
 
-    Row-reduces span{I} together with A and B times the basis until the
-    rank stops growing or reaches n^2; the span is then closed under left
-    multiplication by A and B, so it holds every word.  Only the rows with
-    a new pivot column need multiplying: with the old span they span the
-    new one.  Matrices are flattened row-major into rows of n^2 integers.
+    Row-reduces span{I} together with each generator times the basis until
+    the rank stops growing or reaches n^2; the span is then closed under
+    left multiplication by every generator, so it holds every word.  Only
+    the rows with a new pivot column need multiplying: with the old span
+    they span the new one.  Matrices are flattened row-major into rows of
+    n^2 integers.
     """
-    n = a.n
+    n = gens[0].n
     basis = [[int(i == j) for i in range(n) for j in range(n)]]
     pivots = [0]
     fresh = basis
     while fresh and len(basis) < n * n:
         mats = [[r[i : i + n] for i in range(0, n * n, n)] for r in fresh]
-        products = [[x for row in int_matmul(g, m) for x in row] for g in (a.num, b.num) for m in mats]
+        products = [[x for row in int_matmul(g.num, m) for x in row] for g in gens for m in mats]
         old = set(pivots)
         basis, pivots = _span(basis + products)
         fresh = [r for r, col in zip(basis, pivots) if col not in old]
@@ -540,7 +541,10 @@ def find_regular_pair(
     A: first element with squarefree characteristic polynomial whose (L1)
     gap grid has at least one certified-true entry.  B: first element
     sharing no eigenvector with A (Shemesh) such that A, B generate the
-    full matrix algebra (Burnside).
+    full matrix algebra (Burnside).  Once a candidate B fails, the algebra
+    of all the generators is measured once: it holds their inverses
+    (Cayley-Hamilton), so every alg(A, B) lies inside it, and when it is
+    smaller than n x n the rest of the ball is walked without a gate.
     """
     if s is None:
         s = s_support(gens)
@@ -559,13 +563,14 @@ def find_regular_pair(
     else:
         raise PairNotFound(f"no regular (L1)-capable element within radius {depth}")
     # B is the first partner in shortlex order, so its scan starts over
+    reducible = None
     for word_b, mat_b in _ball_words(letters, depth, budget):
-        if mat_b == mat_a:
+        if mat_b == mat_a or reducible:
             continue
-        if not shemesh_no_common_eigenvector(mat_a, mat_b):
-            continue
-        dim = generated_algebra_dimension(mat_a, mat_b)
+        dim = shemesh_no_common_eigenvector(mat_a, mat_b) and generated_algebra_dimension(mat_a, mat_b)
         if dim != n * n:
+            if reducible is None:
+                reducible = generated_algebra_dimension(*gens) < n * n
             continue
         return RegularPair(
             word_a=word_a,

@@ -401,45 +401,106 @@ def _residue_rows(m: SquareMatrix, p: int) -> tuple:
     )
 
 
-def _layer_keys(gens: tuple, y: tuple[int, ...], q: int, depth: int):
-    """Yield the keys y * M_word mod q of each layer of positive words.
+def _mul_mod(a, b, p: int) -> tuple:
+    """The rows of a * b mod p, for matrices given as rows of ints."""
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in zip(*b)) for row in a)
 
-    gens holds the letters' residue rows mod q.  Layer k + 1 lists the words
-    of layer k times the first letter, then times the second.  The layer is
-    held column-wise: coordinate i of every key packed into one int, in
-    64-bit slots, so a letter costs n scalar products of big ints per
-    column.  No slot carries while n * (q - 1)^2 < 2^64.
+
+def _key_basis(y: tuple[int, ...], q: int) -> tuple[tuple, tuple]:
+    """Z and Z^-1 mod q, the basis whose first two columns key the screen.
+
+    Z = (I + a e_1^T)(I + b e_2^T) with s = r^n for y = (1, r, ..., r^(n-1)),
+    a = (0, s, ..., s^(n-1)) and b = (s^n, 0, s^(n+2), ..., s^(2n-1)).
+    Both factors have determinant 1, and negating a or b inverts them, so Z
+    is invertible mod q for every draw.  Its first column (1, s, ...,
+    s^(n-1)) gives y * M * Z the coordinate sum_ij M_ij r^(i + n j), every
+    entry of M at its own power of r; its second column, e_2 + b + s^n a,
+    also moves with r in every coordinate.  Fixed key columns such as e_1
+    and e_2 would key alike all words that share those columns.
     """
-    # like hashlib, array is imported only where the oracle needs it
-    from array import array
-
     n = len(y)
-    cols = [[c] for c in y]
-    for _ in range(depth):
-        size = 8 * len(cols[0])
-        packed = [int.from_bytes(array("Q", c).tobytes(), sys.byteorder) for c in cols]
-        cols = [[] for _ in range(n)]
-        for rows in gens:
-            for j, col in enumerate(cols):
-                s = sum(v * rows[i][j] for i, v in enumerate(packed))
-                col += [v % q for v in memoryview(s.to_bytes(size, sys.byteorder)).cast("Q")]
-        yield zip(*cols)
+    powers = [pow(y[1], n * k, q) for k in range(2 * n)]
+
+    def shear(j: int, sign: int) -> tuple:
+        # I + sign * v e_j^T with v_i = s^(jn + i) for i != j and v_j = 0
+        return tuple(
+            tuple(int(i == c) + sign * powers[j * n + i] * (c == j != i) for c in range(n))
+            for i in range(n)
+        )
+
+    return _mul_mod(shear(0, 1), shear(1, 1), q), _mul_mod(shear(1, -1), shear(0, -1), q)
+
+
+def _reduce_slots(cols: list[int], q: int, ones: int) -> list[int]:
+    """cols with each 64-bit slot x of every packed int replaced by x mod q.
+
+    ones has a 1 in bit 0 of each slot, and 2^6 <= q < 2^32.  This is
+    Barrett's reduction (P. Barrett, CRYPTO '86) on every slot at once.  Let
+    2^k < q < 2^(k+1) and x = 2^32 h + l.
+    - Round 1: m1 = floor(2^(32+k) / q) < 2^32, so h * m1 fits a slot, and
+      t1 = floor(h * m1 / 2^k) has x/q - 2^(33-k) - 1 < t1 <= x/q, so
+      x1 = x - t1 q < 2^35.
+    - Round 2: m2 = floor(2^(29+k) / q) < 2^29, so x1 * m2 fits a slot,
+      and t2 = floor(x1 * m2 / 2^(29+k)) has x1/q - 2^(6-k) - 1 < t2 <= x1/q,
+      so x2 = x1 - t2 q < 2q.
+    - Adding 2^33 - q sets bit 33 exactly when x2 >= q, and that bit
+      subtracts q once more.
+    Every product fits its slot and every difference is nonnegative, so no
+    slot carries into or borrows from another; after each right shift a
+    mask drops the bits that came down from the slot above.
+    """
+    k = q.bit_length() - 1
+    m1, m2 = (1 << 32 + k) // q, (1 << 29 + k) // q
+    low, mask1, mask2, lift = (
+        ones * c for c in (2**32 - 1, 2 ** (64 - k) - 1, 2 ** (35 - k) - 1, 2**33 - q)
+    )
+    out = []
+    for x in cols:
+        x -= ((((x >> 32) & low) * m1 >> k) & mask1) * q
+        x -= ((x * m2 >> 29 + k) & mask2) * q
+        out.append(x - (((x + lift) >> 33) & ones) * q)
+    return out
+
+
+def _layer_keys(u: SquareMatrix, w: SquareMatrix, q: int, y: tuple[int, ...], depth: int):
+    """Yield, layer by layer, the key of each positive word M as a C array of ints.
+
+    The key is the first two coordinates c_1 + 2^32 c_2 of y * M * Z mod q,
+    Z from _key_basis: a function of M mod q.  The letters are conjugated
+    once to Z^-1 G Z mod q, and the state starts at y * Z.  Layer k + 1
+    lists the words of layer k times the first letter, then times the
+    second.  The layer is held column-wise: coordinate i of every word's
+    row packed into one int, in 64-bit slots, so a letter costs n scalar
+    products of big ints per column, and the two letters' blocks are joined
+    by one shift.  No slot carries while n * (q - 1)^2 < 2^64, and
+    _reduce_slots brings every slot below q again without unpacking.
+    """
+    z, z_inv = _key_basis(y, q)
+    letters = [tuple(zip(*_mul_mod(_mul_mod(z_inv, _residue_rows(g, q), q), z, q))) for g in (u, w)]
+    cols = _mul_mod([y], z, q)[0]
+    ones = 1
+    for k in range(depth):
+        first, second = ([sum(map(mul, cols, col)) for col in letter] for letter in letters)
+        ones |= ones << (64 << k)
+        cols = _reduce_slots([a | b << (64 << k) for a, b in zip(first, second)], q, ones)
+        yield memoryview((cols[0] | cols[1] << 32).to_bytes(16 << k, sys.byteorder)).cast("Q")
 
 
 def _screen(u: SquareMatrix, w: SquareMatrix, depth: int) -> bool:
     """True when the positive words up to depth have pairwise distinct keys.
 
-    The key of a word is y * M_word mod q (see _fingerprint); distinct keys
-    mean distinct matrices.  False means a clash, or a q too large for
-    _layer_keys' 64-bit slots.
+    The keys are _layer_keys', each a function of the word's matrix mod q,
+    so distinct keys mean distinct matrices.  For n = 2 a key determines
+    y * M mod q, since Z is invertible.  False means a clash, n = 1, or a q
+    outside 2^6 <= q with n * (q - 1)^2 < 2^64: the range where _layer_keys'
+    slots do not carry and _reduce_slots is exact.
     """
     q, y = _fingerprint(u, w, screen=True)
-    if u.n * (q - 1) ** 2 >= 2**64:
+    if u.n < 2 or q < 2**6 or u.n * (q - 1) ** 2 >= 2**64:
         return False
-    gens = (_residue_rows(u, q), _residue_rows(w, q))
-    seen: set[tuple[int, ...]] = set()
+    seen: set[int] = set()
     words = 0
-    for k, keys in enumerate(_layer_keys(gens, y, q, depth), 1):
+    for k, keys in enumerate(_layer_keys(u, w, q, y, depth), 1):
         seen.update(keys)
         words += 2**k
         if len(seen) != words:
@@ -503,9 +564,10 @@ def find_semigroup_collision(
     Returns None when all words up to the depth are pairwise distinct.
     Reduction mod a prime is a ring map on the rationals whose denominators
     it does not divide, so words with distinct keys mod that prime have
-    distinct matrices.  The screen (_screen) keys whole layers at once
-    modulo a 30-bit prime q and returns None when every key is distinct and
-    the 2^(depth+1) - 2 words fit the budget.  Otherwise the resolver
+    distinct matrices.  The screen (_screen) reduces whole packed layers
+    modulo a 30-bit prime q, keys each word by one int read from them, and
+    returns None when every key is distinct and the 2^(depth+1) - 2 words
+    fit the budget.  Otherwise the resolver
     (_resolve) walks the words in shortlex order modulo a 62-bit prime p,
     multiplies out only the words whose keys clash, and returns the first
     exact collision or raises BudgetExceeded at the same word as without

@@ -239,6 +239,36 @@ def test_pair_found_before_the_budget_runs_out():
         find_regular_pair(heisenberg_gens(), 4, budget=10)
 
 
+# both generators fix e_1, so every pair of words shares that eigenvector;
+# A = the first generator has eigenvalues 1 and 2 +- sqrt(3)
+REDUCIBLE = [
+    SquareMatrix.from_rows([[1, 2, -1], [0, 7, -2], [0, 11, -3]]),
+    SquareMatrix.from_rows([[1, 0, 3], [0, 1, 0], [0, 5, 1]]),
+]
+
+
+def test_reducible_generators_are_refused_after_one_failed_gate(monkeypatch):
+    calls = []
+
+    def counted(name):
+        gate = getattr(cayley, name)
+        return lambda *args: calls.append(name) or gate(*args)
+
+    for name in ("shemesh_no_common_eigenvector", "generated_algebra_dimension"):
+        monkeypatch.setattr(cayley, name, counted(name))
+    with pytest.raises(PairNotFound, match="^no generic partner for A within radius 4$"):
+        find_regular_pair(REDUCIBLE, 4)
+    # one Shemesh call on the first B, then the algebra of the generators
+    assert calls == ["shemesh_no_common_eigenvector", "generated_algebra_dimension"]
+    assert generated_algebra_dimension(*REDUCIBLE) < 9
+    assert reference_pair(REDUCIBLE, 3) == pair_outcome(REDUCIBLE, 3)
+    # A lies in sphere 1, inside a budget of 20; the refusal still walks the
+    # ball, so that budget still runs out in the B scan
+    assert enumerate_ball(REDUCIBLE, 1, budget=20).ball_sizes[-1][1] <= 20
+    with pytest.raises(BudgetExceeded):
+        find_regular_pair(REDUCIBLE, 4, budget=20)
+
+
 def test_growth_report_csv():
     report = enumerate_ball(sanov_gens(), 2)
     assert report.csv() == "n,count\n0,1\n1,5\n2,17\n"

@@ -391,21 +391,31 @@ def largest_slot_prime(n):
 def screen_keys(u, w, depth):
     """The screen's keys, layer by layer, as _layer_keys yields them."""
     q, y = pingpong._fingerprint(u, w, screen=True)
-    gens = (pingpong._residue_rows(u, q), pingpong._residue_rows(w, q))
-    return [list(keys) for keys in pingpong._layer_keys(gens, y, q, depth)]
+    return [list(keys) for keys in pingpong._layer_keys(u, w, q, y, depth)]
 
 
 def word_keys(u, w, depth):
-    """The same keys one word at a time: y * M_word mod q, in the screen's order."""
+    """The same keys one word at a time: y * M_word * Z mod q, its first two coordinates packed."""
     q, y = pingpong._fingerprint(u, w, screen=True)
+    z, _ = pingpong._key_basis(y, q)
     layers, layer = [], [SquareMatrix.identity(u.n)]
     for _ in range(depth):
         layer = [m * g for g in (u, w) for m in layer]
-        layers.append([row_key(y, m, q) for m in layer])
+        rows = [row_key(y, m, q) for m in layer]
+        layers.append(
+            [
+                sum(sum(v * z[i][j] for i, v in enumerate(row)) % q << 32 * j for j in range(2))
+                for row in rows
+            ]
+        )
     return layers
 
 
-@pytest.mark.parametrize("screen", [None, 7, "largest"])
+# the least prime the screen's slot reduction accepts (q >= 2^6)
+LOW_SCREEN_PRIME = 67
+
+
+@pytest.mark.parametrize("screen", [None, "low", "largest"])
 def test_screen_keys_match_word_keys(monkeypatch, screen):
     rng = random.Random(11)
     cases = [(SANOV_U, SANOV_W, 8)]
@@ -420,8 +430,106 @@ def test_screen_keys_match_word_keys(monkeypatch, screen):
         cases.append((u, w, rng.randint(1, 8 if n == 2 else 6)))
     for u, w, depth in cases:
         if screen is not None:
-            force_screen_prime(monkeypatch, largest_slot_prime(u.n) if screen == "largest" else 7)
+            prime = largest_slot_prime(u.n) if screen == "largest" else LOW_SCREEN_PRIME
+            force_screen_prime(monkeypatch, prime)
         assert screen_keys(u, w, depth) == word_keys(u, w, depth)
+
+
+def test_key_basis_is_invertible_and_hashed():
+    for n in range(2, 7):
+        for q in (LOW_SCREEN_PRIME, first_prime_from(2**29), largest_slot_prime(n)):
+            for r in (0, 1, 2, q - 1, random.Random(n * q).randrange(q)):
+                y = tuple(pow(r, k, q) for k in range(n))
+                z, z_inv = pingpong._key_basis(y, q)
+                eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+                assert pingpong._mul_mod(z, z_inv, q) == eye
+                # the first key column reads every entry of M at its own power of r
+                assert [row[0] for row in z] == [pow(r, n * j, q) for j in range(n)]
+    # another row y moves every entry of the two key columns but Z_11 = 1
+    q = LOW_SCREEN_PRIME
+    z2, _ = pingpong._key_basis((1, 2, 4), q)
+    z3, _ = pingpong._key_basis((1, 3, 9), q)
+    moved = [(i, j) for i in range(3) for j in range(2) if z2[i][j] != z3[i][j]]
+    assert moved == [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+
+
+def test_hashed_key_columns_tell_apart_words_sharing_their_first_columns(monkeypatch):
+    # every word of length k in AFFINE_U, AFFINE_W has the first two columns
+    # of diag(3^k, 3^-k, 1): hashed key columns still see the third column
+    assert pingpong._screen(AFFINE_U, AFFINE_W, 10)
+    eye = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    monkeypatch.setattr(pingpong, "_key_basis", lambda y, q: (eye, eye))
+    assert not pingpong._screen(AFFINE_U, AFFINE_W, 10)
+
+
+def tuple_key_screen(u, w, depth):
+    """The screen's verdict from tuple keys y * M mod q, a vector-times-letter product per word."""
+    q, y = pingpong._fingerprint(u, w, screen=True)
+    if u.n * (q - 1) ** 2 >= 2**64:
+        return False
+    letters = [pingpong._residue_rows(g, q) for g in (u, w)]
+    seen, layer, words = set(), [y], 0
+    for k in range(1, depth + 1):
+        layer = [
+            tuple(sum(v * g[i][j] for i, v in enumerate(row)) % q for j in range(u.n))
+            for g in letters
+            for row in layer
+        ]
+        seen.update(layer)
+        words += 2**k
+        if len(seen) != words:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("screen", [None, "low"])
+def test_two_by_two_screen_verdict_matches_tuple_keys(monkeypatch, screen):
+    # for n = 2 the key determines y * M mod q, so the verdict is the tuple keys'
+    if screen is not None:
+        force_screen_prime(monkeypatch, LOW_SCREEN_PRIME)
+    rng = random.Random(23)
+    cases = [(u, w, 9) for u, w, _ in PLANTED if u.n == 2] + [(SANOV_U, SANOV_W, 10)]
+    for _ in range(20):
+        u, w = (
+            SquareMatrix.from_rows(
+                [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)] for _ in range(2)]
+            )
+            for _ in range(2)
+        )
+        cases.append((u, w, rng.randint(1, 9)))
+    verdicts = []
+    for u, w, depth in cases:
+        verdict = pingpong._screen(u, w, depth)
+        assert verdict == tuple_key_screen(u, w, depth)
+        verdicts.append(verdict)
+    assert len(set(verdicts)) == 2
+
+
+def packed(values):
+    return sum(v << 64 * i for i, v in enumerate(values))
+
+
+def slot_values(x, slots):
+    return [x >> 64 * i & 2**64 - 1 for i in range(slots)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_slot_reduction_matches_remainder(n):
+    rng = random.Random(n)
+    for q in (LOW_SCREEN_PRIME, first_prime_from(2**30 - 100), largest_slot_prime(n)):
+        top = n * (q - 1) ** 2
+        edges = [0, q - 1, q, 2 * q - 1, top]
+        for slots in (1, 2, 3, 8, 63, 64, 65, 256, 511, 512, 513):
+            values = [
+                rng.choice(edges) if rng.random() < 0.5 else rng.randint(0, top) for _ in range(slots)
+            ]
+            values[0], values[-1] = rng.choice(edges), rng.choice(edges)
+            ones = packed([1] * slots)
+            reduced = pingpong._reduce_slots([packed(values), packed(values[::-1])], q, ones)
+            assert [slot_values(x, slots) for x in reduced] == [
+                [v % q for v in values],
+                [v % q for v in values[::-1]],
+            ]
 
 
 def refuse(*args):
