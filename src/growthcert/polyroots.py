@@ -4,27 +4,28 @@ Polynomials are tuples of Fractions (ascending, trimmed) at the module
 boundary and integer lists inside.  One signed primitive remainder sequence
 over Z (Collins 1967; Brown and Traub 1971) gives the Sturm chain and gcds,
 so squarefree parts and Yun factors by exact integer division; one integer
-Horner gives every sign.  Real roots are isolated and refined by bisection
-on integer mantissas over 2^k; rational roots are found on the grid j/a by
-Newton steps on j.  Non-real roots get dyadic boxes: mpmath seeds, made
-exact, give Weierstrass inclusion disks of radius n|W_i| whose k-disk
-components hold exactly k roots; a component's hull rounds outward to a
-box.  When mpmath's iteration does not converge from its own starting
-points, it starts again from the root moduli of the Newton polygon, and
-failing that the caller raises the precision.  Every containment decision
-below is an exact rational comparison.
+Horner gives every sign.  Real roots are isolated by bisection on integer
+mantissas over 2^k; a refined root's cell and a rational root on the grid
+j/a are both found by safeguarded Newton steps on the grid index.
+Non-real roots get dyadic boxes, after MPSolve (Bini and Robol, J. Comput.
+Appl. Math. 272 (2014)): Aberth-Ehrlich seeds (Aberth, Math. Comp. 27
+(1973)) started on the Newton polygon's circles and polished by Newton,
+all in complex integers over 2^k, give Weierstrass inclusion disks of
+radius n|W_i| whose k-disk components hold exactly k roots; a component's
+hull rounds outward to a box, and the precision doubles until the boxes
+separate.  No floating point is used, and every containment
+decision below is an exact comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice, zip_longest
-from math import gcd, lcm, log2, pi
-
-import mpmath
+from math import gcd, isqrt, lcm
 
 from .errors import PrecisionExhausted
-from .intervals import ComplexInterval, RationalInterval, dyadic_form, sqrt_upper
+from .intervals import ComplexInterval, RationalInterval, dyadic_form
 
 Poly = tuple[Fraction, ...]
 
@@ -39,15 +40,6 @@ def poly_from(coeffs) -> Poly:
 
 def poly_degree(f: Poly) -> int:
     return len(f) - 1
-
-
-def poly_eval_complex(f: Poly, z: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    """Horner over exact complex rationals represented as (re, im)."""
-    re, im = Fraction(0), Fraction(0)
-    zr, zi = z
-    for c in reversed(f):
-        re, im = re * zr - im * zi + c, re * zi + im * zr
-    return re, im
 
 
 def poly_deriv(f: Poly) -> Poly:
@@ -241,14 +233,19 @@ def isolate_real_roots(f: Poly) -> list[RationalInterval]:
 
 
 def refine_real_root(f: Poly, iv: RationalInterval, width: Fraction) -> RationalInterval:
-    """Shrink an isolating interval below the width target by dyadic bisection.
+    """The cell below the width target that bisecting an isolating interval ends in.
 
-    Precondition: f is squarefree, (iv.lo, iv.hi] holds exactly one root of
-    f, f(iv.lo) != 0 and both ends are dyadic, as isolate_real_roots gives
-    them (a non-dyadic end raises ValueError).  Then a point of (lo, hi)
-    where f is not 0 lies above the root exactly when f's sign there differs
-    from its sign at lo.  The ends are integer mantissas over 2^k, and a
-    midpoint where f vanishes is stepped around by _nonroot_point.
+    Precondition: f is squarefree, (iv.lo, iv.hi] holds exactly one root r
+    of f, f(iv.lo) != 0 and both ends are dyadic, as isolate_real_roots
+    gives them (a non-dyadic end raises ValueError).  Then a point of
+    (lo, hi) where f is not 0 lies above r exactly when f's sign there
+    differs from its sign at lo.  Bisection L times splits (lo, hi] into the
+    2^L cells of the grid lo + j (hi - lo) / 2^L, and unless one of the
+    grid points is r, it ends in the cell that holds r; _grid_search finds
+    that cell by safeguarded Newton steps on j, every one decided by an
+    exact sign.  Where a grid point is r, bisection meets r as a midpoint
+    and steps around it by _nonroot_point; this function does the same,
+    then searches the interval that bisection goes on with.
     """
     ends = [dyadic_form(x) for x in (iv.lo, iv.hi)]
     if None in ends:
@@ -260,17 +257,27 @@ def refine_real_root(f: Poly, iv: RationalInterval, width: Fraction) -> Rational
     if not sign_lo:
         raise ValueError(f"f vanishes at the interval's left end {iv.lo}")
     w_num, w_den = width.numerator, width.denominator
-    while (b - a) * w_den > w_num << k:
-        m, j = a + b, k + 1
-        sign = _sign_at(ints, m, 1 << j)
-        if not sign:
-            m, j, sign = _nonroot_point(ints, a, b, k)
-        a, b, k = a << (j - k), b << (j - k), j
+    while True:
+        # the bisection depth: the least L with (b - a) / 2^(k + L) <= width
+        over, under = (b - a) * w_den, w_num << k
+        levels = max(0, over.bit_length() - under.bit_length())
+        levels += over > under << levels
+        step, q = b - a, 1 << (k + levels)
+        j, hit = _grid_search(ints, a << levels, step, q, 1, (1 << levels) - 1, sign_lo)
+        x = (a << levels) + j * step
+        if not hit:
+            return RationalInterval(Fraction(x - step, q), Fraction(x, q))
+        # the root x_j is the midpoint of the cell (x_(j - 2^t), x_(j + 2^t)],
+        # 2^t the largest power of two dividing j: bisection reaches that
+        # cell and steps around its midpoint
+        half = (j & -j) * step
+        k += levels
+        m, j, sign = _nonroot_point(ints, x - half, x + half, k)
+        a, b, k = x - half << j - k, x + half << j - k, j
         if sign == sign_lo:
             a = m
         else:
             b = m
-    return RationalInterval(Fraction(a, 1 << k), Fraction(b, 1 << k))
 
 
 def _split_point(lo: int, hi: int) -> int:
@@ -284,39 +291,50 @@ def _split_point(lo: int, hi: int) -> int:
     return lo + hi >> 1
 
 
-def _grid_root(f: list[int], a: int, lo: int, hi: int, sign_lo: int) -> int | None:
-    """The integer j in [lo, hi] with f(j/a) = 0, or None (also for lo > hi).
+def _grid_search(
+    f: list[int], base: int, step: int, q: int, lo: int, hi: int, sign_lo: int
+) -> tuple[int, bool]:
+    """Place a root among the grid points x_j = (base + j step)/q, step > 0, j in [lo, hi].
 
-    Precondition: f has one simple root r among the points j/a, j in
-    [lo, hi], and the sign sign_lo below r.  So j lies below r exactly when
-    f(j/a) has sign_lo, the undecided points form a bracket, and each
-    evaluation shrinks it.  The next j is the rounded Newton step
-    j - a f/f' = j - _horner(f) / _horner(f'); one step past the bracket is
-    clamped to it, and otherwise a step out of it, or longer than half the
-    step before last, bisects it instead (safeguarded Newton, as in rtsafe).
+    Precondition: x_lo, ..., x_hi lie in an interval that holds one simple
+    root r of f, with f of sign sign_lo below r.  So x_j lies below r
+    exactly when f(x_j) has sign_lo, the undecided points form a bracket,
+    and each evaluation shrinks it.  Returns (j, True) where f(x_j) = 0,
+    and otherwise (j, False) once the bracket is empty, j the least index
+    in [lo, hi] whose point lies above r, or hi + 1 if none does.  The
+    next j is the rounded Newton step j - f/(f' step/q) = j - _horner(f) /
+    (_horner(f') step); one step past the bracket is clamped to it, and
+    otherwise a step out of it, or longer than half the step before last,
+    splits it at _split_point instead (safeguarded Newton, as in rtsafe).
     """
+    if lo > hi:
+        return lo, False
     deriv = _deriv(f)
-    j, last, step, clamped = _split_point(lo, hi), hi - lo, hi - lo, False
-    while lo <= hi:
-        v = _horner(f, j, a)
+
+    def split(lo: int, hi: int) -> int:
+        return (_split_point(base + lo * step, base + hi * step) - base) // step
+
+    j, last, span, clamped = split(lo, hi), hi - lo, hi - lo, False
+    while True:
+        x = base + j * step
+        v = _horner(f, x, q)
         if not v:
-            return j
+            return j, True
         if (v > 0) - (v < 0) == sign_lo:
             lo = j + 1
         else:
             hi = j - 1
         if lo > hi:
-            return None
-        w = _horner(deriv, j, a)
+            return lo, False
+        w = _horner(deriv, x, q) * step
         t = j - (2 * v + w) // (2 * w) if w else None
         if t is not None and not lo <= t <= hi and not clamped:
             t, clamped = min(max(t, lo), hi), True
         elif t is None or not lo <= t <= hi or 2 * abs(j - t) > last:
-            t, clamped = _split_point(lo, hi), False
+            t, clamped = split(lo, hi), False
         else:
             clamped = False
-        last, step, j = step, abs(j - t), t
-    return None
+        last, span, j = span, abs(j - t), t
 
 
 def rational_roots(f: Poly) -> list[Fraction]:
@@ -325,8 +343,8 @@ def rational_roots(f: Poly) -> list[Fraction]:
     Scaled to primitive integer coefficients with leading coefficient +-a,
     f can only have rational roots j/a with j an integer (rational root
     theorem).  On each isolating interval (lo, hi] the grid points j/a run
-    over floor(a lo) < j <= floor(a hi), and _grid_root finds the one where
-    f vanishes, if any.
+    over floor(a lo) < j <= floor(a hi), and _grid_search finds the one
+    where f vanishes, if any.
     """
     if poly_degree(f) < 1:
         return []
@@ -335,104 +353,185 @@ def rational_roots(f: Poly) -> list[Fraction]:
     roots = []
     for iv in isolate_real_roots(f):
         (lo, k), (hi, e) = dyadic_form(iv.lo), dyadic_form(iv.hi)
-        j = _grid_root(ints, a, (a * lo >> k) + 1, a * hi >> e, _sign_at(ints, lo, 1 << k))
-        if j is not None:
+        sign_lo = _sign_at(ints, lo, 1 << k)
+        j, hit = _grid_search(ints, 0, 1, a, (a * lo >> k) + 1, a * hi >> e, sign_lo)
+        if hit:
             roots.append(Fraction(j, a))
     return roots
 
 
 # ---------------------------------------------------------------------------
-# complex enclosures (Weierstrass inclusion disks)
+# complex enclosures: Aberth seeds and Weierstrass inclusion disks, all on
+# complex integer mantissas (x + iy) over a power of two 2^k
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    if not mpmath.isfinite(x):
-        raise PrecisionExhausted("non-finite root seed")
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man) * (Fraction(2) ** exp)
-    return -v if sign else v
+def _chorner(f: list[int], x: int, y: int, k: int) -> tuple[int, int]:
+    """2^(k deg f) f((x + iy)/2^k), by homogeneous Horner in integers."""
+    re = im = s = 0
+    for c in reversed(f):
+        re, im = re * x - im * y + (c << s), re * y + im * x
+        s += k
+    return re, im
 
 
-def _newton_polygon_starts(f: Poly) -> list:
-    """Durand-Kerner starting points on the root moduli that f's coefficients predict.
+def _cdiv(a: int, b: int, c: int, d: int, s: int) -> tuple[int, int]:
+    """(a + ib) / (c + id) times 2^s, each part rounded down."""
+    den = c * c + d * d
+    return ((a * c + b * d) << s) // den, ((b * c - a * d) << s) // den
+
+
+# 2 pi 2^64, rounded
+_TAU_64 = 115904311329233965478
+
+
+@lru_cache(maxsize=1024)
+def _unit(num: int, den: int) -> tuple[int, int]:
+    """cos and sin of 2 pi num/den + 0.7, times 2^64, to a few units.
+
+    The Taylor series of exp(i theta/16) in 64-bit fixed point, 16 terms
+    for |theta/16| < 0.45, then squared four times.
+    """
+    t = (_TAU_64 * (num % den) // den + (7 << 64) // 10) >> 4
+    re, im = term_re, term_im = 1 << 64, 0
+    for j in range(1, 17):
+        term_re, term_im = -(term_im * t >> 64) // j, (term_re * t >> 64) // j
+        re, im = re + term_re, im + term_im
+    for _ in range(4):
+        re, im = (re * re - im * im) >> 64, (re * im) >> 63
+    return re, im
+
+
+def _newton_polygon_starts(f: list[int]) -> list[tuple[int, int, int]]:
+    """Aberth starting points (e, u, v), each (u + iv) 2^(e - 64), for f with f(0) != 0.
 
     Each edge from i to j of the upper convex hull of the points
-    (i, log2 |a_i|) stands for j - i roots of modulus about
-    (|a_i| / |a_j|)^(1/(j - i)), so that many points go on that circle, at
-    angles turned off the axes (Bini, Numer. Algorithms 13 (1996)).  Built
-    at the caller's mpmath precision.
+    (i, bit length of a_i) stands for j - i roots of modulus about
+    2^s, s = (l_i - l_j)/(j - i), so that many points go on that circle, at
+    angles turned off the axes (Bini, Numer. Algorithms 13 (1996)).  The
+    radius 2^floor(s) (1 + s - floor(s)) is within 7% of 2^s and grows
+    strictly with s; the hull's slopes strictly decrease, so no two edges
+    share a circle and no two starting points meet.
     """
-    ints = _integer_coeffs(f)
-    n = len(ints) - 1
-    hull: list[tuple[int, float]] = []
-    for i, c in enumerate(ints):
+    n = len(f) - 1
+    hull: list[tuple[int, int]] = []
+    for i, c in enumerate(f):
         if not c:
             continue
-        p = (i, log2(abs(c)))
+        p = (i, abs(c).bit_length())
         # drop the last hull point while it lies on or below the chord to p
         while len(hull) > 1 and (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0]) <= (
             p[1] - hull[-2][1]
         ) * (hull[-1][0] - hull[-2][0]):
             hull.pop()
         hull.append(p)
-    # a zero constant term is a root at 0 (f is squarefree)
-    starts = [mpmath.mpc(0)] * hull[0][0]
+    starts = []
     for (i, li), (j, lj) in zip(hull, hull[1:]):
-        radius = mpmath.mpf(2) ** ((li - lj) / (j - i))
-        starts += [radius * mpmath.expj(2 * pi * (m / (j - i) + i / n) + 0.7) for m in range(j - i)]
+        d = j - i
+        e, p = divmod(li - lj, d)
+        c = (d + p << 64) // d
+        for m in range(d):
+            u, v = _unit(m * n + i * d, d * n)
+            starts.append((e, c * u >> 64, c * v >> 64))
     return starts
 
 
-def _weierstrass_disks(f: Poly, dps: int) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """(center_re, center_im, radius) disks whose union contains all roots.
+def _aberth(f: list[int], w: int) -> tuple[list[list[int]], int]:
+    """Approximations [x, y] over 2^k to all roots of f, f(0) != 0, and k.
 
-    Requires distinct seed points; radius n|W_i| with W_i computed exactly
-    from the rationalized seeds, so the inclusion is certified regardless
-    of seed quality (bad seeds just give useless fat disks).
+    The grid gives the smallest predicted root about w bits.  Gauss-Seidel
+    sweeps of the Aberth-Ehrlich correction 1 / (f'/f(z_i) - sum_j
+    1/(z_i - z_j)), in fixed point 2^g with g w bits past the largest
+    mantissa, run until none moves its root by 2^(-w/2) of its modulus.
+    Seeds in a cluster of close roots gain about two bits a sweep until
+    they resolve it, so w + 32 sweeps are allowed.  Raises
+    PrecisionExhausted if the sweeps run out or two seeds meet.
     """
-    n = poly_degree(f)
-    if n == 1:
-        return [(-f[0] / f[1], Fraction(0), Fraction(0))]
-    monic = poly_monic(f)
-    with mpmath.workdps(dps):
-        coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(monic)]
-        try:
-            approx = mpmath.polyroots(coeffs, maxsteps=100 + 10 * n, extraprec=4 * dps)
-        except mpmath.mp.NoConvergence:
-            # mpmath starts near the unit circle, and its Durand-Kerner steps
-            # can run out before they reach roots far from it.  From the
-            # predicted moduli the iteration converges quadratically in a few
-            # steps (at most 15 on hostile polynomials with roots from
-            # 10^-200 to 10^400), so the second run gets a smaller budget.
-            try:
-                approx = mpmath.polyroots(
-                    coeffs, maxsteps=10 + 10 * n, extraprec=4 * dps, roots_init=_newton_polygon_starts(f)
-                )
-            except mpmath.mp.NoConvergence as exc:
-                # certified_root_structure retries at doubled precision only on PrecisionExhausted
-                raise PrecisionExhausted(f"root seeds did not converge at {dps} digits") from exc
-        seeds = [(_mpf_to_fraction(r.real), _mpf_to_fraction(r.imag)) for r in approx]
-    if len({s for s in seeds}) != n:
-        raise PrecisionExhausted("coincident root seeds")
-    disks = []
-    for i, z in enumerate(seeds):
-        num = poly_eval_complex(monic, z)
-        den = (Fraction(1), Fraction(0))
-        for j, w in enumerate(seeds):
-            if j == i:
+    starts = _newton_polygon_starts(f)
+    k = max(0, w + 8 - min(e for e, _, _ in starts))
+    zs = [[u << (k + e) >> 64, v << (k + e) >> 64] for e, u, v in starts]
+    deriv = _deriv(f)
+    for _ in range(w + 32):
+        g = w + 8 + max(max(abs(x), abs(y)) for x, y in zs).bit_length()
+        moving = False
+        for i, z in enumerate(zs):
+            x, y = z
+            hr, hi = _chorner(f, x, y, k)
+            if not hr and not hi:
                 continue
-            dr, di = z[0] - w[0], z[1] - w[1]
-            den = (den[0] * dr - den[1] * di, den[0] * di + den[1] * dr)
-        dd = den[0] * den[0] + den[1] * den[1]
-        wsq = (num[0] * num[0] + num[1] * num[1]) / dd
-        radius = n * sqrt_upper(wsq, 96)
-        disks.append((z[0], z[1], radius))
-    return disks
+            tr, ti = _cdiv(*_chorner(deriv, x, y, k), hr, hi, g)
+            for j, (u, v) in enumerate(zs):
+                if j != i:
+                    if u == x and v == y:
+                        raise PrecisionExhausted("coincident root seeds")
+                    dr, di = _cdiv(1, 0, x - u, y - v, g)
+                    tr, ti = tr - dr, ti - di
+            if not tr and not ti:
+                continue
+            cr, ci = _cdiv(1, 0, tr, ti, g)
+            z[0], z[1] = x - cr, y - ci
+            if (cr * cr + ci * ci) << w > x * x + y * y:
+                moving = True
+        if not moving:
+            return zs, k
+    raise PrecisionExhausted(f"Aberth seeds did not settle at {w} bits")
+
+
+def _polish(
+    f: list[int], deriv: list[int], z: list[int], k: int, bits: int, target: int
+) -> tuple[int, int, int]:
+    """Newton steps from z/2^k, right to about `bits` bits, with doubling precision.
+
+    Each step runs on the grid that gives the root `bits` + 8 bits, until
+    `target`; returns (x, y, k) on the last grid.
+    """
+    x, y = z
+    while bits < target:
+        bits = min(2 * bits, target)
+        kk = max(0, bits + 8 + k - max(abs(x), abs(y)).bit_length())
+        x, y = (x << kk - k, y << kk - k) if kk >= k else (x >> k - kk, y >> k - kk)
+        k = kk
+        dr, di = _chorner(deriv, x, y, k)
+        if dr or di:
+            cr, ci = _cdiv(*_chorner(f, x, y, k), dr, di, 0)
+            x, y = x - cr, y - ci
+    return x, y, k
+
+
+def _weierstrass_disks(f: list[int], bits: int) -> tuple[list[tuple[int, int, int]], int]:
+    """Disks (x, y, r) over 2^k whose union holds every root of f, f(0) != 0, and k.
+
+    The centres are Aberth seeds, run at w = max(64, bits/2) bits and
+    polished by Newton to bits + 64 bits.  The radius is n|W_i| with the
+    Weierstrass correction W_i = f(z_i) / (lc prod_(j != i) (z_i - z_j)),
+    so the inclusion holds whatever the seeds' quality (bad seeds give fat
+    disks).  On the common grid, |W_i| 2^k = |N_i| / (|lc| |D_i|) with
+    N_i = 2^(kn) f(z_i) and D_i = prod_(j != i) (X_i - X_j), and r is n
+    times its isqrt rounded up.
+    """
+    n, w, deriv = len(f) - 1, max(64, bits // 2), _deriv(f)
+    zs, k = _aberth(f, w)
+    polished = [_polish(f, deriv, z, k, w // 2, bits + 64) for z in zs]
+    k = max(kk for _, _, kk in polished)
+    zs = [(x << k - kk, y << k - kk) for x, y, kk in polished]
+    lc_sq = f[-1] * f[-1]
+    disks = []
+    for i, (x, y) in enumerate(zs):
+        nr, ni = _chorner(f, x, y, k)
+        dr, di = 1, 0
+        for j, (u, v) in enumerate(zs):
+            if j != i:
+                dr, di = dr * (x - u) - di * (y - v), dr * (y - v) + di * (x - u)
+        d_sq = dr * dr + di * di
+        if not d_sq:
+            raise PrecisionExhausted("coincident root seeds")
+        q = -(-(nr * nr + ni * ni) // (lc_sq * d_sq))
+        r = isqrt(q)
+        disks.append((x, y, n * (r + (r * r < q))))
+    return disks, k
 
 
 def _disk_components(disks) -> list[list[int]]:
+    """Indices of the connected components of touching disks, by first index."""
     n = len(disks)
     parent = list(range(n))
 
@@ -445,8 +544,7 @@ def _disk_components(disks) -> list[list[int]]:
     for i in range(n):
         for j in range(i + 1, n):
             (xr, xi, r1), (yr, yi, r2) = disks[i], disks[j]
-            dist_sq = (xr - yr) ** 2 + (xi - yi) ** 2
-            if dist_sq <= (r1 + r2) ** 2:
+            if (xr - yr) ** 2 + (xi - yi) ** 2 <= (r1 + r2) ** 2:
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
@@ -454,27 +552,29 @@ def _disk_components(disks) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
-def weierstrass_boxes(f: Poly, dps: int) -> list[ComplexInterval]:
-    """One certified box per root (with multiplicity of overlap components).
+def _upper_boxes(f: list[int], bits: int) -> list[ComplexInterval]:
+    """Certified boxes in the upper half plane, one per root they hold.
 
-    A component of k mutually overlapping disks contains exactly k roots;
-    its hull box is reported k times, which is sound for every consumer
-    that treats the result as a multiset of per-root enclosures.
+    A component of k touching disks holds exactly k roots, and its hull,
+    rounded out to `bits` significant bits, is reported k times when it
+    lies above the real axis.
     """
-    disks = _weierstrass_disks(f, dps)
+    disks, k = _weierstrass_disks(f, bits)
     boxes = []
     for group in _disk_components(disks):
-        re_lo = min(disks[i][0] - disks[i][2] for i in group)
-        re_hi = max(disks[i][0] + disks[i][2] for i in group)
-        im_lo = min(disks[i][1] - disks[i][2] for i in group)
-        im_hi = max(disks[i][1] + disks[i][2] for i in group)
-        # edges round outward a little finer than the seeds (~3.32 bits a digit)
-        hull = ComplexInterval.from_box(re_lo, re_hi, im_lo, im_hi, 4 * dps)
-        boxes.extend([hull] * len(group))
+        hull = ComplexInterval(
+            min(disks[i][0] - disks[i][2] for i in group),
+            max(disks[i][0] + disks[i][2] for i in group),
+            min(disks[i][1] - disks[i][2] for i in group),
+            max(disks[i][1] + disks[i][2] for i in group),
+            k,
+        ).round_out(bits)
+        if hull.il > 0:
+            boxes.extend([hull] * len(group))
     return boxes
 
 
-# mpmath precision doublings certified_root_structure tries, from 30 digits
+# box precision doublings certified_root_structure tries, from 120 bits
 _BOX_ATTEMPTS = 10
 
 
@@ -483,26 +583,30 @@ def certified_root_structure(
 ) -> tuple[list[RationalInterval], list[ComplexInterval]]:
     """Split roots of squarefree f into real intervals and off-axis boxes.
 
-    Real count is exact (Sturm); escalation doubles mpmath precision, at
-    most _BOX_ATTEMPTS times, until exactly degree-minus-real boxes are
-    certified off the real axis and all enclosures meet the width target.
+    Real count is exact (Sturm).  f has real coefficients, so the non-real
+    roots are the upper half plane's and their conjugates: once the boxes
+    above the axis hold (deg f - real count)/2 roots, they and their mirror
+    images enclose every non-real root.  Escalation doubles the box
+    precision, at most _BOX_ATTEMPTS times, until that holds and every box
+    meets the width target.
     """
     n = poly_degree(f)
     real_ivs = [refine_real_root(f, iv, width) for iv in isolate_real_roots(f)]
     rho = len(real_ivs)
     if rho == n:
         return real_ivs, []
-    dps = 30
+    ints = _primitive(_integer_coeffs(f))
+    # a root at 0 is real: the non-real roots are those of f / x
+    ints = ints[1:] if not ints[0] else ints
+    bits = 120
     for _ in range(_BOX_ATTEMPTS):
         try:
-            boxes = weierstrass_boxes(f, dps)
+            upper = _upper_boxes(ints, bits)
         except PrecisionExhausted:
-            dps *= 2
-            continue
-        off_axis = [b for b in boxes if not b.im.contains_zero()]
-        if len(off_axis) == n - rho and all(b.max_width <= width for b in off_axis):
-            return real_ivs, off_axis
-        dps *= 2
+            upper = []
+        if 2 * len(upper) == n - rho and all(b.max_width <= width for b in upper):
+            return real_ivs, upper + [ComplexInterval(b.rl, b.rh, -b.ih, -b.il, b.k) for b in upper]
+        bits *= 2
     raise PrecisionExhausted(f"could not certify root structure at width {width}")
 
 

@@ -53,6 +53,7 @@ SYM_B = Word.generator(1)
 
 
 _FLOAT_MAX = Fraction(sys.float_info.max)
+_FLOAT_MAX_INT = int(sys.float_info.max)
 
 
 def _sort_float(x: Fraction) -> float | Fraction:
@@ -67,10 +68,15 @@ def _sort_float(x: Fraction) -> float | Fraction:
 def _interval_mid(x) -> float | Fraction:
     """Heuristic modulus of a box or an exact number, as a sort key."""
     if isinstance(x, ComplexInterval):
-        m = x.mag_sq()
-        mid = (m.lo + m.hi) / 2
-        # past the float range, mid itself exceeds every sqrt of a float
-        return math.sqrt(float(mid)) if mid <= _FLOAT_MAX else mid
+        # the midpoint of |x|^2's bounds is (lo + hi) / 2^(2k + 1)
+        lo, hi = x._mag_sq()
+        num, e = lo + hi, 2 * x.k + 1
+        if e < 0:
+            num, e = num << -e, 0
+        # past the float range, the midpoint itself exceeds every sqrt of a float
+        if num > _FLOAT_MAX_INT << e:
+            return Fraction(num, 1 << e)
+        return math.sqrt(num / (1 << e))
     return _sort_float(abs(x))
 
 

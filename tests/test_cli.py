@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -525,9 +526,9 @@ def test_outputs_past_the_int_to_str_limit_end_quickly(capsys, tmp_path, argv, w
     ids=["certify", "spectrum"],
 )
 def test_root_seeds_that_do_not_converge_escalate(capsys, tmp_path, argv, want):
-    # g = [[0, -1], [1, -1]] + diag(10^150, 10^-150): mpmath's polyroots does
-    # not converge on its charpoly at the first precisions, which must
-    # escalate instead of escaping as a traceback
+    # g = [[0, -1], [1, -1]] + diag(10^150, 10^-150): root seeds that do not
+    # converge on its charpoly at the first precisions must escalate instead
+    # of escaping as a traceback
     big = 10**150
     g = [[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, big, 0], [0, 0, 0, f"1/{big}"]]
     h = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -776,8 +777,8 @@ def throwaway_install(tmp_path):
     Uses setuptools' `develop` command, which writes the `[project.scripts]`
     console script offline and without the `wheel` package.  The venv sees
     only the base interpreter's site-packages, so a `.pth` file adds the
-    directories that hold this interpreter's setuptools and mpmath, which
-    may live in a venv of their own.
+    directory that holds this interpreter's setuptools, which may live in a
+    venv of its own.
     """
     src = tmp_path / "checkout"
     src.mkdir()
@@ -798,11 +799,10 @@ def throwaway_install(tmp_path):
         capture_output=True,
         text=True,
     ).stdout.strip()
-    import mpmath
     import setuptools
 
-    dirs = dict.fromkeys(str(Path(m.__file__).parents[1]) for m in (setuptools, mpmath))
-    (Path(site_packages) / "growthcert_test_deps.pth").write_text("\n".join(dirs) + "\n")
+    setuptools_dir = Path(setuptools.__file__).parents[1]
+    (Path(site_packages) / "growthcert_test_deps.pth").write_text(f"{setuptools_dir}\n")
     proc = subprocess.run(
         [
             str(scripts / "python"),
@@ -847,3 +847,32 @@ def test_module_invocation(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
     )
     assert proc.returncode == 0
+
+
+def test_the_cli_runs_without_mpmath(tmp_path):
+    # an entry of None in sys.modules makes `import mpmath` raise ImportError
+    elliptic = write_json(
+        tmp_path / "elliptic.json", {"n": 2, "generators": [[[0, -1], [1, -1]], [[1, 1], [0, 1]]]}
+    )
+    runs = [
+        ["certify", sanov_file(tmp_path)],
+        ["spectrum", sanov_file(tmp_path), "--word", "0 1"],
+        ["spectrum", elliptic, "--word", "0"],
+    ]
+    code = (
+        "import sys; sys.modules['mpmath'] = None; "
+        "from growthcert import cli; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        )
+        assert proc.returncode == 0, proc.stderr
+    # the elliptic generator's eigenvalues are the primitive cube roots of unity
+    moduli = json.loads(proc.stdout)["arch_moduli"]
+    assert len(moduli) == 2
+    assert all(Fraction(lo) <= 1 <= Fraction(hi) for lo, hi in moduli)
+

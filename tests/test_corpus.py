@@ -19,13 +19,17 @@ check, not merely failing.
 """
 
 import json
+import math
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from growthcert import cli
+from growthcert import cli, wordforge
+from growthcert.intervals import ComplexInterval
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = json.loads((ROOT / "bench/data/corpus.json").read_text())
@@ -93,6 +97,37 @@ def test_verify_rejects_the_recorded_tamper(tmp_path, capsys, tamper):
     code, doc = run(capsys, ["verify", cert, generator_file(tmp_path, tamper["of"])])
     assert (code, doc["valid"]) == (5, False)
     assert doc["reason"] == TAMPER_REASONS[tamper["id"]]
+
+
+def fraction_interval_mid(x):
+    """The box sort key from the Fraction bounds of |x|^2 (the reference)."""
+    m = x.mag_sq()
+    mid = (m.lo + m.hi) / 2
+    return math.sqrt(float(mid)) if mid <= Fraction(sys.float_info.max) else mid
+
+
+def test_box_sort_keys_match_the_fraction_reference(tmp_path, capsys):
+    # every box that certify or verify sorts over the corpus gets the same key
+    # from the integer bounds of |x|^2 as from their Fractions, so no order moves
+    boxes = []
+    key = wordforge._interval_mid
+
+    def recording_key(x):
+        if isinstance(x, ComplexInterval):
+            boxes.append(x)
+        return key(x)
+
+    with mock.patch.object(wordforge, "_interval_mid", recording_key):
+        for input_id in INPUTS:
+            gens = generator_file(tmp_path, input_id)
+            run(capsys, ["certify", gens])
+            if input_id in CERTIFIED:
+                cert = write(tmp_path, "cert.json", INPUTS[input_id]["certify"]["certificate"])
+                run(capsys, ["verify", cert, gens])
+    assert len(boxes) > 100
+    assert all(key(x) == fraction_interval_mid(x) for x in boxes)
+    huge = ComplexInterval(2**600, 2**600, 0, 0, -1000)
+    assert key(huge) == fraction_interval_mid(huge) == Fraction(2**3200)
 
 
 def record_traces() -> None:

@@ -12,16 +12,16 @@ from itertools import zip_longest
 from math import ceil, floor, gcd, lcm
 from unittest import mock
 
-import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from growthcert import polyroots
 from growthcert.errors import PrecisionExhausted
-from growthcert.intervals import RationalInterval
+from growthcert.intervals import ComplexInterval, RationalInterval, sqrt_upper
 from growthcert.polyroots import (
     _deriv,
+    _disk_components,
     _gcd,
     _integer_coeffs,
     _nonroot_point,
@@ -39,6 +39,7 @@ from growthcert.polyroots import (
     squarefree_part,
     yun_decomposition,
 )
+from test_wordforge import _overlap
 
 
 def poly_mul(f, g):
@@ -224,7 +225,7 @@ def _outcome(fn, *args):
     """fn's result, or the type of the exception with which it gives up."""
     try:
         return fn(*args)
-    except (PrecisionExhausted, mpmath.libmp.NoConvergence) as exc:
+    except PrecisionExhausted as exc:
         return type(exc)
 
 
@@ -377,9 +378,9 @@ def test_certified_root_structure_complex():
 
 
 def test_certified_root_structure_roots_far_from_the_unit_circle():
-    # (a x^2 + 2x + 3)(x + d), a and -d near 10^200: mpmath's Durand-Kerner
-    # runs out of steps from its own starting points at 60 digits and above,
-    # and converges from the Newton polygon's moduli 10^200 and 10^-100
+    # (a x^2 + 2x + 3)(x + d), a and -d near 10^200: roots of moduli 10^200
+    # and 10^-100, which the Newton polygon's starting circles predict (an
+    # iteration started near the unit circle runs out of steps on them)
     a, d = 10**200 + 7, -(10**200) + 3
     f = poly_mul(poly_from([F(3), F(2), F(a)]), poly_from([F(d), F(1)]))
     start = time.perf_counter()
@@ -389,6 +390,44 @@ def test_certified_root_structure_roots_far_from_the_unit_circle():
     assert len(boxes) == 2
     # the conjugate pair has |z|^2 = 3/a
     assert all(b.mag_sq().lo <= F(3, a) <= b.mag_sq().hi for b in boxes)
+
+
+def test_certified_root_structure_roots_near_ten_to_the_300():
+    # the same polynomial with a and -d near 10^300: roots of moduli 10^300
+    # and 10^-150, each polished on its own grid
+    a, d = 10**300 + 7, -(10**300) + 3
+    f = poly_mul(poly_from([F(3), F(2), F(a)]), poly_from([F(d), F(1)]))
+    start = time.perf_counter()
+    real_ivs, boxes = certified_root_structure(f, F(1, 2**200))
+    assert time.perf_counter() - start < 10
+    assert len(real_ivs) == 1 and real_ivs[0].contains(F(-d))
+    assert len(boxes) == 2
+    assert all(b.mag_sq().lo <= F(3, a) <= b.mag_sq().hi for b in boxes)
+
+
+@pytest.mark.parametrize(
+    "factors, n_real, roots",
+    [
+        # hull points (0, 1), (2, 2), (3, 2), (4, 1): two edges whose slopes
+        # round to the same circle
+        ([[1, 1, 2, 3, 1]], 2, []),
+        # two conjugate pairs 10^-40 apart: the seeds resolve the cluster
+        # only once the grid does
+        ([[1, 0, 1], [1 + F(1, 10**40), 0, 1]], 0, [(0, 1), (0, -1)]),
+        # a conjugate pair 2^-150 off the axis
+        ([[1 + F(1, 2**300), -2, 1], [5, 1]], 1, []),
+    ],
+    ids=["shared-circle", "close-pairs", "near-axis"],
+)
+def test_certified_root_structure_on_hard_seeds(factors, n_real, roots):
+    f = poly_from([1])
+    for factor in factors:
+        f = poly_mul(f, poly_from(factor))
+    start = time.perf_counter()
+    real_ivs, boxes = certified_root_structure(f, F(1, 2**64))
+    assert time.perf_counter() - start < 10
+    assert len(real_ivs) == n_real and len(boxes) == poly_degree(f) - n_real
+    assert all(any(b.contains(F(x), F(y)) for b in boxes) for x, y in roots)
 
 
 def test_modulus_enclosures_contain_true_moduli():
@@ -471,6 +510,15 @@ def test_refine_steps_around_rational_roots_on_dyadic_midpoints(factors, rationa
     assert F(m, 2**j) == (F(1, 4) if F(1, 2) in rational else F(1, 2))
 
 
+def test_refine_keeps_an_interval_already_below_the_width():
+    # x - 10x^2: (-1/16, 1/32] isolates 0 across zero, so no grid is searched
+    f = poly_from([0, 1, -10])
+    assert isolate_real_roots(f)[0] == RationalInterval(F(-1, 16), F(1, 32))
+    for iv in isolate_real_roots(f):
+        for width in (iv.hi - iv.lo, F(1, 2)):
+            assert refine_real_root(f, iv, width) == iv
+
+
 def test_refine_rejects_a_non_dyadic_end():
     # (x - 1/3)(x - 3/7): (34/100, 1/2] isolates 3/7, but 34/100 is no
     # integer over a power of two
@@ -510,7 +558,7 @@ def test_rational_roots_far_apart_in_scale():
 
 BIG = 10**200
 # a factor's coefficients are all small or all of 200 digits, so its roots
-# stay within a few binades of 1 and mpmath's seeds converge
+# stay within a few binades of 1 and the mpmath reference below converges
 FACTORS = st.one_of(
     st.lists(st.integers(-9, 9), min_size=2, max_size=3),
     st.lists(
@@ -557,3 +605,90 @@ def test_real_roots_match_the_fraction_reference(f, k):
     ):
         ref = _outcome(certified_root_structure, g, width)
     assert new == ref
+
+
+# ---------------------------------------------------------------------------
+# off-axis boxes against a reference with mpmath seeds (the reference needs
+# mpmath, which growthcert does not; without it the test is skipped)
+
+
+def _mpf_to_fraction(x):
+    sign, man, exp, _ = x._mpf_
+    v = F(man) * F(2) ** exp
+    return -v if sign else v
+
+
+def _complex_horner(f, z):
+    re, im = F(0), F(0)
+    for c in reversed(f):
+        re, im = re * z[0] - im * z[1] + c, re * z[1] + im * z[0]
+    return re, im
+
+
+def reference_weierstrass_boxes(f, dps):
+    """Hulls of Weierstrass disks n|W_i| around mpmath's seeds at dps digits, in Fractions."""
+    import mpmath
+
+    n = poly_degree(f)
+    monic = poly_monic(f)
+    with mpmath.workdps(dps):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(monic)]
+        approx = mpmath.polyroots(coeffs, maxsteps=100 + 10 * n, extraprec=4 * dps)
+        seeds = [(_mpf_to_fraction(r.real), _mpf_to_fraction(r.imag)) for r in approx]
+    disks = []
+    for i, z in enumerate(seeds):
+        num = _complex_horner(monic, z)
+        den = (F(1), F(0))
+        for j, w in enumerate(seeds):
+            if j != i:
+                dr, di = z[0] - w[0], z[1] - w[1]
+                den = (den[0] * dr - den[1] * di, den[0] * di + den[1] * dr)
+        wsq = (num[0] ** 2 + num[1] ** 2) / (den[0] ** 2 + den[1] ** 2)
+        disks.append((z[0], z[1], n * sqrt_upper(wsq, 96)))
+    boxes = []
+    for group in _disk_components(disks):
+        edges = [
+            min(disks[i][0] - disks[i][2] for i in group),
+            max(disks[i][0] + disks[i][2] for i in group),
+            min(disks[i][1] - disks[i][2] for i in group),
+            max(disks[i][1] + disks[i][2] for i in group),
+        ]
+        boxes.extend([ComplexInterval.from_box(*edges, 4 * dps)] * len(group))
+    return boxes
+
+
+def reference_off_axis_boxes(f, width):
+    """The off-axis boxes of the mpmath route, doubling the digits from 30."""
+    import mpmath
+
+    n_complex = poly_degree(f) - len(isolate_real_roots(f))
+    dps = 30
+    for _ in range(10):
+        try:
+            boxes = [b for b in reference_weierstrass_boxes(f, dps) if not b.im.contains_zero()]
+        except mpmath.libmp.NoConvergence:
+            boxes = []
+        if len(boxes) == n_complex and all(b.max_width <= width for b in boxes):
+            return boxes
+        dps *= 2
+    raise PrecisionExhausted("reference boxes")
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_polys(), st.integers(1, 200))
+def test_off_axis_boxes_match_the_mpmath_reference(f, k):
+    mpmath = pytest.importorskip("mpmath")
+    g = reference_squarefree_part(f)
+    assume(len(isolate_real_roots(g)) < poly_degree(g))
+    width = F(1, 2**k)
+    _, boxes = certified_root_structure(g, width)
+    ref = reference_off_axis_boxes(g, width)
+    assert len(boxes) == len(ref)
+    with mpmath.workprec(300):
+        roots = mpmath.polyroots(_integer_coeffs(g)[::-1], maxsteps=200, extraprec=600)
+        roots = [(_mpf_to_fraction(r.real), _mpf_to_fraction(r.imag)) for r in roots]
+    for b in boxes:
+        inside = [r for r in roots if b.contains(*r)]
+        assert inside
+        assert any(_overlap(b, rb) for rb in ref if rb.contains(*inside[0]))
+
