@@ -283,8 +283,8 @@ class ComplexInterval:
         lo, hi = self._mag_sq()
         return RationalInterval(_fraction(lo, 2 * self.k), _fraction(hi, 2 * self.k))
 
-    def mag(self, bits: int = 64) -> RationalInterval:
-        """Bounds on |z| over the box, by isqrt on the mantissas.
+    def mag_mantissas(self, bits: int = 64) -> tuple[int, int, int]:
+        """(lo, hi, t) with lo * 2^-t <= |z| <= hi * 2^-t over the box, by isqrt.
 
         The roots keep at least `bits` significant bits, and never fewer
         than the box's own grid gives.
@@ -295,7 +295,12 @@ class ComplexInterval:
         r_lo, r_hi = isqrt(lo), isqrt(hi)
         if r_hi * r_hi < hi:
             r_hi += 1
-        return RationalInterval(_fraction(r_lo, self.k + s), _fraction(r_hi, self.k + s))
+        return r_lo, r_hi, self.k + s
+
+    def mag(self, bits: int = 64) -> RationalInterval:
+        """Bounds on |z| over the box: mag_mantissas as Fractions."""
+        lo, hi, t = self.mag_mantissas(bits)
+        return RationalInterval(_fraction(lo, t), _fraction(hi, t))
 
     def recip(self, bits: int = PREC) -> "ComplexInterval":
         """1/z = conj(z) / |z|^2, with 1/|z|^2 divided out to ~bits bits."""

@@ -7,9 +7,12 @@ A^2e B U_r inside U_r make (A^e B, A^2e B) a ping-pong pair, hence a free
 semigroup.  All checks are sound-but-incomplete: a False only means "not
 certified at this precision and radius".
 
-Entry bounds dispatch on the entry type: exact Fractions work at any place;
-ComplexInterval entries (irrational diagonalizations) only at the
-archimedean place.
+Each matrix the checks read gets one BoundTable: integer lower and upper
+bounds on every |x|_v over one common denominator (2^E over the isqrt
+mantissas of a box, or the lcm of the denominators of exact entries).  The
+checks cross-multiply by r = a/b and compare integers, so each decision is
+the rational one.  Exact Fractions work at any place; ComplexInterval
+entries (irrational diagonalizations) only at the archimedean place.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .cayley import nth_root_floor
 from .errors import BudgetExceeded, ExponentSearchExhausted, Inconclusive
@@ -35,73 +40,90 @@ from .exactnum import (
 from .intervals import ComplexInterval, RationalInterval
 
 
-def entry_bounds(x, v: Place, bits: int = 96) -> tuple[Fraction, Fraction]:
-    """(lower, upper) bounds on |x|_v; exact entries give equal bounds."""
+def _entry_mantissas(x, v: Place, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with lo/den <= |x|_v <= hi/den; exact entries give lo = hi."""
     if isinstance(x, ComplexInterval):
         if not v.is_archimedean:
             raise ValueError("interval entries are archimedean-only")
-        m = x.mag(bits)
-        return m.lo, m.hi
+        lo, hi, t = x.mag_mantissas(bits)
+        return (lo, hi, 1 << t) if t >= 0 else (lo << -t, hi << -t, 1)
     a = abs_value(Fraction(x), v)
-    return a, a
+    return a.numerator, a.numerator, a.denominator
+
+
+def entry_bounds(x, v: Place, bits: int = 96) -> tuple[Fraction, Fraction]:
+    """(lower, upper) bounds on |x|_v; exact entries give equal bounds."""
+    lo, hi, den = _entry_mantissas(x, v, bits)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def _is_exact(rows) -> bool:
     return not isinstance(rows[0][0], ComplexInterval)
 
 
-def _row_tail_upper(row, v, bits) -> Fraction:
-    """Sum (archimedean) or max (ultrametric) of |row[j]| upper bounds, j >= 1."""
-    uppers = [entry_bounds(x, v, bits)[1] for x in row[1:]]
-    if not uppers:
-        return Fraction(0)
-    return sum(uppers) if v.is_archimedean else max(uppers)
+class BoundTable(NamedTuple):
+    """Integer bounds lo[i][j]/den <= |M_ij|_v <= hi[i][j]/den for one matrix M.
+
+    One den serves every entry: 2^E for boxes, over the isqrt mantissas of
+    ComplexInterval.mag_mantissas, and the lcm of the |x|_v denominators for
+    exact entries.  tail[i] bounds the rest of row i from above: the sum
+    (archimedean) or max (ultrametric) of hi[i][1:].
+    """
+
+    lo: tuple
+    hi: tuple
+    tail: tuple
+    den: int
 
 
-def _check_disjoint(b_rows, r: Fraction, v: Place, bits: int) -> bool:
-    """Certify B U_r disjoint from U_r.
+def bound_table(rows, v: Place, bits: int = 96) -> BoundTable:
+    """The BoundTable of the matrix with these rows at the place v."""
+    bounds = [[_entry_mantissas(x, v, bits) for x in row] for row in rows]
+    den = lcm(*(d for row in bounds for _, _, d in row))
+    lo = tuple(tuple(x * (den // d) for x, _, d in row) for row in bounds)
+    hi = tuple(tuple(x * (den // d) for _, x, d in row) for row in bounds)
+    if v.is_archimedean:
+        tail = tuple(sum(row[1:]) for row in hi)
+    else:
+        tail = tuple(max(row[1:], default=0) for row in hi)
+    return BoundTable(lo, hi, tail, den)
+
+
+def _check_disjoint(t: BoundTable, r: Fraction, v: Place) -> bool:
+    """Certify B U_r disjoint from U_r on B's bound table.
 
     Archimedean: some row i >= 2 has |(Bx)_i| >= |B_i1| - r*sum_j |B_ij|
-    strictly above r*|(Bx)_1|.  Ultrametric: strict dominance
-    |B_i1| > r*max_j |B_ij| pins |(Bx)_i| = |B_i1| exactly.
+    strictly above r*|(Bx)_1| <= r*(|B_11| + r*sum_j |B_1j|).  Ultrametric:
+    strict dominance |B_i1| > r*max_j |B_ij| pins |(Bx)_i| = |B_i1| exactly.
+    With r = a/b every test is multiplied by b^2 * den, so it compares
+    integers and decides exactly as the rational test does.
     """
-    top_tail = _row_tail_upper(b_rows[0], v, bits)
-    b11_lo, b11_hi = entry_bounds(b_rows[0][0], v, bits)
+    a, b = r.numerator, r.denominator
+    rows = zip(t.lo[1:], t.tail[1:])
     if v.is_archimedean:
-        upper1 = b11_hi + r * top_tail
-        for row in b_rows[1:]:
-            lo_i = entry_bounds(row[0], v, bits)[0] - r * _row_tail_upper(row, v, bits)
-            if lo_i > r * upper1:
-                return True
-        return False
-    upper1 = max(b11_hi, r * top_tail)
-    for row in b_rows[1:]:
-        lead = entry_bounds(row[0], v, bits)[0]
-        if lead > r * _row_tail_upper(row, v, bits) and lead > r * upper1:
-            return True
-    return False
+        top = a * (b * t.hi[0][0] + a * t.tail[0])
+        return any(b * (b * row[0] - a * tail) > top for row, tail in rows)
+    top = a * max(b * t.hi[0][0], a * t.tail[0])
+    return any(b * row[0] > a * tail and b * b * row[0] > top for row, tail in rows)
 
 
-def _check_inclusion(m_rows, r: Fraction, v: Place, bits: int) -> bool:
-    """Certify M U_r inside U_r by first-coordinate domination."""
-    top_tail = _row_tail_upper(m_rows[0], v, bits)
-    m11_lo = entry_bounds(m_rows[0][0], v, bits)[0]
+def _check_inclusion(t: BoundTable, r: Fraction, v: Place) -> bool:
+    """Certify M U_r inside U_r by first-coordinate domination, on M's bound table.
+
+    Archimedean: |(Mx)_1| >= |M_11| - r*sum_j |M_1j| > 0 and every other
+    row has |M_i1| + r*sum_j |M_ij| <= r times that.  Ultrametric: strict
+    dominance |M_11| > r*max_j |M_1j| pins |(Mx)_1| = |M_11|, and every
+    other row has max(|M_i1|, r*max_j |M_ij|) <= r*|M_11|.  With r = a/b
+    the tests are multiplied by b^2 * den (archimedean) or b * den.
+    """
+    a, b = r.numerator, r.denominator
+    m11, rows = t.lo[0][0], zip(t.hi[1:], t.tail[1:])
     if v.is_archimedean:
-        lower1 = m11_lo - r * top_tail
-    else:
-        # strict dominance needed for the ultrametric equality |(Mx)_1| = |M_11|
-        if not m11_lo > r * top_tail:
-            return False
-        lower1 = m11_lo
-    if lower1 <= 0:
-        return False
-    for row in m_rows[1:]:
-        lead_hi = entry_bounds(row[0], v, bits)[1]
-        tail = _row_tail_upper(row, v, bits)
-        upper_i = lead_hi + r * tail if v.is_archimedean else max(lead_hi, r * tail)
-        if not upper_i <= r * lower1:
-            return False
-    return True
+        low = b * m11 - a * t.tail[0]
+        return low > 0 and all(b * (b * row[0] + a * tail) <= a * low for row, tail in rows)
+    return b * m11 > a * t.tail[0] and all(
+        b * row[0] <= a * m11 and tail <= m11 for row, tail in rows
+    )
 
 
 def _scale_rows_by_diag_power(a_diag, b_rows, e: int, bits: int):
@@ -115,6 +137,10 @@ def _scale_rows_by_diag_power(a_diag, b_rows, e: int, bits: int):
             p = Fraction(ai) ** e
             out.append(tuple(p * Fraction(x) for x in row))
     return tuple(out)
+
+
+def _power_table(a_diag, b_rows, e: int, v: Place, bits: int) -> BoundTable:
+    return bound_table(_scale_rows_by_diag_power(a_diag, b_rows, e, bits), v, bits)
 
 
 def _normalize_diag(a) -> tuple:
@@ -275,6 +301,13 @@ class ConeChecks:
     def all_pass(self) -> bool:
         return self.disjoint and self.contracts and self.contracts_double
 
+    @property
+    def failed(self) -> tuple[str, ...]:
+        """The names of the checks that did not certify, in field order."""
+        return tuple(
+            name for name in ("disjoint", "contracts", "contracts_double") if not getattr(self, name)
+        )
+
 
 def verify_cone_inclusions(
     a_diag,
@@ -297,13 +330,10 @@ def verify_cone_inclusions(
         raise ValueError("cone parameter must be positive")
     if not _is_exact(b_rows) and not v.is_archimedean:
         raise ValueError("interval basis data cannot certify finite places")
-    disjoint = _check_disjoint(b_rows, r, v, bits)
-    m1 = _scale_rows_by_diag_power(a_diag, b_rows, e, bits)
-    m2 = _scale_rows_by_diag_power(a_diag, b_rows, 2 * e, bits)
     return ConeChecks(
-        disjoint=disjoint,
-        contracts=_check_inclusion(m1, r, v, bits),
-        contracts_double=_check_inclusion(m2, r, v, bits),
+        disjoint=_check_disjoint(bound_table(b_rows, v, bits), r, v),
+        contracts=_check_inclusion(_power_table(a_diag, b_rows, e, v, bits), r, v),
+        contracts_double=_check_inclusion(_power_table(a_diag, b_rows, 2 * e, v, bits), r, v),
     )
 
 
@@ -334,16 +364,19 @@ def derive_exponent(
     certificate at (e, r) implies no radius worked at e-1.  The gap condition guarantees
     termination in principle: the top-row margin of diag(a)^e B grows like
     |a_1/a_2|^e against the fixed polynomial bounds on B.  The checks are
-    verify_cone_inclusions', with each exponent's rows built once.
+    verify_cone_inclusions', on one bound table for B and one per power
+    of A: the table for 2e serves again as the one for e' = 2e.
     """
-    radii = [r for r in DEFAULT_RADII if _check_disjoint(b_rows, r, v, bits)]
+    b_table = bound_table(b_rows, v, bits)
+    radii = [r for r in DEFAULT_RADII if _check_disjoint(b_table, r, v)]
     if not radii:
         raise ExponentSearchExhausted("no radius certifies B-cone disjointness")
+    tables = {}
     for e in range(1, cap + 1):
-        m1 = _scale_rows_by_diag_power(a_diag, b_rows, e, bits)
-        m2 = _scale_rows_by_diag_power(a_diag, b_rows, 2 * e, bits)
+        m1 = tables.pop(e) if e in tables else _power_table(a_diag, b_rows, e, v, bits)
+        m2 = tables[2 * e] = _power_table(a_diag, b_rows, 2 * e, v, bits)
         for r in radii:
-            if _check_inclusion(m1, r, v, bits) and _check_inclusion(m2, r, v, bits):
+            if _check_inclusion(m1, r, v) and _check_inclusion(m2, r, v):
                 return e, r, ConeChecks(disjoint=True, contracts=True, contracts_double=True)
     raise ExponentSearchExhausted(f"no exponent up to {cap} certifies the cone inclusions")
 

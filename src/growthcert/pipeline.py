@@ -293,7 +293,8 @@ def verify_certificate(
     (exact equality), the cone inclusions in the canonical eigenbasis of
     diagonalized_pair over the precision schedule, and the freeness
     oracle at the recorded depth.  Returns (False, reason) at the first
-    failure and never raises on tampered input.
+    failure and never raises on tampered input.  A cone failure names the
+    last precision tried: its exception, or the checks that failed there.
     """
     config = config or RunConfig()
     if not gens:
@@ -335,24 +336,24 @@ def verify_certificate(
     if cert.growth_bound != growth_bound_from_length(max(len_u, len_w)):
         return False, "growth bound does not match the word lengths"
 
-    last: Exception | None = None
-    passed = False
+    passed, reason = False, ""
     for bits in BITS_SCHEDULE:
         try:
             pair = diagonalized_pair(a_mat, b_mat, cert.word_a, cert.word_b, cert.place, bits)
             wa, wb = wedge_pair(pair, cert.place, cert.wedge_m, bits)
-            passed = verify_cone_inclusions(
+            checks = verify_cone_inclusions(
                 wa, wb, cert.exponent, cert.cone_param, cert.place, bits
-            ).all_pass
+            )
         except (GrowthcertError, ValueError) as exc:
-            last = exc
+            reason = f"{exc} at {bits} bits"
             continue
+        passed = checks.all_pass
+        reason = f"{', '.join(checks.failed)} failed at {bits} bits"
         # exact basis data gives the same answer at every precision
         if passed or _is_exact(wb):
             break
     if not passed:
-        detail = str(last) if last is not None else "an inclusion failed at every precision"
-        return False, f"cone checks did not certify: {detail}"
+        return False, f"cone checks did not certify: {reason}"
 
     u = a_mat**cert.exponent * b_mat
     w = a_mat ** (2 * cert.exponent) * b_mat

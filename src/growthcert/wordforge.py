@@ -40,7 +40,7 @@ from .intervals import (
     cmat_mul,
     sqrt_upper,
 )
-from .pingpong import LConditions, check_l_conditions, entry_bounds
+from .pingpong import LConditions, bound_table, check_l_conditions, entry_bounds
 from .polyroots import Poly, certified_root_structure, rational_roots, squarefree_part
 from .spectra import adjugate_poly, char_poly, wedge_diag, wedge_power
 
@@ -184,8 +184,8 @@ def _diag_rows(diag, exact: bool):
 
 def _norm_bounds(rows, v: Place, bits: int = 96) -> tuple[Fraction, Fraction]:
     """(lower, upper) bounds on the max entry modulus at the place."""
-    bounds = [entry_bounds(x, v, bits) for row in rows for x in row]
-    return max(lo for lo, _ in bounds), max(hi for _, hi in bounds)
+    t = bound_table(rows, v, bits)
+    return Fraction(max(map(max, t.lo)), t.den), Fraction(max(map(max, t.hi)), t.den)
 
 
 def _global_norm_bounds(rows, s: PlaceSet, exact: bool, bits: int = 96):

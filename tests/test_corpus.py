@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -97,6 +98,25 @@ def test_verify_rejects_the_recorded_tamper(tmp_path, capsys, tamper):
     code, doc = run(capsys, ["verify", cert, generator_file(tmp_path, tamper["of"])])
     assert (code, doc["valid"]) == (5, False)
     assert doc["reason"] == TAMPER_REASONS[tamper["id"]]
+
+
+@pytest.mark.parametrize(
+    "cone_param, failed",
+    [
+        ("1/" + "7" * 4200, "contracts, contracts_double"),
+        ("7" * 4200 + "/3", "disjoint, contracts, contracts_double"),
+    ],
+)
+def test_verify_rejects_a_huge_cone_param_quickly(tmp_path, capsys, cone_param, failed):
+    # the cone checks cross-multiply by the numerator and denominator of r:
+    # a 4200-digit one must stay cheap
+    cert = dict(INPUTS["sl4_product/0"]["certify"]["certificate"], cone_param=cone_param)
+    argv = ["verify", write(tmp_path, "cert.json", cert), generator_file(tmp_path, "sl4_product/0")]
+    start = time.perf_counter()
+    code, doc = run(capsys, argv)
+    assert time.perf_counter() - start < 5
+    assert (code, doc["valid"]) == (5, False)
+    assert doc["reason"] == f"cone checks did not certify: {failed} failed at 256 bits"
 
 
 def fraction_interval_mid(x):

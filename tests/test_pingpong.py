@@ -5,27 +5,32 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from growthcert import pingpong
+from growthcert import pingpong, pipeline, wordforge
 from growthcert.errors import BudgetExceeded, ExponentSearchExhausted, Inconclusive
-from growthcert.exactnum import ARCH, Place, SquareMatrix, Word, is_prime
+from growthcert.exactnum import ARCH, Place, SquareMatrix, Word, abs_value, is_prime
 from growthcert.intervals import ComplexInterval
 from growthcert.pingpong import (
     DEFAULT_RADII,
     ConeChecks,
     PingPongCertificate,
+    bound_table,
     check_l_conditions,
     derive_exponent,
+    entry_bounds,
     find_semigroup_collision,
     growth_bound_from_length,
     verify_cone_inclusions,
 )
 
 P2 = Place.parse("finite:2")
+P3 = Place.parse("finite:3")
+ROOT = Path(__file__).resolve().parent.parent
 B_ROWS = ((F(1), F(1)), (F(1), F(2)))
 
 
@@ -136,6 +141,164 @@ def test_derive_exponent_cap():
     # |a1/a2| = 1 never contracts, so the cap is reached
     with pytest.raises(ExponentSearchExhausted):
         derive_exponent((F(1), F(1)), B_ROWS, ARCH, cap=3)
+
+
+def reference_bounds(x, v, bits):
+    """Fraction bounds on |x|_v: ComplexInterval.mag for a box, abs_value otherwise."""
+    if isinstance(x, ComplexInterval):
+        m = x.mag(bits)
+        return m.lo, m.hi
+    a = abs_value(x, v)
+    return a, a
+
+
+def reference_row_tail_upper(row, v, bits):
+    """Sum (archimedean) or max (ultrametric) of |row[j]| upper bounds, j >= 1."""
+    uppers = [reference_bounds(x, v, bits)[1] for x in row[1:]]
+    if not uppers:
+        return F(0)
+    return sum(uppers) if v.is_archimedean else max(uppers)
+
+
+def reference_disjoint(b_rows, r, v, bits):
+    """B U_r disjoint from U_r on Fraction bounds (the reference for the integer check)."""
+    top_tail = reference_row_tail_upper(b_rows[0], v, bits)
+    b11_hi = reference_bounds(b_rows[0][0], v, bits)[1]
+    if v.is_archimedean:
+        upper1 = b11_hi + r * top_tail
+        for row in b_rows[1:]:
+            lo_i = reference_bounds(row[0], v, bits)[0] - r * reference_row_tail_upper(row, v, bits)
+            if lo_i > r * upper1:
+                return True
+        return False
+    upper1 = max(b11_hi, r * top_tail)
+    for row in b_rows[1:]:
+        lead = reference_bounds(row[0], v, bits)[0]
+        if lead > r * reference_row_tail_upper(row, v, bits) and lead > r * upper1:
+            return True
+    return False
+
+
+def reference_inclusion(m_rows, r, v, bits):
+    """M U_r inside U_r on Fraction bounds (the reference for the integer check)."""
+    top_tail = reference_row_tail_upper(m_rows[0], v, bits)
+    m11_lo = reference_bounds(m_rows[0][0], v, bits)[0]
+    if v.is_archimedean:
+        lower1 = m11_lo - r * top_tail
+    else:
+        if not m11_lo > r * top_tail:
+            return False
+        lower1 = m11_lo
+    if lower1 <= 0:
+        return False
+    for row in m_rows[1:]:
+        lead_hi = reference_bounds(row[0], v, bits)[1]
+        tail = reference_row_tail_upper(row, v, bits)
+        upper_i = lead_hi + r * tail if v.is_archimedean else max(lead_hi, r * tail)
+        if not upper_i <= r * lower1:
+            return False
+    return True
+
+
+def assert_checks_match_reference(rows, r, v, bits):
+    table = bound_table(rows, v, bits)
+    assert pingpong._check_disjoint(table, r, v) == reference_disjoint(rows, r, v, bits)
+    assert pingpong._check_inclusion(table, r, v) == reference_inclusion(rows, r, v, bits)
+
+
+@st.composite
+def _box(draw):
+    # boxes a few bits to 2^100 wide on grids 2^20 to 2^-80: zero boxes,
+    # boxes that straddle zero and negative k among them
+    k = draw(st.integers(-20, 80))
+    if draw(st.integers(0, 9)) == 0:
+        return ComplexInterval(0, 0, 0, 0, k)
+    ends = []
+    for _ in range(2):
+        lo = draw(st.integers(-(2**100), 2**100))
+        ends += [lo, lo + draw(st.integers(0, 2**draw(st.integers(0, 100))))]
+    return ComplexInterval(*ends, k)
+
+
+@st.composite
+def _exact(draw, p):
+    # small multiples of powers of p: ties between the largest entries of a
+    # row, where a sum and a max part, and ties with the radius are common
+    x = F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return x * F(p) ** draw(st.integers(-4, 4))
+
+
+@st.composite
+def _cone_case(draw):
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        v, entry = ARCH, _box()
+    else:
+        v = draw(st.sampled_from([ARCH, P2, P3]))
+        entry = _exact(2 if v.is_archimedean else v.prime)
+    rows = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    return rows, v
+
+
+# the bench radii, a non-dyadic one, and 300-digit ones like the
+# cone_param tampers
+_RADII = st.one_of(
+    st.sampled_from(DEFAULT_RADII + (F(3, 7),)),
+    st.builds(F, st.integers(10**299, 10**300), st.integers(10**299, 10**300)),
+    st.builds(lambda r, k: r * F(2) ** k, st.sampled_from(DEFAULT_RADII), st.integers(-40, 40)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_cone_case(), r=_RADII, bits=st.sampled_from([64, 96, 256]))
+# the r^2 of disjointness at both kinds of place, and an ultrametric row
+# whose tail max and tail sum fall on either side of the threshold
+@example(case=(((F(1), F(0)), (F(1), F(0))), ARCH), r=F(1, 2), bits=96)
+@example(case=(((F(1), F(1)), (F(1), F(1))), P2), r=F(1, 2), bits=96)
+@example(case=(((F(1), F(1), F(1)), (F(2), F(2), F(2)), (F(2), F(2), F(2))), P2), r=F(1, 2), bits=96)
+def test_cone_checks_match_the_fraction_reference(case, r, bits):
+    rows, v = case
+    assert_checks_match_reference(rows, r, v, bits)
+    bounds = [reference_bounds(x, v, bits) for row in rows for x in row]
+    assert [entry_bounds(x, v, bits) for row in rows for x in row] == bounds
+    assert wordforge._norm_bounds(rows, v, bits) == (
+        max(lo for lo, _ in bounds),
+        max(hi for _, hi in bounds),
+    )
+
+
+def test_cone_checks_match_the_fraction_reference_on_the_corpus(monkeypatch):
+    # every (e, r) the exponent search tries while certifying the 14 corpus
+    # certificates decides as the Fraction checks do
+    corpus = json.loads((ROOT / "bench/data/corpus.json").read_text())
+    searches = []
+    derive = pipeline.derive_exponent
+
+    def recording(a_diag, b_rows, v, cap, bits):
+        searches.append((a_diag, b_rows, v, cap, bits))
+        return derive(a_diag, b_rows, v, cap, bits)
+
+    monkeypatch.setattr(pipeline, "derive_exponent", recording)
+    for item in corpus["inputs"]:
+        if "certificate" in item["certify"]:
+            gens = [SquareMatrix.from_rows(g) for g in item["generators"]]
+            pipeline.certify_generators(gens)
+    assert len(searches) >= 14
+    scale = pingpong._scale_rows_by_diag_power
+    decisions = set()
+    for a_diag, b_rows, v, cap, bits in searches:
+        try:
+            last = derive(a_diag, b_rows, v, cap, bits)[0]
+        except ExponentSearchExhausted:
+            last = cap
+        for r in DEFAULT_RADII:
+            assert_checks_match_reference(b_rows, r, v, bits)
+        for e in range(1, last + 1):
+            for rows in (scale(a_diag, b_rows, e, bits), scale(a_diag, b_rows, 2 * e, bits)):
+                for r in DEFAULT_RADII:
+                    assert_checks_match_reference(rows, r, v, bits)
+                    decisions.add(reference_inclusion(rows, r, v, bits))
+    assert decisions == {False, True}
 
 
 def test_collision_for_commuting_pair():

@@ -161,7 +161,7 @@ def test_verify_stops_precision_retries_on_an_exact_basis(monkeypatch):
     calls = count_wedge_pairs(monkeypatch)
     assert verify_certificate(bad, gens) == (
         False,
-        "cone checks did not certify: an inclusion failed at every precision",
+        "cone checks did not certify: disjoint, contracts, contracts_double failed at 64 bits",
     )
     assert calls == [pipeline.BITS_SCHEDULE[0]]
     # Sanov's A has irrational eigenvalues: its enclosures retry every precision
@@ -169,8 +169,42 @@ def test_verify_stops_precision_retries_on_an_exact_basis(monkeypatch):
     cert = certify_generators(gens).certificate
     bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
     calls.clear()
-    assert not verify_certificate(bad, gens)[0]
+    assert verify_certificate(bad, gens) == (
+        False,
+        "cone checks did not certify: disjoint, contracts, contracts_double failed at 256 bits",
+    )
     assert calls == list(pipeline.BITS_SCHEDULE)
+
+
+def test_verify_reports_the_last_precision_tried(monkeypatch):
+    # an exception at 64 bits is not the reason when the checks then ran
+    # and failed at 128 and 256 bits; a radius too wide for disjointness
+    # that still contracts names only the check that failed
+    gens = sanov()
+    cert = certify_generators(gens).certificate
+    wedge_pair = pipeline.wedge_pair
+
+    def flaky(pair, v, m, bits):
+        if bits == 64:
+            raise Inconclusive("no enclosure")
+        return wedge_pair(pair, v, m, bits)
+
+    monkeypatch.setattr(pipeline, "wedge_pair", flaky)
+    bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
+    assert verify_certificate(bad, gens) == (
+        False,
+        "cone checks did not certify: disjoint, contracts, contracts_double failed at 256 bits",
+    )
+    assert verify_certificate(dataclasses.replace(cert, cone_param=F(1, 4)), gens) == (
+        False,
+        "cone checks did not certify: disjoint failed at 256 bits",
+    )
+    # an exception at the last precision is the reason, with its bits
+    monkeypatch.setattr(pipeline, "BITS_SCHEDULE", (64,))
+    assert verify_certificate(cert, gens) == (
+        False,
+        "cone checks did not certify: no enclosure at 64 bits",
+    )
 
 
 def test_certify_stops_the_exponent_search_on_an_exact_basis(monkeypatch):
@@ -194,18 +228,23 @@ def test_certify_stops_the_exponent_search_on_an_exact_basis(monkeypatch):
 def test_exponent_search_builds_each_power_once(monkeypatch):
     # SL2(Z)'s torsion generators: A = "0 1 0 1^-1" has no exponent, so the
     # search runs to exponent_cap at every precision; the rows of diag(a)^e B
-    # and diag(a)^2e B are built once per exponent, not once per radius
+    # are built once per exponent and precision, not once per radius, and
+    # those of diag(a)^2e B serve again when the search reaches 2e
     gens = [M([[0, -1], [1, 0]]), M([[0, -1], [1, 1]])]
     calls = []
     scale = pingpong._scale_rows_by_diag_power
     monkeypatch.setattr(
         pingpong,
         "_scale_rows_by_diag_power",
-        lambda *args: calls.append(args[2]) or scale(*args),
+        lambda *args: calls.append((args[3], args[2])) or scale(*args),
     )
     with pytest.raises(PipelineFailure) as info:
         certify_generators(gens)
-    assert len(calls) <= 2 * RunConfig().exponent_cap * len(pipeline.BITS_SCHEDULE)
+    cap = RunConfig().exponent_cap
+    assert sorted(calls) == sorted(
+        (bits, e) for bits in pipeline.BITS_SCHEDULE for e in range(1, 2 * cap + 1)
+        if e <= cap or e % 2 == 0
+    )
     detail = "no exponent up to 64 certifies the cone inclusions"
     assert str(info.value) == f"derive_exponent: ExponentSearchExhausted: {detail}"
     assert list(info.value.trace) == [

@@ -684,8 +684,12 @@ def test_off_axis_boxes_match_the_mpmath_reference(f, k):
     _, boxes = certified_root_structure(g, width)
     ref = reference_off_axis_boxes(g, width)
     assert len(boxes) == len(ref)
-    with mpmath.workprec(300):
-        roots = mpmath.polyroots(_integer_coeffs(g)[::-1], maxsteps=200, extraprec=600)
+    coeffs = _integer_coeffs(g)
+    # the roots must be good to well below the width, and a root's error
+    # grows with the height of the coefficients
+    prec = 300 + 2 * (k + max(abs(c).bit_length() for c in coeffs))
+    with mpmath.workprec(prec):
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=2 * prec)
         roots = [(_mpf_to_fraction(r.real), _mpf_to_fraction(r.imag)) for r in roots]
     for b in boxes:
         inside = [r for r in roots if b.contains(*r)]
