@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
@@ -549,8 +550,10 @@ def find_regular_pair(
     if s is None:
         s = s_support(gens)
     n = gens[0].n
-    letters = _alphabet(gens)
-    for word_a, mat_a in _ball_words(letters, depth, budget):
+    walk = _ball_words(_alphabet(gens), depth, budget)
+    scanned = []
+    for word_a, mat_a in walk:
+        scanned.append((word_a, mat_a))
         f = char_poly(mat_a)
         if not charpoly_is_squarefree(f):
             continue
@@ -562,9 +565,10 @@ def find_regular_pair(
             break
     else:
         raise PairNotFound(f"no regular (L1)-capable element within radius {depth}")
-    # B is the first partner in shortlex order, so its scan starts over
+    # B is the first partner in shortlex order: its scan rereads the words up
+    # to A, then walks on through the same ball
     reducible = None
-    for word_b, mat_b in _ball_words(letters, depth, budget):
+    for word_b, mat_b in chain(scanned, walk):
         if mat_b == mat_a or reducible:
             continue
         dim = shemesh_no_common_eigenvector(mat_a, mat_b) and generated_algebra_dimension(mat_a, mat_b)

@@ -50,7 +50,13 @@ from .exactnum import (
 )
 from .pingpong import PingPongCertificate
 from .pipeline import RunConfig, certify_generators, verify_certificate
-from .spectra import char_poly, check_separation, eigen_report, wedge_power
+from .spectra import (
+    arch_moduli,
+    char_poly,
+    check_separation,
+    newton_polygon_valuations,
+    wedge_power,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -344,7 +350,13 @@ def cmd_spectrum(args) -> int:
     except (GrowthcertError, ValueError) as exc:
         raise _ParseError(f"bad word {args.word!r}: {exc}") from exc
     s = _support(gfile)
-    report = eigen_report(mat, s, char_poly(mat))
+    f = char_poly(mat)
+    valuations = {
+        str(v): [format_rational(x) for x in newton_polygon_valuations(f, v.prime)]
+        for v in s
+        if not v.is_archimedean
+    }
+    moduli = [[format_rational(iv.lo), format_rational(iv.hi)] for iv in arch_moduli(mat, f)]
     try:
         sep = check_separation(mat, s)
         separation = {
@@ -361,15 +373,9 @@ def cmd_spectrum(args) -> int:
     out = {
         "schema": "growthcert.spectrum.v1",
         "word": str(word),
-        "charpoly": [format_rational(c) for c in report.charpoly],
-        "arch_moduli": [
-            [format_rational(iv.lo), format_rational(iv.hi)]
-            for iv in report.arch_moduli
-        ],
-        "finite_valuations": {
-            str(v): [format_rational(x) for x in vals]
-            for v, vals in report.finite_valuations
-        },
+        "charpoly": [format_rational(c) for c in f],
+        "arch_moduli": moduli,
+        "finite_valuations": valuations,
         "separation": separation,
     }
     _emit(out, args.pretty)

@@ -385,22 +385,6 @@ def cmat_mul(a: CMatrix, b: CMatrix, round_bits: int | None = None) -> CMatrix:
     return tuple(out)
 
 
-def cmat_det_small(a: CMatrix) -> ComplexInterval:
-    """Cofactor-expansion determinant; fine for the small orders used here."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    acc = ComplexInterval(0, 0)
-    rest = a[1:]
-    for j in range(n):
-        minor = tuple(tuple(row[c] for c in range(n) if c != j) for row in rest)
-        term = a[0][j] * cmat_det_small(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 def cmat_inverse(a: CMatrix, round_bits: int | None = None) -> CMatrix:
     """Gauss-Jordan with certified-nonzero pivots.
 

@@ -214,24 +214,46 @@ def _subsets(n: int, m: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(n), m))
 
 
+def _cofactor_det(rows, zero):
+    """Determinant by cofactor expansion along the first row; sums of order >= 3 start at zero."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = zero
+    rest = rows[1:]
+    for j, x in enumerate(rows[0]):
+        term = x * _cofactor_det(tuple(row[:j] + row[j + 1 :] for row in rest), zero)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def compound(rows, m: int, zero) -> tuple[tuple, ...]:
+    """m-th compound of an entry grid: its m x m minors on the lex-ordered m-subset basis.
+
+    Generic over the entry type (ints, Fractions, ComplexIntervals): every
+    minor is a cofactor expansion, fine for the small orders used here.
+    zero is the additive identity the longer sums start from, so boxes
+    keep the exponents of that start.
+    """
+    subs = _subsets(len(rows), m)
+    return tuple(
+        tuple(_cofactor_det(tuple(tuple(rows[i][j] for j in cset) for i in rset), zero) for cset in subs)
+        for rset in subs
+    )
+
+
 def wedge_power(a: SquareMatrix, m: int) -> SquareMatrix:
     """m-th compound matrix on the lex-ordered m-subset basis.
 
     Entries are m x m minors; the map is multiplicative (Cauchy-Binet), so
     it is a representation with det = det(a)^C(n-1, m-1) = 1 for SL input.
+    The minors of A = N/d are those of N over d^m.
     """
-    n = a.n
-    if not 1 <= m <= n:
-        raise BadExponent(f"wedge degree {m} outside 1..{n}")
-    subs = _subsets(n, m)
-    rows = []
-    for rset in subs:
-        row = []
-        for cset in subs:
-            sub = [[a[i, j] for j in cset] for i in rset]
-            row.append(SquareMatrix.from_rows(sub).det() if m > 1 else sub[0][0])
-        rows.append(row)
-    return SquareMatrix.from_rows(rows)
+    if not 1 <= m <= a.n:
+        raise BadExponent(f"wedge degree {m} outside 1..{a.n}")
+    return SquareMatrix(a.den**m, compound(a.num, m, 0))
 
 
 def wedge_diag(values: list, m: int) -> list:
@@ -253,48 +275,20 @@ def wedge_diag(values: list, m: int) -> list:
 # eigenvalue modulus data and the (L1) gap grid
 
 
-# archimedean enclosure precision: every report starts at the first level,
+# archimedean enclosure precision: arch_moduli defaults to the first level,
 # and the (L1) grid doubles it up to the cap
 ARCH_BITS = 64
 ARCH_BITS_CAP = 512
 
 
-@dataclass(frozen=True)
-class EigenReport:
-    """Eigenvalue modulus data of one matrix over a place set.
+def arch_moduli(a: SquareMatrix, f: Poly, bits: int = ARCH_BITS) -> tuple[RationalInterval, ...]:
+    """|eigenvalue| enclosures of A (charpoly f), descending, to 2^-bits * max(1, norm).
 
-    arch_moduli: certified enclosures, descending, one per eigenvalue
-    (multiplicity included; exact rational eigenvalues give point
-    intervals).  finite_valuations: per finite place, the ascending root
-    valuations, always exact even when the moduli themselves would be
-    irrational.
+    One per eigenvalue, multiplicity included; exact rational eigenvalues
+    give point intervals.
     """
-
-    n: int
-    charpoly: Poly
-    arch_moduli: tuple[RationalInterval, ...]
-    finite_valuations: tuple[tuple[Place, tuple[Fraction, ...]], ...]
-
-
-def _arch_moduli(a: SquareMatrix, f: Poly, bits: int) -> tuple[RationalInterval, ...]:
-    """|eigenvalue| enclosures of A (charpoly f), descending, to 2^-bits * max(1, norm)."""
     width = max(Fraction(1), a.max_abs_entry()) / (Fraction(2) ** bits)
     return tuple(modulus_enclosures(f, width))
-
-
-def eigen_report(a: SquareMatrix, s: PlaceSet, f: Poly) -> EigenReport:
-    """Eigenvalue modulus data of A over S from its charpoly f.
-
-    Newton polygon valuations at the finite places of S and archimedean
-    modulus enclosures at ARCH_BITS; l1_gap_report builds on this report.
-    """
-    finite = tuple((v, newton_polygon_valuations(f, v.prime)) for v in s if not v.is_archimedean)
-    return EigenReport(
-        n=a.n,
-        charpoly=f,
-        arch_moduli=_arch_moduli(a, f, ARCH_BITS),
-        finite_valuations=finite,
-    )
 
 
 def _pow_ge(p: int, s: Fraction, c: int) -> bool:
@@ -308,10 +302,7 @@ def l1_arch_decision(moduli: tuple[RationalInterval, ...], m: int) -> bool | Non
 
     None means the enclosures are too wide to decide either way.
     """
-    prods = [
-        reduce(lambda a, i: a * moduli[i], sub, RationalInterval.point(1))
-        for sub in _subsets(len(moduli), m)
-    ]
+    prods = wedge_diag(list(moduli), m)
     his = sorted((u.hi for u in prods), reverse=True)
     los = sorted((u.lo for u in prods), reverse=True)
     top_lo, top_hi = los[0], his[0]
@@ -345,20 +336,21 @@ def l1_finite_decision(valuations: tuple[Fraction, ...], p: int, m: int) -> bool
 def l1_gap_report(a: SquareMatrix, s: PlaceSet, f: Poly) -> dict[tuple[Place, int], bool]:
     """(L1) verdict for every place in S and wedge degree 1..n-1, from A's charpoly f.
 
-    Decided from one eigen_report: finite places from its valuations, the
-    archimedean place from its ARCH_BITS enclosures, recomputed from its
-    charpoly at doubled precision while a wedge degree stays undecided.
+    Finite places are decided from f's Newton polygon valuations, the
+    archimedean place from arch_moduli at ARCH_BITS, recomputed at doubled
+    precision while a wedge degree stays undecided.
     Raises Inconclusive only if ARCH_BITS_CAP is hit (exact ties at finite
     places cannot occur: those comparisons are integer power comparisons).
     """
     n = a.n
-    report = eigen_report(a, s, f)
     out: dict[tuple[Place, int], bool] = {}
-    for v, vals in report.finite_valuations:
-        for m in range(1, n):
-            out[(v, m)] = l1_finite_decision(vals, v.prime, m)
+    for v in s:
+        if not v.is_archimedean:
+            vals = newton_polygon_valuations(f, v.prime)
+            for m in range(1, n):
+                out[(v, m)] = l1_finite_decision(vals, v.prime, m)
     pending = set(range(1, n))
-    bits, moduli = ARCH_BITS, report.arch_moduli
+    bits, moduli = ARCH_BITS, arch_moduli(a, f)
     while True:
         for m in sorted(pending):
             verdict = l1_arch_decision(moduli, m)
@@ -371,4 +363,4 @@ def l1_gap_report(a: SquareMatrix, s: PlaceSet, f: Poly) -> dict[tuple[Place, in
             m = min(pending)
             raise Inconclusive(f"(L1) undecidable at archimedean place, wedge {m}")
         bits *= 2
-        moduli = _arch_moduli(a, report.charpoly, bits)
+        moduli = arch_moduli(a, f, bits)

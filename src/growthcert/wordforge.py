@@ -20,7 +20,6 @@ import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import (
     BalanceFailed,
@@ -35,14 +34,13 @@ from .errors import (
 from .exactnum import ARCH, Place, PlaceSet, SquareMatrix, Word, abs_value
 from .intervals import (
     ComplexInterval,
-    cmat_det_small,
     cmat_from_exact,
     cmat_mul,
     sqrt_upper,
 )
 from .pingpong import LConditions, bound_table, check_l_conditions, entry_bounds
 from .polyroots import Poly, certified_root_structure, rational_roots, squarefree_part
-from .spectra import adjugate_poly, char_poly, wedge_diag, wedge_power
+from .spectra import adjugate_poly, char_poly, compound, wedge_diag
 
 SYM_A = Word.generator(0)
 SYM_B = Word.generator(1)
@@ -465,22 +463,6 @@ def select_place_and_wedge(
 # wedge-level data
 
 
-def _wedge_rows(rows, m: int, exact: bool):
-    """Compound matrix of an entry grid; generic over exact and interval entries."""
-    if exact:
-        return wedge_power(SquareMatrix.from_rows([list(r) for r in rows]), m).entries
-    n = len(rows)
-    subs = list(combinations(range(n), m))
-    out = []
-    for rset in subs:
-        line = []
-        for cset in subs:
-            sub = tuple(tuple(rows[i][j] for j in cset) for i in rset)
-            line.append(cmat_det_small(sub))
-        out.append(tuple(line))
-    return tuple(out)
-
-
 def wedge_pair(pair: ConjugatedPair, v: Place, m: int, bits: int = 96):
     """Wedge images (diag of A, rows of B) sorted top-modulus-first at v.
 
@@ -490,7 +472,7 @@ def wedge_pair(pair: ConjugatedPair, v: Place, m: int, bits: int = 96):
     if not pair.exact and not v.is_archimedean:
         raise ValueError("interval basis data cannot certify finite places")
     wa = wedge_diag(list(pair.a_diag), m)
-    wb = _wedge_rows(pair.b_rows, m, pair.exact)
+    wb = compound(pair.b_rows, m, Fraction(0) if pair.exact else ComplexInterval(0, 0))
     if pair.exact:
         order = sorted(range(len(wa)), key=lambda i: (-abs_value(wa[i], v), i))
     else:

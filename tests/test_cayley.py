@@ -269,6 +269,17 @@ def test_reducible_generators_are_refused_after_one_failed_gate(monkeypatch):
         find_regular_pair(REDUCIBLE, 4, budget=20)
 
 
+@pytest.mark.parametrize("gens", [sanov_gens(), REDUCIBLE], ids=["sanov", "reducible"])
+def test_pair_search_walks_the_ball_once(monkeypatch, gens):
+    # the B scan rereads the words the A scan decoded, then walks on
+    want = reference_pair(gens, 4)
+    entered = []
+    spheres = cayley._spheres
+    monkeypatch.setattr(cayley, "_spheres", lambda *args: entered.append(args) or spheres(*args))
+    assert pair_outcome(gens, 4) == want
+    assert len(entered) == 1
+
+
 def test_growth_report_csv():
     report = enumerate_ball(sanov_gens(), 2)
     assert report.csv() == "n,count\n0,1\n1,5\n2,17\n"

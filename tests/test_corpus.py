@@ -13,11 +13,18 @@ re-records that file as a named spec change:
 
     PYTHONPATH=src python tests/test_corpus.py --record
 
+tests/data/corpus_reports.json holds, for each input, the exit code and
+JSON of find-pair and of spectrum on the words "0 1" and "0", so the pair
+search, its wedge genericity (m = 2 on the n = 4 input) and the spectral
+report are pinned as well; the same --record run re-records it.
+
 tests/data/tamper_reasons.json holds the reason verify gave for each
 tamper when it was recorded, so every tamper keeps failing at the same
 check, not merely failing.
 """
 
+import contextlib
+import io
 import json
 import math
 import sys
@@ -35,6 +42,7 @@ from growthcert.intervals import ComplexInterval
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = json.loads((ROOT / "bench/data/corpus.json").read_text())
 TRACES_PATH = ROOT / "tests/data/corpus_traces.json"
+REPORTS_PATH = ROOT / "tests/data/corpus_reports.json"
 TAMPER_REASONS = json.loads((ROOT / "tests/data/tamper_reasons.json").read_text())
 INPUTS = {item["id"]: item for item in CORPUS["inputs"]}
 CERTIFIED = [i for i, item in INPUTS.items() if "certificate" in item["certify"]]
@@ -119,6 +127,27 @@ def test_verify_rejects_a_huge_cone_param_quickly(tmp_path, capsys, cone_param, 
     assert doc["reason"] == f"cone checks did not certify: {failed} failed at 256 bits"
 
 
+# the commands corpus_reports.json pins, keyed as there
+REPORT_COMMANDS = {
+    "find-pair": ["find-pair"],
+    "spectrum 0 1": ["spectrum", "--word", "0 1"],
+    "spectrum 0": ["spectrum", "--word", "0"],
+}
+
+
+def report_argv(command, gens):
+    head, *rest = REPORT_COMMANDS[command]
+    return [head, gens, *rest]
+
+
+@pytest.mark.parametrize("input_id", list(INPUTS))
+def test_find_pair_and_spectrum_give_the_recorded_reports(tmp_path, capsys, input_id):
+    want = json.loads(REPORTS_PATH.read_text())[input_id]
+    gens = generator_file(tmp_path, input_id)
+    for command in REPORT_COMMANDS:
+        assert list(run(capsys, report_argv(command, gens))) == want[command], command
+
+
 def fraction_interval_mid(x):
     """The box sort key from the Fraction bounds of |x|^2 (the reference)."""
     m = x.mag_sq()
@@ -162,5 +191,21 @@ def record_traces() -> None:
     TRACES_PATH.write_text(json.dumps(traces, indent=1) + "\n")
 
 
+def record_reports() -> None:
+    """Write find-pair and spectrum of every corpus input to tests/data/corpus_reports.json."""
+    reports = {}
+    for input_id in INPUTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            gens = generator_file(Path(tmp), input_id)
+            reports[input_id] = {}
+            for command in REPORT_COMMANDS:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(report_argv(command, gens))
+                reports[input_id][command] = [code, json.loads(out.getvalue())]
+    REPORTS_PATH.write_text(json.dumps(reports, indent=1) + "\n")
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     record_traces()
+    record_reports()

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,7 +11,6 @@ from growthcert.exactnum import SquareMatrix
 from growthcert.intervals import (
     ComplexInterval,
     RationalInterval,
-    cmat_det_small,
     cmat_from_exact,
     cmat_inverse,
     cmat_mul,
@@ -18,7 +18,7 @@ from growthcert.intervals import (
     dyadic_floor,
     sqrt_upper,
 )
-from growthcert.spectra import adjugate_poly
+from growthcert.spectra import adjugate_poly, compound
 from growthcert.wordforge import _eigenbasis, _root_boxes, diagonalize
 
 M = SquareMatrix.from_rows
@@ -162,11 +162,11 @@ def test_cmat_mul_matches_exact():
         assert cmat_contains_exact(prod, a * b)
 
 
-def test_cmat_det_small_contains_exact_det():
+def test_compound_of_boxes_contains_exact_det():
     rng = random.Random(59)
     for _ in range(30):
         a = M([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
-        det = cmat_det_small(cmat_from_exact(a))
+        (det,), = compound(cmat_from_exact(a), 3, ComplexInterval(0, 0))
         assert det.contains(a.det())
 
 
@@ -379,9 +379,40 @@ def test_cmat_mul_contains_the_exact_product(pair, round_bits):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4).flatmap(box_matrices))
-def test_cmat_det_small_contains_the_exact_determinant(mat):
+def test_compound_of_boxes_contains_the_exact_minors(mat):
     ab, a = mat
-    assert cmat_det_small(ab).contains(*exact_cdet(a))
+    n = len(a)
+    for m in range(1, n + 1):
+        subs = list(itertools.combinations(range(n), m))
+        exact = [[exact_cdet([[a[i][j] for j in c] for i in r]) for c in subs] for r in subs]
+        assert all_contained(compound(ab, m, ComplexInterval(0, 0)), exact)
+
+
+@st.composite
+def raw_boxes(draw):
+    """A box straight from its mantissas, over 2^-k for k from -20 to 20."""
+    re = sorted(draw(st.lists(st.integers(-(2**40), 2**40), min_size=2, max_size=2)))
+    im = sorted(draw(st.lists(st.integers(-(2**40), 2**40), min_size=2, max_size=2)))
+    return ComplexInterval(*re, *im, draw(st.integers(-20, 20)))
+
+
+def box_fields(x):
+    return x.rl, x.rh, x.il, x.ih, x.k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(raw_boxes(), min_size=3, max_size=3), min_size=3, max_size=3))
+def test_compound_of_boxes_sums_from_zero(a):
+    # an order-3 sum starts from zero, so a box over a coarse power of two
+    # (k < 0) comes out over zero's 2^0, as the written-out expansion does
+    zero = ComplexInterval(0, 0)
+
+    def det2(i, j):
+        return a[1][i] * a[2][j] - a[1][j] * a[2][i]
+
+    want = zero + a[0][0] * det2(1, 2) - a[0][1] * det2(0, 2) + a[0][2] * det2(0, 1)
+    (got,), = compound(a, 3, zero)
+    assert box_fields(got) == box_fields(want)
 
 
 @settings(max_examples=30, deadline=None)

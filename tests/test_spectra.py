@@ -1,5 +1,6 @@
 """Characteristic polynomials, separation bounds, Newton polygons, wedges."""
 
+import itertools
 import random
 import time
 from fractions import Fraction as F
@@ -14,10 +15,11 @@ from growthcert.intervals import RationalInterval
 from growthcert.polyroots import poly_deriv
 from growthcert.spectra import (
     adjugate_poly,
+    arch_moduli,
     char_poly,
     check_separation,
+    compound,
     discriminant,
-    eigen_report,
     l1_arch_decision,
     l1_finite_decision,
     l1_gap_report,
@@ -217,6 +219,47 @@ def test_wedge_diag_matches_wedge_power():
             )
 
 
+def minors_by_det(rows, m):
+    """Every m x m minor as the determinant of its own SquareMatrix (the reference)."""
+    subs = list(itertools.combinations(range(len(rows)), m))
+    return [
+        [SquareMatrix.from_rows([[rows[i][j] for j in cset] for i in rset]).det() for cset in subs]
+        for rset in subs
+    ]
+
+
+_BIG = 10**300
+
+
+@st.composite
+def _exact_rows(draw):
+    """n x n rows, n = 2..6, of small or 300-digit ints or Fractions."""
+    n = draw(st.integers(2, 6))
+    size = draw(st.sampled_from([9, _BIG]))
+    num = st.integers(-size, size)
+    if draw(st.booleans()):
+        entry = num
+    else:
+        entry = st.builds(F, num, st.integers(1, size))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_exact_rows())
+@example([[F(7 * _BIG + 1, 3 * _BIG - 1)] * 6 for _ in range(6)])
+@example([[(-1) ** (i * j) * (_BIG + i + 7 * j) for j in range(6)] for i in range(6)])
+@example([[F(i + 1, _BIG - j) for j in range(6)] for i in range(6)])
+def test_compound_and_wedge_power_match_per_minor_determinants(rows):
+    a = SquareMatrix.from_rows(rows)
+    for m in range(1, len(rows) + 1):
+        want = minors_by_det(rows, m)
+        got = compound(rows, m, 0)
+        assert [list(r) for r in got] == want
+        if all(isinstance(x, int) for row in rows for x in row):
+            assert all(isinstance(x, int) for row in got for x in row)
+        assert wedge_power(a, m) == SquareMatrix.from_rows(want)
+
+
 def test_wedge_power_rejects_bad_degree():
     a = SquareMatrix.identity(3)
     with pytest.raises(BadExponent):
@@ -233,25 +276,25 @@ def test_archimedean_moduli_contain_rational_eigenvalues():
         a = SquareMatrix.from_rows(
             [[d[i] if i == j else F(0) for j in range(n)] for i in range(n)]
         )
-        encl = eigen_report(a, PlaceSet(()), char_poly(a)).arch_moduli
+        encl = arch_moduli(a, char_poly(a))
         want = sorted((abs(x) for x in d), reverse=True)
         assert len(encl) == n
         for box, true in zip(encl, want):
             assert box.lo <= true <= box.hi
 
 
-def test_eigen_report_fields():
+def test_arch_moduli_and_newton_valuations():
     a = SquareMatrix.from_rows([[5, 2], [2, 1]])
-    rep = eigen_report(a, PlaceSet.from_primes([2, 3]), char_poly(a))
-    assert rep.n == 2
-    assert rep.charpoly == (F(1), F(-6), F(1))
-    valuations = dict(rep.finite_valuations)
-    assert valuations[Place.parse("finite:2")] == (F(0), F(0))
-    assert valuations[Place.parse("finite:3")] == (F(0), F(0))
-    assert Place.parse("finite:5") not in valuations
+    f = char_poly(a)
+    assert f == (F(1), F(-6), F(1))
+    assert newton_polygon_valuations(f, 2) == (F(0), F(0))
+    assert newton_polygon_valuations(f, 3) == (F(0), F(0))
     # both eigenvalues 3 +- 2*sqrt(2) are positive; enclosures must not overlap
-    top, bottom = rep.arch_moduli
+    top, bottom = arch_moduli(a, f)
     assert top.lo > 5 and bottom.hi < 1
+    # the enclosures are as narrow as the precision asks
+    for bits in (64, 200):
+        assert all(iv.hi - iv.lo <= F(5, 2**bits) for iv in arch_moduli(a, f, bits))
 
 
 def test_l1_arch_decision_cases():

@@ -30,14 +30,19 @@ from growthcert.exactnum import (
 )
 from growthcert.intervals import (
     ComplexInterval,
-    cmat_det_small,
     cmat_from_exact,
     cmat_inverse,
     cmat_mul,
     sqrt_upper,
 )
 from growthcert.polyroots import certified_root_structure, rational_roots, squarefree_part
-from growthcert.spectra import char_poly, eigen_report, l1_gap_report
+from growthcert.spectra import (
+    arch_moduli,
+    char_poly,
+    compound,
+    l1_gap_report,
+    newton_polygon_valuations,
+)
 from growthcert.wordforge import (
     AlmostAlgebra,
     ConjugatedPair,
@@ -230,19 +235,19 @@ def test_select_no_gap():
 
 
 def reference_place_order(a, s):
-    """Places by the top eigenvalue modulus from a full eigen_report, largest first.
+    """Places by the top eigenvalue modulus from A's charpoly, largest first.
 
     The order selection used before it read the moduli off the eigenbasis:
-    the archimedean enclosure midpoint and p^(-min v) at each prime.
+    the midpoint of the top arch_moduli enclosure, and p^(-min v) over the
+    Newton polygon valuations at each prime.
     """
-    report = eigen_report(a, s, char_poly(a))
-    valuations = dict(report.finite_valuations)
+    f = char_poly(a)
 
     def key(v):
         if v.is_archimedean:
-            top = report.arch_moduli[0]
+            top = arch_moduli(a, f)[0]
             return (-_sort_float((top.lo + top.hi) / 2), v.sort_key)
-        return (-_sort_float(F(v.prime) ** -min(valuations[v])), v.sort_key)
+        return (-_sort_float(F(v.prime) ** -min(newton_polygon_valuations(f, v.prime))), v.sort_key)
 
     return sorted(s, key=key)
 
@@ -277,9 +282,9 @@ def _selection_input(a, b):
     return pair, PlaceSet(s_support([a]).places + PlaceSet.from_primes([2, 3, 5]).places)
 
 
-def test_select_matches_the_eigen_report_order_on_exact_pairs():
-    # rational spectra: the a_diag moduli equal the report's at every place,
-    # so the selection is the one a full eigen_report would give
+def test_select_matches_the_charpoly_order_on_exact_pairs():
+    # rational spectra: the a_diag moduli equal the charpoly's at every place,
+    # so the selection is the one the full spectral data would give
     rng = random.Random(1313)
     primes = [2, 3, 5, 7]
     values = [
@@ -565,7 +570,7 @@ def cmat_adjugate(a):
                 for r in range(n)
                 if r != i
             )
-            d = cmat_det_small(minor)
+            (d,), = compound(minor, n - 1, ComplexInterval(0, 0))
             out[j][i] = d if (i + j) % 2 == 0 else -d
     return tuple(tuple(row) for row in out)
 
