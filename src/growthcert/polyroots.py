@@ -1,31 +1,30 @@
 """Exact polynomial arithmetic over Q and certified root enclosures.
 
 Polynomials are tuples of Fractions (ascending, trimmed) at the module
-boundary and integer lists inside.  One signed primitive remainder sequence
-over Z (Collins 1967; Brown and Traub 1971) gives the Sturm chain and gcds,
-so squarefree parts and Yun factors by exact integer division; one integer
-Horner gives every sign.  Real roots are isolated by bisection on integer
-mantissas over 2^k; a refined root's cell and a rational root on the grid
-j/a are both found by safeguarded Newton steps on the grid index.
-Non-real roots get dyadic boxes, after MPSolve (Bini and Robol, J. Comput.
-Appl. Math. 272 (2014)): Aberth-Ehrlich seeds (Aberth, Math. Comp. 27
-(1973)) started on the Newton polygon's circles and polished by Newton,
-all in complex integers over 2^k, give Weierstrass inclusion disks of
-radius n|W_i| whose k-disk components hold exactly k roots; a component's
-hull rounds outward to a box, and the precision doubles until the boxes
-separate.  No floating point is used, and every containment
-decision below is an exact comparison.
+boundary and integer lists inside.  A primitive remainder sequence over Z
+(Collins 1967; Brown and Traub 1971) gives gcds, so squarefree parts and
+Yun factors by exact integer division.  Every root comes from one engine,
+after MPSolve (Bini and Robol, J. Comput. Appl. Math. 272 (2014)):
+Aberth-Ehrlich seeds (Aberth, Math. Comp. 27 (1973)) started on the Newton
+polygon's circles and polished by Newton, all in complex integers over
+2^k, give Weierstrass inclusion disks of radius n|W_i| whose k-disk
+components hold exactly k roots (Carstensen, Numer. Math. 59 (1991)).  A
+lone disk whose mirror image meets no other disk holds a real root, exact
+as j/a when an integer Horner says so, and the components above the axis
+round outward to boxes; the precision doubles until every component is
+classified.  No floating point is used, and every containment decision
+below is an exact comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice, zip_longest
+from itertools import count, zip_longest
 from math import gcd, isqrt, lcm
 
 from .errors import PrecisionExhausted
-from .intervals import ComplexInterval, RationalInterval, dyadic_form
+from .intervals import ComplexInterval, RationalInterval
 
 Poly = tuple[Fraction, ...]
 
@@ -96,30 +95,16 @@ def _prem(f: list[int], g: list[int]) -> list[int]:
     return _trim(r)
 
 
-def _remainder_sequence(f: list[int], g: list[int]) -> list[list[int]]:
-    """f, g, then the primitive part of each next -prem, signed as -rem over Q.
-
-    -prem(a, b) = -lc(b)^(deg a - deg b + 1) rem(a, b), so the sign of that
-    power is divided out: every member is a positive multiple of the
-    rational remainder sequence's, which keeps every Sturm sign.  It stops
-    at a constant or at an exact division, so for nonzero f its last
-    nonzero member is gcd(f, g) up to a rational factor.
-    """
-    seq = [f, g]
-    while len(seq[-1]) > 1:
-        a, b = seq[-2], seq[-1]
-        r = _prem(a, b)
-        if not r:
-            break
-        if b[-1] > 0 or (len(a) - len(b)) % 2:
-            r = [-c for c in r]
-        seq.append(_primitive(r))
-    return seq
-
-
 def _gcd(f: list[int], g: list[int]) -> list[int]:
-    """gcd(f, g) for nonzero f, primitive: it divides f and g in Z[x] (Gauss)."""
-    return _primitive([r for r in _remainder_sequence(f, g) if r][-1])
+    """gcd(f, g) for nonzero f, primitive: it divides f and g in Z[x] (Gauss).
+
+    A primitive remainder sequence (Collins 1967; Brown and Traub 1971):
+    each pseudo-remainder, made primitive, is the rational remainder up to
+    a rational factor, so the last nonzero member is the gcd up to one.
+    """
+    while len(g) > 1:
+        f, g = g, _primitive(_prem(f, g))
+    return _primitive(f) if not g else [1]
 
 
 def _divide(f: list[int], g: list[int]) -> list[int]:
@@ -166,10 +151,6 @@ def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
         c, w = _divide(c, a), _divide(w, a)
 
 
-# ---------------------------------------------------------------------------
-# real roots, on integer points over a common denominator
-
-
 def _horner(f: list[int], p: int, q: int) -> int:
     """q^deg(f) f(p/q), by homogeneous Horner in integers."""
     acc, q_pow = 0, 1
@@ -177,187 +158,6 @@ def _horner(f: list[int], p: int, q: int) -> int:
         acc = acc * p + c * q_pow
         q_pow *= q
     return acc
-
-
-def _sign_at(f: list[int], p: int, q: int) -> int:
-    """Sign of f(p/q) for q > 0."""
-    v = _horner(f, p, q)
-    return (v > 0) - (v < 0)
-
-
-def _variations(chain: list[list[int]], p: int, q: int) -> int:
-    """Sign changes of the chain at p/q, q > 0, zeros skipped."""
-    signs = [s for s in (_sign_at(g, p, q) for g in chain) if s]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _nonroot_point(f: list[int], a: int, b: int, k: int) -> tuple[int, int, int]:
-    """(m, j, sign f(m/2^j)) with m/2^j strictly inside (a/2^k, b/2^k), f(m/2^j) != 0.
-
-    The candidates are a + (b - a) t for t = 1/2, 1/4, 3/4, 1/8, ..., so
-    the midpoint comes first; f has at most deg f roots, so deg f + 1
-    candidates suffice.
-    """
-    steps = ((s, t) for s in count(1) for t in range(1, 1 << s, 2))
-    for s, t in islice(steps, len(f)):
-        m = (a << s) + (b - a) * t
-        sign = _sign_at(f, m, 1 << (k + s))
-        if sign:
-            return m, k + s, sign
-    raise AssertionError("polynomial vanished at more points than its degree")
-
-
-def isolate_real_roots(f: Poly) -> list[RationalInterval]:
-    """Disjoint dyadic intervals (lo, hi], one simple real root each, for squarefree f.
-
-    The search runs on integer mantissas over 2^k from (-m, m], m the
-    integer ceiling of cauchy_bound(f), and each split point comes from
-    _nonroot_point, so f(lo) is never 0, as refine_real_root requires.  The
-    left half is split first, so the intervals come out sorted.
-    """
-    if poly_degree(f) < 1:
-        return []
-    ints = _integer_coeffs(f)
-    chain = _remainder_sequence(ints, _deriv(ints))
-    m = 1 - max(abs(c) for c in ints[:-1]) // -abs(ints[-1])
-    out, todo = [], [(-m, m, 0, _variations(chain, -m, 1), _variations(chain, m, 1))]
-    while todo:
-        a, b, k, v_a, v_b = todo.pop()
-        if v_a - v_b == 1:
-            out.append(RationalInterval(Fraction(a, 1 << k), Fraction(b, 1 << k)))
-        elif v_a - v_b > 1:
-            mid, j, _ = _nonroot_point(ints, a, b, k)
-            v_mid = _variations(chain, mid, 1 << j)
-            todo += [(mid, b << (j - k), j, v_mid, v_b), (a << (j - k), mid, j, v_a, v_mid)]
-    return out
-
-
-def refine_real_root(f: Poly, iv: RationalInterval, width: Fraction) -> RationalInterval:
-    """The cell below the width target that bisecting an isolating interval ends in.
-
-    Precondition: f is squarefree, (iv.lo, iv.hi] holds exactly one root r
-    of f, f(iv.lo) != 0 and both ends are dyadic, as isolate_real_roots
-    gives them (a non-dyadic end raises ValueError).  Then a point of
-    (lo, hi) where f is not 0 lies above r exactly when f's sign there
-    differs from its sign at lo.  Bisection L times splits (lo, hi] into the
-    2^L cells of the grid lo + j (hi - lo) / 2^L, and unless one of the
-    grid points is r, it ends in the cell that holds r; _grid_search finds
-    that cell by safeguarded Newton steps on j, every one decided by an
-    exact sign.  Where a grid point is r, bisection meets r as a midpoint
-    and steps around it by _nonroot_point; this function does the same,
-    then searches the interval that bisection goes on with.
-    """
-    ends = [dyadic_form(x) for x in (iv.lo, iv.hi)]
-    if None in ends:
-        raise ValueError(f"isolating interval {iv} has a non-dyadic end")
-    k = max(e for _, e in ends)
-    a, b = (m << (k - e) for m, e in ends)
-    ints = _integer_coeffs(f)
-    sign_lo = _sign_at(ints, a, 1 << k)
-    if not sign_lo:
-        raise ValueError(f"f vanishes at the interval's left end {iv.lo}")
-    w_num, w_den = width.numerator, width.denominator
-    while True:
-        # the bisection depth: the least L with (b - a) / 2^(k + L) <= width
-        over, under = (b - a) * w_den, w_num << k
-        levels = max(0, over.bit_length() - under.bit_length())
-        levels += over > under << levels
-        step, q = b - a, 1 << (k + levels)
-        j, hit = _grid_search(ints, a << levels, step, q, 1, (1 << levels) - 1, sign_lo)
-        x = (a << levels) + j * step
-        if not hit:
-            return RationalInterval(Fraction(x - step, q), Fraction(x, q))
-        # the root x_j is the midpoint of the cell (x_(j - 2^t), x_(j + 2^t)],
-        # 2^t the largest power of two dividing j: bisection reaches that
-        # cell and steps around its midpoint
-        half = (j & -j) * step
-        k += levels
-        m, j, sign = _nonroot_point(ints, x - half, x + half, k)
-        a, b, k = x - half << j - k, x + half << j - k, j
-        if sign == sign_lo:
-            a = m
-        else:
-            b = m
-
-
-def _split_point(lo: int, hi: int) -> int:
-    """A point of [lo, hi] that halves it: 0 across zero, a power of two across many binades."""
-    if lo <= 0 <= hi:
-        return 0
-    if hi < 0:
-        return -_split_point(-hi, -lo)
-    if hi.bit_length() > lo.bit_length() + 1:
-        return 1 << (lo.bit_length() + hi.bit_length() >> 1)
-    return lo + hi >> 1
-
-
-def _grid_search(
-    f: list[int], base: int, step: int, q: int, lo: int, hi: int, sign_lo: int
-) -> tuple[int, bool]:
-    """Place a root among the grid points x_j = (base + j step)/q, step > 0, j in [lo, hi].
-
-    Precondition: x_lo, ..., x_hi lie in an interval that holds one simple
-    root r of f, with f of sign sign_lo below r.  So x_j lies below r
-    exactly when f(x_j) has sign_lo, the undecided points form a bracket,
-    and each evaluation shrinks it.  Returns (j, True) where f(x_j) = 0,
-    and otherwise (j, False) once the bracket is empty, j the least index
-    in [lo, hi] whose point lies above r, or hi + 1 if none does.  The
-    next j is the rounded Newton step j - f/(f' step/q) = j - _horner(f) /
-    (_horner(f') step); one step past the bracket is clamped to it, and
-    otherwise a step out of it, or longer than half the step before last,
-    splits it at _split_point instead (safeguarded Newton, as in rtsafe).
-    """
-    if lo > hi:
-        return lo, False
-    deriv = _deriv(f)
-
-    def split(lo: int, hi: int) -> int:
-        return (_split_point(base + lo * step, base + hi * step) - base) // step
-
-    j, last, span, clamped = split(lo, hi), hi - lo, hi - lo, False
-    while True:
-        x = base + j * step
-        v = _horner(f, x, q)
-        if not v:
-            return j, True
-        if (v > 0) - (v < 0) == sign_lo:
-            lo = j + 1
-        else:
-            hi = j - 1
-        if lo > hi:
-            return lo, False
-        w = _horner(deriv, x, q) * step
-        t = j - (2 * v + w) // (2 * w) if w else None
-        if t is not None and not lo <= t <= hi and not clamped:
-            t, clamped = min(max(t, lo), hi), True
-        elif t is None or not lo <= t <= hi or 2 * abs(j - t) > last:
-            t, clamped = split(lo, hi), False
-        else:
-            clamped = False
-        last, span, j = span, abs(j - t), t
-
-
-def rational_roots(f: Poly) -> list[Fraction]:
-    """All rational roots of squarefree f, each an exact zero of f.
-
-    Scaled to primitive integer coefficients with leading coefficient +-a,
-    f can only have rational roots j/a with j an integer (rational root
-    theorem).  On each isolating interval (lo, hi] the grid points j/a run
-    over floor(a lo) < j <= floor(a hi), and _grid_search finds the one
-    where f vanishes, if any.
-    """
-    if poly_degree(f) < 1:
-        return []
-    ints = _primitive(_integer_coeffs(f))
-    a = abs(ints[-1])
-    roots = []
-    for iv in isolate_real_roots(f):
-        (lo, k), (hi, e) = dyadic_form(iv.lo), dyadic_form(iv.hi)
-        sign_lo = _sign_at(ints, lo, 1 << k)
-        j, hit = _grid_search(ints, 0, 1, a, (a * lo >> k) + 1, a * hi >> e, sign_lo)
-        if hit:
-            roots.append(Fraction(j, a))
-    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +297,17 @@ def _polish(
     return x, y, k
 
 
-def _weierstrass_disks(f: list[int], bits: int) -> tuple[list[tuple[int, int, int]], int]:
+def _weierstrass_disks(f: list[int], w: int, bits: int) -> tuple[list[tuple[int, int, int]], int]:
     """Disks (x, y, r) over 2^k whose union holds every root of f, f(0) != 0, and k.
 
-    The centres are Aberth seeds, run at w = max(64, bits/2) bits and
-    polished by Newton to bits + 64 bits.  The radius is n|W_i| with the
-    Weierstrass correction W_i = f(z_i) / (lc prod_(j != i) (z_i - z_j)),
-    so the inclusion holds whatever the seeds' quality (bad seeds give fat
-    disks).  On the common grid, |W_i| 2^k = |N_i| / (|lc| |D_i|) with
+    The centres are Aberth seeds, run at w bits and polished by Newton to
+    bits + 64 bits.  The radius is n|W_i| with the Weierstrass correction
+    W_i = f(z_i) / (lc prod_(j != i) (z_i - z_j)), so the inclusion holds
+    whatever the seeds' quality (bad seeds give fat disks).  On the common grid, |W_i| 2^k = |N_i| / (|lc| |D_i|) with
     N_i = 2^(kn) f(z_i) and D_i = prod_(j != i) (X_i - X_j), and r is n
     times its isqrt rounded up.
     """
-    n, w, deriv = len(f) - 1, max(64, bits // 2), _deriv(f)
+    n, deriv = len(f) - 1, _deriv(f)
     zs, k = _aberth(f, w)
     polished = [_polish(f, deriv, z, k, w // 2, bits + 64) for z in zs]
     k = max(kk for _, _, kk in polished)
@@ -552,16 +351,44 @@ def _disk_components(disks) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
-def _upper_boxes(f: list[int], bits: int) -> list[ComplexInterval]:
-    """Certified boxes in the upper half plane, one per root they hold.
+def _classify(
+    f: list[int], a: int, disks, k: int, bits: int, width: Fraction
+) -> tuple[list[RationalInterval], list[ComplexInterval]] | None:
+    """Real intervals and upper boxes from one pass of disks over 2^k, or None to refine.
 
-    A component of k touching disks holds exactly k roots, and its hull,
-    rounded out to `bits` significant bits, is reported k times when it
-    lies above the real axis.
+    f has real coefficients, so a root's conjugate is a root too.  A
+    one-disk component that meets the real axis, and whose mirror image
+    meets no other disk, therefore holds a real root: the conjugate lies in
+    the mirror image, so in no other disk, so in this one, which holds only
+    one root.  Every rational root of f is j/a (rational root theorem, a =
+    |lc| of primitive f), and only the j nearest the centre times a can lie
+    in the disk once its diameter is below 1/a: the root is j/a, a point,
+    when the disk holds j/a and f(j/a) = 0 exactly, and otherwise, below
+    that diameter, it is irrational, enclosed by the real part of the
+    disk's hull.  Every other component must lie strictly above or below
+    the axis; the hull of one above is reported once per disk.  Hulls round
+    out to `bits` significant bits.  Returns None while a component is
+    undecided or an enclosure exceeds the width.
     """
-    disks, k = _weierstrass_disks(f, bits)
-    boxes = []
+    one, reals, upper = 1 << k, [], []
     for group in _disk_components(disks):
+        x, y, r = disks[group[0]]
+        real = (
+            len(group) == 1
+            and abs(y) <= r
+            and all(
+                (x - u) ** 2 + (y + v) ** 2 > (r + s) ** 2
+                for i, (u, v, s) in enumerate(disks)
+                if i != group[0]
+            )
+        )
+        if real:
+            j = (2 * x * a + one) >> (k + 1)
+            if (j * one - x * a) ** 2 + (y * a) ** 2 <= (r * a) ** 2 and not _horner(f, j, a):
+                reals.append(RationalInterval.point(Fraction(j, a)))
+                continue
+            if 2 * r * a >= one:
+                return None
         hull = ComplexInterval(
             min(disks[i][0] - disks[i][2] for i in group),
             max(disks[i][0] + disks[i][2] for i in group),
@@ -569,45 +396,74 @@ def _upper_boxes(f: list[int], bits: int) -> list[ComplexInterval]:
             max(disks[i][1] + disks[i][2] for i in group),
             k,
         ).round_out(bits)
-        if hull.il > 0:
-            boxes.extend([hull] * len(group))
-    return boxes
+        # hull.max_width <= width, in integers
+        span = max(hull.rh - hull.rl, hull.ih - hull.il) * width.denominator
+        narrow = span << max(-hull.k, 0) <= width.numerator << max(hull.k, 0)
+        if real:
+            if not narrow:
+                return None
+            reals.append(hull.re)
+        elif hull.il > 0 and narrow:
+            upper.extend([hull] * len(group))
+        elif hull.ih >= 0:
+            return None
+    return reals, upper
 
 
-# box precision doublings certified_root_structure tries, from 120 bits
-_BOX_ATTEMPTS = 10
+# precision doublings certified_root_structure tries past its first pass
+_ATTEMPTS = 10
 
 
 def certified_root_structure(
     f: Poly, width: Fraction
 ) -> tuple[list[RationalInterval], list[ComplexInterval]]:
-    """Split roots of squarefree f into real intervals and off-axis boxes.
+    """Real root intervals, ascending, and off-axis boxes of squarefree f, none wider than width.
 
-    Real count is exact (Sturm).  f has real coefficients, so the non-real
-    roots are the upper half plane's and their conjugates: once the boxes
-    above the axis hold (deg f - real count)/2 roots, they and their mirror
-    images enclose every non-real root.  Escalation doubles the box
-    precision, at most _BOX_ATTEMPTS times, until that holds and every box
-    meets the width target.
+    Every root comes from one pass of _weierstrass_disks, classified by
+    _classify: a rational root is a point interval, an irrational real
+    root an interval of the real axis, and the boxes above the axis with
+    their mirror images enclose the non-real roots.  A root at 0 is split
+    off first.  The first pass polishes to the width target's bits plus the
+    root bound's bits plus 8, enough for a root of modulus up to the bound
+    to meet the width, and never below 120 bits, the box precision that
+    recorded spectrum reports pin for coarse targets.  Its Aberth seeds
+    run at 64 bits: they only need to separate the roots, and Newton's
+    polish gives the rest.  Both precisions double, at most _ATTEMPTS
+    times, until every root is classified within the width.
     """
-    n = poly_degree(f)
-    real_ivs = [refine_real_root(f, iv, width) for iv in isolate_real_roots(f)]
-    rho = len(real_ivs)
-    if rho == n:
-        return real_ivs, []
     ints = _primitive(_integer_coeffs(f))
-    # a root at 0 is real: the non-real roots are those of f / x
-    ints = ints[1:] if not ints[0] else ints
-    bits = 120
-    for _ in range(_BOX_ATTEMPTS):
+    # f is squarefree, so 0 is at most a simple root; the others are f / x's
+    reals = [] if ints[0] else [RationalInterval.point(0)]
+    ints = ints if ints[0] else ints[1:]
+    if len(ints) < 2:
+        return reals, []
+    a = abs(ints[-1])
+    bits = max(0, width.denominator.bit_length() - width.numerator.bit_length())
+    bits = max(120, bits + (max(map(abs, ints[:-1])) // a).bit_length() + 8)
+    w = 64
+    for _ in range(_ATTEMPTS):
         try:
-            upper = _upper_boxes(ints, bits)
+            found = _classify(ints, a, *_weierstrass_disks(ints, w, bits), bits, width)
         except PrecisionExhausted:
-            upper = []
-        if 2 * len(upper) == n - rho and all(b.max_width <= width for b in upper):
-            return real_ivs, upper + [ComplexInterval(b.rl, b.rh, -b.ih, -b.il, b.k) for b in upper]
-        bits *= 2
+            found = None
+        if found is not None:
+            real_ivs, upper = found
+            lower = [ComplexInterval(b.rl, b.rh, -b.ih, -b.il, b.k) for b in upper]
+            return sorted(reals + real_ivs, key=lambda iv: iv.lo), upper + lower
+        w, bits = 2 * w, 2 * bits
     raise PrecisionExhausted(f"could not certify root structure at width {width}")
+
+
+def rational_roots(f: Poly) -> list[Fraction]:
+    """All rational roots of squarefree f, ascending, each an exact zero of f.
+
+    They are the point intervals of certified_root_structure.  Width 1 asks
+    little more than that needs: a root is certified irrational only once
+    its disk is narrower than 1/a <= 1.
+    """
+    if poly_degree(f) < 1:
+        return []
+    return [iv.lo for iv in certified_root_structure(f, Fraction(1))[0] if iv.lo == iv.hi]
 
 
 def modulus_enclosures(f: Poly, width: Fraction) -> list[RationalInterval]:
@@ -618,13 +474,6 @@ def modulus_enclosures(f: Poly, width: Fraction) -> list[RationalInterval]:
     """
     out: list[RationalInterval] = []
     for factor, mult in yun_decomposition(f):
-        if poly_degree(factor) == 0:
-            continue
-        exact = {r: None for r in rational_roots(factor)}
-        if len(exact) == poly_degree(factor):
-            for r in exact:
-                out.extend([RationalInterval.point(abs(r))] * mult)
-            continue
         real_ivs, boxes = certified_root_structure(factor, width)
         for iv in real_ivs:
             out.extend([iv.abs_interval()] * mult)

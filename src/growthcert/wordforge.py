@@ -39,7 +39,7 @@ from .intervals import (
     sqrt_upper,
 )
 from .pingpong import LConditions, bound_table, check_l_conditions, entry_bounds
-from .polyroots import Poly, certified_root_structure, rational_roots, squarefree_part
+from .polyroots import certified_root_structure, squarefree_part
 from .spectra import adjugate_poly, char_poly, compound, wedge_diag
 
 SYM_A = Word.generator(0)
@@ -78,11 +78,14 @@ def _interval_mid(x) -> float | Fraction:
     return _sort_float(abs(x))
 
 
-def _root_boxes(f: Poly, a: SquareMatrix, bits: int) -> list[ComplexInterval]:
-    """Root boxes of A's charpoly f, 2^-bits * max(1, |A|) wide, by midpoint modulus descending."""
-    width = Fraction(1, 2**bits) * max(Fraction(1), a.max_abs_entry())
-    real_ivs, boxes = certified_root_structure(f, width)
-    lambdas = [ComplexInterval.from_box(iv.lo, iv.hi, 0, 0) for iv in real_ivs] + list(boxes)
+def _root_boxes(real_ivs, boxes, bits: int) -> list[ComplexInterval]:
+    """Root boxes from certified_root_structure's result, by midpoint modulus descending.
+
+    A rational point that is not dyadic rounds out at 4 * bits, the
+    eigenbasis precision, so its box tightens as bits escalates.
+    """
+    lambdas = [ComplexInterval.from_box(iv.lo, iv.hi, 0, 0, 4 * bits) for iv in real_ivs]
+    lambdas += boxes
     lambdas.sort(
         key=lambda z: (
             -_interval_mid(z),
@@ -157,13 +160,14 @@ def diagonalize(a: SquareMatrix, sort_place: Place = ARCH, bits: int = 128):
     f, d, mats = adjugate_poly(a)
     if squarefree_part(f) != f:
         raise ValueError("A must have a squarefree characteristic polynomial")
-    roots = rational_roots(f)
-    if len(roots) == a.n:
-        lambdas = sorted(roots, key=lambda lam: (-abs_value(lam, sort_place), lam))
+    width = Fraction(1, 2**bits) * max(Fraction(1), a.max_abs_entry())
+    real_ivs, boxes = certified_root_structure(f, width)
+    if not boxes and all(iv.lo == iv.hi for iv in real_ivs):
+        lambdas = sorted((iv.lo for iv in real_ivs), key=lambda lam: (-abs_value(lam, sort_place), lam))
     elif not sort_place.is_archimedean:
         raise Inconclusive("finite sort place needs a rational eigenbasis")
     else:
-        lambdas = _root_boxes(f, a, bits)
+        lambdas = _root_boxes(real_ivs, boxes, bits)
     p, p_inv = _eigenbasis(d, mats, lambdas, bits)
     return tuple(lambdas), p, p_inv
 

@@ -520,6 +520,13 @@ def test_outputs_past_the_int_to_str_limit_end_quickly(capsys, tmp_path, argv, w
         assert doc["failed_stage"] == "derive_exponent"
 
 
+def sl4_file(tmp_path, big):
+    """g = [[0, -1], [1, -1]] + diag(big, 1/big) and h = [[1, 1], [0, 1]] + I_2."""
+    g = [[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, big, 0], [0, 0, 0, f"1/{big}"]]
+    h = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    return write_json(tmp_path / "sl4.json", {"n": 4, "generators": [g, h]})
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [(["certify", "SL4"], 4), (["spectrum", "SL4", "--word", "0"], 0)],
@@ -529,16 +536,31 @@ def test_root_seeds_that_do_not_converge_escalate(capsys, tmp_path, argv, want):
     # g = [[0, -1], [1, -1]] + diag(10^150, 10^-150): root seeds that do not
     # converge on its charpoly at the first precisions must escalate instead
     # of escaping as a traceback
-    big = 10**150
-    g = [[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, big, 0], [0, 0, 0, f"1/{big}"]]
-    h = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    gens = write_json(tmp_path / "sl4.json", {"n": 4, "generators": [g, h]})
+    gens = sl4_file(tmp_path, 10**150)
     start = time.perf_counter()
     code, out, err = run(capsys, [gens if arg == "SL4" else arg for arg in argv])
     assert time.perf_counter() - start < 30
     assert code == want and not err
     if code == 4:
         assert json.loads(out)["schema"] == "growthcert.failure.v1"
+
+
+def test_the_ten_to_the_300_sl4_file_ends_quickly(capsys, tmp_path):
+    # 10^300 and 10^-300 are exact points among g's eigenvalues, so the gap
+    # grid decides g at once, and the pair search ends in finding no generic
+    # partner for it
+    gens = sl4_file(tmp_path, 10**300)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["certify", gens])
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (4, "")
+    assert json.loads(out)["failed_stage"] == "find_regular_pair"
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["spectrum", gens, "--word", "0"])
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    moduli = json.loads(out)["arch_moduli"]
+    assert moduli[0] == [str(10**300)] * 2 and moduli[-1] == [f"1/{10**300}"] * 2
 
 
 def test_a_json_number_past_the_digit_limit_exits_2(capsys, tmp_path):

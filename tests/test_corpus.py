@@ -36,7 +36,7 @@ from unittest import mock
 
 import pytest
 
-from growthcert import cli, wordforge
+from growthcert import cli, polyroots, wordforge
 from growthcert.intervals import ComplexInterval
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -177,6 +177,59 @@ def test_box_sort_keys_match_the_fraction_reference(tmp_path, capsys):
     assert all(key(x) == fraction_interval_mid(x) for x in boxes)
     huge = ComplexInterval(2**600, 2**600, 0, 0, -1000)
     assert key(huge) == fraction_interval_mid(huge) == Fraction(2**3200)
+
+
+# the polyroots functions verify may enter: the exact gcd kernel that
+# squarefree_part needs, and the disk engine behind certified_root_structure
+DISK_ENGINE = {
+    "poly_from",
+    "poly_degree",
+    "poly_monic",
+    "_integer_coeffs",
+    "_trim",
+    "_primitive",
+    "_deriv",
+    "_prem",
+    "_gcd",
+    "_divide",
+    "squarefree_part",
+    "_horner",
+    "_chorner",
+    "_cdiv",
+    "_unit",
+    "_newton_polygon_starts",
+    "_aberth",
+    "_polish",
+    "_weierstrass_disks",
+    "_disk_components",
+    "_classify",
+    "certified_root_structure",
+}
+
+
+def test_verify_enters_only_the_disk_engine_in_polyroots(tmp_path, capsys):
+    # the trusted path: every polyroots function that verify runs on the
+    # certificates and the tampers, nested code counted as its enclosing
+    # top-level function, is on the allowlist
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == polyroots.__file__:
+            entered.add(frame.f_code.co_qualname.split(".")[0])
+
+    jobs = [(i, INPUTS[i]["certify"]["certificate"]) for i in CERTIFIED]
+    jobs += [(t["of"], t["certificate"]) for t in CORPUS["tampers"]]
+    for input_id, cert in jobs:
+        argv = ["verify", write(tmp_path, "cert.json", cert), generator_file(tmp_path, input_id)]
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            cli.main(argv)
+        finally:
+            sys.setprofile(previous)
+        capsys.readouterr()
+    assert "certified_root_structure" in entered
+    assert entered <= DISK_ENGINE, sorted(entered - DISK_ENGINE)
 
 
 def record_traces() -> None:

@@ -18,6 +18,7 @@ from growthcert.intervals import (
     dyadic_floor,
     sqrt_upper,
 )
+from growthcert.polyroots import certified_root_structure
 from growthcert.spectra import adjugate_poly, compound
 from growthcert.wordforge import _eigenbasis, _root_boxes, diagonalize
 
@@ -209,7 +210,8 @@ def test_enclosed_eigenbasis_contains_exact_eigenbasis(p_rows, lambdas, bits):
     a = p * M(diag(lambdas)) * p.inverse()
     exact, _, _ = diagonalize(a)
     f, d, mats = adjugate_poly(a)
-    boxes = _root_boxes(f, a, bits)
+    width = F(1, 2**bits) * max(F(1), a.max_abs_entry())
+    boxes = _root_boxes(*certified_root_structure(f, width), bits)
     p_enc, p_inv_enc = _eigenbasis(d, mats, boxes, bits)
     assert list(exact) == sorted(lambdas, key=lambda lam: -abs(lam))
     assert len(boxes) == len(exact)

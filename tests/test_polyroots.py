@@ -1,8 +1,10 @@
 """Polynomial kernel tests.
 
 The Fraction kernel below (long division, Fraction Sturm sign variations,
-bisection to the rational-root grid) is the reference for the integer
-kernel in polyroots: every integer routine must give exactly its answers.
+bisection to the rational-root grid) is the reference for polyroots: the
+integer gcd kernel must give exactly its answers, and the disk engine its
+real root count and rational roots, with every real interval holding one
+of its roots.
 """
 
 import random
@@ -20,22 +22,17 @@ from growthcert import polyroots
 from growthcert.errors import PrecisionExhausted
 from growthcert.intervals import ComplexInterval, RationalInterval, sqrt_upper
 from growthcert.polyroots import (
-    _deriv,
     _disk_components,
     _gcd,
     _integer_coeffs,
-    _nonroot_point,
-    _remainder_sequence,
     cauchy_bound,
     certified_root_structure,
-    isolate_real_roots,
     modulus_enclosures,
     poly_degree,
     poly_deriv,
     poly_from,
     poly_monic,
     rational_roots,
-    refine_real_root,
     squarefree_part,
     yun_decomposition,
 )
@@ -179,25 +176,6 @@ def reference_isolate_real_roots(f):
     return out
 
 
-def reference_refine_real_root(f, iv, width):
-    """Dyadic bisection that counts Sturm sign variations at every step (the reference).
-
-    It takes the dyadic isolating intervals that isolate_real_roots gives.
-    """
-    assert all(x.denominator & (x.denominator - 1) == 0 for x in (iv.lo, iv.hi))
-    chain = sturm_chain(f)
-    lo, hi = iv.lo, iv.hi
-    v_lo = sign_variations(chain, lo)
-    while hi - lo > width:
-        mid = _reference_nonroot_point(f, lo, hi)
-        v_mid = sign_variations(chain, mid)
-        if v_lo - v_mid == 1:
-            hi = mid
-        else:
-            lo, v_lo = mid, v_mid
-    return RationalInterval(lo, hi)
-
-
 def reference_rational_roots(f):
     """Bisect each isolating interval by sign to width 1/a; test the one grid point left."""
     if poly_degree(f) < 1:
@@ -219,14 +197,6 @@ def reference_rational_roots(f):
         if cand <= hi and poly_eval(f, cand) == 0:
             roots.append(cand)
     return roots
-
-
-def _outcome(fn, *args):
-    """fn's result, or the type of the exception with which it gives up."""
-    try:
-        return fn(*args)
-    except PrecisionExhausted as exc:
-        return type(exc)
 
 
 def _poly_with_roots(roots):
@@ -285,7 +255,8 @@ def test_rational_roots_exhaustive():
 
 
 def test_rational_roots_large_denominator():
-    # 1/3^200 lies far inside any fixed-width bisection interval around it
+    # the grid j/a has a = 3^200, so the root 5 is certified only once its
+    # disk is narrower than 3^-200
     f = poly_mul(
         poly_mul(poly_from([-1, 3**200]), poly_from([-5, 1])), poly_from([-2, 0, 1])
     )
@@ -324,10 +295,9 @@ def test_rational_roots_match_rational_root_theorem(linear, extra):
 def test_rational_roots_skips_irrational():
     f = poly_from([F(-2), F(0), F(1)])  # x^2 - 2
     assert rational_roots(f) == []
-    # x^3 - 10x^2 + x: (11/256, 11/64] isolates 5 - sqrt(24) and holds no
-    # point of the grid Z, so no point is tested there (not even 0, a root)
+    # x^3 - 10x^2 + x: 0 is a root, and also the grid point nearest the
+    # irrational root 5 - sqrt(24); it is reported once
     f = poly_from([0, 1, -10, 1])
-    assert isolate_real_roots(f)[1] == RationalInterval(F(11, 256), F(11, 64))
     assert rational_roots(f) == [F(0)]
 
 
@@ -347,14 +317,18 @@ def test_sturm_counts():
 
 
 def test_isolate_and_refine():
-    roots = [F(-3, 2), F(1, 3), F(2)]
-    f = _poly_with_roots(roots)
-    ivs = isolate_real_roots(f)
-    assert len(ivs) == 3
-    for iv, r in zip(sorted(ivs, key=lambda i: i.lo), roots):
-        tight = refine_real_root(f, iv, F(1, 2**30))
-        assert tight.contains(r)
-        assert tight.hi - tight.lo <= F(1, 2**30)
+    # two rational roots come out as points, the irrational ones as
+    # intervals below the width, all ascending
+    f = poly_mul(_poly_with_roots([F(-3, 2), F(1, 3)]), poly_from([-2, 0, 1]))
+    real_ivs, boxes = certified_root_structure(f, F(1, 2**30))
+    assert boxes == []
+    assert [iv.lo for iv in real_ivs if iv.lo == iv.hi] == [F(-3, 2), F(1, 3)]
+    irrational = [iv for iv in real_ivs if iv.lo < iv.hi]
+    assert len(irrational) == 2
+    for iv in irrational:
+        assert iv.hi - iv.lo <= F(1, 2**30)
+        assert count_real_roots(f, iv.lo, iv.hi) == 1
+    assert real_ivs == sorted(real_ivs, key=lambda iv: iv.lo)
 
 
 def test_certified_root_structure_real_only():
@@ -451,99 +425,32 @@ def test_modulus_enclosures_random_rational_roots():
             assert enc.contains(m)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(-40, 40), min_size=2, max_size=7).filter(lambda cs: cs[-1] != 0),
-    st.integers(1, 300),
-)
-def test_sign_bisection_matches_sturm_bisection(ints, k):
-    f = poly_from(ints)
-    assume(poly_degree(poly_gcd(f, poly_deriv(f))) == 0)
-    width = F(1, 2**k)
-    for iv in isolate_real_roots(f):
-        assert refine_real_root(f, iv, width) == reference_refine_real_root(f, iv, width)
-    new = _outcome(certified_root_structure, f, width)
-    with mock.patch.object(polyroots, "refine_real_root", reference_refine_real_root):
-        ref = _outcome(certified_root_structure, f, width)
-    assert new == ref
+def test_a_lone_disk_whose_mirror_meets_another_disk_is_not_real():
+    # x^2 + x + 1 has roots -1/2 +- i sqrt(3)/2.  A sloppy first pass, over
+    # 2^7: a disk that holds the upper root and meets the axis, and a thin
+    # one around the lower root that its mirror image meets.  The first
+    # disk's component is then undecided, and the next pass decides it.
+    f = poly_from([1, 1, 1])
+    real_disks = polyroots._weierstrass_disks
+    passes = []
 
+    def sloppy_first(ints, w, bits):
+        passes.append(bits)
+        if len(passes) == 1:
+            return [(-64, 54, 60), (-64, -111, 8)], 7
+        return real_disks(ints, w, bits)
 
-def test_refine_takes_fallback_when_midpoint_is_the_root():
-    # (2x - 1)(x - 3)(x + 5): (0, 1] isolates 1/2, its midpoint
-    f = poly_mul(poly_mul(poly_from([-1, 2]), poly_from([-3, 1])), poly_from([5, 1]))
-    assert poly_eval(f, F(1, 2)) == 0
-    # 1/4 = 1/2^2, where f > 0
-    assert _nonroot_point(_integer_coeffs(f), 0, 1, 0) == (1, 2, 1)
-    iv = RationalInterval(F(0), F(1))
-    for width in (F(1, 2), F(1, 2**20), F(1, 2**200)):
-        tight = refine_real_root(f, iv, width)
-        assert tight == reference_refine_real_root(f, iv, width)
-        assert tight.lo < F(1, 2) <= tight.hi
-    with pytest.raises(ValueError):
-        refine_real_root(f, RationalInterval(F(1, 2), F(1)), F(1, 2**10))
-
-
-@pytest.mark.parametrize(
-    "factors, rational",
-    [
-        ([[F(-1, 2), 1], [-2, 0, 1]], [F(1, 2)]),
-        ([[F(-3, 4), 1], [F(5, 8), 1], [-3, 0, 1]], [F(-5, 8), F(3, 4)]),
-    ],
-    ids=["(x-1/2)(x^2-2)", "(x-3/4)(x+5/8)(x^2-3)"],
-)
-def test_refine_steps_around_rational_roots_on_dyadic_midpoints(factors, rational):
-    f = poly_from([1])
-    for factor in factors:
-        f = poly_mul(f, poly_from(factor))
-    assert rational_roots(f) == rational
-    ints = _integer_coeffs(f)
-    for width in (F(1, 2), F(1, 2**20), F(1, 2**64), F(1, 2**256)):
-        for iv in isolate_real_roots(f):
-            tight = refine_real_root(f, iv, width)
-            assert tight == reference_refine_real_root(f, iv, width)
-            assert tight.hi - tight.lo <= width
-            assert all(x.denominator & (x.denominator - 1) == 0 for x in (tight.lo, tight.hi))
-            assert iv.lo <= tight.lo and tight.hi <= iv.hi
-            assert count_real_roots(f, tight.lo, tight.hi) == 1
-    # where the midpoint 1/2 of (0, 1] is a root, the next candidate is 1/4
-    m, j, _ = _nonroot_point(ints, 0, 1, 0)
-    assert F(m, 2**j) == (F(1, 4) if F(1, 2) in rational else F(1, 2))
-
-
-def test_refine_keeps_an_interval_already_below_the_width():
-    # x - 10x^2: (-1/16, 1/32] isolates 0 across zero, so no grid is searched
-    f = poly_from([0, 1, -10])
-    assert isolate_real_roots(f)[0] == RationalInterval(F(-1, 16), F(1, 32))
-    for iv in isolate_real_roots(f):
-        for width in (iv.hi - iv.lo, F(1, 2)):
-            assert refine_real_root(f, iv, width) == iv
-
-
-def test_refine_rejects_a_non_dyadic_end():
-    # (x - 1/3)(x - 3/7): (34/100, 1/2] isolates 3/7, but 34/100 is no
-    # integer over a power of two
-    f = poly_mul(poly_from([F(-1, 3), 1]), poly_from([F(-3, 7), 1]))
-    for iv in (RationalInterval(F(34, 100), F(1, 2)), RationalInterval(F(3, 8), F(3, 7))):
-        with pytest.raises(ValueError, match="non-dyadic"):
-            refine_real_root(f, iv, F(1, 2**10))
-    assert refine_real_root(f, RationalInterval(F(3, 8), F(1, 2)), F(1, 2**10)).contains(F(3, 7))
-
-
-def test_remainder_sequence_is_the_sturm_chain_up_to_positive_factors():
-    f = _poly_with_roots([F(-1), F(1, 3), F(2), F(5, 2)])
-    f = poly_mul(f, poly_from([F(1, 7), F(-3), F(-2)]))  # -2x^2 - 3x + 1/7
-    ints = _integer_coeffs(f)
-    chain = sturm_chain(f)
-    seq = _remainder_sequence(ints, _deriv(ints))
-    assert len(seq) == len(chain)
-    for member, ref in zip(seq, chain):
-        scale = member[-1] / ref[-1]
-        assert scale > 0 and poly_from(member) == tuple(scale * c for c in ref)
+    with mock.patch.object(polyroots, "_weierstrass_disks", sloppy_first):
+        real_ivs, boxes = certified_root_structure(f, F(1))
+    assert len(passes) == 2
+    assert real_ivs == [] and len(boxes) == 2
+    # both roots have real part -1/2 and modulus 1
+    assert all(b.re.contains(F(-1, 2)) and b.mag_sq().contains(F(1)) for b in boxes)
 
 
 def test_rational_roots_far_apart_in_scale():
-    # the grid j/a has a = 10^600: bisection down to width 1/a took about
-    # 4,000 steps per root, the Newton bracket a few dozen
+    # the grid j/a has a = 10^600, so each root's disk must come below
+    # 10^-600 before it is decided
     f = poly_mul(poly_from([-(10**600), 1]), poly_from([-1, 10**600]))
     assert rational_roots(f) == [F(1, 10**600), F(10**600)]
     g = poly_mul(poly_from([-(10**600) - 1, 1]), poly_from([-2, 0, 1]))
@@ -590,21 +497,93 @@ def test_squarefree_part_and_yun_match_the_fraction_reference(f):
     assert yun_decomposition(f) == reference_yun(f)
 
 
+def assert_matches_the_fraction_reference(g, width):
+    """The disk engine on squarefree g against the Sturm reference.
+
+    The real count and the rational roots must be the reference's, the
+    rational roots as points; every other real interval holds exactly one
+    root by Sturm's count, and the intervals are disjoint, so no root is
+    reported twice.
+    """
+    ref_real = reference_isolate_real_roots(g)
+    ref_rational = reference_rational_roots(g)
+    real_ivs, boxes = certified_root_structure(g, width)
+    assert len(real_ivs) == len(ref_real)
+    assert len(boxes) == poly_degree(g) - len(ref_real)
+    assert all(b.max_width <= width for b in boxes)
+    assert [iv.lo for iv in real_ivs if iv.lo == iv.hi] == ref_rational
+    assert rational_roots(g) == ref_rational
+    for iv in real_ivs:
+        assert iv.hi - iv.lo <= width
+        assert iv.lo == iv.hi or count_real_roots(g, iv.lo, iv.hi) == 1
+    assert all(x.hi < y.lo for x, y in zip(real_ivs, real_ivs[1:]))
+
+
 @settings(max_examples=40, deadline=None)
-@given(rational_polys(), st.integers(1, 200))
+@given(rational_polys(), st.integers(1, 300))
 def test_real_roots_match_the_fraction_reference(f, k):
-    g = reference_squarefree_part(f)
-    width = F(1, 2**k)
-    assert isolate_real_roots(g) == reference_isolate_real_roots(g)
-    assert rational_roots(g) == reference_rational_roots(g)
-    new = _outcome(certified_root_structure, g, width)
-    with mock.patch.multiple(
-        polyroots,
-        isolate_real_roots=reference_isolate_real_roots,
-        refine_real_root=reference_refine_real_root,
-    ):
-        ref = _outcome(certified_root_structure, g, width)
-    assert new == ref
+    assert_matches_the_fraction_reference(reference_squarefree_part(f), F(1, 2**k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-40, 40), min_size=2, max_size=7).filter(lambda cs: cs[-1] != 0),
+    st.integers(1, 300),
+)
+def test_sign_bisection_matches_sturm_bisection(ints, k):
+    # squarefree integer polynomials: the real cells located by the sign
+    # tests of the disk engine against Sturm's count and bisection
+    f = poly_from(ints)
+    assume(poly_degree(poly_gcd(f, poly_deriv(f))) == 0)
+    assert_matches_the_fraction_reference(f, F(1, 2**k))
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize(
+    "factors",
+    [
+        # 1 +- i 2^-150 and -5
+        [[1 + F(1, 2**300), -2, 1], [5, 1]],
+        # two conjugate pairs, and two pairs of real roots, 10^-40 apart
+        [[1, 0, 1], [1 + F(1, 10**40), 0, 1]],
+        [[-2, 0, 1], [-2 - F(1, 10**40), 0, 1]],
+        [[-(10**300), 1], [-F(1, 10**300), 1], [1, 1, 1]],
+        # -10^-120 and 10^120 + 10^-120, near the integers 0 and 10^120
+        [[-1, -(10**120), 1]],
+        # 1/3 +- 10^-60/3 on the grid j/a, a = 3 10^120
+        [[1 - F(1, 10**120), -6, 9], [-2, 1]],
+        # a rational root on a grid of spacing 1/a, a near 3 10^200
+        [[-(10**200 + 1), 3 * 10**200 - 1], [-2, 0, 1]],
+        [[0, 1], [-2, 0, 1], [1, 0, 1]],
+        # the grid point nearest sqrt 2 is the root 1
+        [[-1, 1], [-2, 0, 1]],
+        # rational roots on dyadic midpoints of bisection
+        [[-1, 2], [-3, 1], [5, 1]],
+        [[F(-1, 2), 1], [-2, 0, 1]],
+        [[F(-3, 4), 1], [F(5, 8), 1], [-3, 0, 1]],
+    ],
+    ids=[
+        "near-axis-pair",
+        "close-conjugate-pairs",
+        "close-real-pairs",
+        "ten-to-the-300",
+        "irrational-near-integers",
+        "irrational-near-one-third",
+        "huge-denominator",
+        "root-at-zero",
+        "rational-nearest-an-irrational",
+        "dyadic-midpoint-root",
+        "half-and-root-two",
+        "dyadic-rationals-and-root-three",
+    ],
+)
+def test_hard_cases_match_the_fraction_reference(factors, bits):
+    f = poly_from([1])
+    for factor in factors:
+        f = poly_mul(f, poly_from(factor))
+    start = time.perf_counter()
+    assert_matches_the_fraction_reference(f, F(1, 2**bits))
+    assert time.perf_counter() - start < 10
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +640,7 @@ def reference_off_axis_boxes(f, width):
     """The off-axis boxes of the mpmath route, doubling the digits from 30."""
     import mpmath
 
-    n_complex = poly_degree(f) - len(isolate_real_roots(f))
+    n_complex = poly_degree(f) - len(reference_isolate_real_roots(f))
     dps = 30
     for _ in range(10):
         try:
@@ -679,7 +658,7 @@ def reference_off_axis_boxes(f, width):
 def test_off_axis_boxes_match_the_mpmath_reference(f, k):
     mpmath = pytest.importorskip("mpmath")
     g = reference_squarefree_part(f)
-    assume(len(isolate_real_roots(g)) < poly_degree(g))
+    assume(len(reference_isolate_real_roots(g)) < poly_degree(g))
     width = F(1, 2**k)
     _, boxes = certified_root_structure(g, width)
     ref = reference_off_axis_boxes(g, width)

@@ -492,6 +492,17 @@ def test_diagonalize_enclosed_vieta():
     assert prod.re.lo <= 1 <= prod.re.hi
 
 
+@pytest.mark.parametrize("bits", [64, 512])
+def test_diagonalize_a_rational_eigenvalue_among_boxes_is_as_tight_as_bits(bits):
+    # charpoly (x - 1/3)(x^2 - 2): 1/3 is an exact point of the root engine,
+    # and its box among the others must tighten with bits, although no
+    # dyadic box holds it exactly
+    a = M([[F(1, 3), 0, 0], [0, 0, 2], [0, 1, 0]])
+    lambdas, _, _ = diagonalize(a, bits=bits)
+    box = next(z for z in lambdas if z.contains(F(1, 3)))
+    assert F(0) < box.max_width <= F(2, 2**bits)
+
+
 def test_diagonalized_pair_deterministic():
     a, b = M([[5, 2], [2, 1]]), M([[1, 2], [0, 1]])
     p1 = diagonalized_pair(a, b, Word.parse("0 1"), WA)
