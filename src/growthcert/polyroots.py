@@ -3,12 +3,12 @@
 Polynomials are tuples of Fractions (ascending, trimmed) at the module
 boundary and integer lists inside.  A primitive remainder sequence over Z
 (Collins 1967; Brown and Traub 1971) gives gcds, so squarefree parts and
-Yun factors by exact integer division.  Every root comes from one engine,
-after MPSolve (Bini and Robol, J. Comput. Appl. Math. 272 (2014)):
-Aberth-Ehrlich seeds (Aberth, Math. Comp. 27 (1973)) started on the Newton
-polygon's circles and polished by Newton, all in complex integers over
-2^k, give Weierstrass inclusion disks of radius n|W_i| whose k-disk
-components hold exactly k roots (Carstensen, Numer. Math. 59 (1991)).  A
+Yun factors by exact integer division.  Every root comes from one
+Weierstrass (Durand-Kerner) iteration in complex integers over 2^k,
+started on the Newton polygon's circles after MPSolve (Bini and Robol,
+J. Comput. Appl. Math. 272 (2014)): the correction W_i that moves each
+centre also bounds its disk, of radius n|W_i|, and a component of k such
+disks holds exactly k roots (Carstensen, Numer. Math. 59 (1991)).  A
 lone disk whose mirror image meets no other disk holds a real root, exact
 as j/a when an integer Horner says so, and the components above the axis
 round outward to boxes; the precision doubles until every component is
@@ -161,8 +161,8 @@ def _horner(f: list[int], p: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# complex enclosures: Aberth seeds and Weierstrass inclusion disks, all on
-# complex integer mantissas (x + iy) over a power of two 2^k
+# complex enclosures: Weierstrass inclusion disks, found and bounded by one
+# iteration on complex integer mantissas (x + iy) over a power of two 2^k
 
 
 def _chorner(f: list[int], x: int, y: int, k: int) -> tuple[int, int]:
@@ -202,7 +202,7 @@ def _unit(num: int, den: int) -> tuple[int, int]:
 
 
 def _newton_polygon_starts(f: list[int]) -> list[tuple[int, int, int]]:
-    """Aberth starting points (e, u, v), each (u + iv) 2^(e - 64), for f with f(0) != 0.
+    """Starting centres (e, u, v), each (u + iv) 2^(e - 64), for f with f(0) != 0.
 
     Each edge from i to j of the upper convex hull of the points
     (i, bit length of a_i) stands for j - i roots of modulus about
@@ -235,98 +235,65 @@ def _newton_polygon_starts(f: list[int]) -> list[tuple[int, int, int]]:
     return starts
 
 
-def _aberth(f: list[int], w: int) -> tuple[list[list[int]], int]:
-    """Approximations [x, y] over 2^k to all roots of f, f(0) != 0, and k.
-
-    The grid gives the smallest predicted root about w bits.  Gauss-Seidel
-    sweeps of the Aberth-Ehrlich correction 1 / (f'/f(z_i) - sum_j
-    1/(z_i - z_j)), in fixed point 2^g with g w bits past the largest
-    mantissa, run until none moves its root by 2^(-w/2) of its modulus.
-    Seeds in a cluster of close roots gain about two bits a sweep until
-    they resolve it, so w + 32 sweeps are allowed.  Raises
-    PrecisionExhausted if the sweeps run out or two seeds meet.
-    """
-    starts = _newton_polygon_starts(f)
-    k = max(0, w + 8 - min(e for e, _, _ in starts))
-    zs = [[u << (k + e) >> 64, v << (k + e) >> 64] for e, u, v in starts]
-    deriv = _deriv(f)
-    for _ in range(w + 32):
-        g = w + 8 + max(max(abs(x), abs(y)) for x, y in zs).bit_length()
-        moving = False
-        for i, z in enumerate(zs):
-            x, y = z
-            hr, hi = _chorner(f, x, y, k)
-            if not hr and not hi:
-                continue
-            tr, ti = _cdiv(*_chorner(deriv, x, y, k), hr, hi, g)
-            for j, (u, v) in enumerate(zs):
-                if j != i:
-                    if u == x and v == y:
-                        raise PrecisionExhausted("coincident root seeds")
-                    dr, di = _cdiv(1, 0, x - u, y - v, g)
-                    tr, ti = tr - dr, ti - di
-            if not tr and not ti:
-                continue
-            cr, ci = _cdiv(1, 0, tr, ti, g)
-            z[0], z[1] = x - cr, y - ci
-            if (cr * cr + ci * ci) << w > x * x + y * y:
-                moving = True
-        if not moving:
-            return zs, k
-    raise PrecisionExhausted(f"Aberth seeds did not settle at {w} bits")
-
-
-def _polish(
-    f: list[int], deriv: list[int], z: list[int], k: int, bits: int, target: int
-) -> tuple[int, int, int]:
-    """Newton steps from z/2^k, right to about `bits` bits, with doubling precision.
-
-    Each step runs on the grid that gives the root `bits` + 8 bits, until
-    `target`; returns (x, y, k) on the last grid.
-    """
-    x, y = z
-    while bits < target:
-        bits = min(2 * bits, target)
-        kk = max(0, bits + 8 + k - max(abs(x), abs(y)).bit_length())
-        x, y = (x << kk - k, y << kk - k) if kk >= k else (x >> k - kk, y >> k - kk)
-        k = kk
-        dr, di = _chorner(deriv, x, y, k)
-        if dr or di:
-            cr, ci = _cdiv(*_chorner(f, x, y, k), dr, di, 0)
-            x, y = x - cr, y - ci
-    return x, y, k
+def _bits(x: int, y: int) -> int:
+    """The bit length of max(|x|, |y|): log2 |x + iy| to within one."""
+    return max(abs(x), abs(y)).bit_length()
 
 
 def _weierstrass_disks(f: list[int], w: int, bits: int) -> tuple[list[tuple[int, int, int]], int]:
     """Disks (x, y, r) over 2^k whose union holds every root of f, f(0) != 0, and k.
 
-    The centres are Aberth seeds, run at w bits and polished by Newton to
-    bits + 64 bits.  The radius is n|W_i| with the Weierstrass correction
-    W_i = f(z_i) / (lc prod_(j != i) (z_i - z_j)), so the inclusion holds
-    whatever the seeds' quality (bad seeds give fat disks).  On the common grid, |W_i| 2^k = |N_i| / (|lc| |D_i|) with
-    N_i = 2^(kn) f(z_i) and D_i = prod_(j != i) (X_i - X_j), and r is n
-    times its isqrt rounded up.
+    One Weierstrass (Durand-Kerner) iteration both finds the centres and
+    bounds the disks.  On a grid that gives the smallest predicted root p +
+    8 bits, each Jacobi sweep takes, at the current centres X_i,
+    N_i = 2^(kn) f(X_i/2^k) and D_i = lc prod_(j != i) (X_i - X_j), so that
+    N_i/D_i is the Weierstrass correction W_i = f(z_i) / (lc prod_(j != i)
+    (z_i - z_j)) times 2^k.  A sweep is settled when every |W_i| is below
+    2^(-p/2) |z_i|, read off bit lengths; that only steers the iteration.
+    The centres start on the Newton polygon's circles with p = w and move
+    by X_i -= N_i/D_i; a settled sweep doubles p, to at most bits + 64, and
+    its step lands on the finer grid, 2^s X_i - 2^s N_i/D_i.  The settled
+    sweep at bits + 64 returns its own centres with radius n|W_i|, n
+    times the isqrt of |N_i|^2/|D_i|^2, both rounded up, so the inclusion
+    holds whatever the centres' quality (bad centres give fat disks).
+    Raises PrecisionExhausted if w + 32 sweeps at one precision do not
+    settle, or two centres meet.
     """
-    n, deriv = len(f) - 1, _deriv(f)
-    zs, k = _aberth(f, w)
-    polished = [_polish(f, deriv, z, k, w // 2, bits + 64) for z in zs]
-    k = max(kk for _, _, kk in polished)
-    zs = [(x << k - kk, y << k - kk) for x, y, kk in polished]
-    lc_sq = f[-1] * f[-1]
-    disks = []
-    for i, (x, y) in enumerate(zs):
-        nr, ni = _chorner(f, x, y, k)
-        dr, di = 1, 0
-        for j, (u, v) in enumerate(zs):
-            if j != i:
-                dr, di = dr * (x - u) - di * (y - v), dr * (y - v) + di * (x - u)
-        d_sq = dr * dr + di * di
-        if not d_sq:
-            raise PrecisionExhausted("coincident root seeds")
-        q = -(-(nr * nr + ni * ni) // (lc_sq * d_sq))
-        r = isqrt(q)
-        disks.append((x, y, n * (r + (r * r < q))))
-    return disks, k
+    n, lc, top = len(f) - 1, f[-1], bits + 64
+    starts = _newton_polygon_starts(f)
+    low = 8 - min(e for e, _, _ in starts)
+    p, k = w, max(0, w + low)
+    zs = [(u << (k + e) >> 64, v << (k + e) >> 64) for e, u, v in starts]
+    sweeps = 0
+    while True:
+        sweep, settled = [], True
+        for i, (x, y) in enumerate(zs):
+            dr, di = lc, 0
+            for j, (u, v) in enumerate(zs):
+                if j != i:
+                    dr, di = dr * (x - u) - di * (y - v), dr * (y - v) + di * (x - u)
+            if not dr and not di:
+                raise PrecisionExhausted("coincident root centres")
+            nr, ni = _chorner(f, x, y, k)
+            settled = settled and _bits(nr, ni) + p // 2 < _bits(x, y) + _bits(dr, di)
+            sweep.append((nr, ni, dr, di))
+        if settled and p == top:
+            disks = []
+            for (x, y), (nr, ni, dr, di) in zip(zs, sweep):
+                q = -(-(nr * nr + ni * ni) // (dr * dr + di * di))
+                r = isqrt(q)
+                disks.append((x, y, n * (r + (r * r < q))))
+            return disks, k
+        s = 0
+        if settled:
+            p, sweeps = min(2 * p, top), 0
+            s = max(0, p + low) - k
+            k += s
+        elif sweeps == w + 32:
+            raise PrecisionExhausted(f"Weierstrass sweeps did not settle at {p} bits")
+        sweeps += 1
+        steps = [_cdiv(*ws, s) for ws in sweep]
+        zs = [((x << s) - cr, (y << s) - ci) for (x, y), (cr, ci) in zip(zs, steps)]
 
 
 def _disk_components(disks) -> list[list[int]]:
@@ -423,13 +390,14 @@ def certified_root_structure(
     _classify: a rational root is a point interval, an irrational real
     root an interval of the real axis, and the boxes above the axis with
     their mirror images enclose the non-real roots.  A root at 0 is split
-    off first.  The first pass polishes to the width target's bits plus the
-    root bound's bits plus 8, enough for a root of modulus up to the bound
-    to meet the width, and never below 120 bits, the box precision that
-    recorded spectrum reports pin for coarse targets.  Its Aberth seeds
-    run at 64 bits: they only need to separate the roots, and Newton's
-    polish gives the rest.  Both precisions double, at most _ATTEMPTS
-    times, until every root is classified within the width.
+    off first.  The first pass's box precision is the width target's bits
+    plus the root bound's bits plus 8, enough for a root of modulus up to
+    the bound to meet the width, and never below 120 bits, the precision
+    that recorded spectrum reports pin for coarse targets.  Its centres
+    start at 64 bits, where they only need to separate the roots, and the
+    iteration carries them to 64 bits past the box precision.  Both
+    precisions double, at most _ATTEMPTS times, until every root is
+    classified within the width.
     """
     ints = _primitive(_integer_coeffs(f))
     # f is squarefree, so 0 is at most a simple root; the others are f / x's

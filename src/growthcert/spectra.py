@@ -14,6 +14,7 @@ constant 2 and twice the second largest modulus.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -34,6 +35,7 @@ from .polyroots import (
     cauchy_bound,
     modulus_enclosures,
     poly_degree,
+    poly_deriv,
     squarefree_part,
 )
 
@@ -95,8 +97,6 @@ def discriminant(f: Poly) -> Fraction:
         raise ValueError("discriminant needs degree >= 1")
     if d == 1:
         return Fraction(1)
-    from .polyroots import poly_deriv
-
     res = _sylvester_resultant(f, poly_deriv(f))
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * res
@@ -127,8 +127,6 @@ def _newton_max_modulus_bound(f: Poly, p: int) -> Fraction:
     vals = newton_polygon_valuations(f, p)
     vmin = min(vals)
     # modulus p^(-v); round the exponent up so the bound stays rational
-    import math
-
     exp = math.ceil(-vmin)
     return Fraction(p) ** exp
 

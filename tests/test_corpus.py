@@ -198,8 +198,7 @@ DISK_ENGINE = {
     "_cdiv",
     "_unit",
     "_newton_polygon_starts",
-    "_aberth",
-    "_polish",
+    "_bits",
     "_weierstrass_disks",
     "_disk_components",
     "_classify",

@@ -368,7 +368,7 @@ def test_certified_root_structure_roots_far_from_the_unit_circle():
 
 def test_certified_root_structure_roots_near_ten_to_the_300():
     # the same polynomial with a and -d near 10^300: roots of moduli 10^300
-    # and 10^-150, each polished on its own grid
+    # and 10^-150, on one grid fine enough for the smaller
     a, d = 10**300 + 7, -(10**300) + 3
     f = poly_mul(poly_from([F(3), F(2), F(a)]), poly_from([F(d), F(1)]))
     start = time.perf_counter()
@@ -385,7 +385,7 @@ def test_certified_root_structure_roots_near_ten_to_the_300():
         # hull points (0, 1), (2, 2), (3, 2), (4, 1): two edges whose slopes
         # round to the same circle
         ([[1, 1, 2, 3, 1]], 2, []),
-        # two conjugate pairs 10^-40 apart: the seeds resolve the cluster
+        # two conjugate pairs 10^-40 apart: the centres resolve the cluster
         # only once the grid does
         ([[1, 0, 1], [1 + F(1, 10**40), 0, 1]], 0, [(0, 1), (0, -1)]),
         # a conjugate pair 2^-150 off the axis
@@ -538,52 +538,91 @@ def test_sign_bisection_matches_sturm_bisection(ints, k):
     assert_matches_the_fraction_reference(f, F(1, 2**k))
 
 
-@pytest.mark.parametrize("bits", [64, 256])
-@pytest.mark.parametrize(
-    "factors",
-    [
-        # 1 +- i 2^-150 and -5
-        [[1 + F(1, 2**300), -2, 1], [5, 1]],
-        # two conjugate pairs, and two pairs of real roots, 10^-40 apart
-        [[1, 0, 1], [1 + F(1, 10**40), 0, 1]],
-        [[-2, 0, 1], [-2 - F(1, 10**40), 0, 1]],
-        [[-(10**300), 1], [-F(1, 10**300), 1], [1, 1, 1]],
-        # -10^-120 and 10^120 + 10^-120, near the integers 0 and 10^120
-        [[-1, -(10**120), 1]],
-        # 1/3 +- 10^-60/3 on the grid j/a, a = 3 10^120
-        [[1 - F(1, 10**120), -6, 9], [-2, 1]],
-        # a rational root on a grid of spacing 1/a, a near 3 10^200
-        [[-(10**200 + 1), 3 * 10**200 - 1], [-2, 0, 1]],
-        [[0, 1], [-2, 0, 1], [1, 0, 1]],
-        # the grid point nearest sqrt 2 is the root 1
-        [[-1, 1], [-2, 0, 1]],
-        # rational roots on dyadic midpoints of bisection
-        [[-1, 2], [-3, 1], [5, 1]],
-        [[F(-1, 2), 1], [-2, 0, 1]],
-        [[F(-3, 4), 1], [F(5, 8), 1], [-3, 0, 1]],
-    ],
-    ids=[
-        "near-axis-pair",
-        "close-conjugate-pairs",
-        "close-real-pairs",
-        "ten-to-the-300",
-        "irrational-near-integers",
-        "irrational-near-one-third",
-        "huge-denominator",
-        "root-at-zero",
-        "rational-nearest-an-irrational",
-        "dyadic-midpoint-root",
-        "half-and-root-two",
-        "dyadic-rationals-and-root-three",
-    ],
-)
-def test_hard_cases_match_the_fraction_reference(factors, bits):
+# squarefree products whose roots are hard to find or to classify
+HARD_CASES = [
+    # 1 +- i 2^-150 and -5
+    pytest.param([[1 + F(1, 2**300), -2, 1], [5, 1]], id="near-axis-pair"),
+    # two conjugate pairs, and two pairs of real roots, 10^-40 apart
+    pytest.param([[1, 0, 1], [1 + F(1, 10**40), 0, 1]], id="close-conjugate-pairs"),
+    pytest.param([[-2, 0, 1], [-2 - F(1, 10**40), 0, 1]], id="close-real-pairs"),
+    pytest.param([[-(10**300), 1], [-F(1, 10**300), 1], [1, 1, 1]], id="ten-to-the-300"),
+    # -10^-120 and 10^120 + 10^-120, near the integers 0 and 10^120
+    pytest.param([[-1, -(10**120), 1]], id="irrational-near-integers"),
+    # 1/3 +- 10^-60/3 on the grid j/a, a = 3 10^120
+    pytest.param([[1 - F(1, 10**120), -6, 9], [-2, 1]], id="irrational-near-one-third"),
+    # a rational root on a grid of spacing 1/a, a near 3 10^200
+    pytest.param([[-(10**200 + 1), 3 * 10**200 - 1], [-2, 0, 1]], id="huge-denominator"),
+    pytest.param([[0, 1], [-2, 0, 1], [1, 0, 1]], id="root-at-zero"),
+    # the grid point nearest sqrt 2 is the root 1
+    pytest.param([[-1, 1], [-2, 0, 1]], id="rational-nearest-an-irrational"),
+    # rational roots on dyadic midpoints of bisection
+    pytest.param([[-1, 2], [-3, 1], [5, 1]], id="dyadic-midpoint-root"),
+    pytest.param([[F(-1, 2), 1], [-2, 0, 1]], id="half-and-root-two"),
+    pytest.param([[F(-3, 4), 1], [F(5, 8), 1], [-3, 0, 1]], id="dyadic-rationals-and-root-three"),
+]
+
+
+def product(factors):
     f = poly_from([1])
     for factor in factors:
         f = poly_mul(f, poly_from(factor))
+    return f
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("factors", HARD_CASES)
+def test_hard_cases_match_the_fraction_reference(factors, bits):
+    f = product(factors)
     start = time.perf_counter()
     assert_matches_the_fraction_reference(f, F(1, 2**bits))
     assert time.perf_counter() - start < 10
+
+
+NEWTON_POLYGON_STARTS = polyroots._newton_polygon_starts
+
+
+def starts_on_one_wrong_circle(f):
+    # every start on the circle of radius 2^7, whatever the roots' moduli
+    n = len(f) - 1
+    return [(7, *polyroots._unit(m, n)) for m in range(n)]
+
+
+def starts_shifted(f):
+    # the Newton polygon's starts, each moved by three times its circle's radius
+    return [(e, u + (3 << 64), v) for e, u, v in NEWTON_POLYGON_STARTS(f)]
+
+
+@pytest.mark.parametrize("bad_starts", [starts_on_one_wrong_circle, starts_shifted])
+@pytest.mark.parametrize("factors", HARD_CASES)
+def test_bad_starts_give_the_reference_answer_or_precision_exhausted(factors, bad_starts):
+    # the starts only propose centres: whatever they are, the disks either
+    # certify the reference's answer or the engine gives up
+    f = product(factors)
+    with mock.patch.object(polyroots, "_newton_polygon_starts", bad_starts):
+        try:
+            assert_matches_the_fraction_reference(f, F(1, 2**64))
+        except PrecisionExhausted:
+            pass
+
+
+@pytest.mark.parametrize("factors", HARD_CASES)
+def test_each_radius_is_n_times_the_correction_at_its_own_centre(factors):
+    # r/2^k is n |W_i| at the returned centres, rounded up by less than n/2^k,
+    # with W_i = f(z_i) / (lc prod_(j != i) (z_i - z_j)) in Fractions
+    ints = polyroots._primitive(_integer_coeffs(product(factors)))
+    ints = ints if ints[0] else ints[1:]
+    n, lc = len(ints) - 1, ints[-1]
+    disks, k = polyroots._weierstrass_disks(ints, 64, 120)
+    zs = [(F(x, 2**k), F(y, 2**k)) for x, y, _ in disks]
+    for i, (z, (_, _, r)) in enumerate(zip(zs, disks)):
+        den = (F(lc), F(0))
+        for u, v in zs[:i] + zs[i + 1 :]:
+            a, b = z[0] - u, z[1] - v
+            den = (den[0] * a - den[1] * b, den[0] * b + den[1] * a)
+        num = _complex_horner(poly_from(ints), z)
+        w_sq = (num[0] ** 2 + num[1] ** 2) / (den[0] ** 2 + den[1] ** 2) * 4**k
+        assert F(r, n) ** 2 >= w_sq
+        assert r < n or F(r - n, n) ** 2 < w_sq
 
 
 # ---------------------------------------------------------------------------
