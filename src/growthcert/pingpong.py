@@ -392,7 +392,7 @@ def _prime_start(h: int) -> int:
 
 def _screen_prime_start(h: int) -> int:
     """Where the screen's prime search starts for the input hash h."""
-    return 2**29 + (h >> 128) % 2**29
+    return 2**27 + (h >> 128) % 2**27
 
 
 def _fingerprint(
@@ -405,8 +405,9 @@ def _fingerprint(
     refuses past 4300 digits).  The resolver's p is the least prime at or
     above _prime_start(h) that divides no entry denominator, and
     x = (1, r, ..., r^(n-1)) mod p with r taken from other bits of h.  With
-    screen=True the same rule gives the screen's q from
-    _screen_prime_start(h) and its row y from yet other bits of h.
+    screen=True the same rule gives the screen's q from _screen_prime_start(h)
+    in [2^27, 2^28), low enough for its Montgomery slots (_screen), and its
+    row y from yet other bits of h.
     A fixed prime lets a crafted input make every word congruent (2^61 - 1
     is also the modulus of Python's int hash), and a fixed row such as e_n
     keys every word alike when u and w share a left fixed vector.
@@ -464,35 +465,22 @@ def _key_basis(y: tuple[int, ...], q: int) -> tuple[tuple, tuple]:
     return _mul_mod(shear(0, 1), shear(1, 1), q), _mul_mod(shear(1, -1), shear(0, -1), q)
 
 
-def _reduce_slots(cols: list[int], q: int, ones: int) -> list[int]:
-    """cols with each 64-bit slot x of every packed int replaced by x mod q.
+def _montgomery_slots(cols: list[int], q: int, ones: int) -> list[int]:
+    """cols with each 64-bit slot x of every packed int replaced by (x + m q) / 2^32.
 
-    ones has a 1 in bit 0 of each slot, and 2^6 <= q < 2^32.  This is
-    Barrett's reduction (P. Barrett, CRYPTO '86) on every slot at once.  Let
-    2^k < q < 2^(k+1) and x = 2^32 h + l.
-    - Round 1: m1 = floor(2^(32+k) / q) < 2^32, so h * m1 fits a slot, and
-      t1 = floor(h * m1 / 2^k) has x/q - 2^(33-k) - 1 < t1 <= x/q, so
-      x1 = x - t1 q < 2^35.
-    - Round 2: m2 = floor(2^(29+k) / q) < 2^29, so x1 * m2 fits a slot,
-      and t2 = floor(x1 * m2 / 2^(29+k)) has x1/q - 2^(6-k) - 1 < t2 <= x1/q,
-      so x2 = x1 - t2 q < 2q.
-    - Adding 2^33 - q sets bit 33 exactly when x2 >= q, and that bit
-      subtracts q once more.
-    Every product fits its slot and every difference is nonnegative, so no
-    slot carries into or borrows from another; after each right shift a
-    mask drops the bits that came down from the slot above.
+    ones has a 1 in bit 0 of each slot, q is odd and below 2^29, and every slot
+    holds x < 2^32 q: Montgomery's reduction (Math. Comp. 44, 1985), slot-wise.
+    - m = (x mod 2^32) * (-q^-1) mod 2^32 makes x + m q a multiple of 2^32,
+      so the result is congruent to x * 2^-32 mod q.
+    - The product (x mod 2^32) * (-q^-1) < 2^64 fits its slot, and m < 2^32
+      gives x + m q < 2^33 q < 2^62, so no slot carries into another.
+    - The low 32 bits of every x + m q are zero, so the right shift brings
+      down only zeros from the slot above, and gives x / 2^32 + m q / 2^32
+      < 2q: no per-slot correction.
     """
-    k = q.bit_length() - 1
-    m1, m2 = (1 << 32 + k) // q, (1 << 29 + k) // q
-    low, mask1, mask2, lift = (
-        ones * c for c in (2**32 - 1, 2 ** (64 - k) - 1, 2 ** (35 - k) - 1, 2**33 - q)
-    )
-    out = []
-    for x in cols:
-        x -= ((((x >> 32) & low) * m1 >> k) & mask1) * q
-        x -= ((x * m2 >> 29 + k) & mask2) * q
-        out.append(x - (((x + lift) >> 33) & ones) * q)
-    return out
+    low = ones * (2**32 - 1)
+    neg_inv = -pow(q, -1, 2**32) % 2**32
+    return [x + ((x & low) * neg_inv & low) * q >> 32 for x in cols]
 
 
 def _layer_keys(u: SquareMatrix, w: SquareMatrix, q: int, y: tuple[int, ...], depth: int):
@@ -500,23 +488,33 @@ def _layer_keys(u: SquareMatrix, w: SquareMatrix, q: int, y: tuple[int, ...], de
 
     The key is the first two coordinates c_1 + 2^32 c_2 of y * M * Z mod q,
     Z from _key_basis: a function of M mod q.  The letters are conjugated
-    once to Z^-1 G Z mod q, and the state starts at y * Z.  Layer k + 1
-    lists the words of layer k times the first letter, then times the
-    second.  The layer is held column-wise: coordinate i of every word's
-    row packed into one int, in 64-bit slots, so a letter costs n scalar
-    products of big ints per column, and the two letters' blocks are joined
-    by one shift.  No slot carries while n * (q - 1)^2 < 2^64, and
-    _reduce_slots brings every slot below q again without unpacking.
+    once to Z^-1 G Z mod q, times 2^32, and the state starts at y * Z.
+    Layer k + 1 lists the words of layer k times the first letter, then
+    times the second; the last layer computes only the two key columns.
+    The layer is held column-wise: coordinate i of every word's row packed
+    into one int, in 64-bit slots, so a letter costs n scalar products of
+    big ints per column, and the two letters' blocks are joined by one
+    shift.  With state slots below 2q and 2 n q < 2^32, a product slot is
+    below n * 2q * q < 2^32 q, and _montgomery_slots brings it back below
+    2q, congruent to the state times the letter.  Adding 2^30 - q to a key
+    half below 2q < 2^30 sets its bit 30 exactly when it is at least q and
+    carries out of neither half, so that bit subtracts q once.
     """
     z, z_inv = _key_basis(y, q)
-    letters = [tuple(zip(*_mul_mod(_mul_mod(z_inv, _residue_rows(g, q), q), z, q))) for g in (u, w)]
-    cols = _mul_mod([y], z, q)[0]
-    ones = 1
+    z_mont = tuple(tuple(x << 32 for x in row) for row in z)
+    letters = [
+        tuple(zip(*_mul_mod(_mul_mod(z_inv, _residue_rows(g, q), q), z_mont, q))) for g in (u, w)
+    ]
+    cols, ones = _mul_mod([y], z, q)[0], 1
     for k in range(depth):
+        if k == depth - 1:
+            letters = [letter[:2] for letter in letters]
         first, second = ([sum(map(mul, cols, col)) for col in letter] for letter in letters)
         ones |= ones << (64 << k)
-        cols = _reduce_slots([a | b << (64 << k) for a, b in zip(first, second)], q, ones)
-        yield memoryview((cols[0] | cols[1] << 32).to_bytes(16 << k, sys.byteorder)).cast("Q")
+        cols = _montgomery_slots([a | b << (64 << k) for a, b in zip(first, second)], q, ones)
+        halves, key = ones | ones << 32, cols[0] | cols[1] << 32
+        key -= ((key + (2**30 - q) * halves) >> 30 & halves) * q
+        yield memoryview(key.to_bytes(16 << k, sys.byteorder)).cast("Q")
 
 
 def _screen(u: SquareMatrix, w: SquareMatrix, depth: int) -> bool:
@@ -525,11 +523,13 @@ def _screen(u: SquareMatrix, w: SquareMatrix, depth: int) -> bool:
     The keys are _layer_keys', each a function of the word's matrix mod q,
     so distinct keys mean distinct matrices.  For n = 2 a key determines
     y * M mod q, since Z is invertible.  False means a clash, n = 1, or a q
-    outside 2^6 <= q with n * (q - 1)^2 < 2^64: the range where _layer_keys'
-    slots do not carry and _reduce_slots is exact.
+    outside 2 < q < 2^29 with 2 n q < 2^32, where -q^-1 mod 2^32 exists,
+    _montgomery_slots' slots do not carry and stay below 2q, and key halves
+    stay below 2^30.  The hashed q (from [2^27, 2^28)) passes for n <= 7,
+    for n = 8 while q < 2^28, and for no n >= 16.
     """
     q, y = _fingerprint(u, w, screen=True)
-    if u.n < 2 or q < 2**6 or u.n * (q - 1) ** 2 >= 2**64:
+    if u.n < 2 or not 2 < q < 2**29 or 2 * u.n * q >= 2**32:
         return False
     seen: set[int] = set()
     words = 0
@@ -598,13 +598,13 @@ def find_semigroup_collision(
     Reduction mod a prime is a ring map on the rationals whose denominators
     it does not divide, so words with distinct keys mod that prime have
     distinct matrices.  The screen (_screen) reduces whole packed layers
-    modulo a 30-bit prime q, keys each word by one int read from them, and
-    returns None when every key is distinct and the 2^(depth+1) - 2 words
-    fit the budget.  Otherwise the resolver
-    (_resolve) walks the words in shortlex order modulo a 62-bit prime p,
-    multiplies out only the words whose keys clash, and returns the first
-    exact collision or raises BudgetExceeded at the same word as without
-    the screen.  An input built so that q divides every entry of u - w
+    modulo a 28-bit prime q by Montgomery's step, keys each word by one int
+    read from them, and returns None when every key is distinct and the
+    2^(depth+1) - 2 words fit the budget.  Otherwise the resolver (_resolve)
+    walks the words in shortlex order modulo a 62-bit prime p, multiplies
+    out only the words whose keys clash, and returns the first exact
+    collision or raises BudgetExceeded at the same word as without the
+    screen.  An input built so that q divides every entry of u - w
     only hands it over to the resolver.
     """
     # the bit-length test keeps a huge depth from building 2^depth

@@ -465,7 +465,7 @@ def test_generators_congruent_to_identity_mod_screen_prime_certify_quickly(
 ):
     # both generators are the identity modulo the oracle's screen prime, so
     # the screen keys every word alike and hands the words to the resolver
-    q = 2**29
+    q = 2**27
     while not is_prime(q):
         q += 1
     monkeypatch.setattr(pingpong, "_screen_prime_start", lambda h: q)

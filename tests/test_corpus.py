@@ -36,7 +36,7 @@ from unittest import mock
 
 import pytest
 
-from growthcert import cli, polyroots, wordforge
+from growthcert import cli, pingpong, polyroots, wordforge
 from growthcert.intervals import ComplexInterval
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +106,25 @@ def test_verify_rejects_the_recorded_tamper(tmp_path, capsys, tamper):
     code, doc = run(capsys, ["verify", cert, generator_file(tmp_path, tamper["of"])])
     assert (code, doc["valid"]) == (5, False)
     assert doc["reason"] == TAMPER_REASONS[tamper["id"]]
+
+
+def test_the_screen_alone_clears_every_corpus_oracle(tmp_path, capsys, monkeypatch):
+    # every depth-12 oracle of the corpus ends in the screen: a guard or a
+    # prime range that handed the words to the resolver fails here, not
+    # only in the bench
+    def refuse(*args):
+        raise AssertionError("the resolver should not run on the corpus")
+
+    monkeypatch.setattr(pingpong, "_resolve", refuse)
+    for input_id, item in INPUTS.items():
+        want = item["certify"]
+        code, doc = run(capsys, ["certify", generator_file(tmp_path, input_id)])
+        assert code == want["exit"], input_id
+        assert doc == want["certificate"] if code == 0 else doc["failed_stage"] == want["failed_stage"]
+    for input_id in CERTIFIED:
+        cert = write(tmp_path, "cert.json", INPUTS[input_id]["certify"]["certificate"])
+        code, doc = run(capsys, ["verify", cert, generator_file(tmp_path, input_id)])
+        assert (code, doc["valid"]) == (0, True), input_id
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """Cone checks, exponent search, freeness oracle, certificates."""
 
 import json
-import math
 import random
 import time
 from fractions import Fraction as F
@@ -519,18 +518,28 @@ _entry = st.builds(F, st.integers(-3, 3), st.integers(1, 7))
 
 @st.composite
 def _oracle_case(draw):
-    n = draw(st.integers(2, 3))
+    # the screen's slot bound 2 n q < 2^32 depends on n and is tightest at n = 6;
+    # shallower words for n >= 4 keep the Fraction reference quick
+    n = draw(st.integers(2, 6))
     row = st.lists(_entry, min_size=n, max_size=n)
     u, w = (
         SquareMatrix.from_rows(draw(st.lists(row, min_size=n, max_size=n))) for _ in range(2)
     )
-    return u, w, draw(st.integers(1, 7)), draw(st.integers(1, 300))
+    return u, w, draw(st.integers(1, 7 if n <= 3 else 4)), draw(st.integers(1, 300))
+
+
+def largest_slot_prime(n):
+    """The largest prime q with 2 n q < 2^32 and q < 2^29, the screen's slot bound."""
+    q = min(2**29 - 1, (2**31 - 1) // n)
+    while not is_prime(q):
+        q -= 1
+    return q
 
 
 @pytest.mark.parametrize(
     "prime, screen",
-    [(None, None), (7, None), (None, 7), (7, 7)],
-    ids=["None", "7", "None-screen7", "7-screen7"],
+    [(None, None), (7, None), (None, 7), (7, 7), (None, "largest")],
+    ids=["None", "7", "None-screen7", "7-screen7", "None-screen-largest"],
 )
 @settings(max_examples=60, deadline=None)
 @given(case=_oracle_case())
@@ -539,16 +548,8 @@ def test_oracle_matches_fraction_reference(prime, screen, case):
         if prime is not None:
             force_prime(mp, prime)
         if screen is not None:
-            force_screen_prime(mp, screen)
+            force_screen_prime(mp, largest_slot_prime(case[0].n) if screen == "largest" else screen)
         assert outcome(find_semigroup_collision, *case) == outcome(reference_collision, *case)
-
-
-def largest_slot_prime(n):
-    """The largest prime q with n * (q - 1)^2 < 2^64, the screen's slot bound."""
-    q = math.isqrt((2**64 - 1) // n) + 1
-    while not (is_prime(q) and n * (q - 1) ** 2 < 2**64):
-        q -= 1
-    return q
 
 
 def screen_keys(u, w, depth):
@@ -574,8 +575,10 @@ def word_keys(u, w, depth):
     return layers
 
 
-# the least prime the screen's slot reduction accepts (q >= 2^6)
+# a screen prime far below the hashed range [2^27, 2^28)
 LOW_SCREEN_PRIME = 67
+# a prime inside it
+MID_SCREEN_PRIME = 3 * 2**26 + 29
 
 
 @pytest.mark.parametrize("screen", [None, "low", "largest"])
@@ -600,7 +603,7 @@ def test_screen_keys_match_word_keys(monkeypatch, screen):
 
 def test_key_basis_is_invertible_and_hashed():
     for n in range(2, 7):
-        for q in (LOW_SCREEN_PRIME, first_prime_from(2**29), largest_slot_prime(n)):
+        for q in (LOW_SCREEN_PRIME, MID_SCREEN_PRIME, largest_slot_prime(n)):
             for r in (0, 1, 2, q - 1, random.Random(n * q).randrange(q)):
                 y = tuple(pow(r, k, q) for k in range(n))
                 z, z_inv = pingpong._key_basis(y, q)
@@ -628,7 +631,7 @@ def test_hashed_key_columns_tell_apart_words_sharing_their_first_columns(monkeyp
 def tuple_key_screen(u, w, depth):
     """The screen's verdict from tuple keys y * M mod q, a vector-times-letter product per word."""
     q, y = pingpong._fingerprint(u, w, screen=True)
-    if u.n * (q - 1) ** 2 >= 2**64:
+    if 2 * u.n * q >= 2**32:
         return False
     letters = [pingpong._residue_rows(g, q) for g in (u, w)]
     seen, layer, words = set(), [y], 0
@@ -676,23 +679,31 @@ def slot_values(x, slots):
     return [x >> 64 * i & 2**64 - 1 for i in range(slots)]
 
 
+def montgomery_step(x, q):
+    """(x + m q) / 2^32 for one int x, m = (x mod 2^32) * (-q^-1) mod 2^32."""
+    return (x + (x % 2**32) * (-pow(q, -1, 2**32)) % 2**32 * q) // 2**32
+
+
 @pytest.mark.parametrize("n", range(1, 7))
-def test_slot_reduction_matches_remainder(n):
+def test_montgomery_slots_match_the_scalar_step(n):
     rng = random.Random(n)
-    for q in (LOW_SCREEN_PRIME, first_prime_from(2**30 - 100), largest_slot_prime(n)):
-        top = n * (q - 1) ** 2
-        edges = [0, q - 1, q, 2 * q - 1, top]
+    for q in (LOW_SCREEN_PRIME, MID_SCREEN_PRIME, largest_slot_prime(n)):
+        # the largest product slot a layer makes, and the largest the step accepts
+        top, limit = n * (2 * q - 1) * (q - 1), 2**32 * q - 1
+        edges = [0, q - 1, q, 2 * q - 1, top, limit]
         for slots in (1, 2, 3, 8, 63, 64, 65, 256, 511, 512, 513):
             values = [
-                rng.choice(edges) if rng.random() < 0.5 else rng.randint(0, top) for _ in range(slots)
+                rng.choice(edges) if rng.random() < 0.5 else rng.randint(0, limit)
+                for _ in range(slots)
             ]
             values[0], values[-1] = rng.choice(edges), rng.choice(edges)
             ones = packed([1] * slots)
-            reduced = pingpong._reduce_slots([packed(values), packed(values[::-1])], q, ones)
-            assert [slot_values(x, slots) for x in reduced] == [
-                [v % q for v in values],
-                [v % q for v in values[::-1]],
-            ]
+            reduced = pingpong._montgomery_slots([packed(values), packed(values[::-1])], q, ones)
+            want = [[montgomery_step(v, q) for v in vs] for vs in (values, values[::-1])]
+            assert [slot_values(x, slots) for x in reduced] == want
+            # every slot is below 2q and congruent to x / 2^32 mod q
+            inv = pow(2, -32, q)
+            assert all(r < 2 * q and (r - v * inv) % q == 0 for r, v in zip(want[0], values))
 
 
 def refuse(*args):
@@ -726,17 +737,29 @@ def test_tiny_screen_prime_hands_over_to_resolver(monkeypatch):
         assert find_semigroup_collision(u, w) == words
 
 
-def test_slot_bound_skips_screen(monkeypatch):
-    largest = largest_slot_prime(2)
+def sanov_block(n):
+    """The Sanov pair as the top-left block of two n x n matrices, identity below."""
+    return (
+        SquareMatrix.from_rows(
+            [[g.entries[i][j] if i < 2 and j < 2 else int(i == j) for j in range(n)] for i in range(n)]
+        )
+        for g in (SANOV_U, SANOV_W)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_slot_bound_skips_screen(monkeypatch, n):
+    u, w = sanov_block(n)
+    largest = largest_slot_prime(n)
     force_screen_prime(monkeypatch, largest)
-    assert pingpong._fingerprint(SANOV_U, SANOV_W, screen=True)[0] == largest
-    assert pingpong._screen(SANOV_U, SANOV_W, 6)
+    assert pingpong._fingerprint(u, w, screen=True)[0] == largest
+    assert pingpong._screen(u, w, 6)
     force_screen_prime(monkeypatch, largest + 1)
-    q, _ = pingpong._fingerprint(SANOV_U, SANOV_W, screen=True)
-    assert 2 * (q - 1) ** 2 >= 2**64
-    assert not pingpong._screen(SANOV_U, SANOV_W, 6)
+    q, _ = pingpong._fingerprint(u, w, screen=True)
+    assert 2 * n * q >= 2**32 or q >= 2**29
+    assert not pingpong._screen(u, w, 6)
     calls = count_resolver_calls(monkeypatch)
-    assert find_semigroup_collision(SANOV_U, SANOV_W, depth=6) is None
+    assert find_semigroup_collision(u, w, depth=6) is None
     assert len(calls) == 1
 
 
