@@ -82,12 +82,12 @@ class GeneratorFile:
 
     Schema: {"n": int, "generators": [[["p/q", ...], ...], ...],
     "labels": [str, ...]?}.  Every matrix must be n x n with determinant
-    exactly 1; the count and dimension caps keep runs desk-scale.
+    exactly 1, and labels, when given, one per generator (they are not
+    kept); the count and dimension caps keep runs desk-scale.
     """
 
     n: int
     generators: tuple[SquareMatrix, ...]
-    labels: tuple[str, ...]
 
     @staticmethod
     def from_json_dict(d: dict) -> "GeneratorFile":
@@ -119,13 +119,9 @@ class GeneratorFile:
             except GrowthcertError as exc:
                 raise _ParseError(f"generator {idx}: {exc}") from exc
         labels = d.get("labels")
-        if labels is None:
-            labels = [f"g{i}" for i in range(len(mats))]
-        if not isinstance(labels, list) or len(labels) != len(mats):
+        if labels is not None and (not isinstance(labels, list) or len(labels) != len(mats)):
             raise _ParseError("labels must match the generator count")
-        return GeneratorFile(
-            n=n, generators=tuple(mats), labels=tuple(str(x) for x in labels)
-        )
+        return GeneratorFile(n=n, generators=tuple(mats))
 
 
 def _load_json(path: str):

@@ -3,20 +3,20 @@
 diagonalized_pair diagonalizes A from its adjugate polynomial (exact when
 the charpoly splits over Q, certified enclosures otherwise) into the
 canonical ConjugatedPair, and every later stage hands that pair on.  The
-norm balancing reads B's rows after a centralizer conjugation but keeps
-the canonical ones, the trace route records a relation, and the role swap
-builds B's canonical pair the same way.  The place and wedge degree with
-a certified spectral gap come from the gap grid the pair search already
-holds.  Every stage checks the seed pair itself; none replaces B by a
-longer word.  The corner check (ensure_l2), corner amplification and the
-almost-algebra builder are library functions; certification does not run
-them.
+order of its eigenvalues, wedge coordinates and places comes from exact
+keys (_modulus_key), so certify and verify agree on it on every machine.
+The norm balancing reads B's rows after a centralizer conjugation but
+keeps the canonical ones, the trace route records a relation, and the
+role swap builds B's canonical pair the same way.  The place and wedge
+degree with a certified spectral gap come from the gap grid the pair
+search already holds.  Every stage checks the seed pair itself; none
+replaces B by a longer word.  The corner check (ensure_l2), corner
+amplification and the almost-algebra builder are library functions;
+certification does not run them.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -32,12 +32,7 @@ from .errors import (
     SwapFailed,
 )
 from .exactnum import ARCH, Place, PlaceSet, SquareMatrix, Word, abs_value
-from .intervals import (
-    ComplexInterval,
-    cmat_from_exact,
-    cmat_mul,
-    sqrt_upper,
-)
+from .intervals import ComplexInterval, _fraction, cmat_from_exact, cmat_mul, sqrt_upper
 from .pingpong import LConditions, bound_table, check_l_conditions, entry_bounds
 from .polyroots import certified_root_structure, squarefree_part
 from .spectra import adjugate_poly, char_poly, compound, wedge_diag
@@ -50,48 +45,35 @@ SYM_B = Word.generator(1)
 # diagonalization
 
 
-_FLOAT_MAX = Fraction(sys.float_info.max)
-_FLOAT_MAX_INT = int(sys.float_info.max)
+def _modulus_key(x, v: Place = ARCH) -> Fraction:
+    """The canonical order's key: |x|_v for an exact x, the midpoint of |x|^2's bounds for a box.
 
-
-def _sort_float(x: Fraction) -> float | Fraction:
-    """float(x) for a heuristic sort key; x itself where a float would overflow.
-
-    Floats and Fractions compare exactly, and such an x lies beyond every
-    finite float, so the keys stay in the order of the exact values.
+    The midpoint is (lo + hi) / 2^(2k + 1) from the integer bounds of
+    _mag_sq, exact at every magnitude.  One sort never mixes the two kinds.
     """
-    return float(x) if abs(x) <= _FLOAT_MAX else x
-
-
-def _interval_mid(x) -> float | Fraction:
-    """Heuristic modulus of a box or an exact number, as a sort key."""
     if isinstance(x, ComplexInterval):
-        # the midpoint of |x|^2's bounds is (lo + hi) / 2^(2k + 1)
         lo, hi = x._mag_sq()
-        num, e = lo + hi, 2 * x.k + 1
-        if e < 0:
-            num, e = num << -e, 0
-        # past the float range, the midpoint itself exceeds every sqrt of a float
-        if num > _FLOAT_MAX_INT << e:
-            return Fraction(num, 1 << e)
-        return math.sqrt(num / (1 << e))
-    return _sort_float(abs(x))
+        return _fraction(lo + hi, 2 * x.k + 1)
+    return abs_value(x, v)
 
 
 def _root_boxes(real_ivs, boxes, bits: int) -> list[ComplexInterval]:
-    """Root boxes from certified_root_structure's result, by midpoint modulus descending.
+    """Root boxes from certified_root_structure's result in the canonical order.
 
-    A rational point that is not dyadic rounds out at 4 * bits, the
-    eigenbasis precision, so its box tightens as bits escalates.
+    Descending by _modulus_key, ties broken by the real and then the
+    imaginary midpoint, descending.  A rational point that is not dyadic
+    rounds out at 4 * bits, the eigenbasis precision, so its box tightens
+    as bits escalates.
     """
     lambdas = [ComplexInterval.from_box(iv.lo, iv.hi, 0, 0, 4 * bits) for iv in real_ivs]
     lambdas += boxes
     lambdas.sort(
         key=lambda z: (
-            -_interval_mid(z),
-            -_sort_float((z.re.lo + z.re.hi) / 2),
-            -_sort_float((z.im.lo + z.im.hi) / 2),
-        )
+            _modulus_key(z),
+            _fraction(z.rl + z.rh, z.k + 1),
+            _fraction(z.il + z.ih, z.k + 1),
+        ),
+        reverse=True,
     )
     return lambdas
 
@@ -163,7 +145,9 @@ def diagonalize(a: SquareMatrix, sort_place: Place = ARCH, bits: int = 128):
     width = Fraction(1, 2**bits) * max(Fraction(1), a.max_abs_entry())
     real_ivs, boxes = certified_root_structure(f, width)
     if not boxes and all(iv.lo == iv.hi for iv in real_ivs):
-        lambdas = sorted((iv.lo for iv in real_ivs), key=lambda lam: (-abs_value(lam, sort_place), lam))
+        lambdas = sorted(
+            (iv.lo for iv in real_ivs), key=lambda lam: (-_modulus_key(lam, sort_place), lam)
+        )
     elif not sort_place.is_archimedean:
         raise Inconclusive("finite sort place needs a rational eigenbasis")
     else:
@@ -260,40 +244,33 @@ def _trace_abs_bounds(b_rows, s, exact, bits):
     return m.lo, m.hi
 
 
-def _log2(x: Fraction) -> float:
-    """log2 of a positive Fraction, also where float(x) overflows or is 0."""
-    f = float(x) if x <= _FLOAT_MAX else 0.0
-    return math.log2(f) if f > 0 else math.log2(x.numerator) - math.log2(x.denominator)
-
-
 def _balance_exponents(b_rows, v: Place, bits: int) -> tuple[int, ...]:
     """Integer log-2 scales minimizing the largest conjugated entry, greedily.
 
-    Conjugating by diag(2^k_i) scales entry (i, j) by 2^(k_j - k_i); float
-    logs suffice because the choice only needs to be a good heuristic,
-    never a certificate.
+    Conjugating by diag(2^k_i) scales entry (i, j) by 2^(k_j - k_i).  Each
+    step compares the largest scaled upper bound exactly, on the integers
+    of B's bound table shifted left by s >= 0; the choice only needs to be
+    a good heuristic, never a certificate.
     """
-    n = len(b_rows)
-    logs = {}
-    for i in range(n):
-        for j in range(n):
-            hi = entry_bounds(b_rows[i][j], v, bits)[1]
-            if hi > 0:
-                logs[(i, j)] = _log2(hi)
+    hi = bound_table(b_rows, v, bits).hi
+    n = len(hi)
+    entries = [(i, j, h) for i, row in enumerate(hi) for j, h in enumerate(row) if h]
     k = [0] * n
-    if not logs:
+    if not entries:
         return tuple(k)
 
-    def cost(ks):
-        return max(w + ks[j] - ks[i] for (i, j), w in logs.items())
+    def cost(ks, s):
+        return max(h << (s + ks[j] - ks[i]) for i, j, h in entries)
 
     for _ in range(4096):
+        # a trial moves one k_i by 1, so no shift goes below 0
+        s = 2 * max(map(abs, k)) + 2
         improved = False
         for i in range(n):
             for delta in (1, -1):
                 trial = list(k)
                 trial[i] += delta
-                if cost(trial) < cost(k):
+                if cost(trial, s) < cost(k, s):
                     k = trial
                     improved = True
                     break
@@ -438,8 +415,8 @@ def select_place_and_wedge(
 
     grid is the (L1) gap grid of the exact original A (l1_gap_report);
     its keys give the places.  On an exact basis every eigenvalue is
-    rational, so places are ordered by the top eigenvalue modulus read off
-    a_diag, largest first, ties in place order; wedge degrees run 1..n-1.
+    rational, so places are ordered by the exact max |a_i|_v over a_diag,
+    largest first, ties in place order; wedge degrees run 1..n-1.
     Interval-basis pairs, which cannot certify ultrametric cone bounds,
     get the archimedean place only.
     """
@@ -448,7 +425,7 @@ def select_place_and_wedge(
     if pair.exact:
         places = sorted(
             {v for v, _ in grid},
-            key=lambda v: (-_sort_float(max(abs_value(x, v) for x in pair.a_diag)), v.sort_key),
+            key=lambda v: (-max(abs_value(x, v) for x in pair.a_diag), v.sort_key),
         )
     else:
         places = [ARCH]
@@ -468,19 +445,18 @@ def select_place_and_wedge(
 
 
 def wedge_pair(pair: ConjugatedPair, v: Place, m: int, bits: int = 96):
-    """Wedge images (diag of A, rows of B) sorted top-modulus-first at v.
+    """Wedge images (diag of A, rows of B) in the canonical order at v.
 
-    The sort is a heuristic (float midpoints); a wrong order can only make
-    downstream certification fail, never certify something false.
+    Coordinates go by _modulus_key descending, ties in subset order.  Only
+    the top coordinate's place matters to a certificate: the cone checks
+    treat coordinates 2..n symmetrically, so a tie below the top can move
+    no verdict.
     """
     if not pair.exact and not v.is_archimedean:
         raise ValueError("interval basis data cannot certify finite places")
     wa = wedge_diag(list(pair.a_diag), m)
     wb = compound(pair.b_rows, m, Fraction(0) if pair.exact else ComplexInterval(0, 0))
-    if pair.exact:
-        order = sorted(range(len(wa)), key=lambda i: (-abs_value(wa[i], v), i))
-    else:
-        order = sorted(range(len(wa)), key=lambda i: (-_interval_mid(wa[i]), i))
+    order = sorted(range(len(wa)), key=lambda i: (-_modulus_key(wa[i], v), i))
     wa_sorted = tuple(wa[i] for i in order)
     wb_sorted = tuple(tuple(wb[i][j] for j in order) for i in order)
     return wa_sorted, wb_sorted

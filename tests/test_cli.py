@@ -208,6 +208,73 @@ def test_certify_verify_round_trip(capsys, tmp_path):
     assert verdict == {"schema": "growthcert.verdict.v1", "valid": True, "reason": "ok"}
 
 
+# generating sets that certify on the enclosed eigenbasis at wedge degree
+# m >= 3, which no corpus input reaches: the boxes' canonical order feeds
+# wedge_pair's sort of C(n, m) coordinates.  Recorded stdout and --trace;
+# a change that moves them on purpose re-records them.
+ENCLOSED_WEDGE_CASES = {
+    "n4-m3": (
+        [
+            [[1, 0, -2, 0], [0, 3, 5, -2], [0, -2, -3, 2], [0, -1, -2, 1]],
+            [[1, 0, 0, -2], [-1, 1, -1, 0], [1, 0, 1, 0], [-1, -1, -1, 1]],
+        ],
+        '{"checks":{"contracts":true,"contracts_double":true,"disjoint":true},'
+        '"cone_param":"1/16","exponent":3,"growth_bound":"1157721/1048576","n":4,'
+        '"oracle_depth_validated":12,"place":"archimedean","schema":'
+        '"growthcert.certificate.v1","wedge_m":3,"word_A":"0","word_B":"1"}\n',
+        [
+            '{"burnside_dim":16,"disc":"-304","ok":true,"stage":"find_regular_pair",'
+            '"word_A":"0","word_B":"1"}',
+            '{"constants":["1","2"],"exact_basis":false,"ok":true,"relation":"B_prec_A",'
+            '"stage":"balance_or_trace","word_B":"1"}',
+            '{"ok":true,"place":"archimedean","stage":"select_place_and_wedge","wedge_m":3}',
+            '{"cone_param":"1/16","exponent":3,"ok":true,"stage":"derive_exponent"}',
+            '{"depth":12,"ok":true,"stage":"freeness_oracle"}',
+            '{"growth_bound":"1157721/1048576","max_word_length":7,"ok":true,'
+            '"stage":"certificate"}',
+        ],
+    ),
+    "n5-m4": (
+        [
+            [[1, 0, 0, 0, 0], [-3, 1, 0, 0, 2], [0, 0, 1, 0, 0], [-3, 2, 0, 1, 0],
+             [-1, 0, 0, 0, 1]],
+            [[1, 0, -2, 0, 0], [2, 1, 0, -2, -1], [0, -2, 1, 0, 0], [0, 0, 0, 1, 0],
+             [-2, 0, 0, 2, 1]],
+        ],
+        '{"checks":{"contracts":true,"contracts_double":true,"disjoint":true},'
+        '"cone_param":"1/64","exponent":3,"growth_bound":"1157721/1048576","n":5,'
+        '"oracle_depth_validated":12,"place":"archimedean","schema":'
+        '"growthcert.certificate.v1","wedge_m":4,"word_A":"1","word_B":"0"}\n',
+        [
+            '{"burnside_dim":25,"disc":"-15466496","ok":true,"stage":"find_regular_pair",'
+            '"word_A":"1","word_B":"0"}',
+            '{"constants":["1","2"],"exact_basis":false,"ok":true,"relation":"B_prec_A",'
+            '"stage":"balance_or_trace","word_B":"0"}',
+            '{"ok":true,"place":"archimedean","stage":"select_place_and_wedge","wedge_m":4}',
+            '{"cone_param":"1/64","exponent":3,"ok":true,"stage":"derive_exponent"}',
+            '{"depth":12,"ok":true,"stage":"freeness_oracle"}',
+            '{"growth_bound":"1157721/1048576","max_word_length":7,"ok":true,'
+            '"stage":"certificate"}',
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ENCLOSED_WEDGE_CASES))
+def test_enclosed_basis_at_wedge_degree_three_and_up_gives_the_recorded_certificate(
+    capsys, tmp_path, case
+):
+    generators, want_out, want_trace = ENCLOSED_WEDGE_CASES[case]
+    n = len(generators[0])
+    gens = write_json(tmp_path / "gens.json", {"n": n, "generators": generators})
+    cert_path, trace_path = tmp_path / "cert.json", tmp_path / "trace.jsonl"
+    argv = ["certify", gens, "--out", str(cert_path), "--trace", str(trace_path)]
+    assert run(capsys, argv)[:2] == (0, want_out)
+    assert trace_path.read_text() == "".join(line + "\n" for line in want_trace)
+    code, out, _ = run(capsys, ["verify", str(cert_path), gens])
+    assert (code, json.loads(out)["valid"]) == (0, True)
+
+
 def test_certify_failure_writes_partial_trace(capsys, tmp_path):
     gens = heisenberg_file(tmp_path)
     trace_path = tmp_path / "trace.jsonl"

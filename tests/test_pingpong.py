@@ -266,6 +266,63 @@ def test_cone_checks_match_the_fraction_reference(case, r, bits):
     )
 
 
+@st.composite
+def _narrow_box(draw):
+    # boxes at most 2^-16 wide around points of modulus up to 3, some real
+    ends = []
+    for _ in range(2):
+        lo = draw(st.integers(-3 * 2**20, 3 * 2**20)) if draw(st.booleans()) else 0
+        ends += [lo, lo + draw(st.integers(0, 16))]
+    return ComplexInterval(*ends, 20)
+
+
+@st.composite
+def _permuted_cone_case(draw):
+    # A's diagonal with its first entry boosted by up to 2^12 (p^12 at p), so
+    # some cases certify, B's rows, and a permutation fixing coordinate 1
+    n = draw(st.integers(3, 5))
+    v = draw(st.sampled_from([ARCH, ARCH, P2, P3, Place.finite(5)]))
+    t = draw(st.integers(0, 12))
+    if v.is_archimedean and draw(st.booleans()):
+        entry = draw(st.sampled_from([_box(), _narrow_box()]))
+        boost = ComplexInterval.point(2**t)
+    elif v.is_archimedean:
+        entry, boost = _exact(2), F(2) ** t
+    else:
+        entry, boost = _exact(v.prime), F(v.prime) ** -t
+    a_diag = [draw(entry) for _ in range(n)]
+    a_diag[0] = a_diag[0] * boost
+    rows = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    order = (0, *draw(st.permutations(range(1, n))))
+    return tuple(a_diag), rows, v, order
+
+
+def cone_outcomes(a_diag, b_rows, v):
+    """The cone checks at several (e, r), and derive_exponent's answer or refusal."""
+    checks = [
+        verify_cone_inclusions(a_diag, b_rows, e, r, v)
+        for e in (1, 2, 3)
+        for r in (F(1), F(1, 4), F(3, 7), F(1, 64))
+    ]
+    try:
+        found = derive_exponent(a_diag, b_rows, v, cap=4)
+    except ExponentSearchExhausted as exc:
+        found = str(exc)
+    return checks, found
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_permuted_cone_case())
+def test_cone_checks_ignore_the_order_of_coordinates_two_to_n(case):
+    # the canonical order may reorder coordinates whose moduli tie, but only
+    # below the top one, whose gap is certified: one permutation of 2..n,
+    # applied to A's diagonal and to B's rows and columns, moves no verdict
+    a_diag, rows, v, order = case
+    permuted_a = tuple(a_diag[i] for i in order)
+    permuted_rows = tuple(tuple(rows[i][j] for j in order) for i in order)
+    assert cone_outcomes(permuted_a, permuted_rows, v) == cone_outcomes(a_diag, rows, v)
+
+
 def test_cone_checks_match_the_fraction_reference_on_the_corpus(monkeypatch):
     # every (e, r) the exponent search tries while certifying the 14 corpus
     # certificates decides as the Fraction checks do

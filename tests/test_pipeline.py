@@ -1,8 +1,10 @@
 """End-to-end certification runs, verification, and tamper rejection."""
 
+import ast
 import dataclasses
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -411,3 +413,48 @@ def test_escalate_reraises_last_failure():
 
     with pytest.raises(Inconclusive, match="at 256"):
         _escalate(always)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src/growthcert"
+FLOAT_MATH = {"sqrt", "log", "log2", "log10", "exp"}
+# the modules certify and verify run, and where the others may name a float:
+# cayley's labelled growth heuristics and cli's --pretty approximations
+FLOAT_FREE = ["exactnum", "intervals", "polyroots", "spectra", "pingpong", "wordforge", "pipeline"]
+FLOAT_ALLOWED_IN = {"cayley": {"_poly_fit_degree", "_sse", "_verdict"}, "cli": {"_with_approx"}}
+
+
+def _names_a_float(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "float"
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    if isinstance(node, ast.Attribute):
+        math_call = isinstance(node.value, ast.Name) and node.value.id == "math"
+        return node.attr == "float_info" or (math_call and node.attr in FLOAT_MATH)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "math" and any(a.name in FLOAT_MATH for a in node.names)
+    return False
+
+
+def _float_sites(module: str, allowed=frozenset()) -> list[str]:
+    """(function or <module>, line) of every float the module names outside `allowed`."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    sites = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in allowed:
+            continue
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        sites += [f"{owner}:{n.lineno}" for n in ast.walk(top) if _names_a_float(n)]
+    return sites
+
+
+@pytest.mark.parametrize("module", FLOAT_FREE + list(FLOAT_ALLOWED_IN))
+def test_certify_and_verify_name_no_float(module):
+    # the canonical order and every check certify and verify share must come
+    # from exact values: a float key or a libm log could differ between machines
+    assert _float_sites(module, FLOAT_ALLOWED_IN.get(module, frozenset())) == []
+
+
+def test_the_float_scan_sees_the_heuristics_it_allows():
+    assert {site.split(":")[0] for site in _float_sites("cayley")} == FLOAT_ALLOWED_IN["cayley"]
+    assert {site.split(":")[0] for site in _float_sites("cli")} == FLOAT_ALLOWED_IN["cli"]

@@ -1,6 +1,5 @@
 """Basis building: balancing, role swaps, wedges, amplification, algebras."""
 
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -47,11 +46,9 @@ from growthcert.wordforge import (
     AlmostAlgebra,
     ConjugatedPair,
     _frob,
-    _interval_mid,
-    _log2,
+    _modulus_key,
     _project_residual,
     _rows_mul,
-    _sort_float,
     amplify_entry,
     balance_or_trace,
     build_almost_algebra,
@@ -246,8 +243,8 @@ def reference_place_order(a, s):
     def key(v):
         if v.is_archimedean:
             top = arch_moduli(a, f)[0]
-            return (-_sort_float((top.lo + top.hi) / 2), v.sort_key)
-        return (-_sort_float(F(v.prime) ** -min(newton_polygon_valuations(f, v.prime))), v.sort_key)
+            return (-(top.lo + top.hi) / 2, v.sort_key)
+        return (-F(v.prime) ** -min(newton_polygon_valuations(f, v.prime)), v.sort_key)
 
     return sorted(s, key=key)
 
@@ -347,10 +344,8 @@ def test_sort_keys_past_the_float_range_keep_the_exact_order():
     values = [F(10**100), F(0), F(10**400), F(1, 10**100), F(3, 2) * 10**300, F(10**300)]
     by_value = sorted(range(len(values)), key=lambda i: -values[i])
     for lift in (ComplexInterval.point, lambda v: -v):
-        keys = [_interval_mid(lift(v)) for v in values]
+        keys = [_modulus_key(lift(v)) for v in values]
         assert sorted(range(len(values)), key=lambda i: -keys[i]) == by_value
-    assert _log2(F(2**5000)) == 5000 and _log2(F(1, 2**5000)) == -5000
-    assert _log2(F(3, 4)) == math.log2(0.75)
 
 
 def test_wedge_pair_rejects_interval_finite():
@@ -593,13 +588,12 @@ def reference_diagonalize_enclosed(a: SquareMatrix, poly, bits: int = 128):
     real_ivs, boxes = certified_root_structure(poly, width)
     lambdas = [ComplexInterval.from_box(iv.lo, iv.hi, 0, 0) for iv in real_ivs]
     lambdas += list(boxes)
-    lambdas.sort(
-        key=lambda z: (
-            -_interval_mid(z),
-            -_sort_float((z.re.lo + z.re.hi) / 2),
-            -_sort_float((z.im.lo + z.im.hi) / 2),
-        )
-    )
+
+    def key(z):
+        m = z.mag_sq()
+        return -(m.lo + m.hi) / 2, -(z.re.lo + z.re.hi) / 2, -(z.im.lo + z.im.hi) / 2
+
+    lambdas.sort(key=key)
     ea = cmat_from_exact(a)
     columns = []
     for lam in lambdas:
@@ -715,6 +709,25 @@ def test_diagonalize_with_a_modulus_tie():
         lambdas, p, p_inv = diagonalize(a, ARCH, bits)
         assert not _pins_certified(p)
         assert_encloses_eigenbasis(a, lambdas, p, p_inv)
+
+
+@pytest.mark.parametrize("engine_order", ["as listed", "reversed"])
+def test_diagonalize_breaks_modulus_ties_by_real_then_imaginary_part(monkeypatch, engine_order):
+    # sqrt(2) and -sqrt(2) get mirror boxes, so |x|^2 ties exactly and the
+    # real part decides; 1 + i and 1 - i tie in both, so the imaginary part
+    # does; the pair's |x|^2 midpoint lies above 2.  The order must not
+    # depend on the order the root engine lists the roots in.
+    if engine_order == "reversed":
+        monkeypatch.setattr(
+            "growthcert.wordforge.certified_root_structure",
+            lambda f, width: tuple(part[::-1] for part in certified_root_structure(f, width)),
+        )
+    a = M([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]])
+    lambdas, p, p_inv = diagonalize(a, ARCH, 64)
+    assert lambdas[0].contains(1, 1) and lambdas[1].contains(1, -1)
+    assert lambdas[2].re.lo > 0 > lambdas[3].re.hi
+    assert all(z.mag_sq().contains(2) and z.il == z.ih == 0 for z in lambdas[2:])
+    assert_encloses_eigenbasis(a, lambdas, p, p_inv)
 
 
 @pytest.mark.parametrize(
