@@ -5,27 +5,31 @@ search stops at its first pair; exact dedup keeps three spheres.  The
 letters are integer matrices A = D*L over one common scale D, the lcm of
 their denominators, so sphere k holds the integer matrices X = D^k*M: one
 per group element, compared without a gcd.  A sphere travels as big ints
-with one fixed-width slot per entry, and each letter multiplies the whole
+with one fixed-width slot per entry, 32 bits wide until an entry needs
+more and whole 64-bit words after, and each letter multiplies the whole
 sphere with a few scalar-by-packed products; an element's key is its slot
 bytes, exact because every slot is wide enough for its entry.  So two words
 are identified exactly when they are equal in the group, never because
-floats or residues collided.  An element is never multiplied by the
-inverse of its own last letter, since that product is its parent.  The
-pair search decodes each element straight from its slots to an integer
-matrix over the sphere's scale, and its Shemesh and Burnside gates
-eliminate integer rows of the numerators.  Growth estimates derived from
-counts are certified dyadic lower bounds; the exponential-vs-polynomial
-verdict and the degree fit are float heuristics, clearly labeled, and
-never feed a certificate.
+floats or residues collided.  Every element is multiplied by every letter,
+and one dict lookup per product, run in C over a chunk of parents at a
+time, drops the products already in the three spheres, the parent among
+them.  The pair search decodes each element straight from its slots to
+an integer matrix over the sphere's scale, and its Shemesh and Burnside
+gates eliminate integer rows of the numerators.  Growth estimates derived
+from counts are certified dyadic lower bounds; the exponential-vs-
+polynomial verdict and the degree fit are float heuristics, clearly
+labeled, and never feed a certificate.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import mul
+from itertools import chain, compress, count, repeat
+from operator import eq, mul
 
 from .errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
 from .exactnum import PlaceSet, SquareMatrix, Word, bareiss, int_matmul, s_support
@@ -38,31 +42,33 @@ def charpoly_is_squarefree(f: Poly) -> bool:
     return poly_degree(squarefree_part(f)) == poly_degree(f)
 
 
-def _alphabet(gens: list[SquareMatrix]) -> list[tuple[Word, tuple[int, tuple], int]]:
-    """Generators then inverses, as (letter word, (d, N), index of the inverse letter).
+def _alphabet(gens: list[SquareMatrix]) -> list[tuple[Word, tuple[int, tuple]]]:
+    """Generators then inverses, as (letter word, (d, N)).
 
-    Exact duplicates are dropped, so an involution is its own inverse and
-    the inverse of a dropped letter is the letter kept in its place.
+    Exact duplicates are dropped, so an involution is its own inverse.
     """
-    pairs = [((g.den, g.num), (h.den, h.num)) for g, h in zip(gens, map(SquareMatrix.inverse, gens))]
-    inverse_key = {}
-    for key, inv in pairs:
-        inverse_key[key], inverse_key[inv] = inv, key
-    index: dict[tuple, int] = {}
+    seen = set()
     letters = []
-    for sign, side in ((1, 0), (-1, 1)):
-        for i, pair in enumerate(pairs):
-            key = pair[side]
-            if key not in index:
-                index[key] = len(letters)
+    for sign, mats in ((1, gens), (-1, map(SquareMatrix.inverse, gens))):
+        for i, g in enumerate(mats):
+            key = (g.den, g.num)
+            if key not in seen:
+                seen.add(key)
                 letters.append((Word(((i, sign),)), key))
-    return [(word, key, index[inverse_key[key]]) for word, key in letters]
+    return letters
 
 
-# slot widths are whole 8-byte words, so slots move between layouts as 'Q' items
+# slots start 32 bits wide and widen to whole 8-byte words, so they move
+# between layouts as 'I' items at the first width and as 'Q' items after it
+FIRST_WIDTH = 32
 WORD_BITS = 64
 # bytes of one letter's products formed at once, for a chunk of parents
 CHUNK_BYTES = 1 << 16
+
+
+def _items(width: int) -> tuple[str, int]:
+    """The memoryview format and bit size of the items that slots of width bits are copied as."""
+    return ("I", FIRST_WIDTH) if width == FIRST_WIDTH else ("Q", WORD_BITS)
 
 
 def _spread(c: int, slots: int, width: int) -> int:
@@ -84,9 +90,10 @@ def _pack(z: int, slots: int, width: int) -> bytes:
 def _unpack(buf, width: int, new_width: int) -> int:
     """The packed int of the slot bytes buf of width bits, in slots of new_width >= width bits."""
     if new_width != width:
-        w, nw = width // WORD_BITS, new_width // WORD_BITS
+        fmt, item = _items(width)
+        w, nw = width // item, new_width // item
         wide = bytearray(len(buf) // w * nw)
-        src, dst = memoryview(buf).cast("Q"), memoryview(wide).cast("Q")
+        src, dst = memoryview(buf).cast(fmt), memoryview(wide).cast(fmt)
         for t in range(w):
             dst[t::nw] = src[t::w]
         buf = wide
@@ -126,28 +133,30 @@ def _products(buf, width: int, columns) -> list[bytes]:
     stacks them, so S*A stacks the products X*A.  Each column of S is
     packed into one int, a slot per row, and column j of S*A is
     sum_k S_k * a_kj, n scalar-by-packed products.  Its slots are
-    interleaved back into rows.  columns[letter][j] is A's column j.
+    interleaved back into rows, copied as 'I' items at the first width
+    and as 'Q' items at whole words.  columns[letter][j] is A's column j.
     """
     n = len(columns[0])
-    w = width // WORD_BITS
+    fmt, item = _items(width)
+    w = width // item
     stride = n * w
-    src = memoryview(buf).cast("Q")
+    src = memoryview(buf).cast(fmt)
     size = len(buf) // n
     half = _spread(1 << width - 1, len(src) // stride, width)
     col = bytearray(size)
-    dst = memoryview(col).cast("Q")
+    dst = memoryview(col).cast(fmt)
     cols = []
     for k in range(n):
         for t in range(w):
             dst[t::w] = src[k * w + t :: stride]
         cols.append(int.from_bytes(col, "little") - half)
     out = []
-    step = size // 8
+    step = size * 8 // item
     for letter in columns:
         ys = b"".join([(sum(map(mul, cols, a)) + half).to_bytes(size, "little") for a in letter])
-        ys = memoryview(ys).cast("Q")
+        ys = memoryview(ys).cast(fmt)
         prod = bytearray(len(buf))
-        dst = memoryview(prod).cast("Q")
+        dst = memoryview(prod).cast(fmt)
         for j in range(n):
             for t in range(w):
                 dst[j * w + t :: stride] = ys[j * step + t : (j + 1) * step : w]
@@ -156,22 +165,28 @@ def _products(buf, width: int, columns) -> list[bytes]:
 
 
 def _width(window, width: int) -> int:
-    """Least width + whole words whose slots hold f*v for every (buf, own, f) of window, v in buf.
+    """Least slot width holding f*v for every (buf, own, f) of window and v in buf.
 
-    buf is a sphere's slot bytes, own their width, and f > 0 bounds how
-    much its entries may grow.  With g = f.bit_length(), every v fitting
-    in width' - g bits has |f*v| < 2^(width'-1).  Every v fits in own <=
-    width bits, so width + ceil(max g / WORD_BITS) words always does.
+    The widths tried are width itself, then whole words above it.  buf is
+    a sphere's slot bytes, own their width, and f > 0 bounds how much its
+    entries may grow.  With g = f.bit_length(), every v fitting in
+    width' - g bits has |f*v| < 2^(width'-1).  Every v fits in own <= width
+    bits, so the first whole-word width at or past width + max g does.
     """
     bits = [(buf, own, f.bit_length()) for buf, own, f in window]
-    lo, hi = 0, -(-max(g for _, _, g in bits) // WORD_BITS)
+    words = width // WORD_BITS
+
+    def wide(k):
+        return width if k == 0 else (words + k) * WORD_BITS
+
+    lo, hi = 0, -(-(width + max(g for _, _, g in bits)) // WORD_BITS) - words
     while lo < hi:
         mid = (lo + hi) // 2
-        if all(_fits(buf, own, width + mid * WORD_BITS - g) for buf, own, g in bits):
+        if all(_fits(buf, own, wide(mid) - g) for buf, own, g in bits):
             hi = mid
         else:
             lo = mid + 1
-    return width + lo * WORD_BITS
+    return wide(lo)
 
 
 def _rescaled(sphere, width: int, factor: int) -> bytes:
@@ -180,53 +195,64 @@ def _rescaled(sphere, width: int, factor: int) -> bytes:
     return _pack(_unpack(buf, own, width) * factor, len(buf) * 8 // own, width)
 
 
-def _split(buf: bytes, size: int) -> list[bytes]:
-    return [buf[i : i + size] for i in range(0, len(buf), size)]
+def _split(buf, size: int) -> list[bytes]:
+    """The keys of the slot bytes buf, size bytes each, cut by struct CHUNK_BYTES at a time.
+
+    struct keeps the formats it compiles, so none may grow with the sphere.
+    """
+    step = max(1, CHUNK_BYTES // size) * size
+    view = memoryview(buf)
+    parts = (view[i : i + step] for i in range(0, len(buf), step))
+    return list(chain.from_iterable(struct.unpack(f"{size}s" * (len(p) // size), p) for p in parts))
 
 
 def _spheres(letters, radius, budget):
     """Shortlex spheres S(1), S(2), ... of the ball over letters = _alphabet(gens).
 
-    Yields (d, width, sphere) per sphere: sphere is a list of (parent,
-    letter, key), parent indexing the previous sphere (S(0) is the
-    identity) and letter indexing letters, and key is the element M as the
-    slot bytes of d*M (see _pack and _as_matrix).  d = D^k for sphere k,
-    D the lcm of the letters' denominators, so d*M is an integer matrix;
-    each letter L is the integer matrix A = D*L, and X*A is the key's
-    matrix in sphere k + 1 for X in sphere k.  An integer matrix at a fixed
-    scale is one group element, so two keys of a sphere are equal exactly
-    when the elements are.
+    Yields (d, width, tags, keys) per sphere: keys are its elements M in
+    shortlex order, each as the slot bytes of d*M (see _pack and
+    _as_matrix), and tag = parent * len(letters) + letter, parent indexing
+    the previous sphere (S(0) is the identity) and letter indexing letters.
+    d = D^k for sphere k, D the lcm of the letters' denominators, so d*M is
+    an integer matrix; each letter L is the integer matrix A = D*L, and X*A
+    is the key's matrix in sphere k + 1 for X in sphere k.  An integer
+    matrix at a fixed scale is one group element, so two keys of a sphere
+    are equal exactly when the elements are.
 
-    A letter moves S(k) only into S(k-1), S(k) and S(k+1), so the dedup set
-    holds those three spheres.  Before S(k+1) is built, the width is chosen
-    so that every entry of X*A fits, as do S(k) and S(k-1) rescaled to
-    D^(k+1), with D and D^2; when the scale or the width changed, their keys
-    are re-encoded so.  The width only grows, by whole 64-bit words.
+    A letter moves S(k) only into S(k-1), S(k) and S(k+1), so the dedup
+    dict holds those three spheres.  Before S(k+1) is built, the width is
+    chosen so that every entry of X*A fits, as do S(k) and S(k-1) rescaled
+    to D^(k+1), with D and D^2; when the scale or the width changed, their
+    keys are re-encoded so.  The width starts at 32 bits and only grows, to
+    whole 64-bit words.
 
-    An element is never multiplied by the inverse of its last letter: that
-    product is its parent, which is still in the dedup set.  Stops after
+    Every element is multiplied by every letter, a chunk of parents at a
+    time, and the candidates are numbered globally in shortlex order.  The
+    dict maps each key to the number of the first candidate that reached
+    it; a rebuilt window holds -1 and the numbers only grow, so a candidate
+    is new exactly when setdefault hands back its own number.  Stops after
     radius spheres or an empty one; raises BudgetExceeded at the first new
     element past budget elements, the identity included.
     """
     if not letters:
         raise ValueError("empty generator list")
     n = len(letters[0][1][1])
-    scale = math.lcm(*(d for _, (d, _), _ in letters))
+    scale = math.lcm(*(d for _, (d, _) in letters))
     # each letter's columns, as integers at the common scale
     columns = [
-        [tuple(x * (scale // d) for x in col) for col in zip(*rows)] for _, (d, rows), _ in letters
+        [tuple(x * (scale // d) for x in col) for col in zip(*rows)] for _, (d, rows) in letters
     ]
     # an entry of X*A is at most max|X| times A's largest absolute column
-    # sum; S(k) is also rescaled by D for the dedup set, S(k-1) by D^2
+    # sum; S(k) is also rescaled by D for the dedup dict, S(k-1) by D^2
     grow = max(scale, *(sum(map(abs, col)) for letter in columns for col in letter))
-    follow = [[j for j in range(len(letters)) if j != inv] for _, _, inv in letters]
-    width = WORD_BITS
+    fan = len(letters)
+    width = FIRST_WIDTH
     ident = _pack(sum(1 << width * (n + 1) * i for i in range(n)), n * n, width)
     # slot bytes and width of S(k-1) and S(k), each at its own scale D^(k-1), D^k
     prev, cur = None, (ident, width)
-    prev_keys, sphere = [], [(None, None, ident)]
-    seen = {ident}
-    total, d = 1, 1
+    prev_keys, cur_keys = [], [ident]
+    first = {ident: -1}
+    total, d, base = 1, 1, 0
     for _ in range(radius):
         window = [(*cur, grow)]
         if prev and scale != 1:
@@ -237,45 +263,44 @@ def _spheres(letters, radius, budget):
             width = new_width
             prev_keys = _split(_rescaled(prev, width, scale * scale), size) if prev else []
             cur_keys = _split(_rescaled(cur, width, scale), size)
-            seen = set(prev_keys)
-            seen.update(cur_keys)
-        else:
-            cur_keys = [key for _, _, key in sphere]
+            first = dict.fromkeys(prev_keys, -1)
+            first.update(dict.fromkeys(cur_keys, -1))
         view = memoryview(cur[0] if cur[1] == width else _rescaled(cur, width, 1))
         d *= scale
-        new = []
+        tags, keys = [], []
         # a chunk of parents at a time keeps the products' memory small
         step = max(1, CHUNK_BYTES // size)
-        for start in range(0, len(sphere), step):
+        for start in range(0, len(cur_keys), step):
             chunk = view[start * size : (start + step) * size]
-            products = list(enumerate(_products(chunk, width, columns)))
-            after = [[products[j] for j in js] for js in follow]
-            for parent, (_, last, _) in enumerate(sphere[start : start + step], start):
-                lo = (parent - start) * size
-                hi = lo + size
-                for letter, prod in products if last is None else after[last]:
-                    key = prod[lo:hi]
-                    if key in seen:
-                        continue
-                    if total >= budget:
-                        raise BudgetExceeded(f"ball exceeded budget {budget}")
-                    total += 1
-                    seen.add(key)
-                    new.append((parent, letter, key))
-        seen.difference_update(prev_keys)
-        yield d, width, new
-        if not new:
+            fmt = f"{size}s" * (len(chunk) // size)
+            # parent-major, then letter: the candidates in shortlex order
+            products = [struct.unpack(fmt, prod) for prod in _products(chunk, width, columns)]
+            candidates = list(chain.from_iterable(zip(*products)))
+            lo = base + start * fan
+            new = list(map(eq, map(first.setdefault, candidates, count(lo)), count(lo)))
+            found = list(compress(candidates, new))
+            total += len(found)
+            if total > budget:
+                raise BudgetExceeded(f"ball exceeded budget {budget}")
+            keys += found
+            tags += compress(count(start * fan), new)
+        base += len(cur_keys) * fan
+        # S(k-1) leaves the window
+        deque(map(first.__delitem__, prev_keys), 0)
+        yield d, width, tags, keys
+        if not keys:
             return
-        prev, cur = cur, (b"".join([key for _, _, key in new]), width)
-        prev_keys, sphere = cur_keys, new
+        prev, cur = cur, (b"".join(keys), width)
+        prev_keys, cur_keys = cur_keys, keys
 
 
 def _ball_words(letters, radius, budget):
     """The ball without the identity as shortlex (word, matrix), words built per sphere reached."""
     words = [Word()]
-    for d, width, sphere in _spheres(letters, radius, budget):
-        words = [words[parent] * letters[letter][0] for parent, letter, _ in sphere]
-        yield from zip(words, (_as_matrix(key, d, width) for _, _, key in sphere))
+    for d, width, tags, keys in _spheres(letters, radius, budget):
+        steps = map(divmod, tags, repeat(len(letters)))
+        words = [words[parent] * letters[letter][0] for parent, letter in steps]
+        yield from zip(words, (_as_matrix(key, d, width) for key in keys))
 
 
 def integer_nth_root(x: int, n: int) -> int:
@@ -411,8 +436,8 @@ def enumerate_ball(
     letters = _alphabet(gens)
     counts = [1]
     try:
-        for _, _, sphere in _spheres(letters, radius, budget):
-            counts.append(counts[-1] + len(sphere))
+        for _, _, _, keys in _spheres(letters, radius, budget):
+            counts.append(counts[-1] + len(keys))
     except BudgetExceeded as exc:
         exc.partial = _build_report(counts, False, len(letters))
         raise

@@ -365,8 +365,8 @@ def spheres_outcome(gens, radius, budget):
     """(counts, exhausted) from cayley._spheres, or its BudgetExceeded with the completed counts."""
     counts = [1]
     try:
-        for _, _, sphere in cayley._spheres(cayley._alphabet(gens), radius, budget):
-            counts.append(counts[-1] + len(sphere))
+        for _, _, _, keys in cayley._spheres(cayley._alphabet(gens), radius, budget):
+            counts.append(counts[-1] + len(keys))
     except BudgetExceeded as exc:
         return ("BudgetExceeded", str(exc), counts)
     return counts, len(counts) > 1 and counts[-1] == counts[-2]
@@ -495,7 +495,7 @@ def test_keys_of_different_spheres_are_not_compared():
     half = SquareMatrix.from_rows([[F(1, 2), 0], [0, F(1, 2)]])
     hyperbolic = SquareMatrix.from_rows([[2, 1], [1, 1]])
     gens = [half, hyperbolic, sanov_gens()[1]]
-    spheres = list(cayley._spheres(cayley._alphabet(gens), 2, 10**6))
+    spheres = list(sphere_triples(gens, 2, 10**6))
     (d1, width1, s1), (d2, width2, s2) = spheres
     key_h = next(key for _, letter, key in s1 if letter == 1)
     key_h2 = next(key for p, letter, key in s2 if s1[p][1] == 0 and letter == 1)
@@ -508,8 +508,8 @@ def test_keys_of_different_spheres_are_not_compared():
 
 def test_mixed_denominators_share_one_scale():
     # D = 6 exceeds both letters' own denominators; sphere k holds 6^k * M,
-    # which passes 2^63 / 9 in the twenties, so the slots widen while the
-    # window is rescaled by 6 and 36
+    # which passes 2^31 / 9 by sphere 11 and 2^63 / 9 in the twenties, so
+    # the slots widen twice while the window is rescaled by 6 and 36
     gens = [
         SquareMatrix.from_rows([[1, F(1, 2)], [0, 1]]),
         SquareMatrix.from_rows([[1, F(1, 3)], [0, 1]]),
@@ -521,8 +521,8 @@ def test_mixed_denominators_share_one_scale():
         sizes.append(sizes[-1] + len(sphere))
     assert sizes[:6] == [1, 5, 13, 19, 25, 31]
     assert sizes[-1] == 6 * 30 + 1
-    widths = [width for _, width, _ in cayley._spheres(cayley._alphabet(gens), 30, 10**6)]
-    assert widths[0] == 64 and widths[-1] > 64
+    widths = [width for _, width, _, _ in cayley._spheres(cayley._alphabet(gens), 30, 10**6)]
+    assert widths[0] == 32 and widths[-1] > widths[0]
 
 
 def packed(values, width=64):
@@ -531,14 +531,15 @@ def packed(values, width=64):
 
 
 def test_slots_decode_exactly_at_the_sign_boundaries():
-    for width in (64, 128):
+    for width in (32, 64, 128):
         half = 2 ** (width - 1)
         values = [-half, half - 1, -1, 0, 1, -half + 1, half - 2]
         buf = packed(values, width)
         assert cayley._unpack(buf, width, width) == sum(v << width * s for s, v in enumerate(values))
         # widening keeps every value, slot by slot
-        wide = cayley._unpack(buf, width, width + 128)
-        assert cayley._pack(wide, len(values), width + 128) == packed(values, width + 128)
+        for wider in (2 * width, width + 128):
+            wide = cayley._unpack(buf, width, wider)
+            assert cayley._pack(wide, len(values), wider) == packed(values, wider)
         for bits in (1, 2, 8, 62, 63, width - 1, width):
             edge = 2 ** (bits - 1)
             for v in (-edge - 1, -edge, edge - 1, edge):
@@ -555,6 +556,12 @@ def test_width_holds_each_entry_times_its_growth_factor():
     # every window sphere counts, at its own width
     window = [(packed([1]), 64, 2**200 + 1), (packed([2**100], 128), 128, 1)]
     assert cayley._width(window, 128) == 256
+    # the first width is 32 bits, and the widths after it whole words
+    assert cayley._width([(packed([2**30 - 1, -5], 32), 32, 3)], 32) == 64
+    assert cayley._width([(packed([2**29 - 1, -(2**29)], 32), 32, 3)], 32) == 32
+    assert cayley._width([(packed([1], 32), 32, 2**200)], 32) == 256
+    # a 32-bit entry times a 40-bit factor needs 72 bits: two words, not one
+    assert cayley._width([(packed([2**30], 32), 32, 2**39)], 32) == 128
 
 
 def test_ball_resists_a_hash_flood():
@@ -571,13 +578,13 @@ def test_ball_resists_a_hash_flood():
 
 
 # ---------------------------------------------------------------------------
-# the inverse-letter skip against the sphere BFS without it
+# the packed-slot spheres against a sphere BFS on reduced integer matrices
 
 
 def reference_spheres(letters, radius, budget):
-    """cayley._spheres as it was before the skip: every element times every letter."""
+    """cayley._spheres on (d, N) keys in lowest terms: every element times every letter."""
     n = len(letters[0][1][1])
-    mats = [(d, tuple(zip(*rows))) for _, (d, rows), _ in letters]
+    mats = [(d, tuple(zip(*rows))) for _, (d, rows) in letters]
     ident = (1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
     older, sphere = [], [(None, None, ident)]
     seen = {ident}
@@ -620,9 +627,16 @@ def collect(spheres):
     return out, None
 
 
+def sphere_triples(gens, radius, budget):
+    """cayley._spheres as (d, width, sphere), the tags decoded: (parent, letter, key) triples."""
+    fan = len(cayley._alphabet(gens))
+    for d, width, tags, keys in cayley._spheres(cayley._alphabet(gens), radius, budget):
+        yield d, width, [(*divmod(tag, fan), key) for tag, key in zip(tags, keys)]
+
+
 def cayley_spheres(gens, radius, budget):
     """cayley._spheres as (parent, letter, matrix) triples, at each sphere's scale and width."""
-    for d, width, sphere in cayley._spheres(cayley._alphabet(gens), radius, budget):
+    for d, width, sphere in sphere_triples(gens, radius, budget):
         yield [(p, letter, cayley._as_matrix(key, d, width)) for p, letter, key in sphere]
 
 
@@ -637,6 +651,13 @@ def assert_same_spheres(gens, radius, budget=10**6):
 
 _SHEAR = SquareMatrix.from_rows([[1, 1], [0, 1]])
 _MINUS_I = SquareMatrix.from_rows([[-1, 0], [0, -1]])
+# the powers of [[2, 1], [1, 1]] have Fibonacci entries, of 31 bits in sphere 22
+_FIBONACCI = [SquareMatrix.from_rows([[2, 1], [1, 1]])]
+# diag(2, 1/2) and a rotation: sphere k holds entries 4^k at scale 2^k
+_DOUBLING = [
+    SquareMatrix.from_rows([[2, 0], [0, F(1, 2)]]),
+    SquareMatrix.from_rows([[0, -1], [1, 0]]),
+]
 
 
 @pytest.mark.parametrize(
@@ -648,7 +669,7 @@ _MINUS_I = SquareMatrix.from_rows([[-1, 0], [0, -1]])
         ([_SHEAR, _SHEAR, sanov_gens()[1]], 4),
         ([SquareMatrix.from_rows([[0, -1], [1, 0]]), SquareMatrix.from_rows([[0, 1], [-1, 1]])], 8),
         ([SquareMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), SquareMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])], 8),
-        # entries straddle +-2^62 and +-2^63 around the first slot width
+        # entries straddle +-2^62 and +-2^63 around the first whole-word width
         (
             [
                 SquareMatrix.from_rows([[1, 2**61], [0, 1]]),
@@ -664,6 +685,16 @@ _MINUS_I = SquareMatrix.from_rows([[-1, 0], [0, -1]])
             ],
             5,
         ),
+        # entries straddle +-2^30 and +-2^31 around the first slot width
+        (
+            [
+                SquareMatrix.from_rows([[1, 2**29], [0, 1]]),
+                SquareMatrix.from_rows([[1, 0], [-(2**29), 1]]),
+            ],
+            4,
+        ),
+        (_FIBONACCI, 30),
+        (_DOUBLING, 20),
     ],
     ids=[
         "sanov",
@@ -674,14 +705,17 @@ _MINUS_I = SquareMatrix.from_rows([[-1, 0], [0, -1]])
         "finite-group",
         "straddles-2^63",
         "widens-in-window",
+        "straddles-2^31",
+        "fibonacci-through-2^31",
+        "widens-from-32-while-rescaled",
     ],
 )
-def test_inverse_letter_skip_keeps_every_sphere(gens, radius):
+def test_spheres_match_reference_spheres(gens, radius):
     _, error = assert_same_spheres(gens, radius)
     assert error is None
 
 
-def test_inverse_letter_skip_exhausts_a_finite_group():
+def test_spheres_match_reference_spheres_of_a_finite_group():
     # signed 3x3 permutation matrices of determinant 1: a group of order 24
     gens = [
         SquareMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
@@ -692,16 +726,50 @@ def test_inverse_letter_skip_exhausts_a_finite_group():
     assert 1 + sum(len(s) for s in spheres) == 24
 
 
+def test_first_width_holds_entries_up_to_2_to_the_31():
+    # the Fibonacci powers keep 32-bit slots until their 31-bit entries, then
+    # take one 64-bit word; diag(2, 1/2) widens with the window rescaled by 2
+    # and 4, its keys re-encoded from 32-bit slots into whole words
+    for gens, last_narrow in ((_FIBONACCI, 22), (_DOUBLING, 14)):
+        spheres = list(cayley._spheres(cayley._alphabet(gens), last_narrow + 2, 10**6))
+        widths = [width for _, width, _, _ in spheres]
+        assert widths == [32] * last_narrow + [64] * 2
+    d, width, _, keys = list(cayley._spheres(cayley._alphabet(_FIBONACCI), 22, 10**6))[-1]
+    entries = [x for key in keys for row in cayley._as_matrix(key, d, width).num for x in row]
+    assert max(map(abs, entries)) > 2**30
+
+
+def test_budget_runs_out_in_a_later_chunk_of_a_sphere(monkeypatch):
+    # the budget passes S(11) and the new elements of S(12)'s first chunk of
+    # parents, so the cut-off comes in a later chunk, with S(11)'s counts
+    gens = heisenberg_gens()
+    spheres = list(cayley._spheres(cayley._alphabet(gens), 12, 10**6))
+    _, width, tags, _ = spheres[-1]
+    step = cayley.CHUNK_BYTES // (9 * width // 8)
+    assert len(spheres[-2][3]) > step
+    in_first_chunk = sum(tag // 4 < step for tag in tags)
+    budget = 1 + sum(len(keys) for *_, keys in spheres[:-1]) + in_first_chunk + 1
+    chunks = []
+    products = cayley._products
+    monkeypatch.setattr(cayley, "_products", lambda *args: chunks.append(1) or products(*args))
+    list(cayley._spheres(cayley._alphabet(gens), 11, 10**6))
+    done = len(chunks)
+    chunks.clear()
+    _, error = assert_same_spheres(gens, 12, budget)
+    assert len(chunks) - done > 1
+    assert error == f"ball exceeded budget {budget}"
+    assert spheres_outcome(gens, 12, budget) == reference_outcome(gens, 12, budget)
+
+
 def test_inverse_letter_table():
     # -I is its own inverse; a repeated letter and a letter equal to another's
-    # inverse are dropped, and the inverses map to the letters kept
+    # inverse are dropped
     letters = cayley._alphabet([_MINUS_I, _SHEAR, _SHEAR, _SHEAR.inverse()])
-    assert [str(w) for w, _, _ in letters] == ["0", "1", "3"]
-    assert [inv for _, _, inv in letters] == [0, 2, 1]
+    assert [str(w) for w, _ in letters] == ["0", "1", "3"]
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5, 17, 40, 53, 54])
-def test_inverse_letter_skip_keeps_the_budget_cut_off(budget):
+def test_spheres_match_reference_spheres_at_the_budget_cut_off(budget):
     spheres, error = assert_same_spheres(sanov_gens(), 4, budget)
     assert error == f"ball exceeded budget {budget}"
     with pytest.raises(BudgetExceeded) as info:
@@ -717,7 +785,7 @@ def test_inverse_letter_skip_keeps_the_budget_cut_off(budget):
     radius=st.integers(1, 4),
     budget=st.one_of(st.integers(1, 120), st.just(10**6)),
 )
-def test_inverse_letter_skip_matches_reference(gens, radius, budget):
+def test_spheres_match_reference_spheres_on_random_generators(gens, radius, budget):
     assert_same_spheres(gens, radius, budget)
 
 

@@ -587,6 +587,16 @@ def test_outputs_past_the_int_to_str_limit_end_quickly(capsys, tmp_path, argv, w
         assert doc["failed_stage"] == "derive_exponent"
 
 
+def test_growth_on_huge_entries_ends_quickly(capsys, tmp_path):
+    # the slots widen from 32 bits straight to 64-bit words past 13,000 bits;
+    # the group is free, so the balls are the rank-2 free group's
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["growth", huge_entry_file(tmp_path), "--radius", "5"])
+    assert time.perf_counter() - start < 10
+    assert code == 0 and not err
+    assert [c for _, c in json.loads(out)["ball_sizes"]] == [1, 5, 17, 53, 161, 485]
+
+
 def sl4_file(tmp_path, big):
     """g = [[0, -1], [1, -1]] + diag(big, 1/big) and h = [[1, 1], [0, 1]] + I_2."""
     g = [[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, big, 0], [0, 0, 0, f"1/{big}"]]

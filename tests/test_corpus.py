@@ -14,9 +14,10 @@ re-records that file as a named spec change:
     PYTHONPATH=src python tests/test_corpus.py --record
 
 tests/data/corpus_reports.json holds, for each input, the exit code and
-JSON of find-pair and of spectrum on the words "0 1" and "0", so the pair
-search, its wedge genericity (m = 2 on the n = 4 input) and the spectral
-report are pinned as well; the same --record run re-records it.
+JSON of find-pair, of spectrum on the words "0 1" and "0", and of growth at
+the input's recorded radius, so the pair search, its wedge genericity (m = 2
+on the n = 4 input), the spectral report and growth's estimates, verdict
+and exhausted flag are pinned as well; the same --record run re-records it.
 
 tests/data/tamper_reasons.json holds the reason verify gave for each
 tamper when it was recorded, so every tamper keeps failing at the same
@@ -150,20 +151,23 @@ REPORT_COMMANDS = {
     "find-pair": ["find-pair"],
     "spectrum 0 1": ["spectrum", "--word", "0 1"],
     "spectrum 0": ["spectrum", "--word", "0"],
+    "growth": ["growth", "--radius"],
 }
 
 
-def report_argv(command, gens):
+def report_argv(command, gens, input_id):
     head, *rest = REPORT_COMMANDS[command]
+    if head == "growth":
+        rest.append(str(INPUTS[input_id]["growth"]["radius"]))
     return [head, gens, *rest]
 
 
 @pytest.mark.parametrize("input_id", list(INPUTS))
-def test_find_pair_and_spectrum_give_the_recorded_reports(tmp_path, capsys, input_id):
+def test_find_pair_spectrum_and_growth_give_the_recorded_reports(tmp_path, capsys, input_id):
     want = json.loads(REPORTS_PATH.read_text())[input_id]
     gens = generator_file(tmp_path, input_id)
     for command in REPORT_COMMANDS:
-        assert list(run(capsys, report_argv(command, gens))) == want[command], command
+        assert list(run(capsys, report_argv(command, gens, input_id))) == want[command], command
 
 
 def fraction_interval_mid(x):
@@ -261,7 +265,7 @@ def record_traces() -> None:
 
 
 def record_reports() -> None:
-    """Write find-pair and spectrum of every corpus input to tests/data/corpus_reports.json."""
+    """Write find-pair, spectrum and growth of every corpus input to tests/data/corpus_reports.json."""
     reports = {}
     for input_id in INPUTS:
         with tempfile.TemporaryDirectory() as tmp:
@@ -270,7 +274,7 @@ def record_reports() -> None:
             for command in REPORT_COMMANDS:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
-                    code = cli.main(report_argv(command, gens))
+                    code = cli.main(report_argv(command, gens, input_id))
                 reports[input_id][command] = [code, json.loads(out.getvalue())]
     REPORTS_PATH.write_text(json.dumps(reports, indent=1) + "\n")
 
