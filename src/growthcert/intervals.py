@@ -4,17 +4,17 @@ RationalInterval has exact Fraction endpoints.  It serves the scalar
 decisions, where exact rational points decide ties (eigenvalue moduli,
 the (L1) gap test).
 
-ComplexInterval is the working box of every enclosed eigenbasis: four
-integer endpoints over one power of two, [re_lo, re_hi] + i*[im_lo, im_hi]
-times 2^-k (ball arithmetic on integer mantissas, after van der Hoeven,
-"Ball arithmetic", 2009, and Johansson's Arb).  Sums, differences and
-products are exact integer operations; round_out(bits) is the one place
-precision is dropped, an outward shift to `bits` significant bits (floor for
-lower ends, ceiling for upper ends).  Integers and dyadic rationals enter
-exactly; any other rational enters outward through dyadic_floor and
-dyadic_ceil.  recip and mag round outward too, so every box contains the
-exact result for every exact input it contains: containment claims are
-theorems, not floating-point folklore, and every endpoint is a rational.
+ComplexInterval is the root finder's output box (polyroots): four integer
+endpoints over one power of two, [re_lo, re_hi] + i*[im_lo, im_hi] times
+2^-k (ball arithmetic on integer mantissas, after van der Hoeven, "Ball
+arithmetic", 2009, and Johansson's Arb).  Sums, differences and products
+are exact integer operations; round_out(bits) is the one place precision
+is dropped, an outward shift to `bits` significant bits (floor for lower
+ends, ceiling for upper ends).  recip and mag round outward too, so every
+box contains the exact result for every exact input it contains:
+containment claims are theorems, not floating-point folklore, and every
+endpoint is a rational.  No eigenbasis is built from boxes: wordforge
+reads each root's midpoint.
 """
 
 from __future__ import annotations
@@ -25,26 +25,8 @@ from math import isqrt
 
 from .errors import SingularEnclosure
 
-# significant bits of a rational that enters a box, or of a reciprocal,
-# where the caller names no precision
+# significant bits of a reciprocal where the caller names no precision
 PREC = 256
-
-
-def dyadic_floor(x: Fraction, bits: int) -> Fraction:
-    """Largest multiple of a power of two <= x, keeping ~bits significant bits."""
-    if x == 0:
-        return Fraction(0)
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    shift = bits - e
-    if shift <= 0:
-        scaled = x / (1 << -shift)
-        return Fraction(scaled.numerator // scaled.denominator) * (1 << -shift)
-    scaled = x * (1 << shift)
-    return Fraction(scaled.numerator // scaled.denominator, 1 << shift)
-
-
-def dyadic_ceil(x: Fraction, bits: int) -> Fraction:
-    return -dyadic_floor(-x, bits)
 
 
 def sqrt_upper(x: Fraction, bits: int = 64) -> Fraction:
@@ -134,14 +116,6 @@ def _fraction(m: int, k: int) -> Fraction:
     return Fraction(m, 1 << k) if k >= 0 else Fraction(m << -k)
 
 
-def dyadic_form(x: Fraction) -> tuple[int, int] | None:
-    """(m, k) with x = m * 2^-k when x's denominator is a power of two, else None."""
-    den = x.denominator
-    if den & (den - 1):
-        return None
-    return x.numerator, den.bit_length() - 1
-
-
 def _imul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     """[a, b] * [c, d]: the hull of the four endpoint products, by sign cases."""
     if a >= 0:
@@ -190,32 +164,6 @@ class ComplexInterval:
         self.ih = ih
         self.k = k
 
-    @staticmethod
-    def point(re, im=0, bits: int = PREC) -> "ComplexInterval":
-        if type(re) is int and type(im) is int:
-            return ComplexInterval(re, re, im, im)
-        return ComplexInterval.from_box(re, re, im, im, bits)
-
-    @staticmethod
-    def from_box(re_lo, re_hi, im_lo, im_hi, bits: int = PREC) -> "ComplexInterval":
-        """The box with these rational edges, exact when every edge is dyadic.
-
-        Other edges round outward to ~bits significant bits through
-        dyadic_floor (lower edges) and dyadic_ceil (upper edges).
-        """
-        edges = [Fraction(x) for x in (re_lo, re_hi, im_lo, im_hi)]
-        if edges[0] > edges[1] or edges[2] > edges[3]:
-            raise ValueError(f"empty box {edges}")
-        forms = [dyadic_form(x) for x in edges]
-        if None in forms:
-            edges = [
-                (dyadic_floor if i % 2 == 0 else dyadic_ceil)(x, bits) if form is None else x
-                for i, (x, form) in enumerate(zip(edges, forms))
-            ]
-            forms = [dyadic_form(x) for x in edges]
-        k = max(e for _, e in forms)
-        return ComplexInterval(*(m << (k - e) for m, e in forms), k)
-
     @property
     def re(self) -> RationalInterval:
         return RationalInterval(_fraction(self.rl, self.k), _fraction(self.rh, self.k))
@@ -256,13 +204,6 @@ class ComplexInterval:
         ri_lo, ri_hi = _imul(a, b, g, h)
         ir_lo, ir_hi = _imul(c, d, e, f)
         return ComplexInterval(rr_lo - ii_hi, rr_hi - ii_lo, ri_lo + ir_lo, ri_hi + ir_hi, k)
-
-    def scale(self, c) -> "ComplexInterval":
-        if type(c) is int:
-            if c >= 0:
-                return ComplexInterval(self.rl * c, self.rh * c, self.il * c, self.ih * c, self.k)
-            return ComplexInterval(self.rh * c, self.rl * c, self.ih * c, self.il * c, self.k)
-        return self * ComplexInterval.point(c)
 
     def round_out(self, bits: int) -> "ComplexInterval":
         """Shift outward so the largest endpoint keeps `bits` significant bits."""
@@ -313,23 +254,6 @@ class ComplexInterval:
         conj = ComplexInterval(self.rl, self.rh, -self.ih, -self.il, self.k)
         return (conj * inv).round_out(bits)
 
-    def pow_int(self, k: int, round_bits: int | None = None) -> "ComplexInterval":
-        if k < 0:
-            return self.pow_int(-k, round_bits).recip(round_bits or PREC)
-        result = ComplexInterval(1, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-                if round_bits:
-                    result = result.round_out(round_bits)
-            k >>= 1
-            if k:
-                base = base * base
-                if round_bits:
-                    base = base.round_out(round_bits)
-        return result
-
     def contains(self, re: Fraction, im: Fraction = Fraction(0)) -> bool:
         return self.re.contains(Fraction(re)) and self.im.contains(Fraction(im))
 
@@ -361,12 +285,6 @@ class ComplexInterval:
 CMatrix = tuple[tuple[ComplexInterval, ...], ...]
 
 
-def cmat_from_exact(m, bits: int = PREC) -> CMatrix:
-    """Lift a SquareMatrix (or row iterable of rationals) to point boxes."""
-    rows = m.entries if hasattr(m, "entries") else m
-    return tuple(tuple(ComplexInterval.point(x, 0, bits) for x in row) for row in rows)
-
-
 def cmat_mul(a: CMatrix, b: CMatrix, round_bits: int | None = None) -> CMatrix:
     cols = tuple(zip(*b))
     out = []
@@ -391,9 +309,9 @@ def cmat_inverse(a: CMatrix, round_bits: int | None = None) -> CMatrix:
     Pivot choice: row with the largest lower bound on |entry|; raises
     SingularEnclosure when no pivot is certified nonzero, which callers
     treat as "escalate precision and retry".  Pivot reciprocals keep
-    round_bits (PREC when None) significant bits.  A library routine:
-    eigenbases take P^-1 from the adjugate polynomial instead
-    (wordforge.diagonalize).
+    round_bits (PREC when None) significant bits.  A library routine,
+    like cmat_mul: no eigenbasis is enclosed any more, and
+    wordforge.diagonalize inverts its rational basis exactly.
     """
     n = len(a)
     aug = [list(row) + [ComplexInterval(int(i == j), int(i == j)) for j in range(n)]

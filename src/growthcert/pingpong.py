@@ -1,18 +1,21 @@
 """Ping-pong cone certification and the exact freeness oracle.
 
 The working set is the projective cone U_r around [e1]: points x with
-max_{j>=2} |x_j|_v <= r |x_1|_v.  For a diagonalized A and a partner B the
-three certified facts B U_r disjoint from U_r, A^e B U_r inside U_r, and
-A^2e B U_r inside U_r make (A^e B, A^2e B) a ping-pong pair, hence a free
-semigroup.  All checks are sound-but-incomplete: a False only means "not
-certified at this precision and radius".
+max_{j>=2} |x_j|_v <= r |x_1|_v.  For matrices A and B the three facts B
+U_r disjoint from U_r, A^e B U_r inside U_r, and A^2e B U_r inside U_r
+make (A^e B, A^2e B) a ping-pong pair, hence a free semigroup: u = A^e B
+and w = A^2e B map U_r into itself, and u(U_r) meets w(U_r) only inside
+A^e (B U_r meet U_r), which is empty (Tits, J. Algebra 20, 1972).  This
+holds in any invertible basis, so the checks need no eigenbasis: a good
+one (wordforge.diagonalize) only makes them likely to pass.  All checks
+are sound-but-incomplete: a False only means "not certified at this
+radius".
 
-Each matrix the checks read gets one BoundTable: integer lower and upper
-bounds on every |x|_v over one common denominator (2^E over the isqrt
-mantissas of a box, or the lcm of the denominators of exact entries).  The
-checks cross-multiply by r = a/b and compare integers, so each decision is
-the rational one.  Exact Fractions work at any place; ComplexInterval
-entries (irrational diagonalizations) only at the archimedean place.
+Each matrix the checks read is exact, and gets one BoundTable: the
+integers |x|_v over one common denominator.  The checks cross-multiply by
+r = a/b and compare integers, so each decision is the rational one, at
+every place.  A check on M decides as one on cM for any rational c != 0,
+so the products run on integer rows.
 """
 
 from __future__ import annotations
@@ -26,67 +29,42 @@ from operator import mul
 from typing import NamedTuple
 
 from .cayley import nth_root_floor
-from .errors import BudgetExceeded, ExponentSearchExhausted, Inconclusive
+from .errors import BudgetExceeded, ExponentSearchExhausted
 from .exactnum import (
     Place,
     SquareMatrix,
     Word,
     abs_value,
     format_rational,
+    int_matmul,
     is_prime,
     parse_rational,
     typed_field,
 )
-from .intervals import ComplexInterval, RationalInterval
-
-
-def _entry_mantissas(x, v: Place, bits: int) -> tuple[int, int, int]:
-    """(lo, hi, den) with lo/den <= |x|_v <= hi/den; exact entries give lo = hi."""
-    if isinstance(x, ComplexInterval):
-        if not v.is_archimedean:
-            raise ValueError("interval entries are archimedean-only")
-        lo, hi, t = x.mag_mantissas(bits)
-        return (lo, hi, 1 << t) if t >= 0 else (lo << -t, hi << -t, 1)
-    a = abs_value(Fraction(x), v)
-    return a.numerator, a.numerator, a.denominator
-
-
-def entry_bounds(x, v: Place, bits: int = 96) -> tuple[Fraction, Fraction]:
-    """(lower, upper) bounds on |x|_v; exact entries give equal bounds."""
-    lo, hi, den = _entry_mantissas(x, v, bits)
-    return Fraction(lo, den), Fraction(hi, den)
-
-
-def _is_exact(rows) -> bool:
-    return not isinstance(rows[0][0], ComplexInterval)
 
 
 class BoundTable(NamedTuple):
-    """Integer bounds lo[i][j]/den <= |M_ij|_v <= hi[i][j]/den for one matrix M.
+    """The integers abs[i][j] = |M_ij|_v * den for one matrix M, over one common den.
 
-    One den serves every entry: 2^E for boxes, over the isqrt mantissas of
-    ComplexInterval.mag_mantissas, and the lcm of the |x|_v denominators for
-    exact entries.  tail[i] bounds the rest of row i from above: the sum
-    (archimedean) or max (ultrametric) of hi[i][1:].
+    den is the lcm of the |x|_v denominators.  tail[i] is the sum
+    (archimedean) or max (ultrametric) of abs[i][1:].
     """
 
-    lo: tuple
-    hi: tuple
+    abs: tuple
     tail: tuple
     den: int
 
 
-def bound_table(rows, v: Place, bits: int = 96) -> BoundTable:
-    """The BoundTable of the matrix with these rows at the place v."""
-    bounds = [[_entry_mantissas(x, v, bits) for x in row] for row in rows]
-    den = lcm(*(d for row in bounds for _, _, d in row))
-    lo = tuple(tuple(x * (den // d) for x, _, d in row) for row in bounds)
-    hi = tuple(tuple(x * (den // d) for _, x, d in row) for row in bounds)
+def bound_table(rows, v: Place) -> BoundTable:
+    """The BoundTable of the matrix with these rows (ints or Fractions) at the place v."""
+    values = [[abs_value(x, v) for x in row] for row in rows]
+    den = lcm(*(x.denominator for row in values for x in row))
+    table = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in values)
     if v.is_archimedean:
-        tail = tuple(sum(row[1:]) for row in hi)
+        tail = tuple(sum(row[1:]) for row in table)
     else:
-        tail = tuple(max(row[1:], default=0) for row in hi)
-    return BoundTable(lo, hi, tail, den)
+        tail = tuple(max(row[1:], default=0) for row in table)
+    return BoundTable(table, tail, den)
 
 
 def _check_disjoint(t: BoundTable, r: Fraction, v: Place) -> bool:
@@ -99,11 +77,11 @@ def _check_disjoint(t: BoundTable, r: Fraction, v: Place) -> bool:
     integers and decides exactly as the rational test does.
     """
     a, b = r.numerator, r.denominator
-    rows = zip(t.lo[1:], t.tail[1:])
+    rows = zip(t.abs[1:], t.tail[1:])
     if v.is_archimedean:
-        top = a * (b * t.hi[0][0] + a * t.tail[0])
+        top = a * (b * t.abs[0][0] + a * t.tail[0])
         return any(b * (b * row[0] - a * tail) > top for row, tail in rows)
-    top = a * max(b * t.hi[0][0], a * t.tail[0])
+    top = a * max(b * t.abs[0][0], a * t.tail[0])
     return any(b * row[0] > a * tail and b * b * row[0] > top for row, tail in rows)
 
 
@@ -117,7 +95,7 @@ def _check_inclusion(t: BoundTable, r: Fraction, v: Place) -> bool:
     the tests are multiplied by b^2 * den (archimedean) or b * den.
     """
     a, b = r.numerator, r.denominator
-    m11, rows = t.lo[0][0], zip(t.hi[1:], t.tail[1:])
+    m11, rows = t.abs[0][0], zip(t.abs[1:], t.tail[1:])
     if v.is_archimedean:
         low = b * m11 - a * t.tail[0]
         return low > 0 and all(b * (b * row[0] + a * tail) <= a * low for row, tail in rows)
@@ -126,21 +104,12 @@ def _check_inclusion(t: BoundTable, r: Fraction, v: Place) -> bool:
     )
 
 
-def _scale_rows_by_diag_power(a_diag, b_rows, e: int, bits: int):
-    """Rows of diag(a)^e * B without forming the product matrix."""
-    out = []
-    for ai, row in zip(a_diag, b_rows):
-        if isinstance(ai, ComplexInterval):
-            p = ai.pow_int(e, round_bits=4 * bits)
-            out.append(tuple(p * x for x in row))
-        else:
-            p = Fraction(ai) ** e
-            out.append(tuple(p * Fraction(x) for x in row))
-    return tuple(out)
+def _integer_rows(m) -> tuple:
+    """Integer rows N of m = N/d, for a SquareMatrix or rows of rationals.
 
-
-def _power_table(a_diag, b_rows, e: int, v: Place, bits: int) -> BoundTable:
-    return bound_table(_scale_rows_by_diag_power(a_diag, b_rows, e, bits), v, bits)
+    The cone checks decide on N as they do on m, since d > 0 is a scalar.
+    """
+    return (m if isinstance(m, SquareMatrix) else SquareMatrix.from_rows(m)).num
 
 
 def _normalize_diag(a) -> tuple:
@@ -164,24 +133,13 @@ def _pow_le(x: Fraction, c: Fraction, y: Fraction, d: Fraction) -> bool:
     return (x / c) ** den <= y**num
 
 
-def _tri_all(flags):
-    """Collapse per-part tri-states: False wins, then None, then True."""
-    if any(f is False for f in flags):
-        return False
-    if any(f is None for f in flags):
-        return None
-    return True
-
-
 @dataclass(frozen=True)
 class LConditions:
-    """Certified spectral-gap and size conditions for a diagonalized pair.
+    """Spectral-gap and size conditions for a diagonal A and a partner B.
 
-    a_moduli are eigenvalue moduli of A at the place, largest first: exact
-    Fractions at finite places, RationalIntervals at the archimedean one.
-    b11_lower is a certified lower bound on |B_11| and b_norm a certified
-    upper bound on the max entry modulus of B, both in the eigenbasis.
-    A library check (wordforge.ensure_l2 runs it); certification does not.
+    a_moduli are the |a_i|_v, largest first.  b11_lower is |B_11|_v and
+    b_norm the max entry modulus of B, both in the same basis.  A library
+    check (wordforge.ensure_l2 runs it); certification does not.
     """
 
     place: Place
@@ -206,16 +164,13 @@ def check_l_conditions(
     b,
     v: Place,
     constants=(Fraction(1), Fraction(1), Fraction(1), Fraction(2)),
-    bits: int = 96,
 ) -> LConditions:
-    """Certify the gap condition |a_1| >= max(2, 2|a_2|), the corner bounds
+    """Decide the gap condition |a_1| >= max(2, 2|a_2|), the corner bounds
     1/|B_11| <= c2*|a_1|^d2 with B e1 not parallel to e1, and the norm bound
-    max|B_ij| <= c3*|a_1|^d3.
+    max|B_ij| <= c3*|a_1|^d3, exactly.
 
-    Each flag is True only when certified; exact data always decides, while
-    interval data that straddles a threshold raises Inconclusive so the
-    caller can rebuild the basis at higher precision.  Certification does
-    not run this check; the cone checks decide a certificate.
+    Certification does not run this check; the cone checks decide a
+    certificate.
     """
     c2, d2, c3, d3 = (Fraction(c) for c in constants)
     if min(c2, d2, c3, d3) <= 0:
@@ -227,55 +182,10 @@ def check_l_conditions(
     if len(diag) < 2:
         raise ValueError("need dimension at least 2")
 
-    mod_bounds = sorted(
-        (entry_bounds(x, v, bits) for x in diag), key=lambda p: p[0] + p[1], reverse=True
-    )
-    if v.is_archimedean:
-        a_moduli = tuple(RationalInterval(lo, hi) for lo, hi in mod_bounds)
-    else:
-        a_moduli = tuple(lo for lo, _ in mod_bounds)
-    (a1_lo, a1_hi), (a2_lo, a2_hi) = mod_bounds[0], mod_bounds[1]
-
-    def tri_ge(lo_x, hi_x, bound_lo, bound_hi):
-        if lo_x >= bound_hi:
-            return True
-        if hi_x < bound_lo:
-            return False
-        return None
-
-    l1 = _tri_all(
-        [tri_ge(a1_lo, a1_hi, Fraction(2), Fraction(2)), tri_ge(a1_lo, a1_hi, 2 * a2_lo, 2 * a2_hi)]
-    )
-
-    b11_lo, b11_hi = entry_bounds(rows[0][0], v, bits)
-    col_states = [entry_bounds(row[0], v, bits) for row in rows[1:]]
-    if any(lo > 0 for lo, _ in col_states):
-        not_parallel = True
-    elif all(hi == 0 for _, hi in col_states):
-        not_parallel = False
-    else:
-        not_parallel = None
-    if b11_lo > 0 and _pow_le(1 / b11_lo, c2, a1_lo, d2):
-        corner = True
-    elif b11_hi == 0 or not _pow_le(1 / b11_hi, c2, a1_hi, d2):
-        corner = False
-    else:
-        corner = None
-    l2 = _tri_all([corner, not_parallel])
-
-    ent_bounds_all = [entry_bounds(x, v, bits) for row in rows for x in row]
-    bn_lo = max(lo for lo, _ in ent_bounds_all)
-    bn_hi = max(hi for _, hi in ent_bounds_all)
-    if _pow_le(bn_hi, c3, a1_lo, d3):
-        l3 = True
-    elif not _pow_le(bn_lo, c3, a1_hi, d3):
-        l3 = False
-    else:
-        l3 = None
-
-    for name, flag in (("l1", l1), ("l2", l2), ("l3", l3)):
-        if flag is None:
-            raise Inconclusive(f"{name} straddles its threshold at the current precision")
+    a_moduli = tuple(sorted((abs_value(x, v) for x in diag), reverse=True))
+    a1, a2 = a_moduli[0], a_moduli[1]
+    b11 = abs_value(rows[0][0], v)
+    b_norm = max(abs_value(x, v) for row in rows for x in row)
     return LConditions(
         place=v,
         a_moduli=a_moduli,
@@ -283,11 +193,11 @@ def check_l_conditions(
         d2=d2,
         c3=c3,
         d3=d3,
-        l1=l1,
-        l2=l2,
-        l3=l3,
-        b11_lower=b11_lo,
-        b_norm=bn_hi,
+        l1=a1 >= 2 and a1 >= 2 * a2,
+        l2=b11 > 0 and _pow_le(1 / b11, c2, a1, d2) and any(row[0] for row in rows[1:]),
+        l3=_pow_le(b_norm, c3, a1, d3),
+        b11_lower=b11,
+        b_norm=b_norm,
     )
 
 
@@ -309,31 +219,30 @@ class ConeChecks:
         )
 
 
-def verify_cone_inclusions(
-    a_diag,
-    b_rows,
-    e: int,
-    r: Fraction,
-    v: Place,
-    bits: int = 96,
-) -> ConeChecks:
-    """Certify the three ping-pong facts for diag(a)^e against B at radius r.
+def verify_cone_inclusions(a, b, e: int, r: Fraction, v: Place) -> ConeChecks:
+    """Certify the three ping-pong facts for A^e against B at radius r.
 
-    a_diag: diagonal entries of A in the eigenbasis (Fractions or
-    ComplexIntervals, modulus-descending).  b_rows: B in the same basis.
-    Sound-but-incomplete at every step.
+    a and b are exact matrices in one basis (SquareMatrix or rows of
+    rationals), such as wordforge.wedge_pair's compounds.  The tables are
+    those of B, A^e B and A^2e B = A^e (A^e B), by exact integer products.
+    Sound-but-incomplete at every step, in any basis.
     """
     if e < 1:
         raise ValueError("exponent must be positive")
     r = Fraction(r)
     if r <= 0:
         raise ValueError("cone parameter must be positive")
-    if not _is_exact(b_rows) and not v.is_archimedean:
-        raise ValueError("interval basis data cannot certify finite places")
+    a, b = _integer_rows(a), _integer_rows(b)
+    a_e = a
+    for bit in bin(e)[3:]:
+        a_e = int_matmul(a_e, a_e)
+        if bit == "1":
+            a_e = int_matmul(a_e, a)
+    m1 = int_matmul(a_e, b)
     return ConeChecks(
-        disjoint=_check_disjoint(bound_table(b_rows, v, bits), r, v),
-        contracts=_check_inclusion(_power_table(a_diag, b_rows, e, v, bits), r, v),
-        contracts_double=_check_inclusion(_power_table(a_diag, b_rows, 2 * e, v, bits), r, v),
+        disjoint=_check_disjoint(bound_table(b, v), r, v),
+        contracts=_check_inclusion(bound_table(m1, v), r, v),
+        contracts_double=_check_inclusion(bound_table(int_matmul(a_e, m1), v), r, v),
     )
 
 
@@ -350,31 +259,31 @@ DEFAULT_RADII = (
 )
 
 
-def derive_exponent(
-    a_diag,
-    b_rows,
-    v: Place,
-    cap: int = 64,
-    bits: int = 96,
-) -> tuple[int, Fraction, ConeChecks]:
+def derive_exponent(a, b, v: Place, cap: int = 64) -> tuple[int, Fraction, ConeChecks]:
     """Smallest exponent (with its radius) certifying all three cone checks.
 
     Exponents ascend; for each exponent every radius is tried in
     DEFAULT_RADII order, which makes the outcome deterministic and means a
     certificate at (e, r) implies no radius worked at e-1.  The gap condition guarantees
-    termination in principle: the top-row margin of diag(a)^e B grows like
+    termination in principle: the top-row margin of A^e B grows like
     |a_1/a_2|^e against the fixed polynomial bounds on B.  The checks are
     verify_cone_inclusions', on one bound table for B and one per power
-    of A: the table for 2e serves again as the one for e' = 2e.
+    A^k B, each one integer product after the last; the table for 2e
+    serves again for e' = 2e.
     """
-    b_table = bound_table(b_rows, v, bits)
+    a, b = _integer_rows(a), _integer_rows(b)
+    b_table = bound_table(b, v)
     radii = [r for r in DEFAULT_RADII if _check_disjoint(b_table, r, v)]
     if not radii:
         raise ExponentSearchExhausted("no radius certifies B-cone disjointness")
-    tables = {}
+    tables, power = [b_table], b
     for e in range(1, cap + 1):
-        m1 = tables.pop(e) if e in tables else _power_table(a_diag, b_rows, e, v, bits)
-        m2 = tables[2 * e] = _power_table(a_diag, b_rows, 2 * e, v, bits)
+        while len(tables) <= 2 * e:
+            power = int_matmul(a, power)
+            tables.append(bound_table(power, v))
+        m1, m2 = tables[e], tables[2 * e]
+        # no later exponent reads the table of A^e B
+        tables[e] = None
         for r in radii:
             if _check_inclusion(m1, r, v) and _check_inclusion(m2, r, v):
                 return e, r, ConeChecks(disjoint=True, contracts=True, contracts_double=True)

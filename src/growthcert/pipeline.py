@@ -3,10 +3,13 @@
 Orchestrates the regular-pair search, norm balancing, place and wedge
 selection, exponent derivation, and the freeness oracle.  Every stage works
 on the seed words; none replaces them by longer ones.  The stages hand on
-one ConjugatedPair, the canonical eigenbasis diagonalized_pair derives from
+one ConjugatedPair, in the canonical basis diagonalized_pair derives from
 the certified words alone; the exponent search runs in it, and
 verify_certificate rebuilds the same basis from the certificate and the
-generator file to replay the cone checks.
+generator file to replay the cone checks.  The checks are sound in any
+basis, so the basis is rational and needs no enclosure: precision only
+sets how many bits a rounded one keeps, and the norm relations the stages
+record are facts about it, not part of the certificate.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .exactnum import (
 )
 from .pingpong import (
     PingPongCertificate,
-    _is_exact,
     derive_exponent,
     find_semigroup_collision,
     growth_bound_from_length,
@@ -53,7 +55,7 @@ from .wordforge import (
 _PRECISION_ERRORS = (Inconclusive, PrecisionExhausted, SingularEnclosure)
 
 
-# interval working precision, doubled on each retry
+# the bits a rounded basis keeps, doubled on each retry
 BITS_SCHEDULE = (64, 128, 256)
 
 
@@ -133,10 +135,10 @@ def certify_generators(
 
     Stage order: regular-pair search, norm balancing (with a role swap
     when only the trace route certifies), place and wedge selection,
-    exponent derivation in the canonical eigenbasis of the words (the
-    replay verify_certificate runs), freeness oracle.  The eigenbasis is
-    built once per role and handed from stage to stage; the exponent
-    search builds it again only at another sort place or precision.
+    exponent derivation in the canonical basis of the words (the replay
+    verify_certificate runs), freeness oracle.  The basis is built once
+    per role and handed from stage to stage; the exponent search builds it
+    again only at another sort place or precision.
     Failures raise PipelineFailure carrying the stage name, with the trace
     so far on the .trace attribute.  A certificate is returned only after
     the oracle confirms zero collisions.
@@ -223,11 +225,11 @@ def certify_generators(
         canon = pair
         if (pair.sort_place, pair.bits) != (v, bits):
             canon = diagonalized_pair(a_mat, b_mat, word_a_final, word_b_final, v, bits)
-        wa, wb = wedge_pair(canon, v, m, bits)
-        return derive_exponent(wa, wb, v, cap=config.exponent_cap, bits=bits)
+        wa, wb = wedge_pair(canon, v, m)
+        return derive_exponent(wa, wb, v, cap=config.exponent_cap)
 
-    # A's basis is exact at every place exactly when pair's is, and exact
-    # data gives the same answer at every precision: no retry
+    # A's basis is exact at every place exactly when pair's is, and an
+    # exact basis is the same at every precision: no retry
     retry = _PRECISION_ERRORS if pair.exact else _PRECISION_ERRORS + (ExponentSearchExhausted,)
     try:
         e, r, checks = _escalate(canonical, retry=retry)
@@ -290,7 +292,7 @@ def verify_certificate(
 
     Checks, in order: dimension agreement, the word-length, exponent and
     oracle-depth caps, word evaluation, the growth bound recomputation
-    (exact equality), the cone inclusions in the canonical eigenbasis of
+    (exact equality), the cone inclusions in the canonical basis of
     diagonalized_pair over the precision schedule, and the freeness
     oracle at the recorded depth.  Returns (False, reason) at the first
     failure and never raises on tampered input.  A cone failure names the
@@ -340,17 +342,15 @@ def verify_certificate(
     for bits in BITS_SCHEDULE:
         try:
             pair = diagonalized_pair(a_mat, b_mat, cert.word_a, cert.word_b, cert.place, bits)
-            wa, wb = wedge_pair(pair, cert.place, cert.wedge_m, bits)
-            checks = verify_cone_inclusions(
-                wa, wb, cert.exponent, cert.cone_param, cert.place, bits
-            )
+            wa, wb = wedge_pair(pair, cert.place, cert.wedge_m)
+            checks = verify_cone_inclusions(wa, wb, cert.exponent, cert.cone_param, cert.place)
         except (GrowthcertError, ValueError) as exc:
             reason = f"{exc} at {bits} bits"
             continue
         passed = checks.all_pass
         reason = f"{', '.join(checks.failed)} failed at {bits} bits"
-        # exact basis data gives the same answer at every precision
-        if passed or _is_exact(wb):
+        # an exact basis is the same at every precision
+        if passed or pair.exact:
             break
     if not passed:
         return False, f"cone checks did not certify: {reason}"

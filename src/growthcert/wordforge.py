@@ -1,18 +1,22 @@
 """Basis preparation between pair selection and cone certification.
 
-diagonalized_pair diagonalizes A from its adjugate polynomial (exact when
-the charpoly splits over Q, certified enclosures otherwise) into the
-canonical ConjugatedPair, and every later stage hands that pair on.  The
+diagonalized_pair builds A's canonical basis X from its adjugate
+polynomial (diagonalize), conjugates B into it, and every later stage
+hands that ConjugatedPair on.  X is rational: exact when A's eigenvalues
+are rational, otherwise eigenvectors at the roots' dyadic midpoints
+rounded to a fixed number of bits, so it is a pure function of (A, sort
+place, bits) and certify and verify build the same X.  The cone checks
+are sound in any invertible basis; X only makes them likely to pass.  The
 order of its eigenvalues, wedge coordinates and places comes from exact
-keys (_modulus_key), so certify and verify agree on it on every machine.
-The norm balancing reads B's rows after a centralizer conjugation but
-keeps the canonical ones, the trace route records a relation, and the
-role swap builds B's canonical pair the same way.  The place and wedge
-degree with a certified spectral gap come from the gap grid the pair
-search already holds.  Every stage checks the seed pair itself; none
-replaces B by a longer word.  The corner check (ensure_l2), corner
-amplification and the almost-algebra builder are library functions;
-certification does not run them.
+keys (_modulus_key).  The norm balancing reads B's rows after a
+centralizer conjugation but keeps the canonical ones, the trace route
+records a relation, and the role swap builds B's canonical pair the same
+way; these relations are facts about X, not part of any certificate.  The
+place and wedge degree with a certified spectral gap come from the gap
+grid the pair search already holds.  Every stage checks the seed pair
+itself; none replaces B by a longer word.  The corner check (ensure_l2),
+corner amplification and the almost-algebra builder are library
+functions; certification does not run them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     BalanceFailed,
@@ -32,8 +37,8 @@ from .errors import (
     SwapFailed,
 )
 from .exactnum import ARCH, Place, PlaceSet, SquareMatrix, Word, abs_value
-from .intervals import ComplexInterval, _fraction, cmat_from_exact, cmat_mul, sqrt_upper
-from .pingpong import LConditions, bound_table, check_l_conditions, entry_bounds
+from .intervals import _fraction, sqrt_upper
+from .pingpong import LConditions, bound_table, check_l_conditions
 from .polyroots import certified_root_structure, squarefree_part
 from .spectra import adjugate_poly, char_poly, compound, wedge_diag
 
@@ -45,155 +50,152 @@ SYM_B = Word.generator(1)
 # diagonalization
 
 
-def _modulus_key(x, v: Place = ARCH) -> Fraction:
-    """The canonical order's key: |x|_v for an exact x, the midpoint of |x|^2's bounds for a box.
+def _modulus_key(z, v: Place = ARCH) -> Fraction:
+    """|z|_v^2 of an eigenvalue point: a Fraction, or (re, im) off the real axis.
 
-    The midpoint is (lo + hi) / 2^(2k + 1) from the integer bounds of
-    _mag_sq, exact at every magnitude.  One sort never mixes the two kinds.
+    Exact at every magnitude.  Points off the real axis occur only in a
+    rounded basis, which the archimedean place alone reads.
     """
-    if isinstance(x, ComplexInterval):
-        lo, hi = x._mag_sq()
-        return _fraction(lo + hi, 2 * x.k + 1)
-    return abs_value(x, v)
+    if isinstance(z, tuple):
+        return z[0] ** 2 + z[1] ** 2
+    return abs_value(z, v) ** 2
 
 
-def _root_boxes(real_ivs, boxes, bits: int) -> list[ComplexInterval]:
-    """Root boxes from certified_root_structure's result in the canonical order.
+def _adjugate_at(d: int, mats, re: Fraction, im: Fraction):
+    """Real and imaginary rows of q^(n-1) adj(mu I - N) at mu = d * (re + i im).
 
-    Descending by _modulus_key, ties broken by the real and then the
-    imaginary midpoint, descending.  A rational point that is not dyadic
-    rounds out at 4 * bits, the eigenbasis precision, so its box tightens
-    as bits escalates.
+    Homogeneous Horner in Gaussian integers over adjugate_poly's (d, mats),
+    adj(x I - N) = sum_k M_k x^(n-k), with q the common denominator of re
+    and im.
     """
-    lambdas = [ComplexInterval.from_box(iv.lo, iv.hi, 0, 0, 4 * bits) for iv in real_ivs]
-    lambdas += boxes
-    lambdas.sort(
-        key=lambda z: (
-            _modulus_key(z),
-            _fraction(z.rl + z.rh, z.k + 1),
-            _fraction(z.il + z.ih, z.k + 1),
-        ),
-        reverse=True,
-    )
-    return lambdas
+    q = lcm(re.denominator, im.denominator)
+    x = d * re.numerator * (q // re.denominator)
+    y = d * im.numerator * (q // im.denominator)
+    hr, hi, s = mats[0], [[0] * len(row) for row in mats[0]], 1
+    for m in mats[1:]:
+        s *= q
+        hr, hi = (
+            [[a * x - b * y + s * c for a, b, c in zip(*rows)] for rows in zip(hr, hi, m)],
+            [[a * y + b * x for a, b in zip(*rows)] for rows in zip(hr, hi)],
+        )
+    return hr, hi
 
 
-def _eigenbasis(d: int, mats, lambdas, bits: int):
-    """Rows of P and of P^-1 from adjugate_poly's (d, mats) at each root in lambdas.
+def _eigenvector(hr, hi, first_nonzero: bool, bits: int | None):
+    """The pinned column of an adjugate at a root: (real parts, imaginary parts).
 
-    Horner gives X = sum_k M_k mu^(n-k) = adj(mu I - N) with mu = d * lambda.
-    At a simple root X has rank 1 and X^2 = tr(X) X, so a nonzero column
-    pinned to 1 at coordinate q is the eigenvector and row q over tr(X) the
-    matching row of P^-1.  Exact roots pin the first nonzero column at its
-    last nonzero coordinate.  Boxes take the column of largest certified
-    modulus, then the first coordinate certified nonzero whose modulus can
-    reach that column's certified largest, so rounding noise cannot move
-    the pin between coordinates of equal modulus; every step rounds out at
-    4 * bits.
+    At a simple root the adjugate has rank 1, so each nonzero column is an
+    eigenvector.  With first_nonzero (A's eigenvalues all rational) the
+    first nonzero column is pinned to 1 at its last nonzero coordinate;
+    otherwise the column of largest modulus is pinned to 1 at its first
+    coordinate of that modulus.  With bits, each part rounds to the
+    nearest multiple of 2^-bits, and a modulus within a factor 1 - 2^-(bits/2)
+    of the largest counts as tied with it: the adjugate is taken at a point
+    near the root, so coordinates of equal modulus in the eigenvector differ
+    by rounding noise, which must not move the pin.  Without bits the
+    column is exact.
     """
-    n = len(lambdas)
-    exact = not isinstance(lambdas[0], ComplexInterval)
-    prec = 4 * bits
-    if not exact:
-        mats = [[[ComplexInterval.point(x) for x in row] for row in m] for m in mats]
-    columns, inv_rows = [], []
-    for lam in lambdas:
-        mu = lam * d if exact else lam.scale(d)
-        adj = mats[0]
-        for m in mats[1:]:
-            adj = [[x * mu + y for x, y in zip(row, mrow)] for row, mrow in zip(adj, m)]
-            if not exact:
-                adj = [[x.round_out(prec) for x in row] for row in adj]
-        tr = sum((adj[i][i] for i in range(1, n)), adj[0][0])
-        if exact:
-            col = next(c for c in zip(*adj) if any(c))
-            q = max(i for i in range(n) if col[i])
-            pin, scale = 1 / Fraction(col[q]), 1 / Fraction(tr)
-            col = [x * pin for x in col]
-            row = [x * scale for x in adj[q]]
-        else:
-            col, sq, best_lo = None, None, Fraction(0)
-            for c in zip(*adj):
-                c_sq = [x.mag_sq() for x in c]
-                lo = max(v.lo for v in c_sq)
-                if lo > best_lo:
-                    col, sq, best_lo = c, c_sq, lo
-            if col is None:
-                raise SingularEnclosure("no adjugate column certified nonzero")
-            q = next(i for i, v in enumerate(sq) if v.lo > 0 and v.hi >= best_lo)
-            pin, scale = col[q].recip(prec), tr.recip(prec)
-            col = [(x * pin).round_out(prec) for x in col]
-            col[q] = ComplexInterval.point(1)
-            row = [(x * scale).round_out(prec) for x in adj[q]]
-        columns.append(col)
-        inv_rows.append(tuple(row))
-    return tuple(zip(*columns)), tuple(inv_rows)
+    cols = [[(a * a + b * b, a, b) for a, b in zip(rc, ic)] for rc, ic in zip(zip(*hr), zip(*hi))]
+    if first_nonzero:
+        col = next(c for c in cols if any(sq for sq, _, _ in c))
+        q = max(i for i, (sq, _, _) in enumerate(col) if sq)
+    else:
+        col = max(cols, key=lambda c: max(sq for sq, _, _ in c))
+        best = max(sq for sq, _, _ in col)
+        if not best:
+            raise SingularEnclosure("no adjugate column is nonzero")
+        slack = 0 if bits is None else best >> bits // 2
+        q = next(i for i, (sq, _, _) in enumerate(col) if best - sq <= slack)
+    den, c, d = col[q]
+    # (a + ib) / (c + id) = ((ac + bd) + i(bc - ad)) / (c^2 + d^2)
+    parts = ([a * c + b * d for _, a, b in col], [b * c - a * d for _, a, b in col])
+    if bits is None:
+        return tuple([Fraction(x, den) for x in part] for part in parts)
+    one = 1 << bits
+    return tuple([Fraction(((x << bits + 1) // den + 1) >> 1, one) for x in part] for part in parts)
 
 
 def diagonalize(a: SquareMatrix, sort_place: Place = ARCH, bits: int = 128):
-    """(diag, P rows, P^-1 rows) with A = P diag P^-1, from one adjugate_poly.
+    """(points, X, X^-1, exact) for A's canonical basis X, from one adjugate_poly.
 
-    Eigenvalues sort by modulus descending at sort_place.  A charpoly that
-    splits over Q gives exact Fractions, ties broken by value; otherwise
-    eigenvalues are certified boxes at 2^-bits and P, P^-1 enclosures,
-    which needs the archimedean sort place; too wide a box raises
-    SingularEnclosure or PrecisionExhausted, and callers escalate bits.
+    certified_root_structure gives each root at width 2^-bits; its point is
+    the root itself when rational, and the dyadic midpoint of its interval
+    or box otherwise.  Points sort by modulus descending at sort_place: a
+    charpoly that splits over Q (exact) breaks ties by value ascending;
+    otherwise the sort needs the archimedean place and breaks ties by the
+    real, then the imaginary part, descending, so each conjugate pair sits
+    together, +Im first.  Each column of X is the pinned adjugate column
+    at its point (_eigenvector), exact at a rational root and rounded to
+    `bits` bits otherwise; a conjugate pair gives the real and the
+    imaginary part of its +Im eigenvector as two real columns.  A point
+    off the real axis is (re, im), every other point a Fraction.  A
+    rounded X that is singular raises SingularEnclosure, and callers
+    escalate bits.
     """
     f, d, mats = adjugate_poly(a)
     if squarefree_part(f) != f:
         raise ValueError("A must have a squarefree characteristic polynomial")
     width = Fraction(1, 2**bits) * max(Fraction(1), a.max_abs_entry())
     real_ivs, boxes = certified_root_structure(f, width)
-    if not boxes and all(iv.lo == iv.hi for iv in real_ivs):
-        lambdas = sorted(
-            (iv.lo for iv in real_ivs), key=lambda lam: (-_modulus_key(lam, sort_place), lam)
+    exact = not boxes and all(iv.lo == iv.hi for iv in real_ivs)
+    if exact:
+        points = sorted(
+            ((iv.lo, Fraction(0)) for iv in real_ivs),
+            key=lambda z: (-_modulus_key(z[0], sort_place), z[0]),
         )
     elif not sort_place.is_archimedean:
         raise Inconclusive("finite sort place needs a rational eigenbasis")
     else:
-        lambdas = _root_boxes(real_ivs, boxes, bits)
-    p, p_inv = _eigenbasis(d, mats, lambdas, bits)
-    return tuple(lambdas), p, p_inv
+        points = [((iv.lo + iv.hi) / 2, Fraction(0)) for iv in real_ivs]
+        points += [
+            (_fraction(b.rl + b.rh, b.k + 1), _fraction(b.il + b.ih, b.k + 1)) for b in boxes
+        ]
+        points.sort(key=lambda z: (_modulus_key(z), *z), reverse=True)
+    rational = {iv.lo for iv in real_ivs if iv.lo == iv.hi}
+    vectors, columns = {}, []
+    for re, im in points:
+        if im < 0:
+            # the conjugate's eigenvector, found one column earlier
+            columns.append(vectors[re, -im][1])
+            continue
+        v = vectors[re, im] = _eigenvector(
+            *_adjugate_at(d, mats, re, im), exact, None if im == 0 and re in rational else bits
+        )
+        columns.append(v[0])
+    x = SquareMatrix.from_rows(list(zip(*columns)))
+    try:
+        x_inv = x.inverse()
+    except ZeroDivisionError:
+        raise SingularEnclosure("rounded eigenbasis is singular") from None
+    diag = tuple(re if im == 0 else (re, im) for re, im in points)
+    return diag, x, x_inv, exact
 
 
-def _rows_mul(x, y, exact: bool, bits: int = 128):
-    if exact:
-        return (SquareMatrix.from_rows(x) * SquareMatrix.from_rows(y)).entries
-    return cmat_mul(x, y, round_bits=4 * bits)
+def _norm_sq(values, places) -> Fraction:
+    """The largest |x|_v^2 over the values and the places (see _modulus_key)."""
+    return max(_modulus_key(x, v) for v in places for x in values)
 
 
-def _diag_rows(diag, exact: bool):
-    n = len(diag)
-    zero = Fraction(0) if exact else ComplexInterval.point(0)
-    return tuple(tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n))
-
-
-def _norm_bounds(rows, v: Place, bits: int = 96) -> tuple[Fraction, Fraction]:
-    """(lower, upper) bounds on the max entry modulus at the place."""
-    t = bound_table(rows, v, bits)
-    return Fraction(max(map(max, t.lo)), t.den), Fraction(max(map(max, t.hi)), t.den)
-
-
-def _global_norm_bounds(rows, s: PlaceSet, exact: bool, bits: int = 96):
-    """Max over the places of S; interval data restricts to the archimedean one."""
-    places = list(s) if exact else [ARCH]
-    pairs = [_norm_bounds(rows, v, bits) for v in places]
-    return max(lo for lo, _ in pairs), max(hi for _, hi in pairs)
+def _entries(rows):
+    return [x for row in rows for x in row]
 
 
 @dataclass(frozen=True)
 class ConjugatedPair:
-    """The pair in A's canonical eigenbasis, with the certified relation.
+    """The pair in A's canonical basis X, with the certified relation.
 
     Every pair is the one diagonalized_pair builds at sort_place and bits;
     the stages after it record a relation and never change the basis, so
     a later stage at the same place and bits reuses it.  orig_a and orig_b
-    stay exact in the input basis so spectral data (charpoly, gap grid)
-    never depends on enclosures.  basis and basis_inv are the rows of P
-    and P^-1 with A = P diag P^-1; a_diag and b_rows = P^-1 B P live in the
-    eigenbasis: Fractions on the exact path, ComplexIntervals otherwise.
-    constants records the (c1, c2) certifying norm(B) <= c1 * norm(A)^c2
-    when norm_relation is B_prec_A or swapped.
+    stay in the input basis, so spectral data (charpoly, gap grid) never
+    depends on X.  Everything is exact: basis and basis_inv are the
+    Fraction rows of X and X^-1, b_rows those of X^-1 B X, and a_diag
+    holds A's eigenvalue points in X's column order (see diagonalize).
+    exact says A's eigenvalues are rational, so that X^-1 A X is
+    diag(a_diag); otherwise X is rounded, and the stages read the points
+    and B's rows at the archimedean place only.  constants records the
+    (c1, c2) with norm(B) <= c1 * norm(A)^c2 when norm_relation is
+    B_prec_A or swapped: a fact about X, which no certificate carries.
     """
 
     orig_a: SquareMatrix
@@ -219,40 +221,28 @@ class ConjugatedPair:
     def balanced(self) -> bool:
         return self.norm_relation in ("B_prec_A", "swapped")
 
+    def places(self, s: PlaceSet) -> list[Place]:
+        """The places whose norms the stages compare: S on an exact basis, else archimedean."""
+        return list(s) if self.exact else [ARCH]
 
-def _certify_b_prec_a(a_diag, b_rows, s, exact, bits, candidates=((1, 1), (1, 2))):
-    """First (c1, c2) with norm(B) <= c1*norm(A)^c2 certified, or None."""
-    an_lo, _ = _global_norm_bounds(_diag_rows(a_diag, exact), s, exact, bits)
-    _, bn_hi = _global_norm_bounds(b_rows, s, exact, bits)
+
+def _certify_b_prec_a(an_sq, bn_sq, candidates=((1, 1), (1, 2))):
+    """First (c1, c2) with norm(B) <= c1*norm(A)^c2, compared in squares, or None."""
     for c1, c2 in candidates:
-        if bn_hi <= Fraction(c1) * an_lo ** int(c2):
+        if bn_sq <= c1 * c1 * an_sq**c2:
             return Fraction(c1), Fraction(c2)
     return None
 
 
-def _trace_abs_bounds(b_rows, s, exact, bits):
-    """Bounds on max over S of |tr B|; interval path is archimedean-only."""
-    n = len(b_rows)
-    if exact:
-        tr = sum(b_rows[i][i] for i in range(n))
-        vals = [abs_value(tr, v) for v in s]
-        return max(vals), max(vals)
-    tr = b_rows[0][0]
-    for i in range(1, n):
-        tr = tr + b_rows[i][i]
-    m = tr.mag(bits)
-    return m.lo, m.hi
-
-
-def _balance_exponents(b_rows, v: Place, bits: int) -> tuple[int, ...]:
+def _balance_exponents(b_rows, v: Place) -> tuple[int, ...]:
     """Integer log-2 scales minimizing the largest conjugated entry, greedily.
 
     Conjugating by diag(2^k_i) scales entry (i, j) by 2^(k_j - k_i).  Each
-    step compares the largest scaled upper bound exactly, on the integers
-    of B's bound table shifted left by s >= 0; the choice only needs to be
-    a good heuristic, never a certificate.
+    step compares the largest scaled entry exactly, on the integers of B's
+    bound table shifted left by s >= 0; the choice only needs to be a good
+    heuristic, never a certificate.
     """
-    hi = bound_table(b_rows, v, bits).hi
+    hi = bound_table(b_rows, v).abs
     n = len(hi)
     entries = [(i, j, h) for i, row in enumerate(hi) for j, h in enumerate(row) if h]
     k = [0] * n
@@ -288,17 +278,12 @@ def _balanced_rows(pair: ConjugatedPair):
     rows in place of b_rows; the pair itself keeps its canonical rows.
     """
     b_rows = pair.b_rows
-    k = _balance_exponents(b_rows, ARCH, 96)
+    k = _balance_exponents(b_rows, ARCH)
     if not any(k):
         return b_rows
     n = len(b_rows)
     d = [Fraction(2) ** ki for ki in k]
-    if pair.exact:
-        return tuple(tuple(b_rows[i][j] * d[j] / d[i] for j in range(n)) for i in range(n))
-    return tuple(
-        tuple(b_rows[i][j] * ComplexInterval.point(d[j] / d[i]) for j in range(n))
-        for i in range(n)
-    )
+    return tuple(tuple(b_rows[i][j] * d[j] / d[i] for j in range(n)) for i in range(n))
 
 
 def diagonalized_pair(
@@ -309,30 +294,27 @@ def diagonalized_pair(
     sort_place: Place = ARCH,
     bits: int = 128,
 ) -> ConjugatedPair:
-    """The pair in A's canonical eigenbasis: B becomes P^-1 * B * P.
+    """The pair in A's canonical basis X: B becomes X^-1 * B * X.
 
-    Deterministic in its inputs: eigenvalues sort by modulus at sort_place,
-    eigenvectors carry pinned normalizations, so a verifier replaying from
-    the words alone lands in the same basis.  The basis is exact when A's
-    charpoly splits into distinct rationals and enclosed otherwise; finite
-    sort places need the exact one (see diagonalize).  The result has
+    A pure function of its inputs: points sort by modulus at sort_place and
+    eigenvectors carry pinned normalizations (see diagonalize), so a
+    verifier replaying from the words alone lands in the same X.  X is
+    exact when A's charpoly splits into distinct rationals and rounded
+    otherwise; finite sort places need the exact one.  The result has
     norm_relation "none"; balance_or_trace and swap_roles record a relation
     on it without changing the basis, and it feeds wedge_pair and the cone
     checks directly.
     """
-    a_diag, p, p_inv = diagonalize(a, sort_place, bits)
-    exact = not isinstance(a_diag[0], ComplexInterval)
-    b_rows = b.entries if exact else cmat_from_exact(b, 4 * bits)
-    b_rows = _rows_mul(_rows_mul(p_inv, b_rows, exact, bits), p, exact, bits)
+    a_diag, x, x_inv, exact = diagonalize(a, sort_place, bits)
     return ConjugatedPair(
         orig_a=a,
         orig_b=b,
         word_a=word_a,
         word_b=word_b,
-        basis=p,
-        basis_inv=p_inv,
+        basis=x.entries,
+        basis_inv=x_inv.entries,
         a_diag=a_diag,
-        b_rows=b_rows,
+        b_rows=(x_inv * b * x).entries,
         exact=exact,
         sort_place=sort_place,
         bits=bits,
@@ -350,22 +332,24 @@ def balance_or_trace(pair: ConjugatedPair, s: PlaceSet) -> ConjugatedPair:
 
     Tries, in order: the direct norm comparison after a centralizer
     rebalancing, then the trace route (norm(A)^m * max |tr B| >= norm(B)
-    for m up to TRACE_EXPONENT_CAP).  B itself must pass; it is never
+    for m up to TRACE_EXPONENT_CAP).  norm(A) is the largest eigenvalue
+    point's modulus and norm(B) the largest entry of B in X, compared
+    exactly in squares at pair.places(s).  B itself must pass; it is never
     replaced by a word.  The centralizer element is a power-of-2 diagonal
     that only rescales the rows the checks read; a global scalar acts
     trivially under conjugation, so no determinant normalization is
     applied.  The returned pair keeps the canonical basis and rows.
     """
-    exact, bits = pair.exact, pair.bits
+    places = pair.places(s)
     b_rows = _balanced_rows(pair)
-    certified = _certify_b_prec_a(pair.a_diag, b_rows, s, exact, bits)
+    an_sq = _norm_sq(pair.a_diag, places)
+    bn_sq = _norm_sq(_entries(b_rows), places)
+    certified = _certify_b_prec_a(an_sq, bn_sq)
     if certified is not None:
         return replace(pair, norm_relation="B_prec_A", constants=certified)
-    an_lo, _ = _global_norm_bounds(_diag_rows(pair.a_diag, exact), s, exact, bits)
-    _, bn_hi = _global_norm_bounds(b_rows, s, exact, bits)
-    tr_lo, _ = _trace_abs_bounds(b_rows, s, exact, bits)
+    tr_sq = _norm_sq([sum(b_rows[i][i] for i in range(pair.n))], places)
     for m in range(TRACE_EXPONENT_CAP + 1):
-        if an_lo**m * tr_lo >= bn_hi:
+        if an_sq**m * tr_sq >= bn_sq:
             return replace(pair, norm_relation="trace_big", trace_m=m)
     raise BalanceFailed(
         f"no norm relation and no trace relation with exponent up to {TRACE_EXPONENT_CAP} "
@@ -378,16 +362,17 @@ def swap_roles(pair: ConjugatedPair, s: PlaceSet, bits: int = 128) -> Conjugated
 
     Requires norm(A)^m <= sqrt(norm(B)) for the recorded trace exponent
     (checked as a squared inequality on the rebalanced rows
-    balance_or_trace read) and a certified conditioning bound
-    max(norm(C), norm(C^-1)) <= max(2, norm(A'))^n on the new basis, which
-    is B's canonical eigenbasis at bits.
+    balance_or_trace read) and the conditioning bound
+    max(norm(C), norm(C^-1)) <= max(2, norm(A'))^n on the new basis C,
+    which is B's canonical basis at bits.
     """
     if pair.norm_relation != "trace_big":
         raise ValueError("swap applies only after the trace route")
-    an_hi = _global_norm_bounds(_diag_rows(pair.a_diag, pair.exact), s, pair.exact)[1]
-    bn_lo = _global_norm_bounds(_balanced_rows(pair), s, pair.exact)[0]
+    places = pair.places(s)
+    an_sq = _norm_sq(pair.a_diag, places)
+    bn_sq = _norm_sq(_entries(_balanced_rows(pair)), places)
     m = pair.trace_m or 0
-    if not an_hi ** (2 * m) <= bn_lo:
+    if not an_sq ** (2 * m) <= bn_sq:
         raise SwapFailed("norm(A)^m exceeds sqrt(norm(B)): swap inequality not certified")
 
     f = char_poly(pair.orig_b)
@@ -395,14 +380,14 @@ def swap_roles(pair: ConjugatedPair, s: PlaceSet, bits: int = 128) -> Conjugated
         raise SwapFailed("B has repeated eigenvalues: no certified eigenbasis")
     new = diagonalized_pair(pair.orig_b, pair.orig_a, pair.word_b, pair.word_a, ARCH, bits)
 
-    cn_hi = _global_norm_bounds(new.basis, s, new.exact)[1]
-    ci_hi = _global_norm_bounds(new.basis_inv, s, new.exact)[1]
-    new_an_lo = _global_norm_bounds(_diag_rows(new.a_diag, new.exact), s, new.exact)[0]
-    cond_bound = max(Fraction(2), new_an_lo) ** new.n
-    if not (cn_hi <= cond_bound and ci_hi <= cond_bound):
-        raise SwapFailed("eigenbasis conditioning bound not certified")
+    places = new.places(s)
+    new_an_sq = _norm_sq(new.a_diag, places)
+    cond_bound = max(Fraction(4), new_an_sq) ** new.n
+    for rows in (new.basis, new.basis_inv):
+        if not _norm_sq(_entries(rows), places) <= cond_bound:
+            raise SwapFailed("eigenbasis conditioning bound not certified")
 
-    certified = _certify_b_prec_a(new.a_diag, new.b_rows, s, new.exact, bits)
+    certified = _certify_b_prec_a(new_an_sq, _norm_sq(_entries(new.b_rows), places))
     if certified is None:
         raise SwapFailed("swapped pair does not certify the norm relation")
     return replace(new, norm_relation="swapped", constants=certified)
@@ -416,9 +401,9 @@ def select_place_and_wedge(
     grid is the (L1) gap grid of the exact original A (l1_gap_report);
     its keys give the places.  On an exact basis every eigenvalue is
     rational, so places are ordered by the exact max |a_i|_v over a_diag,
-    largest first, ties in place order; wedge degrees run 1..n-1.
-    Interval-basis pairs, which cannot certify ultrametric cone bounds,
-    get the archimedean place only.
+    largest first, ties in place order; wedge degrees run 1..n-1.  A
+    rounded basis, whose eigenvalues need not be rational, gets the
+    archimedean place only.
     """
     if not pair.balanced:
         raise ValueError("pair must certify the norm relation before selection")
@@ -444,22 +429,28 @@ def select_place_and_wedge(
 # wedge-level data
 
 
-def wedge_pair(pair: ConjugatedPair, v: Place, m: int, bits: int = 96):
-    """Wedge images (diag of A, rows of B) in the canonical order at v.
+def wedge_pair(pair: ConjugatedPair, v: Place, m: int) -> tuple[SquareMatrix, SquareMatrix]:
+    """The exact m-th compounds of A' = X^-1 A X and B' = X^-1 B X, in the canonical order at v.
 
-    Coordinates go by _modulus_key descending, ties in subset order.  Only
-    the top coordinate's place matters to a certificate: the cone checks
-    treat coordinates 2..n symmetrically, so a tie below the top can move
-    no verdict.
+    Coordinates go by the product of their points' _modulus_key,
+    descending, ties in subset order.  On an exact basis the first compound
+    is diag(a_diag) itself.  Only the top coordinate's place matters to a
+    certificate: the cone checks treat coordinates 2..n symmetrically, so a
+    tie below the top can move no verdict.
     """
     if not pair.exact and not v.is_archimedean:
-        raise ValueError("interval basis data cannot certify finite places")
-    wa = wedge_diag(list(pair.a_diag), m)
-    wb = compound(pair.b_rows, m, Fraction(0) if pair.exact else ComplexInterval(0, 0))
-    order = sorted(range(len(wa)), key=lambda i: (-_modulus_key(wa[i], v), i))
-    wa_sorted = tuple(wa[i] for i in order)
-    wb_sorted = tuple(tuple(wb[i][j] for j in order) for i in order)
-    return wa_sorted, wb_sorted
+        raise ValueError("a rounded basis cannot certify finite places")
+    x = SquareMatrix.from_rows(pair.basis)
+    x_inv = SquareMatrix.from_rows(pair.basis_inv)
+    keys = wedge_diag([_modulus_key(z, v) for z in pair.a_diag], m)
+    order = sorted(range(len(keys)), key=lambda i: (-keys[i], i))
+
+    def wedge(g: SquareMatrix) -> SquareMatrix:
+        c = x_inv * g * x
+        rows = compound(c.num, m, 0)
+        return SquareMatrix(c.den**m, [[rows[i][j] for j in order] for i in order])
+
+    return wedge(pair.orig_a), wedge(pair.orig_b)
 
 
 # ---------------------------------------------------------------------------
@@ -483,46 +474,39 @@ class AmplifyResult:
     ell: int
 
 
-def _diag_power(diag, k: int, exact: bool, bits: int):
-    if exact:
-        return [Fraction(x) ** k for x in diag]
-    return [x.pow_int(k, round_bits=4 * bits) for x in diag]
-
-
 def amplify_entry(
     a_diag,
     b_rows,
     target: tuple[int, int],
     c: Fraction,
     v: Place,
-    bits: int = 96,
 ) -> AmplifyResult:
     """Bounded word in {A, B} whose target entry is certifiably large.
 
+    a_diag is A's rational diagonal and b_rows B in the same basis.
     Entries with |B_st| > c * norm(B) form a digraph; a walk i -> ... -> j
     is folded one hop at a time, each hop choosing the power k in 0..n-1
-    maximizing the certified entry bound of W * A^k * B.  The n powers
-    cannot all give small entries: the hop coefficients solve a Vandermonde
-    system with one large component and determinant bounded away from zero
-    for distinct eigenvalues.
+    maximizing the exact entry of W * A^k * B.  The n powers cannot all
+    give small entries: the hop coefficients solve a Vandermonde system
+    with one large component and determinant bounded away from zero for
+    distinct eigenvalues.
     """
-    exact = not isinstance(a_diag[0], ComplexInterval)
     n = len(a_diag)
     i, j = target
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("target out of range")
-    bn_hi = _norm_bounds(b_rows, v, bits)[1]
-    an_lo = _norm_bounds(_diag_rows(a_diag, exact), v, bits)[0]
+    bn = max(abs_value(x, v) for x in _entries(b_rows))
+    an = max(abs_value(x, v) for x in a_diag)
 
     def large(s, t):
-        return entry_bounds(b_rows[s][t], v, bits)[0] > c * bn_hi
+        return abs_value(b_rows[s][t], v) > c * bn
 
     def result(word, path, lower, total_k, total_ell):
-        p = lower * an_lo**total_k / bn_hi**total_ell
+        p = lower * an**total_k / bn**total_ell
         return AmplifyResult(word, tuple(path), lower, p, total_k, total_ell)
 
     if large(i, j):
-        return result(SYM_B, (i, j), entry_bounds(b_rows[i][j], v, bits)[0], 0, 1)
+        return result(SYM_B, (i, j), abs_value(b_rows[i][j], v), 0, 1)
 
     # shortest walk with >= 2 edges: BFS seeded from the out-neighbors of i
     edges = {s: [t for t in range(n) if large(s, t)] for s in range(n)}
@@ -548,24 +532,28 @@ def amplify_entry(
     walk.reverse()
 
     word = SYM_B
-    rows = b_rows
+    b = SquareMatrix.from_rows(b_rows)
+    rows = b
     total_k, total_ell = 0, 1
     for hop in range(1, len(walk) - 1):
         target_col = walk[hop + 1]
         best = None
         for kpow in range(n):
-            mid = _diag_rows(_diag_power(a_diag, kpow, exact, bits), exact)
-            cand = _rows_mul(_rows_mul(rows, mid, exact, bits), b_rows, exact, bits)
-            lower = entry_bounds(cand[i][target_col], v, bits)[0]
+            powers = [Fraction(x) ** kpow for x in a_diag]
+            mid = SquareMatrix.from_rows(
+                [[x if r == s else 0 for s in range(n)] for r, x in enumerate(powers)]
+            )
+            cand = rows * mid * b
+            lower = abs_value(cand[i, target_col], v)
             if best is None or lower > best[0]:
                 best = (lower, kpow, cand)
         lower, kpow, rows = best
         word = word * SYM_A**kpow * SYM_B
         total_k += kpow
         total_ell += 1
-    final_lower = entry_bounds(rows[i][j], v, bits)[0]
+    final_lower = abs_value(rows[i, j], v)
     if final_lower == 0:
-        raise Inconclusive("amplification walk degraded to an uncertified entry")
+        raise Inconclusive("amplification walk ended on a zero entry")
     return result(word, walk, final_lower, total_k, total_ell)
 
 
@@ -574,20 +562,20 @@ def ensure_l2(
     v: Place,
     m: int,
     constants=(Fraction(1), Fraction(1), Fraction(1), Fraction(2)),
-    bits: int = 96,
 ) -> LConditions:
     """Certify the corner conditions for B itself at the place and wedge degree.
 
     The size constant c3 may grow by powers of 16 up to 2^32 (recorded in
     the returned conditions).  Raises L2Unreachable when B fails them; B
-    is never replaced by a word.  A library function: certification does
-    not run it, since the cone checks in the canonical eigenbasis decide a
-    certificate on their own.
+    is never replaced by a word.  Needs an exact basis, where the wedge of
+    A is diagonal (check_l_conditions raises ValueError otherwise).  A
+    library function: certification does not run it, since the cone
+    checks in the canonical basis decide a certificate on their own.
     """
-    wa, wb = wedge_pair(pair, v, m, bits)
+    wa, wb = wedge_pair(pair, v, m)
     c2, d2, c3, d3 = (Fraction(x) for x in constants)
     for t in range(0, 33, 4):
-        cond = check_l_conditions(wa, wb, v, (c2, d2, c3 * 2**t, d3), bits)
+        cond = check_l_conditions(wa, wb, v, (c2, d2, c3 * 2**t, d3))
         if cond.l3:
             break
     if not cond.all_pass:
@@ -600,6 +588,10 @@ def ensure_l2(
 
 # ---------------------------------------------------------------------------
 # almost-algebras
+
+
+def _rows_mul(x, y):
+    return (SquareMatrix.from_rows(x) * SquareMatrix.from_rows(y)).entries
 
 
 def _frob(x_rows, y_rows) -> Fraction:
@@ -688,7 +680,7 @@ def build_almost_algebra(blocks, epsilon: Fraction) -> AlmostAlgebra:
         dim = len(ortho)
         for ii in range(dim):
             for jj in range(dim):
-                prod = _rows_mul(ortho[ii], ortho[jj], True)
+                prod = _rows_mul(ortho[ii], ortho[jj])
                 res, _ = _project_residual(prod, ortho)
                 scale = _frob(ortho[ii], ortho[ii]) * _frob(ortho[jj], ortho[jj])
                 if _frob(res, res) > epsilon**2 * scale:
@@ -703,7 +695,7 @@ def build_almost_algebra(blocks, epsilon: Fraction) -> AlmostAlgebra:
     dim = len(ortho)
     for ii in range(dim):
         for jj in range(dim):
-            prod = _rows_mul(ortho[ii], ortho[jj], True)
+            prod = _rows_mul(ortho[ii], ortho[jj])
             res, _ = _project_residual(prod, ortho)
             scale = _frob(ortho[ii], ortho[ii]) * _frob(ortho[jj], ortho[jj])
             defect_sq = max(defect_sq, _frob(res, res) / scale)

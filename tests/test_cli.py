@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from growthcert import cli, pingpong
-from growthcert.exactnum import is_prime
+from growthcert.exactnum import format_rational, is_prime
+from growthcert.pingpong import growth_bound_from_length
 from test_cayley import heisenberg_gens, reference_ball
 
 REPO = Path(__file__).resolve().parents[1]
@@ -208,10 +209,11 @@ def test_certify_verify_round_trip(capsys, tmp_path):
     assert verdict == {"schema": "growthcert.verdict.v1", "valid": True, "reason": "ok"}
 
 
-# generating sets that certify on the enclosed eigenbasis at wedge degree
-# m >= 3, which no corpus input reaches: the boxes' canonical order feeds
+# generating sets that certify on a rounded basis at wedge degree m >= 3,
+# which no corpus input reaches: the points' canonical order feeds
 # wedge_pair's sort of C(n, m) coordinates.  Recorded stdout and --trace;
-# a change that moves them on purpose re-records them.
+# a change that moves them on purpose re-records them.  n4-m3's A has a
+# conjugate pair, which gives the basis two real columns.
 ENCLOSED_WEDGE_CASES = {
     "n4-m3": (
         [
@@ -219,7 +221,7 @@ ENCLOSED_WEDGE_CASES = {
             [[1, 0, 0, -2], [-1, 1, -1, 0], [1, 0, 1, 0], [-1, -1, -1, 1]],
         ],
         '{"checks":{"contracts":true,"contracts_double":true,"disjoint":true},'
-        '"cone_param":"1/16","exponent":3,"growth_bound":"1157721/1048576","n":4,'
+        '"cone_param":"1/4","exponent":3,"growth_bound":"1157721/1048576","n":4,'
         '"oracle_depth_validated":12,"place":"archimedean","schema":'
         '"growthcert.certificate.v1","wedge_m":3,"word_A":"0","word_B":"1"}\n',
         [
@@ -228,7 +230,7 @@ ENCLOSED_WEDGE_CASES = {
             '{"constants":["1","2"],"exact_basis":false,"ok":true,"relation":"B_prec_A",'
             '"stage":"balance_or_trace","word_B":"1"}',
             '{"ok":true,"place":"archimedean","stage":"select_place_and_wedge","wedge_m":3}',
-            '{"cone_param":"1/16","exponent":3,"ok":true,"stage":"derive_exponent"}',
+            '{"cone_param":"1/4","exponent":3,"ok":true,"stage":"derive_exponent"}',
             '{"depth":12,"ok":true,"stage":"freeness_oracle"}',
             '{"growth_bound":"1157721/1048576","max_word_length":7,"ok":true,'
             '"stage":"certificate"}',
@@ -638,6 +640,37 @@ def test_the_ten_to_the_300_sl4_file_ends_quickly(capsys, tmp_path):
     assert (code, err) == (0, "")
     moduli = json.loads(out)["arch_moduli"]
     assert moduli[0] == [str(10**300)] * 2 and moduli[-1] == [f"1/{10**300}"] * 2
+
+
+def test_a_basis_singular_at_every_precision_ends_in_documented_exit_codes(capsys, tmp_path):
+    # A = [[1 + 2^-600, 1], [2^-600, 1]] has eigenvalues 1 +- about 2^-300,
+    # whose eigenvectors round to one column at 64, 128 and 256 bits:
+    # certify refuses with exit 4 and verify rejects with exit 5, naming
+    # the last precision, and neither ends in a traceback
+    eps = Fraction(1, 2**600)
+    a = [[str(1 + eps), "1"], [str(eps), "1"]]
+    gens = write_json(tmp_path / "near.json", {"n": 2, "generators": [a, [[1, 0], [2, 1]]]})
+    code, out, err = run(capsys, ["certify", gens])
+    assert (code, err) == (4, "")
+    assert json.loads(out)["reason"] == "SingularEnclosure: rounded eigenbasis is singular"
+    cert = {
+        "schema": "growthcert.certificate.v1",
+        "n": 2,
+        "word_A": "0",
+        "word_B": "1",
+        "place": "archimedean",
+        "wedge_m": 1,
+        "exponent": 1,
+        "cone_param": "1/4",
+        "checks": {"disjoint": True, "contracts": True, "contracts_double": True},
+        "growth_bound": format_rational(growth_bound_from_length(3)),
+        "oracle_depth_validated": 12,
+    }
+    code, out, err = run(capsys, ["verify", write_json(tmp_path / "cert.json", cert), gens])
+    assert (code, err) == (5, "")
+    assert json.loads(out)["reason"] == (
+        "cone checks did not certify: rounded eigenbasis is singular at 256 bits"
+    )
 
 
 def test_a_json_number_past_the_digit_limit_exits_2(capsys, tmp_path):

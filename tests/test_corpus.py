@@ -36,8 +36,8 @@ from unittest import mock
 
 import pytest
 
-from growthcert import cli, pingpong, polyroots, wordforge
-from growthcert.intervals import ComplexInterval
+from growthcert import cli, intervals, pingpong, pipeline, polyroots, spectra, wordforge
+from growthcert.exactnum import ARCH, SquareMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = json.loads((ROOT / "bench/data/corpus.json").read_text())
@@ -146,6 +146,34 @@ def test_verify_rejects_a_huge_cone_param_quickly(tmp_path, capsys, cone_param, 
     assert doc["reason"] == f"cone checks did not certify: {failed} failed at 256 bits"
 
 
+@pytest.mark.parametrize("input_id", CERTIFIED)
+def test_certify_and_verify_read_the_same_basis(monkeypatch, input_id):
+    # at every precision of the schedule, certify's exponent search and the
+    # replay in verify_certificate build the same X at the certificate's
+    # place, and read the same compounds of X^-1 A X and X^-1 B X
+    item = INPUTS[input_id]
+    gens = [SquareMatrix.from_rows(g) for g in item["generators"]]
+    cert = pingpong.PingPongCertificate.from_json_dict(item["certify"]["certificate"])
+    reads = []
+    wedge_pair = pipeline.wedge_pair
+
+    def recording(pair, v, m):
+        wa, wb = wedge_pair(pair, v, m)
+        reads.append((pair.basis, pair.basis_inv, pair.b_rows, v, m, wa, wb))
+        return wa, wb
+
+    monkeypatch.setattr(pipeline, "wedge_pair", recording)
+    for bits in pipeline.BITS_SCHEDULE:
+        monkeypatch.setattr(pipeline, "BITS_SCHEDULE", (bits,))
+        reads.clear()
+        pipeline.certify_generators(gens)
+        certified = reads[-1]
+        reads.clear()
+        pipeline.verify_certificate(cert, gens)
+        assert reads == [certified]
+        assert certified[3:5] == (cert.place, cert.wedge_m)
+
+
 # the commands corpus_reports.json pins, keyed as there
 REPORT_COMMANDS = {
     "find-pair": ["find-pair"],
@@ -170,34 +198,60 @@ def test_find_pair_spectrum_and_growth_give_the_recorded_reports(tmp_path, capsy
         assert list(run(capsys, report_argv(command, gens, input_id))) == want[command], command
 
 
-def fraction_interval_mid(x):
-    """The box sort key from the Fraction bounds of |x|^2 (the reference)."""
-    m = x.mag_sq()
-    return (m.lo + m.hi) / 2
+def reference_box_order(real_ivs, boxes):
+    """The roots in the order the boxed eigenbasis used, as (re, im) midpoints.
+
+    Descending by the midpoint of the bounds of |x|^2 over each interval or
+    box, then by the real, then by the imaginary midpoint.
+    """
+
+    def sq_bounds(lo, hi):
+        if lo >= 0:
+            return lo * lo, hi * hi
+        if hi <= 0:
+            return hi * hi, lo * lo
+        return Fraction(0), max(lo * lo, hi * hi)
+
+    edges = [(iv.lo, iv.hi, Fraction(0), Fraction(0)) for iv in real_ivs]
+    edges += [(b.re.lo, b.re.hi, b.im.lo, b.im.hi) for b in boxes]
+
+    def key(e):
+        (a, b), (c, d) = sq_bounds(e[0], e[1]), sq_bounds(e[2], e[3])
+        return (a + b + c + d) / 2, (e[0] + e[1]) / 2, (e[2] + e[3]) / 2
+
+    return [((e[0] + e[1]) / 2, (e[2] + e[3]) / 2) for e in sorted(edges, key=key, reverse=True)]
 
 
-def test_box_sort_keys_match_the_fraction_reference(tmp_path, capsys):
-    # every box that certify or verify sorts over the corpus gets the same key
-    # from the integer bounds of |x|^2 as from their Fractions, so no order moves
-    boxes = []
-    key = wordforge._modulus_key
+def test_point_order_matches_the_box_order_on_the_corpus(tmp_path, capsys):
+    # every rounded basis that certify or verify builds over the corpus puts
+    # its exact points in the order the boxes of the enclosed eigenbasis
+    # had, each conjugate pair +Im first
+    built = []
+    diagonalize = wordforge.diagonalize
 
-    def recording_key(x, *args):
-        if isinstance(x, ComplexInterval):
-            boxes.append(x)
-        return key(x, *args)
+    def recording(a, sort_place=ARCH, bits=128):
+        result = diagonalize(a, sort_place, bits)
+        built.append((a, bits, result))
+        return result
 
-    with mock.patch.object(wordforge, "_modulus_key", recording_key):
+    with mock.patch.object(wordforge, "diagonalize", recording):
         for input_id in INPUTS:
             gens = generator_file(tmp_path, input_id)
             run(capsys, ["certify", gens])
             if input_id in CERTIFIED:
                 cert = write(tmp_path, "cert.json", INPUTS[input_id]["certify"]["certificate"])
                 run(capsys, ["verify", cert, gens])
-    assert len(boxes) > 100
-    assert all(key(x) == fraction_interval_mid(x) for x in boxes)
-    huge = ComplexInterval(2**600, 2**600, 0, 0, -1000)
-    assert key(huge) == fraction_interval_mid(huge) == Fraction(2**3200)
+    rounded = [(a, bits, points) for a, bits, (points, _, _, exact) in built if not exact]
+    assert len(rounded) > 20
+    assert any(isinstance(z, tuple) for _, _, points in rounded for z in points)
+    for a, bits, points in rounded:
+        f = spectra.char_poly(a)
+        width = Fraction(1, 2**bits) * max(Fraction(1), a.max_abs_entry())
+        want = reference_box_order(*polyroots.certified_root_structure(f, width))
+        assert [z if isinstance(z, tuple) else (z, Fraction(0)) for z in points] == want
+        for i, z in enumerate(points):
+            if isinstance(z, tuple) and z[1] < 0:
+                assert points[i - 1] == (z[0], -z[1])
 
 
 # the polyroots functions verify may enter: the exact gcd kernel that
@@ -227,15 +281,32 @@ DISK_ENGINE = {
 }
 
 
-def test_verify_enters_only_the_disk_engine_in_polyroots(tmp_path, capsys):
-    # the trusted path: every polyroots function that verify runs on the
-    # certificates and the tampers, nested code counted as its enclosing
-    # top-level function, is on the allowlist
-    entered = set()
+# the intervals members the disk engine calls: the boxes and intervals it
+# builds, rounds and reads off, and the rational points it reports
+DISK_ENGINE_INTERVALS = {
+    "ComplexInterval.__init__",
+    "ComplexInterval.round_out",
+    "ComplexInterval.re",
+    "RationalInterval.__post_init__",
+    "RationalInterval.point",
+    "_fraction",
+}
+
+
+@pytest.fixture(scope="module")
+def verify_entered(tmp_path_factory):
+    """Per module file, the top-level functions and class members verify enters.
+
+    Over the certificates and the tampers; nested code counts as its
+    enclosing function or method.
+    """
+    tmp_path = tmp_path_factory.mktemp("verify")
+    entered = {polyroots.__file__: set(), intervals.__file__: set()}
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == polyroots.__file__:
-            entered.add(frame.f_code.co_qualname.split(".")[0])
+        names = entered.get(frame.f_code.co_filename)
+        if event == "call" and names is not None:
+            names.add(frame.f_code.co_qualname.split(".<locals>")[0])
 
     jobs = [(i, INPUTS[i]["certify"]["certificate"]) for i in CERTIFIED]
     jobs += [(t["of"], t["certificate"]) for t in CORPUS["tampers"]]
@@ -244,12 +315,27 @@ def test_verify_enters_only_the_disk_engine_in_polyroots(tmp_path, capsys):
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            cli.main(argv)
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
         finally:
             sys.setprofile(previous)
-        capsys.readouterr()
+    return entered
+
+
+def test_verify_enters_only_the_disk_engine_in_polyroots(verify_entered):
+    # the trusted path: every polyroots function that verify runs on the
+    # certificates and the tampers is on the allowlist
+    entered = {name.split(".")[0] for name in verify_entered[polyroots.__file__]}
     assert "certified_root_structure" in entered
     assert entered <= DISK_ENGINE, sorted(entered - DISK_ENGINE)
+
+
+def test_verify_enters_only_the_disk_engine_in_intervals(verify_entered):
+    # no box arithmetic on the trusted path: verify reads the root boxes and
+    # intervals the disk engine builds, and nothing else of intervals
+    entered = verify_entered[intervals.__file__]
+    assert "ComplexInterval.round_out" in entered
+    assert entered <= DISK_ENGINE_INTERVALS, sorted(entered - DISK_ENGINE_INTERVALS)
 
 
 def record_traces() -> None:

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from growthcert import pingpong, pipeline, wordforge
-from growthcert.errors import BudgetExceeded, ExponentSearchExhausted, Inconclusive
+from growthcert import pingpong, pipeline
+from growthcert.errors import BudgetExceeded, ExponentSearchExhausted
 from growthcert.exactnum import ARCH, Place, SquareMatrix, Word, abs_value, is_prime
-from growthcert.intervals import ComplexInterval
 from growthcert.pingpong import (
     DEFAULT_RADII,
     ConeChecks,
@@ -21,7 +20,6 @@ from growthcert.pingpong import (
     bound_table,
     check_l_conditions,
     derive_exponent,
-    entry_bounds,
     find_semigroup_collision,
     growth_bound_from_length,
     verify_cone_inclusions,
@@ -33,13 +31,19 @@ ROOT = Path(__file__).resolve().parent.parent
 B_ROWS = ((F(1), F(1)), (F(1), F(2)))
 
 
+def diag(*values):
+    n = len(values)
+    return SquareMatrix.from_rows(
+        [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    )
+
+
 def test_l_conditions_archimedean_pass():
     cond = check_l_conditions((F(4), F(1, 4)), B_ROWS, ARCH)
     assert cond.all_pass
     assert cond.b11_lower == 1
     assert cond.b_norm == 2
-    top = cond.a_moduli[0]
-    assert top.lo <= 4 <= top.hi
+    assert cond.a_moduli == (F(4), F(1, 4))
 
 
 def test_l_conditions_gap_failure():
@@ -61,10 +65,11 @@ def test_l_conditions_finite_place():
     assert cond.b_norm == 1
 
 
-def test_l_conditions_inconclusive_on_wide_interval():
-    wide = ComplexInterval.from_box(F(19, 10), F(21, 10), 0, 0)
-    with pytest.raises(Inconclusive):
-        check_l_conditions((wide, F(1, 4)), B_ROWS, ARCH)
+def test_l_conditions_read_a_diagonal_matrix_only():
+    b = SquareMatrix.from_rows(B_ROWS)
+    assert check_l_conditions(diag(F(4), F(1, 4)), b, ARCH).all_pass
+    with pytest.raises(ValueError):
+        check_l_conditions(SquareMatrix.from_rows([[4, 1], [0, F(1, 4)]]), b, ARCH)
 
 
 def test_l_conditions_input_validation():
@@ -79,7 +84,7 @@ def test_l_conditions_input_validation():
 def test_cone_checks_archimedean():
     # by hand: at r=1/2 the second row margin 1 - r*2 = 0 cannot beat
     # r*(1 + r) > 0, so disjointness fails; at r=1/4 all three pass
-    a = (F(4), F(1, 4))
+    a = diag(F(4), F(1, 4))
     half = verify_cone_inclusions(a, B_ROWS, 1, F(1, 2), ARCH)
     assert not half.disjoint
     assert not half.all_pass
@@ -89,29 +94,46 @@ def test_cone_checks_archimedean():
 
 
 def test_cone_checks_finite_place():
-    checks = verify_cone_inclusions((F(1, 4), F(4)), B_ROWS, 1, F(1, 2), P2)
+    checks = verify_cone_inclusions(diag(F(1, 4), F(4)), B_ROWS, 1, F(1, 2), P2)
     assert checks.all_pass
 
 
 def test_cone_checks_input_validation():
-    a = (F(4), F(1, 4))
+    a = diag(F(4), F(1, 4))
     with pytest.raises(ValueError):
         verify_cone_inclusions(a, B_ROWS, 0, F(1, 4), ARCH)
     with pytest.raises(ValueError):
         verify_cone_inclusions(a, B_ROWS, 1, F(0), ARCH)
-    boxed = ((ComplexInterval.point(1), ComplexInterval.point(1)),) * 2
-    with pytest.raises(ValueError):
-        verify_cone_inclusions(a, boxed, 1, F(1, 4), P2)
+
+
+def test_cone_checks_ignore_a_scalar():
+    # the checks run on integer rows N of M = N/d: any nonzero rational
+    # multiple of A or B decides alike, at every place
+    rng = random.Random(71)
+    for _ in range(60):
+        n = rng.randint(2, 3)
+        a, b = (
+            SquareMatrix.from_rows(
+                [[F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+            )
+            for _ in range(2)
+        )
+        c = F(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 50))
+        for v in (ARCH, P2, P3):
+            for e, r in ((1, F(1, 4)), (2, F(1, 16)), (3, F(3, 7))):
+                want = verify_cone_inclusions(a, b, e, r, v)
+                assert verify_cone_inclusions(a.scale(c), b, e, r, v) == want
+                assert verify_cone_inclusions(a.entries, b.scale(c).entries, e, r, v) == want
 
 
 def test_derive_exponent_archimedean():
-    e, r, checks = derive_exponent((F(4), F(1, 4)), B_ROWS, ARCH)
+    e, r, checks = derive_exponent(diag(F(4), F(1, 4)), B_ROWS, ARCH)
     assert (e, r) == (1, F(1, 4))
     assert checks.all_pass
 
 
 def test_derive_exponent_finite():
-    e, r, checks = derive_exponent((F(1, 4), F(4)), B_ROWS, P2)
+    e, r, checks = derive_exponent(diag(F(1, 4), F(4)), B_ROWS, P2)
     assert (e, r) == (1, F(1, 2))
     assert checks.all_pass
 
@@ -119,7 +141,7 @@ def test_derive_exponent_finite():
 def test_derive_exponent_is_minimal():
     # weaker gap needs two powers of A; every earlier (e, r) must fail,
     # which is what makes an exponent tamper detectable
-    a = (F(2), F(1, 2))
+    a = diag(F(2), F(1, 2))
     e, r, _ = derive_exponent(a, B_ROWS, ARCH)
     assert (e, r) == (2, F(1, 4))
     for rr in DEFAULT_RADII:
@@ -133,55 +155,74 @@ def test_derive_exponent_is_minimal():
 def test_derive_exponent_no_disjoint_radius():
     # zero lower-left entry: B maps the cone back across it at any radius
     with pytest.raises(ExponentSearchExhausted):
-        derive_exponent((F(4), F(1, 4)), ((F(1), F(1)), (F(0), F(1))), ARCH)
+        derive_exponent(diag(F(4), F(1, 4)), ((F(1), F(1)), (F(0), F(1))), ARCH)
 
 
 def test_derive_exponent_cap():
     # |a1/a2| = 1 never contracts, so the cap is reached
     with pytest.raises(ExponentSearchExhausted):
-        derive_exponent((F(1), F(1)), B_ROWS, ARCH, cap=3)
+        derive_exponent(diag(F(1), F(1)), B_ROWS, ARCH, cap=3)
 
 
-def reference_bounds(x, v, bits):
-    """Fraction bounds on |x|_v: ComplexInterval.mag for a box, abs_value otherwise."""
-    if isinstance(x, ComplexInterval):
-        m = x.mag(bits)
-        return m.lo, m.hi
+def test_derive_exponent_agrees_with_verify_cone_inclusions():
+    # the search's running products and the checks' powers by squaring read
+    # the same matrices: the found (e, r) passes, and every earlier pair fails
+    rng = random.Random(73)
+    found = 0
+    for _ in range(80):
+        n = rng.randint(2, 3)
+        a = SquareMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        a = a * a + SquareMatrix.identity(n).scale(rng.randint(-3, 3))
+        b = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+        try:
+            e, r, _ = derive_exponent(a, b, ARCH, cap=6)
+        except ExponentSearchExhausted:
+            continue
+        found += 1
+        assert verify_cone_inclusions(a, b, e, r, ARCH).all_pass
+        earlier = [(k, rr) for k in range(1, e + 1) for rr in DEFAULT_RADII]
+        for k, rr in earlier[: earlier.index((e, r))]:
+            assert not verify_cone_inclusions(a, b, k, rr, ARCH).all_pass
+    assert found >= 5
+
+
+def reference_bounds(x, v):
+    """|x|_v twice, as a (lower, upper) pair."""
     a = abs_value(x, v)
     return a, a
 
 
-def reference_row_tail_upper(row, v, bits):
-    """Sum (archimedean) or max (ultrametric) of |row[j]| upper bounds, j >= 1."""
-    uppers = [reference_bounds(x, v, bits)[1] for x in row[1:]]
+def reference_row_tail_upper(row, v):
+    """Sum (archimedean) or max (ultrametric) of |row[j]|, j >= 1."""
+    uppers = [reference_bounds(x, v)[1] for x in row[1:]]
     if not uppers:
         return F(0)
     return sum(uppers) if v.is_archimedean else max(uppers)
 
 
-def reference_disjoint(b_rows, r, v, bits):
-    """B U_r disjoint from U_r on Fraction bounds (the reference for the integer check)."""
-    top_tail = reference_row_tail_upper(b_rows[0], v, bits)
-    b11_hi = reference_bounds(b_rows[0][0], v, bits)[1]
+def reference_disjoint(b_rows, r, v):
+    """B U_r disjoint from U_r on Fractions (the reference for the integer check)."""
+    top_tail = reference_row_tail_upper(b_rows[0], v)
+    b11_hi = reference_bounds(b_rows[0][0], v)[1]
     if v.is_archimedean:
         upper1 = b11_hi + r * top_tail
         for row in b_rows[1:]:
-            lo_i = reference_bounds(row[0], v, bits)[0] - r * reference_row_tail_upper(row, v, bits)
+            lo_i = reference_bounds(row[0], v)[0] - r * reference_row_tail_upper(row, v)
             if lo_i > r * upper1:
                 return True
         return False
     upper1 = max(b11_hi, r * top_tail)
     for row in b_rows[1:]:
-        lead = reference_bounds(row[0], v, bits)[0]
-        if lead > r * reference_row_tail_upper(row, v, bits) and lead > r * upper1:
+        lead = reference_bounds(row[0], v)[0]
+        if lead > r * reference_row_tail_upper(row, v) and lead > r * upper1:
             return True
     return False
 
 
-def reference_inclusion(m_rows, r, v, bits):
-    """M U_r inside U_r on Fraction bounds (the reference for the integer check)."""
-    top_tail = reference_row_tail_upper(m_rows[0], v, bits)
-    m11_lo = reference_bounds(m_rows[0][0], v, bits)[0]
+def reference_inclusion(m_rows, r, v):
+    """M U_r inside U_r on Fractions (the reference for the integer check)."""
+    top_tail = reference_row_tail_upper(m_rows[0], v)
+    m11_lo = reference_bounds(m_rows[0][0], v)[0]
     if v.is_archimedean:
         lower1 = m11_lo - r * top_tail
     else:
@@ -191,32 +232,19 @@ def reference_inclusion(m_rows, r, v, bits):
     if lower1 <= 0:
         return False
     for row in m_rows[1:]:
-        lead_hi = reference_bounds(row[0], v, bits)[1]
-        tail = reference_row_tail_upper(row, v, bits)
+        lead_hi = reference_bounds(row[0], v)[1]
+        tail = reference_row_tail_upper(row, v)
         upper_i = lead_hi + r * tail if v.is_archimedean else max(lead_hi, r * tail)
         if not upper_i <= r * lower1:
             return False
     return True
 
 
-def assert_checks_match_reference(rows, r, v, bits):
-    table = bound_table(rows, v, bits)
-    assert pingpong._check_disjoint(table, r, v) == reference_disjoint(rows, r, v, bits)
-    assert pingpong._check_inclusion(table, r, v) == reference_inclusion(rows, r, v, bits)
-
-
-@st.composite
-def _box(draw):
-    # boxes a few bits to 2^100 wide on grids 2^20 to 2^-80: zero boxes,
-    # boxes that straddle zero and negative k among them
-    k = draw(st.integers(-20, 80))
-    if draw(st.integers(0, 9)) == 0:
-        return ComplexInterval(0, 0, 0, 0, k)
-    ends = []
-    for _ in range(2):
-        lo = draw(st.integers(-(2**100), 2**100))
-        ends += [lo, lo + draw(st.integers(0, 2**draw(st.integers(0, 100))))]
-    return ComplexInterval(*ends, k)
+def assert_checks_match_reference(rows, r, v):
+    """The integer checks on the rows' integer form decide as the Fraction checks on the rows."""
+    table = bound_table(pingpong._integer_rows(rows), v)
+    assert pingpong._check_disjoint(table, r, v) == reference_disjoint(rows, r, v)
+    assert pingpong._check_inclusion(table, r, v) == reference_inclusion(rows, r, v)
 
 
 @st.composite
@@ -230,12 +258,13 @@ def _exact(draw, p):
 @st.composite
 def _cone_case(draw):
     n = draw(st.integers(2, 4))
-    if draw(st.booleans()):
-        v, entry = ARCH, _box()
+    v = draw(st.sampled_from([ARCH, P2, P3]))
+    if v.is_archimedean and draw(st.booleans()):
+        # integers up to 2^100, as the products of a rounded basis carry
+        entry = st.integers(-(2**100), 2**100)
     else:
-        v = draw(st.sampled_from([ARCH, P2, P3]))
         entry = _exact(2 if v.is_archimedean else v.prime)
-    rows = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    rows = tuple(tuple(F(draw(entry)) for _ in range(n)) for _ in range(n))
     return rows, v
 
 
@@ -249,63 +278,50 @@ _RADII = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(case=_cone_case(), r=_RADII, bits=st.sampled_from([64, 96, 256]))
+@given(case=_cone_case(), r=_RADII)
 # the r^2 of disjointness at both kinds of place, and an ultrametric row
 # whose tail max and tail sum fall on either side of the threshold
-@example(case=(((F(1), F(0)), (F(1), F(0))), ARCH), r=F(1, 2), bits=96)
-@example(case=(((F(1), F(1)), (F(1), F(1))), P2), r=F(1, 2), bits=96)
-@example(case=(((F(1), F(1), F(1)), (F(2), F(2), F(2)), (F(2), F(2), F(2))), P2), r=F(1, 2), bits=96)
-def test_cone_checks_match_the_fraction_reference(case, r, bits):
+@example(case=(((F(1), F(0)), (F(1), F(0))), ARCH), r=F(1, 2))
+@example(case=(((F(1), F(1)), (F(1), F(1))), P2), r=F(1, 2))
+@example(case=(((F(1), F(1), F(1)), (F(2), F(2), F(2)), (F(2), F(2), F(2))), P2), r=F(1, 2))
+def test_cone_checks_match_the_fraction_reference(case, r):
     rows, v = case
-    assert_checks_match_reference(rows, r, v, bits)
-    bounds = [reference_bounds(x, v, bits) for row in rows for x in row]
-    assert [entry_bounds(x, v, bits) for row in rows for x in row] == bounds
-    assert wordforge._norm_bounds(rows, v, bits) == (
-        max(lo for lo, _ in bounds),
-        max(hi for _, hi in bounds),
-    )
-
-
-@st.composite
-def _narrow_box(draw):
-    # boxes at most 2^-16 wide around points of modulus up to 3, some real
-    ends = []
-    for _ in range(2):
-        lo = draw(st.integers(-3 * 2**20, 3 * 2**20)) if draw(st.booleans()) else 0
-        ends += [lo, lo + draw(st.integers(0, 16))]
-    return ComplexInterval(*ends, 20)
+    assert_checks_match_reference(rows, r, v)
+    table = bound_table(rows, v)
+    assert [F(x, table.den) for row in table.abs for x in row] == [
+        abs_value(x, v) for row in rows for x in row
+    ]
 
 
 @st.composite
 def _permuted_cone_case(draw):
-    # A's diagonal with its first entry boosted by up to 2^12 (p^12 at p), so
-    # some cases certify, B's rows, and a permutation fixing coordinate 1
+    # A with its first diagonal entry boosted by 2^12 (p^12 at p) over small
+    # entries elsewhere, so some cases certify, B's rows, and a permutation
+    # fixing coordinate 1
     n = draw(st.integers(3, 5))
     v = draw(st.sampled_from([ARCH, ARCH, P2, P3, Place.finite(5)]))
     t = draw(st.integers(0, 12))
-    if v.is_archimedean and draw(st.booleans()):
-        entry = draw(st.sampled_from([_box(), _narrow_box()]))
-        boost = ComplexInterval.point(2**t)
-    elif v.is_archimedean:
+    if v.is_archimedean:
         entry, boost = _exact(2), F(2) ** t
     else:
         entry, boost = _exact(v.prime), F(v.prime) ** -t
-    a_diag = [draw(entry) for _ in range(n)]
-    a_diag[0] = a_diag[0] * boost
+    a = [[draw(entry) if draw(st.integers(0, 3)) == 0 or i == j else F(0) for j in range(n)]
+         for i in range(n)]
+    a[0][0] = a[0][0] * boost
     rows = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
     order = (0, *draw(st.permutations(range(1, n))))
-    return tuple(a_diag), rows, v, order
+    return tuple(map(tuple, a)), rows, v, order
 
 
-def cone_outcomes(a_diag, b_rows, v):
+def cone_outcomes(a, b_rows, v):
     """The cone checks at several (e, r), and derive_exponent's answer or refusal."""
     checks = [
-        verify_cone_inclusions(a_diag, b_rows, e, r, v)
+        verify_cone_inclusions(a, b_rows, e, r, v)
         for e in (1, 2, 3)
         for r in (F(1), F(1, 4), F(3, 7), F(1, 64))
     ]
     try:
-        found = derive_exponent(a_diag, b_rows, v, cap=4)
+        found = derive_exponent(a, b_rows, v, cap=4)
     except ExponentSearchExhausted as exc:
         found = str(exc)
     return checks, found
@@ -316,23 +332,25 @@ def cone_outcomes(a_diag, b_rows, v):
 def test_cone_checks_ignore_the_order_of_coordinates_two_to_n(case):
     # the canonical order may reorder coordinates whose moduli tie, but only
     # below the top one, whose gap is certified: one permutation of 2..n,
-    # applied to A's diagonal and to B's rows and columns, moves no verdict
-    a_diag, rows, v, order = case
-    permuted_a = tuple(a_diag[i] for i in order)
-    permuted_rows = tuple(tuple(rows[i][j] for j in order) for i in order)
-    assert cone_outcomes(permuted_a, permuted_rows, v) == cone_outcomes(a_diag, rows, v)
+    # applied to the rows and columns of A and of B, moves no verdict
+    a, rows, v, order = case
+
+    def permuted(m):
+        return tuple(tuple(m[i][j] for j in order) for i in order)
+
+    assert cone_outcomes(permuted(a), permuted(rows), v) == cone_outcomes(a, rows, v)
 
 
 def test_cone_checks_match_the_fraction_reference_on_the_corpus(monkeypatch):
     # every (e, r) the exponent search tries while certifying the 14 corpus
-    # certificates decides as the Fraction checks do
+    # certificates decides as the Fraction checks do on the exact compounds
     corpus = json.loads((ROOT / "bench/data/corpus.json").read_text())
     searches = []
     derive = pipeline.derive_exponent
 
-    def recording(a_diag, b_rows, v, cap, bits):
-        searches.append((a_diag, b_rows, v, cap, bits))
-        return derive(a_diag, b_rows, v, cap, bits)
+    def recording(a, b, v, cap):
+        searches.append((a, b, v, cap))
+        return derive(a, b, v, cap)
 
     monkeypatch.setattr(pipeline, "derive_exponent", recording)
     for item in corpus["inputs"]:
@@ -340,20 +358,19 @@ def test_cone_checks_match_the_fraction_reference_on_the_corpus(monkeypatch):
             gens = [SquareMatrix.from_rows(g) for g in item["generators"]]
             pipeline.certify_generators(gens)
     assert len(searches) >= 14
-    scale = pingpong._scale_rows_by_diag_power
     decisions = set()
-    for a_diag, b_rows, v, cap, bits in searches:
+    for a, b, v, cap in searches:
         try:
-            last = derive(a_diag, b_rows, v, cap, bits)[0]
+            last = derive(a, b, v, cap)[0]
         except ExponentSearchExhausted:
             last = cap
         for r in DEFAULT_RADII:
-            assert_checks_match_reference(b_rows, r, v, bits)
+            assert_checks_match_reference(b.entries, r, v)
         for e in range(1, last + 1):
-            for rows in (scale(a_diag, b_rows, e, bits), scale(a_diag, b_rows, 2 * e, bits)):
+            for rows in ((a**e * b).entries, (a ** (2 * e) * b).entries):
                 for r in DEFAULT_RADII:
-                    assert_checks_match_reference(rows, r, v, bits)
-                    decisions.add(reference_inclusion(rows, r, v, bits))
+                    assert_checks_match_reference(rows, r, v)
+                    decisions.add(reference_inclusion(rows, r, v))
     assert decisions == {False, True}
 
 
@@ -952,9 +969,8 @@ def test_cone_soundness_against_oracle():
         )
         if b.entries[0][0] * b.entries[1][1] == b.entries[0][1] * b.entries[1][0]:
             continue
-        a_diag = (F(k), F(1, k))
         try:
-            e, r, checks = derive_exponent(a_diag, b.entries, ARCH, cap=8)
+            e, r, checks = derive_exponent(diag(F(k), F(1, k)), b, ARCH, cap=8)
         except ExponentSearchExhausted:
             continue
         assert checks.all_pass
@@ -964,3 +980,39 @@ def test_cone_soundness_against_oracle():
         w = a ** (2 * e) * b
         assert find_semigroup_collision(u, w, depth=8) is None
     assert tried >= 12
+
+
+def _random_sl(rng, n):
+    """A product of 3 to 6 elementary integer matrices: an element of SL_n(Z)."""
+    m = SquareMatrix.identity(n)
+    for _ in range(rng.randint(3, 6)):
+        i, j = rng.sample(range(n), 2)
+        e = [[int(r == c) for c in range(n)] for r in range(n)]
+        e[i][j] = rng.choice([-3, -2, -1, 1, 2, 3])
+        m = m * SquareMatrix.from_rows(e)
+    return m
+
+
+def test_cone_checks_are_sound_in_an_arbitrary_basis():
+    # the ping-pong argument needs no eigenbasis: wherever the three checks
+    # pass on X^-1 A X and X^-1 B X for a random invertible integer X, A^e B
+    # and A^2e B generate a free semigroup, which the oracle confirms to
+    # depth 10.  A has |tr A| > n + 2, so that some of them pass at all.
+    rng = random.Random(2023)
+    passed = {2: 0, 3: 0}
+    for _ in range(1500):
+        n = rng.choice([2, 3])
+        a, b = _random_sl(rng, n), _random_sl(rng, n)
+        if abs(sum(a.entries[i][i] for i in range(n))) <= n + 2:
+            continue
+        x = SquareMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if x.det() == 0:
+            continue
+        x_inv = x.inverse()
+        a_x, b_x = x_inv * a * x, x_inv * b * x
+        for e in range(1, 5):
+            if any(verify_cone_inclusions(a_x, b_x, e, r, ARCH).all_pass for r in DEFAULT_RADII):
+                passed[n] += 1
+                assert find_semigroup_collision(a**e * b, a ** (2 * e) * b, depth=10) is None
+                break
+    assert passed[2] >= 15 and passed[3] >= 1

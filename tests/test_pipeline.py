@@ -106,10 +106,10 @@ def test_verify_rejects_huge_cone_param():
 
 
 def count_wedge_pairs(mp):
-    """The bits of every wedge_pair call the exponent search or the cone replay makes."""
+    """The pair's bits in every wedge_pair call the exponent search or the cone replay makes."""
     calls = []
     wedge_pair = pipeline.wedge_pair
-    mp.setattr(pipeline, "wedge_pair", lambda *a: calls.append(a[-1]) or wedge_pair(*a))
+    mp.setattr(pipeline, "wedge_pair", lambda *a: calls.append(a[0].bits) or wedge_pair(*a))
     return calls
 
 
@@ -166,7 +166,7 @@ def test_verify_stops_precision_retries_on_an_exact_basis(monkeypatch):
         "cone checks did not certify: disjoint, contracts, contracts_double failed at 64 bits",
     )
     assert calls == [pipeline.BITS_SCHEDULE[0]]
-    # Sanov's A has irrational eigenvalues: its enclosures retry every precision
+    # Sanov's A has irrational eigenvalues: its rounded basis retries every precision
     gens = sanov()
     cert = certify_generators(gens).certificate
     bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
@@ -186,10 +186,10 @@ def test_verify_reports_the_last_precision_tried(monkeypatch):
     cert = certify_generators(gens).certificate
     wedge_pair = pipeline.wedge_pair
 
-    def flaky(pair, v, m, bits):
-        if bits == 64:
+    def flaky(pair, v, m):
+        if pair.bits == 64:
             raise Inconclusive("no enclosure")
-        return wedge_pair(pair, v, m, bits)
+        return wedge_pair(pair, v, m)
 
     monkeypatch.setattr(pipeline, "wedge_pair", flaky)
     bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
@@ -229,24 +229,17 @@ def test_certify_stops_the_exponent_search_on_an_exact_basis(monkeypatch):
 
 def test_exponent_search_builds_each_power_once(monkeypatch):
     # SL2(Z)'s torsion generators: A = "0 1 0 1^-1" has no exponent, so the
-    # search runs to exponent_cap at every precision; the rows of diag(a)^e B
-    # are built once per exponent and precision, not once per radius, and
-    # those of diag(a)^2e B serve again when the search reaches 2e
+    # search runs to exponent_cap at every precision; each power A^k B, k up
+    # to 2 * exponent_cap, is one integer product after the last, built once
+    # per precision and not once per radius
     gens = [M([[0, -1], [1, 0]]), M([[0, -1], [1, 1]])]
-    calls = []
-    scale = pingpong._scale_rows_by_diag_power
-    monkeypatch.setattr(
-        pingpong,
-        "_scale_rows_by_diag_power",
-        lambda *args: calls.append((args[3], args[2])) or scale(*args),
-    )
+    products = []
+    matmul = pingpong.int_matmul
+    monkeypatch.setattr(pingpong, "int_matmul", lambda x, y: products.append(1) or matmul(x, y))
     with pytest.raises(PipelineFailure) as info:
         certify_generators(gens)
     cap = RunConfig().exponent_cap
-    assert sorted(calls) == sorted(
-        (bits, e) for bits in pipeline.BITS_SCHEDULE for e in range(1, 2 * cap + 1)
-        if e <= cap or e % 2 == 0
-    )
+    assert len(products) == 2 * cap * len(pipeline.BITS_SCHEDULE)
     detail = "no exponent up to 64 certifies the cone inclusions"
     assert str(info.value) == f"derive_exponent: ExponentSearchExhausted: {detail}"
     assert list(info.value.trace) == [

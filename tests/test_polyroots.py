@@ -36,7 +36,6 @@ from growthcert.polyroots import (
     squarefree_part,
     yun_decomposition,
 )
-from test_wordforge import _overlap
 
 
 def poly_mul(f, g):
@@ -643,6 +642,12 @@ def _complex_horner(f, z):
     return re, im
 
 
+def _overlap(x: ComplexInterval, y: ComplexInterval) -> bool:
+    return (
+        x.re.lo <= y.re.hi and y.re.lo <= x.re.hi and x.im.lo <= y.im.hi and y.im.lo <= x.im.hi
+    )
+
+
 def reference_weierstrass_boxes(f, dps):
     """Hulls of Weierstrass disks n|W_i| around mpmath's seeds at dps digits, in Fractions."""
     import mpmath
@@ -671,7 +676,10 @@ def reference_weierstrass_boxes(f, dps):
             min(disks[i][1] - disks[i][2] for i in group),
             max(disks[i][1] + disks[i][2] for i in group),
         ]
-        boxes.extend([ComplexInterval.from_box(*edges, 4 * dps)] * len(group))
+        # rounded outward to 2^-(4 dps)
+        k = 4 * dps
+        ends = [floor(x * 2**k) if i % 2 == 0 else ceil(x * 2**k) for i, x in enumerate(edges)]
+        boxes.extend([ComplexInterval(*ends, k)] * len(group))
     return boxes
 
 

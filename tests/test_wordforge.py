@@ -8,12 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from growthcert import pipeline
 from growthcert.errors import (
     BalanceFailed,
     Inconclusive,
     L2Unreachable,
     NoGap,
     NotConnected,
+    PipelineFailure,
     SingularEnclosure,
     SwapFailed,
 )
@@ -27,18 +29,11 @@ from growthcert.exactnum import (
     evaluate_word,
     s_support,
 )
-from growthcert.intervals import (
-    ComplexInterval,
-    cmat_from_exact,
-    cmat_inverse,
-    cmat_mul,
-    sqrt_upper,
-)
+from growthcert.intervals import sqrt_upper
 from growthcert.polyroots import certified_root_structure, rational_roots, squarefree_part
 from growthcert.spectra import (
     arch_moduli,
     char_poly,
-    compound,
     l1_gap_report,
     newton_polygon_valuations,
 )
@@ -82,7 +77,7 @@ def algebra_defect(aa: AlmostAlgebra, assoc_cap: int = 8) -> F:
     coeff = {}
     for ii in range(dim):
         for jj in range(dim):
-            prod = _rows_mul(ortho[ii], ortho[jj], True)
+            prod = _rows_mul(ortho[ii], ortho[jj])
             res, cs = _project_residual(prod, ortho)
             coeff[(ii, jj)] = cs
             worst_sq = max(worst_sq, _frob(res, res) / (norms[ii] * norms[jj]))
@@ -336,14 +331,14 @@ def test_wedge_pair_sorts_by_modulus():
     # lex subset order is not modulus order here: (0,3) gives 10 but (1,2) 18
     pair = balance(diag(10, 9, 2, 1), SquareMatrix.identity(4))
     wa, wb = wedge_pair(pair, ARCH, 2)
-    assert wa == (F(90), F(20), F(18), F(10), F(9), F(2))
-    assert all(wb[i][j] == (1 if i == j else 0) for i in range(6) for j in range(6))
+    assert wa == diag(90, 20, 18, 10, 9, 2)
+    assert wb == SquareMatrix.identity(6)
 
 
 def test_sort_keys_past_the_float_range_keep_the_exact_order():
     values = [F(10**100), F(0), F(10**400), F(1, 10**100), F(3, 2) * 10**300, F(10**300)]
     by_value = sorted(range(len(values)), key=lambda i: -values[i])
-    for lift in (ComplexInterval.point, lambda v: -v):
+    for lift in (lambda v: v, lambda v: -v, lambda v: (F(0), v), lambda v: (-v, F(0))):
         keys = [_modulus_key(lift(v)) for v in values]
         assert sorted(range(len(values)), key=lambda i: -keys[i]) == by_value
 
@@ -463,11 +458,12 @@ def test_almost_algebra_validation():
 
 def test_diagonalize_exact_round_trip():
     a = M([[2, 3], [0, F(1, 2)]])
-    d, p, p_inv = diagonalize(a)
-    assert d == (F(2), F(1, 2))
-    assert M([list(r) for r in p]) * diag(*d) * M([list(r) for r in p_inv]) == a
-    # an irrational spectrum gets enclosures; a repeated one no basis at all
-    assert isinstance(diagonalize(M([[0, 2], [1, 0]]))[0][0], ComplexInterval)
+    d, x, x_inv, exact = diagonalize(a)
+    assert exact and d == (F(2), F(1, 2))
+    assert x * diag(*d) * x_inv == a
+    # an irrational spectrum gets a rounded basis; a repeated one no basis at all
+    d, x, x_inv, exact = diagonalize(M([[0, 2], [1, 0]]))
+    assert not exact and x * x_inv == SquareMatrix.identity(2)
     with pytest.raises(ValueError):
         diagonalize(M([[1, 1], [0, 1]]))
 
@@ -478,24 +474,27 @@ def test_diagonalize_exact_sort_place():
     assert diagonalize(a, sort_place=Place.finite(2))[0] == (F(1, 4), F(4))
 
 
-def test_diagonalize_enclosed_vieta():
-    a = M([[5, 2], [2, 1]])
-    lambdas, p, p_inv = diagonalize(a)
-    total = lambdas[0] + lambdas[1]
-    prod = lambdas[0] * lambdas[1]
-    assert total.re.lo <= 6 <= total.re.hi and total.im.lo <= 0 <= total.im.hi
-    assert prod.re.lo <= 1 <= prod.re.hi
+@pytest.mark.parametrize("bits", [64, 128])
+def test_diagonalize_points_lie_within_the_width_of_the_roots(bits):
+    # the roots 3 +- 2 sqrt(2) lie in intervals at most 5 * 2^-bits wide, so
+    # each midpoint is within half that of its root
+    (l0, l1), _, _, _ = diagonalize(M([[5, 2], [2, 1]]), ARCH, bits)
+    width = F(5, 2**bits)
+    assert l0 > l1 > 0
+    assert abs(l0 + l1 - 6) <= width
+    assert abs(l0 * l1 - 1) <= 4 * width
+    assert all(z.denominator & (z.denominator - 1) == 0 for z in (l0, l1))
 
 
 @pytest.mark.parametrize("bits", [64, 512])
-def test_diagonalize_a_rational_eigenvalue_among_boxes_is_as_tight_as_bits(bits):
+def test_diagonalize_keeps_a_rational_eigenvalue_among_irrational_ones_exact(bits):
     # charpoly (x - 1/3)(x^2 - 2): 1/3 is an exact point of the root engine,
-    # and its box among the others must tighten with bits, although no
-    # dyadic box holds it exactly
+    # and its eigenvector e_1 stays exact while the others are rounded
     a = M([[F(1, 3), 0, 0], [0, 0, 2], [0, 1, 0]])
-    lambdas, _, _ = diagonalize(a, bits=bits)
-    box = next(z for z in lambdas if z.contains(F(1, 3)))
-    assert F(0) < box.max_width <= F(2, 2**bits)
+    points, x, _, exact = diagonalize(a, bits=bits)
+    assert not exact and points[2] == F(1, 3)
+    assert [row[2] for row in x.entries] == [1, 0, 0]
+    assert x.den & (x.den - 1) == 0 and x.den <= 2**bits
 
 
 def test_diagonalized_pair_deterministic():
@@ -525,8 +524,44 @@ def test_diagonalized_pair_finite_sort_needs_rational_basis():
         diagonalized_pair(SquareMatrix.identity(2), a, WA, WB)
 
 
+# eigenvalues 1 +- 2^-70 (1 + 2^-142)^(1/2): the eigenvectors (1, +-2^-70...)
+# round to the same column at 64 bits and to distinct ones at 128
+NEAR_PARABOLIC = M([[1 + F(1, 2**140), 1], [F(1, 2**140), 1]])
+
+
+def test_a_rounded_basis_that_is_singular_raises_singular_enclosure():
+    with pytest.raises(SingularEnclosure):
+        diagonalize(NEAR_PARABOLIC, ARCH, 64)
+    with pytest.raises(SingularEnclosure):
+        diagonalized_pair(NEAR_PARABOLIC, M([[1, 0], [2, 1]]), WA, WB, ARCH, 64)
+    _, x, x_inv, exact = diagonalize(NEAR_PARABOLIC, ARCH, 128)
+    assert not exact and x * x_inv == SquareMatrix.identity(2)
+
+
+def test_certify_moves_past_a_singular_rounded_basis(monkeypatch):
+    # the pipeline's first precision meets the singular basis and escalates
+    # to the next BITS_SCHEDULE entry instead of failing
+    built = []
+
+    def recording(a, b, word_a, word_b, sort_place=ARCH, bits=128):
+        try:
+            pair = diagonalized_pair(a, b, word_a, word_b, sort_place, bits)
+        except SingularEnclosure:
+            built.append((bits, "singular"))
+            raise
+        built.append((bits, "ok"))
+        return pair
+
+    monkeypatch.setattr(pipeline, "diagonalized_pair", recording)
+    # B = [[1, 0], [2, 1]] has no norm or trace relation to A, a refusal
+    # that no precision changes
+    with pytest.raises(PipelineFailure, match="BalanceFailed"):
+        pipeline.certify_generators([NEAR_PARABOLIC, M([[1, 0], [2, 1]])])
+    assert built == [(64, "singular"), (128, "ok")]
+
+
 # ---------------------------------------------------------------------------
-# the adjugate-polynomial eigenbasis against the two routines it replaced
+# the adjugate-polynomial basis against the kernel route and the eigenvalues
 
 
 def _kernel_vector(m: SquareMatrix) -> tuple[F, ...]:
@@ -551,112 +586,42 @@ def reference_diagonalize_exact(a: SquareMatrix, poly, sort_place: Place = ARCH)
     return tuple(order), p.entries, p.inverse().entries
 
 
-def cmat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
+def block_diagonal(points) -> SquareMatrix:
+    """diag of the real points, with [[x, y], [-y, x]] for a conjugate pair x +- iy.
 
-
-def test_cmat_sub_identity():
-    a = cmat_from_exact(M([[1, 2], [3, 4]]))
-    assert _contains(cmat_sub(a, a), M([[0, 0], [0, 0]]).entries)
-    one, zero = ComplexInterval.point(1), ComplexInterval.point(0)
-    identity = ((one, zero), (zero, one))
-    assert _contains(identity, SquareMatrix.identity(2).entries)
-
-
-def cmat_adjugate(a):
-    """adj(a)[j][i] = (-1)^(i+j) * minor_ij; satisfies a*adj = det*I."""
-    n = len(a)
-    if n == 1:
-        return ((ComplexInterval.point(1),),)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(a[r][c] for c in range(n) if c != j)
-                for r in range(n)
-                if r != i
-            )
-            (d,), = compound(minor, n - 1, ComplexInterval(0, 0))
-            out[j][i] = d if (i + j) % 2 == 0 else -d
-    return tuple(tuple(row) for row in out)
-
-
-def reference_diagonalize_enclosed(a: SquareMatrix, poly, bits: int = 128):
-    """Interval eigenbasis from a cofactor adjugate of A - lambda I per root and Gauss-Jordan."""
-    n = a.n
-    width = F(1, 2**bits) * max(F(1), a.max_abs_entry())
-    real_ivs, boxes = certified_root_structure(poly, width)
-    lambdas = [ComplexInterval.from_box(iv.lo, iv.hi, 0, 0) for iv in real_ivs]
-    lambdas += list(boxes)
-
-    def key(z):
-        m = z.mag_sq()
-        return -(m.lo + m.hi) / 2, -(z.re.lo + z.re.hi) / 2, -(z.im.lo + z.im.hi) / 2
-
-    lambdas.sort(key=key)
-    ea = cmat_from_exact(a)
-    columns = []
-    for lam in lambdas:
-        shift = tuple(
-            tuple(lam if i == j else ComplexInterval.point(0) for j in range(n))
-            for i in range(n)
-        )
-        adj = cmat_adjugate(cmat_sub(ea, shift))
-        best_col, best_lo = None, F(0)
-        for j in range(n):
-            col = [adj[i][j] for i in range(n)]
-            lo = max(x.mag_sq().lo for x in col)
-            if lo > best_lo:
-                best_col, best_lo = col, lo
-        if best_col is None:
-            raise SingularEnclosure("no adjugate column certified nonzero")
-        pivot_i = max(range(n), key=lambda i: best_col[i].mag_sq().lo)
-        inv = best_col[pivot_i].recip()
-        col = [(x * inv).round_out(4 * bits) for x in best_col]
-        col[pivot_i] = ComplexInterval.point(1)
-        columns.append(col)
-    p = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-    p_inv = cmat_inverse(p, round_bits=4 * bits)
-    return tuple(lambdas), p, p_inv
-
-
-def _overlap(x: ComplexInterval, y: ComplexInterval) -> bool:
-    return (
-        x.re.lo <= y.re.hi and y.re.lo <= x.re.hi and x.im.lo <= y.im.hi and y.im.lo <= x.im.hi
-    )
-
-
-def _pins(p) -> list[list[int]]:
-    """Per column, the rows holding the exact 1 that pins the eigenvector."""
-    one = ComplexInterval.point(1)
-    return [[i for i, x in enumerate(col) if x == one] for col in zip(*p)]
-
-
-def _pins_certified(p) -> bool:
-    """Every pinned coordinate certifiably has the largest modulus in its column.
-
-    Only then does the pivot rule fix the pin: where two coordinates of an
-    eigenvector have equal moduli, rounding noise decides between them.
+    A sends the columns Re v and Im v of a +Im eigenvector v to x Re v - y Im v
+    and y Re v + x Im v, so this is X^-1 A X for an exact such basis.
     """
-    return all(
-        all(x.mag_sq().hi < 1 for i, x in enumerate(col) if i != pins[0])
-        for col, pins in zip(zip(*p), _pins(p))
-    )
+    n = len(points)
+    rows = [[F(0)] * n for _ in range(n)]
+    for i, z in enumerate(points):
+        if not isinstance(z, tuple):
+            rows[i][i] = z
+        elif z[1] > 0:
+            (x, y), j = z, i + 1
+            rows[i][i], rows[i][j], rows[j][i], rows[j][j] = x, y, -y, x
+    return M(rows)
 
 
-def _contains(boxes, rows) -> bool:
-    return all(box.contains(F(x)) for brow, row in zip(boxes, rows) for box, x in zip(brow, row))
+def _pins(x: SquareMatrix) -> list[list[int]]:
+    """Per column, the rows holding an exact 1."""
+    return [[i for i, v in enumerate(col) if v == 1] for col in zip(*x.entries)]
 
 
-def assert_encloses_eigenbasis(a, lambdas, p, p_inv):
-    """P P^-1 contains I and P diag(lambdas) P^-1 contains A."""
-    n = a.n
-    d = tuple(
-        tuple(lam if i == j else ComplexInterval.point(0) for j in range(n))
-        for i, lam in enumerate(lambdas)
-    )
-    assert _contains(cmat_mul(p, p_inv), SquareMatrix.identity(n).entries)
-    assert _contains(cmat_mul(cmat_mul(p, d), p_inv), a.entries)
+def assert_nearly_diagonalizes(a, points, x, x_inv, bits):
+    """X^-1 A X is within 2^-(bits/2) of block_diagonal(points), and X pins its columns.
+
+    A column from a real point or the real part of a pair holds an exact 1;
+    the imaginary part of a pair is 0 at that coordinate.
+    """
+    off = x_inv * a * x - block_diagonal(points)
+    assert off.max_abs_entry() <= F(1, 2 ** (bits // 2))
+    pins = _pins(x)
+    for j, z in enumerate(points):
+        if isinstance(z, tuple) and z[1] < 0:
+            assert x.entries[pins[j - 1][0]][j] == 0
+        else:
+            assert pins[j]
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -671,18 +636,17 @@ def test_diagonalize_matches_the_kernel_route_on_rational_spectra(n, data):
     assume(p.det() != 0)
     a = p * diag(*values) * p.inverse()
     for v in (ARCH, Place.finite(2), Place.finite(3)):
-        got = diagonalize(a, v)
-        assert got == reference_diagonalize_exact(a, char_poly(a), v)
-        assert all(type(x) is F for part in got[1:] for row in part for x in row)
+        points, x, x_inv, exact = diagonalize(a, v)
+        assert exact
+        assert (points, x.entries, x_inv.entries) == reference_diagonalize_exact(a, char_poly(a), v)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 4), st.sampled_from([64, 128]), st.data())
-def test_diagonalize_encloses_the_cofactor_route_elsewhere(n, bits, data):
-    # eigenvalues that do not all lie in Q; a tie such as the sqrt(2)
+def test_rounded_basis_nearly_diagonalizes_a(n, bits, data):
+    # eigenvalues that do not all lie in Q, a tie such as the sqrt(2)
     # eigenvector (-sqrt(2), 1, sqrt(2), 0) of [[1, -2, 1, 0], [0, 0, 1, 0],
-    # [0, 2, 0, 0], [0, 0, 0, 0]] leaves the pin to rounding, so the two
-    # routines are compared only where every pin is certified
+    # [0, 2, 0, 0], [0, 0, 0, 0]] among them
     rows = data.draw(
         st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
     )
@@ -690,44 +654,40 @@ def test_diagonalize_encloses_the_cofactor_route_elsewhere(n, bits, data):
     f = char_poly(a)
     assume(squarefree_part(f) == f and len(rational_roots(f)) < n)
     try:
-        want = reference_diagonalize_enclosed(a, f, bits)
+        points, x, x_inv, exact = diagonalize(a, ARCH, bits)
     except SingularEnclosure:
         assume(False)
-    lambdas, p, p_inv = diagonalize(a, ARCH, bits)
-    assert lambdas == want[0]
-    if _pins_certified(want[1]):
-        assert _pins(p) == _pins(want[1])
-        for got_rows, want_rows in ((p, want[1]), (p_inv, want[2])):
-            pairs = zip(got_rows, want_rows)
-            assert all(_overlap(x, y) for gr, wr in pairs for x, y in zip(gr, wr))
-    assert_encloses_eigenbasis(a, lambdas, p, p_inv)
+    assert not exact
+    assert_nearly_diagonalizes(a, points, x, x_inv, bits)
+    assert diagonalize(a, ARCH, bits) == (points, x, x_inv, exact)
 
 
 def test_diagonalize_with_a_modulus_tie():
     a = M([[1, -2, 1, 0], [0, 0, 1, 0], [0, 2, 0, 0], [0, 0, 0, 0]])
     for bits in (64, 128):
-        lambdas, p, p_inv = diagonalize(a, ARCH, bits)
-        assert not _pins_certified(p)
-        assert_encloses_eigenbasis(a, lambdas, p, p_inv)
+        points, x, x_inv, _ = diagonalize(a, ARCH, bits)
+        assert_nearly_diagonalizes(a, points, x, x_inv, bits)
 
 
 @pytest.mark.parametrize("engine_order", ["as listed", "reversed"])
 def test_diagonalize_breaks_modulus_ties_by_real_then_imaginary_part(monkeypatch, engine_order):
-    # sqrt(2) and -sqrt(2) get mirror boxes, so |x|^2 ties exactly and the
-    # real part decides; 1 + i and 1 - i tie in both, so the imaginary part
-    # does; the pair's |x|^2 midpoint lies above 2.  The order must not
-    # depend on the order the root engine lists the roots in.
+    # sqrt(2) and -sqrt(2) tie in |x|^2 at their midpoints, and the real part
+    # decides; 1 + i and 1 - i tie in both, so the imaginary part does, and
+    # the pair's |x|^2 lies above 2.  The order must not depend on the
+    # order the root engine lists the roots in.
     if engine_order == "reversed":
         monkeypatch.setattr(
             "growthcert.wordforge.certified_root_structure",
             lambda f, width: tuple(part[::-1] for part in certified_root_structure(f, width)),
         )
     a = M([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]])
-    lambdas, p, p_inv = diagonalize(a, ARCH, 64)
-    assert lambdas[0].contains(1, 1) and lambdas[1].contains(1, -1)
-    assert lambdas[2].re.lo > 0 > lambdas[3].re.hi
-    assert all(z.mag_sq().contains(2) and z.il == z.ih == 0 for z in lambdas[2:])
-    assert_encloses_eigenbasis(a, lambdas, p, p_inv)
+    points, x, x_inv, _ = diagonalize(a, ARCH, 64)
+    (re, im), conj = points[0], points[1]
+    assert conj == (re, -im) and im > 0
+    assert abs(re - 1) <= F(1, 2**60) and abs(im - 1) <= F(1, 2**60)
+    assert points[2] > 0 > points[3]
+    assert all(abs(_modulus_key(z) - 2) <= F(1, 2**60) for z in points[2:])
+    assert_nearly_diagonalizes(a, points, x, x_inv, 64)
 
 
 @pytest.mark.parametrize(
@@ -739,8 +699,9 @@ def test_diagonalize_breaks_modulus_ties_by_real_then_imaginary_part(monkeypatch
 )
 def test_a_modulus_tie_pins_the_first_tied_coordinate_at_every_precision(rows, pins):
     # the sqrt(2) eigenvector of the first matrix ties coordinates 0 and 2, as
-    # does the third eigenvector of the second; a rule that took the largest
-    # certified lower bound alone would leave the pin to rounding noise
+    # does the third eigenvector of the second; at the rounded point the
+    # two moduli differ by noise, which a rule that took the exact largest
+    # alone would follow from one precision to the next
     for bits in (64, 128, 256):
         assert _pins(diagonalize(M(rows), ARCH, bits)[1]) == pins
 
