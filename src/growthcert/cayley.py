@@ -33,13 +33,15 @@ from operator import eq, mul
 
 from .errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
 from .exactnum import PlaceSet, SquareMatrix, Word, bareiss, int_matmul, s_support
-from .polyroots import Poly, poly_degree, squarefree_part
-from .spectra import char_poly, discriminant, l1_gap_report
-
-
-def charpoly_is_squarefree(f: Poly) -> bool:
-    """Distinct eigenvalues, i.e. a matrix with charpoly f is regular semisimple."""
-    return poly_degree(squarefree_part(f)) == poly_degree(f)
+# charpoly_is_squarefree is the pair search's regularity gate, which
+# SpectralMemo.squarefree runs once per charpoly
+from .spectra import (  # noqa: F401
+    SpectralMemo,
+    char_poly,
+    charpoly_is_squarefree,
+    discriminant,
+    l1_gap_report,
+)
 
 
 def _alphabet(gens: list[SquareMatrix]) -> list[tuple[Word, tuple[int, tuple]]]:
@@ -561,11 +563,15 @@ def find_regular_pair(
     depth: int = 4,
     s: PlaceSet | None = None,
     budget: int = 10**6,
+    memo: SpectralMemo | None = None,
 ) -> RegularPair:
     """Scan the ball in shortlex order for a certified (A, B) seed pair.
 
     A: first element with squarefree characteristic polynomial whose (L1)
-    gap grid has at least one certified-true entry.  B: first element
+    gap grid has at least one certified-true entry.  Every element's
+    adjugate polynomial, each distinct charpoly's squarefree test and each
+    root structure the grids read go into memo, where the later stages of
+    the same run find them.  B: first element
     sharing no eigenvector with A (Shemesh) such that A, B generate the
     full matrix algebra (Burnside).  Once a candidate B fails, the algebra
     of all the generators is measured once: it holds their inverses
@@ -574,16 +580,17 @@ def find_regular_pair(
     """
     if s is None:
         s = s_support(gens)
+    memo = memo or SpectralMemo()
     n = gens[0].n
     walk = _ball_words(_alphabet(gens), depth, budget)
     scanned = []
     for word_a, mat_a in walk:
         scanned.append((word_a, mat_a))
-        f = char_poly(mat_a)
-        if not charpoly_is_squarefree(f):
+        f = char_poly(mat_a, memo)
+        if not memo.squarefree(f):
             continue
         try:
-            grid = l1_gap_report(mat_a, s, f)
+            grid = l1_gap_report(mat_a, s, f, memo)
         except Inconclusive:
             continue
         if any(grid.values()):

@@ -452,16 +452,19 @@ class SquareMatrix:
         return SquareMatrix(prev, [row[n:] for row in m])
 
     def __pow__(self, k: int) -> "SquareMatrix":
+        """A^k by binary powering: floor(log2 k) squarings and one product per further set bit."""
         if k < 0:
             return self.inverse() ** (-k)
-        result = SquareMatrix.identity(self.n)
-        base = self
-        while k:
+        if k == 0:
+            return SquareMatrix.identity(self.n)
+        result, base = None, self
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def max_abs_entry(self) -> Fraction:
         return Fraction(max(abs(x) for row in self.num for x in row), self.den)

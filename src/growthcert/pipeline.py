@@ -43,7 +43,7 @@ from .pingpong import (
     growth_bound_from_length,
     verify_cone_inclusions,
 )
-from .spectra import char_poly, l1_gap_report
+from .spectra import SpectralMemo, char_poly, l1_gap_report
 from .wordforge import (
     balance_or_trace,
     diagonalized_pair,
@@ -138,7 +138,10 @@ def certify_generators(
     exponent derivation in the canonical basis of the words (the replay
     verify_certificate runs), freeness oracle.  The basis is built once
     per role and handed from stage to stage; the exponent search builds it
-    again only at another sort place or precision.
+    again only at another sort place or precision.  One SpectralMemo serves
+    every stage of the call, so each matrix's adjugate polynomial, each
+    charpoly's squarefree test and each root structure at a width is
+    computed once; it goes when the call returns.
     Failures raise PipelineFailure carrying the stage name, with the trace
     so far on the .trace attribute.  A certificate is returned only after
     the oracle confirms zero collisions.
@@ -149,6 +152,7 @@ def certify_generators(
     if s is None:
         s = s_support(gens)
     trace: list[dict] = []
+    memo = SpectralMemo()
 
     def fail(stage: str, exc: Exception):
         trace.append(
@@ -159,7 +163,7 @@ def certify_generators(
         raise failure from exc
 
     try:
-        seed = find_regular_pair(gens, config.search_depth, s, config.budget)
+        seed = find_regular_pair(gens, config.search_depth, s, config.budget, memo)
     except GrowthcertError as exc:
         fail("find_regular_pair", exc)
     trace.append(
@@ -177,7 +181,7 @@ def certify_generators(
         pair = _escalate(
             lambda bits: balance_or_trace(
                 diagonalized_pair(
-                    seed.matrix_a, seed.matrix_b, seed.word_a, seed.word_b, bits=bits
+                    seed.matrix_a, seed.matrix_b, seed.word_a, seed.word_b, bits=bits, memo=memo
                 ),
                 s,
             )
@@ -197,7 +201,7 @@ def certify_generators(
 
     if pair.norm_relation == "trace_big":
         try:
-            pair = _escalate(lambda bits: swap_roles(pair, s, bits=bits))
+            pair = _escalate(lambda bits: swap_roles(pair, s, bits, memo))
         except GrowthcertError as exc:
             fail("swap_roles", exc)
         trace.append(
@@ -211,8 +215,9 @@ def certify_generators(
 
     try:
         # the seed's grid belongs to A unless the roles were swapped
-        swapped = pair.norm_relation == "swapped"
-        grid = l1_gap_report(pair.orig_a, s, char_poly(pair.orig_a)) if swapped else seed.l1_grid
+        grid = seed.l1_grid
+        if pair.norm_relation == "swapped":
+            grid = l1_gap_report(pair.orig_a, s, char_poly(pair.orig_a, memo), memo)
         v, m = select_place_and_wedge(pair, grid)
     except GrowthcertError as exc:
         fail("select_place_and_wedge", exc)
@@ -224,7 +229,7 @@ def certify_generators(
     def canonical(bits: int):
         canon = pair
         if (pair.sort_place, pair.bits) != (v, bits):
-            canon = diagonalized_pair(a_mat, b_mat, word_a_final, word_b_final, v, bits)
+            canon = diagonalized_pair(a_mat, b_mat, word_a_final, word_b_final, v, bits, memo)
         wa, wb = wedge_pair(canon, v, m)
         return derive_exponent(wa, wb, v, cap=config.exponent_cap)
 
@@ -244,8 +249,9 @@ def certify_generators(
         }
     )
 
-    u = a_mat**e * b_mat
-    w = a_mat ** (2 * e) * b_mat
+    a_pow = a_mat**e
+    u = a_pow * b_mat
+    w = a_pow * u
     try:
         collision = find_semigroup_collision(u, w, config.oracle_depth, config.budget)
     except GrowthcertError as exc:
@@ -355,8 +361,9 @@ def verify_certificate(
     if not passed:
         return False, f"cone checks did not certify: {reason}"
 
-    u = a_mat**cert.exponent * b_mat
-    w = a_mat ** (2 * cert.exponent) * b_mat
+    a_pow = a_mat**cert.exponent
+    u = a_pow * b_mat
+    w = a_pow * u
     try:
         collision = find_semigroup_collision(u, w, depth, config.budget)
     except BudgetExceeded as exc:

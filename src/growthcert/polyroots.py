@@ -434,15 +434,20 @@ def rational_roots(f: Poly) -> list[Fraction]:
     return [iv.lo for iv in certified_root_structure(f, Fraction(1))[0] if iv.lo == iv.hi]
 
 
-def modulus_enclosures(f: Poly, width: Fraction) -> list[RationalInterval]:
+def modulus_enclosures(f: Poly, width: Fraction, roots=None) -> list[RationalInterval]:
     """Absolute values of all roots of f (with multiplicity), sorted descending.
 
     Rational roots yield exact point intervals; everything else is a
-    certified enclosure no wider than the target.
+    certified enclosure no wider than the target.  roots, when given, is
+    certified_root_structure(f, width) of a squarefree f, which is then
+    its own Yun decomposition.
     """
+    if roots is None:
+        parts = [(certified_root_structure(g, width), m) for g, m in yun_decomposition(f)]
+    else:
+        parts = [(roots, 1)]
     out: list[RationalInterval] = []
-    for factor, mult in yun_decomposition(f):
-        real_ivs, boxes = certified_root_structure(factor, width)
+    for (real_ivs, boxes), mult in parts:
         for iv in real_ivs:
             out.extend([iv.abs_interval()] * mult)
         for b in boxes:

@@ -9,6 +9,10 @@ certified root enclosures.
 The (L1) gap grid reports, for each place and wedge degree, whether the top
 eigenvalue modulus of the wedge power certifiably dominates both the
 constant 2 and twice the second largest modulus.
+A SpectralMemo holds the adjugate polynomial of each matrix, the
+squarefree test of each charpoly and the root structure of each
+squarefree charpoly at each width, computed once; certify makes one per
+call and hands it to every stage that reads a spectrum.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .intervals import RationalInterval
 from .polyroots import (
     Poly,
     cauchy_bound,
+    certified_root_structure,
     modulus_enclosures,
     poly_degree,
     poly_deriv,
@@ -67,9 +72,57 @@ def adjugate_poly(a: SquareMatrix) -> tuple[Poly, int, tuple]:
     return tuple(Fraction(c, d ** (n - i)) for i, c in enumerate(coeffs)), d, tuple(mats)
 
 
-def char_poly(a: SquareMatrix) -> Poly:
-    """Monic det(xI - A), coefficients ascending; exact over Q (see adjugate_poly)."""
-    return adjugate_poly(a)[0]
+def char_poly(a: SquareMatrix, memo: SpectralMemo | None = None) -> Poly:
+    """Monic det(xI - A), coefficients ascending; exact over Q (see adjugate_poly).
+
+    With memo, the adjugate polynomial it comes from stays there for
+    diagonalize.
+    """
+    return (memo.adjugate(a) if memo else adjugate_poly(a))[0]
+
+
+def charpoly_is_squarefree(f: Poly) -> bool:
+    """Distinct eigenvalues, i.e. a matrix with charpoly f is regular semisimple."""
+    return poly_degree(squarefree_part(f)) == poly_degree(f)
+
+
+class SpectralMemo:
+    """The spectral results of one run, each computed at most once.
+
+    adjugate(a) is adjugate_poly(a), squarefree(f) is
+    charpoly_is_squarefree(f), and roots(f, width) is
+    certified_root_structure(f, width) for a squarefree f.  Matrices that
+    share a charpoly share its test and its enclosures.  certify_generators
+    makes one memo per call and hands it to every stage that reads a
+    spectrum; the memo goes when the call returns, so no result outlives
+    the call, and a second identical call computes the same things again.
+    """
+
+    __slots__ = ("_adjugates", "_squarefree", "_roots")
+
+    def __init__(self) -> None:
+        self._adjugates: dict = {}
+        self._squarefree: dict = {}
+        self._roots: dict = {}
+
+    def adjugate(self, a: SquareMatrix) -> tuple[Poly, int, tuple]:
+        found = self._adjugates.get(a)
+        if found is None:
+            found = self._adjugates[a] = adjugate_poly(a)
+        return found
+
+    def squarefree(self, f: Poly) -> bool:
+        found = self._squarefree.get(f)
+        if found is None:
+            found = self._squarefree[f] = charpoly_is_squarefree(f)
+        return found
+
+    def roots(self, f: Poly, width: Fraction):
+        key = (f, width)
+        found = self._roots.get(key)
+        if found is None:
+            found = self._roots[key] = certified_root_structure(f, width)
+        return found
 
 
 def _sylvester_resultant(f: Poly, g: Poly) -> Fraction:
@@ -279,14 +332,21 @@ ARCH_BITS = 64
 ARCH_BITS_CAP = 512
 
 
-def arch_moduli(a: SquareMatrix, f: Poly, bits: int = ARCH_BITS) -> tuple[RationalInterval, ...]:
-    """|eigenvalue| enclosures of A (charpoly f), descending, to 2^-bits * max(1, norm).
+def arch_width(a: SquareMatrix, bits: int) -> Fraction:
+    """2^-bits * max(1, norm): the width A's root enclosures at bits are asked for."""
+    return max(Fraction(1), a.max_abs_entry()) / (Fraction(2) ** bits)
+
+
+def arch_moduli(
+    a: SquareMatrix, f: Poly, bits: int = ARCH_BITS, roots=None
+) -> tuple[RationalInterval, ...]:
+    """|eigenvalue| enclosures of A (charpoly f), descending, to arch_width(a, bits).
 
     One per eigenvalue, multiplicity included; exact rational eigenvalues
-    give point intervals.
+    give point intervals.  roots, when given, is the root structure of a
+    squarefree f at that width (see modulus_enclosures).
     """
-    width = max(Fraction(1), a.max_abs_entry()) / (Fraction(2) ** bits)
-    return tuple(modulus_enclosures(f, width))
+    return tuple(modulus_enclosures(f, arch_width(a, bits), roots))
 
 
 def _pow_ge(p: int, s: Fraction, c: int) -> bool:
@@ -331,15 +391,19 @@ def l1_finite_decision(valuations: tuple[Fraction, ...], p: int, m: int) -> bool
     return _pow_ge(p, sums[1] - top, 2)
 
 
-def l1_gap_report(a: SquareMatrix, s: PlaceSet, f: Poly) -> dict[tuple[Place, int], bool]:
+def l1_gap_report(
+    a: SquareMatrix, s: PlaceSet, f: Poly, memo: SpectralMemo | None = None
+) -> dict[tuple[Place, int], bool]:
     """(L1) verdict for every place in S and wedge degree 1..n-1, from A's charpoly f.
 
     Finite places are decided from f's Newton polygon valuations, the
     archimedean place from arch_moduli at ARCH_BITS, recomputed at doubled
-    precision while a wedge degree stays undecided.
+    precision while a wedge degree stays undecided.  A squarefree f's
+    root structures come from memo, which keeps them for later stages.
     Raises Inconclusive only if ARCH_BITS_CAP is hit (exact ties at finite
     places cannot occur: those comparisons are integer power comparisons).
     """
+    memo = memo or SpectralMemo()
     n = a.n
     out: dict[tuple[Place, int], bool] = {}
     for v in s:
@@ -348,8 +412,10 @@ def l1_gap_report(a: SquareMatrix, s: PlaceSet, f: Poly) -> dict[tuple[Place, in
             for m in range(1, n):
                 out[(v, m)] = l1_finite_decision(vals, v.prime, m)
     pending = set(range(1, n))
-    bits, moduli = ARCH_BITS, arch_moduli(a, f)
+    bits, squarefree = ARCH_BITS, memo.squarefree(f)
     while True:
+        roots = memo.roots(f, arch_width(a, bits)) if squarefree else None
+        moduli = arch_moduli(a, f, bits, roots)
         for m in sorted(pending):
             verdict = l1_arch_decision(moduli, m)
             if verdict is not None:
@@ -361,4 +427,3 @@ def l1_gap_report(a: SquareMatrix, s: PlaceSet, f: Poly) -> dict[tuple[Place, in
             m = min(pending)
             raise Inconclusive(f"(L1) undecidable at archimedean place, wedge {m}")
         bits *= 2
-        moduli = arch_moduli(a, f, bits)

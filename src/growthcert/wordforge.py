@@ -2,7 +2,9 @@
 
 diagonalized_pair builds A's canonical basis X from its adjugate
 polynomial (diagonalize), conjugates B into it, and every later stage
-hands that ConjugatedPair on.  X is rational: exact when A's eigenvalues
+hands that ConjugatedPair on.  The adjugate polynomial, squarefree test
+and root structure come from the run's SpectralMemo, which the pair
+search has already filled for A.  X is rational: exact when A's eigenvalues
 are rational, otherwise eigenvectors at the roots' dyadic midpoints
 rounded to a fixed number of bits, so it is a pure function of (A, sort
 place, bits) and certify and verify build the same X.  The cone checks
@@ -39,8 +41,7 @@ from .errors import (
 from .exactnum import ARCH, Place, PlaceSet, SquareMatrix, Word, abs_value
 from .intervals import _fraction, sqrt_upper
 from .pingpong import LConditions, bound_table, check_l_conditions
-from .polyroots import certified_root_structure, squarefree_part
-from .spectra import adjugate_poly, char_poly, compound, wedge_diag
+from .spectra import SpectralMemo, arch_width, char_poly, compound, wedge_diag
 
 SYM_A = Word.generator(0)
 SYM_B = Word.generator(1)
@@ -115,12 +116,14 @@ def _eigenvector(hr, hi, first_nonzero: bool, bits: int | None):
     return tuple([Fraction(((x << bits + 1) // den + 1) >> 1, one) for x in part] for part in parts)
 
 
-def diagonalize(a: SquareMatrix, sort_place: Place = ARCH, bits: int = 128):
+def diagonalize(
+    a: SquareMatrix, sort_place: Place = ARCH, bits: int = 128, memo: SpectralMemo | None = None
+):
     """(points, X, X^-1, exact) for A's canonical basis X, from one adjugate_poly.
 
-    certified_root_structure gives each root at width 2^-bits; its point is
-    the root itself when rational, and the dyadic midpoint of its interval
-    or box otherwise.  Points sort by modulus descending at sort_place: a
+    certified_root_structure gives each root at arch_width(a, bits); its
+    point is the root itself when rational, and the dyadic midpoint of its
+    interval or box otherwise.  Points sort by modulus descending at sort_place: a
     charpoly that splits over Q (exact) breaks ties by value ascending;
     otherwise the sort needs the archimedean place and breaks ties by the
     real, then the imaginary part, descending, so each conjugate pair sits
@@ -130,13 +133,15 @@ def diagonalize(a: SquareMatrix, sort_place: Place = ARCH, bits: int = 128):
     imaginary part of its +Im eigenvector as two real columns.  A point
     off the real axis is (re, im), every other point a Fraction.  A
     rounded X that is singular raises SingularEnclosure, and callers
-    escalate bits.
+    escalate bits.  The adjugate polynomial, the squarefree test and the
+    root structure come from memo, so a run that shares one computes each
+    once for A.
     """
-    f, d, mats = adjugate_poly(a)
-    if squarefree_part(f) != f:
+    memo = memo or SpectralMemo()
+    f, d, mats = memo.adjugate(a)
+    if not memo.squarefree(f):
         raise ValueError("A must have a squarefree characteristic polynomial")
-    width = Fraction(1, 2**bits) * max(Fraction(1), a.max_abs_entry())
-    real_ivs, boxes = certified_root_structure(f, width)
+    real_ivs, boxes = memo.roots(f, arch_width(a, bits))
     exact = not boxes and all(iv.lo == iv.hi for iv in real_ivs)
     if exact:
         points = sorted(
@@ -293,6 +298,7 @@ def diagonalized_pair(
     word_b: Word,
     sort_place: Place = ARCH,
     bits: int = 128,
+    memo: SpectralMemo | None = None,
 ) -> ConjugatedPair:
     """The pair in A's canonical basis X: B becomes X^-1 * B * X.
 
@@ -303,9 +309,9 @@ def diagonalized_pair(
     otherwise; finite sort places need the exact one.  The result has
     norm_relation "none"; balance_or_trace and swap_roles record a relation
     on it without changing the basis, and it feeds wedge_pair and the cone
-    checks directly.
+    checks directly.  memo passes on to diagonalize.
     """
-    a_diag, x, x_inv, exact = diagonalize(a, sort_place, bits)
+    a_diag, x, x_inv, exact = diagonalize(a, sort_place, bits, memo=memo)
     return ConjugatedPair(
         orig_a=a,
         orig_b=b,
@@ -357,14 +363,17 @@ def balance_or_trace(pair: ConjugatedPair, s: PlaceSet) -> ConjugatedPair:
     )
 
 
-def swap_roles(pair: ConjugatedPair, s: PlaceSet, bits: int = 128) -> ConjugatedPair:
+def swap_roles(
+    pair: ConjugatedPair, s: PlaceSet, bits: int = 128, memo: SpectralMemo | None = None
+) -> ConjugatedPair:
     """Interchange A and B after the trace route, rediagonalizing around B.
 
     Requires norm(A)^m <= sqrt(norm(B)) for the recorded trace exponent
     (checked as a squared inequality on the rebalanced rows
     balance_or_trace read) and the conditioning bound
     max(norm(C), norm(C^-1)) <= max(2, norm(A'))^n on the new basis C,
-    which is B's canonical basis at bits.
+    which is B's canonical basis at bits.  B's spectral data goes into
+    memo, where the gap grid of the new A finds it.
     """
     if pair.norm_relation != "trace_big":
         raise ValueError("swap applies only after the trace route")
@@ -375,10 +384,12 @@ def swap_roles(pair: ConjugatedPair, s: PlaceSet, bits: int = 128) -> Conjugated
     if not an_sq ** (2 * m) <= bn_sq:
         raise SwapFailed("norm(A)^m exceeds sqrt(norm(B)): swap inequality not certified")
 
-    f = char_poly(pair.orig_b)
-    if squarefree_part(f) != f:
+    memo = memo or SpectralMemo()
+    if not memo.squarefree(char_poly(pair.orig_b, memo)):
         raise SwapFailed("B has repeated eigenvalues: no certified eigenbasis")
-    new = diagonalized_pair(pair.orig_b, pair.orig_a, pair.word_b, pair.word_a, ARCH, bits)
+    new = diagonalized_pair(
+        pair.orig_b, pair.orig_a, pair.word_b, pair.word_a, ARCH, bits, memo
+    )
 
     places = new.places(s)
     new_an_sq = _norm_sq(new.a_diag, places)

@@ -229,8 +229,8 @@ def test_point_order_matches_the_box_order_on_the_corpus(tmp_path, capsys):
     built = []
     diagonalize = wordforge.diagonalize
 
-    def recording(a, sort_place=ARCH, bits=128):
-        result = diagonalize(a, sort_place, bits)
+    def recording(a, sort_place=ARCH, bits=128, memo=None):
+        result = diagonalize(a, sort_place, bits, memo)
         built.append((a, bits, result))
         return result
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from growthcert import exactnum
 from growthcert.errors import GrowthcertError, WordIndexError
 from growthcert.exactnum import (
     ARCH,
@@ -680,3 +681,23 @@ def test_matrix_is_immutable():
     with pytest.raises(AttributeError):
         del m.den
     assert (m.den, m.num) == (2, ((1, 2), (0, 4)))
+
+
+def test_power_squares_no_further_than_its_top_bit(monkeypatch):
+    # binary powering from the base: floor(log2 k) squarings plus one product
+    # per set bit below the top one, and no product with the identity
+    a = M([[2, 1], [1, 1]])
+    products = []
+    matmul = exactnum.int_matmul
+    monkeypatch.setattr(exactnum, "int_matmul", lambda x, y: products.append(1) or matmul(x, y))
+    for k, count in ((0, 0), (1, 0), (2, 1), (3, 2), (64, 6), (65, 7), (127, 12)):
+        products.clear()
+        a**k
+        assert len(products) == count, k
+
+
+def test_power_matches_repeated_products():
+    grid = [[F(3, 2), 1], [F(-1, 4), F(1, 2)]]
+    a, ref = M(grid), ReferenceMatrix.from_rows(grid)
+    for k in range(-3, 71):
+        assert_same_matrix(a**k, ref**k)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from growthcert import pingpong, pipeline, wordforge
+from growthcert import cayley, cli, pingpong, pipeline, polyroots, spectra, wordforge
 from growthcert.errors import BudgetExceeded, Inconclusive, PipelineFailure
 from growthcert.exactnum import ARCH, Place, SquareMatrix, Word
 from growthcert.pingpong import PingPongCertificate, growth_bound_from_length
@@ -117,7 +117,7 @@ def count_diagonalizations(mp):
     """(sort place, bits) of every eigenbasis built."""
     calls = []
     diagonalize = wordforge.diagonalize
-    mp.setattr(wordforge, "diagonalize", lambda *a: calls.append(a[1:]) or diagonalize(*a))
+    mp.setattr(wordforge, "diagonalize", lambda *a, **k: calls.append(a[1:3]) or diagonalize(*a, **k))
     return calls
 
 
@@ -132,6 +132,55 @@ def test_certify_builds_each_eigenbasis_once(monkeypatch):
     res = certify_generators(swap_route())
     assert "swap_roles" in [rec["stage"] for rec in res.trace]
     assert calls == [(ARCH, 64), (ARCH, 64)]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = json.loads((ROOT / "bench/data/corpus.json").read_text())["inputs"]
+# the spectral computations a certify call must not repeat, by defining module
+SPECTRAL = {
+    "adjugate_poly": spectra,
+    "squarefree_part": polyroots,
+    "certified_root_structure": polyroots,
+}
+
+
+def count_spectral_calls(mp):
+    """(name, args) of every SPECTRAL call, wherever the package names the function."""
+    calls = []
+    for name, home in SPECTRAL.items():
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append((_name, args))
+            return _original(*args)
+
+        for module in (cayley, polyroots, spectra, wordforge, pipeline):
+            if vars(module).get(name) is original:
+                mp.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("item", CORPUS, ids=[item["id"] for item in CORPUS])
+def test_certify_computes_each_spectrum_once_per_call(monkeypatch, item):
+    # one certify call builds each matrix's adjugate polynomial once, tests
+    # each charpoly once and encloses its roots once per width, and keeps
+    # nothing for the next call: a second call on freshly parsed generators
+    # makes exactly the same calls
+    calls = count_spectral_calls(monkeypatch)
+    runs = []
+    for _ in range(2):
+        doc = {"n": item["n"], "generators": item["generators"]}
+        gens = list(cli.GeneratorFile.from_json_dict(doc).generators)
+        calls.clear()
+        try:
+            certify_generators(gens)
+        except PipelineFailure:
+            pass
+        runs.append(list(calls))
+        for name in SPECTRAL:
+            args = [a for n, a in calls if n == name]
+            assert len(set(args)) == len(args), name
+    assert runs[0] == runs[1]
 
 
 FINITE_CERT_JSON = (
@@ -270,7 +319,7 @@ def test_exponent_search_builds_each_power_once(monkeypatch):
 
 
 def test_certify_selects_from_the_seed_grid(monkeypatch):
-    def recompute(a, s, f):
+    def recompute(*args):
         raise AssertionError("the seed's gap grid was recomputed")
 
     monkeypatch.setattr(pipeline, "l1_gap_report", recompute)
@@ -282,7 +331,7 @@ def test_certify_recomputes_the_grid_once_after_a_swap(monkeypatch):
     gens = swap_route()
     calls = []
     grid = pipeline.l1_gap_report
-    monkeypatch.setattr(pipeline, "l1_gap_report", lambda a, s, f: calls.append(a) or grid(a, s, f))
+    monkeypatch.setattr(pipeline, "l1_gap_report", lambda a, *rest: calls.append(a) or grid(a, *rest))
     res = certify_generators(gens)
     assert "swap_roles" in [rec["stage"] for rec in res.trace]
     assert str(res.certificate.word_a) == "1"
@@ -451,3 +500,59 @@ def test_certify_and_verify_name_no_float(module):
 def test_the_float_scan_sees_the_heuristics_it_allows():
     assert {site.split(":")[0] for site in _float_sites("cayley")} == FLOAT_ALLOWED_IN["cayley"]
     assert {site.split(":")[0] for site in _float_sites("cli")} == FLOAT_ALLOWED_IN["cli"]
+
+
+# the only caches that may outlive a call: cli's argument parser and the
+# unit points polyroots starts its root search from, both fixed by the code
+CACHES_ALLOWED = {("cli", "_build_parser"), ("polyroots", "_unit")}
+MUTABLE_NODES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _is_cache(decorator) -> bool:
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def _is_mutable(value) -> bool:
+    """A list, dict or set display or comprehension, or a list(), dict() or set() call."""
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+        return value.func.id in ("list", "dict", "set")
+    return isinstance(value, MUTABLE_NODES)
+
+
+def _cross_call_state(module: str) -> tuple[set, list[str]]:
+    """The module's cached functions, and its global statements and module-level containers."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    cached, sites = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(map(_is_cache, node.decorator_list)):
+                cached.add((module, node.name))
+        elif isinstance(node, ast.Global):
+            sites.append(f"global:{node.lineno}")
+    for top in tree.body:
+        if isinstance(top, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and _is_mutable(top.value):
+            sites.append(f"<module>:{top.lineno}")
+    return cached, sites
+
+
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_state_outlives_a_call(module):
+    # certify and verify give the same answer on every call in one process
+    # only if nothing a call computes is kept for the next: a new cache, a
+    # global statement or a module-level container must be reviewed first
+    cached, sites = _cross_call_state(module)
+    assert cached <= CACHES_ALLOWED
+    assert sites == []
+
+
+def test_the_state_scan_sees_the_caches_it_allows():
+    found = set().union(*(_cross_call_state(m)[0] for m in MODULES))
+    assert found == CACHES_ALLOWED
+    tree = "import functools\nX = {}\n@functools.lru_cache(8)\ndef f():\n    global X\n"
+    assert _is_mutable(ast.parse(tree).body[1].value)
+    assert _is_cache(ast.parse(tree).body[2].decorator_list[0])

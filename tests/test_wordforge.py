@@ -543,9 +543,9 @@ def test_certify_moves_past_a_singular_rounded_basis(monkeypatch):
     # to the next BITS_SCHEDULE entry instead of failing
     built = []
 
-    def recording(a, b, word_a, word_b, sort_place=ARCH, bits=128):
+    def recording(a, b, word_a, word_b, sort_place=ARCH, bits=128, memo=None):
         try:
-            pair = diagonalized_pair(a, b, word_a, word_b, sort_place, bits)
+            pair = diagonalized_pair(a, b, word_a, word_b, sort_place, bits, memo)
         except SingularEnclosure:
             built.append((bits, "singular"))
             raise
@@ -677,7 +677,7 @@ def test_diagonalize_breaks_modulus_ties_by_real_then_imaginary_part(monkeypatch
     # order the root engine lists the roots in.
     if engine_order == "reversed":
         monkeypatch.setattr(
-            "growthcert.wordforge.certified_root_structure",
+            "growthcert.spectra.certified_root_structure",
             lambda f, width: tuple(part[::-1] for part in certified_root_structure(f, width)),
         )
     a = M([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]])
