@@ -6,58 +6,49 @@ letters are integer matrices A = D*L over one common scale D, the lcm of
 their denominators, so sphere k holds the integer matrices X = D^k*M: one
 per group element, compared without a gcd.  A sphere travels as big ints
 with one fixed-width slot per entry, 32 bits wide until an entry needs
-more and whole 64-bit words after, and each letter multiplies the whole
-sphere with a few scalar-by-packed products; an element's key is its slot
-bytes, exact because every slot is wide enough for its entry.  So two words
-are identified exactly when they are equal in the group, never because
-floats or residues collided.  Every element is multiplied by every letter,
-and one dict lookup per product, run in C over a chunk of parents at a
-time, drops the products already in the three spheres, the parent among
-them.  The pair search decodes each element straight from its slots to
-an integer matrix over the sphere's scale, and its Shemesh and Burnside
-gates eliminate integer rows of the numerators.  Growth estimates derived
-from counts are certified dyadic lower bounds; the exponential-vs-
-polynomial verdict and the degree fit are float heuristics, clearly
-labeled, and never feed a certificate.
+more and whole 64-bit words after; an element's key is its slot bytes,
+exact because every slot is wide enough, so two words are identified
+exactly when they are equal in the group.  Each letter multiplies sphere k
+on the left with a few scalar-by-packed products, so the candidates come
+in shortlex order; one set lookup per candidate, run in C, keeps the new
+ones, and the block a letter sends back to sphere k - 1 is skipped.  The
+pair search decodes each element straight from its slots to an integer
+matrix, and its Shemesh and Burnside gates eliminate integer rows.  Growth
+estimates from counts are certified dyadic lower bounds; the growth
+verdict and the degree fit are labeled float heuristics that never feed a
+certificate.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
-from operator import eq, mul
+from itertools import chain, compress, repeat
+from operator import mul, not_
 
 from .errors import BudgetExceeded, Inconclusive, InsufficientData, PairNotFound
 from .exactnum import PlaceSet, SquareMatrix, Word, bareiss, int_matmul, s_support
 # charpoly_is_squarefree is the pair search's regularity gate, which
 # SpectralMemo.squarefree runs once per charpoly
-from .spectra import (  # noqa: F401
-    SpectralMemo,
-    char_poly,
-    charpoly_is_squarefree,
-    discriminant,
-    l1_gap_report,
-)
+from .spectra import SpectralMemo, char_poly, charpoly_is_squarefree, discriminant, l1_gap_report  # noqa: F401
 
 
-def _alphabet(gens: list[SquareMatrix]) -> list[tuple[Word, tuple[int, tuple]]]:
-    """Generators then inverses, as (letter word, (d, N)).
+def _alphabet(gens: list[SquareMatrix]) -> tuple[list[tuple[Word, tuple[int, tuple]]], list[int]]:
+    """Generators then inverses, as (letter word, (d, N)), and each letter's inverse's index.
 
     Exact duplicates are dropped, so an involution is its own inverse.
     """
-    seen = set()
-    letters = []
-    for sign, mats in ((1, gens), (-1, map(SquareMatrix.inverse, gens))):
-        for i, g in enumerate(mats):
-            key = (g.den, g.num)
-            if key not in seen:
-                seen.add(key)
+    pairs = [(g.den, g.num) for g in gens], [(g.den, g.num) for g in map(SquareMatrix.inverse, gens)]
+    index, letters = {}, []
+    for sign, keys in zip((1, -1), pairs):
+        for i, key in enumerate(keys):
+            if key not in index:
+                index[key] = len(letters)
                 letters.append((Word(((i, sign),)), key))
-    return letters
+    # letter i^sign inverts to i^-sign, or to the letter kept for its matrix
+    return letters, [index[pairs[sign == 1][i]] for word, _ in letters for i, sign in word.letters]
 
 
 # slots start 32 bits wide and widen to whole 8-byte words, so they move
@@ -119,26 +110,21 @@ def _fits(buf, width: int, bits: int) -> bool:
 
 
 def _as_matrix(key: bytes, d: int, width: int) -> SquareMatrix:
-    """The matrix M whose key at scale d is key: d*M in n^2 row-major slots of width bits."""
+    """The matrix M whose key at scale d is key: (d*M)^T in n^2 row-major slots of width bits."""
     step = width // 8
     half = 1 << width - 1
     vals = [int.from_bytes(key[i : i + step], "little") - half for i in range(0, len(key), step)]
     n = math.isqrt(len(vals))
-    return SquareMatrix(d, [vals[i : i + n] for i in range(0, n * n, n)])
+    return SquareMatrix(d, [vals[i::n] for i in range(n)])
 
 
-def _products(buf, width: int, columns) -> list[bytes]:
-    """Slot bytes of X*A for every element X of the sphere buf and every letter A.
+def _columns(buf, width: int, n: int) -> tuple[list[int], int, int]:
+    """(cols, half, size) for the tall matrix S that stacks the n x n elements in the slot bytes buf.
 
-    buf holds the sphere's elements one after another, each as n^2
-    row-major slots of width bits: the rows of the tall matrix S that
-    stacks them, so S*A stacks the products X*A.  Each column of S is
-    packed into one int, a slot per row, and column j of S*A is
-    sum_k S_k * a_kj, n scalar-by-packed products.  Its slots are
-    interleaved back into rows, copied as 'I' items at the first width
-    and as 'Q' items at whole words.  columns[letter][j] is A's column j.
+    cols[k] is column k of S in one int of size bytes, a slot per row, and
+    half has 2^(width-1) in each slot; slots move as 'I' items at the first
+    width and as 'Q' items at whole words.
     """
-    n = len(columns[0])
     fmt, item = _items(width)
     w = width // item
     stride = n * w
@@ -152,18 +138,29 @@ def _products(buf, width: int, columns) -> list[bytes]:
         for t in range(w):
             dst[t::w] = src[k * w + t :: stride]
         cols.append(int.from_bytes(col, "little") - half)
-    out = []
+    return cols, half, size
+
+
+def _products(columns, width: int, letter) -> bytearray:
+    """Slot bytes of S*A, for columns = _columns(S) and letter[j] the column j of A.
+
+    S*A stacks the products X*A.  Its column j is sum_k S_k * a_kj, n
+    scalar-by-packed products, and its slots are interleaved back into rows.
+    """
+    cols, half, size = columns
+    n = len(cols)
+    fmt, item = _items(width)
+    w = width // item
+    stride = n * w
     step = size * 8 // item
-    for letter in columns:
-        ys = b"".join([(sum(map(mul, cols, a)) + half).to_bytes(size, "little") for a in letter])
-        ys = memoryview(ys).cast(fmt)
-        prod = bytearray(len(buf))
-        dst = memoryview(prod).cast(fmt)
-        for j in range(n):
-            for t in range(w):
-                dst[j * w + t :: stride] = ys[j * step + t : (j + 1) * step : w]
-        out.append(bytes(prod))
-    return out
+    ys = b"".join([(sum(map(mul, cols, a)) + half).to_bytes(size, "little") for a in letter])
+    ys = memoryview(ys).cast(fmt)
+    prod = bytearray(n * size)
+    dst = memoryview(prod).cast(fmt)
+    for j in range(n):
+        for t in range(w):
+            dst[j * w + t :: stride] = ys[j * step + t : (j + 1) * step : w]
+    return prod
 
 
 def _width(window, width: int) -> int:
@@ -194,114 +191,124 @@ def _width(window, width: int) -> int:
 def _rescaled(sphere, width: int, factor: int) -> bytes:
     """Slot bytes at width bits of factor times each element of sphere = (slot bytes, own width)."""
     buf, own = sphere
+    if factor == 1 and own == width:
+        return buf
     return _pack(_unpack(buf, own, width) * factor, len(buf) * 8 // own, width)
 
 
 def _split(buf, size: int) -> list[bytes]:
-    """The keys of the slot bytes buf, size bytes each, cut by struct CHUNK_BYTES at a time.
-
-    struct keeps the formats it compiles, so none may grow with the sphere.
-    """
+    """The keys of the slot bytes buf, size bytes each, cut CHUNK_BYTES at a time (struct keeps formats)."""
     step = max(1, CHUNK_BYTES // size) * size
     view = memoryview(buf)
     parts = (view[i : i + step] for i in range(0, len(buf), step))
     return list(chain.from_iterable(struct.unpack(f"{size}s" * (len(p) // size), p) for p in parts))
 
 
-def _spheres(letters, radius, budget):
-    """Shortlex spheres S(1), S(2), ... of the ball over letters = _alphabet(gens).
+def _spheres(alphabet, radius, budget):
+    """Shortlex spheres S(1), S(2), ... of the ball over alphabet = _alphabet(gens).
 
-    Yields (d, width, tags, keys) per sphere: keys are its elements M in
-    shortlex order, each as the slot bytes of d*M (see _pack and
-    _as_matrix), and tag = parent * len(letters) + letter, parent indexing
-    the previous sphere (S(0) is the identity) and letter indexing letters.
-    d = D^k for sphere k, D the lcm of the letters' denominators, so d*M is
-    an integer matrix; each letter L is the integer matrix A = D*L, and X*A
-    is the key's matrix in sphere k + 1 for X in sphere k.  An integer
-    matrix at a fixed scale is one group element, so two keys of a sphere
-    are equal exactly when the elements are.
+    Yields (d, width, tags, keys) per sphere S(k+1): keys are its elements
+    M in shortlex order, each the slot bytes of (d*M)^T (see _pack and
+    _as_matrix), and tag = letter * len(S(k)) + parent for M = letter *
+    parent, parent indexing S(k) (S(0) is the identity).  d = D^(k+1), D
+    the lcm of the letters' denominators, and each letter L is the integer
+    matrix A = D*L, so d*M = A*X for X in S(k): one matrix per group
+    element at a fixed scale, so equal keys are equal elements.
 
-    A letter moves S(k) only into S(k-1), S(k) and S(k+1), so the dedup
-    dict holds those three spheres.  Before S(k+1) is built, the width is
-    chosen so that every entry of X*A fits, as do S(k) and S(k-1) rescaled
-    to D^(k+1), with D and D^2; when the scale or the width changed, their
-    keys are re-encoded so.  The width starts at 32 bits and only grows, to
-    whole 64-bit words.
+    Each letter in turn multiplies S(k) on the left, in S(k)'s order, as
+    the right product X^T * A^T of _products.  The candidates come in
+    shortlex order, first letter most significant, so the first to reach M
+    spells its least word: the least L with L^-1*M in S(k), then the least
+    word of L^-1*M.  A letter moves S(k) only to S(k-1), S(k) and S(k+1);
+    one set holds those keys, and since a letter's left product is
+    injective, its candidates repeat no key: each is new exactly when the
+    set lacks it.  The elements of S(k) whose words start with L^-1, one
+    block by S(k)'s per-letter counts, land in S(k-1) and are skipped.
 
-    Every element is multiplied by every letter, a chunk of parents at a
-    time, and the candidates are numbered globally in shortlex order.  The
-    dict maps each key to the number of the first candidate that reached
-    it; a rebuilt window holds -1 and the numbers only grow, so a candidate
-    is new exactly when setdefault hands back its own number.  Stops after
-    radius spheres or an empty one; raises BudgetExceeded at the first new
-    element past budget elements, the identity included.
+    The width, 32 bits and then whole 64-bit words, holds every entry of
+    S(k+1) and of S(k) and S(k-1) rescaled by D and D^2; it only grows, and
+    the window's keys are re-encoded when the scale or the width changed.
+    _width runs only when a carried bound on the entries' bits passes it.
+    Stops after radius spheres or an empty one; raises BudgetExceeded at
+    the first new element past budget elements, the identity included.
     """
+    letters, inverse = alphabet
     if not letters:
         raise ValueError("empty generator list")
     n = len(letters[0][1][1])
     scale = math.lcm(*(d for _, (d, _) in letters))
-    # each letter's columns, as integers at the common scale
-    columns = [
-        [tuple(x * (scale // d) for x in col) for col in zip(*rows)] for _, (d, rows) in letters
-    ]
-    # an entry of X*A is at most max|X| times A's largest absolute column
-    # sum; S(k) is also rescaled by D for the dedup dict, S(k-1) by D^2
-    grow = max(scale, *(sum(map(abs, col)) for letter in columns for col in letter))
-    fan = len(letters)
+    # each letter's rows, as integers at the common scale
+    rows = [[tuple(x * (scale // d) for x in row) for row in num] for _, (d, num) in letters]
+    # an element of S(k+1) is also X*A for an X in S(k), so its entries are at most max|X|
+    # times A's largest absolute column sum; the window rescales S(k) by D, S(k-1) by D^2
+    grow = max(scale, *(sum(map(abs, col)) for letter in rows for col in zip(*letter)))
+    lift = grow.bit_length()
     width = FIRST_WIDTH
     ident = _pack(sum(1 << width * (n + 1) * i for i in range(n)), n * n, width)
     # slot bytes and width of S(k-1) and S(k), each at its own scale D^(k-1), D^k
     prev, cur = None, (ident, width)
-    prev_keys, cur_keys = [], [ident]
-    first = {ident: -1}
-    total, d, base = 1, 1, 0
+    prev_keys, cur_keys, window = [], [ident], {ident}
+    # every entry of S(k) fits in bits = 2 + k * lift signed bits; D^2 has at
+    # most 2 * lift bits, so bits + lift also bounds S(k-1) rescaled by D^2
+    bits = 2
+    # the words of S(k) starting with letter a: S(k)[starts[a] : starts[a + 1]]
+    starts = [0] * (len(letters) + 1)
+    total, d = 1, 1
     for _ in range(radius):
-        window = [(*cur, grow)]
-        if prev and scale != 1:
-            window.append((*prev, scale * scale))
-        new_width = _width(window, width)
+        older = [(*prev, scale * scale)] if prev and scale != 1 else []
+        new_width = _width([(*cur, grow), *older], width) if bits + lift > width else width
         size = n * n * new_width // 8
         if new_width != width or scale != 1:
-            width = new_width
+            cur, width = (_rescaled(cur, new_width, 1), new_width), new_width
             prev_keys = _split(_rescaled(prev, width, scale * scale), size) if prev else []
             cur_keys = _split(_rescaled(cur, width, scale), size)
-            first = dict.fromkeys(prev_keys, -1)
-            first.update(dict.fromkeys(cur_keys, -1))
-        view = memoryview(cur[0] if cur[1] == width else _rescaled(cur, width, 1))
+            window = {*prev_keys, *cur_keys}
         d *= scale
-        tags, keys = [], []
-        # a chunk of parents at a time keeps the products' memory small
+        parents = len(cur_keys)
+        # a chunk of parents at a time keeps each letter's products small
         step = max(1, CHUNK_BYTES // size)
-        for start in range(0, len(cur_keys), step):
-            chunk = view[start * size : (start + step) * size]
-            fmt = f"{size}s" * (len(chunk) // size)
-            # parent-major, then letter: the candidates in shortlex order
-            products = [struct.unpack(fmt, prod) for prod in _products(chunk, width, columns)]
-            candidates = list(chain.from_iterable(zip(*products)))
-            lo = base + start * fan
-            new = list(map(eq, map(first.setdefault, candidates, count(lo)), count(lo)))
-            found = list(compress(candidates, new))
-            total += len(found)
-            if total > budget:
-                raise BudgetExceeded(f"ball exceeded budget {budget}")
-            keys += found
-            tags += compress(count(start * fan), new)
-        base += len(cur_keys) * fan
-        # S(k-1) leaves the window
-        deque(map(first.__delitem__, prev_keys), 0)
+        view = memoryview(cur[0])
+        chunks = [(i, _columns(view[i * size : (i + step) * size], width, n)) for i in range(0, parents, step)]
+        tags, keys, ends = [], [], [0]
+        for a, letter in enumerate(rows):
+            lo, hi = starts[inverse[a]], starts[inverse[a] + 1]
+            for start, columns in chunks:
+                stop = min(start + step, parents)
+                # the chunk's parents before and after the inverse block
+                parts = [(p, q) for p, q in ((start, min(stop, lo)), (max(start, hi), stop)) if p < q]
+                prod = memoryview(_products(columns, width, letter)) if parts else None
+                for p, q in parts:
+                    cut = prod[(p - start) * size : (q - start) * size]
+                    candidates = struct.unpack(f"{size}s" * (q - p), cut)
+                    old = list(map(window.__contains__, candidates))
+                    found, tag = candidates, range(a * parents + p, a * parents + q)
+                    if any(old):
+                        new = list(map(not_, old))
+                        found, tag = list(compress(found, new)), compress(tag, new)
+                    total += len(found)
+                    if total > budget:
+                        raise BudgetExceeded(f"ball exceeded budget {budget}")
+                    window.update(found)
+                    keys += found
+                    tags += tag
+            ends.append(len(keys))
+        del chunks  # one sphere's columns at a time
+        window.difference_update(prev_keys)  # S(k-1) leaves the window
         yield d, width, tags, keys
         if not keys:
             return
         prev, cur = cur, (b"".join(keys), width)
         prev_keys, cur_keys = cur_keys, keys
+        starts = ends
+        bits += lift
 
 
-def _ball_words(letters, radius, budget):
+def _ball_words(alphabet, radius, budget):
     """The ball without the identity as shortlex (word, matrix), words built per sphere reached."""
-    words = [Word()]
-    for d, width, tags, keys in _spheres(letters, radius, budget):
-        steps = map(divmod, tags, repeat(len(letters)))
-        words = [words[parent] * letters[letter][0] for parent, letter in steps]
+    letters, words = alphabet[0], [Word()]
+    for d, width, tags, keys in _spheres(alphabet, radius, budget):
+        steps = map(divmod, tags, repeat(len(words)))
+        words = [letters[letter][0] * words[parent] for letter, parent in steps]
         yield from zip(words, (_as_matrix(key, d, width) for key in keys))
 
 
@@ -362,9 +369,7 @@ class GrowthReport:
     verdict: str
 
     def csv(self) -> str:
-        lines = ["n,count"]
-        lines.extend(f"{n},{c}" for n, c in self.ball_sizes)
-        return "\n".join(lines) + "\n"
+        return "n,count\n" + "".join(f"{n},{c}\n" for n, c in self.ball_sizes)
 
 
 def _poly_fit_degree(sizes: list[tuple[int, int]]) -> int | None:
@@ -373,8 +378,6 @@ def _poly_fit_degree(sizes: list[tuple[int, int]]) -> int | None:
     if len(pts) < 4:
         return None
     tail = pts[len(pts) // 2 :]
-    if len(tail) < 2:
-        return None
     xs = [math.log(n) for n, _ in tail]
     ys = [math.log(c) for _, c in tail]
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
@@ -402,19 +405,14 @@ def _verdict(sizes: list[tuple[int, int]], exhausted: bool) -> str:
     pts = [(n, c) for n, c in sizes if n >= 1 and c >= 1]
     if len(pts) < 4:
         return "insufficient-data"
-    ns = [float(n) for n, _ in pts]
-    logn = [math.log(n) for n, _ in pts]
     logc = [math.log(c) for _, c in pts]
-    sse_exp = _sse(ns, logc)
-    sse_poly = _sse(logn, logc)
-    return "exponential-evidence" if sse_exp < sse_poly else "polynomial-evidence"
+    exponential = _sse([float(n) for n, _ in pts], logc) < _sse([math.log(n) for n, _ in pts], logc)
+    return "exponential-evidence" if exponential else "polynomial-evidence"
 
 
 def _build_report(counts: list[int], exhausted: bool, alphabet_size: int) -> GrowthReport:
     sizes = tuple(enumerate(counts))
-    estimates = tuple(
-        (n, nth_root_floor(c, n)) for n, c in sizes if n >= 1
-    )
+    estimates = tuple((n, nth_root_floor(c, n)) for n, c in sizes if n >= 1)
     return GrowthReport(
         ball_sizes=sizes,
         alphabet_size=alphabet_size,
@@ -425,9 +423,7 @@ def _build_report(counts: list[int], exhausted: bool, alphabet_size: int) -> Gro
     )
 
 
-def enumerate_ball(
-    gens: list[SquareMatrix], radius: int, budget: int = 10**6
-) -> GrowthReport:
+def enumerate_ball(gens: list[SquareMatrix], radius: int, budget: int = 10**6) -> GrowthReport:
     """Exact |B_S(n)| for n = 0..radius over the symmetrized alphabet.
 
     BudgetExceeded carries the completed-radius counts in .partial as a
@@ -435,15 +431,16 @@ def enumerate_ball(
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    letters = _alphabet(gens)
+    alphabet = _alphabet(gens)
+    fan = len(alphabet[0])
     counts = [1]
     try:
-        for _, _, _, keys in _spheres(letters, radius, budget):
+        for _, _, _, keys in _spheres(alphabet, radius, budget):
             counts.append(counts[-1] + len(keys))
     except BudgetExceeded as exc:
-        exc.partial = _build_report(counts, False, len(letters))
+        exc.partial = _build_report(counts, False, fan)
         raise
-    return _build_report(counts, len(counts) > 1 and counts[-1] == counts[-2], len(letters))
+    return _build_report(counts, len(counts) > 1 and counts[-1] == counts[-2], fan)
 
 
 def estimate_omega(report: GrowthReport) -> Fraction:

@@ -497,8 +497,8 @@ def test_keys_of_different_spheres_are_not_compared():
     gens = [half, hyperbolic, sanov_gens()[1]]
     spheres = list(sphere_triples(gens, 2, 10**6))
     (d1, width1, s1), (d2, width2, s2) = spheres
-    key_h = next(key for _, letter, key in s1 if letter == 1)
-    key_h2 = next(key for p, letter, key in s2 if s1[p][1] == 0 and letter == 1)
+    key_h = next(key for letter, _, key in s1 if letter == 1)
+    key_h2 = next(key for letter, p, key in s2 if letter == 0 and s1[p][0] == 1)
     assert key_h == key_h2 and (d1, d2) == (2, 4) and width1 == width2
     assert cayley._as_matrix(key_h, d1, width1) == hyperbolic
     assert cayley._as_matrix(key_h2, d2, width2) == hyperbolic.scale(F(1, 2))
@@ -628,24 +628,40 @@ def collect(spheres):
 
 
 def sphere_triples(gens, radius, budget):
-    """cayley._spheres as (d, width, sphere), the tags decoded: (parent, letter, key) triples."""
-    fan = len(cayley._alphabet(gens))
+    """cayley._spheres as (d, width, sphere), the tags decoded: (letter, parent, key) triples."""
+    parents = 1
     for d, width, tags, keys in cayley._spheres(cayley._alphabet(gens), radius, budget):
-        yield d, width, [(*divmod(tag, fan), key) for tag, key in zip(tags, keys)]
+        yield d, width, [(*divmod(tag, parents), key) for tag, key in zip(tags, keys)]
+        parents = len(keys)
 
 
 def cayley_spheres(gens, radius, budget):
-    """cayley._spheres as (parent, letter, matrix) triples, at each sphere's scale and width."""
+    """cayley._spheres as lists of (word, matrix), each word the letter times its parent's word."""
+    letters = cayley._alphabet(gens)[0]
+    words = [Word()]
     for d, width, sphere in sphere_triples(gens, radius, budget):
-        yield [(p, letter, cayley._as_matrix(key, d, width)) for p, letter, key in sphere]
+        words = [letters[letter][0] * words[p] for letter, p, _ in sphere]
+        yield list(zip(words, (cayley._as_matrix(key, d, width) for _, _, key in sphere)))
+
+
+def reference_words(letters, radius, budget):
+    """reference_spheres as lists of (word, matrix), each word its parent's word times the letter."""
+    words = [Word()]
+    for sphere in reference_spheres(letters, radius, budget):
+        words = [words[p] * letters[letter][0] for p, letter, _ in sphere]
+        yield list(zip(words, (integer_form_matrix(key) for _, _, key in sphere)))
 
 
 def assert_same_spheres(gens, radius, budget=10**6):
-    # the keys differ in form, so the triples compare parents, letters and matrices
+    # the spheres are built by left and by right multiplication, so they are
+    # compared as shortlex (word, matrix) lists: parents and letters differ
     got = collect(cayley_spheres(gens, radius, budget))
-    ref = reference_spheres(cayley._alphabet(gens), radius, budget)
-    decoded = ([(p, lt, integer_form_matrix(key)) for p, lt, key in sphere] for sphere in ref)
-    assert got == collect(decoded)
+    assert got == collect(reference_words(cayley._alphabet(gens)[0], radius, budget))
+    spheres, error = got
+    walk = []
+    with pytest.raises(BudgetExceeded) if error else nullcontext():
+        walk.extend(cayley._ball_words(cayley._alphabet(gens), radius, budget))
+    assert walk == [element for sphere in spheres for element in sphere]
     return got
 
 
@@ -658,6 +674,21 @@ _DOUBLING = [
     SquareMatrix.from_rows([[2, 0], [0, F(1, 2)]]),
     SquareMatrix.from_rows([[0, -1], [1, 0]]),
 ]
+# entries straddle +-2^62 and +-2^63 around the first whole-word width
+_STRADDLES_63 = [
+    SquareMatrix.from_rows([[1, 2**61], [0, 1]]),
+    SquareMatrix.from_rows([[1, 0], [-(2**61), 1]]),
+]
+# entries pass 2^64 by sphere 3: the width grows twice with older spheres in the window
+_WIDENS_IN_WINDOW = [
+    SquareMatrix.from_rows([[1, 2**22, 0], [0, 1, 0], [0, 0, 1]]),
+    SquareMatrix.from_rows([[1, 0, 0], [2**22, 1, 0], [0, 2**22, 1]]),
+]
+# entries straddle +-2^30 and +-2^31 around the first slot width
+_STRADDLES_31 = [
+    SquareMatrix.from_rows([[1, 2**29], [0, 1]]),
+    SquareMatrix.from_rows([[1, 0], [-(2**29), 1]]),
+]
 
 
 @pytest.mark.parametrize(
@@ -669,30 +700,9 @@ _DOUBLING = [
         ([_SHEAR, _SHEAR, sanov_gens()[1]], 4),
         ([SquareMatrix.from_rows([[0, -1], [1, 0]]), SquareMatrix.from_rows([[0, 1], [-1, 1]])], 8),
         ([SquareMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), SquareMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])], 8),
-        # entries straddle +-2^62 and +-2^63 around the first whole-word width
-        (
-            [
-                SquareMatrix.from_rows([[1, 2**61], [0, 1]]),
-                SquareMatrix.from_rows([[1, 0], [-(2**61), 1]]),
-            ],
-            4,
-        ),
-        # entries pass 2^64 by sphere 3: the width grows twice with older spheres in the window
-        (
-            [
-                SquareMatrix.from_rows([[1, 2**22, 0], [0, 1, 0], [0, 0, 1]]),
-                SquareMatrix.from_rows([[1, 0, 0], [2**22, 1, 0], [0, 2**22, 1]]),
-            ],
-            5,
-        ),
-        # entries straddle +-2^30 and +-2^31 around the first slot width
-        (
-            [
-                SquareMatrix.from_rows([[1, 2**29], [0, 1]]),
-                SquareMatrix.from_rows([[1, 0], [-(2**29), 1]]),
-            ],
-            4,
-        ),
+        (_STRADDLES_63, 4),
+        (_WIDENS_IN_WINDOW, 5),
+        (_STRADDLES_31, 4),
         (_FIBONACCI, 30),
         (_DOUBLING, 20),
     ],
@@ -739,15 +749,59 @@ def test_first_width_holds_entries_up_to_2_to_the_31():
     assert max(map(abs, entries)) > 2**30
 
 
+def assert_widths_are_exact(gens, radius, budget=10**6):
+    """Each sphere was built at the width _width picks from the sphere before it and the one before that."""
+    letters = cayley._alphabet(gens)[0]
+    n = gens[0].n
+    scale = math.lcm(*(d for _, (d, _) in letters))
+    # X*A for X in S(k) reaches every element of S(k + 1): A's column sums bound the growth
+    grow = max(scale, *(sum(abs(x) * (scale // d) for x in col) for _, (d, num) in letters for col in zip(*num)))
+    ident = packed([int(i == j) for i in range(n) for j in range(n)], 32)
+    window = [(ident, 32, grow)]
+    width = 32
+    try:
+        for _, new_width, _, keys in cayley._spheres(cayley._alphabet(gens), radius, budget):
+            assert new_width == cayley._width(window, width)
+            sphere, width = b"".join(keys), new_width
+            window = [(sphere, width, grow)] + [(window[0][0], window[0][1], scale * scale)] * (scale != 1)
+    except BudgetExceeded:
+        pass
+    return width
+
+
+@pytest.mark.parametrize(
+    "gens, radius, last",
+    [
+        (_FIBONACCI, 30, 64),
+        (_DOUBLING, 40, 128),
+        (_STRADDLES_63, 6, 384),
+        (_WIDENS_IN_WINDOW, 6, 192),
+        (_STRADDLES_31, 8, 256),
+        ([SquareMatrix.from_rows([[1, F(1, 2)], [0, 1]]), SquareMatrix.from_rows([[1, F(1, 3)], [0, 1]])], 30, 128),
+    ],
+    ids=["fibonacci", "doubling", "straddles-2^63", "widens-in-window", "straddles-2^31", "mixed-denominators"],
+)
+def test_carried_bound_never_skips_a_widening(gens, radius, last):
+    assert assert_widths_are_exact(gens, radius) == last
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=_generators(max_n=3), radius=st.integers(1, 5))
+def test_carried_bound_never_skips_a_widening_on_random_generators(gens, radius):
+    assert_widths_are_exact(gens, radius, 2000)
+
+
 def test_budget_runs_out_in_a_later_chunk_of_a_sphere(monkeypatch):
-    # the budget passes S(11) and the new elements of S(12)'s first chunk of
-    # parents, so the cut-off comes in a later chunk, with S(11)'s counts
+    # the budget passes S(11) and the new elements of S(12) from the first
+    # letter's first chunk of parents, so the cut-off comes in a later chunk,
+    # with S(11)'s counts; tag = letter * |S(11)| + parent
     gens = heisenberg_gens()
     spheres = list(cayley._spheres(cayley._alphabet(gens), 12, 10**6))
     _, width, tags, _ = spheres[-1]
     step = cayley.CHUNK_BYTES // (9 * width // 8)
     assert len(spheres[-2][3]) > step
-    in_first_chunk = sum(tag // 4 < step for tag in tags)
+    in_first_chunk = sum(tag < step for tag in tags)
+    assert 0 < in_first_chunk < sum(tag < len(spheres[-2][3]) for tag in tags)
     budget = 1 + sum(len(keys) for *_, keys in spheres[:-1]) + in_first_chunk + 1
     chunks = []
     products = cayley._products
@@ -763,9 +817,18 @@ def test_budget_runs_out_in_a_later_chunk_of_a_sphere(monkeypatch):
 
 def test_inverse_letter_table():
     # -I is its own inverse; a repeated letter and a letter equal to another's
-    # inverse are dropped
-    letters = cayley._alphabet([_MINUS_I, _SHEAR, _SHEAR, _SHEAR.inverse()])
+    # inverse are dropped, and their inverses point at the letters kept
+    letters, inverse = cayley._alphabet([_MINUS_I, _SHEAR, _SHEAR, _SHEAR.inverse()])
     assert [str(w) for w, _ in letters] == ["0", "1", "3"]
+    assert inverse == [0, 2, 1]
+    letters, inverse = cayley._alphabet([_SHEAR.inverse(), _SHEAR])
+    assert [str(w) for w, _ in letters] == ["0", "1"]
+    assert inverse == [1, 0]
+    for gens in ([_MINUS_I, _SHEAR, _SHEAR, _SHEAR.inverse()], sanov_gens(), heisenberg_gens(), _DOUBLING):
+        letters, inverse = cayley._alphabet(gens)
+        mats = [SquareMatrix(d, num) for _, (d, num) in letters]
+        assert all(mats[a] * mats[inverse[a]] == SquareMatrix.identity(gens[0].n) for a in range(len(mats)))
+        assert all(inverse[inverse[a]] == a for a in range(len(mats)))
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5, 17, 40, 53, 54])
