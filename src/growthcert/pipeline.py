@@ -1,22 +1,21 @@
 """End-to-end certification: generators in, verified certificate out.
 
-Orchestrates the regular-pair search, norm balancing, place and wedge
-selection, exponent derivation, and the freeness oracle.  Every stage works
-on the seed words; none replaces them by longer ones.  The stages hand on
-one ConjugatedPair, in the canonical basis diagonalized_pair derives from
-the certified words alone; the exponent search runs in it, and
-verify_certificate rebuilds the same basis from the certificate and the
-generator file to replay the cone checks.  The checks are sound in any
-basis, so the basis is rational and needs no enclosure: precision only
-sets how many bits a rounded one keeps, and the norm relations the stages
-record are facts about it, not part of the certificate.
+certify_generators searches verify_certificate's own replay (the canonical
+basis diagonalized_pair derives from the words alone, wedge_pair's
+compounds in it, the cone checks) over the seed's two role orders, the
+places and wedge degrees of each role's gap grid and the precisions; the
+oracle then runs on the shortest certified word.  Every candidate is the
+seed words, never a longer word.  The checks are sound in any basis, so
+the basis is rational and needs no enclosure: precision only sets how many
+bits a rounded one keeps.  Eskin-Mozes-Oh's uniform word-length bounds need
+norm balancing, a role swap and a place choice (wordforge's library
+stages); a certificate for one generating set does not.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 from .cayley import find_regular_pair
 from .errors import (
@@ -29,6 +28,7 @@ from .errors import (
     SingularEnclosure,
 )
 from .exactnum import (
+    ARCH,
     SquareMatrix,
     Word,
     evaluate_word,
@@ -43,14 +43,8 @@ from .pingpong import (
     growth_bound_from_length,
     verify_cone_inclusions,
 )
-from .spectra import SpectralMemo, char_poly, l1_gap_report
-from .wordforge import (
-    balance_or_trace,
-    diagonalized_pair,
-    select_place_and_wedge,
-    swap_roles,
-    wedge_pair,
-)
+from .spectra import SpectralMemo, char_poly, gap_cells, l1_gap_report
+from .wordforge import diagonalized_pair, wedge_pair
 
 _PRECISION_ERRORS = (Inconclusive, PrecisionExhausted, SingularEnclosure)
 
@@ -107,17 +101,6 @@ class CertifyResult:
         )
 
 
-def _escalate(fn, retry=_PRECISION_ERRORS):
-    """Run fn(bits) over BITS_SCHEDULE, re-raising the last failure."""
-    last = None
-    for bits in BITS_SCHEDULE:
-        try:
-            return fn(bits)
-        except retry as exc:
-            last = exc
-    raise last
-
-
 def _word_lengths(word_a: Word, word_b: Word, e: int) -> tuple[int, int]:
     """Generator lengths of A^e B and A^2e B."""
     return (
@@ -133,18 +116,25 @@ def certify_generators(
 ) -> CertifyResult:
     """Produce an oracle-validated freeness certificate or a staged failure.
 
-    Stage order: regular-pair search, norm balancing (with a role swap
-    when only the trace route certifies), place and wedge selection,
-    exponent derivation in the canonical basis of the words (the replay
-    verify_certificate runs), freeness oracle.  The basis is built once
-    per role and handed from stage to stage; the exponent search builds it
-    again only at another sort place or precision.  One SpectralMemo serves
-    every stage of the call, so each matrix's adjugate polynomial, each
-    charpoly's squarefree test and each root structure at a width is
-    computed once; it goes when the call returns.
+    After the regular-pair search, candidates (role, place v, wedge
+    degree m) are tested exactly as verify_certificate tests a certificate.
+    Role 1 is the seed (A, B) with the seed's gap grid; role 2 is (B, A)
+    when B's charpoly is squarefree, its grid computed only once role 2
+    could still give a shorter word.  Cells go in spectra.gap_cells'
+    order, role 1 first.  Precision is the outer loop: at each bits one
+    basis per (role, place) serves every m.  A candidate that fails on an
+    exact basis, the same at every precision, or with anything but a
+    precision error is not tried again; the first precision at which one
+    certifies ends the search.  The winner has the least length
+    2e|word_A| + |word_B|, ties to the earlier candidate, since each later
+    one searches only exponents that give a shorter word; the oracle runs
+    once, on it.  One SpectralMemo serves the whole call, so each matrix's
+    adjugate polynomial, each charpoly's squarefree test and each root
+    structure at a width is computed once; it goes when the call returns.
     Failures raise PipelineFailure carrying the stage name, with the trace
-    so far on the .trace attribute.  A certificate is returned only after
-    the oracle confirms zero collisions.
+    so far on the .trace attribute; when no candidate certifies, the stage
+    is derive_exponent and the error the last candidate's.  A certificate
+    is returned only after the oracle confirms zero collisions.
     """
     config = config or RunConfig()
     if not gens:
@@ -177,73 +167,78 @@ def certify_generators(
         }
     )
 
-    try:
-        pair = _escalate(
-            lambda bits: balance_or_trace(
-                diagonalized_pair(
-                    seed.matrix_a, seed.matrix_b, seed.word_a, seed.word_b, bits=bits, memo=memo
-                ),
-                s,
-            )
-        )
-    except GrowthcertError as exc:
-        fail("balance_or_trace", exc)
-    trace.append(
-        {
-            "stage": "balance_or_trace",
-            "ok": True,
-            "relation": pair.norm_relation,
-            "constants": [format_rational(Fraction(c)) for c in pair.constants],
-            "exact_basis": pair.exact,
-            "word_B": str(pair.word_b),
-        }
-    )
+    roles = [
+        (seed.matrix_a, seed.matrix_b, seed.word_a, seed.word_b),
+        (seed.matrix_b, seed.matrix_a, seed.word_b, seed.word_a),
+    ]
+    grids = {0: seed.l1_grid}
+    cells, pairs, dropped = {}, {}, set()
+    best, attempts, last = None, 0, None
+    # per role, the error of an archimedean basis that failed at every precision so far
+    unordered = {}
 
-    if pair.norm_relation == "trace_big":
-        try:
-            pair = _escalate(lambda bits: swap_roles(pair, s, bits, memo))
-        except GrowthcertError as exc:
-            fail("swap_roles", exc)
-        trace.append(
-            {
-                "stage": "swap_roles",
-                "ok": True,
-                "word_A": str(pair.word_a),
-                "word_B": str(pair.word_b),
-            }
-        )
+    def pair_at(k: int, v, bits: int):
+        if (k, v, bits) not in pairs:
+            pairs[k, v, bits] = diagonalized_pair(*roles[k], v, bits, memo)
+        return pairs[k, v, bits]
 
-    try:
-        # the seed's grid belongs to A unless the roles were swapped
-        grid = seed.l1_grid
-        if pair.norm_relation == "swapped":
-            grid = l1_gap_report(pair.orig_a, s, char_poly(pair.orig_a, memo), memo)
-        v, m = select_place_and_wedge(pair, grid)
-    except GrowthcertError as exc:
-        fail("select_place_and_wedge", exc)
-    trace.append({"stage": "select_place_and_wedge", "ok": True, "place": str(v), "wedge_m": m})
-
-    word_a_final, word_b_final = pair.word_a, pair.word_b
-    a_mat, b_mat = pair.orig_a, pair.orig_b
-
-    def canonical(bits: int):
-        canon = pair
-        if (pair.sort_place, pair.bits) != (v, bits):
-            canon = diagonalized_pair(a_mat, b_mat, word_a_final, word_b_final, v, bits, memo)
-        wa, wb = wedge_pair(canon, v, m)
-        return derive_exponent(wa, wb, v, cap=config.exponent_cap)
-
-    # A's basis is exact at every place exactly when pair's is, and an
-    # exact basis is the same at every precision: no retry
-    retry = _PRECISION_ERRORS if pair.exact else _PRECISION_ERRORS + (ExponentSearchExhausted,)
-    try:
-        e, r, checks = _escalate(canonical, retry=retry)
-    except GrowthcertError as exc:
-        fail("derive_exponent", exc)
+    for bits in BITS_SCHEDULE:
+        for k, (a_mat, _, word_a, word_b) in enumerate(roles):
+            # the largest exponent whose word is shorter than the best so far
+            cap = config.exponent_cap
+            if best is not None:
+                cap = min(cap, (best[0] - len(word_b) - 1) // (2 * len(word_a)))
+            if cap < 1:
+                continue
+            if k not in grids:
+                # a repeated eigenvalue leaves no eigenbasis to search in
+                f = char_poly(a_mat, memo)
+                try:
+                    grids[k] = l1_gap_report(a_mat, s, f, memo) if memo.squarefree(f) else {}
+                except Inconclusive:
+                    grids[k] = {}
+            if k not in cells and any(grids[k].values()):
+                try:
+                    arch = pair_at(k, ARCH, bits)
+                except GrowthcertError as exc:
+                    unordered[k] = exc
+                    continue
+                unordered.pop(k, None)
+                # an exact basis is the same at every precision
+                retry = _PRECISION_ERRORS + (() if arch.exact else (ExponentSearchExhausted,))
+                cells[k] = gap_cells(grids[k], arch.a_diag, arch.exact), retry
+            order, retry = cells.get(k, ((), ()))
+            for v, m in order:
+                if cap < 1 or (k, v, m) in dropped:
+                    continue
+                attempts += 1
+                try:
+                    wa, wb = wedge_pair(pair_at(k, v, bits), v, m)
+                    e, r, checks = derive_exponent(wa, wb, v, cap=cap)
+                except GrowthcertError as exc:
+                    last = exc
+                    if not isinstance(exc, retry):
+                        dropped.add((k, v, m))
+                    continue
+                best = (2 * e * len(word_a) + len(word_b), k, v, m, bits, e, r, checks)
+                cap = e - 1
+        if best is not None:
+            break
+    if best is None:
+        none = ExponentSearchExhausted("no certified gap at a place the basis reads")
+        fail("derive_exponent", last or next(iter(unordered.values()), none))
+    _, k, v, m, bits, e, r, checks = best
+    a_mat, b_mat, word_a_final, word_b_final = roles[k]
     trace.append(
         {
             "stage": "derive_exponent",
             "ok": True,
+            "word_A": str(word_a_final),
+            "word_B": str(word_b_final),
+            "place": str(v),
+            "wedge_m": m,
+            "bits": bits,
+            "candidates": attempts,
             "exponent": e,
             "cone_param": format_rational(r),
         }

@@ -397,7 +397,8 @@ def certified_root_structure(
     start at 64 bits, where they only need to separate the roots, and the
     iteration carries them to 64 bits past the box precision.  Both
     precisions double, at most _ATTEMPTS times, until every root is
-    classified within the width.
+    classified within the width.  A pass that fails on an f with a
+    repeated root raises ValueError: no precision separates its copies.
     """
     ints = _primitive(_integer_coeffs(f))
     # f is squarefree, so 0 is at most a simple root; the others are f / x's
@@ -418,6 +419,8 @@ def certified_root_structure(
             real_ivs, upper = found
             lower = [ComplexInterval(b.rl, b.rh, -b.ih, -b.il, b.k) for b in upper]
             return sorted(reals + real_ivs, key=lambda iv: iv.lo), upper + lower
+        if poly_degree(squarefree_part(f)) < poly_degree(f):
+            raise ValueError("f has a repeated root: no root structure to certify")
         w, bits = 2 * w, 2 * bits
     raise PrecisionExhausted(f"could not certify root structure at width {width}")
 

@@ -8,7 +8,8 @@ p-adic eigenvalue moduli from Newton polygons, and archimedean moduli from
 certified root enclosures.
 The (L1) gap grid reports, for each place and wedge degree, whether the top
 eigenvalue modulus of the wedge power certifiably dominates both the
-constant 2 and twice the second largest modulus.
+constant 2 and twice the second largest modulus; gap_cells orders its
+certified-true cells for certify's search.
 A SpectralMemo holds the adjugate polynomial of each matrix, the
 squarefree test of each charpoly and the root structure of each
 squarefree charpoly at each width, computed once; certify makes one per
@@ -427,3 +428,19 @@ def l1_gap_report(
             m = min(pending)
             raise Inconclusive(f"(L1) undecidable at archimedean place, wedge {m}")
         bits *= 2
+
+
+def gap_cells(grid: dict, a_diag, exact: bool) -> list[tuple[Place, int]]:
+    """The certified-true (place, wedge degree) cells of a gap grid, in search order.
+
+    a_diag holds A's eigenvalue points and exact says they are all
+    rational; then places go by the exact max |a_i|_v, largest first, ties
+    in place order.  A rounded basis, whose eigenvalues need not be
+    rational, gets the archimedean place only.  Wedge degrees ascend.
+    """
+    places = [ARCH]
+    if exact:
+        places = sorted(
+            {v for v, _ in grid}, key=lambda v: (-max(abs_value(x, v) for x in a_diag), v.sort_key)
+        )
+    return [(v, m) for v in places for m in range(1, len(a_diag)) if grid.get((v, m))]

@@ -1,24 +1,22 @@
-"""Basis preparation between pair selection and cone certification.
+"""Basis preparation for the cone checks, and the EMO word-length stages.
 
 diagonalized_pair builds A's canonical basis X from its adjugate
-polynomial (diagonalize), conjugates B into it, and every later stage
-hands that ConjugatedPair on.  The adjugate polynomial, squarefree test
-and root structure come from the run's SpectralMemo, which the pair
-search has already filled for A.  X is rational: exact when A's eigenvalues
-are rational, otherwise eigenvectors at the roots' dyadic midpoints
-rounded to a fixed number of bits, so it is a pure function of (A, sort
-place, bits) and certify and verify build the same X.  The cone checks
-are sound in any invertible basis; X only makes them likely to pass.  The
-order of its eigenvalues, wedge coordinates and places comes from exact
-keys (_modulus_key).  The norm balancing reads B's rows after a
-centralizer conjugation but keeps the canonical ones, the trace route
-records a relation, and the role swap builds B's canonical pair the same
-way; these relations are facts about X, not part of any certificate.  The
-place and wedge degree with a certified spectral gap come from the gap
-grid the pair search already holds.  Every stage checks the seed pair
-itself; none replaces B by a longer word.  The corner check (ensure_l2),
-corner amplification and the almost-algebra builder are library
-functions; certification does not run them.
+polynomial (diagonalize), conjugates B into it once, and wedge_pair reads
+the compounds of X^-1 A X and X^-1 B X off that ConjugatedPair; certify's
+search and verify's replay run exactly these two.  The adjugate
+polynomial, squarefree test and root structure come from the run's
+SpectralMemo, which the pair search has already filled for A.  X is
+rational: exact when A's eigenvalues are rational, otherwise eigenvectors
+at the roots' dyadic midpoints rounded to a fixed number of bits, so it
+is a pure function of (A, sort place, bits) and certify and verify build
+the same X.  The cone checks are sound in any invertible basis; X only
+makes them likely to pass.  The order of its eigenvalues, wedge
+coordinates and places comes from exact keys (_modulus_key).
+The stages Eskin-Mozes-Oh use to bound word length uniformly over all
+generating sets, balance_or_trace (norm balancing and the trace route),
+swap_roles and select_place_and_wedge, are library functions that
+certification does not run, as are the corner check (ensure_l2), corner
+amplification and the almost-algebra builder.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from .errors import (
 from .exactnum import ARCH, Place, PlaceSet, SquareMatrix, Word, abs_value
 from .intervals import _fraction, sqrt_upper
 from .pingpong import LConditions, bound_table, check_l_conditions
-from .spectra import SpectralMemo, arch_width, char_poly, compound, wedge_diag
+from .spectra import SpectralMemo, arch_width, char_poly, compound, gap_cells, wedge_diag
 
 SYM_A = Word.generator(0)
 SYM_B = Word.generator(1)
@@ -190,15 +188,14 @@ class ConjugatedPair:
     """The pair in A's canonical basis X, with the certified relation.
 
     Every pair is the one diagonalized_pair builds at sort_place and bits;
-    the stages after it record a relation and never change the basis, so
-    a later stage at the same place and bits reuses it.  orig_a and orig_b
-    stay in the input basis, so spectral data (charpoly, gap grid) never
-    depends on X.  Everything is exact: basis and basis_inv are the
-    Fraction rows of X and X^-1, b_rows those of X^-1 B X, and a_diag
-    holds A's eigenvalue points in X's column order (see diagonalize).
-    exact says A's eigenvalues are rational, so that X^-1 A X is
-    diag(a_diag); otherwise X is rounded, and the stages read the points
-    and B's rows at the archimedean place only.  constants records the
+    the stages after it record a relation and never change the basis.
+    orig_a and orig_b stay in the input basis, so spectral data (charpoly,
+    gap grid) never depends on X.  Everything is exact: basis and
+    basis_inv are X and X^-1, b_conj is X^-1 B X, and a_diag holds A's
+    eigenvalue points in X's column order (see diagonalize).  exact says
+    A's eigenvalues are rational, so that X^-1 A X is diag(a_diag);
+    otherwise X is rounded, and the stages read the points and B's rows
+    at the archimedean place only.  constants records the
     (c1, c2) with norm(B) <= c1 * norm(A)^c2 when norm_relation is
     B_prec_A or swapped: a fact about X, which no certificate carries.
     """
@@ -207,10 +204,10 @@ class ConjugatedPair:
     orig_b: SquareMatrix
     word_a: Word
     word_b: Word
-    basis: tuple
-    basis_inv: tuple
+    basis: SquareMatrix
+    basis_inv: SquareMatrix
     a_diag: tuple
-    b_rows: tuple
+    b_conj: SquareMatrix
     exact: bool
     sort_place: Place
     bits: int
@@ -282,7 +279,7 @@ def _balanced_rows(pair: ConjugatedPair):
     The diagonal centralizes diag(A), so the norm checks may read these
     rows in place of b_rows; the pair itself keeps its canonical rows.
     """
-    b_rows = pair.b_rows
+    b_rows = pair.b_conj.entries
     k = _balance_exponents(b_rows, ARCH)
     if not any(k):
         return b_rows
@@ -307,9 +304,8 @@ def diagonalized_pair(
     verifier replaying from the words alone lands in the same X.  X is
     exact when A's charpoly splits into distinct rationals and rounded
     otherwise; finite sort places need the exact one.  The result has
-    norm_relation "none"; balance_or_trace and swap_roles record a relation
-    on it without changing the basis, and it feeds wedge_pair and the cone
-    checks directly.  memo passes on to diagonalize.
+    norm_relation "none" and feeds wedge_pair and the cone checks directly.
+    memo passes on to diagonalize.
     """
     a_diag, x, x_inv, exact = diagonalize(a, sort_place, bits, memo=memo)
     return ConjugatedPair(
@@ -317,10 +313,10 @@ def diagonalized_pair(
         orig_b=b,
         word_a=word_a,
         word_b=word_b,
-        basis=x.entries,
-        basis_inv=x_inv.entries,
+        basis=x,
+        basis_inv=x_inv,
         a_diag=a_diag,
-        b_rows=(x_inv * b * x).entries,
+        b_conj=x_inv * b * x,
         exact=exact,
         sort_place=sort_place,
         bits=bits,
@@ -345,6 +341,7 @@ def balance_or_trace(pair: ConjugatedPair, s: PlaceSet) -> ConjugatedPair:
     that only rescales the rows the checks read; a global scalar acts
     trivially under conjugation, so no determinant normalization is
     applied.  The returned pair keeps the canonical basis and rows.
+    Certification does not run it.
     """
     places = pair.places(s)
     b_rows = _balanced_rows(pair)
@@ -373,7 +370,7 @@ def swap_roles(
     balance_or_trace read) and the conditioning bound
     max(norm(C), norm(C^-1)) <= max(2, norm(A'))^n on the new basis C,
     which is B's canonical basis at bits.  B's spectral data goes into
-    memo, where the gap grid of the new A finds it.
+    memo.  Certification does not run it: its search tries both roles.
     """
     if pair.norm_relation != "trace_big":
         raise ValueError("swap applies only after the trace route")
@@ -394,11 +391,11 @@ def swap_roles(
     places = new.places(s)
     new_an_sq = _norm_sq(new.a_diag, places)
     cond_bound = max(Fraction(4), new_an_sq) ** new.n
-    for rows in (new.basis, new.basis_inv):
-        if not _norm_sq(_entries(rows), places) <= cond_bound:
+    for x in (new.basis, new.basis_inv):
+        if not _norm_sq(_entries(x.entries), places) <= cond_bound:
             raise SwapFailed("eigenbasis conditioning bound not certified")
 
-    certified = _certify_b_prec_a(new_an_sq, _norm_sq(_entries(new.b_rows), places))
+    certified = _certify_b_prec_a(new_an_sq, _norm_sq(_entries(new.b_conj.entries), places))
     if certified is None:
         raise SwapFailed("swapped pair does not certify the norm relation")
     return replace(new, norm_relation="swapped", constants=certified)
@@ -409,26 +406,15 @@ def select_place_and_wedge(
 ) -> tuple[Place, int]:
     """Place of maximal norm(A) and the smallest wedge degree with a gap.
 
-    grid is the (L1) gap grid of the exact original A (l1_gap_report);
-    its keys give the places.  On an exact basis every eigenvalue is
-    rational, so places are ordered by the exact max |a_i|_v over a_diag,
-    largest first, ties in place order; wedge degrees run 1..n-1.  A
-    rounded basis, whose eigenvalues need not be rational, gets the
-    archimedean place only.
+    grid is the (L1) gap grid of the exact original A (l1_gap_report):
+    the first of spectra.gap_cells, the order certify's search tries.
+    Certification does not run it.
     """
     if not pair.balanced:
         raise ValueError("pair must certify the norm relation before selection")
-    if pair.exact:
-        places = sorted(
-            {v for v, _ in grid},
-            key=lambda v: (-max(abs_value(x, v) for x in pair.a_diag), v.sort_key),
-        )
-    else:
-        places = [ARCH]
-    for v in places:
-        for m in range(1, pair.n):
-            if grid.get((v, m)):
-                return v, m
+    cells = gap_cells(grid, pair.a_diag, pair.exact)
+    if cells:
+        return cells[0]
     summary = ", ".join(
         f"{v}/m={m}:{'T' if ok else 'F'}"
         for (v, m), ok in sorted(grid.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1]))
@@ -451,17 +437,14 @@ def wedge_pair(pair: ConjugatedPair, v: Place, m: int) -> tuple[SquareMatrix, Sq
     """
     if not pair.exact and not v.is_archimedean:
         raise ValueError("a rounded basis cannot certify finite places")
-    x = SquareMatrix.from_rows(pair.basis)
-    x_inv = SquareMatrix.from_rows(pair.basis_inv)
     keys = wedge_diag([_modulus_key(z, v) for z in pair.a_diag], m)
     order = sorted(range(len(keys)), key=lambda i: (-keys[i], i))
 
-    def wedge(g: SquareMatrix) -> SquareMatrix:
-        c = x_inv * g * x
+    def wedge(c: SquareMatrix) -> SquareMatrix:
         rows = compound(c.num, m, 0)
         return SquareMatrix(c.den**m, [[rows[i][j] for j in order] for i in order])
 
-    return wedge(pair.orig_a), wedge(pair.orig_b)
+    return wedge(pair.basis_inv * pair.orig_a * pair.basis), wedge(pair.b_conj)
 
 
 # ---------------------------------------------------------------------------

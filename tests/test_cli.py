@@ -200,7 +200,7 @@ def test_certify_verify_round_trip(capsys, tmp_path):
     assert file_cert["exponent"] == 1 and file_cert["cone_param"] == "1/16"
     assert file_cert["growth_bound"] == "1204497/1048576"
     lines = trace_path.read_text().splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 4
     assert json.loads(lines[-1])["stage"] == "certificate"
 
     code, out, _ = run(capsys, ["verify", str(cert_path), gens])
@@ -227,10 +227,9 @@ ENCLOSED_WEDGE_CASES = {
         [
             '{"burnside_dim":16,"disc":"-304","ok":true,"stage":"find_regular_pair",'
             '"word_A":"0","word_B":"1"}',
-            '{"constants":["1","2"],"exact_basis":false,"ok":true,"relation":"B_prec_A",'
-            '"stage":"balance_or_trace","word_B":"1"}',
-            '{"ok":true,"place":"archimedean","stage":"select_place_and_wedge","wedge_m":3}',
-            '{"cone_param":"1/4","exponent":3,"ok":true,"stage":"derive_exponent"}',
+            '{"bits":64,"candidates":2,"cone_param":"1/4","exponent":3,"ok":true,'
+            '"place":"archimedean","stage":"derive_exponent","wedge_m":3,"word_A":"0",'
+            '"word_B":"1"}',
             '{"depth":12,"ok":true,"stage":"freeness_oracle"}',
             '{"growth_bound":"1157721/1048576","max_word_length":7,"ok":true,'
             '"stage":"certificate"}',
@@ -250,10 +249,9 @@ ENCLOSED_WEDGE_CASES = {
         [
             '{"burnside_dim":25,"disc":"-15466496","ok":true,"stage":"find_regular_pair",'
             '"word_A":"1","word_B":"0"}',
-            '{"constants":["1","2"],"exact_basis":false,"ok":true,"relation":"B_prec_A",'
-            '"stage":"balance_or_trace","word_B":"0"}',
-            '{"ok":true,"place":"archimedean","stage":"select_place_and_wedge","wedge_m":4}',
-            '{"cone_param":"1/64","exponent":3,"ok":true,"stage":"derive_exponent"}',
+            '{"bits":64,"candidates":1,"cone_param":"1/64","exponent":3,"ok":true,'
+            '"place":"archimedean","stage":"derive_exponent","wedge_m":4,"word_A":"1",'
+            '"word_B":"0"}',
             '{"depth":12,"ok":true,"stage":"freeness_oracle"}',
             '{"growth_bound":"1157721/1048576","max_word_length":7,"ok":true,'
             '"stage":"certificate"}',
@@ -767,7 +765,7 @@ def test_report(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["schema"] == "growthcert.tracereport.v1"
-    assert data["records"] == 6
+    assert data["records"] == 4
     assert data["ok"] is True and data["failed_stage"] is None
 
     gens_h = heisenberg_file(tmp_path)

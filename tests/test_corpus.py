@@ -1,23 +1,25 @@
 """The recorded benchmark corpus as a regression test.
 
 bench/data/corpus.json holds 19 generator files with the certificate or
-refusal stage certify gave each, their exact ball sizes, and 15 tampered
-certificates.  Every kernel change must reproduce these answers exactly;
-a change that alters certificates on purpose re-records the corpus.  The
-file is only read here.
-
-tests/data/corpus_traces.json holds certify's --trace JSONL for each input,
-so the stage records (words, constants, places, exponents, refusal details)
-are pinned byte for byte as well.  A change that alters a trace on purpose
-re-records that file as a named spec change:
-
-    PYTHONPATH=src python tests/test_corpus.py --record
+refusal stage certify gave each when the benchmark was recorded, their
+exact ball sizes, and 15 tampered certificates.  The file is only read
+here.  Ball sizes and verify's answers on its certificates and tampers must
+be reproduced exactly; certify is held to a ratchet against it, the one
+the benchmark's checker applies: no refusal where it recorded a
+certificate, no weaker bound, every new certificate verifies, and
+Heisenberg is refused at the pair search.
 
 tests/data/corpus_reports.json holds, for each input, the exit code and
-JSON of find-pair, of spectrum on the words "0 1" and "0", and of growth at
-the input's recorded radius, so the pair search, its wedge genericity (m = 2
-on the n = 4 input), the spectral report and growth's estimates, verdict
-and exhausted flag are pinned as well; the same --record run re-records it.
+JSON of certify, of find-pair, of spectrum on the words "0 1" and "0", and
+of growth at the input's recorded radius, so the certificates and refusal
+stages, the pair search, its wedge genericity (m = 2 on the n = 4 input),
+the spectral report and growth's estimates, verdict and exhausted flag are
+pinned byte for byte.  tests/data/corpus_traces.json holds certify's
+--trace JSONL for each input, so the stage records (words, places,
+exponents, candidates tried, refusal details) are pinned as well.  A change
+that alters either file on purpose re-records both as a named spec change:
+
+    PYTHONPATH=src python tests/test_corpus.py --record
 
 tests/data/tamper_reasons.json holds the reason verify gave for each
 tamper when it was recorded, so every tamper keeps failing at the same
@@ -37,7 +39,8 @@ from unittest import mock
 import pytest
 
 from growthcert import cli, intervals, pingpong, pipeline, polyroots, spectra, wordforge
-from growthcert.exactnum import ARCH, SquareMatrix
+from growthcert.errors import PipelineFailure
+from growthcert.exactnum import ARCH, SquareMatrix, Word, evaluate_word
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = json.loads((ROOT / "bench/data/corpus.json").read_text())
@@ -45,7 +48,10 @@ TRACES_PATH = ROOT / "tests/data/corpus_traces.json"
 REPORTS_PATH = ROOT / "tests/data/corpus_reports.json"
 TAMPER_REASONS = json.loads((ROOT / "tests/data/tamper_reasons.json").read_text())
 INPUTS = {item["id"]: item for item in CORPUS["inputs"]}
-CERTIFIED = [i for i, item in INPUTS.items() if "certificate" in item["certify"]]
+# the certificates the benchmark recorded, and the certify answers pinned here
+RECORDED = {i: item["certify"]["certificate"] for i, item in INPUTS.items() if item["certify"]["exit"] == 0}
+PINNED = {i: report["certify"] for i, report in json.loads(REPORTS_PATH.read_text()).items()}
+CERTIFIED = [i for i in INPUTS if PINNED[i][0] == 0]
 
 
 def run(capsys, argv):
@@ -66,22 +72,35 @@ def generator_file(tmp_path, input_id):
 
 def test_corpus_shape():
     assert len(INPUTS) == 19
-    assert len(CERTIFIED) == 14
+    assert len(RECORDED) == 14
+    assert len(CERTIFIED) == 15
     assert len(CORPUS["tampers"]) == 15
 
 
 @pytest.mark.parametrize("input_id", list(INPUTS))
-def test_certify_gives_the_recorded_answer(tmp_path, capsys, input_id):
-    want = INPUTS[input_id]["certify"]
+def test_certify_gives_the_pinned_answer(tmp_path, capsys, input_id):
     code, doc = run(capsys, ["certify", generator_file(tmp_path, input_id), "--trace",
                              str(tmp_path / "trace.jsonl")])
-    assert code == want["exit"]
-    if code == 0:
-        assert doc == want["certificate"]
-    else:
-        assert doc["failed_stage"] == want["failed_stage"]
+    assert [code, doc] == PINNED[input_id]
     traces = json.loads(TRACES_PATH.read_text())
     assert (tmp_path / "trace.jsonl").read_text() == traces[input_id]
+
+
+@pytest.mark.parametrize("input_id", list(INPUTS))
+def test_certify_keeps_every_answer_the_benchmark_recorded(tmp_path, capsys, input_id):
+    # the benchmark checker's ratchet: certify may gain certificates and
+    # bounds over the recorded ones, never lose them
+    recorded = INPUTS[input_id]["certify"]
+    gens = generator_file(tmp_path, input_id)
+    code, doc = run(capsys, ["certify", gens])
+    if input_id == "heisenberg":
+        assert (code, doc["failed_stage"]) == (4, "find_regular_pair")
+    if recorded["exit"] == 0:
+        assert code == 0
+        assert Fraction(doc["growth_bound"]) >= Fraction(recorded["certificate"]["growth_bound"])
+    if code == 0 and doc != recorded.get("certificate"):
+        code, verdict = run(capsys, ["verify", write(tmp_path, "cert.json", doc), gens])
+        assert (code, verdict["valid"]) == (0, True)
 
 
 @pytest.mark.parametrize("input_id", list(INPUTS))
@@ -93,9 +112,9 @@ def test_growth_gives_the_recorded_ball_sizes(tmp_path, capsys, input_id):
     assert doc["ball_sizes"] == want["ball_sizes"]
 
 
-@pytest.mark.parametrize("input_id", CERTIFIED)
+@pytest.mark.parametrize("input_id", list(RECORDED))
 def test_verify_accepts_the_recorded_certificate(tmp_path, capsys, input_id):
-    cert = write(tmp_path, "cert.json", INPUTS[input_id]["certify"]["certificate"])
+    cert = write(tmp_path, "cert.json", RECORDED[input_id])
     code, doc = run(capsys, ["verify", cert, generator_file(tmp_path, input_id)])
     assert (code, doc["valid"]) == (0, True)
 
@@ -116,13 +135,10 @@ def test_the_screen_alone_clears_every_corpus_oracle(tmp_path, capsys, monkeypat
         raise AssertionError("the resolver should not run on the corpus")
 
     monkeypatch.setattr(pingpong, "_resolve", refuse)
-    for input_id, item in INPUTS.items():
-        want = item["certify"]
-        code, doc = run(capsys, ["certify", generator_file(tmp_path, input_id)])
-        assert code == want["exit"], input_id
-        assert doc == want["certificate"] if code == 0 else doc["failed_stage"] == want["failed_stage"]
-    for input_id in CERTIFIED:
-        cert = write(tmp_path, "cert.json", INPUTS[input_id]["certify"]["certificate"])
+    for input_id in INPUTS:
+        assert [*run(capsys, ["certify", generator_file(tmp_path, input_id)])] == PINNED[input_id]
+    for input_id, doc in list(RECORDED.items()) + [(i, PINNED[i][1]) for i in CERTIFIED]:
+        cert = write(tmp_path, "cert.json", doc)
         code, doc = run(capsys, ["verify", cert, generator_file(tmp_path, input_id)])
         assert (code, doc["valid"]) == (0, True), input_id
 
@@ -137,7 +153,7 @@ def test_the_screen_alone_clears_every_corpus_oracle(tmp_path, capsys, monkeypat
 def test_verify_rejects_a_huge_cone_param_quickly(tmp_path, capsys, cone_param, failed):
     # the cone checks cross-multiply by the numerator and denominator of r:
     # a 4200-digit one must stay cheap
-    cert = dict(INPUTS["sl4_product/0"]["certify"]["certificate"], cone_param=cone_param)
+    cert = dict(RECORDED["sl4_product/0"], cone_param=cone_param)
     argv = ["verify", write(tmp_path, "cert.json", cert), generator_file(tmp_path, "sl4_product/0")]
     start = time.perf_counter()
     code, doc = run(capsys, argv)
@@ -148,18 +164,18 @@ def test_verify_rejects_a_huge_cone_param_quickly(tmp_path, capsys, cone_param, 
 
 @pytest.mark.parametrize("input_id", CERTIFIED)
 def test_certify_and_verify_read_the_same_basis(monkeypatch, input_id):
-    # at every precision of the schedule, certify's exponent search and the
-    # replay in verify_certificate build the same X at the certificate's
-    # place, and read the same compounds of X^-1 A X and X^-1 B X
-    item = INPUTS[input_id]
-    gens = [SquareMatrix.from_rows(g) for g in item["generators"]]
-    cert = pingpong.PingPongCertificate.from_json_dict(item["certify"]["certificate"])
+    # at every precision of the schedule, certify's search tries the
+    # certificate's role, place and wedge degree once, and there builds the
+    # same X as the replay in verify_certificate and reads the same
+    # compounds of X^-1 A X and X^-1 B X
+    gens = [SquareMatrix.from_rows(g) for g in INPUTS[input_id]["generators"]]
+    cert = pingpong.PingPongCertificate.from_json_dict(PINNED[input_id][1])
     reads = []
     wedge_pair = pipeline.wedge_pair
 
     def recording(pair, v, m):
         wa, wb = wedge_pair(pair, v, m)
-        reads.append((pair.basis, pair.basis_inv, pair.b_rows, v, m, wa, wb))
+        reads.append((pair.word_a, pair.basis, pair.basis_inv, pair.b_conj, v, m, wa, wb))
         return wa, wb
 
     monkeypatch.setattr(pipeline, "wedge_pair", recording)
@@ -167,11 +183,11 @@ def test_certify_and_verify_read_the_same_basis(monkeypatch, input_id):
         monkeypatch.setattr(pipeline, "BITS_SCHEDULE", (bits,))
         reads.clear()
         pipeline.certify_generators(gens)
-        certified = reads[-1]
+        certified = [r for r in reads if r[0] == cert.word_a and r[4:6] == (cert.place, cert.wedge_m)]
         reads.clear()
         pipeline.verify_certificate(cert, gens)
-        assert reads == [certified]
-        assert certified[3:5] == (cert.place, cert.wedge_m)
+        assert len(certified) == 1
+        assert reads == certified
 
 
 # the commands corpus_reports.json pins, keyed as there
@@ -239,7 +255,7 @@ def test_point_order_matches_the_box_order_on_the_corpus(tmp_path, capsys):
             gens = generator_file(tmp_path, input_id)
             run(capsys, ["certify", gens])
             if input_id in CERTIFIED:
-                cert = write(tmp_path, "cert.json", INPUTS[input_id]["certify"]["certificate"])
+                cert = write(tmp_path, "cert.json", PINNED[input_id][1])
                 run(capsys, ["verify", cert, gens])
     rounded = [(a, bits, points) for a, bits, (points, _, _, exact) in built if not exact]
     assert len(rounded) > 20
@@ -293,32 +309,40 @@ DISK_ENGINE_INTERVALS = {
 }
 
 
-@pytest.fixture(scope="module")
-def verify_entered(tmp_path_factory):
-    """Per module file, the top-level functions and class members verify enters.
+@contextlib.contextmanager
+def entering(entered: dict):
+    """Add to entered[file] the qualified name of every function called in that file.
 
-    Over the certificates and the tampers; nested code counts as its
-    enclosing function or method.
+    Under sys.settrace; nested code counts as its enclosing function or method.
     """
-    tmp_path = tmp_path_factory.mktemp("verify")
-    entered = {polyroots.__file__: set(), intervals.__file__: set()}
 
-    def profile(frame, event, arg):
+    def tracer(frame, event, arg):
         names = entered.get(frame.f_code.co_filename)
         if event == "call" and names is not None:
             names.add(frame.f_code.co_qualname.split(".<locals>")[0])
 
-    jobs = [(i, INPUTS[i]["certify"]["certificate"]) for i in CERTIFIED]
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        yield entered
+    finally:
+        sys.settrace(previous)
+
+
+@pytest.fixture(scope="module")
+def verify_entered(tmp_path_factory):
+    """Per module file, the top-level functions and class members verify enters.
+
+    Over the recorded and the pinned certificates and the tampers.
+    """
+    tmp_path = tmp_path_factory.mktemp("verify")
+    entered = {polyroots.__file__: set(), intervals.__file__: set(), wordforge.__file__: set()}
+    jobs = list(RECORDED.items()) + [(i, PINNED[i][1]) for i in CERTIFIED]
     jobs += [(t["of"], t["certificate"]) for t in CORPUS["tampers"]]
     for input_id, cert in jobs:
         argv = ["verify", write(tmp_path, "cert.json", cert), generator_file(tmp_path, input_id)]
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                cli.main(argv)
-        finally:
-            sys.setprofile(previous)
+        with entering(entered), contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
     return entered
 
 
@@ -338,6 +362,38 @@ def test_verify_enters_only_the_disk_engine_in_intervals(verify_entered):
     assert entered <= DISK_ENGINE_INTERVALS, sorted(entered - DISK_ENGINE_INTERVALS)
 
 
+def test_certify_runs_only_what_verify_runs_in_wordforge(monkeypatch, verify_entered):
+    # the search is verify's replay: no retired stage runs, certify enters no
+    # wordforge function that verify does not, no (A, sort place, bits) is
+    # diagonalized twice in a call, and the seed's gap grid is never recomputed
+    def retired(*args):
+        raise AssertionError("certify ran a retired stage")
+
+    for name in ("balance_or_trace", "swap_roles", "select_place_and_wedge"):
+        monkeypatch.setattr(wordforge, name, retired)
+    bases, grids = [], []
+    diagonalize, l1_gap_report = wordforge.diagonalize, pipeline.l1_gap_report
+    monkeypatch.setattr(
+        wordforge, "diagonalize", lambda a, *rest, **kw: bases.append((a, *rest)) or diagonalize(a, *rest, **kw)
+    )
+    monkeypatch.setattr(pipeline, "l1_gap_report", lambda a, *rest: grids.append(a) or l1_gap_report(a, *rest))
+    entered = {wordforge.__file__: set()}
+    for input_id, item in INPUTS.items():
+        gens = [SquareMatrix.from_rows(g) for g in item["generators"]]
+        bases.clear()
+        grids.clear()
+        try:
+            with entering(entered):
+                trace = pipeline.certify_generators(gens).trace
+        except PipelineFailure as exc:
+            trace = exc.trace
+        assert len(set(bases)) == len(bases), input_id
+        if trace[0]["ok"]:
+            assert evaluate_word(Word.parse(trace[0]["word_A"]), gens) not in grids, input_id
+    certify_only = entered[wordforge.__file__] - verify_entered[wordforge.__file__]
+    assert "wedge_pair" in entered[wordforge.__file__] and certify_only == set()
+
+
 def record_traces() -> None:
     """Write certify's trace of every corpus input to tests/data/corpus_traces.json."""
     traces = {}
@@ -351,16 +407,17 @@ def record_traces() -> None:
 
 
 def record_reports() -> None:
-    """Write find-pair, spectrum and growth of every corpus input to tests/data/corpus_reports.json."""
+    """Write certify, find-pair, spectrum and growth of every corpus input to tests/data/corpus_reports.json."""
     reports = {}
     for input_id in INPUTS:
         with tempfile.TemporaryDirectory() as tmp:
             gens = generator_file(Path(tmp), input_id)
             reports[input_id] = {}
-            for command in REPORT_COMMANDS:
+            for command in ["certify", *REPORT_COMMANDS]:
+                argv = ["certify", gens] if command == "certify" else report_argv(command, gens, input_id)
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
-                    code = cli.main(report_argv(command, gens, input_id))
+                    code = cli.main(argv)
                 reports[input_id][command] = [code, json.loads(out.getvalue())]
     REPORTS_PATH.write_text(json.dumps(reports, indent=1) + "\n")
 

@@ -12,12 +12,7 @@ from growthcert import cayley, cli, pingpong, pipeline, polyroots, spectra, word
 from growthcert.errors import BudgetExceeded, Inconclusive, PipelineFailure
 from growthcert.exactnum import ARCH, Place, SquareMatrix, Word
 from growthcert.pingpong import PingPongCertificate, growth_bound_from_length
-from growthcert.pipeline import (
-    RunConfig,
-    _escalate,
-    certify_generators,
-    verify_certificate,
-)
+from growthcert.pipeline import RunConfig, certify_generators, verify_certificate
 
 M = SquareMatrix.from_rows
 
@@ -28,23 +23,34 @@ SANOV_CERT_JSON = (
     '"growthcert.certificate.v1","wedge_m":1,"word_A":"0 1","word_B":"0"}\n'
 )
 
-STAGES = [
-    "find_regular_pair",
-    "balance_or_trace",
-    "select_place_and_wedge",
-    "derive_exponent",
-    "freeness_oracle",
-    "certificate",
-]
+STAGES = ["find_regular_pair", "derive_exponent", "freeness_oracle", "certificate"]
 
 
 def sanov():
     return [M([[1, 2], [0, 1]]), M([[1, 0], [2, 1]])]
 
 
-def swap_route():
-    """The corpus file sl2_hyperbolic/3: B = "1" takes the trace route, so the roles swap."""
+def role_two():
+    """The corpus file sl2_hyperbolic/7: role 1 certifies at e = 2, role 2 at e = 1.
+
+    Both A = "0" and B = "1" have eigenvalues 2 and 1/2, so both bases are
+    exact, and 2-adic cells follow the archimedean ones.
+    """
+    return [M([[2, F(1, 2)], [0, F(1, 2)]]), M([[2, 0], [F(-1, 2), F(1, 2)]])]
+
+
+def seed_wins():
+    """The corpus file sl2_hyperbolic/3: role 1 certifies a 3-letter word at e = 1."""
     return [M([[2, 0], [1, F(1, 2)]]), M([[F(9, 2), F(-1, 2)], [F(-1, 4), F(1, 4)]])]
+
+
+def exact_only():
+    """A = diag(2, 1/2) on an exact basis; B's charpoly (x - 1)^2 rules out role 2.
+
+    The archimedean search runs out at exponent_cap; the 2-adic one
+    certifies at e = 2.
+    """
+    return [M([[2, 0], [0, F(1, 2)]]), M([[0, 1], [-1, 2]])]
 
 
 def heisenberg():
@@ -122,16 +128,17 @@ def count_diagonalizations(mp):
 
 
 def test_certify_builds_each_eigenbasis_once(monkeypatch):
-    # every stage hands on the canonical pair: Sanov's A is diagonalized
-    # once, and the exponent search reuses that basis
+    # Sanov's B has a repeated eigenvalue, so only the seed role runs: A is
+    # diagonalized once, and every wedge degree reads that basis
     calls = count_diagonalizations(monkeypatch)
     assert certify_generators(sanov()).certificate.to_json() == SANOV_CERT_JSON
     assert calls == [(ARCH, 64)]
-    # the swap route diagonalizes A, then B, whose pair the search reuses
+    # role 1 reads A's archimedean and 2-adic bases, role 2 B's archimedean one
     calls.clear()
-    res = certify_generators(swap_route())
-    assert "swap_roles" in [rec["stage"] for rec in res.trace]
-    assert calls == [(ARCH, 64), (ARCH, 64)]
+    res = certify_generators(role_two())
+    assert str(res.certificate.word_a) == "1"
+    assert calls == [(ARCH, 64), (Place.finite(2), 64), (ARCH, 64)]
+    assert res.trace[1]["candidates"] == 3
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,8 +213,9 @@ def test_certify_and_verify_at_a_finite_place(monkeypatch):
 def test_verify_stops_precision_retries_on_an_exact_basis(monkeypatch):
     # A = diag(2, 1/2) has a rational eigenbasis: a cone check that fails
     # once fails at every precision
-    gens = [M([[2, 0], [0, F(1, 2)]]), M([[1, 1], [1, 2]])]
+    gens = exact_only()
     cert = certify_generators(gens).certificate
+    assert (str(cert.word_a), cert.place) == ("0", Place.finite(2))
     bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
     calls = count_wedge_pairs(monkeypatch)
     assert verify_certificate(bad, gens) == (
@@ -259,12 +267,13 @@ def test_verify_reports_the_last_precision_tried(monkeypatch):
 
 
 def test_certify_stops_the_exponent_search_on_an_exact_basis(monkeypatch):
-    # an exhausted search on exact basis data is exhausted at every precision
-    gens = [M([[2, 0], [0, F(1, 2)]]), M([[1, 1], [1, 2]])]
+    # an exhausted search on exact basis data is exhausted at every
+    # precision: each of the two candidates runs once, at the first
+    gens = exact_only()
     calls = count_wedge_pairs(monkeypatch)
     with pytest.raises(PipelineFailure) as info:
         certify_generators(gens, RunConfig(exponent_cap=1))
-    assert calls == [pipeline.BITS_SCHEDULE[0]]
+    assert calls == [pipeline.BITS_SCHEDULE[0]] * 2
     assert info.value.stage == "derive_exponent"
     detail = "no exponent up to 1 certifies the cone inclusions"
     assert str(info.value) == f"derive_exponent: ExponentSearchExhausted: {detail}"
@@ -278,9 +287,10 @@ def test_certify_stops_the_exponent_search_on_an_exact_basis(monkeypatch):
 
 def test_exponent_search_builds_each_power_once(monkeypatch):
     # SL2(Z)'s torsion generators: A = "0 1 0 1^-1" has no exponent, so the
-    # search runs to exponent_cap at every precision; each power A^k B, k up
-    # to 2 * exponent_cap, is one integer product after the last, built once
-    # per precision and not once per radius
+    # search runs to exponent_cap at every precision; B = "0" has no gap, so
+    # role 2 has no candidate.  Each power A^k B, k up to 2 * exponent_cap,
+    # is one integer product after the last, built once per precision and
+    # not once per radius
     gens = [M([[0, -1], [1, 0]]), M([[0, -1], [1, 1]])]
     products = []
     matmul = pingpong.int_matmul
@@ -301,15 +311,6 @@ def test_exponent_search_builds_each_power_once(monkeypatch):
             "burnside_dim": 4,
         },
         {
-            "stage": "balance_or_trace",
-            "ok": True,
-            "relation": "B_prec_A",
-            "constants": ["1", "1"],
-            "exact_basis": False,
-            "word_B": "0",
-        },
-        {"stage": "select_place_and_wedge", "ok": True, "place": "archimedean", "wedge_m": 1},
-        {
             "stage": "derive_exponent",
             "ok": False,
             "error": "ExponentSearchExhausted",
@@ -326,16 +327,19 @@ def test_certify_selects_from_the_seed_grid(monkeypatch):
     assert certify_generators(sanov()).certificate.to_json() == SANOV_CERT_JSON
 
 
-def test_certify_recomputes_the_grid_once_after_a_swap(monkeypatch):
-    # B = "1" takes the trace route, so the roles swap and A becomes B
-    gens = swap_route()
+def test_certify_computes_the_role_two_grid_once_and_only_when_it_could_win(monkeypatch):
+    # role 1 certifies at e = 2 (5 letters), so role 2 could still give a
+    # 3-letter word: B's gap grid is computed once, and role 2 wins
+    gens = role_two()
     calls = []
     grid = pipeline.l1_gap_report
     monkeypatch.setattr(pipeline, "l1_gap_report", lambda a, *rest: calls.append(a) or grid(a, *rest))
-    res = certify_generators(gens)
-    assert "swap_roles" in [rec["stage"] for rec in res.trace]
-    assert str(res.certificate.word_a) == "1"
+    assert str(certify_generators(gens).certificate.word_a) == "1"
     assert calls == [gens[1]]
+    # role 1 certifies a 3-letter word, which no word of role 2 beats
+    calls.clear()
+    assert str(certify_generators(seed_wins()).certificate.word_a) == "0"
+    assert calls == []
 
 
 def test_verify_rejects_out_of_range_letter():
@@ -407,13 +411,14 @@ def test_runconfig_validation():
 def test_certify_passes_b_failing_the_corner_check():
     # sl2_hyperbolic pair 28 under seed 411 (drawn as in test_acceptance):
     # B fails the corner condition l2 in the rebalanced basis, yet the cone
-    # checks in the canonical eigenbasis certify the pair
+    # checks in the canonical eigenbasis certify the pair.  The archimedean
+    # place needs e = 4; the 2-adic place, tried next, certifies at e = 1
     gens = [M([[2, F(-1, 2)], [0, F(1, 2)]]), M([[0, -1], [1, F(1, 2)]])]
     res = certify_generators(gens)
     assert [rec["stage"] for rec in res.trace] == STAGES
     cert = res.certificate
-    assert (cert.exponent, cert.cone_param) == (4, F(1, 16))
-    assert cert.growth_bound == F(283131, 262144)
+    assert (cert.place, cert.exponent, cert.cone_param) == (Place.finite(2), 1, F(1, 2))
+    assert cert.growth_bound == F(660561, 524288)
     assert verify_certificate(cert, gens) == (True, "ok")
 
 
@@ -434,27 +439,6 @@ def test_runconfig_json_round_trip():
     assert RunConfig.from_json_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
     # partial dicts fall back to defaults
     assert RunConfig.from_json_dict({"budget": 99}) == RunConfig(budget=99)
-
-
-def test_escalate_retries_then_succeeds():
-    calls = []
-
-    def flaky(bits):
-        calls.append(bits)
-        if bits < 128:
-            raise Inconclusive("narrow")
-        return bits
-
-    assert _escalate(flaky) == 128
-    assert calls == [64, 128]
-
-
-def test_escalate_reraises_last_failure():
-    def always(bits):
-        raise Inconclusive(f"at {bits}")
-
-    with pytest.raises(Inconclusive, match="at 256"):
-        _escalate(always)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src/growthcert"

@@ -378,6 +378,16 @@ def test_certified_root_structure_roots_near_ten_to_the_300():
     assert all(b.mag_sq().lo <= F(3, a) <= b.mag_sq().hi for b in boxes)
 
 
+def test_certified_root_structure_refuses_a_repeated_root_quickly():
+    # (x - 2)^2 (x - 1/4), the charpoly of diag(2, 2, 1/4): no precision
+    # separates the copies of 2, so the first failed pass ends the search
+    f = poly_mul(poly_mul(poly_from([-2, 1]), poly_from([-2, 1])), poly_from([F(-1, 4), 1]))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="repeated root"):
+        certified_root_structure(f, F(1, 2**64))
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize(
     "factors, n_real, roots",
     [

@@ -101,7 +101,7 @@ def diag(*entries):
 
 def manual_pair(a, exact=True, relation="B_prec_A", trace_m=None, b=None):
     b = b if b is not None else SquareMatrix.identity(a.n)
-    ident = SquareMatrix.identity(a.n).entries
+    ident = SquareMatrix.identity(a.n)
     return ConjugatedPair(
         orig_a=a,
         orig_b=b,
@@ -110,7 +110,7 @@ def manual_pair(a, exact=True, relation="B_prec_A", trace_m=None, b=None):
         basis=ident,
         basis_inv=ident,
         a_diag=tuple(a.entries[i][i] for i in range(a.n)),
-        b_rows=b.entries,
+        b_conj=b,
         exact=exact,
         sort_place=ARCH,
         bits=128,
@@ -131,7 +131,7 @@ def test_balance_direct_norm_relation():
     assert pair.constants == (F(1), F(1))
     assert pair.exact and pair.balanced
     assert pair.a_diag == (F(4), F(1, 4))
-    assert pair.b_rows == ((F(1), F(1)), (F(1), F(2)))
+    assert pair.b_conj == M([[1, 1], [1, 2]])
     assert str(pair.word_b) == "1"
 
 
@@ -141,8 +141,8 @@ def test_balance_centralizer_rescale():
     canon = diagonalized_pair(diag(4, F(1, 4)), M([[1, 65536], [0, 1]]), WA, WB)
     pair = balance_or_trace(canon, S0)
     assert pair == replace(canon, norm_relation="B_prec_A", constants=(F(1), F(1)))
-    assert pair.b_rows == ((F(1), F(65536)), (F(0), F(1)))
-    assert pair.basis == pair.basis_inv == ((F(1), F(0)), (F(0), F(1)))
+    assert pair.b_conj == M([[1, 65536], [0, 1]])
+    assert pair.basis == pair.basis_inv == SquareMatrix.identity(2)
 
 
 def test_balance_trace_route_and_swap():
@@ -153,7 +153,7 @@ def test_balance_trace_route_and_swap():
     swapped = swap_roles(pair, S0)
     assert swapped.norm_relation == "swapped" and swapped.balanced
     assert swapped.a_diag == (F(1024), F(1, 1024))
-    assert swapped.b_rows == ((F(4), F(0)), (F(0), F(1, 4)))
+    assert swapped.b_conj == diag(4, F(1, 4))
     assert (str(swapped.word_a), str(swapped.word_b)) == ("1", "0")
     # B's canonical pair, built at swap_roles' bits
     assert swapped == replace(
@@ -511,9 +511,7 @@ def test_diagonalized_pair_exact_case():
     pair = diagonalized_pair(a, b, WA, WB)
     assert pair.exact
     assert pair.a_diag == (F(2), F(1, 2))
-    basis = M([list(r) for r in pair.basis])
-    conj = basis * M([list(r) for r in pair.b_rows]) * M([list(r) for r in pair.basis_inv])
-    assert conj == b
+    assert pair.basis * pair.b_conj * pair.basis_inv == b
 
 
 def test_diagonalized_pair_finite_sort_needs_rational_basis():
@@ -553,10 +551,14 @@ def test_certify_moves_past_a_singular_rounded_basis(monkeypatch):
         return pair
 
     monkeypatch.setattr(pipeline, "diagonalized_pair", recording)
-    # B = [[1, 0], [2, 1]] has no norm or trace relation to A, a refusal
-    # that no precision changes
-    with pytest.raises(PipelineFailure, match="BalanceFailed"):
+    # A's only gap is 2-adic, which its rounded basis cannot read, and
+    # B = [[1, 0], [2, 1]] has a repeated eigenvalue: a refusal that no
+    # precision changes, and not the singular basis met on the way
+    with pytest.raises(PipelineFailure) as info:
         pipeline.certify_generators([NEAR_PARABOLIC, M([[1, 0], [2, 1]])])
+    assert str(info.value) == (
+        "derive_exponent: ExponentSearchExhausted: no certified gap at a place the basis reads"
+    )
     assert built == [(64, "singular"), (128, "ok")]
 
 
