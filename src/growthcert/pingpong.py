@@ -35,6 +35,7 @@ from .exactnum import (
     SquareMatrix,
     Word,
     abs_value,
+    bareiss,
     format_rational,
     int_matmul,
     is_prime,
@@ -393,13 +394,15 @@ def _montgomery_slots(cols: list[int], q: int, ones: int) -> list[int]:
 
 
 def _layer_keys(u: SquareMatrix, w: SquareMatrix, q: int, y: tuple[int, ...], depth: int):
-    """Yield, layer by layer, the key of each positive word M as a C array of ints.
+    """Yield, layer by layer, the key of each word M up to depth as a C array of ints.
 
     The key is the first two coordinates c_1 + 2^32 c_2 of y * M * Z mod q,
     Z from _key_basis: a function of M mod q.  The letters are conjugated
-    once to Z^-1 G Z mod q, times 2^32, and the state starts at y * Z.
-    Layer k + 1 lists the words of layer k times the first letter, then
-    times the second; the last layer computes only the two key columns.
+    once to Z^-1 G Z mod q, times 2^32, and the state starts at y * Z, so
+    layer 0 is the empty word's key, the identity's.  Layer k + 1 lists
+    the words of layer k times the first letter, then times the second, so
+    its first half holds the words ending in u and its second half those
+    ending in w; the last layer computes only the two key columns.
     The layer is held column-wise: coordinate i of every word's row packed
     into one int, in 64-bit slots, so a letter costs n scalar products of
     big ints per column, and the two letters' blocks are joined by one
@@ -415,6 +418,7 @@ def _layer_keys(u: SquareMatrix, w: SquareMatrix, q: int, y: tuple[int, ...], de
         tuple(zip(*_mul_mod(_mul_mod(z_inv, _residue_rows(g, q), q), z_mont, q))) for g in (u, w)
     ]
     cols, ones = _mul_mod([y], z, q)[0], 1
+    yield memoryview((cols[0] | cols[1] << 32).to_bytes(8, sys.byteorder)).cast("Q")
     for k in range(depth):
         if k == depth - 1:
             letters = [letter[:2] for letter in letters]
@@ -427,12 +431,19 @@ def _layer_keys(u: SquareMatrix, w: SquareMatrix, q: int, y: tuple[int, ...], de
 
 
 def _screen(u: SquareMatrix, w: SquareMatrix, depth: int) -> bool:
-    """True when the positive words up to depth have pairwise distinct keys.
+    """True when the positive words up to depth are pairwise distinct mod q.
 
-    The keys are _layer_keys', each a function of the word's matrix mod q,
-    so distinct keys mean distinct matrices.  For n = 2 a key determines
-    y * M mod q, since Z is invertible.  False means a clash, n = 1, or a q
-    outside 2 < q < 2^29 with 2 n q < 2^32, where -q^-1 mod 2^32 exists,
+    The keys are _layer_keys', each a function of the word's matrix mod q.
+    With u and w invertible mod q, cancel the longest common suffix of two
+    distinct words of length <= depth that are equal mod q: what is left is
+    X u = Y w with |Xu|, |Yw| <= depth, or a word V = I with 1 <= |V| <=
+    depth - 1 (and then V u and u are a repeat).  So the keys of the words
+    ending in u go into one set, those of the words ending in w are only
+    looked up in it, and the identity's key (layer 0) is looked for among
+    the words shorter than depth.  For n = 2 a key determines y * M mod q,
+    which cancels alike, so the verdict is that of comparing all keys.
+    False means a clash, a letter singular mod q, n = 1, or a q outside
+    2 < q < 2^29 with 2 n q < 2^32, where -q^-1 mod 2^32 exists,
     _montgomery_slots' slots do not carry and stay below 2q, and key halves
     stay below 2^30.  The hashed q (from [2^27, 2^28)) passes for n <= 7,
     for n = 8 while q < 2^28, and for no n >= 16.
@@ -440,14 +451,28 @@ def _screen(u: SquareMatrix, w: SquareMatrix, depth: int) -> bool:
     q, y = _fingerprint(u, w, screen=True)
     if u.n < 2 or not 2 < q < 2**29 or 2 * u.n * q >= 2**32:
         return False
-    seen: set[int] = set()
-    words = 0
-    for k, keys in enumerate(_layer_keys(u, w, q, y, depth), 1):
-        seen.update(keys)
-        words += 2**k
-        if len(seen) != words:
+    # g = N/d with q not dividing d, so det(g) = 0 mod q exactly when det(N mod q) is
+    for g in (u, w):
+        pivots, _, det = bareiss([[x % q for x in row] for row in g.num])
+        if len(pivots) < g.n or det % q == 0:
             return False
-    return True
+    layers = _layer_keys(u, w, q, y, depth)
+    (identity,) = next(layers)
+    ends_u: set[int] = set()
+    shorter_ends_w = []
+    for k, keys in enumerate(layers, 1):
+        half = len(keys) // 2
+        # before the last layer joins, the set holds the u-words shorter than depth
+        if k == depth and identity in ends_u:
+            return False
+        ends_u.update(keys[:half])
+        if k < depth:
+            shorter_ends_w.append(keys[half:])
+        elif not ends_u.isdisjoint(keys[half:]):
+            return False
+    # the w-words shorter than depth are also looked up against the identity
+    ends_u.add(identity)
+    return all(map(ends_u.isdisjoint, shorter_ends_w))
 
 
 def _resolve(u: SquareMatrix, w: SquareMatrix, depth: int, budget: int) -> tuple[str, str] | None:
@@ -508,13 +533,16 @@ def find_semigroup_collision(
     it does not divide, so words with distinct keys mod that prime have
     distinct matrices.  The screen (_screen) reduces whole packed layers
     modulo a 28-bit prime q by Montgomery's step, keys each word by one int
-    read from them, and returns None when every key is distinct and the
-    2^(depth+1) - 2 words fit the budget.  Otherwise the resolver (_resolve)
-    walks the words in shortlex order modulo a 62-bit prime p, multiplies
-    out only the words whose keys clash, and returns the first exact
-    collision or raises BudgetExceeded at the same word as without the
-    screen.  An input built so that q divides every entry of u - w
-    only hands it over to the resolver.
+    read from them, and by suffix cancellation looks up only the words
+    ending in w among those ending in u, and the identity among the words
+    shorter than depth.  It returns None when nothing clashes and the
+    2^(depth+1) - 2 words fit the budget.  Otherwise the resolver
+    (_resolve) walks the words in shortlex order modulo a 62-bit prime p,
+    multiplies out only the words whose keys clash, and returns the first
+    exact collision or raises BudgetExceeded at the same word as without
+    the screen.  A letter singular mod q, or an input built so that q
+    divides every entry of u - w, only hands the words over to the
+    resolver.
     """
     # the bit-length test keeps a huge depth from building 2^depth
     if depth <= budget.bit_length() and 2 ** (depth + 1) - 2 <= budget and _screen(u, w, depth):

@@ -298,6 +298,8 @@ def verify_certificate(
     oracle at the recorded depth.  Returns (False, reason) at the first
     failure and never raises on tampered input.  A cone failure names the
     last precision tried: its exception, or the checks that failed there.
+    One SpectralMemo serves the schedule, so A's adjugate polynomial and
+    squarefree test are computed once, and its roots once per width.
     """
     config = config or RunConfig()
     if not gens:
@@ -339,10 +341,13 @@ def verify_certificate(
     if cert.growth_bound != growth_bound_from_length(max(len_u, len_w)):
         return False, "growth bound does not match the word lengths"
 
+    memo = SpectralMemo()
     passed, reason = False, ""
     for bits in BITS_SCHEDULE:
         try:
-            pair = diagonalized_pair(a_mat, b_mat, cert.word_a, cert.word_b, cert.place, bits)
+            pair = diagonalized_pair(
+                a_mat, b_mat, cert.word_a, cert.word_b, cert.place, bits, memo
+            )
             wa, wb = wedge_pair(pair, cert.place, cert.wedge_m)
             checks = verify_cone_inclusions(wa, wb, cert.exponent, cert.cone_param, cert.place)
         except (GrowthcertError, ValueError) as exc:

@@ -12,8 +12,8 @@ constant 2 and twice the second largest modulus; gap_cells orders its
 certified-true cells for certify's search.
 A SpectralMemo holds the adjugate polynomial of each matrix, the
 squarefree test of each charpoly and the root structure of each
-squarefree charpoly at each width, computed once; certify makes one per
-call and hands it to every stage that reads a spectrum.
+squarefree charpoly at each width, computed once; certify and verify make
+one per call and hand it to every stage that reads a spectrum.
 """
 
 from __future__ import annotations
@@ -94,9 +94,10 @@ class SpectralMemo:
     charpoly_is_squarefree(f), and roots(f, width) is
     certified_root_structure(f, width) for a squarefree f.  Matrices that
     share a charpoly share its test and its enclosures.  certify_generators
-    makes one memo per call and hands it to every stage that reads a
-    spectrum; the memo goes when the call returns, so no result outlives
-    the call, and a second identical call computes the same things again.
+    and verify_certificate each make one memo per call and hand it to every
+    stage that reads a spectrum; the memo goes when the call returns, so no
+    result outlives the call, and a second identical call computes the same
+    things again.
     """
 
     __slots__ = ("_adjugates", "_squarefree", "_roots")

@@ -591,10 +591,10 @@ _entry = st.builds(F, st.integers(-3, 3), st.integers(1, 7))
 
 
 @st.composite
-def _oracle_case(draw):
+def _oracle_case(draw, n=None):
     # the screen's slot bound 2 n q < 2^32 depends on n and is tightest at n = 6;
     # shallower words for n >= 4 keep the Fraction reference quick
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 6)) if n is None else n
     row = st.lists(_entry, min_size=n, max_size=n)
     u, w = (
         SquareMatrix.from_rows(draw(st.lists(row, min_size=n, max_size=n))) for _ in range(2)
@@ -633,12 +633,14 @@ def screen_keys(u, w, depth):
 
 
 def word_keys(u, w, depth):
-    """The same keys one word at a time: y * M_word * Z mod q, its first two coordinates packed."""
+    """The same keys one word at a time, from the empty word: y * M_word * Z mod q, its first
+    two coordinates packed."""
     q, y = pingpong._fingerprint(u, w, screen=True)
     z, _ = pingpong._key_basis(y, q)
     layers, layer = [], [SquareMatrix.identity(u.n)]
-    for _ in range(depth):
-        layer = [m * g for g in (u, w) for m in layer]
+    for k in range(depth + 1):
+        if k:
+            layer = [m * g for g in (u, w) for m in layer]
         rows = [row_key(y, m, q) for m in layer]
         layers.append(
             [
@@ -722,9 +724,17 @@ def tuple_key_screen(u, w, depth):
     return True
 
 
+def invertible_mod_screen_prime(u, w):
+    """det(u) det(w) != 0 mod the screen's q, from the exact determinants."""
+    q, _ = pingpong._fingerprint(u, w, screen=True)
+    return (u.det() * w.det()).numerator % q != 0
+
+
 @pytest.mark.parametrize("screen", [None, "low"])
 def test_two_by_two_screen_verdict_matches_tuple_keys(monkeypatch, screen):
-    # for n = 2 the key determines y * M mod q, so the verdict is the tuple keys'
+    # for n = 2 the key determines y * M mod q, so with both letters
+    # invertible mod q suffix cancellation gives the tuple keys' verdict;
+    # a letter singular mod q hands the words to the resolver
     if screen is not None:
         force_screen_prime(monkeypatch, LOW_SCREEN_PRIME)
     rng = random.Random(23)
@@ -740,9 +750,86 @@ def test_two_by_two_screen_verdict_matches_tuple_keys(monkeypatch, screen):
     verdicts = []
     for u, w, depth in cases:
         verdict = pingpong._screen(u, w, depth)
-        assert verdict == tuple_key_screen(u, w, depth)
+        if invertible_mod_screen_prime(u, w):
+            assert verdict == tuple_key_screen(u, w, depth)
+        else:
+            assert not verdict
         verdicts.append(verdict)
     assert len(set(verdicts)) == 2
+
+
+# a rotation of order 3, and a partner sharing no relation with it
+ROT3 = SquareMatrix.from_rows([[0, -1], [1, -1]])
+PARTNER = SquareMatrix.from_rows([[2, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("u, order", [(ROT3, 3), (ROT, 4)], ids=["order3", "order4"])
+def test_identity_check_stops_below_depth(u, order):
+    # u^order = I is a word of length depth, and no repeat: the identity's
+    # key is looked for among shorter words only.  (ROT^2 = -I is central,
+    # so ROT already has uuw = wuu at depth 3.)
+    assert pingpong._screen(u, PARTNER, order) == tuple_key_screen(u, PARTNER, order)
+    assert pingpong._screen(u, PARTNER, order) == (order == 3)
+    assert find_semigroup_collision(u, PARTNER, order) == reference_collision(u, PARTNER, order)
+    # one layer deeper, u^(order+1) = u
+    assert not pingpong._screen(u, PARTNER, order + 1)
+    want = reference_collision(u, PARTNER, order + 1)
+    assert find_semigroup_collision(u, PARTNER, order + 1) == want
+    assert want == (("u", "uuuu") if order == 3 else ("uuw", "wuu"))
+
+
+def test_identity_check_sees_a_word_fixing_the_key_row(monkeypatch):
+    # mod 67 the drawn row y is fixed by u, which is not I mod 67: y u = y,
+    # so the keys of u and uu equal the identity's, while no word ending in
+    # u shares a key with one ending in w; only the identity check gives the
+    # tuple keys' verdict on the repeat y u = y u u
+    force_screen_prime(monkeypatch, LOW_SCREEN_PRIME)
+    u = SquareMatrix.from_rows([[1, 2], [0, -2]])
+    w = SquareMatrix.from_rows([[-2, -2], [0, -2]])
+    q, y = pingpong._fingerprint(u, w, screen=True)
+    assert row_key(y, u, q) == y and pingpong._residue_rows(u, q) != ((1, 0), (0, 1))
+    assert invertible_mod_screen_prime(u, w)
+    assert not tuple_key_screen(u, w, 2)
+    assert not pingpong._screen(u, w, 2)
+    assert find_semigroup_collision(u, w, 8) == reference_collision(u, w, 8)
+
+
+IDEMPOTENT = SquareMatrix.from_rows([[1, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("screen", [None, "low"])
+def test_letter_singular_mod_q_hands_over_to_resolver(monkeypatch, screen):
+    # u = uu is a repeat of two words ending in u, which the screen never
+    # compares: cancelling the common suffix needs u invertible mod q
+    if screen is not None:
+        force_screen_prime(monkeypatch, LOW_SCREEN_PRIME)
+    cases = [(IDEMPOTENT, SANOV_W), (SANOV_U, IDEMPOTENT), (IDEMPOTENT, PARTNER)]
+    if screen is not None:
+        # invertible over Q, singular mod the forced q
+        cases.append((SquareMatrix.from_rows([[LOW_SCREEN_PRIME, 1], [0, 1]]), SANOV_W))
+    for u, w in cases:
+        assert not invertible_mod_screen_prime(u, w)
+        for depth in (1, 2, 6):
+            assert not pingpong._screen(u, w, depth)
+            assert find_semigroup_collision(u, w, depth) == reference_collision(u, w, depth)
+    assert find_semigroup_collision(IDEMPOTENT, SANOV_W, 6) == ("u", "uu")
+
+
+@pytest.mark.parametrize("screen", [None, 7, "low"])
+@settings(max_examples=80, deadline=None)
+@given(case=_oracle_case(n=3))
+# commuting letters: uw = wu, a word ending in w equal to one ending in u
+@example(case=(diag(2, 1, 1), diag(1, 3, 1), 2, 1))
+def test_three_by_three_screen_is_sound(screen, case):
+    # for n = 3 a key is a projection of y * M, so two words may share one;
+    # the cancellation runs on the matrices mod q, and a clear screen means
+    # no repeat at all
+    u, w, depth, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        if screen is not None:
+            force_screen_prime(mp, LOW_SCREEN_PRIME if screen == "low" else screen)
+        if pingpong._screen(u, w, depth):
+            assert reference_collision(u, w, depth) is None
 
 
 def packed(values):

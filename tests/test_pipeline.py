@@ -235,6 +235,23 @@ def test_verify_stops_precision_retries_on_an_exact_basis(monkeypatch):
     assert calls == list(pipeline.BITS_SCHEDULE)
 
 
+def test_verify_computes_each_spectrum_once_across_precisions(monkeypatch):
+    # a cone_param tamper is replayed at every precision of the schedule on
+    # one memo: A's adjugate polynomial and squarefree test run once, and
+    # its roots are enclosed once per width
+    gens = sanov()
+    cert = certify_generators(gens).certificate
+    bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
+    bits = count_wedge_pairs(monkeypatch)
+    calls = count_spectral_calls(monkeypatch)
+    assert not verify_certificate(bad, gens)[0]
+    assert bits == list(pipeline.BITS_SCHEDULE)
+    names = [name for name, _ in calls]
+    assert names.count("adjugate_poly") == 1
+    assert names.count("squarefree_part") == 1
+    assert names.count("certified_root_structure") == len(pipeline.BITS_SCHEDULE)
+
+
 def test_verify_reports_the_last_precision_tried(monkeypatch):
     # an exception at 64 bits is not the reason when the checks then ran
     # and failed at 128 and 256 bits; a radius too wide for disjointness
