@@ -637,10 +637,6 @@ class PingPongCertificate:
             oracle_depth_validated=typed_field(d, "oracle_depth_validated", int),
         )
 
-    @staticmethod
-    def from_json(text: str) -> "PingPongCertificate":
-        return PingPongCertificate.from_json_dict(json.loads(text))
-
 
 def growth_bound_from_length(ell: int) -> Fraction:
     """Largest q on nth_root_floor's dyadic grid with q^ell <= 2.

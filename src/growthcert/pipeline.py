@@ -2,12 +2,12 @@
 
 certify_generators searches verify_certificate's own replay (the canonical
 basis diagonalized_pair derives from the words alone, wedge_pair's
-compounds in it, the cone checks) over the seed's two role orders, the
-places and wedge degrees of each role's gap grid and the precisions; the
-oracle then runs on the shortest certified word.  Every candidate is the
-seed words, never a longer word.  The checks are sound in any basis, so
-the basis is rational and needs no enclosure: precision only sets how many
-bits a rounded one keeps.  Eskin-Mozes-Oh's uniform word-length bounds need
+compounds in it, the cone checks) over the seed's two role orders and the
+places and wedge degrees of each role's gap grid; the oracle then runs on
+the shortest certified word.  Every candidate is the seed words, never a
+longer word.  The checks are sound in any basis, so the basis is rational
+and needs no enclosure, and its precision is wordforge's function of A,
+not a search dimension.  Eskin-Mozes-Oh's uniform word-length bounds need
 norm balancing, a role swap and a place choice (wordforge's library
 stages); a certificate for one generating set does not.
 """
@@ -24,8 +24,6 @@ from .errors import (
     GrowthcertError,
     Inconclusive,
     PipelineFailure,
-    PrecisionExhausted,
-    SingularEnclosure,
 )
 from .exactnum import (
     ARCH,
@@ -45,12 +43,6 @@ from .pingpong import (
 )
 from .spectra import SpectralMemo, char_poly, gap_cells, l1_gap_report
 from .wordforge import diagonalized_pair, wedge_pair
-
-_PRECISION_ERRORS = (Inconclusive, PrecisionExhausted, SingularEnclosure)
-
-
-# the bits a rounded basis keeps, doubled on each retry
-BITS_SCHEDULE = (64, 128, 256)
 
 
 @dataclass(frozen=True)
@@ -121,11 +113,8 @@ def certify_generators(
     Role 1 is the seed (A, B) with the seed's gap grid; role 2 is (B, A)
     when B's charpoly is squarefree, its grid computed only once role 2
     could still give a shorter word.  Cells go in spectra.gap_cells'
-    order, role 1 first.  Precision is the outer loop: at each bits one
-    basis per (role, place) serves every m.  A candidate that fails on an
-    exact basis, the same at every precision, or with anything but a
-    precision error is not tried again; the first precision at which one
-    certifies ends the search.  The winner has the least length
+    order, role 1 first, and each is tried once; one basis per (role,
+    place) serves every m.  The winner has the least length
     2e|word_A| + |word_B|, ties to the earlier candidate, since each later
     one searches only exponents that give a shorter word; the oracle runs
     once, on it.  One SpectralMemo serves the whole call, so each matrix's
@@ -133,8 +122,9 @@ def certify_generators(
     structure at a width is computed once; it goes when the call returns.
     Failures raise PipelineFailure carrying the stage name, with the trace
     so far on the .trace attribute; when no candidate certifies, the stage
-    is derive_exponent and the error the last candidate's.  A certificate
-    is returned only after the oracle confirms zero collisions.
+    is derive_exponent and the error the last candidate's, else the first
+    role's whose basis failed.  A certificate is returned only after the
+    oracle confirms zero collisions.
     """
     config = config or RunConfig()
     if not gens:
@@ -172,61 +162,50 @@ def certify_generators(
         (seed.matrix_b, seed.matrix_a, seed.word_b, seed.word_a),
     ]
     grids = {0: seed.l1_grid}
-    cells, pairs, dropped = {}, {}, set()
-    best, attempts, last = None, 0, None
-    # per role, the error of an archimedean basis that failed at every precision so far
-    unordered = {}
+    pairs = {}
+    best, attempts, last, basis_error = None, 0, None, None
 
-    def pair_at(k: int, v, bits: int):
-        if (k, v, bits) not in pairs:
-            pairs[k, v, bits] = diagonalized_pair(*roles[k], v, bits, memo)
-        return pairs[k, v, bits]
+    def pair_at(k: int, v):
+        if (k, v) not in pairs:
+            pairs[k, v] = diagonalized_pair(*roles[k], v, memo)
+        return pairs[k, v]
 
-    for bits in BITS_SCHEDULE:
-        for k, (a_mat, _, word_a, word_b) in enumerate(roles):
-            # the largest exponent whose word is shorter than the best so far
-            cap = config.exponent_cap
-            if best is not None:
-                cap = min(cap, (best[0] - len(word_b) - 1) // (2 * len(word_a)))
-            if cap < 1:
-                continue
-            if k not in grids:
-                # a repeated eigenvalue leaves no eigenbasis to search in
-                f = char_poly(a_mat, memo)
-                try:
-                    grids[k] = l1_gap_report(a_mat, s, f, memo) if memo.squarefree(f) else {}
-                except Inconclusive:
-                    grids[k] = {}
-            if k not in cells and any(grids[k].values()):
-                try:
-                    arch = pair_at(k, ARCH, bits)
-                except GrowthcertError as exc:
-                    unordered[k] = exc
-                    continue
-                unordered.pop(k, None)
-                # an exact basis is the same at every precision
-                retry = _PRECISION_ERRORS + (() if arch.exact else (ExponentSearchExhausted,))
-                cells[k] = gap_cells(grids[k], arch.a_diag, arch.exact), retry
-            order, retry = cells.get(k, ((), ()))
-            for v, m in order:
-                if cap < 1 or (k, v, m) in dropped:
-                    continue
-                attempts += 1
-                try:
-                    wa, wb = wedge_pair(pair_at(k, v, bits), v, m)
-                    e, r, checks = derive_exponent(wa, wb, v, cap=cap)
-                except GrowthcertError as exc:
-                    last = exc
-                    if not isinstance(exc, retry):
-                        dropped.add((k, v, m))
-                    continue
-                best = (2 * e * len(word_a) + len(word_b), k, v, m, bits, e, r, checks)
-                cap = e - 1
+    for k, (a_mat, _, word_a, word_b) in enumerate(roles):
+        # the largest exponent whose word is shorter than the best so far
+        cap = config.exponent_cap
         if best is not None:
-            break
+            cap = min(cap, (best[0] - len(word_b) - 1) // (2 * len(word_a)))
+        if cap < 1:
+            continue
+        if k not in grids:
+            # a repeated eigenvalue leaves no eigenbasis to search in
+            f = char_poly(a_mat, memo)
+            try:
+                grids[k] = l1_gap_report(a_mat, s, f, memo) if memo.squarefree(f) else {}
+            except Inconclusive:
+                grids[k] = {}
+        if not any(grids[k].values()):
+            continue
+        try:
+            arch = pair_at(k, ARCH)
+        except GrowthcertError as exc:
+            basis_error = basis_error or exc
+            continue
+        for v, m in gap_cells(grids[k], arch.a_diag, arch.exact):
+            if cap < 1:
+                break
+            attempts += 1
+            try:
+                pair = pair_at(k, v)
+                e, r, checks = derive_exponent(*wedge_pair(pair, v, m), v, cap=cap)
+            except GrowthcertError as exc:
+                last = exc
+                continue
+            best = (2 * e * len(word_a) + len(word_b), k, v, m, pair.bits, e, r, checks)
+            cap = e - 1
     if best is None:
         none = ExponentSearchExhausted("no certified gap at a place the basis reads")
-        fail("derive_exponent", last or next(iter(unordered.values()), none))
+        fail("derive_exponent", last or basis_error or none)
     _, k, v, m, bits, e, r, checks = best
     a_mat, b_mat, word_a_final, word_b_final = roles[k]
     trace.append(
@@ -294,12 +273,10 @@ def verify_certificate(
     Checks, in order: dimension agreement, the word-length, exponent and
     oracle-depth caps, word evaluation, the growth bound recomputation
     (exact equality), the cone inclusions in the canonical basis of
-    diagonalized_pair over the precision schedule, and the freeness
-    oracle at the recorded depth.  Returns (False, reason) at the first
-    failure and never raises on tampered input.  A cone failure names the
-    last precision tried: its exception, or the checks that failed there.
-    One SpectralMemo serves the schedule, so A's adjugate polynomial and
-    squarefree test are computed once, and its roots once per width.
+    diagonalized_pair, and the freeness oracle at the recorded depth.
+    Returns (False, reason) at the first failure and never raises on
+    tampered input.  A cone failure names the precision of the basis
+    replayed: its exception, or the checks that failed there.
     """
     config = config or RunConfig()
     if not gens:
@@ -341,25 +318,19 @@ def verify_certificate(
     if cert.growth_bound != growth_bound_from_length(max(len_u, len_w)):
         return False, "growth bound does not match the word lengths"
 
-    memo = SpectralMemo()
-    passed, reason = False, ""
-    for bits in BITS_SCHEDULE:
-        try:
-            pair = diagonalized_pair(
-                a_mat, b_mat, cert.word_a, cert.word_b, cert.place, bits, memo
-            )
-            wa, wb = wedge_pair(pair, cert.place, cert.wedge_m)
-            checks = verify_cone_inclusions(wa, wb, cert.exponent, cert.cone_param, cert.place)
-        except (GrowthcertError, ValueError) as exc:
-            reason = f"{exc} at {bits} bits"
-            continue
-        passed = checks.all_pass
-        reason = f"{', '.join(checks.failed)} failed at {bits} bits"
-        # an exact basis is the same at every precision
-        if passed or pair.exact:
-            break
+    try:
+        pair = diagonalized_pair(a_mat, b_mat, cert.word_a, cert.word_b, cert.place)
+    except (GrowthcertError, ValueError) as exc:
+        # a rounded basis singular at every precision names the last one
+        return False, f"cone checks did not certify: {exc}"
+    try:
+        wa, wb = wedge_pair(pair, cert.place, cert.wedge_m)
+        checks = verify_cone_inclusions(wa, wb, cert.exponent, cert.cone_param, cert.place)
+        passed, reason = checks.all_pass, f"{', '.join(checks.failed)} failed"
+    except (GrowthcertError, ValueError) as exc:
+        passed, reason = False, str(exc)
     if not passed:
-        return False, f"cone checks did not certify: {reason}"
+        return False, f"cone checks did not certify: {reason} at {pair.bits} bits"
 
     a_pow = a_mat**cert.exponent
     u = a_pow * b_mat

@@ -7,10 +7,10 @@ search and verify's replay run exactly these two.  The adjugate
 polynomial, squarefree test and root structure come from the run's
 SpectralMemo, which the pair search has already filled for A.  X is
 rational: exact when A's eigenvalues are rational, otherwise eigenvectors
-at the roots' dyadic midpoints rounded to a fixed number of bits, so it
-is a pure function of (A, sort place, bits) and certify and verify build
-the same X.  The cone checks are sound in any invertible basis; X only
-makes them likely to pass.  The order of its eigenvalues, wedge
+at the roots' dyadic midpoints rounded to the first of BASIS_BITS at which
+X is invertible.  So X is a pure function of (A, sort place), and certify
+and verify build the same X.  The cone checks are sound in any invertible
+basis; X only makes them likely to pass.  The order of its eigenvalues, wedge
 coordinates and places comes from exact keys (_modulus_key).
 The stages Eskin-Mozes-Oh use to bound word length uniformly over all
 generating sets, balance_or_trace (norm balancing and the trace route),
@@ -130,10 +130,10 @@ def diagonalize(
     `bits` bits otherwise; a conjugate pair gives the real and the
     imaginary part of its +Im eigenvector as two real columns.  A point
     off the real axis is (re, im), every other point a Fraction.  A
-    rounded X that is singular raises SingularEnclosure, and callers
-    escalate bits.  The adjugate polynomial, the squarefree test and the
-    root structure come from memo, so a run that shares one computes each
-    once for A.
+    rounded X that is singular raises SingularEnclosure (diagonalized_pair
+    then tries the next of BASIS_BITS).  The adjugate polynomial, the
+    squarefree test and the root structure come from memo, so a run that
+    shares one computes each once for A.
     """
     memo = memo or SpectralMemo()
     f, d, mats = memo.adjugate(a)
@@ -187,8 +187,10 @@ def _entries(rows):
 class ConjugatedPair:
     """The pair in A's canonical basis X, with the certified relation.
 
-    Every pair is the one diagonalized_pair builds at sort_place and bits;
-    the stages after it record a relation and never change the basis.
+    Every pair is the one diagonalized_pair builds at sort_place; bits is
+    the precision its X was rounded to (the first of BASIS_BITS, 64, on an
+    exact basis).  The stages after it record a relation and never change
+    the basis.
     orig_a and orig_b stay in the input basis, so spectral data (charpoly,
     gap grid) never depends on X.  Everything is exact: basis and
     basis_inv are X and X^-1, b_conj is X^-1 B X, and a_diag holds A's
@@ -288,13 +290,16 @@ def _balanced_rows(pair: ConjugatedPair):
     return tuple(tuple(b_rows[i][j] * d[j] / d[i] for j in range(n)) for i in range(n))
 
 
+# the bits a rounded basis keeps: the first at which it is invertible
+BASIS_BITS = (64, 128, 256)
+
+
 def diagonalized_pair(
     a: SquareMatrix,
     b: SquareMatrix,
     word_a: Word,
     word_b: Word,
     sort_place: Place = ARCH,
-    bits: int = 128,
     memo: SpectralMemo | None = None,
 ) -> ConjugatedPair:
     """The pair in A's canonical basis X: B becomes X^-1 * B * X.
@@ -302,12 +307,22 @@ def diagonalized_pair(
     A pure function of its inputs: points sort by modulus at sort_place and
     eigenvectors carry pinned normalizations (see diagonalize), so a
     verifier replaying from the words alone lands in the same X.  X is
-    exact when A's charpoly splits into distinct rationals and rounded
-    otherwise; finite sort places need the exact one.  The result has
-    norm_relation "none" and feeds wedge_pair and the cone checks directly.
-    memo passes on to diagonalize.
+    exact when A's charpoly splits into distinct rationals; otherwise it
+    is rounded to the first of BASIS_BITS at which it is invertible, and a
+    basis singular at the last raises SingularEnclosure.  Finite sort
+    places need the exact basis.  The result has norm_relation "none" and
+    feeds wedge_pair and the cone checks directly.  memo passes on to
+    diagonalize, so each precision tried reuses A's adjugate polynomial.
     """
-    a_diag, x, x_inv, exact = diagonalize(a, sort_place, bits, memo=memo)
+    memo = memo or SpectralMemo()
+    for bits in BASIS_BITS:
+        try:
+            a_diag, x, x_inv, exact = diagonalize(a, sort_place, bits, memo)
+            break
+        except SingularEnclosure as exc:
+            singular = exc
+    else:
+        raise SingularEnclosure(f"{singular} at {bits} bits")
     return ConjugatedPair(
         orig_a=a,
         orig_b=b,
@@ -361,7 +376,7 @@ def balance_or_trace(pair: ConjugatedPair, s: PlaceSet) -> ConjugatedPair:
 
 
 def swap_roles(
-    pair: ConjugatedPair, s: PlaceSet, bits: int = 128, memo: SpectralMemo | None = None
+    pair: ConjugatedPair, s: PlaceSet, memo: SpectralMemo | None = None
 ) -> ConjugatedPair:
     """Interchange A and B after the trace route, rediagonalizing around B.
 
@@ -369,8 +384,7 @@ def swap_roles(
     (checked as a squared inequality on the rebalanced rows
     balance_or_trace read) and the conditioning bound
     max(norm(C), norm(C^-1)) <= max(2, norm(A'))^n on the new basis C,
-    which is B's canonical basis at bits.  B's spectral data goes into
-    memo.  Certification does not run it: its search tries both roles.
+    which is B's canonical basis.  B's spectral data goes into memo.  Certification does not run it: its search tries both roles.
     """
     if pair.norm_relation != "trace_big":
         raise ValueError("swap applies only after the trace route")
@@ -384,9 +398,7 @@ def swap_roles(
     memo = memo or SpectralMemo()
     if not memo.squarefree(char_poly(pair.orig_b, memo)):
         raise SwapFailed("B has repeated eigenvalues: no certified eigenbasis")
-    new = diagonalized_pair(
-        pair.orig_b, pair.orig_a, pair.word_b, pair.word_a, ARCH, bits, memo
-    )
+    new = diagonalized_pair(pair.orig_b, pair.orig_a, pair.word_b, pair.word_a, ARCH, memo)
 
     places = new.places(s)
     new_an_sq = _norm_sq(new.a_diag, places)

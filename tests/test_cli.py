@@ -643,14 +643,14 @@ def test_the_ten_to_the_300_sl4_file_ends_quickly(capsys, tmp_path):
 def test_a_basis_singular_at_every_precision_ends_in_documented_exit_codes(capsys, tmp_path):
     # A = [[1 + 2^-600, 1], [2^-600, 1]] has eigenvalues 1 +- about 2^-300,
     # whose eigenvectors round to one column at 64, 128 and 256 bits:
-    # certify refuses with exit 4 and verify rejects with exit 5, naming
-    # the last precision, and neither ends in a traceback
+    # certify refuses with exit 4 and verify rejects with exit 5, both
+    # naming the last precision, and neither ends in a traceback
     eps = Fraction(1, 2**600)
     a = [[str(1 + eps), "1"], [str(eps), "1"]]
     gens = write_json(tmp_path / "near.json", {"n": 2, "generators": [a, [[1, 0], [2, 1]]]})
     code, out, err = run(capsys, ["certify", gens])
     assert (code, err) == (4, "")
-    assert json.loads(out)["reason"] == "SingularEnclosure: rounded eigenbasis is singular"
+    assert json.loads(out)["reason"] == "SingularEnclosure: rounded eigenbasis is singular at 256 bits"
     cert = {
         "schema": "growthcert.certificate.v1",
         "n": 2,

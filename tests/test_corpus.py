@@ -159,7 +159,7 @@ def test_verify_rejects_a_huge_cone_param_quickly(tmp_path, capsys, cone_param, 
     code, doc = run(capsys, argv)
     assert time.perf_counter() - start < 5
     assert (code, doc["valid"]) == (5, False)
-    assert doc["reason"] == f"cone checks did not certify: {failed} failed at 256 bits"
+    assert doc["reason"] == f"cone checks did not certify: {failed} failed at 64 bits"
 
 
 @pytest.mark.parametrize("input_id", CERTIFIED)
@@ -179,15 +179,12 @@ def test_certify_and_verify_read_the_same_basis(monkeypatch, input_id):
         return wa, wb
 
     monkeypatch.setattr(pipeline, "wedge_pair", recording)
-    for bits in pipeline.BITS_SCHEDULE:
-        monkeypatch.setattr(pipeline, "BITS_SCHEDULE", (bits,))
-        reads.clear()
-        pipeline.certify_generators(gens)
-        certified = [r for r in reads if r[0] == cert.word_a and r[4:6] == (cert.place, cert.wedge_m)]
-        reads.clear()
-        pipeline.verify_certificate(cert, gens)
-        assert len(certified) == 1
-        assert reads == certified
+    pipeline.certify_generators(gens)
+    certified = [r for r in reads if r[0] == cert.word_a and r[4:6] == (cert.place, cert.wedge_m)]
+    reads.clear()
+    pipeline.verify_certificate(cert, gens)
+    assert len(certified) == 1
+    assert reads == certified
 
 
 # the commands corpus_reports.json pins, keyed as there
@@ -365,14 +362,19 @@ def test_verify_enters_only_the_disk_engine_in_intervals(verify_entered):
 def test_certify_runs_only_what_verify_runs_in_wordforge(monkeypatch, verify_entered):
     # the search is verify's replay: no retired stage runs, certify enters no
     # wordforge function that verify does not, no (A, sort place, bits) is
-    # diagonalized twice in a call, and the seed's gap grid is never recomputed
+    # diagonalized twice in a call, no candidate (role, place, wedge degree)
+    # is searched twice, and the seed's gap grid is never recomputed
     def retired(*args):
         raise AssertionError("certify ran a retired stage")
 
     for name in ("balance_or_trace", "swap_roles", "select_place_and_wedge"):
         monkeypatch.setattr(wordforge, name, retired)
-    bases, grids = [], []
+    bases, grids, tried = [], [], []
     diagonalize, l1_gap_report = wordforge.diagonalize, pipeline.l1_gap_report
+    wedge_pair = pipeline.wedge_pair
+    monkeypatch.setattr(
+        pipeline, "wedge_pair", lambda pair, v, m: tried.append((pair.word_a, v, m)) or wedge_pair(pair, v, m)
+    )
     monkeypatch.setattr(
         wordforge, "diagonalize", lambda a, *rest, **kw: bases.append((a, *rest)) or diagonalize(a, *rest, **kw)
     )
@@ -382,12 +384,14 @@ def test_certify_runs_only_what_verify_runs_in_wordforge(monkeypatch, verify_ent
         gens = [SquareMatrix.from_rows(g) for g in item["generators"]]
         bases.clear()
         grids.clear()
+        tried.clear()
         try:
             with entering(entered):
                 trace = pipeline.certify_generators(gens).trace
         except PipelineFailure as exc:
             trace = exc.trace
         assert len(set(bases)) == len(bases), input_id
+        assert len(set(tried)) == len(tried), input_id
         if trace[0]["ok"]:
             assert evaluate_word(Word.parse(trace[0]["word_A"]), gens) not in grids, input_id
     certify_only = entered[wordforge.__file__] - verify_entered[wordforge.__file__]

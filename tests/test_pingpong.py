@@ -994,7 +994,7 @@ def test_certificate_json_round_trip():
     data = json.loads(text)
     assert data["schema"] == "growthcert.certificate.v1"
     assert data["cone_param"] == "1/16"
-    assert PingPongCertificate.from_json(text) == cert
+    assert PingPongCertificate.from_json_dict(json.loads(text)) == cert
     # canonical form: sorted keys, no spaces
     assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 

@@ -4,12 +4,13 @@ import ast
 import dataclasses
 import json
 from fractions import Fraction as F
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
 from growthcert import cayley, cli, pingpong, pipeline, polyroots, spectra, wordforge
-from growthcert.errors import BudgetExceeded, Inconclusive, PipelineFailure
+from growthcert.errors import BudgetExceeded, Inconclusive, PipelineFailure, SingularEnclosure
 from growthcert.exactnum import ARCH, Place, SquareMatrix, Word
 from growthcert.pingpong import PingPongCertificate, growth_bound_from_length
 from growthcert.pipeline import RunConfig, certify_generators, verify_certificate
@@ -210,87 +211,119 @@ def test_certify_and_verify_at_a_finite_place(monkeypatch):
     assert verify_certificate(cert, [a, b]) == (True, "ok")
 
 
-def test_verify_stops_precision_retries_on_an_exact_basis(monkeypatch):
-    # A = diag(2, 1/2) has a rational eigenbasis: a cone check that fails
-    # once fails at every precision
-    gens = exact_only()
-    cert = certify_generators(gens).certificate
-    assert (str(cert.word_a), cert.place) == ("0", Place.finite(2))
-    bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
-    calls = count_wedge_pairs(monkeypatch)
-    assert verify_certificate(bad, gens) == (
-        False,
-        "cone checks did not certify: disjoint, contracts, contracts_double failed at 64 bits",
-    )
-    assert calls == [pipeline.BITS_SCHEDULE[0]]
-    # Sanov's A has irrational eigenvalues: its rounded basis retries every precision
-    gens = sanov()
-    cert = certify_generators(gens).certificate
-    bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
-    calls.clear()
-    assert verify_certificate(bad, gens) == (
-        False,
-        "cone checks did not certify: disjoint, contracts, contracts_double failed at 256 bits",
-    )
-    assert calls == list(pipeline.BITS_SCHEDULE)
+def count_pairs(mp):
+    """The bits of every pair pipeline.diagonalized_pair builds."""
+    calls = []
+    diagonalized_pair = pipeline.diagonalized_pair
+
+    def counted(*args):
+        pair = diagonalized_pair(*args)
+        calls.append(pair.bits)
+        return pair
+
+    mp.setattr(pipeline, "diagonalized_pair", counted)
+    return calls
 
 
-def test_verify_computes_each_spectrum_once_across_precisions(monkeypatch):
-    # a cone_param tamper is replayed at every precision of the schedule on
-    # one memo: A's adjugate polynomial and squarefree test run once, and
-    # its roots are enclosed once per width
-    gens = sanov()
-    cert = certify_generators(gens).certificate
-    bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
-    bits = count_wedge_pairs(monkeypatch)
+def test_verify_replays_a_tamper_once(monkeypatch):
+    # one basis, one replay: a cone_param tamper fails at the precision its
+    # basis was built at, on an exact basis and on a rounded one alike, and
+    # A's spectral data is computed once
+    pairs = count_pairs(monkeypatch)
     calls = count_spectral_calls(monkeypatch)
-    assert not verify_certificate(bad, gens)[0]
-    assert bits == list(pipeline.BITS_SCHEDULE)
-    names = [name for name, _ in calls]
-    assert names.count("adjugate_poly") == 1
-    assert names.count("squarefree_part") == 1
-    assert names.count("certified_root_structure") == len(pipeline.BITS_SCHEDULE)
+    for gens in (exact_only(), sanov()):
+        cert = certify_generators(gens).certificate
+        bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
+        pairs.clear()
+        calls.clear()
+        assert verify_certificate(bad, gens) == (
+            False,
+            "cone checks did not certify: disjoint, contracts, contracts_double failed at 64 bits",
+        )
+        assert pairs == [64]
+        assert sorted(name for name, _ in calls) == sorted(SPECTRAL)
 
 
-def test_verify_reports_the_last_precision_tried(monkeypatch):
-    # an exception at 64 bits is not the reason when the checks then ran
-    # and failed at 128 and 256 bits; a radius too wide for disjointness
-    # that still contracts names only the check that failed
+def close_eigenvalues():
+    """A with two eigenvalues about 2^-70 apart, whose rounded basis is singular at 64 bits.
+
+    A is the companion matrix of (x - 8)(x^2 - s x + 1/8); B is unipotent,
+    so role 2 has no candidate.  Both have determinant 1.
+    """
+    s = F(isqrt(2**279) + 1, 2**140)
+    a = M([[0, 0, 1], [1, 0, -(8 * s + F(1, 8))], [0, 1, 8 + s]])
+    return [a, M([[1, 1, 0], [0, 1, 0], [1, 1, 1]])]
+
+
+CLOSE_CERT_JSON = (
+    '{"checks":{"contracts":true,"contracts_double":true,"disjoint":true},'
+    '"cone_param":"1/16","exponent":18,"growth_bound":"267101/262144","n":3,'
+    '"oracle_depth_validated":12,"place":"archimedean","schema":'
+    '"growthcert.certificate.v1","wedge_m":1,"word_A":"0","word_B":"1"}\n'
+)
+
+
+def test_verify_names_the_precision_of_its_basis(monkeypatch):
+    # an exception in the replay is the reason, with the basis' bits, and a
+    # radius too wide for disjointness that still contracts names only the
+    # check that failed
     gens = sanov()
     cert = certify_generators(gens).certificate
-    wedge_pair = pipeline.wedge_pair
-
-    def flaky(pair, v, m):
-        if pair.bits == 64:
-            raise Inconclusive("no enclosure")
-        return wedge_pair(pair, v, m)
-
-    monkeypatch.setattr(pipeline, "wedge_pair", flaky)
-    bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
-    assert verify_certificate(bad, gens) == (
-        False,
-        "cone checks did not certify: disjoint, contracts, contracts_double failed at 256 bits",
-    )
     assert verify_certificate(dataclasses.replace(cert, cone_param=F(1, 4)), gens) == (
         False,
-        "cone checks did not certify: disjoint failed at 256 bits",
+        "cone checks did not certify: disjoint failed at 64 bits",
     )
-    # an exception at the last precision is the reason, with its bits
-    monkeypatch.setattr(pipeline, "BITS_SCHEDULE", (64,))
+
+    def no_enclosure(*args):
+        raise Inconclusive("no enclosure")
+
+    monkeypatch.setattr(pipeline, "wedge_pair", no_enclosure)
     assert verify_certificate(cert, gens) == (
         False,
         "cone checks did not certify: no enclosure at 64 bits",
     )
+    # a basis singular at 64 bits is replayed at 128
+    monkeypatch.undo()
+    gens = close_eigenvalues()
+    cert = PingPongCertificate.from_json_dict(json.loads(CLOSE_CERT_JSON))
+    bad = dataclasses.replace(cert, cone_param=cert.cone_param * 2**1000)
+    assert verify_certificate(bad, gens) == (
+        False,
+        "cone checks did not certify: disjoint, contracts, contracts_double failed at 128 bits",
+    )
+
+
+def test_certify_builds_a_basis_singular_at_64_bits_at_128():
+    # the one precision escalation left: X rounded to 64 bits is singular,
+    # so diagonalized_pair builds it at 128, where the search certifies
+    gens = close_eigenvalues()
+    with pytest.raises(SingularEnclosure):
+        wordforge.diagonalize(gens[0], ARCH, 64)
+    res = certify_generators(gens)
+    assert res.certificate.to_json() == CLOSE_CERT_JSON
+    assert res.trace[1] == {
+        "stage": "derive_exponent",
+        "ok": True,
+        "word_A": "0",
+        "word_B": "1",
+        "place": "archimedean",
+        "wedge_m": 1,
+        "bits": 128,
+        "candidates": 1,
+        "exponent": 18,
+        "cone_param": "1/16",
+    }
+    assert verify_certificate(res.certificate, gens) == (True, "ok")
 
 
 def test_certify_stops_the_exponent_search_on_an_exact_basis(monkeypatch):
-    # an exhausted search on exact basis data is exhausted at every
-    # precision: each of the two candidates runs once, at the first
+    # each of the two candidates runs once, on the exact basis built at
+    # the first precision
     gens = exact_only()
     calls = count_wedge_pairs(monkeypatch)
     with pytest.raises(PipelineFailure) as info:
         certify_generators(gens, RunConfig(exponent_cap=1))
-    assert calls == [pipeline.BITS_SCHEDULE[0]] * 2
+    assert calls == [64] * 2
     assert info.value.stage == "derive_exponent"
     detail = "no exponent up to 1 certifies the cone inclusions"
     assert str(info.value) == f"derive_exponent: ExponentSearchExhausted: {detail}"
@@ -304,10 +337,9 @@ def test_certify_stops_the_exponent_search_on_an_exact_basis(monkeypatch):
 
 def test_exponent_search_builds_each_power_once(monkeypatch):
     # SL2(Z)'s torsion generators: A = "0 1 0 1^-1" has no exponent, so the
-    # search runs to exponent_cap at every precision; B = "0" has no gap, so
-    # role 2 has no candidate.  Each power A^k B, k up to 2 * exponent_cap,
-    # is one integer product after the last, built once per precision and
-    # not once per radius
+    # search runs to exponent_cap; B = "0" has no gap, so role 2 has no
+    # candidate.  Each power A^k B, k up to 2 * exponent_cap, is one integer
+    # product after the last, built once and not once per radius
     gens = [M([[0, -1], [1, 0]]), M([[0, -1], [1, 1]])]
     products = []
     matmul = pingpong.int_matmul
@@ -315,7 +347,7 @@ def test_exponent_search_builds_each_power_once(monkeypatch):
     with pytest.raises(PipelineFailure) as info:
         certify_generators(gens)
     cap = RunConfig().exponent_cap
-    assert len(products) == 2 * cap * len(pipeline.BITS_SCHEDULE)
+    assert len(products) == 2 * cap
     detail = "no exponent up to 64 certifies the cone inclusions"
     assert str(info.value) == f"derive_exponent: ExponentSearchExhausted: {detail}"
     assert list(info.value.trace) == [
@@ -378,7 +410,7 @@ def test_verify_rejects_sign_flip():
 
 def test_verify_turns_oracle_budget_overrun_into_rejection(monkeypatch):
     gens = sanov()
-    cert = PingPongCertificate.from_json(SANOV_CERT_JSON)
+    cert = PingPongCertificate.from_json_dict(json.loads(SANOV_CERT_JSON))
 
     def over_budget(*args):
         raise BudgetExceeded("oracle exceeded budget 5")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from growthcert import pipeline
+from growthcert import pipeline, wordforge
 from growthcert.errors import (
     BalanceFailed,
     Inconclusive,
@@ -155,9 +155,9 @@ def test_balance_trace_route_and_swap():
     assert swapped.a_diag == (F(1024), F(1, 1024))
     assert swapped.b_conj == diag(4, F(1, 4))
     assert (str(swapped.word_a), str(swapped.word_b)) == ("1", "0")
-    # B's canonical pair, built at swap_roles' bits
+    # B's canonical pair
     assert swapped == replace(
-        diagonalized_pair(diag(1024, F(1, 1024)), diag(4, F(1, 4)), WB, WA, ARCH, 128),
+        diagonalized_pair(diag(1024, F(1, 1024)), diag(4, F(1, 4)), WB, WA),
         norm_relation="swapped",
         constants=(F(1), F(1)),
     )
@@ -530,27 +530,35 @@ NEAR_PARABOLIC = M([[1 + F(1, 2**140), 1], [F(1, 2**140), 1]])
 def test_a_rounded_basis_that_is_singular_raises_singular_enclosure():
     with pytest.raises(SingularEnclosure):
         diagonalize(NEAR_PARABOLIC, ARCH, 64)
-    with pytest.raises(SingularEnclosure):
-        diagonalized_pair(NEAR_PARABOLIC, M([[1, 0], [2, 1]]), WA, WB, ARCH, 64)
     _, x, x_inv, exact = diagonalize(NEAR_PARABOLIC, ARCH, 128)
     assert not exact and x * x_inv == SquareMatrix.identity(2)
 
 
+def test_diagonalized_pair_rounds_to_the_first_precision_that_inverts():
+    # NEAR_PARABOLIC's basis is built at 128 bits, an exact basis at 64, and
+    # one singular at every precision names the last
+    pair = diagonalized_pair(NEAR_PARABOLIC, M([[1, 0], [2, 1]]), WA, WB)
+    assert pair.bits == 128 and pair.basis == diagonalize(NEAR_PARABOLIC, ARCH, 128)[1]
+    assert diagonalized_pair(diag(4, F(1, 4)), M([[1, 1], [1, 2]]), WA, WB).bits == 64
+    eps = F(1, 2**600)
+    with pytest.raises(SingularEnclosure, match="^rounded eigenbasis is singular at 256 bits$"):
+        diagonalized_pair(M([[1 + eps, 1], [eps, 1]]), M([[1, 0], [2, 1]]), WA, WB)
+
+
 def test_certify_moves_past_a_singular_rounded_basis(monkeypatch):
-    # the pipeline's first precision meets the singular basis and escalates
-    # to the next BITS_SCHEDULE entry instead of failing
+    # the singular basis at 64 bits is built again at 128 instead of failing
     built = []
 
-    def recording(a, b, word_a, word_b, sort_place=ARCH, bits=128, memo=None):
+    def recording(a, sort_place=ARCH, bits=128, memo=None):
         try:
-            pair = diagonalized_pair(a, b, word_a, word_b, sort_place, bits, memo)
+            result = diagonalize(a, sort_place, bits, memo)
         except SingularEnclosure:
             built.append((bits, "singular"))
             raise
         built.append((bits, "ok"))
-        return pair
+        return result
 
-    monkeypatch.setattr(pipeline, "diagonalized_pair", recording)
+    monkeypatch.setattr(wordforge, "diagonalize", recording)
     # A's only gap is 2-adic, which its rounded basis cannot read, and
     # B = [[1, 0], [2, 1]] has a repeated eigenvalue: a refusal that no
     # precision changes, and not the singular basis met on the way
