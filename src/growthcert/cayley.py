@@ -13,16 +13,19 @@ on the left with a few scalar-by-packed products, so the candidates come
 in shortlex order; one set lookup per candidate, run in C, keeps the new
 ones, and the block a letter sends back to sphere k - 1 is skipped.  The
 pair search decodes each element straight from its slots to an integer
-matrix, and its Shemesh and Burnside gates eliminate integer rows.  Growth
-estimates from counts are certified dyadic lower bounds; the growth
-verdict and the degree fit are labeled float heuristics that never feed a
-certificate.
+matrix, and its Shemesh and Burnside gates eliminate integer rows; where
+the generators' algebra already rules out every A or every B (a
+unipotent or a reducible group), it drains the spheres without decoding
+them.  Growth estimates from counts are certified dyadic lower bounds;
+the growth verdict and the degree fit are labeled float heuristics that
+never feed a certificate.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
@@ -303,10 +306,14 @@ def _spheres(alphabet, radius, budget):
         bits += lift
 
 
-def _ball_words(alphabet, radius, budget):
-    """The ball without the identity as shortlex (word, matrix), words built per sphere reached."""
-    letters, words = alphabet[0], [Word()]
-    for d, width, tags, keys in _spheres(alphabet, radius, budget):
+def _ball_words(letters, spheres):
+    """The ball without the identity as shortlex (word, matrix), decoded from spheres = _spheres(...).
+
+    letters is the alphabet's letter list; words are built per sphere
+    reached, and each matrix when it is read.
+    """
+    words = [Word()]
+    for d, width, tags, keys in spheres:
         steps = map(divmod, tags, repeat(len(words)))
         words = [letters[letter][0] * words[parent] for letter, parent in steps]
         yield from zip(words, (_as_matrix(key, d, width) for key in keys))
@@ -501,8 +508,13 @@ def shemesh_no_common_eigenvector(a: SquareMatrix, b: SquareMatrix) -> bool:
     closure question.  The commutators are stacked one at a time, and the
     scan stops once their rows reach rank n.
     """
-    n = a.n
-    a_pows, b_pows = [a.num], [b.num]
+    return _no_common_eigenvector(a.num, b.num)
+
+
+def _no_common_eigenvector(a, b) -> bool:
+    """shemesh_no_common_eigenvector on integer matrices a and b given as rows: no SquareMatrix is built."""
+    n = len(a)
+    a_pows, b_pows = [a], [b]
     basis: list[list[int]] = []
     for k in range(1, n):
         for l in range(1, n):
@@ -537,6 +549,55 @@ def generated_algebra_dimension(*gens: SquareMatrix) -> int:
     return len(basis)
 
 
+def generates_full_algebra(a: SquareMatrix, b: SquareMatrix) -> bool:
+    """Whether A and B generate the full matrix algebra, all of n x n: the pair search's gate.
+
+    By Burnside's theorem they do exactly when they leave no proper
+    nonzero subspace over the algebraic closure invariant, and the
+    dimension of the algebra is the same over Q and over its closure.  A
+    common eigenvector spans an invariant line, so Shemesh runs first; at n
+    = 2 every proper subspace is a line, so Shemesh decides.  At n = 3 the
+    rest are planes, and W is invariant under A and B exactly when its
+    annihilator, a line, is invariant under A^T and B^T, so Shemesh on the
+    transposes decides.  From n = 4 on, generated_algebra_dimension closes
+    the algebra.
+    """
+    n = a.n
+    if not shemesh_no_common_eigenvector(a, b):
+        return False
+    if n == 3:
+        return _no_common_eigenvector(list(zip(*a.num)), list(zip(*b.num)))
+    return n <= 2 or generated_algebra_dimension(a, b) == n * n
+
+
+def generates_unipotent_group(*gens: SquareMatrix) -> bool:
+    """Whether every element of the group the matrices gens generate is unipotent.
+
+    A unipotent matrix has trace n, so a generator of any other trace
+    answers at once, before any elimination.  Otherwise, with row vectors,
+    R_0 = Q^n and R_(k+1) = span{r (g - I) : r in R_k, g in gens} (on the
+    integer rows of N_g - d_g I = d_g (g - I)).  By induction each R_k
+    contains the next and every generator maps it into itself, acting as
+    the identity on R_k / R_(k+1); so when R reaches 0, every group element
+    is unitriangular in a basis adapted to the flag, and its charpoly is
+    (x - 1)^n.  Conversely a unipotent group is unitriangular in some basis
+    (Kolchin), where every product of n factors g - I vanishes, so R
+    reaches 0; when the rank stops falling first, the group is not
+    unipotent.  At most n eliminations of n columns.
+    """
+    n = gens[0].n
+    if any(sum(g.num[i][i] for i in range(n)) != n * g.den for g in gens):
+        return False
+    steps = [[[x - g.den * (i == j) for j, x in enumerate(row)] for i, row in enumerate(g.num)] for g in gens]
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    while basis:
+        below, _ = _span([row for step in steps for row in int_matmul(basis, step)])
+        if len(below) == len(basis):
+            return False
+        basis = below
+    return True
+
+
 @dataclass(frozen=True)
 class RegularPair:
     """First BFS pair passing regularity and genericity gates.
@@ -568,18 +629,29 @@ def find_regular_pair(
     gap grid has at least one certified-true entry.  Every element's
     adjugate polynomial, each distinct charpoly's squarefree test and each
     root structure the grids read go into memo, where the later stages of
-    the same run find them.  B: first element
-    sharing no eigenvector with A (Shemesh) such that A, B generate the
-    full matrix algebra (Burnside).  Once a candidate B fails, the algebra
-    of all the generators is measured once: it holds their inverses
+    the same run find them.  B: first element such that A and B generate
+    the full matrix algebra (generates_full_algebra: Shemesh, then
+    Burnside).
+
+    Two refusals are settled by algebra instead of by the walk.  When the
+    generators generate a unipotent group, every element has charpoly
+    (x - 1)^n and no A exists.  Once a candidate B fails, the algebra of
+    all the generators is measured once: it holds their inverses
     (Cayley-Hamilton), so every alg(A, B) lies inside it, and when it is
-    smaller than n x n the rest of the ball is walked without a gate.
+    smaller than n x n no B exists.  Either way the rest of the ball is
+    drained without decoding an element, so the refusal and its budget
+    behave as a full walk's: BudgetExceeded comes at the same element.
     """
     if s is None:
         s = s_support(gens)
     memo = memo or SpectralMemo()
     n = gens[0].n
-    walk = _ball_words(_alphabet(gens), depth, budget)
+    alphabet = _alphabet(gens)
+    spheres = _spheres(alphabet, depth, budget)
+    if generates_unipotent_group(*gens):
+        deque(spheres, maxlen=0)
+        raise PairNotFound(f"no regular (L1)-capable element within radius {depth}")
+    walk = _ball_words(alphabet[0], spheres)
     scanned = []
     for word_a, mat_a in walk:
         scanned.append((word_a, mat_a))
@@ -596,14 +668,15 @@ def find_regular_pair(
         raise PairNotFound(f"no regular (L1)-capable element within radius {depth}")
     # B is the first partner in shortlex order: its scan rereads the words up
     # to A, then walks on through the same ball
-    reducible = None
+    checked = False
     for word_b, mat_b in chain(scanned, walk):
-        if mat_b == mat_a or reducible:
+        if mat_b == mat_a:
             continue
-        dim = shemesh_no_common_eigenvector(mat_a, mat_b) and generated_algebra_dimension(mat_a, mat_b)
-        if dim != n * n:
-            if reducible is None:
-                reducible = generated_algebra_dimension(*gens) < n * n
+        if not generates_full_algebra(mat_a, mat_b):
+            if not checked and generated_algebra_dimension(*gens) < n * n:
+                deque(spheres, maxlen=0)
+                break
+            checked = True
             continue
         return RegularPair(
             word_a=word_a,
@@ -613,6 +686,6 @@ def find_regular_pair(
             # A passed the squarefree gate, so its charpoly is its squarefree part
             disc=discriminant(f),
             l1_grid=grid,
-            genericity={"shemesh": True, "burnside_dim": dim},
+            genericity={"shemesh": True, "burnside_dim": n * n},
         )
     raise PairNotFound(f"no generic partner for A within radius {depth}")

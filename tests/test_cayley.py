@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from growthcert import cayley
+from growthcert import cayley, spectra
 from growthcert.cayley import (
     RegularPair,
     charpoly_is_squarefree,
@@ -17,6 +17,8 @@ from growthcert.cayley import (
     estimate_omega,
     find_regular_pair,
     generated_algebra_dimension,
+    generates_full_algebra,
+    generates_unipotent_group,
     integer_nth_root,
     nth_root_floor,
     shemesh_no_common_eigenvector,
@@ -280,6 +282,32 @@ def test_pair_search_walks_the_ball_once(monkeypatch, gens):
     assert len(entered) == 1
 
 
+def test_heisenberg_pair_search_computes_no_charpoly(monkeypatch):
+    # the group is unipotent, so its refusal needs no element's charpoly (the
+    # walk computed 134 adjugate polynomials at depth 4)
+    calls = []
+    adjugate = spectra.adjugate_poly
+    monkeypatch.setattr(spectra, "adjugate_poly", lambda a: calls.append(a) or adjugate(a))
+    with pytest.raises(PairNotFound, match="^no regular \\(L1\\)-capable element within radius 4$"):
+        find_regular_pair(heisenberg_gens(), 4)
+    assert calls == []
+    assert reference_pair(heisenberg_gens(), 3) == pair_outcome(heisenberg_gens(), 3)
+
+
+def test_reducible_refusal_decodes_no_element_after_its_verdict(monkeypatch):
+    decoded, at_verdict = [], []
+    as_matrix, dimension = cayley._as_matrix, cayley.generated_algebra_dimension
+    monkeypatch.setattr(cayley, "_as_matrix", lambda *args: decoded.append(1) or as_matrix(*args))
+    monkeypatch.setattr(
+        cayley, "generated_algebra_dimension", lambda *gens: at_verdict.append(len(decoded)) or dimension(*gens)
+    )
+    with pytest.raises(PairNotFound, match="^no generic partner for A within radius 4$"):
+        find_regular_pair(REDUCIBLE, 4)
+    # the A scan decoded sphere 1 up to A; the verdict came on the first B
+    assert at_verdict == [len(decoded)] and 0 < len(decoded) <= 4
+    assert enumerate_ball(REDUCIBLE, 4).ball_sizes[-1][1] > 100
+
+
 def test_growth_report_csv():
     report = enumerate_ball(sanov_gens(), 2)
     assert report.csv() == "n,count\n0,1\n1,5\n2,17\n"
@@ -359,6 +387,12 @@ def reference_pair(gens, depth, budget=10**6):
         ):
             return str(word_a), str(word_b), mat_a, mat_b
     return f"no generic partner for A within radius {depth}"
+
+
+def ball_words(gens, radius, budget):
+    """cayley._ball_words over the spheres of gens: shortlex (word, matrix) without the identity."""
+    alphabet = cayley._alphabet(gens)
+    return cayley._ball_words(alphabet[0], cayley._spheres(alphabet, radius, budget))
 
 
 def spheres_outcome(gens, radius, budget):
@@ -457,7 +491,7 @@ def test_ball_matches_fraction_reference(gens, radius, budget):
     _, _, ref_elements = reference_ball(gens, radius, want_words=True)
     words = []
     with pytest.raises(BudgetExceeded) if new[0] == "BudgetExceeded" else nullcontext():
-        for w, mat in cayley._ball_words(cayley._alphabet(gens), radius, budget):
+        for w, mat in ball_words(gens, radius, budget):
             words.append((w, mat))
     # the same words in the same shortlex order, with the same matrices; the
     # completed spheres come out before the budget runs out
@@ -478,7 +512,7 @@ def test_ball_meets_integer_word_with_denominator_four():
     unit = SquareMatrix.from_rows([[1, 1], [0, 1]])
     assert spheres_outcome([half, unit], 5, 10**6) == ([4 * r + 1 for r in range(6)], False)
     assert spheres_outcome([half, unit], 5, 10**6) == reference_outcome([half, unit], 5, 10**6)
-    words = cayley._ball_words(cayley._alphabet([half, unit]), 1, 10**6)
+    words = ball_words([half, unit], 1, 10**6)
     assert [str(w) for w, _ in words] == ["0", "1", "0^-1", "1^-1"]
 
 
@@ -660,7 +694,7 @@ def assert_same_spheres(gens, radius, budget=10**6):
     spheres, error = got
     walk = []
     with pytest.raises(BudgetExceeded) if error else nullcontext():
-        walk.extend(cayley._ball_words(cayley._alphabet(gens), radius, budget))
+        walk.extend(ball_words(gens, radius, budget))
     assert walk == [element for sphere in spheres for element in sphere]
     return got
 
@@ -977,3 +1011,128 @@ def test_gates_match_fraction_reference_seeded():
         assert generated_algebra_dimension(a, b) == reference_algebra_dimension(a, b)
         agreed[shemesh] += 1
     assert min(agreed.values()) > 30
+
+
+# ---------------------------------------------------------------------------
+# the pair search's gate and the unipotent flag test
+
+
+def _burnside(a, b):
+    return generated_algebra_dimension(a, b) == a.n * a.n
+
+
+# span(e1, e2) is invariant under both, but A's only eigenvectors are e1 and
+# (1, 0, 1) and B's are e2 and (0, 1, 2): no eigenvector is shared, and only
+# the transposes' common eigenvector e3 shows the plane
+PLANE_PAIR = (
+    SquareMatrix.from_rows([[1, 2, 1], [0, 1, 0], [0, 0, 2]]),
+    SquareMatrix.from_rows([[1, 0, 0], [2, 1, 1], [0, 0, 3]]),
+)
+
+
+def test_full_algebra_gate_at_n_3_reads_the_transposes():
+    a, b = PLANE_PAIR
+    assert shemesh_no_common_eigenvector(a, b)
+    assert not shemesh_no_common_eigenvector(*(SquareMatrix.from_rows(list(zip(*m.entries))) for m in PLANE_PAIR))
+    assert generated_algebra_dimension(a, b) == 7
+    assert not generates_full_algebra(a, b)
+    # a shared eigenvector, and a commuting pair
+    assert not generates_full_algebra(*REDUCIBLE) and not _burnside(*REDUCIBLE)
+    assert not generates_full_algebra(a, a * a + SquareMatrix.identity(3))
+    # the first passing pair of sanov's ball, and a generic pair at n = 3
+    assert generates_full_algebra(*sanov_gens()) and _burnside(*sanov_gens())
+    g, h = SquareMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]]), SquareMatrix.from_rows([[1, 0, 0], [0, 1, 1], [1, 0, 1]])
+    assert generates_full_algebra(g, h) and _burnside(g, h)
+
+
+@pytest.mark.parametrize("n, closes", [(2, False), (3, False), (4, True)])
+def test_full_algebra_gate_closes_the_algebra_only_from_n_4(monkeypatch, n, closes):
+    rng = random.Random(n)
+    calls = []
+    dimension = cayley.generated_algebra_dimension
+    monkeypatch.setattr(cayley, "generated_algebra_dimension", lambda *m: calls.append(m) or dimension(*m))
+    while True:
+        a, b = (SquareMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]) for _ in "ab")
+        if cayley.generates_full_algebra(a, b):
+            break
+    assert bool(calls) is closes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planted_pairs())
+@example((*PLANE_PAIR, "subspace"))
+@example((*REDUCIBLE, "eigenvector"))
+@example((SquareMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]]), SquareMatrix.from_rows([[5, 2, 0], [2, 1, 0], [0, 0, 1]]), "commuting"))
+def test_full_algebra_gate_matches_the_closure(case):
+    # n = 4 runs the closure itself: the control
+    a, b, _ = case
+    assert generates_full_algebra(a, b) is _burnside(a, b)
+
+
+def test_full_algebra_gate_matches_the_closure_seeded():
+    rng = random.Random(37)
+    verdicts = {(n, v): 0 for n in (2, 3, 4) for v in (True, False)}
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        a, b = (
+            SquareMatrix.from_rows([[F(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(n)] for _ in range(n)])
+            for _ in "ab"
+        )
+        if rng.random() < 0.4:
+            # zero the block below span(e_1..e_k): a shared k-dimensional subspace
+            k = rng.randint(1, n - 1)
+            a, b = (
+                SquareMatrix.from_rows([[0 if i >= k > j else x for j, x in enumerate(r)] for i, r in enumerate(m.entries)])
+                for m in (a, b)
+            )
+        verdict = generates_full_algebra(a, b)
+        assert verdict is _burnside(a, b)
+        verdicts[n, verdict] += 1
+    assert min(verdicts.values()) > 10
+
+
+def _unitriangular_conjugate(rng, n, p):
+    u = SquareMatrix.from_rows([[rng.randint(-2, 2) if j > i else int(i == j) for j in range(n)] for i in range(n)])
+    return p.inverse() * u * p
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_flag_test_finds_a_conjugated_unitriangular_group(n):
+    rng = random.Random(n)
+    while True:
+        p = SquareMatrix.from_rows([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+        if p.det() != 0:
+            break
+    gens = [_unitriangular_conjugate(rng, n, p) for _ in range(3)]
+    assert generates_unipotent_group(*gens)
+    assert not any(charpoly_is_squarefree(char_poly(g)) for g in gens)
+
+
+def test_flag_test_verdicts():
+    assert generates_unipotent_group(*heisenberg_gens())
+    assert generates_unipotent_group(SquareMatrix.identity(3), SquareMatrix.identity(3))
+    assert generates_unipotent_group(SquareMatrix.identity(1))
+    # each generator is unipotent, but together they generate SL_2(Z)
+    assert not generates_unipotent_group(SquareMatrix.from_rows([[1, 1], [0, 1]]), SquareMatrix.from_rows([[1, 0], [1, 1]]))
+    assert not generates_unipotent_group(*sanov_gens())
+    huge = 10**4000
+    assert not generates_unipotent_group(SquareMatrix.from_rows([[1, huge], [0, 1]]), SquareMatrix.from_rows([[1, 0], [huge, 1]]))
+    # a unipotent block above an SL_2(Z) block: every generator has trace 4
+    shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+    lower = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
+    assert not generates_unipotent_group(SquareMatrix.from_rows(shear), SquareMatrix.from_rows(lower))
+
+
+def test_flag_test_reads_traces_before_any_elimination(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(cayley, "_span", forbidden)
+    monkeypatch.setattr(cayley, "bareiss", forbidden)
+    # a trace other than n in the first, the last or a middle generator
+    assert not generates_unipotent_group(*REDUCIBLE)
+    assert not generates_unipotent_group(*heisenberg_gens(), SquareMatrix.from_rows([[2, 1, 0], [1, 1, 0], [0, 0, 1]]))
+    assert not generates_unipotent_group(heisenberg_gens()[0], -SquareMatrix.identity(3), heisenberg_gens()[1])
+    assert not generates_unipotent_group(SquareMatrix.from_rows([[F(1, 2), 0], [0, 2]]))
+    with pytest.raises(AssertionError, match="eliminated"):
+        generates_unipotent_group(*heisenberg_gens())

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from growthcert import cli, pingpong
-from growthcert.exactnum import format_rational, is_prime
+from growthcert.exactnum import SquareMatrix, format_rational, is_prime
 from growthcert.pingpong import growth_bound_from_length
 from test_cayley import heisenberg_gens, reference_ball
 
@@ -638,6 +638,47 @@ def test_the_ten_to_the_300_sl4_file_ends_quickly(capsys, tmp_path):
     assert (code, err) == (0, "")
     moduli = json.loads(out)["arch_moduli"]
     assert moduli[0] == [str(10**300)] * 2 and moduli[-1] == [f"1/{10**300}"] * 2
+
+
+def _unitriangular(rng, n):
+    return [[rng.randint(-2, 2) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["unipotent", "trace-6"])
+def test_sixteen_trace_6_generators_at_n_6_end_quickly(capsys, tmp_path, kind):
+    # "unipotent": 16 unitriangular matrices conjugated by one unimodular P
+    # with 100-digit entries, so the generators carry about 600 digits; the
+    # flag test refuses the group before any charpoly, and the ball is only
+    # drained.  "trace-6": 16 unitriangular matrices whose top 2 x 2 blocks
+    # alternate [[1, 1], [0, 1]] and [[1, 0], [1, 1]]: every generator is
+    # unipotent, the group maps onto SL_2(Z), and no element has a
+    # squarefree charpoly, so the A scan walks the ball
+    rng = random.Random(37)
+    n = 6
+    gens = [_unitriangular(rng, n) for _ in range(16)]
+    if kind == "unipotent":
+        lower, upper = (
+            SquareMatrix.from_rows(
+                [[rng.randrange(-(10**50), 10**50) if cmp(i, j) else int(i == j) for j in range(n)] for i in range(n)]
+            )
+            for cmp in (int.__gt__, int.__lt__)
+        )
+        p = lower * upper
+        assert max(len(str(abs(x))) for row in p.num for x in row) >= 100
+        gens = [[[str(x) for x in row] for row in (p.inverse() * SquareMatrix.from_rows(g) * p).num] for g in gens]
+    else:
+        for k, g in enumerate(gens):
+            g[0][:2], g[1][:2] = ([1, 1], [0, 1]) if k % 2 == 0 else ([1, 0], [1, 1])
+    path = write_json(tmp_path / "trace6.json", {"n": n, "generators": gens})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["certify", path, "--search-depth", "2"])
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (4, "")
+    assert json.loads(out) == {
+        "failed_stage": "find_regular_pair",
+        "reason": "PairNotFound: no regular (L1)-capable element within radius 2",
+        "schema": "growthcert.failure.v1",
+    }
 
 
 def test_a_basis_singular_at_every_precision_ends_in_documented_exit_codes(capsys, tmp_path):
