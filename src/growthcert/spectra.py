@@ -37,6 +37,9 @@ from .exactnum import (
 from .intervals import RationalInterval
 from .polyroots import (
     Poly,
+    _deriv,
+    _gcd,
+    _integer_coeffs,
     cauchy_bound,
     certified_root_structure,
     modulus_enclosures,
@@ -83,8 +86,15 @@ def char_poly(a: SquareMatrix, memo: SpectralMemo | None = None) -> Poly:
 
 
 def charpoly_is_squarefree(f: Poly) -> bool:
-    """Distinct eigenvalues, i.e. a matrix with charpoly f is regular semisimple."""
-    return poly_degree(squarefree_part(f)) == poly_degree(f)
+    """Distinct eigenvalues, i.e. a matrix with charpoly f is regular semisimple.
+
+    f is squarefree exactly when gcd(f, f') is a constant, here the
+    primitive gcd of f's integer form and its derivative.
+    """
+    if poly_degree(f) <= 0:
+        return True
+    ints = _integer_coeffs(f)
+    return len(_gcd(ints, _deriv(ints))) == 1
 
 
 class SpectralMemo:

@@ -57,7 +57,7 @@ def _modulus_key(z, v: Place = ARCH) -> Fraction:
     """
     if isinstance(z, tuple):
         return z[0] ** 2 + z[1] ** 2
-    return abs_value(z, v) ** 2
+    return (z if v.is_archimedean else abs_value(z, v)) ** 2
 
 
 def _adjugate_at(d: int, mats, re: Fraction, im: Fraction):
@@ -81,7 +81,9 @@ def _adjugate_at(d: int, mats, re: Fraction, im: Fraction):
 
 
 def _eigenvector(hr, hi, first_nonzero: bool, bits: int | None):
-    """The pinned column of an adjugate at a root: (real parts, imaginary parts).
+    """The pinned column of an adjugate at a root: (den, real parts, imaginary parts).
+
+    The parts are integers over den > 0, 2^bits when rounded.
 
     At a simple root the adjugate has rank 1, so each nonzero column is an
     eigenvector.  With first_nonzero (A's eigenvalues all rational) the
@@ -109,9 +111,8 @@ def _eigenvector(hr, hi, first_nonzero: bool, bits: int | None):
     # (a + ib) / (c + id) = ((ac + bd) + i(bc - ad)) / (c^2 + d^2)
     parts = ([a * c + b * d for _, a, b in col], [b * c - a * d for _, a, b in col])
     if bits is None:
-        return tuple([Fraction(x, den) for x in part] for part in parts)
-    one = 1 << bits
-    return tuple([Fraction(((x << bits + 1) // den + 1) >> 1, one) for x in part] for part in parts)
+        return den, *parts
+    return 1 << bits, *([((x << bits + 1) // den + 1) >> 1 for x in part] for part in parts)
 
 
 def diagonalize(
@@ -155,17 +156,19 @@ def diagonalize(
         ]
         points.sort(key=lambda z: (_modulus_key(z), *z), reverse=True)
     rational = {iv.lo for iv in real_ivs if iv.lo == iv.hi}
-    vectors, columns = {}, []
+    # each column as (den, integer parts), its entries the parts over den
+    columns = []
     for re, im in points:
         if im < 0:
-            # the conjugate's eigenvector, found one column earlier
-            columns.append(vectors[re, -im][1])
+            # the conjugate's eigenvector, found for the column before
+            columns.append((vector[0], vector[2]))
             continue
-        v = vectors[re, im] = _eigenvector(
-            *_adjugate_at(d, mats, re, im), exact, None if im == 0 and re in rational else bits
-        )
-        columns.append(v[0])
-    x = SquareMatrix.from_rows(list(zip(*columns)))
+        # the columns at rational roots are exact, the others rounded
+        rounded = not exact and (im != 0 or re not in rational)
+        vector = _eigenvector(*_adjugate_at(d, mats, re, im), exact, bits if rounded else None)
+        columns.append((vector[0], vector[1]))
+    den = lcm(*(e for e, _ in columns))
+    x = SquareMatrix(den, list(zip(*([v * (den // e) for v in col] for e, col in columns))))
     try:
         x_inv = x.inverse()
     except ZeroDivisionError:

@@ -214,8 +214,7 @@ def test_find_regular_pair_sanov():
     assert str(pair.word_b) == "0"
     assert pair.matrix_a == SquareMatrix.from_rows([[5, 2], [2, 1]])
     assert pair.disc == 32
-    assert pair.genericity["shemesh"] is True
-    assert pair.genericity["burnside_dim"] == 4
+    assert generates_full_algebra(pair.matrix_a, pair.matrix_b)
     assert pair.l1_grid == {(ARCH, 1): True}
 
 

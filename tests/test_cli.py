@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes, file formats."""
 
 import json
+import math
 import os
 import random
 import re
@@ -16,7 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from growthcert import cli, pingpong
-from growthcert.exactnum import SquareMatrix, format_rational, is_prime
+from growthcert.errors import GrowthcertError
+from growthcert.exactnum import (
+    SquareMatrix,
+    format_rational,
+    is_prime,
+    parse_rational,
+    require_unimodular,
+)
 from growthcert.pingpong import growth_bound_from_length
 from test_cayley import heisenberg_gens, reference_ball
 
@@ -753,6 +761,131 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     )
     code, _, err = run(capsys, ["growth", bad_labels, "--radius", "2"])
     assert code == 2 and "labels" in err
+
+
+# arrays nested far past the recursion limit of Python's JSON parser
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["growth", "find-pair", "certify", "spectrum", "verify-certificate", "verify-generators",
+     "config", "report"],
+)
+def test_deeply_nested_json_exits_2_quickly(capsys, tmp_path, entry):
+    deep = str(tmp_path / "deep.json")
+    Path(deep).write_text(NESTED_JSON, encoding="utf-8")
+    gens, cert = sanov_file(tmp_path), sanov_cert_file(tmp_path)
+    argv = {
+        "growth": ["growth", deep, "--radius", "2"],
+        "find-pair": ["find-pair", deep],
+        "certify": ["certify", deep],
+        "spectrum": ["spectrum", deep, "--word", "0"],
+        "verify-certificate": ["verify", deep, gens],
+        "verify-generators": ["verify", cert, deep],
+        "config": ["certify", gens, "--config", deep],
+        "report": ["report", deep],
+    }[entry]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert f"error: {deep} is not {'JSONL' if entry == 'report' else 'valid JSON'}: " in err
+    assert "recursion" in err
+
+
+def reference_generator_file(doc):
+    """GeneratorFile.from_json_dict as it read entries through Fractions: each entry
+    parse_rational(str(x)), the matrix SquareMatrix.from_rows; the same checks in the
+    same order."""
+    n, mats = doc["n"], []
+    for idx, grid in enumerate(doc["generators"]):
+        rows = []
+        for row in grid:
+            try:
+                rows.append([parse_rational(str(x)) for x in row])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise cli._ParseError(f"generator {idx}: bad entry: {exc}") from exc
+        try:
+            mats.append(require_unimodular(SquareMatrix.from_rows(rows)))
+        except GrowthcertError as exc:
+            raise cli._ParseError(f"generator {idx}: {exc}") from exc
+    return cli.GeneratorFile(n=n, generators=tuple(mats))
+
+
+def parsed_or_message(parse, doc):
+    try:
+        return parse(doc)
+    except cli._ParseError as exc:
+        return str(exc)
+
+
+# entries in every form a generator file may hold: Fraction reads the first
+# kind, and the second is unusable input
+_digits = st.text("0123456789", min_size=1, max_size=25)
+_valid_entry = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-10**20, 10**20), st.integers(1, 10**20)),
+    st.builds(lambda p: f"+{p}", _digits),
+    st.builds(lambda p: f" {p} ", st.integers(-99, 99)),
+    st.builds(lambda a, b: f"{a}_{b}", _digits, _digits),
+    st.sampled_from(["٣", "-٤/٧", "1/٢", "-0", "00/07", "7" * 4299, "-1/" + "3" * 4300]),
+)
+_bad_entry = st.one_of(
+    st.builds(lambda p: f"{p}/0", st.integers(-5, 5)),
+    st.sampled_from(["", "-", "1/", "/2", "1.5", "1e3", "1/-2", "--1", "1 /2", "٣_", "x"]),
+    st.sampled_from(["7" * 4301, "-" + "7" * 4400, "1/" + "3" * 4400]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.none(),
+)
+# one entry in twenty unusable, so that most files parse
+_entry = st.integers(0, 19).flatmap(lambda k: _valid_entry if k else _bad_entry)
+
+
+def _unitriangular_grid(n, above):
+    """The n x n grid with ones on the diagonal, the entries above it in turn, zeros below."""
+    above = iter(above)
+    return [[next(above) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _grids(n):
+    """n x n grids of any entries, and of determinant 1 whatever their entries parse to."""
+    size = n * (n - 1) // 2
+    unitriangular = st.lists(_entry, min_size=size, max_size=size).map(
+        lambda above: _unitriangular_grid(n, above)
+    )
+    # [[x, y, 0], [0, 1/x, 0], [0, 0, 1]] with x written in several forms
+    diagonal = st.builds(
+        lambda p, q, y, form: [
+            [form(f"{p}/{q}") if i == j == 0 else form(f"{q}/{p}") if i == j == 1
+             else y if (i, j) == (0, 1) else int(i == j) for j in range(n)]
+            for i in range(n)
+        ],
+        st.integers(1, 10**6) | st.integers(-10**6, -1),
+        st.integers(1, 10**6),
+        _entry,
+        st.sampled_from([str, " {} ".format, "+{}".format]),
+    )
+    anything = st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return unitriangular | diagonal | anything
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n: st.lists(_grids(n), min_size=1, max_size=3).map(
+            lambda grids: {"n": n, "generators": grids}
+        )
+    )
+)
+def test_generator_entries_parse_as_the_fraction_reference(doc):
+    # an integer entry path must give the same matrices, or the same exit-2 message
+    got = parsed_or_message(cli.GeneratorFile.from_json_dict, doc)
+    assert got == parsed_or_message(reference_generator_file, doc)
+    if not isinstance(got, str):
+        for g in got.generators:
+            assert g.den > 0 and math.gcd(g.den, *(x for row in g.num for x in row)) == 1
 
 
 def test_invalid_flag_value_exits_2(capsys, tmp_path):

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from growthcert import pingpong, pipeline
 from growthcert.errors import BudgetExceeded, ExponentSearchExhausted
-from growthcert.exactnum import ARCH, Place, SquareMatrix, Word, abs_value, is_prime
+from growthcert.exactnum import (
+    ARCH,
+    Place,
+    SquareMatrix,
+    Word,
+    abs_value,
+    evaluate_word,
+    is_prime,
+)
 from growthcert.pingpong import (
     DEFAULT_RADII,
     ConeChecks,
@@ -626,6 +634,131 @@ def test_oracle_matches_fraction_reference(prime, screen, case):
         assert outcome(find_semigroup_collision, *case) == outcome(reference_collision, *case)
 
 
+def reference_fingerprint(u, w, screen=False):
+    """_fingerprint as it read the Fraction entries of u and w."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for x in (x for m in (u, w) for row in m.entries for x in row):
+        for v in (x.numerator, x.denominator):
+            data = v.to_bytes(v.bit_length() // 8 + 1, "big", signed=True)
+            digest.update(len(data).to_bytes(8, "big") + data)
+    h = int.from_bytes(digest.digest(), "big")
+    dens = {x.denominator for m in (u, w) for row in m.entries for x in row}
+    p = pingpong._screen_prime_start(h) if screen else pingpong._prime_start(h)
+    while not is_prime(p) or any(d % p == 0 for d in dens):
+        p += 1
+    r = (h >> (160 if screen else 64)) % p
+    return p, tuple(pow(r, k, p) for k in range(u.n))
+
+
+def reference_residue_rows(m, p):
+    """m mod p from its Fraction entries."""
+    return tuple(
+        tuple(x.numerator * pow(x.denominator, -1, p) % p for x in row) for row in m.entries
+    )
+
+
+def reference_key_basis(y, q):
+    """_key_basis as the products of its two shears mod q."""
+    n = len(y)
+    powers = [pow(y[1], n * k, q) for k in range(2 * n)]
+
+    def shear(j, sign):
+        # I + sign * v e_j^T with v_i = s^(jn + i) for i != j and v_j = 0
+        return tuple(
+            tuple(int(i == c) + sign * powers[j * n + i] * (c == j != i) for c in range(n))
+            for i in range(n)
+        )
+
+    mul_mod = pingpong._mul_mod
+    return mul_mod(shear(0, 1), shear(1, 1), q), mul_mod(shear(1, -1), shear(0, -1), q)
+
+
+def reference_layer_keys(u, w, q, y, depth):
+    """_layer_keys with the reference residues and basis, and the slot masks
+    multiplied out from the packed ones on every layer."""
+    mul_mod = pingpong._mul_mod
+    z, z_inv = reference_key_basis(y, q)
+    z_mont = tuple(tuple(x << 32 for x in row) for row in z)
+    letters = [
+        tuple(zip(*mul_mod(mul_mod(z_inv, reference_residue_rows(g, q), q), z_mont, q)))
+        for g in (u, w)
+    ]
+    cols, ones = mul_mod([y], z, q)[0], 1
+    neg_inv = -pow(q, -1, 2**32) % 2**32
+    layers = [[cols[0] | cols[1] << 32]]
+    for k in range(depth):
+        if k == depth - 1:
+            letters = [letter[:2] for letter in letters]
+        first, second = ([sum(v * c for v, c in zip(cols, col)) for col in letter] for letter in letters)
+        ones |= ones << (64 << k)
+        low = ones * (2**32 - 1)
+        cols = [
+            x + ((x & low) * neg_inv & low) * q >> 32
+            for x in (a | b << (64 << k) for a, b in zip(first, second))
+        ]
+        halves, key = ones | ones << 32, cols[0] | cols[1] << 32
+        key -= ((key + (2**30 - q) * halves) >> 30 & halves) * q
+        layers.append([key >> 64 * i & 2**64 - 1 for i in range(2 << k)])
+    return layers
+
+
+_wide_entry = st.builds(F, st.integers(-(10**12), 10**12), st.integers(1, 10**6)) | _entry
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.lists(_wide_entry, min_size=n, max_size=n), min_size=n, max_size=n),
+            min_size=2,
+            max_size=2,
+        )
+    ),
+    st.booleans(),
+)
+def test_fingerprint_matches_the_fraction_reference(grids, screen):
+    # the lowest-terms entries hashed from (den, num) are those of the Fraction
+    # entries, so the prime and the row are the same
+    u, w = (SquareMatrix.from_rows(g) for g in grids)
+    p, x = pingpong._fingerprint(u, w, screen)
+    assert (p, x) == reference_fingerprint(u, w, screen)
+    for m in (u, w, u * w):
+        assert pingpong._residue_rows(m, p) == reference_residue_rows(m, p)
+
+
+def test_key_basis_matches_the_shear_products():
+    rng = random.Random(5)
+    for n in range(2, 9):
+        for q in (3, 5, LOW_SCREEN_PRIME, MID_SCREEN_PRIME, largest_slot_prime(n)):
+            for r in (0, 1, 2, q - 1, rng.randrange(q), rng.randrange(q)):
+                y = tuple(pow(r, k, q) for k in range(n))
+                assert pingpong._key_basis(y, q) == reference_key_basis(y, q)
+
+
+def corpus_oracle_pairs():
+    """(u, w) of each corpus certificate, the pair verify's oracle reads."""
+    corpus = json.loads((ROOT / "bench/data/corpus.json").read_text())
+    pairs = []
+    for item in corpus["inputs"]:
+        if "certificate" in item["certify"]:
+            cert = PingPongCertificate.from_json_dict(item["certify"]["certificate"])
+            gens = [SquareMatrix.from_rows(g) for g in item["generators"]]
+            pairs.append((evaluate_word(cert.word_u, gens), evaluate_word(cert.word_w, gens)))
+    return pairs
+
+
+def test_layer_keys_match_the_reference_on_the_corpus_pairs():
+    pairs = corpus_oracle_pairs()
+    assert len(pairs) == 14
+    for u, w in pairs:
+        q, y = pingpong._fingerprint(u, w, screen=True)
+        assert [list(keys) for keys in pingpong._layer_keys(u, w, q, y, 12)] == (
+            reference_layer_keys(u, w, q, y, 12)
+        )
+
+
 def screen_keys(u, w, depth):
     """The screen's keys, layer by layer, as _layer_keys yields them."""
     q, y = pingpong._fingerprint(u, w, screen=True)
@@ -858,8 +991,8 @@ def test_montgomery_slots_match_the_scalar_step(n):
                 for _ in range(slots)
             ]
             values[0], values[-1] = rng.choice(edges), rng.choice(edges)
-            ones = packed([1] * slots)
-            reduced = pingpong._montgomery_slots([packed(values), packed(values[::-1])], q, ones)
+            low = packed([2**32 - 1] * slots)
+            reduced = pingpong._montgomery_slots([packed(values), packed(values[::-1])], q, low)
             want = [[montgomery_step(v, q) for v in vs] for vs in (values, values[::-1])]
             assert [slot_values(x, slots) for x in reduced] == want
             # every slot is below 2q and congruent to x / 2^32 mod q

@@ -147,7 +147,7 @@ CORPUS = json.loads((ROOT / "bench/data/corpus.json").read_text())["inputs"]
 # the spectral computations a certify call must not repeat, by defining module
 SPECTRAL = {
     "adjugate_poly": spectra,
-    "squarefree_part": polyroots,
+    "charpoly_is_squarefree": spectra,
     "certified_root_structure": polyroots,
 }
 

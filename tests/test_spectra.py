@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from growthcert.exactnum import ARCH, Place, PlaceSet, SquareMatrix, abs_value
 from growthcert.errors import BadExponent, Inconclusive, RamifiedSlopes
 from growthcert.intervals import RationalInterval
-from growthcert.polyroots import poly_deriv
+from growthcert.polyroots import poly_degree, poly_deriv, poly_from, squarefree_part
 from growthcert.spectra import (
     adjugate_poly,
     arch_moduli,
     char_poly,
+    charpoly_is_squarefree,
     check_separation,
     compound,
     discriminant,
@@ -458,3 +459,31 @@ def test_adjugate_poly_at_the_eigenvalues():
         b = a * d * a.inverse()
         for lam in values:
             assert_adjugate_identity(b, lam)
+
+
+def poly_mul(f, g):
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+_coeff = st.builds(F, st.integers(-20, 20), st.integers(1, 9))
+_factor = st.lists(_coeff, min_size=2, max_size=3).filter(lambda c: c[-1] != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_factor, min_size=1, max_size=4), st.integers(0, 3), st.booleans())
+def test_charpoly_is_squarefree_matches_the_squarefree_part(factors, square, monic):
+    # the integer gcd's degree decides as the monic squarefree part in Fractions
+    # did, on products with and without a repeated factor
+    f = (F(1),)
+    for g in factors:
+        f = poly_mul(f, g)
+    if square < len(factors):
+        f = poly_mul(f, factors[square])
+    if monic:
+        f = tuple(c / f[-1] for c in f)
+    f = poly_from(f)
+    assert charpoly_is_squarefree(f) == (poly_degree(squarefree_part(f)) == poly_degree(f))
